@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: all build test lint race ci bench bench-json serve-bench compile-bench fuzz golden-update conformance conformance-update
+.PHONY: all build test lint race ci bench bench-json bench-smoke serve-bench compile-bench fuzz golden-update conformance conformance-update
 
 all: build test
 
@@ -46,6 +46,16 @@ bench:
 bench-json:
 	sh scripts/bench.sh
 
+# The repository benchmark (bench/, BENCHMARK.json) is a module of its own, so
+# `go build ./...` does not see an API deletion that breaks it. Vet and test
+# it, then run every workload once at smoke scale (tiny parameters, a
+# 2-second timed loop) through the same run.sh the driver uses.
+bench-smoke:
+	cd bench && $(GO) vet . && $(GO) test .
+	for w in he-rot he-mul he-boot sim-fleet serve-replay; do \
+		bash bench/run.sh -scale smoke -seconds 2 -workload $$w || exit 1; \
+	done
+
 # Serving-layer load benchmark: replays the synthetic open-loop Poisson
 # workload (cmd/hydra-serve) against two fleet sizes and writes jobs/sec plus
 # queue-wait/latency percentiles to BENCH_serve.json.
@@ -61,11 +71,13 @@ serve-bench:
 compile-bench:
 	sh scripts/bench.sh compile
 
-# Short fuzz passes: the ISA task-program decoder, and the differential
-# modular-arithmetic fuzzer (Barrett/Shoup/Montgomery vs math/big).
+# Short fuzz passes: the ISA task-program decoder, the differential
+# modular-arithmetic fuzzer (Barrett/Shoup vs math/big), and the ciphertext
+# wire decoder.
 fuzz:
 	$(GO) test -fuzz=FuzzUnmarshal -fuzztime=20s ./internal/isa/
 	$(GO) test -fuzz=FuzzModularOps -fuzztime=10s -run '^$$' ./internal/ring/
+	$(GO) test -fuzz=FuzzUnmarshalCiphertext -fuzztime=10s -run '^$$' ./internal/ckks/
 
 # Regenerate the experiment golden snapshots after an intentional change.
 golden-update:

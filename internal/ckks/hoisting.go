@@ -133,43 +133,18 @@ func (ev *Evaluator) RotateExt(ct *Ciphertext, rot int) *ExtCiphertext {
 	return ev.RotateHoistedExt(ct, []int{rot})[rot]
 }
 
-// MulPlainExtAcc accumulates x ⊙ pt into acc in place over the extended
-// basis: acc += x ⊙ pt row-wise, including the P-row, with every row staying
-// lazy in [0, 2q). Levels must match between x and acc; pt must be encoded at
-// x's level or above. acc's scale must already equal x.Scale·pt.Scale.
-func (ev *Evaluator) MulPlainExtAcc(x *ExtCiphertext, pt *ExtPlaintext, acc *ExtCiphertext) {
-	if x.Lvl != acc.Lvl {
-		panic(fmt.Sprintf("ckks: level mismatch in MulPlainExtAcc: %d vs %d", x.Lvl, acc.Lvl))
-	}
-	if pt.Lvl < x.Lvl {
-		panic(fmt.Sprintf("ckks: plaintext level %d below ciphertext level %d in MulPlainExtAcc", pt.Lvl, x.Lvl))
-	}
-	if !sameScale(acc.Scale, x.Scale*pt.Scale) {
-		panic(fmt.Sprintf("ckks: scale mismatch in MulPlainExtAcc: %g vs %g", acc.Scale, x.Scale*pt.Scale))
-	}
-	r := ev.params.RingQP()
-	special := ev.params.SpecialIndex()
-	ring.ForEachLimb(x.Lvl+2, func(jj int) {
-		tblIdx := x.ModIdx[jj]
-		m := r.Tables[tblIdx].Mod
-		prow := pt.row(tblIdx, special)
-		// Lazy row MAC: x rows < 2q times canonical pt rows < q keeps the
-		// 128-bit product within the q·2^64 Barrett budget.
-		m.MulAddRowLazy(acc.C0[jj], x.C0[jj], prow)
-		m.MulAddRowLazy(acc.C1[jj], x.C1[jj], prow)
-	})
-}
-
-// MulPlainExtAccBatch folds a whole sequence of (x, pt) products into acc in
-// one pass: acc += Σ xs[ti] ⊙ pts[ti], row-wise over the extended basis. Per
-// accumulator row, every term of the sequence streams through while that row
-// stays resident — a BSGS giant step folds all its diagonals in one sweep of
-// the accumulator instead of re-walking it per diagonal. The per-pair
-// contracts of MulPlainExtAcc apply; results are bit-identical to the
-// sequential per-pair calls.
-func (ev *Evaluator) MulPlainExtAccBatch(xs []*ExtCiphertext, pts []*ExtPlaintext, acc *ExtCiphertext) {
+// MulPlainExtAcc folds a whole sequence of (x, pt) products into acc in one
+// pass over the extended basis: acc += Σ xs[ti] ⊙ pts[ti] row-wise, including
+// the P-row, with every row staying lazy in [0, 2q). Per accumulator row,
+// every term of the sequence streams through while that row stays resident —
+// a BSGS giant step folds all its diagonals in one sweep of the accumulator
+// instead of re-walking it per diagonal. Every x must sit at acc's level,
+// every pt must be encoded at that level or above, and acc's scale must
+// already equal x.Scale·pt.Scale for every pair. The result is bit-identical
+// to accumulating the pairs one call at a time.
+func (ev *Evaluator) MulPlainExtAcc(xs []*ExtCiphertext, pts []*ExtPlaintext, acc *ExtCiphertext) {
 	if len(xs) != len(pts) {
-		panic("ckks: MulPlainExtAccBatch length mismatch")
+		panic("ckks: MulPlainExtAcc length mismatch")
 	}
 	for ti, x := range xs {
 		if x.Lvl != acc.Lvl {
@@ -189,6 +164,8 @@ func (ev *Evaluator) MulPlainExtAccBatch(xs []*ExtCiphertext, pts []*ExtPlaintex
 		m := r.Tables[tblIdx].Mod
 		for ti, x := range xs {
 			prow := pts[ti].row(tblIdx, special)
+			// Lazy row MAC: x rows < 2q times canonical pt rows < q keeps the
+			// 128-bit product within the q·2^64 Barrett budget.
 			m.MulAddRowLazy(acc.C0[jj], x.C0[jj], prow)
 			m.MulAddRowLazy(acc.C1[jj], x.C1[jj], prow)
 		}

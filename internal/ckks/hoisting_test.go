@@ -30,40 +30,83 @@ func TestRotateExtBitIdenticalToRotate(t *testing.T) {
 	}
 }
 
-// Multiplying a lifted ciphertext by an extended plaintext and folding back
-// down is exact: the lift's P-row is zero, so the ModDown subtracts nothing
-// and the result must be bit-identical to MulPlain. This also pins
-// EncodeExtAtLevel's Q-rows to EncodeAtLevel's.
-func TestMulPlainExtAccBitIdenticalToMulPlain(t *testing.T) {
-	tc := newTestContext(t, 6, 3, []int{1})
-	vals := randomComplex(tc.params.Slots(), 12)
-	weights := randomComplex(tc.params.Slots(), 13)
-	pt, err := tc.enc.Encode(vals)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ct := tc.encr.Encrypt(pt)
-	lvl := ct.Level()
-	scale := tc.params.DefaultScale()
+// MulPlainExtAcc, the single extended-basis accumulate entry point, against
+// the Q-basis operations it replaces.
+//
+// One term: multiplying a lifted ciphertext by an extended plaintext and
+// folding back down is exact — the lift's P-row is zero, so the ModDown
+// subtracts nothing — and the result must be bit-identical to MulPlain. This
+// also pins EncodeExtAtLevel's Q-rows to EncodeAtLevel's.
+//
+// k terms: a hoisted weighted sum Σ w_k ⊙ τ_k(ct) folded in one call must be
+// bit-identical to folding the same pairs one call at a time (the per-row
+// term order is the same), and must decrypt to the sum of per-rotation
+// Rotate+MulPlain results; the single deferred rounding only shrinks the
+// error.
+func TestMulPlainExtAcc(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		rots []int
+	}{
+		{"1-term", []int{0}},
+		{"k-term", []int{0, 1, 2, 5, -1}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			tc := newTestContext(t, 6, 3, []int{1, 2, 5, -1})
+			pt, err := tc.enc.Encode(randomComplex(tc.params.Slots(), 12))
+			if err != nil {
+				t.Fatal(err)
+			}
+			ct := tc.encr.Encrypt(pt)
+			lvl := ct.Level()
+			scale := tc.params.DefaultScale()
 
-	wPlain, err := tc.enc.EncodeAtLevel(weights, scale, lvl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wExt, err := tc.enc.EncodeExtAtLevel(weights, scale, lvl)
-	if err != nil {
-		t.Fatal(err)
-	}
+			exts := tc.eval.RotateHoistedExt(ct, c.rots)
+			xs := make([]*ExtCiphertext, len(c.rots))
+			wExts := make([]*ExtPlaintext, len(c.rots))
+			var want *Ciphertext
+			for i, rot := range c.rots {
+				weights := randomComplex(tc.params.Slots(), int64(13+i))
+				wPlain, err := tc.enc.EncodeAtLevel(weights, scale, lvl)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if wExts[i], err = tc.enc.EncodeExtAtLevel(weights, scale, lvl); err != nil {
+					t.Fatal(err)
+				}
+				xs[i] = exts[rot]
+				term := tc.eval.MulPlain(tc.eval.Rotate(ct, rot), wPlain)
+				if want == nil {
+					want = term
+				} else {
+					tc.eval.AddAcc(term, want)
+				}
+			}
 
-	acc := tc.eval.NewExtAccumulator(lvl, ct.Scale*scale)
-	lift := tc.eval.RotateExt(ct, 0)
-	tc.eval.MulPlainExtAcc(lift, wExt, acc)
-	tc.eval.ReleaseExt(lift)
-	got := tc.eval.ModDownExt(acc)
+			acc := tc.eval.NewExtAccumulator(lvl, ct.Scale*scale)
+			tc.eval.MulPlainExtAcc(xs, wExts, acc)
+			stepwise := tc.eval.NewExtAccumulator(lvl, ct.Scale*scale)
+			for i := range xs {
+				tc.eval.MulPlainExtAcc(xs[i:i+1], wExts[i:i+1], stepwise)
+				tc.eval.ReleaseExt(xs[i])
+			}
+			got := tc.eval.ModDownExt(acc)
+			if err := ctBitIdentical(got, tc.eval.ModDownExt(stepwise)); err != nil {
+				t.Fatalf("one fold differs from term-at-a-time folds: %v", err)
+			}
 
-	want := tc.eval.MulPlain(ct, wPlain)
-	if err := ctBitIdentical(got, want); err != nil {
-		t.Fatalf("extended-basis plaintext product differs from MulPlain: %v", err)
+			if len(c.rots) == 1 {
+				if err := ctBitIdentical(got, want); err != nil {
+					t.Fatalf("extended-basis plaintext product differs from MulPlain: %v", err)
+				}
+				return
+			}
+			gotVals := tc.enc.Decode(tc.decr.Decrypt(got))
+			wantVals := tc.enc.Decode(tc.decr.Decrypt(want))
+			if e := maxErr(gotVals, wantVals); e > 1e-6 {
+				t.Fatalf("hoisted weighted sum differs from per-rotation reference by %g", e)
+			}
+		})
 	}
 }
 
@@ -126,9 +169,14 @@ func TestParallelSerialDifferentialExt(t *testing.T) {
 			fold := func() *Ciphertext {
 				exts := tc.eval.RotateHoistedExt(ct, rots)
 				acc := tc.eval.NewExtAccumulator(ct.Level(), ct.Scale*wExt.Scale)
-				for _, rot := range rots {
-					tc.eval.MulPlainExtAcc(exts[rot], wExt, acc)
-					tc.eval.ReleaseExt(exts[rot])
+				xs := make([]*ExtCiphertext, len(rots))
+				pts := make([]*ExtPlaintext, len(rots))
+				for i, rot := range rots {
+					xs[i], pts[i] = exts[rot], wExt
+				}
+				tc.eval.MulPlainExtAcc(xs, pts, acc)
+				for _, x := range xs {
+					tc.eval.ReleaseExt(x)
 				}
 				return tc.eval.ModDownExt(acc)
 			}

@@ -37,10 +37,10 @@ func UnmarshalCiphertext(params *Parameters, data []byte) (*Ciphertext, error) {
 	r := params.RingQP()
 	c0 := r.NewPoly(level)
 	c1 := r.NewPoly(level)
-	if rest, err = readPoly(rest, c0, isNTT); err != nil {
+	if rest, err = readPoly(rest, r, c0, isNTT); err != nil {
 		return nil, err
 	}
-	if rest, err = readPoly(rest, c1, isNTT); err != nil {
+	if rest, err = readPoly(rest, r, c1, isNTT); err != nil {
 		return nil, err
 	}
 	if len(rest) != 0 {
@@ -64,8 +64,9 @@ func UnmarshalPlaintext(params *Parameters, data []byte) (*Plaintext, error) {
 	if err != nil {
 		return nil, err
 	}
-	v := params.RingQP().NewPoly(level)
-	if rest, err = readPoly(rest, v, isNTT); err != nil {
+	r := params.RingQP()
+	v := r.NewPoly(level)
+	if rest, err = readPoly(rest, r, v, isNTT); err != nil {
 		return nil, err
 	}
 	if len(rest) != 0 {
@@ -125,15 +126,23 @@ func appendPoly(buf []byte, p *ring.Poly) []byte {
 	return buf
 }
 
-func readPoly(data []byte, p *ring.Poly, isNTT bool) ([]byte, error) {
+// readPoly fills p from data and rejects any residue outside [0, q_i): every
+// lazy kernel's overflow budget assumes canonical residues on entry, so an
+// out-of-range limb from the wire must not reach the evaluator.
+func readPoly(data []byte, r *ring.Ring, p *ring.Poly, isNTT bool) ([]byte, error) {
 	need := len(p.Coeffs) * len(p.Coeffs[0]) * 8
 	if len(data) < need {
 		return nil, fmt.Errorf("ckks: truncated polynomial (%d of %d bytes)", len(data), need)
 	}
 	off := 0
-	for _, limb := range p.Coeffs {
+	for i, limb := range p.Coeffs {
+		q := r.Moduli[i]
 		for j := range limb {
-			limb[j] = binary.LittleEndian.Uint64(data[off:])
+			c := binary.LittleEndian.Uint64(data[off:])
+			if c >= q {
+				return nil, fmt.Errorf("ckks: residue %d of limb %d is %d, not below its modulus %d", j, i, c, q)
+			}
+			limb[j] = c
 			off += 8
 		}
 	}

@@ -18,7 +18,7 @@ type EvalContext struct {
 // Inputs maps input names to ciphertexts, each at the program's InputLevel
 // and canonical scale. Fused ops lower onto the extended-basis machinery:
 // RotBasket → RotateHoistedExt, DiagMac → EncodeExtAtLevel +
-// MulPlainExtAccBatch + one ModDownExt, RotSum → AddExtAcc folds; tier-A
+// MulPlainExtAcc + one ModDownExt, RotSum → AddExtAcc folds; tier-A
 // hoist groups share one RotateHoisted decomposition.
 func Evaluate(p *Program, ctx EvalContext, inputs map[string]*ckks.Ciphertext) (*ckks.Ciphertext, error) {
 	if !p.Legal {
@@ -271,7 +271,7 @@ func (e *evalLowering) lower(v *Value) error {
 			}
 		}
 		acc := ev.NewExtAccumulator(v.Level, srcScale*ev.Params().DefaultScale())
-		ev.MulPlainExtAccBatch(xs, pts, acc)
+		ev.MulPlainExtAcc(xs, pts, acc)
 		e.deg1[v] = ev.ModDownExt(acc)
 
 	case OpRotSum:

@@ -345,7 +345,7 @@ func (p *TransformPlan) Apply(eval *ckks.Evaluator, ct *ckks.Ciphertext) (*ckks.
 			for ti, j := range grp.js {
 				xs[ti] = baby[j]
 			}
-			eval.MulPlainExtAccBatch(xs, grp.pts, acc)
+			eval.MulPlainExtAcc(xs, grp.pts, acc)
 			if grp.g != 0 {
 				// The group's only ModDown; the giant rotation re-enters the
 				// extended basis so the final fold stays deferred.

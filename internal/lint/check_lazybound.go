@@ -81,20 +81,15 @@ func lazyAware(name string) bool {
 }
 
 // isLazyHelper matches the lazy kernel family by naming contract: the scalar
-// and row helpers end in Lazy (MulAddLazy, MulAddRowLazy, …); the batch
-// layer's kernels append Batch to a Lazy-bearing stem (MulAddRowLazyBatch,
-// MulAddRowLazyGatherBatch) — they stream one shared row across many lazy
-// accumulators under the same [0,2q) contract.
+// and row helpers end in Lazy (MulAddLazy, MulAddRowLazy, …).
 func isLazyHelper(name string) bool {
-	return strings.HasSuffix(name, "Lazy") ||
-		(strings.HasSuffix(name, "Batch") && strings.Contains(name, "Lazy"))
+	return strings.HasSuffix(name, "Lazy")
 }
 
 // isNTTEntry matches the transform entry points that accept lazy input,
-// including the batch layer's shared-scratch variants.
+// including the shared-scratch ForwardBatch.
 func isNTTEntry(name string) bool {
-	return name == "Forward" || name == "Inverse" ||
-		name == "ForwardBatch" || name == "InverseBatch" ||
+	return name == "Forward" || name == "Inverse" || name == "ForwardBatch" ||
 		strings.Contains(name, "NTT")
 }
 

@@ -428,10 +428,9 @@ func (r *lazyRun) call(call *ast.CallExpr, s state[resDom], rep bool) resDom {
 		return d
 	}
 
-	if isRingFunc(fn) && (fn.Name() == "ForEachLimb" || fn.Name() == "ForEachLimbTile" || fn.Name() == "RunTasks") {
-		// The parallel-for helpers (including the batch layer's (limb × tile)
-		// grid) run every closure argument to completion before returning:
-		// apply closure effects as executed, not maybe-run.
+	if isRingFunc(fn) && (fn.Name() == "ForEachLimb" || fn.Name() == "RunTasks") {
+		// The parallel-for helpers run every closure argument to completion
+		// before returning: apply closure effects as executed, not maybe-run.
 		for _, a := range call.Args {
 			if lit, ok := ast.Unparen(a).(*ast.FuncLit); ok {
 				r.closureExec(lit, s, rep)

@@ -13,12 +13,12 @@ const ringPkg = "internal/ring"
 // RawMod flags raw +, -, *, % on uint64 values outside internal/ring. In the
 // accelerator every coefficient passes through a hardware reduction unit; in
 // this substrate the equivalent rule is that mod-q arithmetic must flow
-// through the ring.Modulus / ring.MontgomeryModulus / AddMod-family helpers —
-// including the sanctioned lazy family (AddModLazy, SubModLazy,
-// MulModShoupLazy, MulAddShoupLazy, MulAddLazy, MulSubLazy) closed by
-// ReduceFinal / ReduceFinalVec — so a raw operator on uint64 residues
-// signals a missing Barrett/Montgomery reduction (or a lazy value silently
-// exceeding its contract; see the companion lazybound check).
+// through the ring.Modulus / AddMod-family helpers — including the
+// sanctioned lazy family (AddModLazy, SubModLazy, MulModShoupLazy,
+// MulAddShoupLazy, MulAddLazy) closed by ReduceFinal / ReduceFinalVec — so a
+// raw operator on uint64 residues signals a missing Barrett/Shoup reduction
+// (or a lazy value silently exceeding its contract; see the companion
+// lazybound check).
 var RawMod = &Check{
 	Name: "rawmod",
 	Doc:  "raw +,-,*,% on uint64 values outside internal/ring (missing modular reduction)",

@@ -94,33 +94,31 @@ func okLazy4Reduced(a, b, q uint64) uint64 {
 	return ring.Reduce(ring.AddModLazy4(a, b, q), q)
 }
 
-// lazydomain: the batched key-row MAC leaves every accumulator row lazy —
-// reading one back into a canonical consumer without the closing sweep
-// escapes the window. (lazybound stays silent: the argument is not a Lazy
-// call or Lazy-named variable, which is exactly the gap the flow engine
-// closes.)
-func badBatchMAC(accs, xs [][]uint64, key []uint64, q uint64) uint64 {
-	ring.MulAddRowLazyBatch(accs, xs, key)
-	return ring.AddMod(accs[0][0], 0, q) // want lazydomain
+// lazydomain: the row MAC leaves its accumulator row lazy — reading it back
+// into a canonical consumer without the closing sweep escapes the window.
+// (lazybound stays silent: the argument is not a Lazy call or Lazy-named
+// variable, which is exactly the gap the flow engine closes.)
+func badRowMAC(acc, x, key []uint64, q uint64) uint64 {
+	ring.MulAddRowLazy(acc, x, key)
+	return ring.AddMod(acc[0], 0, q) // want lazydomain
 }
 
-// The sanctioned batch shape: tiles fold on the (limb × tile) grid and the
-// accumulator rows are swept inside the tile body. ForEachLimbTile closures
-// execute before the call returns, so the sweep's effect is real, not
-// maybe-run.
-func okBatchMACSwept(accs, xs [][]uint64, key []uint64, q uint64) uint64 {
-	ring.ForEachLimbTile(1, len(accs), func(limb, tile int) {
-		ring.MulAddRowLazyBatch(accs, xs, key)
-		ring.ReduceFinalVec(accs[tile], q)
+// The sanctioned shape: rows fold on the limb fan-out and each accumulator
+// row is swept inside the closure body. ForEachLimb closures execute before
+// the call returns, so the sweep's effect is real, not maybe-run.
+func okRowMACSwept(accs, xs [][]uint64, key []uint64, q uint64) uint64 {
+	ring.ForEachLimb(len(accs), func(i int) {
+		ring.MulAddRowLazy(accs[i], xs[i], key)
+		ring.ReduceFinalVec(accs[i], q)
 	})
 	return ring.AddMod(accs[0][0], 0, q)
 }
 
-// Feeding the batch MAC's output rows to the batched transform also closes
-// the window: ForwardBatch folds the sweep into its last pass like the
-// scalar NTT entries.
-func okBatchNTT(rows, xs [][]uint64, key []uint64, q uint64) uint64 {
-	ring.MulAddRowLazyBatch(rows, xs, key)
+// Feeding the row MAC's output rows to the batched transform also closes the
+// window: ForwardBatch folds the sweep into its last pass like the scalar NTT
+// entries.
+func okRowMACForwardBatch(rows, xs [][]uint64, key []uint64, q uint64) uint64 {
+	ring.MulAddRowLazy(rows[0], xs[0], key)
 	ring.ForwardBatch(rows)
 	return ring.AddMod(rows[0][0], 0, q)
 }

@@ -39,19 +39,9 @@ func RunTasks(fns ...func()) {
 	}
 }
 
-// ForEachLimbTile mimics the batch layer's (limb × tile) work partitioner:
-// like ForEachLimb, every closure runs to completion before it returns.
-func ForEachLimbTile(limbs, tiles int, fn func(limb, tile int)) {
-	for l := 0; l < limbs; l++ {
-		for t := 0; t < tiles; t++ {
-			fn(l, t)
-		}
-	}
-}
-
-// MulAddRowLazyBatch mimics the batched key-row MAC: one shared key row is
-// streamed across many accumulators, all of which stay lazy in [0, 2q).
-func MulAddRowLazyBatch(accs, xs [][]uint64, key []uint64) {}
+// MulAddRowLazy mimics the row-wide key MAC: the accumulator row stays lazy
+// in [0, 2q).
+func MulAddRowLazy(acc, a, b []uint64) {}
 
 // ForwardBatch mimics the batched NTT entry point: like Forward, it accepts
 // lazy input and folds the canonicalizing sweep into its last pass.

@@ -19,31 +19,24 @@ func benchNTT(b *testing.B, n int, kernel func(*NTTTable, []uint64)) {
 
 var (
 	fwdMerged = (*NTTTable).Forward
-	fwdRadix4 = (*NTTTable).ForwardRadix4
 	fwdRadix2 = (*NTTTable).ForwardReference
 	invMerged = (*NTTTable).Inverse
 	invRadix2 = (*NTTTable).InverseReference
 )
 
 // The NTT-kernel ablation behind Hydra's choice of a radix-4 datapath
-// (Section IV-B), three generations deep: the five-pass radix-2 reference,
-// the separate-twist radix-4 kernel, and the merged-twist lazy radix-4
-// default. The 2^13..2^16 ladder spans the paper's parameter sets; 2^14 is
-// the acceptance point for the merged kernel's ≥1.3× target over radix-4.
+// (Section IV-B): the five-pass radix-2 reference against the merged-twist
+// lazy radix-4 default (the generated specialization at these degrees). The
+// 2^12..2^16 ladder spans the paper's parameter sets.
 func BenchmarkNTTRadix2_4096(b *testing.B)   { benchNTT(b, 4096, fwdRadix2) }
-func BenchmarkNTTRadix4_4096(b *testing.B)   { benchNTT(b, 4096, fwdRadix4) }
 func BenchmarkNTTMerged_4096(b *testing.B)   { benchNTT(b, 4096, fwdMerged) }
 func BenchmarkNTTRadix2_8192(b *testing.B)   { benchNTT(b, 8192, fwdRadix2) }
-func BenchmarkNTTRadix4_8192(b *testing.B)   { benchNTT(b, 8192, fwdRadix4) }
 func BenchmarkNTTMerged_8192(b *testing.B)   { benchNTT(b, 8192, fwdMerged) }
 func BenchmarkNTTRadix2_16384(b *testing.B)  { benchNTT(b, 16384, fwdRadix2) }
-func BenchmarkNTTRadix4_16384(b *testing.B)  { benchNTT(b, 16384, fwdRadix4) }
 func BenchmarkNTTMerged_16384(b *testing.B)  { benchNTT(b, 16384, fwdMerged) }
 func BenchmarkNTTRadix2_32768(b *testing.B)  { benchNTT(b, 32768, fwdRadix2) }
-func BenchmarkNTTRadix4_32768(b *testing.B)  { benchNTT(b, 32768, fwdRadix4) }
 func BenchmarkNTTMerged_32768(b *testing.B)  { benchNTT(b, 32768, fwdMerged) }
 func BenchmarkNTTRadix2_65536(b *testing.B)  { benchNTT(b, 65536, fwdRadix2) }
-func BenchmarkNTTRadix4_65536(b *testing.B)  { benchNTT(b, 65536, fwdRadix4) }
 func BenchmarkNTTMerged_65536(b *testing.B)  { benchNTT(b, 65536, fwdMerged) }
 func BenchmarkINTT_4096(b *testing.B)        { benchNTT(b, 4096, invMerged) }
 func BenchmarkINTTRadix2_8192(b *testing.B)  { benchNTT(b, 8192, invRadix2) }
@@ -117,15 +110,4 @@ func BenchmarkAutomorphismNTT(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		r.AutomorphismNTT(p, perm, out)
 	}
-}
-
-func BenchmarkMulModMontgomery(b *testing.B) {
-	m := NewMontgomeryModulus(testQ)
-	x := m.ToMont(0x123456789abcd % testQ)
-	y := m.ToMont(0xfedcba987 % testQ)
-	var acc uint64 = x
-	for i := 0; i < b.N; i++ {
-		acc = m.MulModMont(acc, y)
-	}
-	_ = acc
 }

@@ -9,16 +9,15 @@ import "sync"
 // block count and stride a compile-time literal, the bit-reverse permutation
 // fused into the first (inverse) or last (forward) butterfly pass, and — for
 // the forward — the correction-free lazy schedule described at
-// GeneratedQBound. The kernels register themselves here from init(), and
-// NewNTTTable turns them on per table when the degree and modulus qualify.
+// GeneratedQBound. The kernels register themselves here from init().
 //
-// Like the reference switch (SetReference), the generated switch is a
-// bit-identity seam, not a semantics switch: every kernel family produces
-// identical canonical output, pinned by the differential tests in
-// ntt_gen_test.go and by the conformance matrix, so flipping dispatch can
-// never change a result bit. SetGenerated(false) recovers the exact
-// pre-specialization execution (the generic merged kernel), which is what
-// the per-ciphertext-dispatch benchmark baselines run.
+// Which kernel a table runs is decided once, in NewNTTTable, from what the
+// table can observe: the specialized pair when the degree is in
+// ShippedKernelLogNs and q < GeneratedQBound, the generic merged kernel
+// otherwise. There is no switch to flip: both kernels produce identical
+// canonical output (pinned in-package by TestNTTKernelSelection, which calls
+// the generic kernel directly), and the only runtime reroute left is the
+// reference oracle behind SetReference.
 
 // generatedKernel is one specialized transform: it reads a, may use the
 // N-word scratch row as a ping-pong buffer, and leaves the result in a.
@@ -40,37 +39,16 @@ func registerGeneratedKernels(logN int, fwd, inv generatedKernel) {
 	generatedKernels[logN] = generatedKernelPair{forward: fwd, inverse: inv}
 }
 
-// GeneratedAvailable reports whether a specialized kernel pair exists for
-// this table's degree and modulus (degree in the shipped set, q below
-// GeneratedQBound).
-func (t *NTTTable) GeneratedAvailable() bool {
-	_, ok := generatedKernels[t.LogN]
-	return ok && t.Mod.Q < GeneratedQBound
-}
-
-// SetGenerated selects whether Forward/Inverse dispatch to the specialized
-// generated kernels (the default when GeneratedAvailable) or to the generic
-// merged kernel. Turning it on for a table with no qualifying kernel is a
-// no-op. SetReference takes precedence over both. Like SetReference, set it
-// before the table is shared with concurrent users.
-func (t *NTTTable) SetGenerated(on bool) {
-	t.useGenerated = on && t.GeneratedAvailable()
-}
-
-// SetGeneratedNTT flips every limb's generated-kernel dispatch (see
-// NTTTable.SetGenerated). The families are bit-identical, so results must
-// not change; false recovers the generic per-limb merged kernel, the
-// baseline the batch benchmarks compare against.
-func (r *Ring) SetGeneratedNTT(on bool) {
-	for _, t := range r.Tables {
-		t.SetGenerated(on)
-	}
-}
-
-// initGenerated wires a freshly built table to its specialized kernels, if
-// any. Called from NewNTTTable.
+// initGenerated wires a freshly built table to its specialized kernels when
+// the degree ships a pair and the modulus is below GeneratedQBound; otherwise
+// t.gen stays nil and the table runs the generic merged kernel. Called from
+// NewNTTTable.
 func (t *NTTTable) initGenerated() {
-	t.useGenerated = t.GeneratedAvailable()
+	k, ok := generatedKernels[t.LogN]
+	if !ok || t.Mod.Q >= GeneratedQBound {
+		return
+	}
+	t.gen = &k
 	n := t.N
 	t.genScratch = &sync.Pool{New: func() any {
 		row := make([]uint64, n)
@@ -81,17 +59,35 @@ func (t *NTTTable) initGenerated() {
 // forwardGenerated runs the specialized forward kernel with a pooled
 // ping-pong row. The scratch row never escapes the call.
 func (t *NTTTable) forwardGenerated(a []uint64) {
-	k := generatedKernels[t.LogN]
 	sp := t.genScratch.Get().(*[]uint64)
-	k.forward(t, a, *sp)
+	t.gen.forward(t, a, *sp)
 	t.genScratch.Put(sp)
 }
 
 // inverseGenerated runs the specialized inverse kernel with a pooled
 // ping-pong row.
 func (t *NTTTable) inverseGenerated(a []uint64) {
-	k := generatedKernels[t.LogN]
 	sp := t.genScratch.Get().(*[]uint64)
-	k.inverse(t, a, *sp)
+	t.gen.inverse(t, a, *sp)
+	t.genScratch.Put(sp)
+}
+
+// ForwardBatch runs the forward NTT over every row, sharing one scratch
+// ping-pong row across the whole batch instead of a pool round trip per
+// transform — the keyswitch digit decomposition pushes all of a table's
+// digit rows through it in one call. Rows must all have length N and obey
+// Forward's input contract. Output is bit-identical to calling Forward on
+// each row.
+func (t *NTTTable) ForwardBatch(rows [][]uint64) {
+	if t.reference || t.gen == nil {
+		for _, row := range rows {
+			t.Forward(row)
+		}
+		return
+	}
+	sp := t.genScratch.Get().(*[]uint64)
+	for _, row := range rows {
+		t.gen.forward(t, row, *sp)
+	}
 	t.genScratch.Put(sp)
 }

@@ -28,20 +28,3 @@ func (r *Ring) MulCoeffsAdd(a, b, acc *Poly) {
 		ReduceFinalVec(acc.Coeffs[i], m.Q)
 	})
 }
-
-// MulCoeffsSub sets acc = acc - a ⊙ b in a single pass, under the same
-// contract as MulCoeffsAdd.
-func (r *Ring) MulCoeffsSub(a, b, acc *Poly) {
-	if !a.IsNTT || !b.IsNTT || !acc.IsNTT {
-		panic("ring: MulCoeffsSub requires NTT-domain operands")
-	}
-	lvl := minLevel(a, b)
-	if acc.Level() < lvl {
-		lvl = acc.Level()
-	}
-	ForEachLimb(lvl+1, func(i int) {
-		m := r.Tables[i].Mod
-		m.MulSubRowLazy(acc.Coeffs[i], a.Coeffs[i], b.Coeffs[i])
-		ReduceFinalVec(acc.Coeffs[i], m.Q)
-	})
-}

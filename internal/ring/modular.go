@@ -2,8 +2,9 @@
 // the CKKS scheme and by the Hydra accelerator model: 64-bit modular
 // arithmetic (Barrett and Shoup reductions, lazy [0,2q) variants, fused
 // multiply-accumulate kernels), the negacyclic NTT (merged-twist lazy
-// radix-4 default plus radix-2/radix-4 reference kernels), RNS polynomials
-// over a chain of NTT-friendly primes, and Galois automorphisms.
+// radix-4 default, generic and per-degree generated, plus the radix-2
+// reference oracle), RNS polynomials over a chain of NTT-friendly primes,
+// and Galois automorphisms.
 //
 // All moduli are required to satisfy q < 2^62 so that lazy additions of up to
 // four residues never overflow a uint64.
@@ -175,18 +176,6 @@ func (m Modulus) MulAddLazy(acc, a, b uint64) uint64 {
 	return c
 }
 
-// MulSubLazy returns acc - a*b as a lazy residue in [0, 2q), under the same
-// contract as MulAddLazy.
-func (m Modulus) MulSubLazy(acc, a, b uint64) uint64 {
-	hi, lo := bits.Mul64(a, b)
-	twoQ := m.Q << 1
-	c := acc + twoQ - m.Reduce128Lazy(hi, lo)
-	if c >= twoQ {
-		c -= twoQ
-	}
-	return c
-}
-
 // MulAddRowLazy is the row-wide form of MulAddLazy:
 // acc[j] += a[j]*b[j] for whole rows, with every acc element lazy in
 // [0, 2q) on entry and on return (the multiply stays inlined here, so each
@@ -199,22 +188,6 @@ func (m Modulus) MulAddRowLazy(acc, a, b []uint64) {
 	for j := range acc {
 		hi, lo := bits.Mul64(a[j], b[j])
 		c := acc[j] + m.Reduce128Lazy(hi, lo)
-		if c >= twoQ {
-			c -= twoQ
-		}
-		acc[j] = c
-	}
-}
-
-// MulSubRowLazy is the row-wide form of MulSubLazy: acc[j] -= a[j]*b[j]
-// under the same lazy contract as MulAddRowLazy.
-func (m Modulus) MulSubRowLazy(acc, a, b []uint64) {
-	twoQ := m.Q << 1
-	a = a[:len(acc)]
-	b = b[:len(acc)]
-	for j := range acc {
-		hi, lo := bits.Mul64(a[j], b[j])
-		c := acc[j] + twoQ - m.Reduce128Lazy(hi, lo)
 		if c >= twoQ {
 			c -= twoQ
 		}
@@ -239,79 +212,6 @@ func (m Modulus) MulAddRowLazyGather(acc, a, b []uint64, perm []int) {
 			c -= twoQ
 		}
 		acc[j] = c
-	}
-}
-
-// macChunk is the key-row block the batched MACs process per accumulator
-// pass: 512 elements (4 KiB) stay L1-resident while every batch member folds
-// them in, so the switching-key traffic is paid once per batch instead of
-// once per ciphertext — without fanning out into more concurrent memory
-// streams than the prefetchers track (a fully j-outer loop touches
-// 2·batch+1 streams per element and measures slower than the scalar loop).
-const macChunk = 512
-
-// MulAddRowLazyBatch folds one shared key row into a batch of accumulators:
-// accs[i][j] += xs[i][j]*key[j] for every i, under MulAddRowLazy's contract
-// (accs lazy in [0, 2q) on entry and return). The key row is walked in
-// L1-sized chunks, each chunk streamed across the whole batch before the
-// next is touched. Within one accumulator the j order is ascending exactly
-// as in MulAddRowLazy, so the result is bit-identical to the sequential
-// per-accumulator loop.
-func (m Modulus) MulAddRowLazyBatch(accs, xs [][]uint64, key []uint64) {
-	if len(accs) != len(xs) {
-		panic("ring: MulAddRowLazyBatch length mismatch")
-	}
-	twoQ := m.Q << 1
-	for lo := 0; lo < len(key); lo += macChunk {
-		hi := lo + macChunk
-		if hi > len(key) {
-			hi = len(key)
-		}
-		kc := key[lo:hi]
-		for i := range accs {
-			acc, x := accs[i][lo:hi], xs[i][lo:hi]
-			for j := range kc {
-				ph, pl := bits.Mul64(x[j], kc[j])
-				c := acc[j] + m.Reduce128Lazy(ph, pl)
-				if c >= twoQ {
-					c -= twoQ
-				}
-				acc[j] = c
-			}
-		}
-	}
-}
-
-// MulAddRowLazyGatherBatch is MulAddRowLazyBatch with an index gather fused
-// into every source row: accs[i][j] += xs[i][perm[j]]*key[j], the batched
-// form of MulAddRowLazyGather. Each L1-resident chunk of the key row and the
-// permutation walk is reused by every batch member — a batched hoisted
-// rotation applies τ_k to every ciphertext's digits while paying the key and
-// perm traffic once per batch. Bit-identical to the sequential
-// per-accumulator MulAddRowLazyGather loop.
-func (m Modulus) MulAddRowLazyGatherBatch(accs, xs [][]uint64, key []uint64, perm []int) {
-	if len(accs) != len(xs) {
-		panic("ring: MulAddRowLazyGatherBatch length mismatch")
-	}
-	twoQ := m.Q << 1
-	perm = perm[:len(key)]
-	for lo := 0; lo < len(key); lo += macChunk {
-		hi := lo + macChunk
-		if hi > len(key) {
-			hi = len(key)
-		}
-		kc, pc := key[lo:hi], perm[lo:hi]
-		for i := range accs {
-			acc, x := accs[i][lo:hi], xs[i]
-			for j := range kc {
-				ph, pl := bits.Mul64(x[pc[j]], kc[j])
-				c := acc[j] + m.Reduce128Lazy(ph, pl)
-				if c >= twoQ {
-					c -= twoQ
-				}
-				acc[j] = c
-			}
-		}
 	}
 }
 

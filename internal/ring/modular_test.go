@@ -125,45 +125,6 @@ func TestNewModulusRejectsOutOfRange(t *testing.T) {
 	}
 }
 
-func TestMontgomeryMatchesMulMod(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	for _, q := range []uint64{97, 12289, 1<<45 + 0x7001, testQ} {
-		m := NewMontgomeryModulus(q)
-		for i := 0; i < 300; i++ {
-			a := rng.Uint64() % q
-			b := rng.Uint64() % q
-			got := m.FromMont(m.MulModMont(m.ToMont(a), m.ToMont(b)))
-			if want := MulMod(a, b, q); got != want {
-				t.Fatalf("q=%d: Montgomery(%d,%d) = %d, want %d", q, a, b, got, want)
-			}
-		}
-	}
-}
-
-func TestMontgomeryRoundTripProperty(t *testing.T) {
-	m := NewMontgomeryModulus(testQ)
-	f := func(a uint64) bool {
-		a %= testQ
-		return m.FromMont(m.ToMont(a)) == a
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestMontgomeryRejectsBadModulus(t *testing.T) {
-	for _, q := range []uint64{10, 1 << 62} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("NewMontgomeryModulus(%d) did not panic", q)
-				}
-			}()
-			NewMontgomeryModulus(q)
-		}()
-	}
-}
-
 // lazyRow returns a row of residues lazy in [0, 2q).
 func lazyRow(rng *rand.Rand, n int, q uint64) []uint64 {
 	row := make([]uint64, n)

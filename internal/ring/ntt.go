@@ -12,19 +12,21 @@ import "sync"
 // automorphism.go), mirroring the logical-control automorphism unit of the
 // Poseidon/Hydra hardware.
 //
-// Two kernel families implement the transform:
+// Three kernels implement the transform:
 //
-//   - The default Forward/Inverse pair is the merged-twist lazy kernel
-//     (Longa–Naehrig ψ-merged Cooley–Tukey forward, Gentleman–Sande inverse
-//     with the 1/N scale folded into the last stage, Harvey lazy reduction
-//     throughout, radix-4 fused stage pairs). It models the pipelined
-//     Radix-4 NTT unit Hydra adopts in place of Poseidon's Radix-8 design:
-//     the ψ-twist, the butterfly network and the final correction are one
-//     dataflow, not separate memory passes.
+//   - The generic merged-twist lazy kernel (Longa–Naehrig ψ-merged
+//     Cooley–Tukey forward, Gentleman–Sande inverse with the 1/N scale
+//     folded into the last stage, Harvey lazy reduction throughout, radix-4
+//     fused stage pairs). It models the pipelined Radix-4 NTT unit Hydra
+//     adopts in place of Poseidon's Radix-8 design: the ψ-twist, the
+//     butterfly network and the final correction are one dataflow, not
+//     separate memory passes.
+//   - The generated kernels (ntt_gen.go): the same network specialized per
+//     shipped degree. Forward/Inverse run them whenever the table qualifies
+//     (see gendispatch.go) and the generic kernel otherwise.
 //   - ForwardReference/InverseReference keep the textbook five-pass radix-2
 //     pipeline (twist, bit-reverse, per-stage full reductions, untwist) as
-//     the bit-identity oracle, and ForwardRadix4 keeps the previous
-//     non-merged radix-4 variant as the benchmark baseline.
+//     the bit-identity oracle.
 //
 // All kernels are bit-identical: same input, same canonical output.
 type NTTTable struct {
@@ -71,14 +73,14 @@ type NTTTable struct {
 	// kernels. Differential-testing hook; see SetReference.
 	reference bool
 
-	// useGenerated routes Forward/Inverse through the codegen-specialized
-	// kernels emitted by cmd/hydra-genkernels (see gendispatch.go). On by
-	// default when the degree ships a kernel and q < GeneratedQBound;
-	// SetGenerated(false) recovers the generic merged kernel. reference
-	// takes precedence.
-	useGenerated bool
+	// gen is the codegen-specialized kernel pair emitted by
+	// cmd/hydra-genkernels, set at construction when the degree ships one
+	// and q < GeneratedQBound (see gendispatch.go); nil means Forward/Inverse
+	// run the generic merged kernel. reference takes precedence.
+	gen *generatedKernelPair
 	// genScratch pools the N-word ping-pong rows the generated kernels use
-	// to fuse the bit-reverse permutation into a butterfly pass.
+	// to fuse the bit-reverse permutation into a butterfly pass. Nil when
+	// gen is.
 	genScratch *sync.Pool
 }
 
@@ -179,8 +181,9 @@ func bitReversePerm(n int) []int {
 }
 
 // SetReference selects which kernel family Forward/Inverse dispatch to:
-// false (the default) is the merged-twist lazy radix-4 kernel, true is the
-// radix-2 five-pass reference pipeline. The two families are bit-identical
+// false (the default) is the merged-twist lazy radix-4 kernel (generated or
+// generic), true is the radix-2 five-pass reference pipeline. It is the only
+// kernel switch the package exports. The two families are bit-identical
 // (pinned by the differential tests), so flipping the switch must never
 // change any result bit — the conformance harness runs whole executions on
 // each side to prove exactly that. Set it before handing the table to
@@ -188,9 +191,10 @@ func bitReversePerm(n int) []int {
 func (t *NTTTable) SetReference(on bool) { t.reference = on }
 
 // Forward computes the in-place negacyclic NTT of a with the merged-twist
-// lazy radix-4 kernel. Input residues may be lazy (any values < 4q); the
-// output is canonical and bit-identical to ForwardReference on canonical
-// input.
+// lazy radix-4 kernel — the table's generated specialization when it has
+// one, the generic kernel otherwise. Input residues may be lazy (any values
+// < 4q); the output is canonical and bit-identical to ForwardReference on
+// canonical input.
 func (t *NTTTable) Forward(a []uint64) {
 	if t.reference {
 		// The reference pipeline reduces fully at every stage and expects
@@ -206,7 +210,7 @@ func (t *NTTTable) Forward(a []uint64) {
 		t.ForwardReference(a)
 		return
 	}
-	if t.useGenerated {
+	if t.gen != nil {
 		t.forwardGenerated(a)
 		return
 	}
@@ -223,7 +227,7 @@ func (t *NTTTable) Inverse(a []uint64) {
 		t.InverseReference(a)
 		return
 	}
-	if t.useGenerated {
+	if t.gen != nil {
 		t.inverseGenerated(a)
 		return
 	}
@@ -245,16 +249,6 @@ func (t *NTTTable) InverseReference(a []uint64) {
 	t.bitReverse(a)
 	t.cyclicInverseRadix2(a)
 	t.untwist(a)
-}
-
-// ForwardRadix4 computes the same transform with the previous generation's
-// kernel: separate twist and bit-reverse passes, then fused two-stage
-// (radix-4) full-reduction butterflies. Kept as the benchmark baseline the
-// merged kernel is measured against.
-func (t *NTTTable) ForwardRadix4(a []uint64) {
-	t.twist(a)
-	t.bitReverse(a)
-	t.cyclicForwardRadix4(a)
 }
 
 // forwardMergedLazy runs the ψ-merged Cooley–Tukey network on natural-order
@@ -484,61 +478,6 @@ func (t *NTTTable) cyclicForwardRadix2(a []uint64) {
 				v := MulModShoup(a[k+j+h], w, ws, q)
 				a[k+j] = AddMod(u, v, q)
 				a[k+j+h] = SubMod(u, v, q)
-			}
-		}
-	}
-}
-
-// cyclicForwardRadix4 fuses pairs of radix-2 stages into radix-4 butterflies.
-// If log2(N) is odd, a single radix-2 stage runs first so the remaining stage
-// count is even. The output is bit-for-bit identical to cyclicForwardRadix2.
-func (t *NTTTable) cyclicForwardRadix4(a []uint64) {
-	q := t.Mod.Q
-	n := t.N
-	h := 1
-	if t.LogN%2 == 1 {
-		// Single leading radix-2 stage (h = 1): butterfly neighbours with
-		// twiddle ω^0 = 1.
-		for k := 0; k < n; k += 2 {
-			u, v := a[k], a[k+1]
-			a[k] = AddMod(u, v, q)
-			a[k+1] = SubMod(u, v, q)
-		}
-		h = 2
-	}
-	for ; h < n; h <<= 2 {
-		stepA := n / (2 * h) // twiddle stride of the first fused stage
-		stepB := stepA / 2   // twiddle stride of the second fused stage
-		for k := 0; k < n; k += 4 * h {
-			for j := 0; j < h; j++ {
-				wA := t.omegaPows[stepA*j]
-				wAs := t.omegaPowsShoup[stepA*j]
-				wB := t.omegaPows[stepB*j]
-				wBs := t.omegaPowsShoup[stepB*j]
-				wB2 := t.omegaPows[stepB*(j+h)]
-				wB2s := t.omegaPowsShoup[stepB*(j+h)]
-
-				x0 := a[k+j]
-				x1 := a[k+j+h]
-				x2 := a[k+j+2*h]
-				x3 := a[k+j+3*h]
-
-				// Stage A: blocks (x0,x1) and (x2,x3), same twiddle pattern.
-				v := MulModShoup(x1, wA, wAs, q)
-				y0 := AddMod(x0, v, q)
-				y1 := SubMod(x0, v, q)
-				v = MulModShoup(x3, wA, wAs, q)
-				y2 := AddMod(x2, v, q)
-				y3 := SubMod(x2, v, q)
-
-				// Stage B: blocks (y0,y2) with twiddle index j and (y1,y3)
-				// with twiddle index j+h.
-				v = MulModShoup(y2, wB, wBs, q)
-				a[k+j] = AddMod(y0, v, q)
-				a[k+j+2*h] = SubMod(y0, v, q)
-				v = MulModShoup(y3, wB2, wB2s, q)
-				a[k+j+h] = AddMod(y1, v, q)
-				a[k+j+3*h] = SubMod(y1, v, q)
 			}
 		}
 	}

@@ -59,23 +59,6 @@ func TestNTTRoundTrip(t *testing.T) {
 	}
 }
 
-func TestNTTRadix4MatchesRadix2(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for _, n := range []int{4, 8, 16, 128, 512, 2048} {
-		q := GenerateNTTPrimes(40, n, 1)[0]
-		tbl := NewNTTTable(n, q, PrimitiveRoot2N(n, q))
-		a := randomCoeffs(rng, n, q)
-		b := append([]uint64(nil), a...)
-		tbl.Forward(a)
-		tbl.ForwardRadix4(b)
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("n=%d: radix-4 output differs at %d: %d != %d", n, i, b[i], a[i])
-			}
-		}
-	}
-}
-
 // TestMergedKernelBitIdentity is the merged-twist/lazy kernel's oracle test:
 // for every LogN in 1..14 and both directions, the default kernels must be
 // bit-identical to the five-pass radix-2 reference on random inputs, and the

@@ -117,22 +117,3 @@ spawn:
 func RunTasks(fns ...func()) {
 	ForEachLimb(len(fns), func(i int) { fns[i]() })
 }
-
-// ForEachLimbTile runs fn(limb, tile) for every point of the limbs × tiles
-// grid, fanned out over the same global pool. It is the work partitioner of
-// the batch execution layer: a batch of polynomials is cut into tiles of a
-// few rows each, and (limb, tile) pairs — not whole limbs — become the unit
-// of scheduling, so a batch of 8 ciphertexts at 6 limbs keeps 48 lanes busy
-// instead of 6. Units are enumerated limb-major (all tiles of limb 0, then
-// limb 1, …), so a worker sweeping consecutive units reuses one limb's
-// twiddle and key rows across the whole batch before touching the next
-// modulus. The same independence contract as ForEachLimb applies: fn
-// invocations must write disjoint rows.
-func ForEachLimbTile(limbs, tiles int, fn func(limb, tile int)) {
-	if limbs <= 0 || tiles <= 0 {
-		return
-	}
-	ForEachLimb(limbs*tiles, func(u int) {
-		fn(u/tiles, u%tiles)
-	})
-}

@@ -230,24 +230,6 @@ func (r *Ring) MulCoeffs(a, b, out *Poly) {
 	out.IsNTT = true
 }
 
-// MulScalar sets out = a * s for a small scalar s.
-func (r *Ring) MulScalar(a *Poly, s uint64, out *Poly) {
-	lvl := a.Level()
-	if out.Level() < lvl {
-		lvl = out.Level()
-	}
-	ForEachLimb(lvl+1, func(i int) {
-		m := r.Tables[i].Mod
-		sq := s % m.Q
-		sShoup := ShoupPrecomp(sq, m.Q)
-		ai, oi := a.Coeffs[i], out.Coeffs[i]
-		for j := range oi {
-			oi[j] = MulModShoup(ai[j], sq, sShoup, m.Q)
-		}
-	})
-	out.IsNTT = a.IsNTT
-}
-
 // SetReferenceNTT reroutes every limb's Forward/Inverse through the radix-2
 // five-pass reference kernels (see NTTTable.SetReference). The kernel
 // families are bit-identical, so results must not change; the conformance
@@ -268,20 +250,6 @@ func (r *Ring) NTT(p *Poly) {
 	}
 	ForEachLimb(len(p.Coeffs), func(i int) {
 		r.Tables[i].Forward(p.Coeffs[i])
-	})
-	p.IsNTT = true
-}
-
-// NTTRadix4 is NTT using the previous-generation radix-4 kernel (separate
-// twist and bit-reverse passes, full reductions). Kept as the ablation
-// baseline the merged default is benchmarked against; new code should call
-// NTT.
-func (r *Ring) NTTRadix4(p *Poly) {
-	if p.IsNTT {
-		panic("ring: polynomial already in NTT domain")
-	}
-	ForEachLimb(len(p.Coeffs), func(i int) {
-		r.Tables[i].ForwardRadix4(p.Coeffs[i])
 	})
 	p.IsNTT = true
 }

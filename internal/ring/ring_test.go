@@ -90,35 +90,6 @@ func TestRingMulCoeffsIsNegacyclicMul(t *testing.T) {
 	}
 }
 
-func TestRingNTTRadix4MatchesNTT(t *testing.T) {
-	r := testRing(t, 256, 2)
-	s := NewSampler(r, 4)
-	a := r.NewPoly(1)
-	s.Uniform(a)
-	b := a.CopyNew()
-	r.NTT(a)
-	r.NTTRadix4(b)
-	if !a.Equal(b) {
-		t.Fatal("radix-4 ring NTT differs from radix-2")
-	}
-}
-
-func TestRingMulScalar(t *testing.T) {
-	r := testRing(t, 64, 2)
-	s := NewSampler(r, 5)
-	a := r.NewPoly(1)
-	s.Uniform(a)
-	out := r.NewPoly(1)
-	r.MulScalar(a, 3, out)
-	// out should equal a+a+a.
-	want := r.NewPoly(1)
-	r.Add(a, a, want)
-	r.Add(want, a, want)
-	if !out.Equal(want) {
-		t.Fatal("MulScalar(3) != a+a+a")
-	}
-}
-
 func TestBigIntRoundTrip(t *testing.T) {
 	r := testRing(t, 32, 3)
 	s := NewSampler(r, 6)

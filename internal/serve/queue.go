@@ -22,9 +22,9 @@ type pending struct {
 // first, then earlier deadline (no deadline ranks last), then arrival order.
 // This is the single total order behind admission, dispatch and backfill, so
 // scheduler decisions are deterministic for a given queue content. It is the
-// heap invariant of admitQueue.rank, and the linear-scan oracle (linearQueue)
-// consumes the very same function — the property tests pin the two against
-// each other.
+// heap invariant of admitQueue.rank, and the linear-scan oracle (linearQueue,
+// oracle_test.go) consumes the very same function — the property tests pin
+// the two against each other.
 func rankBefore(a, b *pending) bool {
 	if a.job.Priority != b.job.Priority {
 		return a.job.Priority > b.job.Priority
@@ -368,66 +368,5 @@ func (q *admitQueue) drain() []*pending {
 		q.detach(p)
 		out = append(out, p)
 	}
-	return out
-}
-
-// linearQueue is the pre-indexed admission queue: arrival-ordered slice,
-// rank computed by scanning. It is kept as the differential oracle — the
-// property tests drive random job sets through both implementations and the
-// scheduler microbenchmarks report the scan-vs-heap gap — and it shares
-// rankBefore with the heap, so the two can only diverge structurally.
-type linearQueue struct {
-	max   int
-	items []*pending
-}
-
-func (q *linearQueue) len() int { return len(q.items) }
-
-func (q *linearQueue) push(p *pending) error {
-	if len(q.items) >= q.max {
-		return ErrOverloaded
-	}
-	q.items = append(q.items, p)
-	return nil
-}
-
-func (q *linearQueue) popFit(freeCards int) (p *pending, backfill bool) {
-	best, bestIdx := (*pending)(nil), -1
-	for i, it := range q.items {
-		if it.job.Cards > freeCards {
-			continue
-		}
-		if best == nil || rankBefore(it, best) {
-			best, bestIdx = it, i
-		}
-	}
-	if best == nil {
-		return nil, false
-	}
-	skippedBetter := false
-	for _, it := range q.items {
-		if it != best && it.job.Cards > freeCards && rankBefore(it, best) {
-			skippedBetter = true
-			break
-		}
-	}
-	q.items = append(q.items[:bestIdx], q.items[bestIdx+1:]...)
-	return best, skippedBetter
-}
-
-func (q *linearQueue) expire(now time.Time) []*pending {
-	var out []*pending
-	kept := q.items[:0]
-	for _, it := range q.items {
-		if !it.job.Deadline.IsZero() && now.After(it.job.Deadline) {
-			out = append(out, it)
-			continue
-		}
-		kept = append(kept, it)
-	}
-	for i := len(kept); i < len(q.items); i++ {
-		q.items[i] = nil
-	}
-	q.items = kept
 	return out
 }

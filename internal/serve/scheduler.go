@@ -21,7 +21,7 @@ import (
 //     lowest-server-index tie-break for free.
 //
 // The allocation policy is byte-identical to the linear-scan reference
-// (allocateCardsLinear, kept as the differential oracle).
+// (allocateCardsLinear in oracle_test.go, the differential oracle).
 type freeList struct {
 	cards int // fleet size (bitmap width)
 	cps   int // cards per server
@@ -229,60 +229,4 @@ func allocateCards(free []int, n, cps int) []int {
 	f := newEmptyFreeList(max, cps)
 	f.add(free)
 	return f.take(n)
-}
-
-// allocateCardsLinear is the pre-bitmap reference allocator: group by
-// server with a map, best-fit scan, sort-based spanning. Kept verbatim as
-// the differential oracle for the bitmap path (property tests) and as the
-// microbenchmark baseline.
-func allocateCardsLinear(free []int, n, cardsPerServer int) []int {
-	if n <= 0 || n > len(free) {
-		return nil
-	}
-	byServer := map[int][]int{}
-	var servers []int
-	for _, c := range free {
-		srv := c / cardsPerServer
-		if _, ok := byServer[srv]; !ok {
-			servers = append(servers, srv)
-		}
-		byServer[srv] = append(byServer[srv], c)
-	}
-	sort.Ints(servers)
-
-	bestSrv, bestFree := -1, 0
-	for _, srv := range servers {
-		if have := len(byServer[srv]); have >= n {
-			if bestSrv < 0 || have < bestFree {
-				bestSrv, bestFree = srv, have
-			}
-		}
-	}
-	if bestSrv >= 0 {
-		out := make([]int, n)
-		copy(out, byServer[bestSrv][:n])
-		return out
-	}
-
-	sort.SliceStable(servers, func(a, b int) bool {
-		fa, fb := len(byServer[servers[a]]), len(byServer[servers[b]])
-		if fa != fb {
-			return fa > fb
-		}
-		return servers[a] < servers[b]
-	})
-	out := make([]int, 0, n)
-	for _, srv := range servers {
-		pool := byServer[srv]
-		need := n - len(out)
-		if need <= 0 {
-			break
-		}
-		if need > len(pool) {
-			need = len(pool)
-		}
-		out = append(out, pool[:need]...)
-	}
-	sort.Ints(out)
-	return out
 }

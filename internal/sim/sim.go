@@ -104,11 +104,18 @@ type Result struct {
 	Trace []TraceEvent
 }
 
-// TotalEnergy sums the energy contributions.
+// TotalEnergy sums the energy contributions in unit-name order: float
+// addition is not associative, so summing in map-iteration order would move
+// the last bit from call to call.
 func (r *Result) TotalEnergy() float64 {
+	units := make([]string, 0, len(r.EnergyByUnit))
+	for u := range r.EnergyByUnit {
+		units = append(units, u)
+	}
+	sort.Strings(units)
 	t := 0.0
-	for _, v := range r.EnergyByUnit {
-		t += v
+	for _, u := range units {
+		t += r.EnergyByUnit[u]
 	}
 	return t
 }

@@ -269,6 +269,21 @@ func TestEnergyAccounting(t *testing.T) {
 	}
 }
 
+// Float addition is not associative: TotalEnergy must fix its summation
+// order, or the last bit moves with the map's iteration order.
+func TestTotalEnergyRepeatsBitwise(t *testing.T) {
+	res := &Result{EnergyByUnit: map[string]float64{
+		"NTT": 0.1, "MM": 0.2, "MA": 0.3, "Auto": 7.7, "HBM": 1e10,
+		"Comm": 1e-5, "Static": 3.3e5, "SPM": 9.1e-3,
+	}}
+	want := math.Float64bits(res.TotalEnergy())
+	for i := 1; i < 100; i++ {
+		if got := math.Float64bits(res.TotalEnergy()); got != want {
+			t.Fatalf("call %d: TotalEnergy bits %#x, first call %#x", i, got, want)
+		}
+	}
+}
+
 func TestSendAfterRemoteComputePanics(t *testing.T) {
 	b := task.NewBuilder(2, 8)
 	b.Step("s")

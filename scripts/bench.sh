@@ -1,11 +1,11 @@
 #!/bin/sh
 # Kernel benchmark harness: runs the serial/parallel ring, ckks and hefloat
-# benchmark suites (NTT kernel generations, fused MAC, CMult/relinearization,
+# benchmark suites (reference vs default NTT, fused MAC, CMult/relinearization,
 # hoisted and double-hoisted rotations, BSGS linear transforms, PCMM/CCMM and
 # the small bootstrap) and emits the parsed results as machine-readable JSON
 # with ns/op, B/op and allocs/op per benchmark — one file per package layer:
 #
-#   BENCH_ring.json     NTT/INTT generations, fused coefficient MAC
+#   BENCH_ring.json     NTT/INTT reference vs default kernel, fused coefficient MAC
 #   BENCH_ckks.json     CMult/relin, direct vs hoisted vs ext-hoisted rotations
 #   BENCH_hefloat.json  naive/BSGS/reference linear transforms, PCMM(+compiled),
 #                       CCMM, BootstrapSmall serial+parallel
@@ -142,7 +142,7 @@ run_suite \
 	./internal/ring/ "$BENCH_DIR/BENCH_ring.json"
 
 run_suite \
-	'^(BenchmarkCMultRelin|BenchmarkCMultParallel|BenchmarkRotationsDirect|BenchmarkRotationsHoisted|BenchmarkKeySwitch)' \
+	'^(BenchmarkCMultRelin|BenchmarkCMultParallel|BenchmarkRotationsDirect|BenchmarkRotationsHoisted)' \
 	./internal/ckks/ "$BENCH_DIR/BENCH_ckks.json"
 
 run_suite \

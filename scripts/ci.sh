@@ -93,10 +93,12 @@ rm -rf "$COMPILE_DIR"
 go test -fuzz=FuzzIRPasses -fuzztime=10s -run '^$' ./internal/fhir/
 
 echo "== fuzz smoke (seed corpora + 10s per fuzzer)"
-# Short differential-fuzz passes seeded from testdata/fuzz: the modular
-# arithmetic kernels against math/big, and the ISA decoder against crashes.
+# Short differential-fuzz passes seeded from testdata/fuzz and f.Add: the
+# modular arithmetic kernels against math/big, and the ISA and ciphertext
+# wire decoders against crashes and out-of-contract output.
 go test -fuzz=FuzzModularOps -fuzztime=10s -run '^$' ./internal/ring/
 go test -fuzz=FuzzUnmarshal -fuzztime=10s -run '^$' ./internal/isa/
+go test -fuzz=FuzzUnmarshalCiphertext -fuzztime=10s -run '^$' ./internal/ckks/
 
 echo "== bench harness smoke (1 iteration per benchmark)"
 # Write to a scratch directory: the smoke run validates the harness and the
@@ -108,6 +110,12 @@ for f in BENCH_ring.json BENCH_ckks.json BENCH_hefloat.json BENCH_sched.json BEN
 	[ -s "$SMOKE_DIR/$f" ] || { echo "ci: bench smoke did not write $f" >&2; exit 1; }
 done
 rm -rf "$SMOKE_DIR"
+
+echo "== bench-smoke (bench/ module: vet, test, five workloads at smoke scale)"
+# bench/ is its own module (replace hydra => ../), invisible to the
+# `go vet ./...` and `go test ./...` stages above: an API deletion that breaks
+# the repository benchmark would otherwise surface only in the driver.
+make bench-smoke
 
 echo "== hydra-serve smoke (1-second 1024-card open-loop load, -race)"
 # Drives the live serving layer end to end at fleet scale — batched admission,
