@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: all build test lint race ci bench bench-json bench-smoke serve-bench compile-bench fuzz golden-update conformance conformance-update
+.PHONY: all build test lint race ci bench bench-json bench-smoke serve-bench compile-bench fuzz golden-update conformance conformance-update loc
 
 all: build test
 
@@ -96,3 +96,9 @@ conformance:
 # hands the flag to the root package's test binary, which doesn't define it.
 conformance-update:
 	$(GO) test ./internal/conformance/ -count=1 -run TestConformanceMatrix -update
+
+# Non-test, non-generated Go lines per package and in total — the number
+# ROADMAP aim 2 tracks, counted by a tool so PR descriptions quote the same
+# figure. `make loc` for the whole repo; scripts/loc.sh <dir>... for a subset.
+loc:
+	sh scripts/loc.sh

@@ -57,7 +57,6 @@ const (
 	OpRecv                     // receive tag Tag into Dst
 	OpNeg                      // Dst = -Src1
 	OpConjugate                // Dst = Conjugate(Src1)
-	OpRaise                    // Dst = RaiseModulus(Src1); Src1 must sit at level 0
 )
 
 // Instr is one instruction of a card's stream.
@@ -115,11 +114,13 @@ func (cl *Cluster) Load(card int, name string, ct *ckks.Ciphertext) {
 // unblocks every card — including cards parked on switch sends or receives —
 // and Run returns the context's error.
 //
-// If any card fails mid-program, the failure is broadcast through an abort
-// channel so peers blocked on switch sends or receives unwind instead of
-// deadlocking; Run then reports the root-cause error rather than the
-// secondary aborts. After a failed or cancelled Run the switch may hold
-// stale frames, so the cluster must not be reused.
+// If any card fails mid-program — an instruction error or a panic out of the
+// evaluator (missing rotation key, scale mismatch, rescale at level 0) — the
+// failure is broadcast through an abort channel so peers blocked on switch
+// sends or receives unwind instead of deadlocking; Run then reports the
+// root-cause error rather than the secondary aborts. After a failed or
+// cancelled Run the switch may hold stale frames, so the cluster must not be
+// reused.
 func (cl *Cluster) Run(ctx context.Context, programs [][]Instr) error {
 	if len(programs) != len(cl.Cards) {
 		return fmt.Errorf("cluster: %d programs for %d cards", len(programs), len(cl.Cards))
@@ -161,10 +162,19 @@ func (cl *Cluster) Run(ctx context.Context, programs [][]Instr) error {
 // watch both the abort channel (a peer failure cannot strand this card) and
 // the context (a caller cancellation cannot either); compute-bound cards poll
 // the context between instructions so a cancelled program stops promptly even
-// when it never touches the switch.
-func (cl *Cluster) execute(ctx context.Context, card *Card, prog []Instr, abort <-chan struct{}) error {
+// when it never touches the switch. The evaluator reports contract violations
+// by panicking; the recover turns one into this card's error, so a bad
+// program fails its own Run instead of the process.
+func (cl *Cluster) execute(ctx context.Context, card *Card, prog []Instr, abort <-chan struct{}) (err error) {
+	var pc int
+	var ins Instr
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("pc %d: panic: %v", pc, r)
+		}
+	}()
 	pending := map[int][]byte{} // tag -> frame that arrived early
-	for pc, ins := range prog {
+	for pc, ins = range prog {
 		if err := ctx.Err(); err != nil {
 			return fmt.Errorf("pc %d: %w", pc, err)
 		}
@@ -255,12 +265,6 @@ func (cl *Cluster) execute(ctx context.Context, card *Card, prog []Instr, abort 
 				return err
 			}
 			card.Store[ins.Dst] = card.Eval.Conjugate(src)
-		case OpRaise:
-			src, err := get(ins.Src1)
-			if err != nil {
-				return err
-			}
-			card.Store[ins.Dst] = card.Eval.RaiseModulus(src)
 		case OpCopy:
 			src, err := get(ins.Src1)
 			if err != nil {

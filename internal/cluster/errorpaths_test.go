@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"errors"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -65,6 +66,47 @@ func TestCardFailureUnblocksBlockedSend(t *testing.T) {
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("Run deadlocked: blocked sender was never unblocked")
+	}
+}
+
+// TestCardPanicBecomesCardError pins panic containment at the card goroutine:
+// card 1 rotates by an index the evaluator holds no key for (ckks panics on
+// that) while card 0 is parked on a Recv. The panic must become card 1's
+// error, fire the abort broadcast so card 0 unwinds, and leave no goroutine
+// behind — not take the process down.
+func TestCardPanicBecomesCardError(t *testing.T) {
+	e := newEnv(t, 6, 2, []int{1})
+	cl := New(e.params, e.eval, 2)
+	cl.Load(1, "x", e.encryptSeq(e.params.DefaultScale()))
+	progs := [][]Instr{
+		{{Op: OpRecv, Dst: "u", Tag: 7}},
+		{{Op: OpCopy, Dst: "y", Src1: "x"}, {Op: OpRotate, Dst: "y", Src1: "y", Imm: 5}},
+	}
+	base := runtime.NumGoroutine()
+	done := make(chan error, 1)
+	go func() { done <- cl.Run(context.Background(), progs) }()
+	select {
+	case err := <-done:
+		if err == nil {
+			t.Fatal("expected an error from the panicking card")
+		}
+		if !strings.Contains(err.Error(), "card 1: pc 1: panic:") {
+			t.Fatalf("want card 1's panic at pc 1 as root cause, got: %v", err)
+		}
+		if errors.Is(err, errAborted) {
+			t.Fatalf("abort must not mask the root cause: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Run deadlocked: parked peer was never unblocked")
+	}
+	// Run waited for both cards, so card 0 has unwound (with errAborted,
+	// which Run folds into the root cause); nothing may outlive it.
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > base {
+		t.Fatalf("goroutines leaked: %d before, %d after", base, n)
 	}
 }
 

@@ -8,11 +8,11 @@ import (
 	"hydra/internal/ckks"
 )
 
-// The conformance harness's cluster lowering leans on the OpNeg, OpConjugate
-// and OpRaise instructions (negation inside the double-angle iterations, the
-// conjugate branch and the ModRaise of the bootstrap pipeline); pin their
-// card semantics against the evaluator they wrap.
-func TestNegConjugateRaiseOps(t *testing.T) {
+// fhir.LowerCluster leans on the OpNeg and OpConjugate instructions (negation
+// inside the double-angle iterations and the conjugate branch of the compiled
+// bootstrap pipeline); pin their card semantics against the evaluator they
+// wrap.
+func TestNegConjugateOps(t *testing.T) {
 	params := ckks.TestParameters(5, 3)
 	kg := ckks.NewKeyGenerator(params, 1)
 	sk := kg.GenSecretKey()
@@ -61,32 +61,6 @@ func TestNegConjugateRaiseOps(t *testing.T) {
 			if e := cmplx.Abs(got[i] - want); e > 1e-6 {
 				t.Fatalf("slot %d: got %v want %v (err %g)", i, got[i], want, e)
 			}
-		}
-	})
-
-	t.Run("raise", func(t *testing.T) {
-		pt, err := enc.EncodeAtLevel(vals, params.DefaultScale(), 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ct := encr.Encrypt(pt)
-		cl := New(params, eval, 1)
-		cl.Load(0, "x", ct.CopyNew())
-		progs := [][]Instr{{{Op: OpRaise, Dst: "y", Src1: "x"}}}
-		if err := cl.Run(context.Background(), progs); err != nil {
-			t.Fatal(err)
-		}
-		out, err := cl.Get(0, "y")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if out.Level() != params.MaxLevel() {
-			t.Fatalf("raise left level %d, want %d", out.Level(), params.MaxLevel())
-		}
-		// ModRaise decrypts to m + q0·I, so a slot-value comparison is
-		// meaningless here; the op's contract is exactly the evaluator's.
-		if want := eval.RaiseModulus(ct); !out.Equal(want) {
-			t.Fatal("cluster OpRaise differs from Evaluator.RaiseModulus")
 		}
 	})
 }

@@ -47,9 +47,11 @@ func bootOptions(reference bool) hefloat.BootstrapperOptions {
 	return hefloat.BootstrapperOptions{K: 16, ReferenceBSGS: reference}
 }
 
-// rotationsFor returns every rotation index the given program may need on any
-// engine (naive, BSGS baby/giant, cluster lowering), plus whether conjugation
-// keys are required.
+// rotationsFor returns every rotation index the hefloat engines need for the
+// given program (naive diagonals, BSGS baby/giant steps, the matmul and
+// bootstrap plans), plus whether they need the conjugation key. What the
+// IR-driven columns need is read off the compiled program instead
+// (fhir.Program.Rotations); the environment carries the union.
 func rotationsFor(s *ProgramSpec) (rots []int, conjugate bool, err error) {
 	slots := s.Slots()
 	set := map[int]bool{}
@@ -79,9 +81,10 @@ func rotationsFor(s *ProgramSpec) (rots []int, conjugate bool, err error) {
 			if err != nil {
 				return nil, false, err
 			}
-			add(lt.Rotations()...)
 			if op.BS > 0 {
 				add(lt.RotationsBSGS(op.BS)...)
+			} else {
+				add(lt.Rotations()...)
 			}
 		case "pcmm":
 			add(hefloat.PCMMRotations(isqrt(slots))...)
@@ -89,9 +92,8 @@ func rotationsFor(s *ProgramSpec) (rots []int, conjugate bool, err error) {
 			add(hefloat.CCMMRotations(isqrt(slots))...)
 		case "bootstrap":
 			conjugate = true
-			// BootstrapRotations needs only slot/baby-step shape, both fully
-			// determined by the spec; compute without a parameter set by
-			// replicating the baby/giant split.
+			// hefloat.BootstrapRotations without a parameter set: the
+			// baby/giant split depends on the slot count alone.
 			bs := 1
 			for bs*bs < slots {
 				bs <<= 1
@@ -112,12 +114,9 @@ func rotationsFor(s *ProgramSpec) (rots []int, conjugate bool, err error) {
 	return rots, conjugate, nil
 }
 
-// buildEnv constructs one environment. reference flips the ring onto the
-// radix-2 reference NTT kernels after key generation; since the kernel
-// families are bit-identical (pinned in internal/ring), the keys themselves
-// are unaffected and the main and reference instances hold identical key
-// material.
-func buildEnv(key paramKey, rots []int, conjugate, reference bool) (*Env, error) {
+// newParameters builds the parameter set of a key: modulus chain
+// [2^50, 2^45 × levels], scale 2^45.
+func newParameters(key paramKey) (*ckks.Parameters, error) {
 	logQ := make([]int, 0, key.levels+1)
 	logQ = append(logQ, 50)
 	for i := 0; i < key.levels; i++ {
@@ -131,6 +130,19 @@ func buildEnv(key paramKey, rots []int, conjugate, reference bool) (*Env, error)
 	})
 	if err != nil {
 		return nil, fmt.Errorf("conformance: params %+v: %w", key, err)
+	}
+	return params, nil
+}
+
+// buildEnv constructs one environment. reference flips the ring onto the
+// radix-2 reference NTT kernels after key generation; since the kernel
+// families are bit-identical (pinned in internal/ring), the keys themselves
+// are unaffected and the main and reference instances hold identical key
+// material.
+func buildEnv(key paramKey, rots []int, conjugate, reference bool) (*Env, error) {
+	params, err := newParameters(key)
+	if err != nil {
+		return nil, err
 	}
 	kg := ckks.NewKeyGenerator(params, 1)
 	var sk *ckks.SecretKey

@@ -22,17 +22,18 @@ type Outcome struct {
 // Matrix is the full program × engine result grid.
 type Matrix map[string]map[string]Outcome
 
-// Harness owns the program corpus and the lazily built environments. Each
-// parameter key gets two environment twins (main and reference-NTT) keyed
-// from identical deterministic seeds, plus one fleet server fronting the
-// functional cluster backend.
+// Harness owns the program corpus, each program's one compiled form, and the
+// lazily built environments. Each parameter key gets two environment twins
+// (main and reference-NTT) keyed from identical deterministic seeds, plus one
+// fleet server fronting the functional cluster backend.
 type Harness struct {
 	Programs []*ProgramSpec
 
-	byKey   map[paramKey][]*ProgramSpec
-	envs    map[paramKey]*Env
-	refEnvs map[paramKey]*Env
-	servers map[paramKey]*serve.Server
+	byKey    map[paramKey][]*ProgramSpec
+	compiled map[*ProgramSpec]*compiled
+	envs     map[paramKey]*Env
+	refEnvs  map[paramKey]*Env
+	servers  map[paramKey]*serve.Server
 }
 
 // NewHarness loads and validates the corpus from dir.
@@ -41,9 +42,14 @@ func NewHarness(dir string) (*Harness, error) {
 	if err != nil {
 		return nil, err
 	}
+	return newHarness(programs), nil
+}
+
+func newHarness(programs []*ProgramSpec) *Harness {
 	h := &Harness{
 		Programs: programs,
 		byKey:    map[paramKey][]*ProgramSpec{},
+		compiled: map[*ProgramSpec]*compiled{},
 		envs:     map[paramKey]*Env{},
 		refEnvs:  map[paramKey]*Env{},
 		servers:  map[paramKey]*serve.Server{},
@@ -52,7 +58,7 @@ func NewHarness(dir string) (*Harness, error) {
 		k := keyOf(s)
 		h.byKey[k] = append(h.byKey[k], s)
 	}
-	return h, nil
+	return h
 }
 
 // Close shuts down the fleet servers.
@@ -62,10 +68,24 @@ func (h *Harness) Close() {
 	}
 }
 
+// compiledFor returns the program's compiled IR form, built on first use: one
+// frontend translation and one trip through the pass pipeline per program,
+// shared by key sizing and by the ir, sim and cluster columns.
+func (h *Harness) compiledFor(s *ProgramSpec) *compiled {
+	c, ok := h.compiled[s]
+	if !ok {
+		c = compileSpec(s)
+		h.compiled[s] = c
+	}
+	return c
+}
+
 // envFor returns the (lazily built) environment for the program's parameter
 // key. The environment carries the union of every rotation key any program
-// sharing the key may need on any engine, so programs can share the
-// expensive key generation.
+// sharing the key needs on any engine — the hefloat engines' plans and the
+// compiled program's own rotation set — so programs can share the expensive
+// key generation. A program that does not compile contributes only its
+// hefloat needs; its IR-driven cells report the compile error.
 func (h *Harness) envFor(s *ProgramSpec, reference bool) (*Env, error) {
 	key := keyOf(s)
 	cache := h.envs
@@ -81,6 +101,10 @@ func (h *Harness) envFor(s *ProgramSpec, reference bool) (*Env, error) {
 		rots, conj, err := rotationsFor(p)
 		if err != nil {
 			return nil, fmt.Errorf("conformance: rotations for %s: %w", p.Name, err)
+		}
+		if c := h.compiledFor(p); c.err == nil {
+			irRots, irConj := c.prog.Rotations()
+			rots, conj = append(rots, irRots...), conj || irConj
 		}
 		for _, r := range rots {
 			rotSet[r] = true
@@ -121,16 +145,19 @@ func (h *Harness) serverFor(env *Env) (*serve.Server, error) {
 
 // RunOptions tune a matrix run.
 type RunOptions struct {
-	// Short skips programs marked Heavy (the CI -race leg runs this way).
+	// Short leaves out programs marked Heavy (the CI -race leg runs this way).
 	Short bool
 	// Logf, when set, receives one line per (program, engine) cell.
 	Logf func(format string, args ...any)
 }
 
-// Run executes the whole corpus against all four engines and returns the
-// matrix. Engine failures (including panics from the evaluator layer) land in
-// the matrix as "fail" cells rather than aborting the run; only harness-level
-// problems (unloadable corpus, unbuildable environments) return an error.
+// Run executes the whole corpus against all five engines and returns the
+// matrix. Engine failures (including panics from the evaluator layer, and a
+// program the compiler rejects) land in the matrix as "fail" cells rather
+// than aborting the run; only harness-level problems (unloadable corpus,
+// unbuildable environments) return an error. Under Short, Heavy programs are
+// left out of the matrix altogether, so every "skip" cell that does appear is
+// one the program's spec declares.
 func (h *Harness) Run(opts RunOptions) (Matrix, error) {
 	m := Matrix{}
 	logf := opts.Logf
@@ -138,20 +165,14 @@ func (h *Harness) Run(opts RunOptions) (Matrix, error) {
 		logf = func(string, ...any) {}
 	}
 	for _, s := range h.Programs {
-		row := map[string]Outcome{}
-		m[s.Name] = row
 		if opts.Short && s.Heavy {
-			for _, e := range EngineNames {
-				row[e] = Outcome{Status: "skip", Detail: "heavy program skipped in short mode"}
-			}
-			logf("%-24s all engines: skip (heavy)", s.Name)
+			logf("%-24s all engines: left out (heavy program, short mode)", s.Name)
 			continue
 		}
 		expected, err := Interpret(s)
 		if err != nil {
 			return nil, fmt.Errorf("conformance: interpreting %s: %w", s.Name, err)
 		}
-
 		refEnv, err := h.envFor(s, true)
 		if err != nil {
 			return nil, err
@@ -160,60 +181,61 @@ func (h *Harness) Run(opts RunOptions) (Matrix, error) {
 		if err != nil {
 			return nil, err
 		}
+		srv, err := h.serverFor(env)
+		if err != nil {
+			return nil, err
+		}
+		c := h.compiledFor(s)
 
-		refCt, refErr := runGuarded(func() (*ckks.Ciphertext, error) { return runHEFloat(refEnv, s, true) })
-		row["reference"] = checkCiphertext(refEnv, refCt, refErr, expected, s)
-
-		optCt, optErr := runGuarded(func() (*ckks.Ciphertext, error) { return runHEFloat(env, s, false) })
-		opt := checkCiphertext(env, optCt, optErr, expected, s)
-		if opt.Status == "pass" && row["reference"].Status == "pass" && s.BitExact {
-			if !optCt.Equal(refCt) {
-				opt = Outcome{Status: "fail", MaxErr: opt.MaxErr,
-					Detail: "optimized output not bit-identical to reference (program is pinned bit-exact)"}
-			} else {
-				opt.Detail = "bit-identical to reference"
+		var refCt *ckks.Ciphertext
+		row := map[string]Outcome{}
+		cells := map[string]func() Outcome{
+			"reference": func() Outcome {
+				ct, err := runGuarded(func() (*ckks.Ciphertext, error) { return runHEFloat(refEnv, s, true) })
+				refCt = ct
+				return checkCiphertext(refEnv, ct, err, expected, s)
+			},
+			"optimized": func() Outcome {
+				ct, err := runGuarded(func() (*ckks.Ciphertext, error) { return runHEFloat(env, s, false) })
+				o := checkCiphertext(env, ct, err, expected, s)
+				if !s.BitExact || o.Status != "pass" || row["reference"].Status != "pass" {
+					return o
+				}
+				if !ct.Equal(refCt) {
+					return Outcome{Status: "fail", MaxErr: o.MaxErr,
+						Detail: "optimized output not bit-identical to reference (program is pinned bit-exact)"}
+				}
+				o.Detail = "bit-identical to reference"
+				return o
+			},
+			"cluster": func() Outcome {
+				ct, err := runGuarded(func() (*ckks.Ciphertext, error) { return runCluster(env, srv, c, s) })
+				return checkCiphertext(env, ct, err, expected, s)
+			},
+			"sim": func() Outcome {
+				detail, err := runGuarded(func() (string, error) { return runSim(c, s) })
+				if err != nil {
+					return Outcome{Status: "fail", Detail: err.Error()}
+				}
+				return Outcome{Status: "pass", Detail: detail}
+			},
+			"ir": func() Outcome {
+				ct, err := runGuarded(func() (*ckks.Ciphertext, error) { return runIR(env, c, s) })
+				return checkCiphertext(env, ct, err, expected, s)
+			},
+		}
+		m[s.Name] = row
+		for _, e := range EngineNames { // reference runs before optimized
+			if reason, ok := s.Skip[e]; ok {
+				row[e] = Outcome{Status: "skip", Detail: reason}
+				logf("%-24s %-10s skip  (%s)", s.Name, e, reason)
+				continue
 			}
-		}
-		row["optimized"] = opt
-
-		if reason, ok := s.Skip["cluster"]; ok {
-			row["cluster"] = Outcome{Status: "skip", Detail: reason}
-		} else {
-			srv, err := h.serverFor(env)
-			if err != nil {
-				return nil, err
-			}
-			clCt, clErr := runGuarded(func() (*ckks.Ciphertext, error) { return runCluster(env, srv, s) })
-			row["cluster"] = checkCiphertext(env, clCt, clErr, expected, s)
-		}
-
-		if reason, ok := s.Skip["sim"]; ok {
-			row["sim"] = Outcome{Status: "skip", Detail: reason}
-		} else {
-			rep, simErr := runGuardedSim(s)
-			if simErr != nil {
-				row["sim"] = Outcome{Status: "fail", Detail: simErr.Error()}
-			} else {
-				row["sim"] = Outcome{Status: "pass",
-					Detail: fmt.Sprintf("%d steps, %d tasks, %dB ISA, makespan %.3gs",
-						rep.Steps, rep.Tasks, rep.ISABytes, rep.Makespan)}
-			}
-		}
-
-		if reason, ok := s.Skip["ir"]; ok {
-			row["ir"] = Outcome{Status: "skip", Detail: reason}
-		} else {
-			irCt, irErr := runGuarded(func() (*ckks.Ciphertext, error) { return runIR(env, s) })
-			row["ir"] = checkCiphertext(env, irCt, irErr, expected, s)
-		}
-		for _, e := range EngineNames {
-			o := row[e]
-			switch o.Status {
-			case "pass":
+			o := cells[e]()
+			row[e] = o
+			if o.Status == "pass" {
 				logf("%-24s %-10s pass  maxerr=%.3g  %s", s.Name, e, o.MaxErr, o.Detail)
-			case "skip":
-				logf("%-24s %-10s skip  (%s)", s.Name, e, o.Detail)
-			default:
+			} else {
 				logf("%-24s %-10s FAIL  %s", s.Name, e, o.Detail)
 			}
 		}
@@ -223,22 +245,13 @@ func (h *Harness) Run(opts RunOptions) (Matrix, error) {
 
 // runGuarded converts evaluator-layer panics (level underflow, missing keys)
 // into engine failures so one bad program cannot abort the matrix.
-func runGuarded(f func() (*ckks.Ciphertext, error)) (ct *ckks.Ciphertext, err error) {
+func runGuarded[T any](f func() (T, error)) (out T, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			ct, err = nil, fmt.Errorf("panic: %v", r)
+			err = fmt.Errorf("panic: %v", r)
 		}
 	}()
 	return f()
-}
-
-func runGuardedSim(s *ProgramSpec) (rep *simReport, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			rep, err = nil, fmt.Errorf("panic: %v", r)
-		}
-	}()
-	return runSim(s)
 }
 
 // checkCiphertext decrypts ct in its environment and scores it against the
@@ -309,25 +322,23 @@ func WriteGolden(path string, m Matrix) error {
 }
 
 // CompareGolden checks the run against the golden matrix: every golden
-// "pass" cell that this run executed must still pass (skips caused by short
-// mode are tolerated; regressions to "fail" are not), and every executed
-// program must appear in the golden file so the corpus cannot silently grow
-// without re-blessing. It returns the list of violations.
+// "pass" cell of a program this run executed must still pass — a regression
+// to "fail" is a violation, and so is a decay to "skip" (a skip entry added
+// to a program's spec) until the golden file is re-blessed — and every
+// executed program must appear in the golden file so the corpus cannot
+// silently grow without re-blessing. Programs a short run left out are not in
+// m and are not checked. It returns the list of violations.
 func CompareGolden(m Matrix, golden map[string]map[string]string) []string {
 	var bad []string
 	for _, prog := range sortedKeys(m) {
-		row := m[prog]
 		grow, ok := golden[prog]
 		if !ok {
 			bad = append(bad, fmt.Sprintf("%s: not in golden matrix (run with -update to bless)", prog))
 			continue
 		}
 		for _, eng := range EngineNames {
-			o, ok := row[eng]
-			if !ok || o.Status == "skip" {
-				continue
-			}
-			if want := grow[eng]; want == "pass" && o.Status != "pass" {
+			o, ok := m[prog][eng]
+			if ok && grow[eng] == "pass" && o.Status != "pass" {
 				bad = append(bad, fmt.Sprintf("%s/%s: golden says pass, got %s (%s)", prog, eng, o.Status, o.Detail))
 			}
 		}

@@ -1,33 +1,36 @@
 // Package conformance is the cross-engine FHE conformance harness: one
 // directory-driven corpus of small CKKS programs (testdata/programs/*.json),
 // each with deterministic plaintext inputs, an interpreter-computed expected
-// output, and a per-program precision budget, executed against four engines:
+// output, and a per-program precision budget, executed against five engines.
+// Two are independent hand-written executions of the corpus on hefloat:
 //
 //  1. reference  — hefloat reference paths (EvaluateBSGSReference, radix-2
 //     five-pass NTT via ring.SetReferenceNTT, Horner polynomial evaluation,
 //     per-rotation keyswitching);
 //  2. optimized  — the plan-cached, double-hoisted production paths
-//     (EvaluateBSGS, merged-twist lazy radix-4 NTT, power-tree polynomials,
-//     hoisted and ext-hoisted rotations);
-//  3. cluster    — the same program lowered to per-card instruction streams
-//     of the functional multi-card runtime, scheduled and executed through
-//     internal/serve's ClusterBackend;
-//  4. sim        — the analytic pipeline: each program is mapped to a task
-//     graph (internal/mapping), round-tripped through the ISA encoding
-//     (internal/isa), and legality-checked on the simulator (internal/sim);
-//     the numeric check becomes a schedule-legality/decode check;
-//  5. ir         — the compiler pipeline: the program is rebuilt on the
-//     internal/fhir SSA IR, optimized by the full pass stack (CSE, lazy
-//     rescale placement, lazy relinearization, rotation hoisting), executed
-//     through the ckks-evaluator lowering for the numeric verdict, and the
-//     same optimized form must also lower legally onto the task/ISA/sim
-//     pipeline and reproduce the result on the functional cluster runtime.
+//     (EvaluateBSGS, merged-twist lazy NTT, power-tree polynomials, hoisted
+//     and ext-hoisted rotations).
 //
-// Engines 1 and 2 are additionally pinned bit-identical on the programs whose
-// spec sets bitExact (the paths PR 4/5 proved bit-identity for); everywhere
-// else agreement is within the per-program budget. The per-(program, engine)
-// pass matrix is compared against testdata/golden_matrix.json so an engine
-// silently losing coverage fails CI.
+// The other three run the compiler's own lowerings of one compiled program:
+// the spec is translated once into internal/fhir IR (buildIRProgram), compiled
+// once by the full pass stack (CSE, lazy rescale placement, lazy
+// relinearization, rotation hoisting), and then
+//
+//  3. cluster    — fhir.LowerCluster: per-card instruction streams of the
+//     functional multi-card runtime, scheduled and executed as a 2-card job
+//     through internal/serve's ClusterBackend;
+//  4. sim        — fhir.BuildTaskProgram: the task graph is round-tripped
+//     through the ISA encoding (internal/isa) and legality-checked on the
+//     simulator (internal/sim); the numeric check becomes a
+//     schedule-legality/decode check;
+//  5. ir         — fhir.Evaluate: the ckks-evaluator lowering.
+//
+// Every numeric cell is scored against the plaintext interpreter (Interpret)
+// under the program's budget. Engines 1 and 2 are additionally pinned
+// bit-identical on the programs whose spec sets bitExact (the paths PR 4/5
+// proved bit-identity for). The per-(program, engine) pass matrix is compared
+// against testdata/golden_matrix.json so an engine silently losing coverage
+// fails CI.
 package conformance
 
 import (
@@ -38,7 +41,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strings"
 )
 
 // Engine names, in report order.
@@ -47,9 +49,9 @@ var EngineNames = []string{"reference", "optimized", "cluster", "sim", "ir"}
 // ProgramSpec is one conformance program: inputs, an op chain, the register
 // holding the result, and how strictly engines must agree on it.
 type ProgramSpec struct {
-	Name        string    `json:"name"`
-	Description string    `json:"description,omitempty"`
-	Params      ParamSpec `json:"params"`
+	Name        string      `json:"name"`
+	Description string      `json:"description,omitempty"`
+	Params      ParamSpec   `json:"params"`
 	Inputs      []InputSpec `json:"inputs"`
 	Ops         []OpSpec    `json:"ops"`
 	Output      string      `json:"output"`
@@ -98,7 +100,9 @@ type InputSpec struct {
 //	pcmm                 A, Matrix (k×k plaintext weights; k² = slots)
 //	ccmm                 A, B (column-packed k×k operands)
 //	poly                 A, Coeffs (real polynomial, ascending)
-//	bootstrap            A (input is encrypted at level 0)
+//	bootstrap            A (a program input; every input of a program that
+//	                     bootstraps is encrypted at level 0, and the IR-driven
+//	                     engines ModRaise it host-side before their program runs)
 type OpSpec struct {
 	Op     string    `json:"op"`
 	Dst    string    `json:"dst"`
@@ -490,16 +494,4 @@ func MaxSlotError(got, want []complex128) float64 {
 		}
 	}
 	return max
-}
-
-// describeOps is a compact op-chain summary for reports.
-func describeOps(s *ProgramSpec) string {
-	ops := make([]string, len(s.Ops))
-	for i, op := range s.Ops {
-		ops[i] = op.Op
-	}
-	if len(ops) == 0 {
-		return "roundtrip"
-	}
-	return strings.Join(ops, "→")
 }

@@ -188,7 +188,7 @@ func (bt *Bootstrapper) applyDFT(lt *LinearTransform, ct *ckks.Ciphertext) (*ckk
 // CoeffToSlotTransforms exposes the four CoeffToSlot transforms (with the
 // Δ/q0 factor folded in), in the pairing Bootstrap uses: u0 = P·z + Q·conj(z),
 // u1 = R·z + S·conj(z). Exported so external engines (the conformance
-// harness's cluster lowering) can re-emit the same pipeline.
+// harness's IR frontend) can re-emit the same pipeline.
 func (bt *Bootstrapper) CoeffToSlotTransforms() (p, q, r, s *LinearTransform) {
 	return bt.ltP, bt.ltQ, bt.ltR, bt.ltS
 }

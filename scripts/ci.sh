@@ -69,8 +69,9 @@ go test -race -short "$@" ./internal/hefloat/
 
 echo "== go test -race -short (conformance reduced matrix)"
 # The cross-engine matrix minus the heavy bootstrap program: every remaining
-# program still runs on all five engines, with the cluster engine exercising
-# the goroutine-card runtime under the race detector.
+# program still runs on all five engines, with the cluster column putting
+# fhir.LowerCluster's streams and the goroutine-card runtime under the race
+# detector.
 go test -race -short "$@" ./internal/conformance/
 
 echo "== go test (full tier-1 suite)"
@@ -127,5 +128,8 @@ go run -race ./cmd/hydra-serve -mode live -fleets 1024 -rate 300 -duration 1s \
 	-dilation 0.05 -coalesce 8 -queue 2048 -out "$SERVE_DIR/BENCH_serve.json"
 [ -s "$SERVE_DIR/BENCH_serve.json" ] || { echo "ci: hydra-serve smoke wrote no report" >&2; exit 1; }
 rm -rf "$SERVE_DIR"
+
+echo "== loc (non-test, non-generated Go lines; informational, never gates)"
+sh scripts/loc.sh || true
 
 echo "ci: OK"
