@@ -72,12 +72,13 @@ compile-bench:
 	sh scripts/bench.sh compile
 
 # Short fuzz passes: the ISA task-program decoder, the differential
-# modular-arithmetic fuzzer (Barrett/Shoup vs math/big), and the ciphertext
-# wire decoder.
+# modular-arithmetic fuzzer (Barrett/Shoup vs math/big), the ciphertext wire
+# decoder, and the word-sized plaintext encoder against its math/big oracle.
 fuzz:
 	$(GO) test -fuzz=FuzzUnmarshal -fuzztime=20s ./internal/isa/
 	$(GO) test -fuzz=FuzzModularOps -fuzztime=10s -run '^$$' ./internal/ring/
 	$(GO) test -fuzz=FuzzUnmarshalCiphertext -fuzztime=10s -run '^$$' ./internal/ckks/
+	$(GO) test -fuzz=FuzzEncodeResidues -fuzztime=10s -run '^$$' ./internal/ckks/
 
 # Regenerate the experiment golden snapshots after an intentional change.
 golden-update:

@@ -22,10 +22,11 @@ func (p *Plaintext) Level() int { return p.Value.Level() }
 // Encoder maps complex slot vectors to ring elements via the canonical
 // embedding (the "special FFT" of HEAAN/Lattigo).
 type Encoder struct {
-	params   *Parameters
-	m        int          // 2N
-	rotGroup []int        // 5^j mod 2N, j < N/2
-	roots    []complex128 // e^(2πi·j/2N), j ≤ 2N
+	params *Parameters
+	// twInv and twFwd hold the special FFT's twiddles stage by stage: the
+	// stage of half-length h reads tw[h-1 : 2h-1], entry h-1+j being the root
+	// of unity (index 5^j mod 8h, negated for the inverse) of butterfly j.
+	twInv, twFwd []complex128
 }
 
 // Params returns the encoder's parameter set.
@@ -33,19 +34,20 @@ func (e *Encoder) Params() *Parameters { return e.params }
 
 // NewEncoder builds an encoder for the given parameters.
 func NewEncoder(params *Parameters) *Encoder {
-	n := params.N()
-	m := 2 * n
-	e := &Encoder{params: params, m: m}
-	e.rotGroup = make([]int, n/2)
-	five := 1
-	for i := range e.rotGroup {
-		e.rotGroup[i] = five
-		five = (five * 5) % m
+	m := 2 * params.N()
+	roots := make([]complex128, m+1) // e^(2πi·j/2N)
+	for j := range roots {
+		roots[j] = cmplx.Exp(complex(0, 2*math.Pi*float64(j)/float64(m)))
 	}
-	e.roots = make([]complex128, m+1)
-	for j := 0; j <= m; j++ {
-		angle := 2 * math.Pi * float64(j) / float64(m)
-		e.roots[j] = cmplx.Exp(complex(0, angle))
+	slots := params.Slots()
+	e := &Encoder{params: params, twInv: make([]complex128, slots-1), twFwd: make([]complex128, slots-1)}
+	for lenh := 1; lenh < slots; lenh <<= 1 {
+		lenq := lenh << 3
+		for j, five := 0, 1; j < lenh; j, five = j+1, five*5%m {
+			idx := five % lenq
+			e.twFwd[lenh-1+j] = roots[idx*m/lenq]
+			e.twInv[lenh-1+j] = roots[(lenq-idx)*m/lenq]
+		}
 	}
 	return e
 }
@@ -53,16 +55,12 @@ func NewEncoder(params *Parameters) *Encoder {
 // fftSpecialInv is the inverse canonical-embedding FFT (encode direction).
 func (e *Encoder) fftSpecialInv(vals []complex128) {
 	size := len(vals)
-	for length := size; length >= 2; length >>= 1 {
-		for i := 0; i < size; i += length {
-			lenh := length >> 1
-			lenq := length << 2
-			for j := 0; j < lenh; j++ {
-				idx := (lenq - (e.rotGroup[j] % lenq)) * e.m / lenq
-				u := vals[i+j] + vals[i+j+lenh]
-				v := (vals[i+j] - vals[i+j+lenh]) * e.roots[idx]
-				vals[i+j] = u
-				vals[i+j+lenh] = v
+	for lenh := size >> 1; lenh >= 1; lenh >>= 1 {
+		tw := e.twInv[lenh-1 : 2*lenh-1]
+		for i := 0; i < size; i += 2 * lenh {
+			lo, hi := vals[i:i+lenh], vals[i+lenh:i+2*lenh]
+			for j, w := range tw {
+				lo[j], hi[j] = lo[j]+hi[j], (lo[j]-hi[j])*w
 			}
 		}
 	}
@@ -77,16 +75,13 @@ func (e *Encoder) fftSpecialInv(vals []complex128) {
 func (e *Encoder) fftSpecial(vals []complex128) {
 	bitReverseComplex(vals)
 	size := len(vals)
-	for length := 2; length <= size; length <<= 1 {
-		for i := 0; i < size; i += length {
-			lenh := length >> 1
-			lenq := length << 2
-			for j := 0; j < lenh; j++ {
-				idx := (e.rotGroup[j] % lenq) * e.m / lenq
-				u := vals[i+j]
-				v := vals[i+j+lenh] * e.roots[idx]
-				vals[i+j] = u + v
-				vals[i+j+lenh] = u - v
+	for lenh := 1; lenh < size; lenh <<= 1 {
+		tw := e.twFwd[lenh-1 : 2*lenh-1]
+		for i := 0; i < size; i += 2 * lenh {
+			lo, hi := vals[i:i+lenh], vals[i+lenh:i+2*lenh]
+			for j, w := range tw {
+				u, v := lo[j], hi[j]*w
+				lo[j], hi[j] = u+v, u-v
 			}
 		}
 	}
@@ -106,45 +101,83 @@ func bitReverseComplex(vals []complex128) {
 	}
 }
 
-// encodeToCoeffs runs the canonical-embedding FFT and scaling, returning the
-// signed integer coefficients of the encoded polynomial — the level-agnostic
-// front half shared by EncodeAtLevel and EncodeExtAtLevel.
-func (e *Encoder) encodeToCoeffs(values []complex128, scale float64) ([]*big.Int, error) {
+// floatWord returns the integer part of v as a signed word; ok is false for
+// NaN and ±Inf. A float64 is ±mant·2^e with mant < 2^53, so its integer part
+// is mant shifted: right when e < 0 (which truncates toward zero, exactly as
+// big.Float.Int does), left while in the word, then as a power of two.
+func floatWord(v float64) (w ring.SignedWord, ok bool) {
+	b := math.Float64bits(v)
+	exp := int(b>>52) & 0x7ff
+	w.Neg = b>>63 != 0
+	mant := b&(1<<52-1) | 1<<52
+	switch e := exp - 1075; {
+	case e <= -53: // |v| < 1, subnormals included
+	case e <= 0:
+		w.Mag = mant >> uint(-e)
+	case e <= 11:
+		w.Mag = mant << uint(e)
+	default:
+		w.Mag, w.Shift = mant, uint16(e)
+	}
+	return w, exp != 0x7ff
+}
+
+// encodeRows is the one encode path: the canonical-embedding FFT, scaling,
+// the exact integer part of every coefficient as a machine word, then one
+// signed reduction and one NTT per residue row. rows[i] is taken modulo q_i
+// for i ≤ level and rows[level+1], when present, modulo P. The caller has
+// checked level and owns the rows, heap or pooled.
+func (e *Encoder) encodeRows(values []complex128, scale float64, level int, rows [][]uint64) error {
 	slots := e.params.Slots()
 	if len(values) > slots {
-		return nil, fmt.Errorf("ckks: %d values exceed %d slots", len(values), slots)
+		return fmt.Errorf("ckks: %d values exceed %d slots", len(values), slots)
 	}
 	buf := make([]complex128, slots)
 	copy(buf, values)
 	e.fftSpecialInv(buf)
 
-	n := e.params.N()
-	nh := n / 2
+	nh := e.params.N() / 2
 	gap := nh / slots
-	coeffs := make([]*big.Int, n)
-	for i := range coeffs {
-		coeffs[i] = new(big.Int)
+	words := make([]ring.SignedWord, 2*nh)
+	for j, c := range buf {
+		re, okRe := floatWord(real(c) * scale)
+		im, okIm := floatWord(imag(c) * scale)
+		if !okRe || !okIm {
+			return fmt.Errorf("ckks: cannot encode: a slot value is NaN or ±Inf, or overflows float64 at scale %g", scale)
+		}
+		words[j*gap], words[nh+j*gap] = re, im
 	}
-	for j := 0; j < slots; j++ {
-		setScaledFloat(coeffs[j*gap], real(buf[j])*scale)
-		setScaledFloat(coeffs[nh+j*gap], imag(buf[j])*scale)
+	r := e.params.RingQP()
+	ring.ForEachLimb(len(rows), func(jj int) {
+		tbl := r.Tables[jj]
+		if jj == level+1 {
+			tbl = r.Tables[e.params.SpecialIndex()]
+		}
+		tbl.Mod.ReduceSignedRow(rows[jj], words)
+		tbl.Forward(rows[jj])
+	})
+	return nil
+}
+
+func (e *Encoder) checkLevel(level int) error {
+	if level < 0 || level > e.params.MaxLevel() {
+		return fmt.Errorf("ckks: level %d out of range", level)
 	}
-	return coeffs, nil
+	return nil
 }
 
 // EncodeAtLevel encodes values (len ≤ Slots()) into a fresh plaintext at the
-// given level with the given scale. Shorter inputs are zero-padded.
+// given level with the given scale. Shorter inputs are zero-padded; a NaN or
+// infinite slot is an error.
 func (e *Encoder) EncodeAtLevel(values []complex128, scale float64, level int) (*Plaintext, error) {
-	if level < 0 || level > e.params.MaxLevel() {
-		return nil, fmt.Errorf("ckks: level %d out of range", level)
-	}
-	coeffs, err := e.encodeToCoeffs(values, scale)
-	if err != nil {
+	if err := e.checkLevel(level); err != nil {
 		return nil, err
 	}
 	poly := e.params.RingQP().NewPoly(level)
-	e.params.RingQP().SetBigInt(coeffs, poly)
-	e.params.RingQP().NTT(poly)
+	if err := e.encodeRows(values, scale, level, poly.Coeffs); err != nil {
+		return nil, err
+	}
+	poly.IsNTT = true
 	return &Plaintext{Value: poly, Scale: scale}, nil
 }
 
@@ -152,8 +185,8 @@ func (e *Encoder) EncodeAtLevel(values []complex128, scale float64, level int) (
 // the operand form that multiplies extended-basis keyswitch accumulators
 // (ExtCiphertext) without leaving the P·Q domain. Rows[0..Lvl] are the q_i
 // residues and Rows[Lvl+1] the residue mod P, all NTT-domain canonical.
-// ExtPlaintexts are heap-allocated (not pooled): they live in compiled
-// transform plans and are reused across evaluations.
+// EncodeExtAtLevel's rows are heap-allocated, so the result can live in a
+// compiled transform plan; EncodeExtInto fills rows the caller lends it.
 type ExtPlaintext struct {
 	Lvl   int
 	Rows  [][]uint64
@@ -173,41 +206,35 @@ func (p *ExtPlaintext) row(tblIdx, special int) []uint64 {
 // given level: the same canonical-embedding encode as EncodeAtLevel plus the
 // extra residue row mod P that the double-hoisted keyswitch path consumes.
 func (e *Encoder) EncodeExtAtLevel(values []complex128, scale float64, level int) (*ExtPlaintext, error) {
-	if level < 0 || level > e.params.MaxLevel() {
-		return nil, fmt.Errorf("ckks: level %d out of range", level)
-	}
-	coeffs, err := e.encodeToCoeffs(values, scale)
-	if err != nil {
+	if err := e.checkLevel(level); err != nil {
 		return nil, err
 	}
-	r := e.params.RingQP()
-	pIdx := e.params.SpecialIndex()
-	rows := make([][]uint64, level+2)
-	ring.ForEachLimb(level+2, func(jj int) {
-		tblIdx := jj
-		if jj == level+1 {
-			tblIdx = pIdx
-		}
-		q := new(big.Int).SetUint64(r.Moduli[tblIdx])
-		tmp := new(big.Int)
-		row := make([]uint64, r.N)
-		for t := range row {
-			row[t] = tmp.Mod(coeffs[t], q).Uint64()
-		}
-		r.Tables[tblIdx].Forward(row)
-		rows[jj] = row
-	})
-	return &ExtPlaintext{Lvl: level, Rows: rows, Scale: scale}, nil
+	pt := &ExtPlaintext{Lvl: level, Rows: make([][]uint64, level+2)}
+	for jj := range pt.Rows { // row by row: N words are a size class, level+2 rows are not
+		pt.Rows[jj] = make([]uint64, e.params.N())
+	}
+	if err := e.EncodeExtInto(values, scale, pt); err != nil {
+		return nil, err
+	}
+	return pt, nil
+}
+
+// EncodeExtInto is EncodeExtAtLevel into rows the caller lends, pooled
+// scratch for instance: pt.Lvl+2 rows of N words, every one overwritten.
+func (e *Encoder) EncodeExtInto(values []complex128, scale float64, pt *ExtPlaintext) error {
+	if err := e.checkLevel(pt.Lvl); err != nil {
+		return err
+	}
+	if len(pt.Rows) != pt.Lvl+2 {
+		return fmt.Errorf("ckks: extended plaintext at level %d has %d rows", pt.Lvl, len(pt.Rows))
+	}
+	pt.Scale = scale
+	return e.encodeRows(values, scale, pt.Lvl, pt.Rows)
 }
 
 // Encode encodes at the maximum ciphertext level with the default scale.
 func (e *Encoder) Encode(values []complex128) (*Plaintext, error) {
 	return e.EncodeAtLevel(values, e.params.DefaultScale(), e.params.MaxLevel())
-}
-
-func setScaledFloat(dst *big.Int, v float64) {
-	f := new(big.Float).SetFloat64(v)
-	f.Int(dst) // truncation toward zero; sub-unit rounding error is absorbed by the scheme noise
 }
 
 // Decode decodes a plaintext back to a complex slot vector.

@@ -34,13 +34,15 @@ func LowerCluster(p *Program, enc *ckks.Encoder, cards int) ([][]cluster.Instr, 
 	}
 	terms, wrappers := outputTerms(p)
 	progs := make([][]cluster.Instr, cards)
+	// Cards with overlapping closures share one read-only encode, this call only.
+	memo := map[plainAt]*ckks.Plaintext{}
 	used := 0
 	for ci := 0; ci < cards && ci < len(terms); ci++ {
 		var mine []*Value
 		for ti := ci; ti < len(terms); ti += cards {
 			mine = append(mine, terms[ti])
 		}
-		cc := &clusterCard{p: p, enc: enc, reg: map[*Value]string{}, rotCache: map[string]string{}}
+		cc := &clusterCard{p: p, enc: enc, memo: memo, reg: map[*Value]string{}, rotCache: map[string]string{}}
 		for _, v := range closure(p, mine) {
 			if err := cc.lower(v); err != nil {
 				return nil, fmt.Errorf("fhir: cluster card %d, v%d (%s): %w", ci, v.ID, v.Op, err)
@@ -90,9 +92,15 @@ func clusterOut(progs [][]cluster.Instr, used int) string {
 	return acc
 }
 
+type plainAt struct {
+	pl    *Plain
+	level int
+}
+
 type clusterCard struct {
 	p        *Program
 	enc      *ckks.Encoder
+	memo     map[plainAt]*ckks.Plaintext
 	ins      []cluster.Instr
 	reg      map[*Value]string
 	rotCache map[string]string // "srcReg@k" -> register holding the rotation
@@ -125,11 +133,13 @@ func (c *clusterCard) rotate(srcReg string, k int) string {
 }
 
 func (c *clusterCard) encode(pl *Plain, level int) (*ckks.Plaintext, error) {
-	vals, err := pl.Values(c.p.Slots)
-	if err != nil {
-		return nil, err
+	key := plainAt{pl, level}
+	if pt := c.memo[key]; pt != nil {
+		return pt, nil
 	}
-	return c.enc.EncodeAtLevel(vals, c.enc.Params().DefaultScale(), level)
+	pt, err := encodePlain(c.enc, pl, c.p.Slots, level)
+	c.memo[key] = pt
+	return pt, err
 }
 
 func (c *clusterCard) lower(v *Value) error {

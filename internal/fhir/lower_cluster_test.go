@@ -4,6 +4,8 @@ import (
 	"context"
 	"math/rand"
 	"testing"
+
+	"hydra/internal/ckks"
 )
 
 // runClusterDifferential compiles src both ways and executes each on the
@@ -91,4 +93,35 @@ func TestClusterSingleCard(t *testing.T) {
 		}
 		return p
 	}, 2, 1, 1e-5)
+}
+
+// TestLowerClusterSharesEncodes: two cards whose closures both contain
+// m = x ⊙ w receive the same encoded plaintext, not one encode each.
+func TestLowerClusterSharesEncodes(t *testing.T) {
+	b := NewBuilder(16)
+	m := b.MulPlain(b.Input("x"), onesPlain(b, "w"))
+	b.Output(b.Add(b.Rotate(m, 1), b.Rotate(m, 2)))
+	src, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := Compile(src, Options{Levels: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	progs, err := LowerCluster(p, ckks.NewEncoder(ckks.TestParameters(5, 2)), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var plains []*ckks.Plaintext
+	for _, prog := range progs {
+		for _, ins := range prog {
+			if ins.Plain != nil {
+				plains = append(plains, ins.Plain)
+			}
+		}
+	}
+	if len(plains) != 2 || plains[0] != plains[1] {
+		t.Fatalf("want one plaintext multiply per card sharing one encode, got %d plaintexts %p", len(plains), plains)
+	}
 }

@@ -3,9 +3,12 @@ package fhir
 import (
 	"math"
 	"math/rand"
+	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"hydra/internal/ckks"
+	"hydra/internal/ring"
 )
 
 // testEnv is one keyed CKKS context sized for a program pair.
@@ -180,4 +183,128 @@ func TestEvaluateMixedDifferential(t *testing.T) {
 		}
 		return p
 	}, 4, 1e-3)
+}
+
+// diagMacProgram compiles one BSGS giant step over diags random diagonals:
+// a single DiagMac whose operands are all encoded inside Evaluate.
+func diagMacProgram(t *testing.T, slots, diags, levels int, poison complex128) *Program {
+	t.Helper()
+	rng := rand.New(rand.NewSource(11))
+	b := NewBuilder(slots)
+	x := b.Input("x")
+	terms := make([]*Value, diags)
+	for j := range terms {
+		vals := randVec(rng, slots)
+		if j == diags/2 {
+			vals[3] += poison
+		}
+		terms[j] = b.MulPlain(b.Rotate(x, j), b.PlainVec("", vals))
+	}
+	b.Output(b.Sum(terms...))
+	src, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := Compile(src, Options{Levels: levels})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := countOp(p, OpDiagMac); n != 1 {
+		t.Fatalf("%d DiagMacs, want 1\n%s", n, p)
+	}
+	return p
+}
+
+// diagMacEnv keys a context for diagMacProgram and encrypts one input.
+func diagMacEnv(t *testing.T, p *Program, logN, levels int) (EvalContext, map[string]*ckks.Ciphertext) {
+	t.Helper()
+	rots, conj := p.Rotations()
+	te := newTestEnv(t, logN, levels, rots, conj)
+	x := randVec(rand.New(rand.NewSource(1)), p.Slots)
+	return EvalContext{Eval: te.eval, Enc: te.enc}, te.encryptAll(t, map[string][]complex128{"x": x}, levels)
+}
+
+// TestEvaluateDiagMacStreamsEncodes: DiagMac encodes its diagonals into
+// pooled rows a chunk at a time, so a whole Evaluate — basket, encodes,
+// ModDown and result included — allocates less than the sixteen extended
+// plaintexts alone would if each were built on the heap.
+func TestEvaluateDiagMacStreamsEncodes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool sheds entries at random under the race detector")
+	}
+	const logN, levels, diags = 10, 6, 16
+	p := diagMacProgram(t, 1<<(logN-1), diags, levels, 0)
+	ctx, cts := diagMacEnv(t, p, logN, levels)
+	run := func() {
+		if _, err := Evaluate(p, ctx, cts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run()                                            // fill the ring's pools
+	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // a collection would empty them mid-measurement
+	const runs = 5
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		run()
+	}
+	runtime.ReadMemStats(&after)
+	perRun := (after.TotalAlloc - before.TotalAlloc) / runs
+	if livePlaintexts := uint64(diags * (levels + 2) * (8 << logN)); perRun >= livePlaintexts {
+		t.Fatalf("Evaluate allocates %d bytes; %d heap-resident extended plaintexts are %d", perRun, diags, livePlaintexts)
+	}
+}
+
+// TestEvaluateDiagMacFanOutBitIdentical extends the parallel-vs-serial
+// differential to the diagonal-parallel encode: forced-serial, one worker (a
+// chunk of 4 diagonals) and eight workers (one chunk of 16, encodes racing
+// for the limb pool) must produce the same ciphertext residue for residue.
+func TestEvaluateDiagMacFanOutBitIdentical(t *testing.T) {
+	const logN, levels = 8, 3
+	p := diagMacProgram(t, 1<<(logN-1), 16, levels, 0)
+	ctx, cts := diagMacEnv(t, p, logN, levels)
+	defer ring.SetMaxWorkers(ring.MaxWorkers())
+	defer ring.SetSerial(ring.Serial())
+	ring.SetSerial(true)
+	want, err := Evaluate(p, ctx, cts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ring.SetSerial(false)
+	for _, workers := range []int{1, 2, 8} {
+		ring.SetMaxWorkers(workers)
+		got, err := Evaluate(p, ctx, cts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !got.C0.Equal(want.C0) || !got.C1.Equal(want.C1) || got.Scale != want.Scale {
+			t.Fatalf("%d workers: ciphertext differs from the forced-serial run", workers)
+		}
+	}
+}
+
+// TestEvaluateRejectsNonFinitePlain: a NaN or infinite plaintext slot is an
+// error from Evaluate on both encode routes (MulPlain and the DiagMac
+// fan-out) — it used to panic inside math/big, or encode as zero.
+func TestEvaluateRejectsNonFinitePlain(t *testing.T) {
+	const logN, levels = 6, 3
+	slots := 1 << (logN - 1)
+	for _, poison := range []complex128{complex(math.NaN(), 0), complex(0, math.Inf(1))} {
+		b := NewBuilder(slots)
+		b.Output(b.MulPlain(b.Input("x"), b.PlainVec("", []complex128{1, poison})))
+		src, err := b.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		single, err := Compile(src, Options{Levels: levels})
+		if err != nil || countOp(single, OpMulPlain) != 1 {
+			t.Fatalf("one MulPlain expected: %v\n%s", err, single)
+		}
+		for name, p := range map[string]*Program{"MulPlain": single, "DiagMac": diagMacProgram(t, slots, 16, levels, poison)} {
+			ctx, cts := diagMacEnv(t, p, logN, levels)
+			if out, err := Evaluate(p, ctx, cts); err == nil || out != nil {
+				t.Errorf("%s with slot %v: Evaluate returned %v, %v; want an error", name, poison, out, err)
+			}
+		}
+	}
 }

@@ -163,6 +163,33 @@ func (m Modulus) Reduce64(a uint64) uint64 {
 	return m.Reduce128(0, a)
 }
 
+// SignedWord is the integer ±Mag·2^Shift, the form the integer part of a
+// finite float64 takes: how CKKS coefficients reach residue rows without math/big.
+type SignedWord struct {
+	Mag   uint64
+	Shift uint16
+	Neg   bool
+}
+
+// ReduceSignedRow sets out[j] = w[j] mod q, canonical in [0, q): at most one
+// Barrett reduction per word, plus a multiply by 2^Shift mod q when Shift > 0.
+func (m Modulus) ReduceSignedRow(out []uint64, w []SignedWord) {
+	w = w[:len(out)]
+	for j, x := range w {
+		r := x.Mag
+		if r >= m.Q {
+			r = m.Reduce64(r)
+		}
+		if x.Shift != 0 {
+			r = m.MulModBarrett(r, PowMod(2, uint64(x.Shift), m.Q))
+		}
+		if x.Neg {
+			r = NegMod(r, m.Q)
+		}
+		out[j] = r
+	}
+}
+
 // MulAddLazy returns acc + a*b as a lazy residue in [0, 2q): a fused
 // Barrett multiply-accumulate for operand pairs without Shoup tables (both
 // sides variable, e.g. digit × switching-key rows). acc must be in [0, 2q)

@@ -197,3 +197,30 @@ func checkLazyRowsEqual(t *testing.T, name string, got, want []uint64, q uint64)
 		}
 	}
 }
+
+// TestReduceSignedRow checks the signed-word reduction against math/big on
+// both sides of every branch: magnitudes below and above q, zero, the full
+// 64-bit word, and shifts up to the largest float64 exponent.
+func TestReduceSignedRow(t *testing.T) {
+	for _, q := range []uint64{testQ, GenerateNTTPrimes(45, 1024, 1)[0], 12289} {
+		m := NewModulus(q)
+		var words []SignedWord
+		for _, mag := range []uint64{0, 1, q - 1, q, q + 1, 1<<53 - 1, 1 << 63, ^uint64(0)} {
+			for _, shift := range []uint16{0, 1, 11, 12, 63, 64, 500, 971} {
+				words = append(words, SignedWord{Mag: mag, Shift: shift}, SignedWord{Mag: mag, Shift: shift, Neg: true})
+			}
+		}
+		out := make([]uint64, len(words))
+		m.ReduceSignedRow(out, words)
+		bq := new(big.Int).SetUint64(q)
+		for i, w := range words {
+			want := new(big.Int).Lsh(new(big.Int).SetUint64(w.Mag), uint(w.Shift))
+			if w.Neg {
+				want.Neg(want)
+			}
+			if want.Mod(want, bq); out[i] != want.Uint64() {
+				t.Fatalf("q=%d: %+v reduces to %d, want %v", q, w, out[i], want)
+			}
+		}
+	}
+}

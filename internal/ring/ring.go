@@ -307,20 +307,6 @@ func (r *Ring) ToBigInt(p *Poly, out []*big.Int) {
 	}
 }
 
-// SetBigInt sets p's coefficients (coefficient domain) from integers, reduced
-// modulo each residue. Negative values are supported.
-func (r *Ring) SetBigInt(vals []*big.Int, p *Poly) {
-	tmp := new(big.Int)
-	for i := range p.Coeffs {
-		q := new(big.Int).SetUint64(r.Moduli[i])
-		for j := 0; j < r.N; j++ {
-			tmp.Mod(vals[j], q)
-			p.Coeffs[i][j] = tmp.Uint64()
-		}
-	}
-	p.IsNTT = false
-}
-
 // Equal reports whether two polynomials have identical residues and domain.
 func (p *Poly) Equal(other *Poly) bool {
 	if len(p.Coeffs) != len(other.Coeffs) || p.IsNTT != other.IsNTT {
