@@ -1,7 +1,7 @@
 # Hydra reproduction — build/test entry points.
 #
 # `make ci` is the gate used before merging: vet + race-detector run over the
-# concurrency-bearing packages (worker pool, evaluator, runtime, cluster),
+# concurrency-bearing packages (worker pool, evaluator, cluster, serving layer),
 # then the full tier-1 suite.
 
 GO ?= go
@@ -25,12 +25,12 @@ lint:
 	$(GO) run ./cmd/hydra-lint ./...
 
 # Race-detector run of the limb pool, the evaluator that fans work onto it,
-# the goroutine-card runtimes that nest it (includes the differential
+# the goroutine-card cluster that nests it (includes the differential
 # parallel-vs-serial harness), and the multi-tenant serving layer. Matches
 # the ci.sh race coverage: hefloat and the conformance matrix run -short to
 # skip the slow bootstrap-convergence tests that add no race coverage.
 race:
-	$(GO) test -race ./internal/ring/... ./internal/ckks/... ./internal/runtime/... ./internal/cluster/... ./internal/serve/...
+	$(GO) test -race ./internal/ring/... ./internal/ckks/... ./internal/cluster/... ./internal/serve/...
 	$(GO) test -race -short ./internal/hefloat/ ./internal/conformance/
 
 ci:
@@ -64,10 +64,10 @@ serve-bench:
 
 # IR-compiler benchmark: per-pass ablation (naive, full, no-cse,
 # no-lazy-relin, no-hoist) of keyswitch/decomposition/ModDown counts on the
-# BSGS, bootstrap-C2S and ResNet-block programs, plus end-to-end
+# BSGS, bootstrap and ResNet-block programs, plus end-to-end
 # naive-vs-optimized evaluation time, written to BENCH_compile.json. The
 # -check gate inside fails if the full pipeline removes fewer than 20% of
-# the naive keyswitches on any program.
+# the naive keyswitches on the BSGS or the bootstrap program.
 compile-bench:
 	sh scripts/bench.sh compile
 

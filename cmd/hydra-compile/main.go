@@ -1,8 +1,8 @@
 // hydra-compile is the IR-compiler benchmark: it builds the paper's two
-// keyswitch-heavy program shapes (BSGS linear transforms and the chained-DFT
-// CoeffToSlot stage of bootstrapping) plus a ResNet-style block on the
-// internal/fhir IR, compiles each with the full pass pipeline and with each
-// optimization pass ablated in turn, and reports the static cost model
+// keyswitch-heavy programs (a BSGS linear transform and the whole bootstrap
+// pipeline after ModRaise) plus a ResNet-style block with internal/fhir's
+// frontends, compiles each with the full pass pipeline and with each
+// optimization pass left out in turn, and reports the static cost model
 // (keyswitches, decompositions, ModDowns, rescales) per variant together
 // with wall-clock compile time and, for the evaluable programs, the measured
 // end-to-end naive-vs-optimized evaluation time on real ciphertexts.
@@ -13,7 +13,7 @@
 //
 // With -check the tool exits non-zero unless hoisting-reuse + CSE remove at
 // least the target share of keyswitch operations (default 20%) on the BSGS
-// and CoeffToSlot-shaped programs — the compiler's headline acceptance bar.
+// and bootstrap programs — the compiler's headline acceptance bar.
 package main
 
 import (
@@ -31,6 +31,7 @@ import (
 
 	"hydra/internal/ckks"
 	"hydra/internal/fhir"
+	"hydra/internal/hefloat"
 )
 
 type variantReport struct {
@@ -77,15 +78,16 @@ type report struct {
 	Programs []programReport `json:"programs"`
 }
 
-// benchProgram is one benchmark shape: a builder thunk plus the level budget
-// it compiles under and whether the end-to-end evaluation timing runs.
+// benchProgram is one benchmark shape: the body of a one-input program plus
+// the parameter set (ckks.TestParameters(logN, levels)) it compiles under and
+// whether the end-to-end evaluation timing runs.
 type benchProgram struct {
 	name, desc string
 	levels     int
 	logN       int
 	evaluate   bool
 	checked    bool // participates in the -check reduction gate
-	build      func(slots int) (*fhir.Program, error)
+	body       func(b *fhir.Builder, x *fhir.Value, params *ckks.Parameters) (*fhir.Value, error)
 }
 
 func main() {
@@ -102,19 +104,28 @@ func main() {
 			logN:     5,
 			evaluate: true,
 			checked:  true,
-			build: func(slots int) (*fhir.Program, error) {
-				return buildBSGS(slots, 4, 4, 1, "m")
+			body: func(b *fhir.Builder, x *fhir.Value, params *ckks.Parameters) (*fhir.Value, error) {
+				lt, err := denseTransform(params.Slots(), math.Cos)
+				if err != nil {
+					return nil, err
+				}
+				return b.LinTrans(x, lt, 4, "m"), nil
 			},
 		},
 		{
-			name:     "bootstrap-c2s",
-			desc:     "CoeffToSlot-shaped chain: two stacked dense BSGS stages (the DFT factor chain)",
-			levels:   4,
-			logN:     5,
-			evaluate: false,
-			checked:  true,
-			build: func(slots int) (*fhir.Program, error) {
-				return buildBSGS(slots, 4, 4, 2, "dft")
+			name:    "bootstrap",
+			desc:    "bootstrap after ModRaise at N=512: CoeffToSlot, double-angle sine, SlotToCoeff (conformance's bootstrap-small)",
+			levels:  20,
+			logN:    9,
+			checked: true,
+			body: func(b *fhir.Builder, z *fhir.Value, params *ckks.Parameters) (*fhir.Value, error) {
+				// Keyless and plan-less: the frontend reads only the transforms.
+				bt, err := hefloat.NewBootstrapper(params, ckks.NewEncoder(params), nil,
+					hefloat.BootstrapperOptions{K: 16, ReferenceBSGS: true})
+				if err != nil {
+					return nil, err
+				}
+				return b.Bootstrap(z, bt), nil
 			},
 		},
 		{
@@ -123,7 +134,16 @@ func main() {
 			levels:   6,
 			logN:     5,
 			evaluate: true,
-			build:    buildResNetBlock,
+			// y = act(W·x) + x: the FHE shape of one convolution + activation +
+			// skip connection.
+			body: func(b *fhir.Builder, x *fhir.Value, params *ckks.Parameters) (*fhir.Value, error) {
+				lt, err := denseTransform(params.Slots(), math.Sin)
+				if err != nil {
+					return nil, err
+				}
+				act := b.Horner(b.LinTrans(x, lt, 4, "w"), []float64{0, 0.5, 0.25, -0.125})
+				return b.Add(act, x), nil
+			},
 		},
 	}
 
@@ -168,31 +188,32 @@ func main() {
 }
 
 func benchOne(bp benchProgram) (*programReport, error) {
-	slots := 1 << (bp.logN - 1)
-	src, err := bp.build(slots)
+	params := ckks.TestParameters(bp.logN, bp.levels)
+	b := fhir.NewBuilder(params.Slots())
+	out, err := bp.body(b, b.Input("x"), params)
+	if err != nil {
+		return nil, err
+	}
+	b.Output(out)
+	src, err := b.Build()
 	if err != nil {
 		return nil, err
 	}
 	variants := []struct {
-		name string
-		opts *fhir.Options // nil = CompileNaive
+		name    string
+		compile func(*fhir.Program) (*fhir.Program, error)
 	}{
-		{"naive", nil},
-		{"full", &fhir.Options{Levels: bp.levels}},
-		{"no-cse", &fhir.Options{Levels: bp.levels, DisableCSE: true}},
-		{"no-lazy-relin", &fhir.Options{Levels: bp.levels, DisableLazyRelin: true}},
-		{"no-hoist", &fhir.Options{Levels: bp.levels, DisableHoist: true}},
+		{"naive", func(p *fhir.Program) (*fhir.Program, error) { return fhir.CompileNaive(p, bp.levels) }},
+		{"full", func(p *fhir.Program) (*fhir.Program, error) { return fhir.Compile(p, fhir.Options{Levels: bp.levels}) }},
+		{"no-cse", pipelineWithout(bp.levels, "cse")},
+		{"no-lazy-relin", pipelineWithout(bp.levels, "lazy-relin")},
+		{"no-hoist", pipelineWithout(bp.levels, "hoist")},
 	}
-	pr := &programReport{Name: bp.name, Description: bp.desc, Slots: slots, Levels: bp.levels}
+	pr := &programReport{Name: bp.name, Description: bp.desc, Slots: params.Slots(), Levels: bp.levels}
 	compiled := map[string]*fhir.Program{}
 	for _, v := range variants {
 		start := time.Now()
-		var p *fhir.Program
-		if v.opts == nil {
-			p, err = fhir.CompileNaive(src, bp.levels)
-		} else {
-			p, err = fhir.Compile(src, *v.opts)
-		}
+		p, err := v.compile(src)
 		if err != nil {
 			return nil, fmt.Errorf("variant %s: %w", v.name, err)
 		}
@@ -221,13 +242,34 @@ func benchOne(bp benchProgram) (*programReport, error) {
 	pr.ModDownsSaved = naive.ModDown - full.ModDown
 
 	if bp.evaluate {
-		nms, oms, err := evaluatePair(bp, compiled["naive"], compiled["full"])
+		nms, oms, err := evaluatePair(params, compiled["naive"], compiled["full"])
 		if err != nil {
 			return nil, fmt.Errorf("end-to-end evaluation: %w", err)
 		}
 		pr.EvalNaiveMs, pr.EvalOptimizedMs = nms, oms
 	}
 	return pr, nil
+}
+
+// pipelineWithout is fhir.Compile's pass order (CSE → Legalize → LazyRelin →
+// Hoist; every pass drops its own dead values) with the named pass left out.
+func pipelineWithout(levels int, skip string) func(*fhir.Program) (*fhir.Program, error) {
+	return func(p *fhir.Program) (*fhir.Program, error) {
+		if skip != "cse" {
+			p = fhir.CSE(p)
+		}
+		p, err := fhir.Legalize(p, fhir.LegalizeOptions{Levels: levels})
+		if err != nil {
+			return nil, err
+		}
+		if skip != "lazy-relin" {
+			p = fhir.LazyRelin(p)
+		}
+		if skip != "hoist" {
+			p = fhir.Hoist(p)
+		}
+		return p, nil
+	}
 }
 
 // countMergedRotations counts the rotations of the optimized program that
@@ -256,8 +298,7 @@ func countMergedRotations(p *fhir.Program) int {
 // evaluatePair times one naive and one optimized execution on real
 // ciphertexts under a deterministic key set, checking both against the exact
 // interpreter so a timing win can never hide a wrong result.
-func evaluatePair(bp benchProgram, naive, opt *fhir.Program) (naiveMs, optMs float64, err error) {
-	params := ckks.TestParameters(bp.logN, bp.levels)
+func evaluatePair(params *ckks.Parameters, naive, opt *fhir.Program) (naiveMs, optMs float64, err error) {
 	rotSet := map[int]bool{}
 	conj := false
 	for _, p := range []*fhir.Program{naive, opt} {
@@ -296,7 +337,7 @@ func evaluatePair(bp benchProgram, naive, opt *fhir.Program) (naiveMs, optMs flo
 	timeOne := func(p *fhir.Program) (float64, error) {
 		inputs := map[string]*ckks.Ciphertext{}
 		for name, vals := range plainIn {
-			pt, err := enc.EncodeAtLevel(vals, params.DefaultScale(), bp.levels)
+			pt, err := enc.EncodeAtLevel(vals, params.DefaultScale(), params.MaxLevel())
 			if err != nil {
 				return 0, err
 			}
@@ -330,81 +371,17 @@ func evaluatePair(bp benchProgram, naive, opt *fhir.Program) (naiveMs, optMs flo
 	return naiveMs, optMs, nil
 }
 
-// buildBSGS writes `stages` chained dense BSGS linear transforms (every
-// baby-step rotation re-emitted per giant step, exactly what the hoisting
-// pass is for). Diagonal values are deterministic smooth vectors scaled so
-// chained stages keep O(1) slot magnitudes.
-func buildBSGS(slots, bs, gs, stages int, keyPrefix string) (*fhir.Program, error) {
-	b := fhir.NewBuilder(slots)
-	x := b.Input("x")
-	cur := x
-	for s := 0; s < stages; s++ {
-		var acc *fhir.Value
-		for g := 0; g < gs; g++ {
-			var inner *fhir.Value
-			for j := 0; j < bs; j++ {
-				key := fmt.Sprintf("%s%d:%d:%d", keyPrefix, s, g, j)
-				vals := make([]complex128, slots)
-				for t := range vals {
-					vals[t] = complex(math.Cos(float64(g*bs+j+3*t))/float64(bs*gs), 0)
-				}
-				term := b.MulPlain(b.Rotate(cur, j), b.PlainVec(key, vals))
-				if inner == nil {
-					inner = term
-				} else {
-					inner = b.Add(inner, term)
-				}
-			}
-			rotated := b.Rotate(inner, g*bs)
-			if acc == nil {
-				acc = rotated
-			} else {
-				acc = b.Add(acc, rotated)
-			}
-		}
-		cur = acc
-	}
-	b.Output(cur)
-	return b.Build()
-}
-
-// buildResNetBlock writes y = act(W·x) + x with a dense BSGS weight
-// transform and a degree-3 Horner activation — the FHE shape of one
-// convolution + activation + skip connection.
-func buildResNetBlock(slots int) (*fhir.Program, error) {
-	b := fhir.NewBuilder(slots)
-	x := b.Input("x")
-	const bs, gs = 4, 4
-	var conv *fhir.Value
-	for g := 0; g < gs; g++ {
-		var inner *fhir.Value
-		for j := 0; j < bs; j++ {
-			vals := make([]complex128, slots)
-			for t := range vals {
-				vals[t] = complex(math.Sin(float64(g*bs+j+2*t))/float64(bs*gs), 0)
-			}
-			term := b.MulPlain(b.Rotate(x, j), b.PlainVec(fmt.Sprintf("w:%d:%d", g, j), vals))
-			if inner == nil {
-				inner = term
-			} else {
-				inner = b.Add(inner, term)
-			}
-		}
-		rotated := b.Rotate(inner, g*bs)
-		if conv == nil {
-			conv = rotated
-		} else {
-			conv = b.Add(conv, rotated)
+// denseTransform is a deterministic smooth dim×dim matrix with every diagonal
+// non-zero, scaled so the product keeps O(1) slot magnitudes.
+func denseTransform(dim int, wave func(float64) float64) (*hefloat.LinearTransform, error) {
+	m := make([][]complex128, dim)
+	for r := range m {
+		m[r] = make([]complex128, dim)
+		for c := range m[r] {
+			m[r][c] = complex(wave(float64(3*r+c))/float64(dim), 0)
 		}
 	}
-	// Degree-3 polynomial activation by Horner: ((c3·u + c2)·u + c1)·u + c0.
-	coeffs := []float64{0, 0.5, 0.25, -0.125}
-	act := b.AddConst(b.MulConst(conv, coeffs[3]), coeffs[2])
-	for i := 1; i >= 0; i-- {
-		act = b.AddConst(b.Mul(act, conv), coeffs[i])
-	}
-	b.Output(b.Add(act, x))
-	return b.Build()
+	return hefloat.NewLinearTransform(m)
 }
 
 // provenance prefers the environment value bench.sh exports so every

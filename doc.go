@@ -7,9 +7,8 @@
 // (internal/mapping), a discrete-event simulator of the scale-out system
 // with the Procedure 1 synchronization mechanism (internal/task,
 // internal/sim), a binary instruction format for host preloading
-// (internal/isa), a concurrent goroutine executor of the synchronization
-// protocol (internal/runtime), a functional multi-card runtime operating on
-// real ciphertexts (internal/cluster), the evaluation benchmarks
+// (internal/isa), a functional multi-card runtime operating on real
+// ciphertexts (internal/cluster), the evaluation benchmarks
 // (internal/model), and generators for every table and figure of the
 // paper's evaluation section (internal/experiments).
 //

@@ -129,22 +129,6 @@ func (ev *Evaluator) RaiseModulus(ct *Ciphertext) *Ciphertext {
 	return out
 }
 
-// AddPlain returns ct + pt. Scales must match.
-func (ev *Evaluator) AddPlain(ct *Ciphertext, pt *Plaintext) *Ciphertext {
-	if !sameScale(ct.Scale, pt.Scale) {
-		panic(fmt.Sprintf("ckks: scale mismatch in AddPlain: %g vs %g", ct.Scale, pt.Scale))
-	}
-	lvl := ct.Level()
-	if pt.Level() < lvl {
-		lvl = pt.Level()
-	}
-	r := ev.params.RingQP()
-	out := &Ciphertext{C0: r.NewPoly(lvl), C1: r.NewPoly(lvl), Scale: ct.Scale}
-	r.Add(atLevel(ct.C0, lvl), atLevel(pt.Value, lvl), out.C0)
-	out.C1.Copy(atLevel(ct.C1, lvl))
-	return out
-}
-
 // AddConst returns ct + c where c is a scalar applied to every slot. The
 // constant is encoded at the ciphertext's scale, so the result keeps it.
 func (ev *Evaluator) AddConst(ct *Ciphertext, c float64) *Ciphertext {

@@ -82,7 +82,6 @@ func runDifferentialSuite(t *testing.T, logN, levels int, seed int64) {
 		{"Add", func() *Ciphertext { return ev.Add(ctA, ctB) }},
 		{"Sub", func() *Ciphertext { return ev.Sub(ctA, ctB) }},
 		{"Neg", func() *Ciphertext { return ev.Neg(ctA) }},
-		{"AddPlain", func() *Ciphertext { return ev.AddPlain(ctA, pt) }},
 		{"AddConst", func() *Ciphertext { return ev.AddConst(ctA, 1.25) }},
 		{"MulPlain", func() *Ciphertext { return ev.MulPlain(ctA, pt2) }},
 		{"MulByConst", func() *Ciphertext { return ev.MulByConst(ctA, -0.75) }},

@@ -8,14 +8,11 @@ import (
 	"hydra/internal/ring"
 )
 
-// Wire format of ciphertexts and plaintexts — the payload the paper's DTU
-// moves between cards (a level-l ciphertext is 2·(l+1)·N·8 bytes of limb
+// Wire format of ciphertexts — the payload the paper's DTU moves between
+// cards (a level-l ciphertext is 2·(l+1)·N·8 bytes of limb
 // data plus a small header, matching hw.SchemeParams.CiphertextBytes).
 
-var (
-	ctMagic = [4]byte{'H', 'C', 'T', '1'}
-	ptMagic = [4]byte{'H', 'P', 'T', '1'}
-)
+var ctMagic = [4]byte{'H', 'C', 'T', '1'}
 
 // MarshalCiphertext encodes ct for transfer.
 func MarshalCiphertext(ct *Ciphertext) []byte {
@@ -47,32 +44,6 @@ func UnmarshalCiphertext(params *Parameters, data []byte) (*Ciphertext, error) {
 		return nil, fmt.Errorf("ckks: %d trailing bytes in ciphertext", len(rest))
 	}
 	return &Ciphertext{C0: c0, C1: c1, Scale: scale}, nil
-}
-
-// MarshalPlaintext encodes pt.
-func MarshalPlaintext(pt *Plaintext) []byte {
-	buf := make([]byte, 0, 32+(pt.Level()+1)*len(pt.Value.Coeffs[0])*8)
-	buf = append(buf, ptMagic[:]...)
-	buf = appendHeader(buf, pt.Value, pt.Scale)
-	buf = appendPoly(buf, pt.Value)
-	return buf
-}
-
-// UnmarshalPlaintext decodes a plaintext.
-func UnmarshalPlaintext(params *Parameters, data []byte) (*Plaintext, error) {
-	rest, level, isNTT, scale, err := readHeader(params, data, ptMagic)
-	if err != nil {
-		return nil, err
-	}
-	r := params.RingQP()
-	v := r.NewPoly(level)
-	if rest, err = readPoly(rest, r, v, isNTT); err != nil {
-		return nil, err
-	}
-	if len(rest) != 0 {
-		return nil, fmt.Errorf("ckks: %d trailing bytes in plaintext", len(rest))
-	}
-	return &Plaintext{Value: v, Scale: scale}, nil
 }
 
 func appendHeader(buf []byte, p *ring.Poly, scale float64) []byte {

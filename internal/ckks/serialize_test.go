@@ -45,20 +45,6 @@ func TestCiphertextWireSizeMatchesCostModel(t *testing.T) {
 	}
 }
 
-func TestPlaintextRoundTrip(t *testing.T) {
-	tc := newTestContext(t, 8, 2, nil)
-	vals := randomComplex(tc.params.Slots(), 31)
-	pt, _ := tc.enc.Encode(vals)
-	data := MarshalPlaintext(pt)
-	back, err := UnmarshalPlaintext(tc.params, data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !back.Value.Equal(pt.Value) || back.Scale != pt.Scale {
-		t.Fatal("plaintext changed")
-	}
-}
-
 func TestUnmarshalRejectsCorruptData(t *testing.T) {
 	tc := newTestContext(t, 8, 2, nil)
 	pt, _ := tc.enc.Encode(make([]complex128, tc.params.Slots()))
@@ -70,7 +56,6 @@ func TestUnmarshalRejectsCorruptData(t *testing.T) {
 		"bad magic":  append([]byte{'X'}, data[1:]...),
 		"truncated":  data[:len(data)/3],
 		"trailing":   append(append([]byte{}, data...), 1, 2, 3),
-		"pt as ct":   MarshalPlaintext(pt),
 		"wrong ring": nil,
 	}
 	for name, d := range cases {

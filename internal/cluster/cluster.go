@@ -1,18 +1,19 @@
-// Package cluster is a functional scale-out FHE runtime: the data-plane
-// counterpart of internal/runtime. Every card is a goroutine owning real
-// CKKS state (an evaluator, its keys, and a named ciphertext store); cards
-// execute instruction scripts — Rotate, PMult, CMult, Add, Rescale,
-// polynomial steps — and exchange serialized ciphertexts over a switch of
-// channels, with the Send-After-Compute / Compute-After-Receive ordering
-// arising naturally from the per-card program order.
+// Package cluster is a functional scale-out FHE runtime: where internal/sim
+// schedules a program's operation counts on modeled cards, this package
+// executes its arithmetic. Every card is a goroutine owning real CKKS state
+// (an evaluator, its keys, and a named ciphertext store); cards execute
+// instruction scripts — Rotate, PMult, CMult, Add, Rescale — and exchange
+// serialized ciphertexts over a switch of channels, with the
+// Send-After-Compute / Compute-After-Receive ordering arising naturally from
+// the per-card program order.
 //
 // This realizes, at laptop scale, the paper's full stack: the host preloads
 // per-card instruction streams (Section IV-D), the cards run them with
 // hardware-style synchronization, and the arithmetic is the actual CKKS
-// arithmetic of internal/ckks rather than a cost model. Tests validate the
-// Section III mappings end-to-end: a ring-broadcast convolution layer and a
-// distributed BSGS matrix-vector product computed by 4 cards decrypt to the
-// same values as their single-card execution.
+// arithmetic of internal/ckks rather than a cost model. The streams come from
+// fhir.LowerCluster (any compiled program) or BuildConv (the ring-broadcast
+// convolution layer); tests check that what 4 cards compute decrypts to the
+// same values as the single-card execution.
 //
 // Concurrency: cards are plain goroutines (they must be, since a card can
 // block on a switch receive while its peer computes), but the CKKS ops they
@@ -30,7 +31,6 @@ import (
 	"sync"
 
 	"hydra/internal/ckks"
-	"hydra/internal/hefloat"
 )
 
 // errAborted marks a card that was unblocked by the abort broadcast rather
@@ -43,20 +43,18 @@ type OpCode int
 // Card instructions. Register operands name entries of the card's ciphertext
 // store; Send/Recv move ciphertexts through the switch.
 const (
-	OpRotate     OpCode = iota // Dst = Rotate(Src1, Imm)
-	OpPMult                    // Dst = Src1 ⊙ plaintext operand
-	OpCMult                    // Dst = Src1 · Src2 (relinearized)
-	OpAdd                      // Dst = Src1 + Src2
-	OpSub                      // Dst = Src1 - Src2
-	OpRescale                  // Dst = Rescale(Src1)
-	OpMulConst                 // Dst = Rescale(Src1 · Const)
-	OpAddConst                 // Dst = Src1 + Const
-	OpAddAligned               // Dst = Src1 + Src2, aligning mismatched scales/levels
-	OpCopy                     // Dst = Src1
-	OpSend                     // transmit Src1 to card Peer under tag Tag
-	OpRecv                     // receive tag Tag into Dst
-	OpNeg                      // Dst = -Src1
-	OpConjugate                // Dst = Conjugate(Src1)
+	OpRotate    OpCode = iota // Dst = Rotate(Src1, Imm)
+	OpPMult                   // Dst = Src1 ⊙ plaintext operand
+	OpCMult                   // Dst = Src1 · Src2 (relinearized)
+	OpAdd                     // Dst = Src1 + Src2
+	OpSub                     // Dst = Src1 - Src2
+	OpRescale                 // Dst = Rescale(Src1)
+	OpAddConst                // Dst = Src1 + Const
+	OpCopy                    // Dst = Src1
+	OpSend                    // transmit Src1 to card Peer under tag Tag
+	OpRecv                    // receive tag Tag into Dst
+	OpNeg                     // Dst = -Src1
+	OpConjugate               // Dst = Conjugate(Src1)
 )
 
 // Instr is one instruction of a card's stream.
@@ -65,7 +63,7 @@ type Instr struct {
 	Dst        string
 	Src1, Src2 string
 	Imm        int             // rotation amount
-	Const      float64         // scalar operand (OpMulConst, OpAddConst)
+	Const      float64         // scalar operand (OpAddConst)
 	Plain      *ckks.Plaintext // PMult operand
 	Peer       int             // Send destination
 	Tag        int             // Send/Recv pairing
@@ -211,16 +209,6 @@ func (cl *Cluster) execute(ctx context.Context, card *Card, prog []Instr, abort 
 				return err
 			}
 			card.Store[ins.Dst] = card.Eval.MulRelin(a, b)
-		case OpAddAligned:
-			a, err := get(ins.Src1)
-			if err != nil {
-				return err
-			}
-			b, err := get(ins.Src2)
-			if err != nil {
-				return err
-			}
-			card.Store[ins.Dst] = hefloat.AddAligned(card.Eval, a, b)
 		case OpAdd, OpSub:
 			a, err := get(ins.Src1)
 			if err != nil {
@@ -241,12 +229,6 @@ func (cl *Cluster) execute(ctx context.Context, card *Card, prog []Instr, abort 
 				return err
 			}
 			card.Store[ins.Dst] = card.Eval.Rescale(src)
-		case OpMulConst:
-			src, err := get(ins.Src1)
-			if err != nil {
-				return err
-			}
-			card.Store[ins.Dst] = card.Eval.Rescale(card.Eval.MulByConst(src, ins.Const))
 		case OpAddConst:
 			src, err := get(ins.Src1)
 			if err != nil {

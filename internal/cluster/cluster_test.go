@@ -103,83 +103,6 @@ func TestDistributedConvMatchesSingleCard(t *testing.T) {
 	}
 }
 
-func TestDistributedMatVecMatchesPlain(t *testing.T) {
-	const cards = 4
-	const bs = 4
-	e := newEnv(t, 7, 3, allRots(1<<6))
-	dim := e.params.Slots()
-	gs := dim / bs
-
-	// Random-ish dense matrix in diagonal form with BSGS pre-rotation.
-	matrix := make([][]complex128, dim)
-	for r := range matrix {
-		matrix[r] = make([]complex128, dim)
-		for c := range matrix[r] {
-			matrix[r][c] = complex(math.Cos(float64(r*dim+c))/8, 0)
-		}
-	}
-	ct := e.encryptSeq(e.params.DefaultScale())
-	vals := e.enc.Decode(e.decr.Decrypt(ct))
-	want := make([]complex128, dim)
-	for r := 0; r < dim; r++ {
-		for c := 0; c < dim; c++ {
-			want[r] += matrix[r][c] * vals[c]
-		}
-	}
-
-	diags := make([][]*ckks.Plaintext, gs)
-	for g := 0; g < gs; g++ {
-		diags[g] = make([]*ckks.Plaintext, bs)
-		for j := 0; j < bs; j++ {
-			d := g*bs + j
-			diag := make([]complex128, dim)
-			for t0 := 0; t0 < dim; t0++ {
-				diag[t0] = matrix[t0][(t0+d)%dim]
-			}
-			// Pre-rotate right by g·bs, as EvaluateBSGS does.
-			shifted := make([]complex128, dim)
-			for t0 := 0; t0 < dim; t0++ {
-				shifted[t0] = diag[(t0+dim-(g*bs)%dim)%dim]
-			}
-			pt, err := e.enc.EncodeAtLevel(shifted, e.params.DefaultScale(), ct.Level())
-			if err != nil {
-				t.Fatal(err)
-			}
-			diags[g][j] = pt
-		}
-	}
-
-	progs, err := BuildMatVec(cards, bs, diags)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cl := New(e.params, e.eval, cards)
-	for c := 0; c < cards; c++ {
-		cl.Load(c, "x", ct)
-	}
-	if err := cl.Run(context.Background(), progs); err != nil {
-		t.Fatal(err)
-	}
-	for c := 0; c < cards; c++ {
-		y, err := cl.Get(c, "y")
-		if err != nil {
-			t.Fatalf("card %d: %v", c, err)
-		}
-		got := e.enc.Decode(e.decr.Decrypt(y))
-		if errv := maxSlotErr(got, want); errv > 1e-2 {
-			t.Fatalf("card %d: matvec error %g", c, errv)
-		}
-	}
-}
-
-func allRots(dim int) []int {
-	out := make([]int, 0, dim)
-	for d := 1; d < dim; d++ {
-		out = append(out, d)
-	}
-	return out
-}
-
 func TestClusterErrors(t *testing.T) {
 	e := newEnv(t, 6, 2, []int{1})
 	cl := New(e.params, e.eval, 2)
@@ -231,53 +154,5 @@ func TestOutOfOrderTagsAreBuffered(t *testing.T) {
 	}
 	if _, err := cl.Get(1, "second"); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestPolySplitMatchesSingleCard(t *testing.T) {
-	// The paper's EvaExp two-subtree split (Fig. 3(a)): degree-7 polynomial,
-	// lo on card 0, hi·x^4 on card 1.
-	e := newEnv(t, 7, 10, nil)
-	coeffs := []float64{0.3, -0.5, 0.2, 0.1, -0.15, 0.05, 0.12, -0.07}
-	progs, err := BuildPolySplit(coeffs, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Input values in [-1, 1].
-	vals := make([]complex128, e.params.Slots())
-	for i := range vals {
-		vals[i] = complex(float64(i%13)/13-0.5, 0)
-	}
-	pt, _ := e.enc.Encode(vals)
-	ct := e.encr.Encrypt(pt)
-	cl := New(e.params, e.eval, 2)
-	cl.Load(0, "x", ct)
-	cl.Load(1, "x", ct)
-	if err := cl.Run(context.Background(), progs); err != nil {
-		t.Fatal(err)
-	}
-	y, err := cl.Get(0, "y")
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := e.enc.Decode(e.decr.Decrypt(y))
-	for i := range vals {
-		x := real(vals[i])
-		want := 0.0
-		for j := len(coeffs) - 1; j >= 0; j-- {
-			want = want*x + coeffs[j]
-		}
-		if diff := real(got[i]) - want; diff > 1e-2 || diff < -1e-2 {
-			t.Fatalf("slot %d: got %g want %g", i, real(got[i]), want)
-		}
-	}
-}
-
-func TestPolySplitValidation(t *testing.T) {
-	if _, err := BuildPolySplit([]float64{1, 2, 3}, 3); err == nil {
-		t.Fatal("expected power-of-two split error")
-	}
-	if _, err := BuildPolySplit([]float64{1, 2, 3}, 4); err == nil {
-		t.Fatal("expected degree-range error")
 	}
 }

@@ -137,34 +137,14 @@ func TestRecvFailureAfterBadFrame(t *testing.T) {
 	}
 }
 
-// TestBuilderValidation covers the instruction-stream builders' error paths:
-// mismatched step counts and malformed shapes must be rejected before any
-// card runs.
+// TestBuilderValidation covers the instruction-stream builder's error paths:
+// malformed layers must be rejected before any card runs.
 func TestBuilderValidation(t *testing.T) {
 	if _, err := BuildConv(2, ConvLayer{}); err == nil {
 		t.Fatal("BuildConv: expected error for an empty layer")
 	}
 	if _, err := BuildConv(2, ConvLayer{Rotations: []int{0, 1}, Weights: []*ckks.Plaintext{nil}}); err == nil {
 		t.Fatal("BuildConv: expected error for mismatched rotations/weights")
-	}
-	if _, err := BuildMatVec(4, 0, [][]*ckks.Plaintext{{}}); err == nil {
-		t.Fatal("BuildMatVec: expected error for non-positive bs")
-	}
-	if _, err := BuildMatVec(4, 2, nil); err == nil {
-		t.Fatal("BuildMatVec: expected error for zero giant steps")
-	}
-	if _, err := BuildMatVec(3, 2, [][]*ckks.Plaintext{{nil, nil}}); err == nil {
-		t.Fatal("BuildMatVec: expected error for non-power-of-two card count")
-	}
-	// Mismatched step count: giant-step row shorter than bs.
-	if _, err := BuildMatVec(4, 2, [][]*ckks.Plaintext{{nil}}); err == nil {
-		t.Fatal("BuildMatVec: expected error for a short diagonal row")
-	}
-	if _, err := BuildPolySplit([]float64{1, 2, 3, 4, 5}, 8); err == nil {
-		t.Fatal("BuildPolySplit: expected error for degree below the split")
-	}
-	if _, err := BuildPolySplit(make([]float64, 20), 8); err == nil {
-		t.Fatal("BuildPolySplit: expected error for degree beyond two subtrees")
 	}
 }
 

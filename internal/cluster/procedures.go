@@ -6,8 +6,10 @@ import (
 	"hydra/internal/ckks"
 )
 
-// Functional multi-card procedures: instruction-stream builders for the
-// Section III mappings, executable on a Cluster with real ciphertexts.
+// The one hand-written instruction-stream builder: the ring-broadcast
+// convolution, whose all-gather (every output on every card) has no
+// single-output fhir form. Every other program reaches the cards through
+// fhir.LowerCluster.
 
 // ConvLayer describes a simplified packed convolution layer: kernel k
 // contributes Rotate(input, Rotations[k]) ⊙ Weights[k], and all kernel
@@ -47,150 +49,4 @@ func BuildConv(cards int, layer ConvLayer) ([][]Instr, error) {
 		}
 	}
 	return progs, nil
-}
-
-// BuildMatVec emits the distributed BSGS matrix-vector product of
-// Fig. 3(d): every card performs the bs baby-step rotations of "x"
-// (uniform bs), the gs giant steps are split round-robin, per-card partials
-// fold through a binary tree to card 0, and the result is broadcast back as
-// "y" on every card. diags[g][j] is the plaintext diagonal for giant step g,
-// baby step j (already pre-rotated as EvaluateBSGS expects).
-func BuildMatVec(cards, bs int, diags [][]*ckks.Plaintext) ([][]Instr, error) {
-	if bs <= 0 || len(diags) == 0 {
-		return nil, fmt.Errorf("cluster: need positive bs and at least one giant step")
-	}
-	if cards&(cards-1) != 0 {
-		return nil, fmt.Errorf("cluster: card count %d must be a power of two", cards)
-	}
-	progs := make([][]Instr, cards)
-	// Baby steps on every card.
-	for c := 0; c < cards; c++ {
-		for j := 0; j < bs; j++ {
-			progs[c] = append(progs[c], Instr{Op: OpRotate, Dst: fmt.Sprintf("b%d", j), Src1: "x", Imm: j})
-		}
-	}
-	// Giant steps round-robin; each card accumulates its partial in "p".
-	hasPartial := make([]bool, cards)
-	for g, row := range diags {
-		owner := g % cards
-		if len(row) != bs {
-			return nil, fmt.Errorf("cluster: giant step %d has %d diagonals, want %d", g, len(row), bs)
-		}
-		for j, pt := range row {
-			if pt == nil {
-				continue
-			}
-			progs[owner] = append(progs[owner],
-				Instr{Op: OpPMult, Dst: "t", Src1: fmt.Sprintf("b%d", j), Plain: pt},
-			)
-			if j == 0 {
-				progs[owner] = append(progs[owner], Instr{Op: OpCopy, Dst: "inner", Src1: "t"})
-			} else {
-				progs[owner] = append(progs[owner], Instr{Op: OpAdd, Dst: "inner", Src1: "inner", Src2: "t"})
-			}
-		}
-		progs[owner] = append(progs[owner],
-			Instr{Op: OpRescale, Dst: "inner", Src1: "inner"},
-			Instr{Op: OpRotate, Dst: "inner", Src1: "inner", Imm: g * bs},
-		)
-		if hasPartial[owner] {
-			progs[owner] = append(progs[owner], Instr{Op: OpAdd, Dst: "p", Src1: "p", Src2: "inner"})
-		} else {
-			progs[owner] = append(progs[owner], Instr{Op: OpCopy, Dst: "p", Src1: "inner"})
-			hasPartial[owner] = true
-		}
-	}
-	// Cards that received no giant step still need a neutral partial for the
-	// tree; give them a zero contribution only if they will be asked to add.
-	// (With round-robin assignment, card c has a partial iff c < len(diags).)
-
-	// Tree aggregation to card 0 (Fig. 3(d)).
-	tag := 1 << 20
-	active := cards
-	for active > 1 {
-		half := active / 2
-		for i := 0; i < half; i++ {
-			src, dst := i+half, i
-			if !hasPartial[src] {
-				continue
-			}
-			progs[src] = append(progs[src], Instr{Op: OpSend, Src1: "p", Peer: dst, Tag: tag})
-			if hasPartial[dst] {
-				progs[dst] = append(progs[dst],
-					Instr{Op: OpRecv, Dst: "q", Tag: tag},
-					Instr{Op: OpAdd, Dst: "p", Src1: "p", Src2: "q"},
-				)
-			} else {
-				progs[dst] = append(progs[dst], Instr{Op: OpRecv, Dst: "p", Tag: tag})
-				hasPartial[dst] = true
-			}
-			tag++
-		}
-		active = half
-	}
-	// Broadcast the aggregate back as "y".
-	progs[0] = append(progs[0], Instr{Op: OpCopy, Dst: "y", Src1: "p"})
-	for dst := 1; dst < cards; dst++ {
-		progs[0] = append(progs[0], Instr{Op: OpSend, Src1: "y", Peer: dst, Tag: tag})
-		progs[dst] = append(progs[dst], Instr{Op: OpRecv, Dst: "y", Tag: tag})
-		tag++
-	}
-	return progs, nil
-}
-
-// BuildPolySplit emits the paper's EvaExp two-subtree split (Fig. 3(a) and
-// Section III-B) for a polynomial of degree ≤ 2·split-1 over two cards:
-// p(x) = lo(x) + x^split · hi(x) with split a power of two. Card 1 evaluates
-// the high subtree and the binary power x^split, multiplies and sends; card 0
-// evaluates the low subtree in parallel (Horner) and folds the arrival in.
-// Both cards must hold the input as "x"; the result lands as "y" on card 0.
-func BuildPolySplit(coeffs []float64, split int) ([][]Instr, error) {
-	if split < 2 || split&(split-1) != 0 {
-		return nil, fmt.Errorf("cluster: split %d must be a power of two >= 2", split)
-	}
-	if len(coeffs) <= split || len(coeffs) > 2*split {
-		return nil, fmt.Errorf("cluster: degree %d needs lo/hi halves around split %d", len(coeffs)-1, split)
-	}
-	lo, hi := coeffs[:split], coeffs[split:]
-	horner := func(prog []Instr, cs []float64, dst string) []Instr {
-		// dst = cs[last]; then dst = dst·x + cs[i] downward.
-		prog = append(prog,
-			Instr{Op: OpMulConst, Dst: dst, Src1: "x", Const: cs[len(cs)-1]},
-		)
-		if len(cs) >= 2 {
-			prog = append(prog, Instr{Op: OpAddConst, Dst: dst, Src1: dst, Const: cs[len(cs)-2]})
-		}
-		for i := len(cs) - 3; i >= 0; i-- {
-			prog = append(prog,
-				Instr{Op: OpCMult, Dst: dst, Src1: dst, Src2: "x"},
-				Instr{Op: OpRescale, Dst: dst, Src1: dst},
-				Instr{Op: OpAddConst, Dst: dst, Src1: dst, Const: cs[i]},
-			)
-		}
-		return prog
-	}
-	const tag = 1 << 24
-	var p0, p1 []Instr
-	// Card 1: hi(x), x^split by repeated squaring, product, send.
-	p1 = horner(p1, hi, "h")
-	p1 = append(p1, Instr{Op: OpCopy, Dst: "pw", Src1: "x"})
-	for s := 1; s < split; s <<= 1 {
-		p1 = append(p1,
-			Instr{Op: OpCMult, Dst: "pw", Src1: "pw", Src2: "pw"},
-			Instr{Op: OpRescale, Dst: "pw", Src1: "pw"},
-		)
-	}
-	p1 = append(p1,
-		Instr{Op: OpCMult, Dst: "t", Src1: "h", Src2: "pw"},
-		Instr{Op: OpRescale, Dst: "t", Src1: "t"},
-		Instr{Op: OpSend, Src1: "t", Peer: 0, Tag: tag},
-	)
-	// Card 0: lo(x) in parallel, then fold the arrival (the two branches went
-	// through different rescale depths, so the add aligns scales).
-	p0 = horner(p0, lo, "y")
-	p0 = append(p0,
-		Instr{Op: OpRecv, Dst: "u", Tag: tag},
-		Instr{Op: OpAddAligned, Dst: "y", Src1: "y", Src2: "u"},
-	)
-	return [][]Instr{p0, p1}, nil
 }

@@ -8,8 +8,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"hydra/internal/fhir"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata/golden_matrix.json from this run")
@@ -178,35 +176,4 @@ func TestHarnessFailurePath(t *testing.T) {
 	if n := runtime.NumGoroutine(); n > base {
 		t.Errorf("goroutines leaked: %d before, %d after", base, n)
 	}
-}
-
-// TestBootstrapIRCost pins what the compiler makes of the paper's key
-// procedure: the static cost and output level of the compiled bootstrap-small
-// program. A pass change that moves any of these shows up here, against
-// bootstrap, before it shows up as a timing.
-func TestBootstrapIRCost(t *testing.T) {
-	programs, err := LoadPrograms(filepath.Join("testdata", "programs"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, s := range programs {
-		if s.Name != "bootstrap-small" {
-			continue
-		}
-		c := compileSpec(s)
-		if c.err != nil {
-			t.Fatal(c.err)
-		}
-		want := fhir.Cost{KeySwitch: 207, Decomp: 151, ModDown: 241, Rescale: 627, PMult: 1542}
-		got := fhir.Measure(c.prog)
-		got.Values = 0 // IR size, not a cost
-		if got != want {
-			t.Errorf("compiled bootstrap cost %+v, want %+v", got, want)
-		}
-		if got := c.prog.Output.Level; got != 1 {
-			t.Errorf("compiled bootstrap ends at level %d of %d, want 1", got, s.Params.Levels)
-		}
-		return
-	}
-	t.Fatal("bootstrap-small is not in the corpus")
 }

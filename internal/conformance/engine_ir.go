@@ -5,7 +5,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
 	"time"
 
 	"hydra/internal/ckks"
@@ -199,11 +198,12 @@ func runCluster(env *Env, srv *serve.Server, c *compiled, s *ProgramSpec) (*ckks
 	return out, nil
 }
 
-// buildIRProgram translates a conformance spec into an fhir program. The
-// translation writes only mathematics — per-rotation sums, per-diagonal
-// products, Horner chains — and leaves every optimization (rotation merging,
-// rescale placement, relin deferral) to the pass pipeline, so the matrix
-// exercises the compiler rather than a hand-optimized frontend.
+// buildIRProgram translates a conformance spec into an fhir program, op by
+// op: the primitive ops are Builder calls, the procedures (lintrans, pcmm,
+// ccmm, poly, bootstrap) are fhir's own frontends. Both write mathematics only
+// and leave every optimization (rotation merging, rescale placement, relin
+// deferral) to the pass pipeline, so the matrix exercises the compiler rather
+// than a hand-optimized program.
 func buildIRProgram(s *ProgramSpec) (*fhir.Program, error) {
 	slots := s.Slots()
 	b := fhir.NewBuilder(slots)
@@ -239,10 +239,7 @@ func buildIRProgram(s *ProgramSpec) (*fhir.Program, error) {
 			case "mul":
 				out = b.Mul(a, bb)
 			case "ccmm":
-				out, err = irCCMM(b, slots, a, bb)
-				if err != nil {
-					return nil, fmt.Errorf("op %d (ccmm): %w", i, err)
-				}
+				out = b.CCMM(a, bb)
 			}
 		case "neg":
 			out = b.Neg(a)
@@ -277,7 +274,7 @@ func buildIRProgram(s *ProgramSpec) (*fhir.Program, error) {
 			if err != nil {
 				return nil, err
 			}
-			out = irLinTrans(b, a, lt, op.BS, fmt.Sprintf("lt%d:%s", i, op.Matrix))
+			out = b.LinTrans(a, lt, op.BS, fmt.Sprintf("lt%d:%s", i, op.Matrix))
 		case "pcmm":
 			w, err := GenWeights(op.Matrix, isqrt(slots))
 			if err != nil {
@@ -287,12 +284,9 @@ func buildIRProgram(s *ProgramSpec) (*fhir.Program, error) {
 			if err != nil {
 				return nil, err
 			}
-			out = irLinTrans(b, a, lt, 0, fmt.Sprintf("pcmm%d:%s", i, op.Matrix))
+			out = b.LinTrans(a, lt, 0, fmt.Sprintf("pcmm%d:%s", i, op.Matrix))
 		case "poly":
-			if len(op.Coeffs) < 2 {
-				return nil, fmt.Errorf("op %d: poly needs degree >= 1", i)
-			}
-			out = irHorner(b, a, op.Coeffs)
+			out = b.Horner(a, op.Coeffs)
 		case "bootstrap":
 			// ModRaise is host-side (irInputs), so only a program input can
 			// be bootstrapped.
@@ -304,7 +298,7 @@ func buildIRProgram(s *ProgramSpec) (*fhir.Program, error) {
 					return nil, fmt.Errorf("op %d (bootstrap): %w", i, err)
 				}
 			}
-			out = irBootstrap(b, a, bt)
+			out = b.Bootstrap(a, bt)
 		default:
 			return nil, fmt.Errorf("op %d: unknown op %q", i, op.Op)
 		}
@@ -316,16 +310,6 @@ func buildIRProgram(s *ProgramSpec) (*fhir.Program, error) {
 	}
 	b.Output(outVal)
 	return b.Build()
-}
-
-// irHorner writes p(x) = Σ coeffs[t]·x^t (degree >= 1) as a Horner chain.
-func irHorner(b *fhir.Builder, x *fhir.Value, coeffs []float64) *fhir.Value {
-	deg := len(coeffs) - 1
-	out := b.AddConst(b.MulConst(x, coeffs[deg]), coeffs[deg-1])
-	for t := deg - 2; t >= 0; t-- {
-		out = b.AddConst(b.Mul(out, x), coeffs[t])
-	}
-	return out
 }
 
 // bootTransforms builds the bootstrapper whose DFT matrices and sine schedule
@@ -341,122 +325,4 @@ func bootTransforms(s *ProgramSpec) (*hefloat.Bootstrapper, error) {
 	}
 	// The reference flavour skips plan precompilation; the transforms are the same.
 	return hefloat.NewBootstrapper(params, ckks.NewEncoder(params), nil, bootOptions(true))
-}
-
-// irBootstrap writes the bootstrap pipeline after ModRaise, for a raised
-// input z decrypting to m + q0·I: CoeffToSlot (u0 = P·z + Q·z̄, u1 = R·z +
-// S·z̄, the Δ/q0 factor folded into the matrices), sin(2πu) per branch — the
-// θ-scaled small-angle Taylor pair by Horner, then the double-angle
-// iterations — and SlotToCoeff (A·w0 + B·w1, q0/(2πΔ) folded in). Same
-// matrices, baby-step count and sine schedule as hefloat's Bootstrap; where
-// rescales, relinearizations and the shared rotations go is the compiler's
-// business.
-func irBootstrap(b *fhir.Builder, z *fhir.Value, bt *hefloat.Bootstrapper) *fhir.Value {
-	ltP, ltQ, ltR, ltS := bt.CoeffToSlotTransforms()
-	ltA, ltB := bt.SlotToCoeffTransforms()
-	bs := bt.BabySteps()
-	zc := b.Conjugate(z)
-	u0 := b.Add(irLinTrans(b, z, ltP, bs, "boot:P"), irLinTrans(b, zc, ltQ, bs, "boot:Q"))
-	u1 := b.Add(irLinTrans(b, z, ltR, bs, "boot:R"), irLinTrans(b, zc, ltS, bs, "boot:S"))
-
-	deg, iters := bt.SineSchedule()
-	theta := 2 * math.Pi / math.Pow(2, float64(iters))
-	sinC := make([]float64, deg+1) // odd series up to y^deg
-	cosC := make([]float64, deg+2) // even series up to y^(deg+1)
-	term := 1.0
-	for i := 0; i <= deg+1; i++ {
-		if i > 0 {
-			term /= float64(i)
-		}
-		c := term
-		if i%4 >= 2 {
-			c = -c
-		}
-		if i%2 == 0 {
-			cosC[i] = c
-		} else if i <= deg {
-			sinC[i] = c
-		}
-	}
-	sine := func(u *fhir.Value) *fhir.Value {
-		y := b.MulConst(u, theta)
-		sn, cs := irHorner(b, y, sinC), irHorner(b, y, cosC)
-		for i := 0; i < iters; i++ {
-			sc, ss := b.Mul(sn, cs), b.Mul(sn, sn)
-			sn = b.Add(sc, sc)                       // sin 2x = 2 sin x cos x
-			cs = b.AddConst(b.Neg(b.Add(ss, ss)), 1) // cos 2x = 1 - 2 sin²x
-		}
-		return sn
-	}
-	return b.Add(irLinTrans(b, sine(u0), ltA, bs, "boot:A"), irLinTrans(b, sine(u1), ltB, bs, "boot:B"))
-}
-
-// irLinTrans writes a diagonal-decomposed linear transform as the BSGS
-// regrouping Σ_g rot(Σ_j shifted_diag ⊙ rot(x, j), g), in plain per-rotation
-// products whose sharing the hoisting pass discovers. bs <= 0 is the naive sum
-// Σ_d diag_d ⊙ rot(x, d): one group, no giant step.
-func irLinTrans(b *fhir.Builder, x *fhir.Value, lt *hefloat.LinearTransform, bs int, key string) *fhir.Value {
-	if bs <= 0 {
-		bs = lt.Dim
-	}
-	ds := make([]int, 0, len(lt.Diags))
-	for d := range lt.Diags {
-		ds = append(ds, d)
-	}
-	sort.Ints(ds)
-	var acc, inner *fhir.Value
-	for i, d := range ds {
-		g := d - d%bs
-		pt := b.PlainVec(fmt.Sprintf("%s:g%d:d%d", key, g, d), lt.ShiftedDiag(d, g))
-		inner = irAdd(b, inner, b.MulPlain(b.Rotate(x, d-g), pt))
-		if i+1 == len(ds) || ds[i+1]-ds[i+1]%bs != g { // last diagonal of its group
-			acc = irAdd(b, acc, b.Rotate(inner, g))
-			inner = nil
-		}
-	}
-	return acc
-}
-
-// irAdd extends a running sum that starts out nil.
-func irAdd(b *fhir.Builder, acc, term *fhir.Value) *fhir.Value {
-	if acc == nil {
-		return term
-	}
-	return b.Add(acc, term)
-}
-
-// irCCMM writes the ciphertext-ciphertext matrix product over column-packed
-// k×k operands: naive σ/τ pre-transforms, then the k combine iterations with
-// the ψ_d main/wraparound masks — the same iteration structure as
-// hefloat.CCMM, with every product left to the lazy-relinearization pass.
-func irCCMM(b *fhir.Builder, slots int, x, z *fhir.Value) (*fhir.Value, error) {
-	k := isqrt(slots)
-	if k*k != slots {
-		return nil, fmt.Errorf("ccmm needs a square slot count, got %d", slots)
-	}
-	sigma, err := hefloat.NewLinearTransform(hefloat.CCMMSigma(k))
-	if err != nil {
-		return nil, err
-	}
-	tau, err := hefloat.NewLinearTransform(hefloat.CCMMTau(k))
-	if err != nil {
-		return nil, err
-	}
-	a := irLinTrans(b, x, sigma, 0, "ccmm:sigma")
-	bb := irLinTrans(b, z, tau, 0, "ccmm:tau")
-	var acc *fhir.Value
-	for d := 0; d < k; d++ {
-		ad := b.Rotate(a, d*k)
-		maskMain, maskWrap := hefloat.CCMMMasks(k, d)
-		var bd *fhir.Value
-		if d == 0 {
-			bd = b.MulPlain(bb, b.PlainVec("ccmm:mask0", maskMain))
-		} else {
-			main := b.MulPlain(b.Rotate(bb, d), b.PlainVec(fmt.Sprintf("ccmm:m%d", d), maskMain))
-			wrap := b.MulPlain(b.Rotate(bb, d-k), b.PlainVec(fmt.Sprintf("ccmm:w%d", d), maskWrap))
-			bd = b.Add(main, wrap)
-		}
-		acc = irAdd(b, acc, b.Mul(ad, bd))
-	}
-	return acc, nil
 }

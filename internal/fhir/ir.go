@@ -183,9 +183,6 @@ func dce(p *Program) *Program {
 	return out
 }
 
-// DCE removes values unreachable from the output.
-func DCE(p *Program) *Program { return dce(p) }
-
 // Validate checks structural invariants: topological order, argument arity,
 // and fused-op well-formedness. It does not require facts.
 func (p *Program) Validate() error {

@@ -2,18 +2,11 @@ package fhir
 
 import "fmt"
 
-// Options configure the pass pipeline. The zero value (plus a Levels budget)
-// runs every optimization; the Disable knobs exist for ablation studies
-// (cmd/hydra-compile reports per-pass deltas) and for debugging.
+// Options configure the pass pipeline. Every optimization always runs; an
+// ablation study composes the exported passes itself (cmd/hydra-compile).
 type Options struct {
 	// Levels is the modulus-chain depth every input arrives at.
 	Levels int
-	// DisableCSE skips common-subexpression elimination.
-	DisableCSE bool
-	// DisableLazyRelin skips relinearization deferral.
-	DisableLazyRelin bool
-	// DisableHoist skips rotation hoisting (both tiers).
-	DisableHoist bool
 }
 
 // Compile runs the optimizing pipeline:
@@ -29,19 +22,13 @@ func Compile(p *Program, opts Options) (*Program, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	if !opts.DisableCSE {
-		p = CSE(p)
-	}
+	p = CSE(p)
 	p, err := Legalize(p, LegalizeOptions{Levels: opts.Levels})
 	if err != nil {
 		return nil, err
 	}
-	if !opts.DisableLazyRelin {
-		p = LazyRelin(p)
-	}
-	if !opts.DisableHoist {
-		p = Hoist(p)
-	}
+	p = LazyRelin(p)
+	p = Hoist(p)
 	p = dce(p)
 	if err := p.Validate(); err != nil {
 		return nil, fmt.Errorf("fhir: pipeline produced an invalid program: %w", err)

@@ -187,8 +187,8 @@ func (bt *Bootstrapper) applyDFT(lt *LinearTransform, ct *ckks.Ciphertext) (*ckk
 
 // CoeffToSlotTransforms exposes the four CoeffToSlot transforms (with the
 // Δ/q0 factor folded in), in the pairing Bootstrap uses: u0 = P·z + Q·conj(z),
-// u1 = R·z + S·conj(z). Exported so external engines (the conformance
-// harness's IR frontend) can re-emit the same pipeline.
+// u1 = R·z + S·conj(z). Exported so fhir's Bootstrap frontend can write the
+// same pipeline as an IR program.
 func (bt *Bootstrapper) CoeffToSlotTransforms() (p, q, r, s *LinearTransform) {
 	return bt.ltP, bt.ltQ, bt.ltR, bt.ltS
 }
@@ -396,11 +396,4 @@ func (bt *Bootstrapper) evalSine(u *ckks.Ciphertext) (*ckks.Ciphertext, error) {
 		c = bt.eval.AddConst(negss2, 1) // cos(2x) = 1 - 2 sin²x
 	}
 	return s, nil
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -129,9 +129,9 @@ func (lt *LinearTransform) RotationsBSGS(bs int) []int {
 
 // ShiftedDiag returns diagonal d pre-rotated right by g so the single
 // giant-step rotation at the end of BSGS lands it correctly. Exported for
-// engines that re-derive the BSGS grouping outside this package (the
-// conformance harness's IR frontend writes the same pre-shifted diagonals as
-// plaintext operands).
+// engines that re-derive the BSGS grouping outside this package (fhir's
+// LinTrans frontend writes the same pre-shifted diagonals as plaintext
+// operands).
 func (lt *LinearTransform) ShiftedDiag(d, g int) []complex128 {
 	diag := lt.Diags[d]
 	if g == 0 {

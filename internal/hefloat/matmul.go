@@ -132,8 +132,8 @@ func CCMMRotations(k int) []int {
 // CCMMSigma builds the σ pre-transform of the E2DM-style matrix product:
 // σ(A)[r][c] = A[r][(r+c) mod k], as a dense permutation over the
 // column-major packing. Exported so reference implementations and lowerings
-// outside this package (the conformance harness) evaluate the identical
-// permutation.
+// outside this package (the conformance harness, fhir's CCMM frontend)
+// evaluate the identical permutation.
 func CCMMSigma(k int) [][]complex128 {
 	n := k * k
 	m := make([][]complex128, n)

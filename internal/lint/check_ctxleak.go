@@ -22,7 +22,7 @@ var CtxLeak = &Check{
 }
 
 // ctxleakPkgs are the layers that spawn long-lived worker goroutines.
-var ctxleakPkgs = []string{"internal/serve", "internal/cluster", "internal/runtime"}
+var ctxleakPkgs = []string{"internal/serve", "internal/cluster"}
 
 func runCtxLeak(pass *Pass) {
 	if !pass.InPkg(ctxleakPkgs...) {

@@ -11,14 +11,14 @@ import (
 // complete, or silently ships an illegal program (the fhir pass pipeline
 // reports level underflow and scale mismatches as errors; dropping one turns
 // a compile-time diagnostic into a runtime decryption failure).
-var schedPkgs = []string{"internal/sim", "internal/cluster", "internal/runtime", "internal/serve", "internal/fhir"}
+var schedPkgs = []string{"internal/sim", "internal/cluster", "internal/serve", "internal/fhir"}
 
 // ErrDrop flags discarded error returns in the scheduling/execution
 // packages: calls whose error result is ignored entirely (expression
 // statements, go/defer calls) or assigned to the blank identifier.
 var ErrDrop = &Check{
 	Name: "errdrop",
-	Doc:  "discarded error return in internal/sim, internal/cluster, internal/runtime, internal/serve, internal/fhir",
+	Doc:  "discarded error return in internal/sim, internal/cluster, internal/serve, internal/fhir",
 	Run:  runErrDrop,
 }
 

@@ -268,7 +268,7 @@ func (r *ctRun) call(call *ast.CallExpr, s state[ctFact], rep bool) ctFact {
 		r.assign(cts[0], f, s)
 		return ctFact{}
 
-	case "Add", "Sub", "AddPlain", "SubPlain", "AddConst", "SubConst":
+	case "Add", "Sub", "SubPlain", "AddConst", "SubConst":
 		if len(cts) >= 2 {
 			a, aTracked := r.operand(cts[0], s, rep)
 			b, bTracked := r.operand(cts[1], s, rep)

@@ -7,6 +7,8 @@ import (
 	"testing/quick"
 
 	"hydra/internal/fheop"
+	"hydra/internal/fhir"
+	"hydra/internal/hefloat"
 	"hydra/internal/hw"
 	"hydra/internal/sim"
 	"hydra/internal/task"
@@ -109,6 +111,50 @@ func TestMatVecOpConservation(t *testing.T) {
 		if got := ops.Get(fheop.Rotation); got != 4*cards+8 {
 			t.Fatalf("cards=%d: rotations %d, want %d", cards, got, 4*cards+8)
 		}
+	}
+}
+
+// TestMatVecHandCountAboveCompiled keeps the hand emitter honest against the
+// compiler on one shape: MatVec charges every baby step on every card,
+// rotation by zero included; the fhir pipeline hoists the shared baby
+// rotations into one basket per card and never emits the identity rotation,
+// so the compiled program must need strictly fewer keyswitches.
+func TestMatVecHandCountAboveCompiled(t *testing.T) {
+	const bs, gs, cards = 4, 4, 4
+	keyswitches := func(c fheop.Counts) int {
+		return c.Get(fheop.Rotation) + c.Get(fheop.KeySwitch) + c.Get(fheop.CMult) + c.Get(fheop.Conjugate)
+	}
+	ctx, hand := newCtx(cards)
+	if err := ctx.MatVec(MatVecOptions{BS: bs, GS: gs}, "hand"); err != nil {
+		t.Fatal(err)
+	}
+	dense := make([][]complex128, bs*gs)
+	for i := range dense {
+		dense[i] = make([]complex128, bs*gs)
+		for j := range dense[i] {
+			dense[i][j] = 1
+		}
+	}
+	lt, err := hefloat.NewLinearTransform(dense)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := fhir.NewBuilder(bs * gs)
+	b.Output(b.LinTrans(b.Input("x"), lt, bs, "m"))
+	src, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt, err := fhir.Compile(src, fhir.Options{Levels: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	compiled, err := fhir.BuildTaskProgram(opt, hw.PaperScheme(), cards, 2, "compiled")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hk, ck := keyswitches(hand.Build().TotalOps()), keyswitches(compiled.TotalOps()); ck >= hk {
+		t.Errorf("compiled BSGS uses %d keyswitches, the hand count is %d; hoisting should reduce them", ck, hk)
 	}
 }
 

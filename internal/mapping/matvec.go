@@ -36,10 +36,10 @@ type MatVecOptions struct {
 //     the result is broadcast back (log2(Cn)+1 communications, Eq. 1).
 //
 // This hand-counted emitter is the pinned baseline of the paper-figure
-// experiments. MatVecIR (ir.go) emits the same transform through the
-// internal/fhir compiler — same schedule shape, fewer keyswitches, since the
-// pass pipeline hoists the shared baby-step rotations through one
-// decomposition.
+// experiments. The same transform written with fhir's LinTrans frontend and
+// lowered by fhir.BuildTaskProgram needs fewer keyswitches, since the pass
+// pipeline hoists the shared baby-step rotations through one decomposition
+// (TestMatVecHandCountAboveCompiled).
 func (c *Context) MatVec(opts MatVecOptions, label string) error {
 	c.B.Step(label)
 	return c.emitMatVec(opts, label)

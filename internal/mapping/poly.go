@@ -24,10 +24,10 @@ import (
 //     receive-and-add per round.
 //
 // This hand-scheduled emitter is the pinned baseline of the paper-figure
-// experiments. PolyEvalIR (ir.go) routes a concrete coefficient vector
-// through the internal/fhir compiler instead, where rescale placement and
-// lazy relinearization come from the pass pipeline rather than Algorithm 1's
-// hand recipe.
+// experiments. A concrete coefficient vector goes through the internal/fhir
+// compiler instead (the Horner frontend), where rescale placement and lazy
+// relinearization come from the pass pipeline rather than Algorithm 1's hand
+// recipe.
 func (c *Context) PolyEval(degree int, label string) error {
 	c.B.Step(label)
 	return c.emitPolyEval(degree, label)

@@ -112,6 +112,9 @@ func (b *ClusterBackend) Run(ctx context.Context, job *Job, pl sim.Placement) (*
 	if err != nil {
 		return nil, fmt.Errorf("cluster backend: job %s: %w", job.ID, err)
 	}
+	if cj == nil {
+		return nil, fmt.Errorf("cluster backend: job %s: cluster builder returned no job", job.ID)
+	}
 	cl := cluster.New(b.Params, b.Eval, len(pl.Cards))
 	if cj.Preload != nil {
 		if err := cj.Preload(cl); err != nil {

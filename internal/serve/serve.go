@@ -318,11 +318,21 @@ func (s *Server) runGrant(d decision) {
 		lead := batch[0]
 		ctx, cancel := s.jobContext(lead.job)
 		started := time.Now()
-		rep, err := s.backend.Run(ctx, lead.job, sim.Placement{
-			Cards:          cards,
-			CardsPerServer: s.cfg.Fleet.CardsPerServer,
-			Batch:          len(batch),
-		})
+		// The backend runs the tenant's own Build / BuildCluster / Preload /
+		// Collect closures: a panic out of it is this job's failure, and the
+		// grant below still retires its cards.
+		rep, err := func() (rep *ExecReport, err error) {
+			defer func() {
+				if r := recover(); r != nil {
+					rep, err = nil, fmt.Errorf("panic: %v", r)
+				}
+			}()
+			return s.backend.Run(ctx, lead.job, sim.Placement{
+				Cards:          cards,
+				CardsPerServer: s.cfg.Fleet.CardsPerServer,
+				Batch:          len(batch),
+			})
+		}()
 		elapsed := time.Since(started)
 		cancel()
 

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"math"
 	"math/cmplx"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -14,6 +16,7 @@ import (
 	"hydra/internal/cluster"
 	"hydra/internal/hw"
 	"hydra/internal/sim"
+	"hydra/internal/task"
 )
 
 func newSimServer(t *testing.T, cards, cps int) *Server {
@@ -300,6 +303,70 @@ func TestClusterBackendFunctional(t *testing.T) {
 	if maxErr > 1e-5 {
 		t.Errorf("distributed conv drifted from single-card: max slot error %g", maxErr)
 	}
+}
+
+// TestPanickingJobFailsOnlyItself: a backend runs the tenant's own closures,
+// so a panic out of one — or a cluster builder that returns no job — must
+// fail that job alone. On a fleet both jobs need whole, the healthy job can
+// only run if the failed grant retired its cards; every job that ran is
+// counted once (completed + failed == grants + coalesced), and Close leaves
+// no goroutine behind.
+func TestPanickingJobFailsOnlyItself(t *testing.T) {
+	base := runtime.NumGoroutine()
+	for _, tc := range []struct {
+		name      string
+		backend   Backend
+		bad, good *Job
+		wantErr   string
+	}{
+		{
+			"sim build panics", &SimBackend{Cfg: sim.HydraConfig()},
+			&Job{ID: "bad", Cards: 2, Build: func(int) (*task.Program, error) { panic("tenant bug") }},
+			&Job{ID: "good", Cards: 2, Build: tinyBuild},
+			"panic: tenant bug",
+		},
+		{
+			"cluster builder returns nil", &ClusterBackend{Params: ckks.TestParameters(6, 2)},
+			&Job{ID: "bad", Cards: 2, BuildCluster: func(int) (*ClusterJob, error) { return nil, nil }},
+			&Job{ID: "good", Cards: 2, BuildCluster: func(n int) (*ClusterJob, error) {
+				return &ClusterJob{Programs: make([][]cluster.Instr, n)}, nil
+			}},
+			"returned no job",
+		},
+	} {
+		s, err := New(Config{Fleet: hw.Fleet{Cards: 2, CardsPerServer: 2}, Backend: tc.backend})
+		if err != nil {
+			t.Fatal(err)
+		}
+		bad, err := s.Submit(tc.bad)
+		if err != nil {
+			t.Fatal(err)
+		}
+		good, err := s.Submit(tc.good)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := bad.Wait(context.Background()); err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+			t.Errorf("%s: bad job: got %v, want an error containing %q", tc.name, err, tc.wantErr)
+		}
+		if _, err := good.Wait(context.Background()); err != nil {
+			t.Errorf("%s: healthy job on the same server: %v", tc.name, err)
+		}
+		s.Drain()
+		snap := s.Metrics().Snapshot()
+		if snap.Failed != 1 || snap.Completed != 1 || snap.Completed+snap.Failed != snap.Grants+snap.Coalesced {
+			t.Errorf("%s: completed %d, failed %d, grants %d, coalesced %d; want 1, 1 and every grant accounted for",
+				tc.name, snap.Completed, snap.Failed, snap.Grants, snap.Coalesced)
+		}
+		s.mu.Lock()
+		free := s.free.len()
+		s.mu.Unlock()
+		if free != 2 || snap.CardsBusy != 0 {
+			t.Errorf("%s: %d cards free, %d busy after both jobs; want 2 and 0", tc.name, free, snap.CardsBusy)
+		}
+		s.Close()
+	}
+	checkNoGoroutineLeak(t, base)
 }
 
 // TestCloseRejectsQueuedJobs: closing the server fails the queued backlog

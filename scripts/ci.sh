@@ -1,7 +1,7 @@
 #!/bin/sh
 # CI gate for the limb-parallel execution layer: vet everything, then run the
 # concurrency-bearing packages (the worker pool, the evaluator that fans limb
-# work onto it, and the goroutine-card runtimes that nest it) under the race
+# work onto it, and the goroutine-card cluster that nests it) under the race
 # detector. The ckks package includes the parallel-vs-serial differential
 # harness, so this also proves bit-identical results under -race scheduling.
 #
@@ -53,11 +53,10 @@ if ! git diff --exit-code -- '*.go'; then
 	exit 1
 fi
 
-echo "== go test -race (pool + evaluator + runtimes + serving layer)"
+echo "== go test -race (pool + evaluator + cluster + serving layer)"
 go test -race "$@" \
 	./internal/ring/... \
 	./internal/ckks/... \
-	./internal/runtime/... \
 	./internal/cluster/... \
 	./internal/serve/...
 
@@ -84,9 +83,9 @@ go test -count=1 -run TestConformanceMatrix ./internal/conformance/
 
 echo "== compiler (IR pass-ablation gate + differential fuzz smoke)"
 # The ablation gate compiles the three benchmark programs (BSGS dense
-# matvec, bootstrap C2S, ResNet block) under every pass configuration and
-# fails if the full pipeline removes fewer than 20% of the naive keyswitch
-# operations on any of them; the fuzzer differentially checks random IR
+# matvec, bootstrap, ResNet block) under every pass configuration and fails
+# if the full pipeline removes fewer than 20% of the naive keyswitch
+# operations on the BSGS or the bootstrap program; the fuzzer differentially checks random IR
 # programs (interpreter: optimized vs naive compile) for 10 seconds.
 COMPILE_DIR="$(mktemp -d)"
 go run ./cmd/hydra-compile -check -out "$COMPILE_DIR/BENCH_compile.json"
