@@ -5,8 +5,10 @@
 # then the full tier-1 suite.
 
 GO ?= go
+# The BENCHMARK.json workloads, in its order.
+WORKLOADS = he-rot he-mul he-boot sim-fleet serve-replay
 
-.PHONY: all build test lint race ci bench bench-json bench-smoke serve-bench compile-bench fuzz golden-update conformance conformance-update loc
+.PHONY: all build test lint race ci bench bench-smoke fuzz golden-update conformance conformance-update loc
 
 all: build test
 
@@ -36,15 +38,14 @@ race:
 ci:
 	sh scripts/ci.sh
 
+# The repository benchmark: the five BENCHMARK.json workloads at full scale
+# through the same run.sh the driver uses (results in bench/out/). Follow with
+# scripts/bench_history.sh to append the run to BENCH_history.jsonl, the only
+# checked-in measurement, and read it against the previous line.
 bench:
-	$(GO) test -bench=. -benchmem -run=^$$ ./...
-
-# Machine-readable kernel benchmarks: the ring, ckks and hefloat suites,
-# parsed into BENCH_ring.json, BENCH_ckks.json and BENCH_hefloat.json
-# (ns/op, B/op, allocs/op). EXPERIMENTS.md numbers come from this harness;
-# `scripts/bench.sh smoke` is the 1-iteration CI variant.
-bench-json:
-	sh scripts/bench.sh
+	for w in $(WORKLOADS); do \
+		bash bench/run.sh --workload $$w || exit 1; \
+	done
 
 # The repository benchmark (bench/, BENCHMARK.json) is a module of its own, so
 # `go build ./...` does not see an API deletion that breaks it. Vet and test
@@ -52,24 +53,9 @@ bench-json:
 # 2-second timed loop) through the same run.sh the driver uses.
 bench-smoke:
 	cd bench && $(GO) vet . && $(GO) test .
-	for w in he-rot he-mul he-boot sim-fleet serve-replay; do \
+	for w in $(WORKLOADS); do \
 		bash bench/run.sh -scale smoke -seconds 2 -workload $$w || exit 1; \
 	done
-
-# Serving-layer load benchmark: replays the synthetic open-loop Poisson
-# workload (cmd/hydra-serve) against two fleet sizes and writes jobs/sec plus
-# queue-wait/latency percentiles to BENCH_serve.json.
-serve-bench:
-	sh scripts/bench.sh serve
-
-# IR-compiler benchmark: per-pass ablation (naive, full, no-cse,
-# no-lazy-relin, no-hoist) of keyswitch/decomposition/ModDown counts on the
-# BSGS, bootstrap and ResNet-block programs, plus end-to-end
-# naive-vs-optimized evaluation time, written to BENCH_compile.json. The
-# -check gate inside fails if the full pipeline removes fewer than 20% of
-# the naive keyswitches on the BSGS or the bootstrap program.
-compile-bench:
-	sh scripts/bench.sh compile
 
 # Short fuzz passes: the ISA task-program decoder, the differential
 # modular-arithmetic fuzzer (Barrett/Shoup vs math/big), the ciphertext wire

@@ -20,7 +20,7 @@
 //
 // Usage:
 //
-//	hydra-serve -fleets 8,32 -rate 40 -duration 3s -out BENCH_serve.json
+//	hydra-serve -fleets 8,32 -rate 40 -duration 3s
 //	hydra-serve -mode sweep -fleets 8,64,256,1024 -jobs 10000 -coalesce 8 -ablate
 //	hydra-serve -mode closed -fleets 256 -users 100000 -think 30s -jobs 20000
 //
@@ -34,7 +34,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"os/exec"
 	"sort"
 	"strconv"
 	"strings"
@@ -63,7 +62,7 @@ func main() {
 	flag.BoolVar(&opt.ablate, "ablate", false, "sweep mode: re-run each point with per-job grants for the batching ablation")
 	flag.Float64Var(&opt.dilation, "dilation", 0.25, "live mode: real seconds slept per simulated second of card occupancy")
 	flag.DurationVar(&opt.timeout, "timeout", 0, "default per-job timeout (0 = none)")
-	flag.StringVar(&opt.out, "out", "BENCH_serve.json", "report path (\"-\" = stdout)")
+	flag.StringVar(&opt.out, "out", "-", "report path (\"-\" = stdout)")
 	flag.Parse()
 
 	if err := run(opt); err != nil {
@@ -90,29 +89,6 @@ type options struct {
 	dilation float64
 	timeout  time.Duration
 	out      string
-}
-
-// gitSHA returns the measurement provenance commit: scripts/bench.sh exports
-// BENCH_GIT_SHA so all BENCH_*.json files agree; a direct invocation falls
-// back to asking git.
-func gitSHA() string {
-	if s := os.Getenv("BENCH_GIT_SHA"); s != "" {
-		return s
-	}
-	out, err := exec.Command("git", "rev-parse", "HEAD").Output()
-	if err != nil {
-		return "unknown"
-	}
-	return strings.TrimSpace(string(out))
-}
-
-// utcTime returns the run's UTC wall-clock stamp, preferring the harness's
-// shared BENCH_UTC_TIME.
-func utcTime() string {
-	if s := os.Getenv("BENCH_UTC_TIME"); s != "" {
-		return s
-	}
-	return time.Now().UTC().Format(time.RFC3339)
 }
 
 // fleetReport is the per-fleet-size section of a live-mode report.
@@ -152,11 +128,9 @@ type closedPoint struct {
 	*serve.ReplayStats
 }
 
-// report is the whole BENCH_serve.json document. Exactly one of Fleets,
-// Sweep, Closed is populated, per -mode.
+// report is the whole JSON document. Exactly one of Fleets, Sweep, Closed is
+// populated, per -mode.
 type report struct {
-	GitSHA     string  `json:"git_sha"`
-	UTCTime    string  `json:"utc_time"`
 	Backend    string  `json:"backend"`
 	Mode       string  `json:"mode"`
 	Seed       int64   `json:"seed"`
@@ -189,8 +163,6 @@ func run(opt options) error {
 	}
 
 	rep := report{
-		GitSHA:     gitSHA(),
-		UTCTime:    utcTime(),
 		Backend:    "sim",
 		Mode:       opt.mode,
 		Seed:       opt.seed,

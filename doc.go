@@ -13,6 +13,7 @@
 // paper's evaluation section (internal/experiments).
 //
 // See DESIGN.md for the system inventory and EXPERIMENTS.md for measured vs
-// published results. The root-level benchmarks in bench_test.go regenerate
-// each table and figure; cmd/hydrasim prints them.
+// published results. cmd/hydrasim prints each table and figure; bench/ is
+// the repository benchmark (BENCHMARK.json), and BENCH_history.jsonl, kept
+// well-formed by history_test.go, is the only checked-in measurement.
 package hydra

@@ -106,10 +106,24 @@ func TestFrontendErrors(t *testing.T) {
 	}
 }
 
+// checkKeySwitchBar is the compiler's acceptance bar: the full pipeline
+// removes at least 20% of the keyswitches eager legalization leaves.
+func checkKeySwitchBar(t *testing.T, src *Program, levels int, full Cost) {
+	t.Helper()
+	naive, err := CompileNaive(src, levels)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := Measure(naive).KeySwitch; 10*full.KeySwitch > 8*n {
+		t.Errorf("%d keyswitches compiled against %d naive: below the 20%% reduction bar", full.KeySwitch, n)
+	}
+}
+
 // TestLinTransHeRotShape pins what the compiler makes of the benchmark's
 // he-rot shape, 256 diagonals at 16 baby steps: the frontend asks for the
 // BSGS rotation set (babies 1..15, giants 16..240) and the compiled program
-// pays one keyswitch per member, 30, against 255 + 15 written.
+// pays one keyswitch per member, 30, against 255 compiled naively, and one
+// decomposition for the baby basket plus one per giant step, 16.
 func TestLinTransHeRotShape(t *testing.T) {
 	const dim, bs = 256, 16
 	lt := &hefloat.LinearTransform{Dim: dim, Diags: map[int][]complex128{}}
@@ -129,9 +143,11 @@ func TestLinTransHeRotShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c := Measure(opt); c.KeySwitch != 30 || c.PMult != dim {
-		t.Errorf("compiled cost %+v, want 30 keyswitches and %d plaintext products", c, dim)
+	c := Measure(opt)
+	if c.KeySwitch != 30 || c.Decomp != 16 || c.PMult != dim {
+		t.Errorf("compiled cost %+v, want 30 keyswitches, 16 decompositions and %d plaintext products", c, dim)
 	}
+	checkKeySwitchBar(t, src, 4, c)
 }
 
 // TestBootstrapIRCost pins what the compiler makes of the paper's key
@@ -166,6 +182,7 @@ func TestBootstrapIRCost(t *testing.T) {
 	if got != want {
 		t.Errorf("compiled bootstrap cost %+v, want %+v", got, want)
 	}
+	checkKeySwitchBar(t, src, levels, got)
 	if got := opt.Output.Level; got != 1 {
 		t.Errorf("compiled bootstrap ends at level %d of %d, want 1", got, levels)
 	}

@@ -21,8 +21,11 @@ type EvalContext struct {
 // and canonical scale. Fused ops lower onto the extended-basis machinery:
 // RotBasket → RotateHoistedExt, DiagMac → EncodeExtInto pooled rows +
 // MulPlainExtAcc + one ModDownExt, RotSum → AddExtAcc folds; tier-A
-// hoist groups share one RotateHoisted decomposition.
-func Evaluate(p *Program, ctx EvalContext, inputs map[string]*ckks.Ciphertext) (*ckks.Ciphertext, error) {
+// hoist groups share one RotateHoisted decomposition. The evaluator reports
+// contract violations (a missing rotation or relinearization key, a rescale
+// at level 0) by panicking; one raised on the calling goroutine comes back as
+// the failing value's error.
+func Evaluate(p *Program, ctx EvalContext, inputs map[string]*ckks.Ciphertext) (out *ckks.Ciphertext, err error) {
 	if !p.Legal {
 		return nil, fmt.Errorf("fhir: Evaluate needs a legalized program")
 	}
@@ -36,8 +39,14 @@ func Evaluate(p *Program, ctx EvalContext, inputs map[string]*ckks.Ciphertext) (
 		baskets: map[*Value]map[int]*ckks.ExtCiphertext{},
 		hoisted: map[int]map[int]*ckks.Ciphertext{},
 	}
+	var v *Value
+	defer func() {
+		if r := recover(); r != nil {
+			out, err = nil, fmt.Errorf("fhir: evaluate v%d (%s): panic: %v", v.ID, v.Op, r)
+		}
+	}()
 	defer e.releaseBaskets()
-	for _, v := range p.Values {
+	for _, v = range p.Values {
 		if err := e.lower(v); err != nil {
 			return nil, fmt.Errorf("fhir: evaluate v%d (%s): %w", v.ID, v.Op, err)
 		}

@@ -5,9 +5,11 @@ import (
 	"math/rand"
 	"runtime"
 	"runtime/debug"
+	"strings"
 	"testing"
 
 	"hydra/internal/ckks"
+	"hydra/internal/hefloat"
 	"hydra/internal/ring"
 )
 
@@ -167,22 +169,86 @@ func TestEvaluateLazyRelinDifferential(t *testing.T) {
 }
 
 func TestEvaluateMixedDifferential(t *testing.T) {
-	runDifferential(t, func() *Program {
-		b := NewBuilder(16)
-		x, y := b.Input("x"), b.Input("y")
-		a := b.AddConst(b.MulConst(x, 0.5), 0.25)
-		c := b.Sub(b.Conjugate(y), b.Neg(b.Rotate(x, 3)))
-		m := b.Mul(a, c)
-		w := b.MulPlain(b.Rotate(m, 2), b.PlainVec("w", []complex128{
-			1, 2, 3, 4, 5, 6, 7, 8, 1, 2, 3, 4, 5, 6, 7, 8,
-		}))
-		b.Output(b.Add(w, b.Mul(a, a)))
-		p, err := b.Build()
+	t.Run("mixed", func(t *testing.T) {
+		runDifferential(t, func() *Program {
+			b := NewBuilder(16)
+			x, y := b.Input("x"), b.Input("y")
+			a := b.AddConst(b.MulConst(x, 0.5), 0.25)
+			c := b.Sub(b.Conjugate(y), b.Neg(b.Rotate(x, 3)))
+			m := b.Mul(a, c)
+			w := b.MulPlain(b.Rotate(m, 2), b.PlainVec("w", []complex128{
+				1, 2, 3, 4, 5, 6, 7, 8, 1, 2, 3, 4, 5, 6, 7, 8,
+			}))
+			b.Output(b.Add(w, b.Mul(a, a)))
+			p, err := b.Build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			return p
+		}, 4, 1e-3)
+	})
+	// y = act(W·x) + x: the FHE shape of one convolution, a degree-3
+	// activation and the skip connection, through the frontends.
+	t.Run("resnet-block", func(t *testing.T) {
+		const dim = 16
+		rng := rand.New(rand.NewSource(9))
+		w := make([][]complex128, dim)
+		for i := range w {
+			w[i] = make([]complex128, dim)
+			for j := range w[i] {
+				w[i][j] = complex((rng.Float64()*2-1)/dim, 0)
+			}
+		}
+		lt, err := hefloat.NewLinearTransform(w)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return p
-	}, 4, 1e-3)
+		runDifferential(t, func() *Program {
+			return buildFrontend(t, dim, func(b *Builder, x *Value) *Value {
+				act := b.Horner(b.LinTrans(x, lt, 4, "w"), []float64{0, 0.5, 0.25, -0.125})
+				return b.Add(act, x)
+			})
+		}, 6, 1e-3)
+	})
+}
+
+// TestEvaluateContractPanicIsError: the evaluator panics on a missing
+// rotation or relinearization key; Evaluate hands that back as the failing
+// value's error instead of killing the caller.
+func TestEvaluateContractPanicIsError(t *testing.T) {
+	const logN, levels = 5, 3
+	params := ckks.TestParameters(logN, levels)
+	kg := ckks.NewKeyGenerator(params, 1)
+	sk := kg.GenSecretKey()
+	rlk := kg.GenRelinearizationKey(sk)
+	enc := ckks.NewEncoder(params)
+	encr := ckks.NewEncryptor(params, kg.GenPublicKey(sk), 2)
+	for name, tc := range map[string]struct {
+		body func(b *Builder, x *Value) *Value
+		eval *ckks.Evaluator
+	}{
+		"rotation key missing": {
+			func(b *Builder, x *Value) *Value { return b.Rotate(x, 3) },
+			ckks.NewEvaluator(params, rlk, kg.GenRotationKeys(sk, []int{1}, false)),
+		},
+		"relinearization key missing": {
+			func(b *Builder, x *Value) *Value { return b.Mul(x, x) },
+			ckks.NewEvaluator(params, nil, nil),
+		},
+	} {
+		p, err := Compile(buildFrontend(t, params.Slots(), tc.body), Options{Levels: levels})
+		if err != nil {
+			t.Fatal(err)
+		}
+		pt, err := enc.EncodeAtLevel(make([]complex128, params.Slots()), params.DefaultScale(), levels)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := Evaluate(p, EvalContext{Eval: tc.eval, Enc: enc}, map[string]*ckks.Ciphertext{"x": encr.Encrypt(pt)})
+		if err == nil || out != nil || !strings.Contains(err.Error(), "panic") {
+			t.Errorf("%s: Evaluate returned %v, %v; want the recovered panic as an error", name, out, err)
+		}
+	}
 }
 
 // diagMacProgram compiles one BSGS giant step over diags random diagonals:

@@ -27,8 +27,8 @@ func HydraCard() CardProfile {
 
 		KeySwitchDnum: 3,
 
-		// 0.38 reproduces the measured 1.50x kernel-level batch-8 speedup
-		// (BENCH_ckks residue-batch seam): 8/(0.38 + 0.62*8) = 1.498.
+		// 0.38 reproduces the 1.50x kernel-level batch-8 speedup measured at
+		// the residue-batch seam in PR 9: 8/(0.38 + 0.62*8) = 1.498.
 		BatchAmortFrac: 0.38,
 	}
 }

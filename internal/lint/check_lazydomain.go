@@ -9,8 +9,7 @@ import (
 
 // resDom is the residue-domain lattice of the lazy-reduction contract
 // (DESIGN.md "Static invariants"): every uint64 residue is canonical in
-// [0, q), lazy in [0, 2q) (the Harvey butterfly / fused-MAC family), or lazy
-// in [0, 4q) (the widest transient the radix-4 NTT kernels produce). Join is
+// [0, q) or lazy in [0, 2q) (the Harvey butterfly / fused-MAC family). Join is
 // max: not knowing which path produced a value means assuming the wider
 // window.
 type resDom uint8
@@ -18,15 +17,11 @@ type resDom uint8
 const (
 	resCanon resDom = iota // [0, q) — canonical; also the optimistic unknown
 	resLazy2               // [0, 2q)
-	resLazy4               // [0, 4q)
 )
 
 func (d resDom) String() string {
-	switch d {
-	case resLazy2:
+	if d == resLazy2 {
 		return "[0,2q)"
-	case resLazy4:
-		return "[0,4q)"
 	}
 	return "[0,q)"
 }
@@ -38,18 +33,22 @@ func joinDom(a, b resDom) resDom {
 	return b
 }
 
-// LazyDomain is the interprocedural generalization of lazybound: a
-// flow-sensitive residue-domain analysis on the SSA-lite engine. Values
-// produced by the ring lazy helper family carry their domain ([0,2q) or
-// [0,4q)) through assignments, row aggregates, closures and module-local
-// calls; a canonical-expecting sink (any ring helper outside the lazy
-// family, or a module function whose summary says the parameter must be
-// canonical) reached by a lazy value with no ReduceFinal/ReduceFinalVec
-// sweep or NTT pass on that path is a finding. Unlike lazybound, a sweep
-// elsewhere in the function does not sanction the unswept path.
+// LazyDomain flags lazy residues escaping their accumulation window: a
+// flow-sensitive, interprocedural residue-domain analysis on the SSA-lite
+// engine. The lazy-reduction kernels in internal/ring deliberately return
+// values in [0, 2q) — congruent to the canonical residue but not equal to it
+// — and their contract requires every lazy window to close with a ReduceFinal
+// sweep (or feed the NTT kernels, which fold the sweep into their last pass).
+// Values produced by the ring lazy helper family carry their domain through
+// assignments, row aggregates, closures and module-local calls; a
+// canonical-expecting sink (any ring helper outside the lazy family, or a
+// module function whose summary says the parameter must be canonical) reached
+// by a lazy value with no ReduceFinal/ReduceFinalVec sweep or NTT pass on that
+// path is a finding. A sweep elsewhere in the function does not sanction the
+// unswept path.
 var LazyDomain = &Check{
 	Name: "lazydomain",
-	Doc:  "lazy residue domain ([0,2q)/[0,4q)) reaches a canonical-expecting sink with no dominating ReduceFinal sweep",
+	Doc:  "lazy [0,2q) residue reaches a canonical-expecting sink with no dominating ReduceFinal sweep",
 	Run:  runLazyDomain,
 }
 
@@ -489,14 +488,7 @@ func (r *lazyRun) ringCall(call *ast.CallExpr, name string, args []resDom, s sta
 		return resCanon
 
 	case strings.Contains(name, "ReduceFinal"):
-		// The canonicalizing sweep: accepts [0,2q), NOT [0,4q) — a single
-		// conditional subtract cannot close the wide window.
-		for i, d := range args {
-			if d >= resLazy4 {
-				r.flag(rep, call.Args[i].Pos(),
-					"%s closes only the [0,2q) window, but this residue is lazy %s: use a full Reduce", name, d)
-			}
-		}
+		// The canonicalizing sweep of the [0,2q) window.
 		if strings.Contains(name, "Vec") && len(call.Args) > 0 {
 			if root := rootObject(r.info, call.Args[0]); root != nil {
 				s[root] = resCanon
@@ -507,22 +499,12 @@ func (r *lazyRun) ringCall(call *ast.CallExpr, name string, args []resDom, s sta
 	case strings.Contains(name, "Lazy"):
 		// The lazy helper family: inputs tolerate [0,2q); results are lazy.
 		// Row kernels (in-place accumulators) lazify their first argument.
-		out := resLazy2
-		if strings.Contains(name, "Lazy4") {
-			out = resLazy4
-		}
-		for i, d := range args {
-			if d >= resLazy4 && out < resLazy4 {
-				r.flag(rep, call.Args[i].Pos(),
-					"lazy %s residue exceeds %s's [0,2q) input contract: sweep or use a full Reduce first", d, name)
-			}
-		}
 		if strings.Contains(name, "Row") && len(call.Args) > 0 {
 			if root := rootObject(r.info, call.Args[0]); root != nil {
-				s[root] = joinDom(s[root], out)
+				s[root] = resLazy2
 			}
 		}
-		return out
+		return resLazy2
 
 	default:
 		// Everything else in ring (AddMod, MulMod, MulModShoup, CenteredMod,
@@ -538,6 +520,13 @@ func (r *lazyRun) ringCall(call *ast.CallExpr, name string, args []resDom, s sta
 	}
 }
 
+// isNTTEntry matches the transform entry points that accept lazy input,
+// including the shared-scratch ForwardBatch.
+func isNTTEntry(name string) bool {
+	return name == "Forward" || name == "Inverse" || name == "ForwardBatch" ||
+		strings.Contains(name, "NTT")
+}
+
 // summaryCall pushes domains through a summarized module function.
 func (r *lazyRun) summaryCall(call *ast.CallExpr, fn *types.Func, sum *lazySummary, args []resDom, s state[resDom], rep bool) resDom {
 	out := sum.ret
@@ -548,7 +537,7 @@ func (r *lazyRun) summaryCall(call *ast.CallExpr, fn *types.Func, sum *lazySumma
 		if d == resCanon {
 			continue
 		}
-		if d >= resLazy4 || !sum.tolerant[i] {
+		if !sum.tolerant[i] {
 			r.flag(rep, call.Args[i].Pos(),
 				"lazy %s residue passed to %s, whose parameter %q expects canonical [0,q) inputs: sweep with ReduceFinal/ReduceFinalVec first",
 				d, fn.Name(), sum.params[i].Name())

@@ -226,6 +226,19 @@ func (r *ctRun) operand(e ast.Expr, s state[ctFact], rep bool) (f ctFact, tracke
 	return f, false
 }
 
+// calleeName returns the bare name of a call's target: the selector's final
+// element for method/package calls, the identifier for plain calls, and ""
+// for anything unresolvable (indirect calls through expressions).
+func calleeName(call *ast.CallExpr) string {
+	switch fn := call.Fun.(type) {
+	case *ast.Ident:
+		return fn.Name
+	case *ast.SelectorExpr:
+		return fn.Sel.Name
+	}
+	return ""
+}
+
 // call interprets one call expression, applying the evaluator-op table when
 // the callee is an evaluator operation over ciphertext operands.
 func (r *ctRun) call(call *ast.CallExpr, s state[ctFact], rep bool) ctFact {

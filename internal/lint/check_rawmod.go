@@ -18,7 +18,7 @@ const ringPkg = "internal/ring"
 // MulAddShoupLazy, MulAddLazy) closed by ReduceFinal / ReduceFinalVec — so a
 // raw operator on uint64 residues signals a missing Barrett/Shoup reduction
 // (or a lazy value silently exceeding its contract; see the companion
-// lazybound check).
+// lazydomain check).
 var RawMod = &Check{
 	Name: "rawmod",
 	Doc:  "raw +,-,*,% on uint64 values outside internal/ring (missing modular reduction)",

@@ -77,8 +77,8 @@ func (p *Pass) InPkg(rels ...string) bool {
 // Checks returns the full registry in reporting order.
 func Checks() []*Check {
 	return []*Check{
-		RawMod, LazyBound, PoolLeak, RawGo, FloatExact, ErrDrop, DeadAssign,
-		LazyDomain, LevelScale, CtxLeak, LockHeld,
+		RawMod, PoolLeak, RawGo, FloatExact, ErrDrop, DeadAssign, LazyDomain,
+		LevelScale, CtxLeak, LockHeld,
 	}
 }
 

@@ -36,27 +36,27 @@ func okScalarSetup(p, q uint64) uint64 {
 	return p % q
 }
 
-// lazybound: a lazy product flows straight into a canonical-input consumer
-// and the function has no closing sweep.
+// lazydomain: a lazy product flows straight into a canonical-input consumer
+// with no closing sweep.
 func badLazyFlow(a, w, ws, q uint64) uint64 {
-	return ring.AddMod(ring.MulModShoupLazy(a, w, ws, q), 0, q) // want lazybound lazydomain
+	return ring.AddMod(ring.MulModShoupLazy(a, w, ws, q), 0, q) // want lazydomain
 }
 
-// lazybound: same escape through a Lazy-suffixed variable.
+// lazydomain: same escape through a variable.
 func badLazyVar(a, w, ws, q uint64) uint64 {
 	vLazy := ring.MulModShoupLazy(a, w, ws, q)
-	return ring.AddMod(vLazy, 0, q) // want lazybound lazydomain
+	return ring.AddMod(vLazy, 0, q) // want lazydomain
 }
 
-// lazybound: canonicalizing through ReduceFinal before the consumer is the
+// lazydomain: canonicalizing through ReduceFinal before the consumer is the
 // sanctioned shape.
 func okLazySwept(a, w, ws, q uint64) uint64 {
 	v := ring.ReduceFinal(ring.MulModShoupLazy(a, w, ws, q), q)
 	return ring.AddMod(v, 0, q)
 }
 
-// lazybound: a row-wide window closed by ReduceFinalVec sanctions the whole
-// function.
+// lazydomain: a row-wide window closed by ReduceFinalVec sanctions the reads
+// after it.
 func okLazyWindow(row []uint64, w, ws, q uint64) uint64 {
 	for i := range row {
 		row[i] = ring.MulModShoupLazy(row[i], w, ws, q)
@@ -65,16 +65,14 @@ func okLazyWindow(row []uint64, w, ws, q uint64) uint64 {
 	return ring.AddMod(row[0], 0, q)
 }
 
-// lazybound: a suppressed case — the consumer documents tolerance for lazy
+// lazydomain: a suppressed case — the consumer documents tolerance for lazy
 // inputs.
 func okLazyAllowed(a, w, ws, q uint64) uint64 {
-	//lint:allow lazybound,lazydomain testdata: consumer tolerates [0,2q) inputs by contract
+	//lint:allow lazydomain testdata: consumer tolerates [0,2q) inputs by contract
 	return ring.AddMod(ring.MulModShoupLazy(a, w, ws, q), 0, q)
 }
 
-// lazydomain: a sweep on one path does not sanction the other — the
-// whole-function lazybound heuristic is fooled by the ReduceFinal in the
-// branch, the path-sensitive engine is not.
+// lazydomain: a sweep on one path does not sanction the other.
 func badLazyBranch(a, w, ws, q uint64, fix bool) uint64 {
 	v := ring.MulModShoupLazy(a, w, ws, q)
 	if fix {
@@ -83,21 +81,13 @@ func badLazyBranch(a, w, ws, q uint64, fix bool) uint64 {
 	return ring.AddMod(v, 0, q) // want lazydomain
 }
 
-// lazydomain: the [0,4q) radix-4 transient cannot be closed by a single
-// conditional subtract.
-func badLazy4(a, b, q uint64) uint64 {
-	return ring.ReduceFinal(ring.AddModLazy4(a, b, q), q) // want lazydomain
-}
-
-// lazydomain: the full Barrett reduction closes any window.
-func okLazy4Reduced(a, b, q uint64) uint64 {
-	return ring.Reduce(ring.AddModLazy4(a, b, q), q)
+// lazydomain: the full Barrett reduction closes the window too.
+func okLazyReduced(a, b, q uint64) uint64 {
+	return ring.AddMod(ring.Reduce(ring.AddModLazy(a, b, twoQ), q), 0, q)
 }
 
 // lazydomain: the row MAC leaves its accumulator row lazy — reading it back
 // into a canonical consumer without the closing sweep escapes the window.
-// (lazybound stays silent: the argument is not a Lazy call or Lazy-named
-// variable, which is exactly the gap the flow engine closes.)
 func badRowMAC(acc, x, key []uint64, q uint64) uint64 {
 	ring.MulAddRowLazy(acc, x, key)
 	return ring.AddMod(acc[0], 0, q) // want lazydomain
@@ -135,17 +125,14 @@ func consumeSwept(v, q uint64) uint64 {
 }
 
 // lazydomain: interprocedural — the lazy value crosses a call boundary into
-// a helper whose summary demands canonical input (lazybound also fires: any
-// unswept lazy escape looks the same to it).
+// a helper whose summary demands canonical input.
 func badLazyInterproc(a, w, ws, q uint64) uint64 {
-	return consumeCanon(ring.MulModShoupLazy(a, w, ws, q), q) // want lazybound lazydomain
+	return consumeCanon(ring.MulModShoupLazy(a, w, ws, q), q) // want lazydomain
 }
 
-// The tolerant helper sanctions the same flow for lazydomain; lazybound
-// cannot see through the call boundary and still fires — the precision the
-// summary engine buys.
+// The tolerant helper sanctions the same flow.
 func okLazyInterproc(a, w, ws, q uint64) uint64 {
-	return consumeSwept(ring.MulModShoupLazy(a, w, ws, q), q) // want lazybound
+	return consumeSwept(ring.MulModShoupLazy(a, w, ws, q), q)
 }
 
 type holder struct {

@@ -79,11 +79,6 @@ func Reduce(a, q uint64) uint64 {
 	return a % q
 }
 
-// AddModLazy4 mimics the radix-4 NTT transient adder: result in [0, 4q).
-func AddModLazy4(a, b, q uint64) uint64 {
-	return a + b
-}
-
 // AddModLazy mimics the lazy adder: result in [0, twoQ).
 func AddModLazy(a, b, twoQ uint64) uint64 {
 	c := a + b

@@ -338,8 +338,8 @@ func TestPopRefillFairness(t *testing.T) {
 // overhead at fleet scale (1024 cards, depth-4096 queue). BenchmarkPopFit /
 // BenchmarkPopFitLinear measure one dispatch decision (pop the best fitting
 // job, put it back); BenchmarkAllocateCards / BenchmarkAllocateCardsLinear
-// measure one grant's card allocation. scripts/bench.sh publishes the four
-// into BENCH_sched.json.
+// measure one grant's card allocation. They are `go test -bench` tools;
+// nothing publishes them.
 
 const benchQueueDepth = 4096
 

@@ -18,7 +18,8 @@ import (
 // slept through, so a thousand-card fleet digesting 10^4+ jobs replays in
 // milliseconds of wall clock. The decisions are the live Server's decisions
 // (same policy core, sched.go); only the clock is synthetic. cmd/hydra-serve
-// uses it for the saturation sweeps in BENCH_serve.json.
+// uses it for its saturation sweeps (-mode sweep), and bench/'s serve-replay
+// workload times it.
 
 // CostFn prices one grant execution: the virtual seconds a grant of the
 // given card set holds its cards to run `batch` coalesced instances of the

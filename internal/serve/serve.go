@@ -36,8 +36,7 @@
 //     and deadline; cancellation propagates into the card engines.
 //   - Observability (Metrics): queue-wait and execution-latency samples,
 //     cards-busy/queued/running gauges, admission and grant counters,
-//     snapshot at any time; cmd/hydra-serve turns them into
-//     BENCH_serve.json.
+//     snapshot at any time; cmd/hydra-serve prints them as its report.
 //   - Scale projection (Replay): the same queue, allocator and dispatch
 //     pass driven in virtual time by a discrete-event loop — saturation
 //     curves for thousand-card fleets and 10^4+ job traces in milliseconds

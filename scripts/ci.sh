@@ -74,6 +74,8 @@ echo "== go test -race -short (conformance reduced matrix)"
 go test -race -short "$@" ./internal/conformance/
 
 echo "== go test (full tier-1 suite)"
+# Includes the root package's check that BENCH_history.jsonl, the one
+# checked-in measurement, is well-formed for every BENCHMARK.json workload.
 go test ./...
 
 echo "== conformance matrix (full corpus x 5 engines, golden-checked)"
@@ -81,15 +83,14 @@ echo "== conformance matrix (full corpus x 5 engines, golden-checked)"
 # regression against testdata/golden_matrix.json.
 go test -count=1 -run TestConformanceMatrix ./internal/conformance/
 
-echo "== compiler (IR pass-ablation gate + differential fuzz smoke)"
-# The ablation gate compiles the three benchmark programs (BSGS dense
-# matvec, bootstrap, ResNet block) under every pass configuration and fails
-# if the full pipeline removes fewer than 20% of the naive keyswitch
-# operations on the BSGS or the bootstrap program; the fuzzer differentially checks random IR
-# programs (interpreter: optimized vs naive compile) for 10 seconds.
-COMPILE_DIR="$(mktemp -d)"
-go run ./cmd/hydra-compile -check -out "$COMPILE_DIR/BENCH_compile.json"
-rm -rf "$COMPILE_DIR"
+echo "== compiler (IR pass-ablation report + differential fuzz smoke)"
+# The report compiles the three benchmark programs (BSGS dense matvec,
+# bootstrap, ResNet block) under every pass configuration, so a pass
+# combination that stops compiling fails here; the 20% keyswitch-reduction
+# bar itself is asserted by internal/fhir's tests in the tier-1 stage above.
+# The fuzzer differentially checks random IR programs (interpreter: optimized
+# vs naive compile) for 10 seconds.
+go run ./cmd/hydra-compile >/dev/null
 go test -fuzz=FuzzIRPasses -fuzztime=10s -run '^$' ./internal/fhir/
 
 echo "== fuzz smoke (seed corpora + 10s per fuzzer)"
@@ -102,17 +103,6 @@ go test -fuzz=FuzzUnmarshal -fuzztime=10s -run '^$' ./internal/isa/
 go test -fuzz=FuzzUnmarshalCiphertext -fuzztime=10s -run '^$' ./internal/ckks/
 go test -fuzz=FuzzEncodeResidues -fuzztime=10s -run '^$' ./internal/ckks/
 
-echo "== bench harness smoke (1 iteration per benchmark)"
-# Write to a scratch directory: the smoke run validates the harness and the
-# JSON writers for all four suites without clobbering the checked-in
-# measured BENCH_*.json files.
-SMOKE_DIR="$(mktemp -d)"
-BENCH_DIR="$SMOKE_DIR" sh scripts/bench.sh smoke >/dev/null
-for f in BENCH_ring.json BENCH_ckks.json BENCH_hefloat.json BENCH_sched.json BENCH_compile.json BENCH_serve.json; do
-	[ -s "$SMOKE_DIR/$f" ] || { echo "ci: bench smoke did not write $f" >&2; exit 1; }
-done
-rm -rf "$SMOKE_DIR"
-
 echo "== bench-smoke (bench/ module: vet, test, five workloads at smoke scale)"
 # bench/ is its own module (replace hydra => ../), invisible to the
 # `go vet ./...` and `go test ./...` stages above: an API deletion that breaks
@@ -122,13 +112,10 @@ make bench-smoke
 echo "== hydra-serve smoke (1-second 1024-card open-loop load, -race)"
 # Drives the live serving layer end to end at fleet scale — batched admission,
 # heap dispatch, bitmap card allocation, continuous batching, drain — under
-# the race detector, with a short synthetic Poisson replay; validates the
-# report writer without clobbering the checked-in measured BENCH_serve.json.
-SERVE_DIR="$(mktemp -d)"
+# the race detector, with a short synthetic Poisson replay. The report goes
+# nowhere: a race, a Submit failure or a writer error is a non-zero exit.
 go run -race ./cmd/hydra-serve -mode live -fleets 1024 -rate 300 -duration 1s \
-	-dilation 0.05 -coalesce 8 -queue 2048 -out "$SERVE_DIR/BENCH_serve.json"
-[ -s "$SERVE_DIR/BENCH_serve.json" ] || { echo "ci: hydra-serve smoke wrote no report" >&2; exit 1; }
-rm -rf "$SERVE_DIR"
+	-dilation 0.05 -coalesce 8 -queue 2048 -out - >/dev/null
 
 echo "== loc (non-test, non-generated Go lines; informational, never gates)"
 sh scripts/loc.sh || true
