@@ -55,9 +55,9 @@ func main() {
 			levels: 20,
 			logN:   9,
 			body: func(b *fhir.Builder, z *fhir.Value, params *ckks.Parameters) (*fhir.Value, error) {
-				// Keyless and plan-less: the frontend reads only the transforms.
+				// Keyless: the frontend reads only the transforms.
 				bt, err := hefloat.NewBootstrapper(params, ckks.NewEncoder(params), nil,
-					hefloat.BootstrapperOptions{K: 16, ReferenceBSGS: true})
+					hefloat.BootstrapperOptions{K: 16})
 				if err != nil {
 					return nil, err
 				}

@@ -165,28 +165,6 @@ func (ev *Evaluator) MulPlain(ct *Ciphertext, pt *Plaintext) *Ciphertext {
 	return out
 }
 
-// MulPlainAcc accumulates ct ⊙ pt into acc in place (acc += ct ⊙ pt) using
-// the ring's fused multiply-accumulate kernel, avoiding the temporary
-// ciphertext and extra coefficient pass that MulPlain followed by Add would
-// cost. acc's scale must already equal ct.Scale·pt.Scale; acc is truncated
-// in place when ct or pt sits at a lower level. The result is bit-identical
-// to Add(acc, MulPlain(ct, pt)).
-func (ev *Evaluator) MulPlainAcc(ct *Ciphertext, pt *Plaintext, acc *Ciphertext) {
-	if !sameScale(acc.Scale, ct.Scale*pt.Scale) {
-		panic(fmt.Sprintf("ckks: scale mismatch in MulPlainAcc: %g vs %g", acc.Scale, ct.Scale*pt.Scale))
-	}
-	lvl := ct.Level()
-	if pt.Level() < lvl {
-		lvl = pt.Level()
-	}
-	if acc.Level() > lvl {
-		acc.DropLevel(acc.Level() - lvl)
-	}
-	r := ev.params.RingQP()
-	r.MulCoeffsAdd(atLevel(ct.C0, acc.Level()), atLevel(pt.Value, acc.Level()), acc.C0)
-	r.MulCoeffsAdd(atLevel(ct.C1, acc.Level()), atLevel(pt.Value, acc.Level()), acc.C1)
-}
-
 // AddAcc adds b into acc in place (acc += b), sparing the fresh allocation
 // of Add. Scales must match; acc is truncated in place when b sits at a
 // lower level.

@@ -8,14 +8,14 @@ import (
 	"hydra/internal/hefloat"
 )
 
-// runHEFloat executes the program on one environment's evaluator. With
-// reference=false it takes the optimized paths (plan-cached double-hoisted
-// BSGS, hoisted and ext-hoisted rotations, power-tree polynomials); with
-// reference=true it takes the reference paths (per-call-encoded
-// single-hoisted BSGS, sequential rotations, Horner). Ops with only one
-// implementation (add, rotate, …) run identical code on both — there the two
-// engines differ solely through the environment's NTT dispatch, which is
-// pinned bit-identical, so their outputs must match bitwise.
+// runHEFloat executes the program on the environment's evaluator. With
+// reference=false it takes hefloat's production paths (plan-cached
+// double-hoisted BSGS, hoisted and ext-hoisted rotations, power-tree
+// polynomials); with reference=true it takes the oracle spellings (oracle.go:
+// per-call-encoded single-hoisted BSGS, Horner; sequential rotations). Ops
+// with only one implementation (add, rotate, bootstrap, a lintrans with no
+// baby-step count, …) run identical code on both, so there the two columns'
+// outputs must match bitwise.
 func runHEFloat(env *Env, s *ProgramSpec, reference bool) (*ckks.Ciphertext, error) {
 	eval, enc := env.Eval, env.Encoder
 	regs, err := encryptInputs(env, s)
@@ -122,13 +122,10 @@ func runHEFloat(env *Env, s *ProgramSpec, reference bool) (*ckks.Ciphertext, err
 			if err != nil {
 				return nil, err
 			}
-			switch {
-			case op.BS <= 0:
-				out, err = lt.Evaluate(eval, enc, a)
-			case reference:
-				out, err = lt.EvaluateBSGSReference(eval, enc, a, op.BS)
-			default:
-				out, err = lt.EvaluateBSGS(eval, enc, a, op.BS)
+			if reference && op.BS > 0 {
+				out, err = evaluateBSGSReference(lt, eval, enc, a, op.BS)
+			} else {
+				out, err = lt.EvaluateBSGS(eval, enc, a, babySteps(op, lt))
 			}
 			if err != nil {
 				return nil, fmt.Errorf("op %d (lintrans): %w", i, err)
@@ -143,7 +140,7 @@ func runHEFloat(env *Env, s *ProgramSpec, reference bool) (*ckks.Ciphertext, err
 				if err != nil {
 					return nil, err
 				}
-				out, err = lt.EvaluateBSGSReference(eval, enc, a, s.Slots())
+				out, err = evaluateBSGSReference(lt, eval, enc, a, s.Slots())
 				if err != nil {
 					return nil, fmt.Errorf("op %d (pcmm): %w", i, err)
 				}
@@ -156,7 +153,7 @@ func runHEFloat(env *Env, s *ProgramSpec, reference bool) (*ckks.Ciphertext, err
 		case "poly":
 			p := hefloat.Polynomial{Coeffs: op.Coeffs}
 			if reference {
-				out, err = hefloat.EvaluateHorner(eval, a, p)
+				out, err = evaluateHorner(eval, a, p)
 			} else {
 				out, err = hefloat.EvaluateTree(eval, a, p)
 			}
@@ -180,6 +177,16 @@ func runHEFloat(env *Env, s *ProgramSpec, reference bool) (*ckks.Ciphertext, err
 	return get(s.Output)
 }
 
+// babySteps is the baby-step count a lintrans op evaluates with: the spec's,
+// or one per diagonal (the naive rotate-multiply-accumulate sum) when it sets
+// none.
+func babySteps(op OpSpec, lt *hefloat.LinearTransform) int {
+	if op.BS > 0 {
+		return op.BS
+	}
+	return lt.Dim
+}
+
 // rotSumSequential is the reference rotation sum: one full keyswitch per
 // rotation, folded left to right.
 func rotSumSequential(eval *ckks.Evaluator, ct *ckks.Ciphertext, k int) *ckks.Ciphertext {
@@ -191,7 +198,7 @@ func rotSumSequential(eval *ckks.Evaluator, ct *ckks.Ciphertext, k int) *ckks.Ci
 }
 
 // ccmmReference is the single-hoisted, per-call-encoded counterpart of
-// hefloat.CCMM: the σ/τ pre-transforms run through EvaluateBSGSReference and
+// hefloat.CCMM: the σ/τ pre-transforms run through evaluateBSGSReference and
 // every per-iteration rotation pays its own keyswitch. Built from the same
 // exported CCMMSigma/CCMMTau/CCMMMasks pieces, so the iteration structure is
 // identical and only the hoisting differs.
@@ -210,11 +217,11 @@ func ccmmReference(env *Env, ctX, ctZ *ckks.Ciphertext) (*ckks.Ciphertext, error
 	if err != nil {
 		return nil, err
 	}
-	a, err := sigma.EvaluateBSGSReference(eval, enc, ctX, slots)
+	a, err := evaluateBSGSReference(sigma, eval, enc, ctX, slots)
 	if err != nil {
 		return nil, err
 	}
-	b, err := tau.EvaluateBSGSReference(eval, enc, ctZ, slots)
+	b, err := evaluateBSGSReference(tau, eval, enc, ctZ, slots)
 	if err != nil {
 		return nil, err
 	}

@@ -323,6 +323,5 @@ func bootTransforms(s *ProgramSpec) (*hefloat.Bootstrapper, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The reference flavour skips plan precompilation; the transforms are the same.
-	return hefloat.NewBootstrapper(params, ckks.NewEncoder(params), nil, bootOptions(true))
+	return hefloat.NewBootstrapper(params, ckks.NewEncoder(params), nil, bootOptions)
 }

@@ -22,11 +22,9 @@ func keyOf(s *ProgramSpec) paramKey {
 	return k
 }
 
-// Env is one fully keyed CKKS environment. The harness builds each
-// environment twice from the same deterministic seeds — a main instance and a
-// reference twin whose ring dispatches through the radix-2 five-pass NTT
-// oracles (ring.SetReferenceNTT) — so ciphertexts produced by shared code
-// paths are bit-comparable across the two.
+// Env is one fully keyed CKKS environment, shared by every engine that runs a
+// program of its parameter key, so ciphertexts produced by shared code paths
+// are bit-comparable across engines.
 type Env struct {
 	Key     paramKey
 	Params  *ckks.Parameters
@@ -36,22 +34,20 @@ type Env struct {
 	Dec     *ckks.Decryptor
 	Eval    *ckks.Evaluator
 
-	boot *hefloat.Bootstrapper // lazily built; reference flag follows the env
-	ref  bool
+	boot *hefloat.Bootstrapper // lazily built
 }
 
 // bootOptions is the one bootstrapper configuration the corpus uses: the
 // default K=16 overflow bound (8 double-angle iterations) over a sparse
 // secret, matching the repo's bootstrap tests.
-func bootOptions(reference bool) hefloat.BootstrapperOptions {
-	return hefloat.BootstrapperOptions{K: 16, ReferenceBSGS: reference}
-}
+var bootOptions = hefloat.BootstrapperOptions{K: 16}
 
 // rotationsFor returns every rotation index the hefloat engines need for the
-// given program (naive diagonals, BSGS baby/giant steps, the matmul and
-// bootstrap plans), plus whether they need the conjugation key. What the
-// IR-driven columns need is read off the compiled program instead
-// (fhir.Program.Rotations); the environment carries the union.
+// given program (BSGS baby/giant steps — one baby step per diagonal where the
+// spec sets none — the matmul and bootstrap plans), plus whether they need
+// the conjugation key. What the IR-driven columns need is read off the
+// compiled program instead (fhir.Program.Rotations); the environment carries
+// the union.
 func rotationsFor(s *ProgramSpec) (rots []int, conjugate bool, err error) {
 	slots := s.Slots()
 	set := map[int]bool{}
@@ -81,11 +77,7 @@ func rotationsFor(s *ProgramSpec) (rots []int, conjugate bool, err error) {
 			if err != nil {
 				return nil, false, err
 			}
-			if op.BS > 0 {
-				add(lt.RotationsBSGS(op.BS)...)
-			} else {
-				add(lt.Rotations()...)
-			}
+			add(lt.RotationsBSGS(babySteps(op, lt))...)
 		case "pcmm":
 			add(hefloat.PCMMRotations(isqrt(slots))...)
 		case "ccmm":
@@ -134,12 +126,8 @@ func newParameters(key paramKey) (*ckks.Parameters, error) {
 	return params, nil
 }
 
-// buildEnv constructs one environment. reference flips the ring onto the
-// radix-2 reference NTT kernels after key generation; since the kernel
-// families are bit-identical (pinned in internal/ring), the keys themselves
-// are unaffected and the main and reference instances hold identical key
-// material.
-func buildEnv(key paramKey, rots []int, conjugate, reference bool) (*Env, error) {
+// buildEnv constructs one environment from fixed seeds.
+func buildEnv(key paramKey, rots []int, conjugate bool) (*Env, error) {
 	params, err := newParameters(key)
 	if err != nil {
 		return nil, err
@@ -154,7 +142,7 @@ func buildEnv(key paramKey, rots []int, conjugate, reference bool) (*Env, error)
 	pk := kg.GenPublicKey(sk)
 	rlk := kg.GenRelinearizationKey(sk)
 	rtks := kg.GenRotationKeys(sk, rots, conjugate)
-	env := &Env{
+	return &Env{
 		Key:     key,
 		Params:  params,
 		Encoder: ckks.NewEncoder(params),
@@ -162,21 +150,15 @@ func buildEnv(key paramKey, rots []int, conjugate, reference bool) (*Env, error)
 		SK:      sk,
 		Dec:     ckks.NewDecryptor(params, sk),
 		Eval:    ckks.NewEvaluator(params, rlk, rtks),
-		ref:     reference,
-	}
-	if reference {
-		params.RingQP().SetReferenceNTT(true)
-	}
-	return env, nil
+	}, nil
 }
 
-// bootstrapper returns the env's lazily built bootstrapper (reference envs
-// get the ReferenceBSGS variant).
+// bootstrapper returns the env's lazily built bootstrapper.
 func (e *Env) bootstrapper() (*hefloat.Bootstrapper, error) {
 	if e.boot != nil {
 		return e.boot, nil
 	}
-	bt, err := hefloat.NewBootstrapper(e.Params, e.Encoder, e.Eval, bootOptions(e.ref))
+	bt, err := hefloat.NewBootstrapper(e.Params, e.Encoder, e.Eval, bootOptions)
 	if err != nil {
 		return nil, err
 	}
@@ -186,8 +168,8 @@ func (e *Env) bootstrapper() (*hefloat.Bootstrapper, error) {
 
 // encryptInputs encrypts the program's inputs with a fresh deterministic
 // encryptor (seed 2). A fresh sampler per program run makes the ciphertexts
-// bit-identical across engines and across the main/reference environment
-// pair, which is what lets the harness compare outputs bitwise.
+// bit-identical across engines, which is what lets the harness compare
+// outputs bitwise.
 func encryptInputs(e *Env, s *ProgramSpec) (map[string]*ckks.Ciphertext, error) {
 	encr := ckks.NewEncryptor(e.Params, e.PK, 2)
 	level := e.Params.MaxLevel()

@@ -23,16 +23,14 @@ type Outcome struct {
 type Matrix map[string]map[string]Outcome
 
 // Harness owns the program corpus, each program's one compiled form, and the
-// lazily built environments. Each parameter key gets two environment twins
-// (main and reference-NTT) keyed from identical deterministic seeds, plus one
-// fleet server fronting the functional cluster backend.
+// lazily built environments: one per parameter key, plus one fleet server
+// fronting its functional cluster backend.
 type Harness struct {
 	Programs []*ProgramSpec
 
 	byKey    map[paramKey][]*ProgramSpec
 	compiled map[*ProgramSpec]*compiled
 	envs     map[paramKey]*Env
-	refEnvs  map[paramKey]*Env
 	servers  map[paramKey]*serve.Server
 }
 
@@ -51,7 +49,6 @@ func newHarness(programs []*ProgramSpec) *Harness {
 		byKey:    map[paramKey][]*ProgramSpec{},
 		compiled: map[*ProgramSpec]*compiled{},
 		envs:     map[paramKey]*Env{},
-		refEnvs:  map[paramKey]*Env{},
 		servers:  map[paramKey]*serve.Server{},
 	}
 	for _, s := range programs {
@@ -86,13 +83,9 @@ func (h *Harness) compiledFor(s *ProgramSpec) *compiled {
 // compiled program's own rotation set — so programs can share the expensive
 // key generation. A program that does not compile contributes only its
 // hefloat needs; its IR-driven cells report the compile error.
-func (h *Harness) envFor(s *ProgramSpec, reference bool) (*Env, error) {
+func (h *Harness) envFor(s *ProgramSpec) (*Env, error) {
 	key := keyOf(s)
-	cache := h.envs
-	if reference {
-		cache = h.refEnvs
-	}
-	if env, ok := cache[key]; ok {
+	if env, ok := h.envs[key]; ok {
 		return env, nil
 	}
 	rotSet := map[int]bool{}
@@ -116,11 +109,11 @@ func (h *Harness) envFor(s *ProgramSpec, reference bool) (*Env, error) {
 		rots = append(rots, r)
 	}
 	sort.Ints(rots)
-	env, err := buildEnv(key, rots, conjugate, reference)
+	env, err := buildEnv(key, rots, conjugate)
 	if err != nil {
 		return nil, err
 	}
-	cache[key] = env
+	h.envs[key] = env
 	return env, nil
 }
 
@@ -173,11 +166,7 @@ func (h *Harness) Run(opts RunOptions) (Matrix, error) {
 		if err != nil {
 			return nil, fmt.Errorf("conformance: interpreting %s: %w", s.Name, err)
 		}
-		refEnv, err := h.envFor(s, true)
-		if err != nil {
-			return nil, err
-		}
-		env, err := h.envFor(s, false)
+		env, err := h.envFor(s)
 		if err != nil {
 			return nil, err
 		}
@@ -191,9 +180,9 @@ func (h *Harness) Run(opts RunOptions) (Matrix, error) {
 		row := map[string]Outcome{}
 		cells := map[string]func() Outcome{
 			"reference": func() Outcome {
-				ct, err := runGuarded(func() (*ckks.Ciphertext, error) { return runHEFloat(refEnv, s, true) })
+				ct, err := runGuarded(func() (*ckks.Ciphertext, error) { return runHEFloat(env, s, true) })
 				refCt = ct
-				return checkCiphertext(refEnv, ct, err, expected, s)
+				return checkCiphertext(env, ct, err, expected, s)
 			},
 			"optimized": func() Outcome {
 				ct, err := runGuarded(func() (*ckks.Ciphertext, error) { return runHEFloat(env, s, false) })

@@ -1,15 +1,18 @@
 // Package conformance is the cross-engine FHE conformance harness: one
 // directory-driven corpus of small CKKS programs (testdata/programs/*.json),
 // each with deterministic plaintext inputs, an interpreter-computed expected
-// output, and a per-program precision budget, executed against five engines.
-// Two are independent hand-written executions of the corpus on hefloat:
+// output, and a per-program precision budget, executed against five engines
+// on one keyed environment per parameter set. Two are independent hand-written
+// executions of the corpus on the ckks evaluator:
 //
-//  1. reference  — hefloat reference paths (EvaluateBSGSReference, radix-2
-//     five-pass NTT via ring.SetReferenceNTT, Horner polynomial evaluation,
-//     per-rotation keyswitching);
-//  2. optimized  — the plan-cached, double-hoisted production paths
-//     (EvaluateBSGS, merged-twist lazy NTT, power-tree polynomials, hoisted
-//     and ext-hoisted rotations).
+//  1. reference  — this package's oracle spellings (oracle.go: single-hoisted
+//     per-call-encoded BSGS, Horner polynomial evaluation; per-rotation
+//     keyswitching). The oracles live here because nothing else may call
+//     them; the NTT kernels' own radix-2 oracle lives in internal/ring's
+//     tests, which pin both production kernels to it per call;
+//  2. optimized  — hefloat's production paths (plan-cached double-hoisted
+//     EvaluateBSGS, power-tree polynomials, hoisted and ext-hoisted
+//     rotations).
 //
 // The other three run the compiler's own lowerings of one compiled program:
 // the spec is translated once into internal/fhir IR (buildIRProgram), compiled
@@ -59,8 +62,8 @@ type ProgramSpec struct {
 	// against the plaintext interpreter.
 	Budget float64 `json:"budget"`
 	// BitExact additionally requires the reference and optimized engines to
-	// produce bitwise-identical ciphertexts (same-seed encryptors, twin
-	// parameter sets). Set only where the underlying paths are pinned
+	// produce bitwise-identical ciphertexts (same-seed encryptors on the
+	// shared environment). Set only where the underlying paths are pinned
 	// bit-identical; BSGS plans, tree polynomials and ext-hoisted sums are
 	// tolerance-equal by design, not bit-equal.
 	BitExact bool `json:"bitExact,omitempty"`
@@ -96,7 +99,7 @@ type InputSpec struct {
 //	mulplain             A, Gen (plaintext vector; multiplied then rescaled)
 //	rotsum, rotsumext    A, K (Σ_{i<K} rotate(A, i); ext uses the extended-
 //	                     basis accumulator on the optimized engine)
-//	lintrans             A, Matrix, BS (BS=0 evaluates naively)
+//	lintrans             A, Matrix, BS (BS=0: one baby step per diagonal, the naive sum)
 //	pcmm                 A, Matrix (k×k plaintext weights; k² = slots)
 //	ccmm                 A, B (column-packed k×k operands)
 //	poly                 A, Coeffs (real polynomial, ascending)

@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"runtime/debug"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"hydra/internal/ckks"
@@ -252,19 +253,28 @@ func TestEvaluateContractPanicIsError(t *testing.T) {
 }
 
 // diagMacProgram compiles one BSGS giant step over diags random diagonals:
-// a single DiagMac whose operands are all encoded inside Evaluate.
+// a single DiagMac whose operands are all encoded inside Evaluate. poison is
+// added to one slot of the middle diagonal.
 func diagMacProgram(t *testing.T, slots, diags, levels int, poison complex128) *Program {
 	t.Helper()
 	rng := rand.New(rand.NewSource(11))
-	b := NewBuilder(slots)
-	x := b.Input("x")
-	terms := make([]*Value, diags)
-	for j := range terms {
+	return diagMacProgramOf(t, slots, diags, levels, func(b *Builder, j int) *Plain {
 		vals := randVec(rng, slots)
 		if j == diags/2 {
 			vals[3] += poison
 		}
-		terms[j] = b.MulPlain(b.Rotate(x, j), b.PlainVec("", vals))
+		return b.PlainVec("", vals)
+	})
+}
+
+// diagMacProgramOf is diagMacProgram over caller-made plaintext operands.
+func diagMacProgramOf(t *testing.T, slots, diags, levels int, plain func(b *Builder, j int) *Plain) *Program {
+	t.Helper()
+	b := NewBuilder(slots)
+	x := b.Input("x")
+	terms := make([]*Value, diags)
+	for j := range terms {
+		terms[j] = b.MulPlain(b.Rotate(x, j), plain(b, j))
 	}
 	b.Output(b.Sum(terms...))
 	src, err := b.Build()
@@ -345,6 +355,40 @@ func TestEvaluateDiagMacFanOutBitIdentical(t *testing.T) {
 		}
 		if !got.C0.Equal(want.C0) || !got.C1.Equal(want.C1) || got.Scale != want.Scale {
 			t.Fatalf("%d workers: ciphertext differs from the forced-serial run", workers)
+		}
+	}
+}
+
+// TestEvaluateWorkerPanicIsError: DiagMac runs tenant Plain.Values closures on
+// limb-pool helper goroutines, out of reach of Evaluate's recover unless the
+// pool hands a helper's panic back to its caller. Each closure here waits
+// until a second one has started — so one of them is on a helper — and then
+// panics; Evaluate must return the error, and the pool must still work.
+func TestEvaluateWorkerPanicIsError(t *testing.T) {
+	const logN, levels, diags = 6, 3, 16
+	slots := 1 << (logN - 1)
+	good := diagMacProgram(t, slots, diags, levels, 0)
+	ctx, cts := diagMacEnv(t, good, logN, levels)
+	defer ring.SetMaxWorkers(ring.MaxWorkers())
+	for _, workers := range []int{2, 4} {
+		ring.SetMaxWorkers(workers)
+		var entered atomic.Int32
+		two := make(chan struct{})
+		bad := diagMacProgramOf(t, slots, diags, levels, func(b *Builder, j int) *Plain {
+			return b.Plain("", func(int) ([]complex128, error) {
+				if entered.Add(1) == 2 {
+					close(two)
+				}
+				<-two
+				panic("tenant closure blew up")
+			})
+		})
+		out, err := Evaluate(bad, ctx, cts)
+		if err == nil || out != nil || !strings.Contains(err.Error(), "tenant closure blew up") {
+			t.Errorf("%d workers: Evaluate returned %v, %v; want the recovered panic as an error", workers, out, err)
+		}
+		if _, err := Evaluate(good, ctx, cts); err != nil {
+			t.Errorf("%d workers: Evaluate after a worker panic: %v", workers, err)
 		}
 	}
 }

@@ -11,6 +11,8 @@ func benchEnv(b *testing.B, logN, levels int, rots []int) *testEnv {
 	return newEnv(b, logN, levels, rots)
 }
 
+// One baby step per diagonal (bs = Dim): the rotate-multiply-accumulate form
+// BSGS improves on, the upper path of the paper's Fig. 3(d).
 func BenchmarkLinearTransformNaive(b *testing.B) {
 	env := benchEnv(b, 9, 3, allRotations(1<<8))
 	lt, _ := NewLinearTransform(seqMatrix(env.params.Slots()))
@@ -18,7 +20,7 @@ func BenchmarkLinearTransformNaive(b *testing.B) {
 	ct := env.encr.Encrypt(pt)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := lt.Evaluate(env.eval, env.enc, ct); err != nil {
+		if _, err := lt.EvaluateBSGS(env.eval, env.enc, ct, lt.Dim); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -42,7 +44,7 @@ func BenchmarkPCMM(b *testing.B) {
 	k := matK(env)
 	x := seqRealMatrix(k, 0.1)
 	w := seqRealMatrix(k, 0.9)
-	pt, _ := PackMatrix(env.enc, x, env.params.MaxLevel(), env.params.DefaultScale())
+	pt, _ := packMatrix(env.enc, x, env.params.MaxLevel(), env.params.DefaultScale())
 	ct := env.encr.Encrypt(pt)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -57,8 +59,8 @@ func BenchmarkCCMM(b *testing.B) {
 	env := benchEnv(b, 5, 6, CCMMRotations(k))
 	x := seqRealMatrix(k, 0.1)
 	z := seqRealMatrix(k, 0.9)
-	ptX, _ := PackMatrix(env.enc, x, env.params.MaxLevel(), env.params.DefaultScale())
-	ptZ, _ := PackMatrix(env.enc, z, env.params.MaxLevel(), env.params.DefaultScale())
+	ptX, _ := packMatrix(env.enc, x, env.params.MaxLevel(), env.params.DefaultScale())
+	ptZ, _ := packMatrix(env.enc, z, env.params.MaxLevel(), env.params.DefaultScale())
 	ctX := env.encr.Encrypt(ptX)
 	ctZ := env.encr.Encrypt(ptZ)
 	b.ResetTimer()
@@ -102,22 +104,6 @@ func BenchmarkBootstrap(b *testing.B) {
 	}
 }
 
-// BenchmarkLinearTransformBSGSReference is the single-hoisted per-rotation
-// ModDown path EvaluateBSGS replaced; keeping it benchmarked pins the
-// ablation the double-hoisting EXPERIMENTS.md tables quote.
-func BenchmarkLinearTransformBSGSReference(b *testing.B) {
-	env := benchEnv(b, 9, 3, allRotations(1<<8))
-	lt, _ := NewLinearTransform(seqMatrix(env.params.Slots()))
-	pt, _ := env.enc.Encode(make([]complex128, env.params.Slots()))
-	ct := env.encr.Encrypt(pt)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := lt.EvaluateBSGSReference(env.eval, env.enc, ct, 16); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkPCMMCompiled measures the weights-resident steady state: the
 // transform is built and its plan compiled once, so each iteration is pure
 // evaluation — the recurring cost of the paper's PCMM recipe.
@@ -126,7 +112,7 @@ func BenchmarkPCMMCompiled(b *testing.B) {
 	k := matK(env)
 	x := seqRealMatrix(k, 0.1)
 	w := seqRealMatrix(k, 0.9)
-	pt, _ := PackMatrix(env.enc, x, env.params.MaxLevel(), env.params.DefaultScale())
+	pt, _ := packMatrix(env.enc, x, env.params.MaxLevel(), env.params.DefaultScale())
 	ct := env.encr.Encrypt(pt)
 	lt, err := NewPCMMTransform(w, env.params.Slots())
 	if err != nil {

@@ -40,8 +40,6 @@ type Bootstrapper struct {
 	K         int // bound on |I| coefficients
 	DAFIters  int
 	TaylorDeg int
-
-	referenceBSGS bool // route the DFT transforms through EvaluateBSGSReference
 }
 
 // BootstrapperOptions tune the bootstrapper.
@@ -49,11 +47,6 @@ type BootstrapperOptions struct {
 	K         int // bound on the ModRaise overflow (default 16; needs a sparse secret)
 	TaylorDeg int // degree of the small-angle sine polynomial (default 7)
 	BabySteps int // BSGS baby steps for the DFT transforms (default ~sqrt(slots))
-	// ReferenceBSGS evaluates the six DFT transforms through the
-	// single-hoisted EvaluateBSGSReference path instead of the plan-cached
-	// double-hoisted one, and skips plan precompilation. Differential-testing
-	// hook: the conformance harness's reference engine bootstraps through it.
-	ReferenceBSGS bool
 }
 
 // BootstrapRotations returns the rotation indices the bootstrapper's
@@ -101,8 +94,7 @@ func NewBootstrapper(params *ckks.Parameters, enc *ckks.Encoder, eval *ckks.Eval
 	bt := &Bootstrapper{
 		params: params, enc: enc, eval: eval,
 		K: opts.K, TaylorDeg: opts.TaylorDeg,
-		bs:            opts.babySteps(params.Slots()),
-		referenceBSGS: opts.ReferenceBSGS,
+		bs: opts.babySteps(params.Slots()),
 	}
 	// Double-angle iterations: bring 2π(K+1) under a comfortable small angle.
 	target := 0.5
@@ -157,11 +149,7 @@ func NewBootstrapper(params *ckks.Parameters, enc *ckks.Encoder, eval *ckks.Eval
 	// first Bootstrap call encodes nothing for C2S. The SlotToCoeff plans
 	// compile on first use (their input level depends on the sine-evaluation
 	// depth) and are cached thereafter, so steady-state Bootstrap calls
-	// encode no diagonal at all. The reference path encodes per call by
-	// design, so it has nothing to precompile.
-	if bt.referenceBSGS {
-		return bt, nil
-	}
+	// encode no diagonal at all.
 	top := len(params.Q()) - 1
 	compile := func(lt *LinearTransform) func() error {
 		return func() (err error) {
@@ -175,13 +163,8 @@ func NewBootstrapper(params *ckks.Parameters, enc *ckks.Encoder, eval *ckks.Eval
 	return bt, nil
 }
 
-// applyDFT routes one of the six bootstrap transforms through the configured
-// BSGS path (plan-cached double-hoisted by default, single-hoisted reference
-// when the bootstrapper was built with ReferenceBSGS).
+// applyDFT evaluates one of the six bootstrap transforms.
 func (bt *Bootstrapper) applyDFT(lt *LinearTransform, ct *ckks.Ciphertext) (*ckks.Ciphertext, error) {
-	if bt.referenceBSGS {
-		return lt.EvaluateBSGSReference(bt.eval, bt.enc, ct, bt.bs)
-	}
 	return lt.EvaluateBSGS(bt.eval, bt.enc, ct, bt.bs)
 }
 

@@ -109,7 +109,9 @@ func TestLinearTransformNaive(t *testing.T) {
 	}
 	pt, _ := env.enc.Encode(v)
 	ct := env.encr.Encrypt(pt)
-	res, err := lt.Evaluate(env.eval, env.enc, ct)
+	// One baby step per diagonal: a rotation and a plaintext multiplication
+	// per non-zero diagonal, the upper path of the paper's Fig. 3(d).
+	res, err := lt.EvaluateBSGS(env.eval, env.enc, ct, lt.Dim)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +157,7 @@ func TestBSGSRotationCount(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	naive := len(lt.Rotations())
+	naive := len(lt.RotationsBSGS(dim))
 	bsgs := len(lt.RotationsBSGS(8))
 	if naive != dim-1 {
 		t.Fatalf("naive rotations = %d, want %d", naive, dim-1)
@@ -175,7 +177,16 @@ func TestEvaluateBSGSRejectsBadBS(t *testing.T) {
 	}
 }
 
-func testPolyOn(t *testing.T, p Polynomial, levels int, tol float64, tree bool) {
+// evalFloat evaluates p at a plaintext point.
+func (p Polynomial) evalFloat(x float64) float64 {
+	acc := 0.0
+	for i := len(p.Coeffs) - 1; i >= 0; i-- {
+		acc = acc*x + p.Coeffs[i]
+	}
+	return acc
+}
+
+func testPolyOn(t *testing.T, p Polynomial, levels int, tol float64) {
 	t.Helper()
 	env := newEnv(t, 10, levels, nil)
 	slots := env.params.Slots()
@@ -185,67 +196,32 @@ func testPolyOn(t *testing.T, p Polynomial, levels int, tol float64, tree bool) 
 	}
 	pt, _ := env.enc.Encode(vals)
 	ct := env.encr.Encrypt(pt)
-	var res *ckks.Ciphertext
-	var err error
-	if tree {
-		res, err = EvaluateTree(env.eval, ct, p)
-	} else {
-		res, err = EvaluateHorner(env.eval, ct, p)
-	}
+	res, err := EvaluateTree(env.eval, ct, p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	got := env.enc.Decode(env.decr.Decrypt(res))
 	want := make([]complex128, slots)
 	for i := range vals {
-		want[i] = complex(p.EvalFloat(real(vals[i])), 0)
+		want[i] = complex(p.evalFloat(real(vals[i])), 0)
 	}
 	if e := maxAbsErr(got, want); e > tol {
 		t.Fatalf("poly deg %d error %g > %g", p.Degree(), e, tol)
 	}
 }
 
-func TestEvaluateHornerDeg3(t *testing.T) {
-	testPolyOn(t, Polynomial{Coeffs: []float64{0.5, -1, 0.25, 2}}, 5, 1e-2, false)
-}
-
 func TestEvaluateTreeDeg3(t *testing.T) {
-	testPolyOn(t, Polynomial{Coeffs: []float64{0.5, -1, 0.25, 2}}, 5, 1e-2, true)
+	testPolyOn(t, Polynomial{Coeffs: []float64{0.5, -1, 0.25, 2}}, 5, 1e-2)
 }
 
 func TestEvaluateTreeDeg7(t *testing.T) {
-	testPolyOn(t, Polynomial{Coeffs: []float64{0.1, 0.2, -0.3, 0.4, -0.5, 0.6, -0.7, 0.8}}, 6, 1e-2, true)
+	testPolyOn(t, Polynomial{Coeffs: []float64{0.1, 0.2, -0.3, 0.4, -0.5, 0.6, -0.7, 0.8}}, 6, 1e-2)
 }
 
 func TestEvaluateTreeSparse(t *testing.T) {
 	// Polynomial with zero sub-blocks exercises the nil-branch handling.
-	testPolyOn(t, Polynomial{Coeffs: []float64{0, 0, 0, 0, 0, 0, 0, 1.5}}, 6, 1e-2, true)
-	testPolyOn(t, Polynomial{Coeffs: []float64{0.7, 0, 0, 0, 0, 0, 0, 0, 1}}, 7, 1e-2, true)
-}
-
-func TestEvaluateTreeMatchesHorner(t *testing.T) {
-	p := Polynomial{Coeffs: []float64{0.3, -0.6, 0.2, 0.1, -0.4}}
-	env := newEnv(t, 10, 7, nil)
-	slots := env.params.Slots()
-	vals := make([]complex128, slots)
-	for i := range vals {
-		vals[i] = complex(float64(i%11)/11.0-0.5, 0)
-	}
-	pt, _ := env.enc.Encode(vals)
-	ct := env.encr.Encrypt(pt)
-	a, err := EvaluateHorner(env.eval, ct, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := EvaluateTree(env.eval, ct, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ga := env.enc.Decode(env.decr.Decrypt(a))
-	gb := env.enc.Decode(env.decr.Decrypt(b))
-	if e := maxAbsErr(ga, gb); e > 1e-2 {
-		t.Fatalf("tree and Horner disagree by %g", e)
-	}
+	testPolyOn(t, Polynomial{Coeffs: []float64{0, 0, 0, 0, 0, 0, 0, 1.5}}, 6, 1e-2)
+	testPolyOn(t, Polynomial{Coeffs: []float64{0.7, 0, 0, 0, 0, 0, 0, 0, 1}}, 7, 1e-2)
 }
 
 func TestPolyDepth(t *testing.T) {
@@ -264,14 +240,6 @@ func TestEvaluateErrors(t *testing.T) {
 	env := newEnv(t, 8, 2, nil)
 	pt, _ := env.enc.Encode(make([]complex128, env.params.Slots()))
 	ct := env.encr.Encrypt(pt)
-	if _, err := EvaluateHorner(env.eval, ct, Polynomial{Coeffs: []float64{1}}); err == nil {
-		t.Fatal("expected degree error")
-	}
-	deep := Polynomial{Coeffs: make([]float64, 20)}
-	deep.Coeffs[19] = 1
-	if _, err := EvaluateHorner(env.eval, ct, deep); err == nil {
-		t.Fatal("expected level error")
-	}
 	if _, err := EvaluateTree(env.eval, ct, Polynomial{Coeffs: []float64{1}}); err == nil {
 		t.Fatal("expected degree error (tree)")
 	}

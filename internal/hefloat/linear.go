@@ -1,7 +1,8 @@
 // Package hefloat provides homomorphic linear algebra and polynomial
 // evaluation on top of the ckks package: plaintext-matrix × ciphertext-vector
-// products in diagonal form (naive and Baby-Step Giant-Step), and polynomial
-// evaluation in Horner and power-tree form.
+// products in diagonal form (Baby-Step Giant-Step; one baby step per diagonal,
+// bs = Dim, is the naive rotate-multiply-accumulate form), and power-tree
+// polynomial evaluation.
 //
 // These are the client-side counterparts of the computations Hydra schedules
 // across cards (FC layers, the DFT matrices inside bootstrapping, and the
@@ -50,7 +51,6 @@ type LinearTransform struct {
 
 	mu    sync.Mutex
 	plans map[planKey]*TransformPlan
-	naive map[planKey]*naivePlan
 }
 
 // planKey identifies one compiled evaluation of a transform. The parameter
@@ -58,7 +58,7 @@ type LinearTransform struct {
 // with incompatible moduli.
 type planKey struct {
 	params *ckks.Parameters
-	bs     int // 0 for the naive (non-BSGS) plan
+	bs     int
 	level  int
 	scale  float64
 }
@@ -92,21 +92,9 @@ func NewLinearTransform(m [][]complex128) (*LinearTransform, error) {
 	return lt, nil
 }
 
-// Rotations returns the rotation indices needed by the naive evaluation,
-// sorted for reproducible key generation.
-func (lt *LinearTransform) Rotations() []int {
-	rots := make([]int, 0, len(lt.Diags))
-	for d := range lt.Diags {
-		if d != 0 {
-			rots = append(rots, d)
-		}
-	}
-	sort.Ints(rots)
-	return rots
-}
-
 // RotationsBSGS returns the rotation indices needed by EvaluateBSGS with the
-// given baby-step count, sorted for reproducible key generation.
+// given baby-step count (bs = Dim: one per non-zero off-diagonal), sorted for
+// reproducible key generation.
 func (lt *LinearTransform) RotationsBSGS(bs int) []int {
 	set := map[int]bool{}
 	for d := range lt.Diags {
@@ -142,76 +130,6 @@ func (lt *LinearTransform) ShiftedDiag(d, g int) []complex128 {
 		shifted[t] = diag[(t+lt.Dim-g%lt.Dim)%lt.Dim]
 	}
 	return shifted
-}
-
-// naivePlan caches the per-diagonal plaintexts of the naive Evaluate path at
-// one (level, scale), sorted by diagonal index.
-type naivePlan struct {
-	ds  []int
-	pts []*ckks.Plaintext
-}
-
-func (lt *LinearTransform) naiveFor(enc *ckks.Encoder, level int, scale float64) (*naivePlan, error) {
-	key := planKey{params: enc.Params(), bs: 0, level: level, scale: scale}
-	lt.mu.Lock()
-	defer lt.mu.Unlock()
-	if p, ok := lt.naive[key]; ok {
-		return p, nil
-	}
-	ds := make([]int, 0, len(lt.Diags))
-	for d := range lt.Diags {
-		ds = append(ds, d)
-	}
-	sort.Ints(ds)
-	p := &naivePlan{ds: ds, pts: make([]*ckks.Plaintext, len(ds))}
-	for di, d := range ds {
-		pt, err := enc.EncodeAtLevel(lt.Diags[d], scale, level)
-		if err != nil {
-			return nil, err
-		}
-		p.pts[di] = pt
-	}
-	if lt.naive == nil {
-		lt.naive = map[planKey]*naivePlan{}
-	}
-	lt.naive[key] = p
-	return p, nil
-}
-
-// Evaluate applies the transform naively: one rotation and one plaintext
-// multiplication per non-zero diagonal (the upper path of Fig. 3(d) in the
-// paper). The vector occupies the first Dim slots, repeated so rotations
-// wrap correctly (Dim must divide the slot count and the caller must have
-// replicated the vector; for Dim == slots no replication is needed). The
-// diagonal plaintexts are encoded once per (level, scale) and cached.
-func (lt *LinearTransform) Evaluate(eval *ckks.Evaluator, enc *ckks.Encoder, ct *ckks.Ciphertext) (*ckks.Ciphertext, error) {
-	if len(lt.Diags) == 0 {
-		return nil, fmt.Errorf("hefloat: transform has no non-zero diagonals")
-	}
-	plan, err := lt.naiveFor(enc, ct.Level(), eval.Params().DefaultScale())
-	if err != nil {
-		return nil, err
-	}
-	// Diagonals are independent rotate-multiply units (one parallel unit
-	// each in the paper's Table I recipe); run them concurrently and fold
-	// in sorted order for bit-determinism.
-	terms := make([]*ckks.Ciphertext, len(plan.ds))
-	fns := make([]func() error, len(plan.ds))
-	for di, d := range plan.ds {
-		di, d := di, d
-		fns[di] = func() error {
-			terms[di] = eval.MulPlain(eval.Rotate(ct, d), plan.pts[di])
-			return nil
-		}
-	}
-	if err := runConcurrent(fns...); err != nil {
-		return nil, err
-	}
-	acc := terms[0] // freshly built above; safe to mutate as the accumulator
-	for _, term := range terms[1:] {
-		eval.AddAcc(term, acc)
-	}
-	return eval.Rescale(acc), nil
 }
 
 // TransformPlan is a compiled BSGS evaluation of a LinearTransform: every
@@ -316,8 +234,7 @@ func (lt *LinearTransform) planFor(enc *ckks.Encoder, bs, level int, scale float
 // P·Q basis, each giant step folds its inner product there and pays a single
 // ModDown (plus one rotation whose output is folded back into the extended
 // basis), and one final ModDown closes the evaluation — instead of a ModDown
-// pair per rotation on the reference path. ct may sit at or below the plan's
-// compile level.
+// pair per rotation. ct may sit at or below the plan's compile level.
 func (p *TransformPlan) Apply(eval *ckks.Evaluator, ct *ckks.Ciphertext) (*ckks.Ciphertext, error) {
 	if eval.Params() != p.params {
 		return nil, fmt.Errorf("hefloat: plan compiled for a different parameter set")
@@ -374,96 +291,14 @@ func (p *TransformPlan) Apply(eval *ckks.Evaluator, ct *ckks.Ciphertext) (*ckks.
 // rotations from |Diags| to roughly bs + |Diags|/bs (Section III-B of the
 // paper). The evaluation is compiled on first use — diagonals pre-shifted and
 // pre-encoded, keyed by (bs, level, scale) — and runs double-hoisted through
-// the cached plan; see TransformPlan.Apply. EvaluateBSGSReference keeps the
-// per-rotation path for differential testing.
+// the cached plan; see TransformPlan.Apply. The vector occupies the first Dim
+// slots, repeated so rotations wrap correctly (Dim must divide the slot count
+// and the caller must have replicated the vector; for Dim == slots no
+// replication is needed).
 func (lt *LinearTransform) EvaluateBSGS(eval *ckks.Evaluator, enc *ckks.Encoder, ct *ckks.Ciphertext, bs int) (*ckks.Ciphertext, error) {
 	plan, err := lt.planFor(enc, bs, ct.Level(), eval.Params().DefaultScale())
 	if err != nil {
 		return nil, err
 	}
 	return plan.Apply(eval, ct)
-}
-
-// EvaluateBSGSReference is the single-hoisted BSGS evaluation: every giant
-// step pays a full keyswitch (accumulate + ModDown) for its rotation and the
-// diagonals are re-encoded per call. It is the reference implementation the
-// differential tests pin the plan-cached double-hoisted path against.
-func (lt *LinearTransform) EvaluateBSGSReference(eval *ckks.Evaluator, enc *ckks.Encoder, ct *ckks.Ciphertext, bs int) (*ckks.Ciphertext, error) {
-	if bs <= 0 {
-		return nil, fmt.Errorf("hefloat: baby-step count must be positive, got %d", bs)
-	}
-	// Group diagonals by giant step g = d - d%bs.
-	groups := map[int][]int{}
-	for d := range lt.Diags {
-		g := d - d%bs
-		groups[g] = append(groups[g], d)
-	}
-	// Baby steps: all needed rotations of the input, computed with a single
-	// hoisted decomposition (the digit decomposition is shared across the
-	// rotations, the optimization BSGS exists to exploit). The rotation list
-	// is sorted so scratch reuse and benchmarks are reproducible run-to-run.
-	needed := map[int]bool{}
-	for d := range lt.Diags {
-		needed[d%bs] = true
-	}
-	rotList := make([]int, 0, len(needed))
-	for j := range needed {
-		rotList = append(rotList, j)
-	}
-	sort.Ints(rotList)
-	baby := eval.RotateHoisted(ct, rotList)
-
-	// Giant steps are independent: evaluate them concurrently on the shared
-	// pool and fold the per-group results in sorted order, so parallel and
-	// serial execution produce bit-identical ciphertexts.
-	gs := make([]int, 0, len(groups))
-	for g := range groups {
-		gs = append(gs, g)
-	}
-	sort.Ints(gs)
-	inners := make([]*ckks.Ciphertext, len(gs))
-	fns := make([]func() error, len(gs))
-	for gi, g := range gs {
-		gi, g := gi, g
-		fns[gi] = func() error {
-			ds := append([]int(nil), groups[g]...)
-			sort.Ints(ds)
-			// inner = Σ_j diag_{g+j} rotated by -g, times baby_j.
-			var inner *ckks.Ciphertext
-			for _, d := range ds {
-				pt, err := enc.EncodeAtLevel(lt.ShiftedDiag(d, g), eval.Params().DefaultScale(), ct.Level())
-				if err != nil {
-					return err
-				}
-				// First diagonal creates the accumulator; the rest fold in
-				// through the fused multiply-accumulate kernel, one pass per
-				// term instead of a multiply pass plus an add pass.
-				if inner == nil {
-					inner = eval.MulPlain(baby[d-g], pt)
-				} else {
-					eval.MulPlainAcc(baby[d-g], pt, inner)
-				}
-			}
-			if g != 0 {
-				inner = eval.Rotate(inner, g)
-			}
-			inners[gi] = inner
-			return nil
-		}
-	}
-	if err := runConcurrent(fns...); err != nil {
-		return nil, err
-	}
-	var acc *ckks.Ciphertext
-	for _, inner := range inners {
-		if acc == nil {
-			acc = inner // fresh per-group result; safe to mutate in place
-		} else {
-			eval.AddAcc(inner, acc)
-		}
-	}
-	if acc == nil {
-		return nil, fmt.Errorf("hefloat: transform has no non-zero diagonals")
-	}
-	return eval.Rescale(acc), nil
 }

@@ -20,38 +20,6 @@ import (
 //     rotations, two plaintext masks and one ciphertext multiplication per
 //     diagonal — matching Table I's rotation-heavy CCMM recipe.
 
-// PackMatrix encodes a k×k real matrix column-major into a plaintext; k²
-// must equal the slot count so column rotations wrap cyclically.
-func PackMatrix(enc *ckks.Encoder, m [][]float64, level int, scale float64) (*ckks.Plaintext, error) {
-	k := len(m)
-	slots := enc.Params().Slots()
-	if k*k != slots {
-		return nil, fmt.Errorf("hefloat: matrix size %d² must equal slot count %d", k, slots)
-	}
-	vals := make([]complex128, slots)
-	for c := 0; c < k; c++ {
-		for r := 0; r < k; r++ {
-			vals[c*k+r] = complex(m[r][c], 0)
-		}
-	}
-	return enc.EncodeAtLevel(vals, scale, level)
-}
-
-// UnpackMatrix decodes a column-major packed k×k matrix.
-func UnpackMatrix(enc *ckks.Encoder, pt *ckks.Plaintext, k int) [][]float64 {
-	vals := enc.Decode(pt)
-	m := make([][]float64, k)
-	for r := range m {
-		m[r] = make([]float64, k)
-	}
-	for c := 0; c < k; c++ {
-		for r := 0; r < k; r++ {
-			m[r][c] = real(vals[c*k+r])
-		}
-	}
-	return m
-}
-
 // PCMMRotations returns the rotation indices PCMM needs for k×k matrices.
 func PCMMRotations(k int) []int {
 	rots := make([]int, 0, k-1)

@@ -1,9 +1,47 @@
 package hefloat
 
 import (
+	"fmt"
 	"math"
 	"testing"
+
+	"hydra/internal/ckks"
 )
+
+// The column-major packing PCMM and CCMM operate on (column c in slots
+// [c·k, (c+1)·k)), as the client side would apply it.
+
+// packMatrix encodes a k×k real matrix column-major into a plaintext; k²
+// must equal the slot count so column rotations wrap cyclically.
+func packMatrix(enc *ckks.Encoder, m [][]float64, level int, scale float64) (*ckks.Plaintext, error) {
+	k := len(m)
+	slots := enc.Params().Slots()
+	if k*k != slots {
+		return nil, fmt.Errorf("hefloat: matrix size %d² must equal slot count %d", k, slots)
+	}
+	vals := make([]complex128, slots)
+	for c := 0; c < k; c++ {
+		for r := 0; r < k; r++ {
+			vals[c*k+r] = complex(m[r][c], 0)
+		}
+	}
+	return enc.EncodeAtLevel(vals, scale, level)
+}
+
+// unpackMatrix decodes a column-major packed k×k matrix.
+func unpackMatrix(enc *ckks.Encoder, pt *ckks.Plaintext, k int) [][]float64 {
+	vals := enc.Decode(pt)
+	m := make([][]float64, k)
+	for r := range m {
+		m[r] = make([]float64, k)
+	}
+	for c := 0; c < k; c++ {
+		for r := 0; r < k; r++ {
+			m[r][c] = real(vals[c*k+r])
+		}
+	}
+	return m
+}
 
 func matK(env *testEnv) int {
 	k := 1
@@ -54,11 +92,11 @@ func TestPackUnpackMatrix(t *testing.T) {
 	env := newEnv(t, 5, 2, nil) // slots 16 → k = 4
 	k := matK(env)
 	m := seqRealMatrix(k, 0.3)
-	pt, err := PackMatrix(env.enc, m, env.params.MaxLevel(), env.params.DefaultScale())
+	pt, err := packMatrix(env.enc, m, env.params.MaxLevel(), env.params.DefaultScale())
 	if err != nil {
 		t.Fatal(err)
 	}
-	back := UnpackMatrix(env.enc, pt, k)
+	back := unpackMatrix(env.enc, pt, k)
 	if e := maxMatErr(back, m); e > 1e-8 {
 		t.Fatalf("pack/unpack error %g", e)
 	}
@@ -66,7 +104,7 @@ func TestPackUnpackMatrix(t *testing.T) {
 
 func TestPackMatrixRejectsWrongSize(t *testing.T) {
 	env := newEnv(t, 5, 2, nil)
-	if _, err := PackMatrix(env.enc, seqRealMatrix(3, 0), env.params.MaxLevel(), 1<<45); err == nil {
+	if _, err := packMatrix(env.enc, seqRealMatrix(3, 0), env.params.MaxLevel(), 1<<45); err == nil {
 		t.Fatal("expected size error")
 	}
 }
@@ -76,7 +114,7 @@ func TestPCMM(t *testing.T) {
 	k := matK(env)
 	x := seqRealMatrix(k, 0.1)
 	w := seqRealMatrix(k, 1.7)
-	pt, err := PackMatrix(env.enc, x, env.params.MaxLevel(), env.params.DefaultScale())
+	pt, err := packMatrix(env.enc, x, env.params.MaxLevel(), env.params.DefaultScale())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +123,7 @@ func TestPCMM(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := UnpackMatrix(env.enc, env.decr.Decrypt(res), k)
+	got := unpackMatrix(env.enc, env.decr.Decrypt(res), k)
 	want := matMulPlain(x, w)
 	if e := maxMatErr(got, want); e > 1e-3 {
 		t.Fatalf("PCMM error %g", e)
@@ -104,11 +142,11 @@ func TestCCMM(t *testing.T) {
 	env := newEnv(t, 5, 6, CCMMRotations(k))
 	x := seqRealMatrix(k, 0.4)
 	z := seqRealMatrix(k, 2.9)
-	ptX, err := PackMatrix(env.enc, x, env.params.MaxLevel(), env.params.DefaultScale())
+	ptX, err := packMatrix(env.enc, x, env.params.MaxLevel(), env.params.DefaultScale())
 	if err != nil {
 		t.Fatal(err)
 	}
-	ptZ, err := PackMatrix(env.enc, z, env.params.MaxLevel(), env.params.DefaultScale())
+	ptZ, err := packMatrix(env.enc, z, env.params.MaxLevel(), env.params.DefaultScale())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +156,7 @@ func TestCCMM(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := UnpackMatrix(env.enc, env.decr.Decrypt(res), k)
+	got := unpackMatrix(env.enc, env.decr.Decrypt(res), k)
 	want := matMulPlain(x, z)
 	if e := maxMatErr(got, want); e > 1e-2 {
 		t.Fatalf("CCMM error %g", e)
@@ -132,8 +170,8 @@ func TestCCMMThenPCMMChain(t *testing.T) {
 	x := seqRealMatrix(k, 0.2)
 	z := seqRealMatrix(k, 1.1)
 	w := seqRealMatrix(k, 2.2)
-	ptX, _ := PackMatrix(env.enc, x, env.params.MaxLevel(), env.params.DefaultScale())
-	ptZ, _ := PackMatrix(env.enc, z, env.params.MaxLevel(), env.params.DefaultScale())
+	ptX, _ := packMatrix(env.enc, x, env.params.MaxLevel(), env.params.DefaultScale())
+	ptZ, _ := packMatrix(env.enc, z, env.params.MaxLevel(), env.params.DefaultScale())
 	ctX := env.encr.Encrypt(ptX)
 	ctZ := env.encr.Encrypt(ptZ)
 	xz, err := CCMM(env.eval, env.enc, ctX, ctZ)
@@ -144,7 +182,7 @@ func TestCCMMThenPCMMChain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := UnpackMatrix(env.enc, env.decr.Decrypt(res), k)
+	got := unpackMatrix(env.enc, env.decr.Decrypt(res), k)
 	want := matMulPlain(matMulPlain(x, z), w)
 	if e := maxMatErr(got, want); e > 5e-2 {
 		t.Fatalf("chained matmul error %g", e)

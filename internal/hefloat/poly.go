@@ -14,15 +14,6 @@ type Polynomial struct {
 // Degree returns the polynomial degree.
 func (p Polynomial) Degree() int { return len(p.Coeffs) - 1 }
 
-// EvalFloat evaluates p at a plaintext point (reference for tests).
-func (p Polynomial) EvalFloat(x float64) float64 {
-	acc := 0.0
-	for i := len(p.Coeffs) - 1; i >= 0; i-- {
-		acc = acc*x + p.Coeffs[i]
-	}
-	return acc
-}
-
 // Depth returns the multiplicative depth consumed by EvaluateTree.
 func (p Polynomial) Depth() int {
 	d := 0
@@ -30,26 +21,6 @@ func (p Polynomial) Depth() int {
 		d++
 	}
 	return d
-}
-
-// EvaluateHorner evaluates p on ct by Horner's rule: deg sequential
-// ciphertext multiplications (depth = deg). Simple but deep; used as the
-// reference implementation.
-func EvaluateHorner(eval *ckks.Evaluator, ct *ckks.Ciphertext, p Polynomial) (*ckks.Ciphertext, error) {
-	deg := p.Degree()
-	if deg < 1 {
-		return nil, fmt.Errorf("hefloat: polynomial degree must be >= 1")
-	}
-	if ct.Level() < deg+1 {
-		return nil, fmt.Errorf("hefloat: level %d insufficient for Horner degree %d", ct.Level(), deg)
-	}
-	acc := eval.Rescale(eval.MulByConst(ct, p.Coeffs[deg]))
-	acc = eval.AddConst(acc, p.Coeffs[deg-1])
-	for i := deg - 2; i >= 0; i-- {
-		acc = eval.Rescale(eval.MulRelin(acc, ct))
-		acc = eval.AddConst(acc, p.Coeffs[i])
-	}
-	return acc, nil
 }
 
 // EvaluateTree evaluates p on ct with the power-tree method the paper's

@@ -177,29 +177,6 @@ func (n NetworkProfile) TransferTime(bytes float64, src, dst, cardsPerServer int
 	return t
 }
 
-// BroadcastTime returns the seconds for one card to deliver `bytes` to all
-// other `fanout` cards. Hydra's switch forwards a broadcast in one
-// transmission; host-relayed networks send fanout unicasts.
-func (n NetworkProfile) BroadcastTime(bytes float64, src, fanout, cardsPerServer int) float64 {
-	if fanout <= 0 {
-		return 0
-	}
-	if !n.HostRelay && n.Broadcast {
-		// One send; the switch replicates. Cross-server broadcast pays the
-		// slower segment once.
-		if fanout < cardsPerServer {
-			return n.IntraServer.Transfer(bytes)
-		}
-		return n.InterServer.Transfer(bytes)
-	}
-	total := 0.0
-	for i := 0; i < fanout; i++ {
-		dst := (src + 1 + i)
-		total += n.TransferTime(bytes, src, dst, cardsPerServer)
-	}
-	return total
-}
-
 // SendTime returns the sender-side occupancy of one transfer (or broadcast)
 // of `bytes` from src to dsts: the time the card's TX path (DTU → switch, or
 // FPGA → PCIe → host LAN replication for FAB) is busy injecting the data.
@@ -245,51 +222,6 @@ func (n NetworkProfile) RecvTime(bytes float64, src, dst, cardsPerServer int) fl
 		return bytes / n.InterServer.Bandwidth
 	}
 	return n.PCIe.Transfer(bytes)
-}
-
-// BroadcastTimeTo returns the seconds for src to deliver `bytes` to every
-// card in dsts. Hydra's switch replicates a single transmission (the
-// cross-server segment is paid once when any destination is remote);
-// host-relayed networks degenerate to per-destination unicasts.
-func (n NetworkProfile) BroadcastTimeTo(bytes float64, src int, dsts []int, cardsPerServer int) float64 {
-	if len(dsts) == 0 {
-		return 0
-	}
-	if !n.HostRelay && n.Broadcast {
-		for _, dst := range dsts {
-			if dst/cardsPerServer != src/cardsPerServer {
-				return n.InterServer.Transfer(bytes)
-			}
-		}
-		return n.IntraServer.Transfer(bytes)
-	}
-	if n.HostRelay {
-		// The source host replicates: one PCIe upload, one LAN copy per
-		// remote host (serialized on the source host's NIC), and the PCIe
-		// downloads on the destination hosts proceed in parallel.
-		remoteHosts := map[int]bool{}
-		srcHost := src / cardsPerServer
-		needLocalDown := false
-		for _, dst := range dsts {
-			h := dst / cardsPerServer
-			if h == srcHost {
-				needLocalDown = true
-			} else {
-				remoteHosts[h] = true
-			}
-		}
-		t := n.PCIe.Transfer(bytes) + n.HostSyncLatency
-		t += float64(len(remoteHosts)) * n.LAN.Transfer(bytes)
-		if len(remoteHosts) > 0 || needLocalDown {
-			t += n.PCIe.Transfer(bytes)
-		}
-		return t
-	}
-	total := 0.0
-	for _, dst := range dsts {
-		total += n.TransferTime(bytes, src, dst, cardsPerServer)
-	}
-	return total
 }
 
 // ResourceUtilization is one row of the FPGA utilization report (Table IV).

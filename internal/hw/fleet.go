@@ -23,25 +23,3 @@ func (f Fleet) Validate() error {
 	}
 	return nil
 }
-
-// Servers returns the number of (possibly partially filled) servers.
-func (f Fleet) Servers() int {
-	return (f.Cards + f.CardsPerServer - 1) / f.CardsPerServer
-}
-
-// ServerOf returns the server index housing the given card.
-func (f Fleet) ServerOf(card int) int {
-	return card / f.CardsPerServer
-}
-
-// SpanServers returns how many distinct servers a card set touches — the
-// locality metric the serving allocator minimizes, since every extra server
-// in a job's card set turns its intra-job broadcasts into inter-server
-// transfers.
-func (f Fleet) SpanServers(cards []int) int {
-	seen := map[int]bool{}
-	for _, c := range cards {
-		seen[f.ServerOf(c)] = true
-	}
-	return len(seen)
-}

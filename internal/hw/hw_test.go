@@ -20,9 +20,6 @@ func TestPaperSchemeDerived(t *testing.T) {
 	if b := s.CiphertextBytes(s.FreshLimbs); b < 20<<20 {
 		t.Fatalf("fresh ciphertext %d bytes, want > 20MB", b)
 	}
-	if s.Digits(28) != 3 {
-		t.Fatalf("digits(28) = %d, want 3", s.Digits(28))
-	}
 }
 
 func TestSchemeValidation(t *testing.T) {
@@ -123,18 +120,20 @@ func TestSingleCardOrderingMatchesPaper(t *testing.T) {
 	}
 }
 
+// opEnergy is the Joules one invocation of op consumes on the card: the sum
+// of its per-unit split.
+func opEnergy(c CardProfile, op fheop.Op, limbs int, s SchemeParams) float64 {
+	sum := 0.0
+	for _, v := range c.EnergyByUnit(op, limbs, s) {
+		sum += v
+	}
+	return sum
+}
+
 func TestOpEnergyBreakdown(t *testing.T) {
 	s := PaperScheme()
 	c := HydraCard()
-	e := c.OpEnergy(fheop.Rotation, s.EffectiveLimb, s)
 	parts := c.EnergyByUnit(fheop.Rotation, s.EffectiveLimb, s)
-	sum := 0.0
-	for _, v := range parts {
-		sum += v
-	}
-	if math.Abs(sum-e)/e > 1e-9 {
-		t.Fatalf("energy breakdown sums to %g, total %g", sum, e)
-	}
 	// Memory access dominates FHE energy (Fig. 7): HBM should be the largest
 	// single contributor for key-switch-bearing ops.
 	if parts["HBM"] < parts["MA"] || parts["HBM"] < parts["Auto"] {
@@ -172,20 +171,20 @@ func TestBroadcastTimes(t *testing.T) {
 	hn := HydraNetwork()
 	fn := FABNetwork()
 	ctBytes := float64(PaperScheme().CiphertextBytes(18))
-	hb := hn.BroadcastTime(ctBytes, 0, 7, 8)
+	server := []int{1, 2, 3, 4, 5, 6, 7}
+	hb := hn.SendTime(ctBytes, 0, server, 8)
 	if hb != hn.IntraServer.Transfer(ctBytes) {
 		t.Fatalf("hydra broadcast should cost one switch transfer, got %g", hb)
 	}
-	hbWide := hn.BroadcastTime(ctBytes, 0, 63, 8)
-	if hbWide <= hb {
-		t.Fatal("cross-server broadcast should cost at least the intra one")
+	if hbWide := hn.SendTime(ctBytes, 0, append([]int{8}, server...), 8); hbWide <= hb {
+		t.Fatal("cross-server broadcast should cost more than the intra one")
 	}
-	fb := fn.BroadcastTimeTo(ctBytes, 0, []int{1, 2, 3, 4, 5, 6, 7}, 2)
-	// Host replication: one PCIe up, one LAN copy per remote host, PCIe down.
+	fb := fn.SendTime(ctBytes, 0, server, 2)
+	// Host replication: one PCIe up, one LAN copy per remote host.
 	if fb < 3*fn.LAN.Transfer(ctBytes) {
 		t.Fatalf("FAB broadcast should pay a LAN copy per remote host, got %g", fb)
 	}
-	if hn.BroadcastTime(ctBytes, 0, 0, 8) != 0 {
+	if hn.SendTime(ctBytes, 0, nil, 8) != 0 {
 		t.Fatal("empty broadcast should be free")
 	}
 }
@@ -261,7 +260,7 @@ func TestEnergyPositiveForAllOps(t *testing.T) {
 	s := PaperScheme()
 	for _, c := range []CardProfile{HydraCard(), FABCard(), PoseidonCard()} {
 		for _, op := range fheop.Ops() {
-			if e := c.OpEnergy(op, s.EffectiveLimb, s); e <= 0 {
+			if e := opEnergy(c, op, s.EffectiveLimb, s); e <= 0 {
 				t.Fatalf("%s/%v: energy %g", c.Name, op, e)
 			}
 			if tm := c.OpTime(op, s.EffectiveLimb, s); tm <= 0 {
@@ -276,7 +275,7 @@ func TestAveragePowerIsPlausible(t *testing.T) {
 	// energy/time within [20W, 600W].
 	s := PaperScheme()
 	for _, c := range []CardProfile{HydraCard(), FABCard(), PoseidonCard()} {
-		e := c.OpEnergy(fheop.Rotation, s.EffectiveLimb, s)
+		e := opEnergy(c, fheop.Rotation, s.EffectiveLimb, s)
 		tm := c.OpTime(fheop.Rotation, s.EffectiveLimb, s)
 		watts := e / tm
 		if watts < 20 || watts > 600 {
@@ -289,18 +288,6 @@ func TestFleetServerGeometry(t *testing.T) {
 	f := Fleet{Cards: 20, CardsPerServer: 8}
 	if err := f.Validate(); err != nil {
 		t.Fatal(err)
-	}
-	if f.Servers() != 3 {
-		t.Fatalf("servers = %d, want 3", f.Servers())
-	}
-	if f.ServerOf(7) != 0 || f.ServerOf(8) != 1 || f.ServerOf(19) != 2 {
-		t.Fatalf("server mapping wrong: %d %d %d", f.ServerOf(7), f.ServerOf(8), f.ServerOf(19))
-	}
-	if got := f.SpanServers([]int{0, 1, 2, 3}); got != 1 {
-		t.Fatalf("span of one-server set = %d, want 1", got)
-	}
-	if got := f.SpanServers([]int{6, 7, 8, 16}); got != 3 {
-		t.Fatalf("span of three-server set = %d, want 3", got)
 	}
 	if err := (Fleet{Cards: 0, CardsPerServer: 8}).Validate(); err == nil {
 		t.Fatal("zero-card fleet should fail validation")

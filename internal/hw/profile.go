@@ -200,19 +200,6 @@ func (c CardProfile) OpTime(op fheop.Op, limbs int, s SchemeParams) float64 {
 	return t * c.Calibration
 }
 
-// OpEnergy returns the Joules one invocation of op consumes on this card
-// (compute units plus off-chip traffic; DTU energy is charged separately by
-// the simulator per transferred byte).
-func (c CardProfile) OpEnergy(op fheop.Op, limbs int, s SchemeParams) float64 {
-	counts := Decompose(op, limbs, s, c.KeySwitchDnum)
-	e := float64(counts.Get(fheop.NTT))*c.EnergyNTT +
-		float64(counts.Get(fheop.MA))*c.EnergyMA +
-		float64(counts.Get(fheop.MM))*c.EnergyMM +
-		float64(counts.Get(fheop.Auto))*c.EnergyAuto
-	e += OpTraffic(op, limbs, s, c.KeySwitchDnum) * (1 - c.ScratchpadHitRate) * c.EnergyHBM
-	return e
-}
-
 // EnergyByUnit returns the per-unit energy split of one op invocation,
 // keyed for the Fig. 7 breakdown: NTT, MA, MM, Auto, HBM.
 func (c CardProfile) EnergyByUnit(op fheop.Op, limbs int, s SchemeParams) map[string]float64 {

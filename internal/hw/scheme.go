@@ -52,21 +52,6 @@ func (s SchemeParams) CiphertextBytes(limbs int) int {
 	return 2 * limbs * s.N() * 8
 }
 
-// Digits returns the number of key-switch digits covering `limbs` limbs.
-func (s SchemeParams) Digits(limbs int) int {
-	alpha := s.Alpha()
-	return (limbs + alpha - 1) / alpha
-}
-
-// Alpha returns the limbs per key-switch digit (= SpecialLimbs by the
-// standard hybrid key-switching construction).
-func (s SchemeParams) Alpha() int {
-	if s.SpecialLimbs <= 0 {
-		return 1
-	}
-	return s.SpecialLimbs
-}
-
 // Validate checks internal consistency.
 func (s SchemeParams) Validate() error {
 	if s.LogN < 10 || s.LogN > 17 {

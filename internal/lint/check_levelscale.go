@@ -344,23 +344,6 @@ func (r *ctRun) call(call *ast.CallExpr, s state[ctFact], rep bool) ctFact {
 		}
 		return out
 
-	case "MulPlainAcc":
-		// MulPlainAcc(ct, pt, acc): acc += ct ⊙ pt.
-		if len(cts) >= 2 {
-			f, fTracked := r.operand(cts[0], s, rep)
-			acc, accTracked := r.operand(cts[len(cts)-1], s, rep)
-			out := ctConflict
-			if !f.conflict && !acc.conflict {
-				prod := ctFact{known: true, drops: f.drops, pend: f.pend + 1, deg: f.deg}
-				if fTracked && accTracked {
-					r.checkAligned(call, name, prod, acc, rep)
-				}
-				out = joinCt(prod, acc)
-			}
-			r.assign(cts[len(cts)-1], out, s)
-		}
-		return ctFact{}
-
 	case "Relinearize":
 		f, _ := r.operand(cts[0], s, rep)
 		if !f.conflict {

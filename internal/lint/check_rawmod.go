@@ -14,9 +14,8 @@ const ringPkg = "internal/ring"
 // accelerator every coefficient passes through a hardware reduction unit; in
 // this substrate the equivalent rule is that mod-q arithmetic must flow
 // through the ring.Modulus / AddMod-family helpers — including the
-// sanctioned lazy family (AddModLazy, SubModLazy, MulModShoupLazy,
-// MulAddShoupLazy, MulAddLazy) closed by ReduceFinal / ReduceFinalVec — so a
-// raw operator on uint64 residues signals a missing Barrett/Shoup reduction
+// sanctioned lazy family (MulModShoupLazy and the …RowLazy kernels) closed by
+// ReduceFinalVec — so a raw operator on uint64 residues signals a missing Barrett/Shoup reduction
 // (or a lazy value silently exceeding its contract; see the companion
 // lazydomain check).
 var RawMod = &Check{

@@ -150,17 +150,6 @@ func Run(mod *Module, checks []*Check) []Diagnostic {
 	return diags
 }
 
-// Active filters diags down to the unsuppressed findings.
-func Active(diags []Diagnostic) []Diagnostic {
-	var out []Diagnostic
-	for _, d := range diags {
-		if !d.Suppressed {
-			out = append(out, d)
-		}
-	}
-	return out
-}
-
 // collectDirectives parses every //lint:allow comment in the module,
 // validating it against the check registry.
 func collectDirectives(mod *Module) ([]allowDirective, []Diagnostic) {

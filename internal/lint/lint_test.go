@@ -244,7 +244,9 @@ func TestSelfClean(t *testing.T) {
 	if err != nil {
 		t.Fatalf("LoadModule: %v", err)
 	}
-	for _, d := range Active(Run(mod, Checks())) {
-		t.Errorf("unsuppressed finding: %s", d)
+	for _, d := range Run(mod, Checks()) {
+		if !d.Suppressed {
+			t.Errorf("unsuppressed finding: %s", d)
+		}
 	}
 }

@@ -172,15 +172,6 @@ func (n Network) Emit(ctx *mapping.Context, boot mapping.BootstrapOptions, times
 	return nil
 }
 
-// TotalUnits sums the parallel units per label (Table I reporting).
-func (n Network) TotalUnits() map[string]int {
-	m := map[string]int{}
-	for _, p := range n.Procedures {
-		m[p.Label] += p.Units
-	}
-	return m
-}
-
 // ParallelismRange returns the min and max unit counts of procedures of the
 // given kind (the Min./Max. columns of Table I). ok is false if the kind
 // does not appear.

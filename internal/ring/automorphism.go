@@ -24,36 +24,6 @@ func GaloisElementConjugate(n int) uint64 {
 	return uint64(2*n - 1)
 }
 
-// AutomorphismCoeff applies τ_k in the coefficient domain: out gets the image
-// of in (same level). k must be odd. in and out must not alias.
-func (r *Ring) AutomorphismCoeff(in *Poly, k uint64, out *Poly) {
-	if in.IsNTT {
-		panic("ring: AutomorphismCoeff requires coefficient domain")
-	}
-	if k%2 == 0 {
-		panic("ring: Galois element must be odd")
-	}
-	n := uint64(r.N)
-	m := 2 * n
-	lvl := in.Level()
-	if out.Level() < lvl {
-		lvl = out.Level()
-	}
-	ForEachLimb(lvl+1, func(i int) {
-		q := r.Moduli[i]
-		src, dst := in.Coeffs[i], out.Coeffs[i]
-		for j := uint64(0); j < n; j++ {
-			idx := (j * k) % m
-			if idx < n {
-				dst[idx] = src[j]
-			} else {
-				dst[idx-n] = NegMod(src[j], q)
-			}
-		}
-	})
-	out.IsNTT = false
-}
-
 // AutomorphismNTTIndex precomputes the NTT-domain permutation for τ_k:
 // out[j] = in[perm[j]]. With the natural evaluation ordering used by NTTTable
 // (index j ↔ evaluation at ψ^(2j+1)), τ_k sends evaluation point ψ^(2j+1) to

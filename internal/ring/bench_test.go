@@ -5,27 +5,24 @@ import (
 	"testing"
 )
 
-func benchNTT(b *testing.B, n int, kernel func(*NTTTable, []uint64)) {
-	q := GenerateNTTPrimes(55, n, 1)[0]
-	tbl := NewNTTTable(n, q, PrimitiveRoot2N(n, q))
+func benchNTT(b *testing.B, n int, kernel func(*NTTTable, *nttOracle, []uint64)) {
+	tbl, oracle := newTableAndOracle(n, 55)
 	rng := rand.New(rand.NewSource(1))
-	a := randomCoeffs(rng, n, q)
+	a := randomCoeffs(rng, n, tbl.Mod.Q)
 	b.SetBytes(int64(8 * n))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		kernel(tbl, a)
+		kernel(tbl, oracle, a)
 	}
 }
 
-var (
-	fwdMerged = (*NTTTable).Forward
-	fwdRadix2 = (*NTTTable).ForwardReference
-	invMerged = (*NTTTable).Inverse
-	invRadix2 = (*NTTTable).InverseReference
-)
+func fwdMerged(t *NTTTable, _ *nttOracle, a []uint64) { t.Forward(a) }
+func fwdRadix2(_ *NTTTable, o *nttOracle, a []uint64) { o.Forward(a) }
+func invMerged(t *NTTTable, _ *nttOracle, a []uint64) { t.Inverse(a) }
+func invRadix2(_ *NTTTable, o *nttOracle, a []uint64) { o.Inverse(a) }
 
 // The NTT-kernel ablation behind Hydra's choice of a radix-4 datapath
-// (Section IV-B): the five-pass radix-2 reference against the merged-twist
+// (Section IV-B): the five-pass radix-2 test oracle against the merged-twist
 // lazy radix-4 default (the generated specialization at these degrees). The
 // 2^12..2^16 ladder spans the paper's parameter sets.
 func BenchmarkNTTRadix2_4096(b *testing.B)   { benchNTT(b, 4096, fwdRadix2) }

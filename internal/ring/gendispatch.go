@@ -16,8 +16,7 @@ import "sync"
 // ShippedKernelLogNs and q < GeneratedQBound, the generic merged kernel
 // otherwise. There is no switch to flip: both kernels produce identical
 // canonical output (pinned in-package by TestNTTKernelSelection, which calls
-// the generic kernel directly), and the only runtime reroute left is the
-// reference oracle behind SetReference.
+// the generic kernel directly).
 
 // generatedKernel is one specialized transform: it reads a, may use the
 // N-word scratch row as a ping-pong buffer, and leaves the result in a.
@@ -79,7 +78,7 @@ func (t *NTTTable) inverseGenerated(a []uint64) {
 // Forward's input contract. Output is bit-identical to calling Forward on
 // each row.
 func (t *NTTTable) ForwardBatch(rows [][]uint64) {
-	if t.reference || t.gen == nil {
+	if t.gen == nil {
 		for _, row := range rows {
 			t.Forward(row)
 		}

@@ -190,24 +190,14 @@ func (m Modulus) ReduceSignedRow(out []uint64, w []SignedWord) {
 	}
 }
 
-// MulAddLazy returns acc + a*b as a lazy residue in [0, 2q): a fused
-// Barrett multiply-accumulate for operand pairs without Shoup tables (both
-// sides variable, e.g. digit × switching-key rows). acc must be in [0, 2q)
-// and the product a*b below q*2^64; the transient sum is < 4q < 2^64.
-func (m Modulus) MulAddLazy(acc, a, b uint64) uint64 {
-	hi, lo := bits.Mul64(a, b)
-	c := acc + m.Reduce128Lazy(hi, lo)
-	if twoQ := m.Q << 1; c >= twoQ {
-		c -= twoQ
-	}
-	return c
-}
-
-// MulAddRowLazy is the row-wide form of MulAddLazy:
-// acc[j] += a[j]*b[j] for whole rows, with every acc element lazy in
-// [0, 2q) on entry and on return (the multiply stays inlined here, so each
-// element costs a single Barrett-reduction call). It is the inner kernel of
-// the keyswitch digit inner product; close the window with ReduceFinalVec.
+// MulAddRowLazy is the fused Barrett multiply-accumulate for operand pairs
+// without Shoup tables (both sides variable, e.g. digit × switching-key
+// rows): acc[j] += a[j]*b[j] for whole rows, with every acc element lazy in
+// [0, 2q) on entry and on return; each product a[j]*b[j] must be below
+// q*2^64, so the transient sum is < 4q < 2^64. The multiply stays inlined
+// here, so each element costs a single Barrett-reduction call. It is the
+// inner kernel of the keyswitch digit inner product; close the window with
+// ReduceFinalVec.
 func (m Modulus) MulAddRowLazy(acc, a, b []uint64) {
 	twoQ := m.Q << 1
 	a = a[:len(acc)]
@@ -242,7 +232,7 @@ func (m Modulus) MulAddRowLazyGather(acc, a, b []uint64, perm []int) {
 	}
 }
 
-// MulAddShoupRowLazy is the row-wide form of MulAddShoupLazy for one constant
+// MulAddShoupRowLazy is the fused Shoup multiply-accumulate for one constant
 // multiplier: acc[j] += a[j]*w with w < q, wShoup = ShoupPrecomp(w, q), acc
 // lazy in [0, 2q) on entry and on return. a may hold arbitrary uint64 values
 // (the Shoup estimate tolerates lazy inputs).
@@ -323,17 +313,8 @@ func MulModShoup(a, w, wShoup, q uint64) uint64 {
 // kernels (Harvey's lazy butterflies, fused multiply-accumulate chains);
 // the q < 2^62 package contract guarantees that even a transient sum of
 // four residues (< 4q) cannot overflow a uint64. Every lazy window must end
-// with a ReduceFinal sweep (or feed the NTT kernels, which fold the sweep
+// with a ReduceFinalVec sweep (or feed the NTT kernels, which fold the sweep
 // into their last pass) before the values become externally visible.
-
-// ReduceFinal canonicalizes a lazy residue: a ∈ [0, 2q) in, a mod q out.
-// It is the mandatory closing sweep of every lazy-accumulation window.
-func ReduceFinal(a, q uint64) uint64 {
-	if a >= q {
-		a -= q
-	}
-	return a
-}
 
 // ReduceFinalVec canonicalizes a whole row of lazy residues in place:
 // every element must be in [0, 2q) on entry and is in [0, q) on return.
@@ -349,44 +330,12 @@ func ReduceFinalVec(a []uint64, q uint64) {
 	}
 }
 
-// AddModLazy returns a+b as a lazy residue: a, b ∈ [0, 2q) in, result in
-// [0, 2q). twoQ must be 2q; the transient sum is < 4q < 2^64.
-func AddModLazy(a, b, twoQ uint64) uint64 {
-	c := a + b
-	if c >= twoQ {
-		c -= twoQ
-	}
-	return c
-}
-
-// SubModLazy returns a-b as a lazy residue: a, b ∈ [0, 2q) in, result in
-// [0, 2q). twoQ must be 2q.
-func SubModLazy(a, b, twoQ uint64) uint64 {
-	c := a + twoQ - b
-	if c >= twoQ {
-		c -= twoQ
-	}
-	return c
-}
-
 // MulModShoupLazy is MulModShoup without the final correction: a may be any
 // uint64 and the result is a lazy residue in [0, 2q). This is the butterfly
 // multiplier of the lazy NTT kernels.
 func MulModShoupLazy(a, w, wShoup, q uint64) uint64 {
 	hi, _ := bits.Mul64(a, wShoup)
 	return a*w - hi*q
-}
-
-// MulAddShoupLazy returns acc + a*w as a lazy residue: acc ∈ [0, 2q) in,
-// result in [0, 2q) — a fused Shoup multiply-accumulate (one load-mul-add
-// chain instead of a multiply pass and an add pass).
-func MulAddShoupLazy(acc, a, w, wShoup, q uint64) uint64 {
-	hi, _ := bits.Mul64(a, wShoup)
-	c := acc + a*w - hi*q // < 4q, within the uint64 budget
-	if twoQ := q << 1; c >= twoQ {
-		c -= twoQ
-	}
-	return c
 }
 
 // PowMod returns a^e mod q.

@@ -2,8 +2,59 @@ package ring
 
 import (
 	"math/big"
+	"math/bits"
 	"testing"
 )
+
+// Scalar forms of the lazy arithmetic the row kernels and NTT butterflies
+// inline: one element at a time, so FuzzModularOps can check each step's
+// congruence and bound against math/big (and MulAddRowLazy against its scalar
+// form exactly).
+
+// addModLazy returns a+b as a lazy residue: a, b ∈ [0, 2q) in, result in
+// [0, 2q). twoQ must be 2q; the transient sum is < 4q < 2^64.
+func addModLazy(a, b, twoQ uint64) uint64 {
+	c := a + b
+	if c >= twoQ {
+		c -= twoQ
+	}
+	return c
+}
+
+// subModLazy returns a-b as a lazy residue: a, b ∈ [0, 2q) in, result in
+// [0, 2q). twoQ must be 2q.
+func subModLazy(a, b, twoQ uint64) uint64 {
+	c := a + twoQ - b
+	if c >= twoQ {
+		c -= twoQ
+	}
+	return c
+}
+
+// mulAddLazy returns acc + a*b as a lazy residue in [0, 2q): a fused
+// Barrett multiply-accumulate for operand pairs without Shoup tables (both
+// sides variable, e.g. digit × switching-key rows). acc must be in [0, 2q)
+// and the product a*b below q*2^64; the transient sum is < 4q < 2^64.
+func (m Modulus) mulAddLazy(acc, a, b uint64) uint64 {
+	hi, lo := bits.Mul64(a, b)
+	c := acc + m.Reduce128Lazy(hi, lo)
+	if twoQ := m.Q << 1; c >= twoQ {
+		c -= twoQ
+	}
+	return c
+}
+
+// mulAddShoupLazy returns acc + a*w as a lazy residue: acc ∈ [0, 2q) in,
+// result in [0, 2q) — a fused Shoup multiply-accumulate (one load-mul-add
+// chain instead of a multiply pass and an add pass).
+func mulAddShoupLazy(acc, a, w, wShoup, q uint64) uint64 {
+	hi, _ := bits.Mul64(a, wShoup)
+	c := acc + a*w - hi*q // < 4q, within the uint64 budget
+	if twoQ := q << 1; c >= twoQ {
+		c -= twoQ
+	}
+	return c
+}
 
 // FuzzModularOps differentially tests every modular-reduction strategy in the
 // package — plain %, Barrett (Reduce128/Reduce64/MulModBarrett) and Shoup —
@@ -103,7 +154,7 @@ func FuzzModularOps(f *testing.F) {
 
 		// Lazy helpers: every result must (1) be congruent to the math/big
 		// value mod q and (2) respect its documented bound, so that the
-		// canonicalizing ReduceFinal sweep recovers the exact residue.
+		// canonicalizing ReduceFinalVec sweep recovers the exact residue.
 		twoQ := 2 * q
 		checkLazy := func(name string, got uint64, want *big.Int, bound uint64) {
 			t.Helper()
@@ -116,11 +167,8 @@ func FuzzModularOps(f *testing.F) {
 		}
 		la, lb := ar+q*(a%2), br+q*(b%2) // lazy lifts in [0, 2q)
 		bigSum := new(big.Int).Add(bigA, bigB)
-		checkLazy("AddModLazy", AddModLazy(la, lb, twoQ), bigSum, twoQ)
-		checkLazy("SubModLazy", SubModLazy(la, lb, twoQ), new(big.Int).Sub(bigA, bigB), twoQ)
-		if got, want := ReduceFinal(la, q), ar; got != want {
-			t.Fatalf("ReduceFinal(%d, %d) = %d, want %d", la, q, got, want)
-		}
+		checkLazy("AddModLazy", addModLazy(la, lb, twoQ), bigSum, twoQ)
+		checkLazy("SubModLazy", subModLazy(la, lb, twoQ), new(big.Int).Sub(bigA, bigB), twoQ)
 		vec := []uint64{la, lb}
 		ReduceFinalVec(vec, q)
 		if vec[0] != ar || vec[1] != br {
@@ -129,7 +177,7 @@ func FuzzModularOps(f *testing.F) {
 		bigProdAny := new(big.Int).Mul(new(big.Int).SetUint64(a), bigB)
 		checkLazy("MulModShoupLazy", MulModShoupLazy(a, br, bShoup, q), bigProdAny, twoQ)
 		bigMac := new(big.Int).Add(new(big.Int).SetUint64(la), bigProdAny)
-		checkLazy("MulAddShoupLazy", MulAddShoupLazy(la, a, br, bShoup, q), bigMac, twoQ)
+		checkLazy("MulAddShoupLazy", mulAddShoupLazy(la, a, br, bShoup, q), bigMac, twoQ)
 
 		// Reduce128Lazy and the fused Barrett MAC, under the q*2^64 product
 		// contract (guaranteed here since both factors are < q).
@@ -137,12 +185,12 @@ func FuzzModularOps(f *testing.F) {
 		phi := new(big.Int).Rsh(bigProd, 64).Uint64()
 		plo := bigProd.Uint64()
 		checkLazy("Reduce128Lazy", m.Reduce128Lazy(phi, plo), bigProd, twoQ)
-		checkLazy("MulAddLazy", m.MulAddLazy(la, ar, br), new(big.Int).Add(new(big.Int).SetUint64(la), bigProd), twoQ)
+		checkLazy("MulAddLazy", m.mulAddLazy(la, ar, br), new(big.Int).Add(new(big.Int).SetUint64(la), bigProd), twoQ)
 
 		// The row-wide form must agree exactly with its scalar counterpart.
 		addRow := []uint64{la, lb}
 		m.MulAddRowLazy(addRow, []uint64{ar, br}, []uint64{br, ar})
-		if addRow[0] != m.MulAddLazy(la, ar, br) || addRow[1] != m.MulAddLazy(lb, br, ar) {
+		if addRow[0] != m.mulAddLazy(la, ar, br) || addRow[1] != m.mulAddLazy(lb, br, ar) {
 			t.Fatalf("MulAddRowLazy diverges from MulAddLazy: %v", addRow)
 		}
 

@@ -12,7 +12,7 @@ import "sync"
 // automorphism.go), mirroring the logical-control automorphism unit of the
 // Poseidon/Hydra hardware.
 //
-// Three kernels implement the transform:
+// Two kernels implement the transform:
 //
 //   - The generic merged-twist lazy kernel (Longa–Naehrig ψ-merged
 //     Cooley–Tukey forward, Gentleman–Sande inverse with the 1/N scale
@@ -24,29 +24,14 @@ import "sync"
 //   - The generated kernels (ntt_gen.go): the same network specialized per
 //     shipped degree. Forward/Inverse run them whenever the table qualifies
 //     (see gendispatch.go) and the generic kernel otherwise.
-//   - ForwardReference/InverseReference keep the textbook five-pass radix-2
-//     pipeline (twist, bit-reverse, per-stage full reductions, untwist) as
-//     the bit-identity oracle.
 //
-// All kernels are bit-identical: same input, same canonical output.
+// Both are bit-identical — same input, same canonical output — to each other
+// and to the textbook five-pass radix-2 pipeline that is their oracle
+// (ntt_oracle_test.go).
 type NTTTable struct {
-	N      int
-	LogN   int
-	Mod    Modulus
-	Psi    uint64 // primitive 2N-th root of unity
-	PsiInv uint64
-
-	psiPows      []uint64 // ψ^i, i ∈ [0,N)
-	psiPowsShoup []uint64
-	// scaledPsiInvPows[i] = ψ^(-i) / N, merging the untwist and 1/N scale of
-	// the inverse transform.
-	scaledPsiInvPows      []uint64
-	scaledPsiInvPowsShoup []uint64
-
-	omegaPows         []uint64 // ω^i with ω = ψ², i ∈ [0,N)
-	omegaPowsShoup    []uint64
-	omegaInvPows      []uint64
-	omegaInvPowsShoup []uint64
+	N    int
+	LogN int
+	Mod  Modulus
 
 	brv []int // bit-reversal permutation of [0,N)
 
@@ -67,16 +52,10 @@ type NTTTable struct {
 	invLastW      uint64
 	invLastWShoup uint64
 
-	// reference reroutes Forward/Inverse through the radix-2 five-pass
-	// oracles, so a whole execution (including the extended-basis encode and
-	// hoisting paths that call the tables directly) runs on the reference
-	// kernels. Differential-testing hook; see SetReference.
-	reference bool
-
 	// gen is the codegen-specialized kernel pair emitted by
 	// cmd/hydra-genkernels, set at construction when the degree ships one
 	// and q < GeneratedQBound (see gendispatch.go); nil means Forward/Inverse
-	// run the generic merged kernel. reference takes precedence.
+	// run the generic merged kernel.
 	gen *generatedKernelPair
 	// genScratch pools the N-word ping-pong rows the generated kernels use
 	// to fuse the bit-reverse permutation into a butterfly pass. Nil when
@@ -96,45 +75,23 @@ func NewNTTTable(n int, q, psi uint64) *NTTTable {
 	if PowMod(psi, uint64(n), q) != q-1 {
 		panic("ring: psi is not a primitive 2N-th root of unity")
 	}
-	t := &NTTTable{
-		N:      n,
-		LogN:   log2(n),
-		Mod:    NewModulus(q),
-		Psi:    psi,
-		PsiInv: InvMod(psi, q),
-	}
-	t.psiPows = powerTable(psi, n, q)
-	t.psiPowsShoup = shoupTable(t.psiPows, q)
-
-	nInv := InvMod(uint64(n), q)
-	psiInvPows := powerTable(t.PsiInv, n, q)
-	t.scaledPsiInvPows = make([]uint64, n)
-	for i, v := range psiInvPows {
-		t.scaledPsiInvPows[i] = MulMod(v, nInv, q)
-	}
-	t.scaledPsiInvPowsShoup = shoupTable(t.scaledPsiInvPows, q)
-
-	omega := MulMod(psi, psi, q)
-	t.omegaPows = powerTable(omega, n, q)
-	t.omegaPowsShoup = shoupTable(t.omegaPows, q)
-	omegaInv := InvMod(omega, q)
-	t.omegaInvPows = powerTable(omegaInv, n, q)
-	t.omegaInvPowsShoup = shoupTable(t.omegaInvPows, q)
-
+	t := &NTTTable{N: n, LogN: log2(n), Mod: NewModulus(q)}
 	t.brv = bitReversePerm(n)
 
+	psiPows := powerTable(psi, n, q)
+	psiInvPows := powerTable(InvMod(psi, q), n, q)
 	t.psiMerged = make([]uint64, n)
 	t.psiInvMerged = make([]uint64, n)
 	for k := 0; k < n; k++ {
-		t.psiMerged[k] = t.psiPows[t.brv[k]]
+		t.psiMerged[k] = psiPows[t.brv[k]]
 		t.psiInvMerged[k] = psiInvPows[t.brv[k]]
 	}
 	t.psiMergedShoup = shoupTable(t.psiMerged, q)
 	t.psiInvMergedShoup = shoupTable(t.psiInvMerged, q)
 
-	t.nInv = nInv
-	t.nInvShoup = ShoupPrecomp(nInv, q)
-	t.invLastW = MulMod(t.psiInvMerged[1], nInv, q)
+	t.nInv = InvMod(uint64(n), q)
+	t.nInvShoup = ShoupPrecomp(t.nInv, q)
+	t.invLastW = MulMod(t.psiInvMerged[1], t.nInv, q)
 	t.invLastWShoup = ShoupPrecomp(t.invLastW, q)
 	t.initGenerated()
 	return t
@@ -180,36 +137,11 @@ func bitReversePerm(n int) []int {
 	return p
 }
 
-// SetReference selects which kernel family Forward/Inverse dispatch to:
-// false (the default) is the merged-twist lazy radix-4 kernel (generated or
-// generic), true is the radix-2 five-pass reference pipeline. It is the only
-// kernel switch the package exports. The two families are bit-identical
-// (pinned by the differential tests), so flipping the switch must never
-// change any result bit — the conformance harness runs whole executions on
-// each side to prove exactly that. Set it before handing the table to
-// concurrent users; it is not synchronized against in-flight transforms.
-func (t *NTTTable) SetReference(on bool) { t.reference = on }
-
 // Forward computes the in-place negacyclic NTT of a with the merged-twist
 // lazy radix-4 kernel — the table's generated specialization when it has
 // one, the generic kernel otherwise. Input residues may be lazy (any values
-// < 4q); the output is canonical and bit-identical to ForwardReference on
-// canonical input.
+// < 4q); the output is canonical.
 func (t *NTTTable) Forward(a []uint64) {
-	if t.reference {
-		// The reference pipeline reduces fully at every stage and expects
-		// canonical input; lazy residues from the hoisting paths are
-		// canonicalized first (at most three conditional subtractions).
-		q := t.Mod.Q
-		for i, v := range a {
-			for v >= q {
-				v -= q
-			}
-			a[i] = v
-		}
-		t.ForwardReference(a)
-		return
-	}
 	if t.gen != nil {
 		t.forwardGenerated(a)
 		return
@@ -219,36 +151,14 @@ func (t *NTTTable) Forward(a []uint64) {
 }
 
 // Inverse computes the in-place inverse negacyclic NTT of a with the merged
-// lazy radix-4 Gentleman–Sande kernel (the radix-4 counterpart the radix-2
-// cyclicInverseRadix2 oracle lacked). Output is canonical and bit-identical
-// to InverseReference.
+// lazy radix-4 Gentleman–Sande kernel. Input and output are canonical.
 func (t *NTTTable) Inverse(a []uint64) {
-	if t.reference {
-		t.InverseReference(a)
-		return
-	}
 	if t.gen != nil {
 		t.inverseGenerated(a)
 		return
 	}
 	t.bitReverse(a)
 	t.inverseMergedLazy(a)
-}
-
-// ForwardReference computes the same transform as Forward via the textbook
-// five-pass radix-2 pipeline (twist, bit-reverse, full-reduction
-// butterflies). It is the bit-identity oracle for the merged kernels.
-func (t *NTTTable) ForwardReference(a []uint64) {
-	t.twist(a)
-	t.bitReverse(a)
-	t.cyclicForwardRadix2(a)
-}
-
-// InverseReference is the radix-2 five-pass inverse oracle.
-func (t *NTTTable) InverseReference(a []uint64) {
-	t.bitReverse(a)
-	t.cyclicInverseRadix2(a)
-	t.untwist(a)
 }
 
 // forwardMergedLazy runs the ψ-merged Cooley–Tukey network on natural-order
@@ -439,64 +349,10 @@ func (t *NTTTable) inverseMergedLazy(a []uint64) {
 	}
 }
 
-// twist multiplies a[i] by ψ^i, turning negacyclic convolution into cyclic.
-func (t *NTTTable) twist(a []uint64) {
-	q := t.Mod.Q
-	for i := range a {
-		a[i] = MulModShoup(a[i], t.psiPows[i], t.psiPowsShoup[i], q)
-	}
-}
-
-// untwist multiplies a[i] by ψ^(-i)/N.
-func (t *NTTTable) untwist(a []uint64) {
-	q := t.Mod.Q
-	for i := range a {
-		a[i] = MulModShoup(a[i], t.scaledPsiInvPows[i], t.scaledPsiInvPowsShoup[i], q)
-	}
-}
-
 func (t *NTTTable) bitReverse(a []uint64) {
 	for i, r := range t.brv {
 		if i < r {
 			a[i], a[r] = a[r], a[i]
-		}
-	}
-}
-
-// cyclicForwardRadix2 runs the classic iterative Cooley-Tukey DIT NTT on
-// bit-reversed input, producing natural-order output.
-func (t *NTTTable) cyclicForwardRadix2(a []uint64) {
-	q := t.Mod.Q
-	n := t.N
-	for h := 1; h < n; h <<= 1 {
-		step := n / (2 * h) // twiddle stride for this stage
-		for k := 0; k < n; k += 2 * h {
-			for j := 0; j < h; j++ {
-				w := t.omegaPows[step*j]
-				ws := t.omegaPowsShoup[step*j]
-				u := a[k+j]
-				v := MulModShoup(a[k+j+h], w, ws, q)
-				a[k+j] = AddMod(u, v, q)
-				a[k+j+h] = SubMod(u, v, q)
-			}
-		}
-	}
-}
-
-func (t *NTTTable) cyclicInverseRadix2(a []uint64) {
-	q := t.Mod.Q
-	n := t.N
-	for h := 1; h < n; h <<= 1 {
-		step := n / (2 * h)
-		for k := 0; k < n; k += 2 * h {
-			for j := 0; j < h; j++ {
-				w := t.omegaInvPows[step*j]
-				ws := t.omegaInvPowsShoup[step*j]
-				u := a[k+j]
-				v := MulModShoup(a[k+j+h], w, ws, q)
-				a[k+j] = AddMod(u, v, q)
-				a[k+j+h] = SubMod(u, v, q)
-			}
 		}
 	}
 }

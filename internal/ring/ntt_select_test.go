@@ -45,11 +45,11 @@ func TestNTTKernelSelection(t *testing.T) {
 	for _, c := range cases {
 		t.Run(fmt.Sprintf("logN=%d/logQ=%d", c.logN, c.logQ), func(t *testing.T) {
 			n := 1 << c.logN
-			q := GenerateNTTPrimes(c.logQ, n, 1)[0]
+			tbl, oracle := newTableAndOracle(n, c.logQ)
+			q := tbl.Mod.Q
 			if (q < GeneratedQBound) != (c.logQ < 56) {
 				t.Fatalf("prime %d is on the wrong side of GeneratedQBound for a %d-bit case", q, c.logQ)
 			}
-			tbl := NewNTTTable(n, q, PrimitiveRoot2N(n, q))
 			if got := tbl.gen != nil; got != c.generated {
 				t.Fatalf("generated kernel selected = %v, want %v", got, c.generated)
 			}
@@ -69,7 +69,7 @@ func TestNTTKernelSelection(t *testing.T) {
 					in[i] = rng.Uint64() % bound
 					want[i] = in[i] % q // the oracle expects canonical input
 				}
-				tbl.ForwardReference(want)
+				oracle.Forward(want)
 
 				got := append([]uint64(nil), in...)
 				tbl.Forward(got)
@@ -89,7 +89,7 @@ func TestNTTKernelSelection(t *testing.T) {
 			// Inverse's contract is canonical input.
 			in := randomCoeffs(rng, n, q)
 			want := append([]uint64(nil), in...)
-			tbl.InverseReference(want)
+			oracle.Inverse(want)
 			got := append([]uint64(nil), in...)
 			tbl.Inverse(got)
 			equal("Inverse", got, want)

@@ -18,14 +18,15 @@ package ring
 //   - Work items are independent limbs writing disjoint rows, so scheduling
 //     order cannot change results: parallel and serial execution are
 //     bit-identical (the differential harness in internal/ckks asserts this).
-//   - Panic checks in callers stay outside the parallel region, preserving
-//     the serial API's panic behaviour.
+//   - Panic checks in callers stay outside the parallel region, and a panic
+//     raised by fn on a helper goroutine is re-raised on the caller once
+//     every helper has returned, so a recover around ForEachLimb sees it as
+//     it would in serial mode instead of the process dying.
 //
-// Serial mode for deterministic debugging: set HYDRA_SERIAL=1 in the
-// environment, or call SetSerial(true) / SetMaxWorkers(1) at runtime.
+// Serial mode for deterministic debugging: run with GOMAXPROCS=1, or call
+// SetSerial(true) / SetMaxWorkers(1) at runtime.
 
 import (
-	"os"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -40,9 +41,6 @@ var (
 )
 
 func init() {
-	if os.Getenv("HYDRA_SERIAL") != "" {
-		serialMode.Store(true)
-	}
 	SetMaxWorkers(runtime.GOMAXPROCS(0))
 }
 
@@ -71,7 +69,9 @@ func MaxWorkers() int { return cap(extraSlots.Load().(chan struct{})) + 1 }
 // must be independent (each limb owns its rows); ForEachLimb returns only
 // after every invocation has completed. The set of executed calls — and, for
 // disjoint writes, the resulting memory — is identical in serial and
-// parallel mode.
+// parallel mode. If fn panics on a helper goroutine, the first such panic is
+// re-raised on the caller after all helpers have finished (the limbs not yet
+// claimed still run, as they are independent).
 func ForEachLimb(n int, fn func(i int)) {
 	slots, _ := extraSlots.Load().(chan struct{})
 	if n <= 1 || serialMode.Load() || cap(slots) == 0 {
@@ -80,34 +80,51 @@ func ForEachLimb(n int, fn func(i int)) {
 		}
 		return
 	}
-	var next atomic.Int64
+	// One heap object for everything the helpers share with the caller.
+	var st struct {
+		next  atomic.Int64 // next unclaimed limb
+		wg    sync.WaitGroup
+		once  sync.Once
+		panic any // first panic raised by fn on a helper
+	}
 	run := func() {
 		for {
-			i := next.Add(1) - 1
+			i := st.next.Add(1) - 1
 			if i >= int64(n) {
 				return
 			}
 			fn(int(i))
 		}
 	}
-	var wg sync.WaitGroup
 spawn:
 	for spawned := 0; spawned < n-1; spawned++ {
 		select {
 		case slots <- struct{}{}:
-			wg.Add(1)
+			st.wg.Add(1)
 			//lint:allow rawgo this IS the bounded pool: the spawn is gated by a slot acquired above
 			go func() {
-				defer wg.Done()
-				defer func() { <-slots }()
+				defer func() {
+					<-slots
+					if r := recover(); r != nil {
+						st.once.Do(func() { st.panic = r })
+					}
+					st.wg.Done()
+				}()
 				run()
 			}()
 		default:
 			break spawn // pool saturated: remaining limbs run inline below
 		}
 	}
-	run() // the caller always participates
-	wg.Wait()
+	// The caller always participates; its own panic unwinds past the helpers,
+	// so they are waited for either way and never outlive the call.
+	defer func() {
+		st.wg.Wait()
+		if st.panic != nil {
+			panic(st.panic)
+		}
+	}()
+	run()
 }
 
 // RunTasks runs the given functions, possibly concurrently, bounded by the

@@ -1,6 +1,8 @@
 package ring
 
 import (
+	"bytes"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -130,4 +132,46 @@ func TestScratchAndRowPools(t *testing.T) {
 	// Foreign buffers (not pool-backed) are rejected, not pooled.
 	r.PutScratch(r.NewPoly(1))
 	r.PutRow(make([]uint64, 3))
+}
+
+// goroutineHeader returns the "goroutine N [running]:" line of the calling
+// goroutine's stack, which identifies it for the duration of a test.
+func goroutineHeader() string {
+	buf := make([]byte, 64)
+	buf = buf[:runtime.Stack(buf, false)]
+	if i := bytes.IndexByte(buf, '\n'); i >= 0 {
+		buf = buf[:i]
+	}
+	return string(buf)
+}
+
+// TestForEachLimbHelperPanicReachesCaller forces a panic onto a pool helper
+// goroutine: the caller's own invocation waits until the helper has claimed
+// the other limb. The panic must surface on the caller, where a recover can
+// see it, and only after the helper has given its slot back.
+func TestForEachLimbHelperPanicReachesCaller(t *testing.T) {
+	old := MaxWorkers()
+	SetMaxWorkers(2)
+	defer SetMaxWorkers(old)
+
+	caller := goroutineHeader()
+	onHelper := make(chan struct{})
+	var got any
+	func() {
+		defer func() { got = recover() }()
+		ForEachLimb(2, func(i int) {
+			if goroutineHeader() == caller {
+				<-onHelper
+				return
+			}
+			close(onHelper)
+			panic("boom on a helper")
+		})
+	}()
+	if got != "boom on a helper" {
+		t.Fatalf("recovered %v on the caller, want the helper's panic", got)
+	}
+	if held := len(extraSlots.Load().(chan struct{})); held != 0 {
+		t.Fatalf("%d pool slot(s) still held after a helper panic", held)
+	}
 }

@@ -230,17 +230,6 @@ func (r *Ring) MulCoeffs(a, b, out *Poly) {
 	out.IsNTT = true
 }
 
-// SetReferenceNTT reroutes every limb's Forward/Inverse through the radix-2
-// five-pass reference kernels (see NTTTable.SetReference). The kernel
-// families are bit-identical, so results must not change; the conformance
-// harness runs a full reference-kernel execution engine on top of this
-// switch. Flip it before the ring is shared with concurrent users.
-func (r *Ring) SetReferenceNTT(on bool) {
-	for _, t := range r.Tables {
-		t.SetReference(on)
-	}
-}
-
 // NTT transforms p (in place) to the evaluation domain using the default
 // merged-twist lazy radix-4 kernel (see NTTTable.Forward). Residues may be
 // lazy (< 4q) on entry; they are canonical on return.

@@ -119,6 +119,37 @@ func TestBigIntRoundTrip(t *testing.T) {
 	}
 }
 
+// automorphismCoeff applies τ_k in the coefficient domain, by the definition
+// a(X) → a(X^k): the oracle for the NTT-domain index permutation. out gets the
+// image of in (same level). k must be odd. in and out must not alias.
+func (r *Ring) automorphismCoeff(in *Poly, k uint64, out *Poly) {
+	if in.IsNTT {
+		panic("ring: automorphismCoeff requires coefficient domain")
+	}
+	if k%2 == 0 {
+		panic("ring: Galois element must be odd")
+	}
+	n := uint64(r.N)
+	m := 2 * n
+	lvl := in.Level()
+	if out.Level() < lvl {
+		lvl = out.Level()
+	}
+	ForEachLimb(lvl+1, func(i int) {
+		q := r.Moduli[i]
+		src, dst := in.Coeffs[i], out.Coeffs[i]
+		for j := uint64(0); j < n; j++ {
+			idx := (j * k) % m
+			if idx < n {
+				dst[idx] = src[j]
+			} else {
+				dst[idx-n] = NegMod(src[j], q)
+			}
+		}
+	})
+	out.IsNTT = false
+}
+
 func TestAutomorphismCoeffComposition(t *testing.T) {
 	r := testRing(t, 64, 1)
 	s := NewSampler(r, 7)
@@ -128,10 +159,10 @@ func TestAutomorphismCoeffComposition(t *testing.T) {
 	k1 := GaloisElementForRotation(r.N, 3)
 	k2 := GaloisElementForRotation(r.N, 5)
 	t1, t2, direct := r.NewPoly(0), r.NewPoly(0), r.NewPoly(0)
-	r.AutomorphismCoeff(a, k1, t1)
-	r.AutomorphismCoeff(t1, k2, t2)
+	r.automorphismCoeff(a, k1, t1)
+	r.automorphismCoeff(t1, k2, t2)
 	k12 := (k1 * k2) % uint64(2*r.N)
-	r.AutomorphismCoeff(a, k12, direct)
+	r.automorphismCoeff(a, k12, direct)
 	if !t2.Equal(direct) {
 		t.Fatal("automorphism composition failed")
 	}
@@ -146,7 +177,7 @@ func TestAutomorphismNTTMatchesCoeff(t *testing.T) {
 		k := GaloisElementForRotation(r.N, rot)
 		// Coefficient-domain path.
 		viaCoeff := r.NewPoly(1)
-		r.AutomorphismCoeff(a, k, viaCoeff)
+		r.automorphismCoeff(a, k, viaCoeff)
 		r.NTT(viaCoeff)
 		// NTT-domain path.
 		aNTT := a.CopyNew()

@@ -35,18 +35,6 @@ type freeList struct {
 
 // newFreeList builds the free list of an all-idle fleet.
 func newFreeList(n, cps int) *freeList {
-	f := newEmptyFreeList(n, cps)
-	all := make([]int, n)
-	for i := range all {
-		all[i] = i
-	}
-	f.add(all)
-	return f
-}
-
-// newEmptyFreeList builds the structure with every card busy; add() releases
-// cards into it (the allocateCards wrapper seeds arbitrary free sets).
-func newEmptyFreeList(n, cps int) *freeList {
 	if cps <= 0 {
 		cps = 1
 	}
@@ -70,6 +58,11 @@ func newEmptyFreeList(n, cps int) *freeList {
 	for srv := 0; srv < nserv; srv++ {
 		f.bucket[0][srv/64] |= 1 << uint(srv%64)
 	}
+	all := make([]int, n)
+	for i := range all {
+		all[i] = i
+	}
+	f.add(all)
 	return f
 }
 
@@ -129,8 +122,21 @@ func (f *freeList) takeFromServer(srv, m int) []int {
 	return out
 }
 
-// take removes and returns n cards chosen by the server-locality policy of
-// allocateCards. Callers guarantee n <= len(); n <= 0 returns nil.
+// take removes and returns n cards, minimizing the server span of the grant —
+// a job confined to one server pays only in-server switch hops for its
+// intra-job broadcasts, while every extra server turns them into inter-server
+// transfers (hw.NetworkProfile).
+//
+// Policy, deterministic for a given free list:
+//  1. If some server can hold the whole job, use the fullest-fitting server:
+//     the one with the fewest free cards that still fit (best fit, so big
+//     future jobs keep finding whole servers), lowest server index on ties.
+//  2. Otherwise span servers, taking from the emptiest-loaded (most free
+//     cards) servers first to touch as few servers as possible, lowest
+//     server index on ties.
+//
+// Within a server, lowest-numbered cards are taken first. The result is
+// sorted ascending. Callers guarantee n <= len(); n <= 0 returns nil.
 func (f *freeList) take(n int) []int {
 	if n <= 0 || n > f.free {
 		return nil
@@ -184,49 +190,4 @@ func (f *freeList) add(cards []int) {
 		f.cnt[srv]++
 	}
 	f.free += len(cards)
-}
-
-// freeCards enumerates the free set ascending (tests and transcripts).
-func (f *freeList) freeCards() []int {
-	out := make([]int, 0, f.free)
-	for wi, word := range f.bitmap {
-		for word != 0 {
-			b := bits.TrailingZeros64(word)
-			word &^= 1 << uint(b)
-			out = append(out, wi*64+b)
-		}
-	}
-	return out
-}
-
-// allocateCards picks n cards from the given free set, minimizing the server
-// span of the grant — a job confined to one server pays only in-server
-// switch hops for its intra-job broadcasts, while every extra server turns
-// them into inter-server transfers (hw.NetworkProfile).
-//
-// Policy, deterministic for a given free list:
-//  1. If some server can hold the whole job, use the fullest-fitting server:
-//     the one with the fewest free cards that still fit (best fit, so big
-//     future jobs keep finding whole servers), lowest server index on ties.
-//  2. Otherwise span servers, taking from the emptiest-loaded (most free
-//     cards) servers first to touch as few servers as possible, lowest
-//     server index on ties.
-//
-// Within a server, lowest-numbered cards are taken first. The result is
-// sorted ascending. Callers guarantee n <= len(free); n <= 0 returns nil.
-// This wrapper drives the bucket/bitmap structure; the steady-state scheduler
-// keeps a live freeList instead of rebuilding one per call.
-func allocateCards(free []int, n, cps int) []int {
-	if n <= 0 || n > len(free) {
-		return nil
-	}
-	max := 0
-	for _, c := range free {
-		if c >= max {
-			max = c + 1
-		}
-	}
-	f := newEmptyFreeList(max, cps)
-	f.add(free)
-	return f.take(n)
 }

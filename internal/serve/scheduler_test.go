@@ -2,10 +2,42 @@ package serve
 
 import (
 	"fmt"
+	"math/bits"
 	"strings"
 	"testing"
 	"time"
 )
+
+// freeCards enumerates the free set ascending.
+func (f *freeList) freeCards() []int {
+	out := make([]int, 0, f.free)
+	for wi, word := range f.bitmap {
+		for word != 0 {
+			b := bits.TrailingZeros64(word)
+			word &^= 1 << uint(b)
+			out = append(out, wi*64+b)
+		}
+	}
+	return out
+}
+
+// allocateCards drives freeList.take from an arbitrary free set: a list just
+// wide enough for the set, every card taken, then the set released into it.
+func allocateCards(free []int, n, cps int) []int {
+	if n <= 0 || n > len(free) {
+		return nil
+	}
+	max := 0
+	for _, c := range free {
+		if c >= max {
+			max = c + 1
+		}
+	}
+	f := newFreeList(max, cps)
+	f.take(max)
+	f.add(free)
+	return f.take(n)
+}
 
 // TestAllocateCardsGolden pins the allocator byte-for-byte: best-fit single
 // server when one fits, fullest-first spanning otherwise.

@@ -182,6 +182,8 @@ func (s *Server) SubmitBatch(jobs []*Job) ([]*Ticket, []error) {
 			continue
 		}
 		if job.EstCost == 0 && s.cfg.Estimator != nil && job.Build != nil {
+			// Advisory: an unpriced job is admitted with EstCost 0 and fails,
+			// if its Build is broken, alone at its grant.
 			if est, err := estimate(job, *s.cfg.Estimator); err == nil {
 				job.EstCost = est
 			}
@@ -474,7 +476,15 @@ type Result struct {
 
 // estimate prices a job by simulating its program on the estimator machine
 // with identity placement (the job's cards packed from 0, the best case).
-func estimate(job *Job, cfg sim.Config) (float64, error) {
+// Build is the tenant's code running on the submitter's goroutine: a panic out
+// of it (or out of simulating the nil program it returned) is an estimate
+// that could not be made, not a reason to lose the submitter.
+func estimate(job *Job, cfg sim.Config) (est float64, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			est, err = 0, fmt.Errorf("panic: %v", r)
+		}
+	}()
 	prog, err := job.Build(job.Cards)
 	if err != nil {
 		return 0, err

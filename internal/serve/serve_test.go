@@ -369,6 +369,53 @@ func TestPanickingJobFailsOnlyItself(t *testing.T) {
 	checkNoGoroutineLeak(t, base)
 }
 
+// TestSubmitSurvivesPanickingEstimate: with an Estimator configured, Submit
+// runs the tenant's Build on the submitting goroutine to price the job. The
+// estimate is advisory, so a Build that panics or returns no program leaves
+// the job unpriced and admitted; it then fails alone at its grant, as in
+// TestPanickingJobFailsOnlyItself.
+func TestSubmitSurvivesPanickingEstimate(t *testing.T) {
+	base := runtime.NumGoroutine()
+	est := sim.HydraConfig()
+	for name, build := range map[string]func(int) (*task.Program, error){
+		"build panics":      func(int) (*task.Program, error) { panic("tenant bug") },
+		"build returns nil": func(int) (*task.Program, error) { return nil, nil },
+	} {
+		s, err := New(Config{
+			Fleet:     hw.Fleet{Cards: 2, CardsPerServer: 2},
+			Backend:   &SimBackend{Cfg: sim.HydraConfig()},
+			Estimator: &est,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		badJob := &Job{ID: "bad", Cards: 2, Build: build}
+		bad, err := s.Submit(badJob)
+		if err != nil {
+			t.Fatalf("%s: unpriceable job must be admitted: %v", name, err)
+		}
+		if badJob.EstCost != 0 {
+			t.Errorf("%s: EstCost %g, want 0", name, badJob.EstCost)
+		}
+		good, err := s.Submit(&Job{ID: "good", Cards: 2, Build: tinyBuild})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := bad.Wait(context.Background()); err == nil {
+			t.Errorf("%s: bad job completed", name)
+		}
+		if _, err := good.Wait(context.Background()); err != nil {
+			t.Errorf("%s: healthy job: %v", name, err)
+		}
+		s.Drain()
+		if snap := s.Metrics().Snapshot(); snap.Failed != 1 || snap.Completed != 1 {
+			t.Errorf("%s: completed %d, failed %d; want 1 and 1", name, snap.Completed, snap.Failed)
+		}
+		s.Close()
+	}
+	checkNoGoroutineLeak(t, base)
+}
+
 // TestCloseRejectsQueuedJobs: closing the server fails the queued backlog
 // with ErrClosed and cancels the running job.
 func TestCloseRejectsQueuedJobs(t *testing.T) {

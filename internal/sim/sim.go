@@ -265,16 +265,6 @@ func RunOn(p *task.Program, cfg Config, pl Placement) (*Result, error) {
 	return res, nil
 }
 
-// RunBatchOn executes the program as a batched run carrying `batch`
-// interchangeable jobs (same program, different data), per pl's card set.
-// Equivalent to RunOn with pl.Batch set; the explicit form reads better in
-// pricing code. The returned Result is the whole batch: divide Makespan by
-// batch for the effective per-job cost.
-func RunBatchOn(p *task.Program, cfg Config, pl Placement, batch int) (*Result, error) {
-	pl.Batch = batch
-	return RunOn(p, cfg, pl)
-}
-
 // batchFactor is the batched-run time dilation: a batch of b interchangeable
 // jobs takes t*(a + (1-a)*b), where t is the single-run time and a is the
 // amortizable fraction of t (BatchAmortFrac). a = 0 means no amortization

@@ -192,16 +192,6 @@ func (b *Builder) Send(from int, after Handle, to []int, bytes float64, label st
 // FromStart is the Handle for sends with no computation dependence.
 var FromStart = Handle{Card: -1, Index: -1}
 
-// LastCompute returns a handle to the most recent computation task emitted on
-// card within the current step. It panics if the card has none.
-func (b *Builder) LastCompute(card int) Handle {
-	s := b.step()
-	if len(s.Compute[card]) == 0 {
-		panic(fmt.Sprintf("task: card %d has no computation tasks in the current step", card))
-	}
-	return Handle{Card: card, Index: len(s.Compute[card]) - 1}
-}
-
 // Build finalizes and returns the program.
 func (b *Builder) Build() *Program { return b.prog }
 

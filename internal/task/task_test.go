@@ -57,22 +57,6 @@ func TestSeqMonotone(t *testing.T) {
 	}
 }
 
-func TestLastCompute(t *testing.T) {
-	b := NewBuilder(2, 2)
-	b.Step("s")
-	b.Compute(0, fheop.Of(fheop.HAdd, 1), 5, "A")
-	h2 := b.Compute(0, fheop.Of(fheop.HAdd, 2), 5, "A")
-	if got := b.LastCompute(0); got != h2 {
-		t.Fatalf("LastCompute %v, want %v", got, h2)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("LastCompute on empty card should panic")
-		}
-	}()
-	b.LastCompute(1)
-}
-
 func TestValidateDetectsCorruption(t *testing.T) {
 	mk := func() *Program {
 		b := NewBuilder(2, 2)
