@@ -55,13 +55,11 @@ func main() {
 			levels: 20,
 			logN:   9,
 			body: func(b *fhir.Builder, z *fhir.Value, params *ckks.Parameters) (*fhir.Value, error) {
-				// Keyless: the frontend reads only the transforms.
-				bt, err := hefloat.NewBootstrapper(params, ckks.NewEncoder(params), nil,
-					hefloat.BootstrapperOptions{K: 16})
+				d, err := hefloat.NewBootstrapDesc(params, hefloat.BootstrapperOptions{K: 16})
 				if err != nil {
 					return nil, err
 				}
-				return b.Bootstrap(z, bt), nil
+				return b.Bootstrap(z, d), nil
 			},
 		},
 		{

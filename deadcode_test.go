@@ -103,3 +103,88 @@ func TestNoTestOnlyProductionFuncs(t *testing.T) {
 		}
 	}
 }
+
+// sharedStateAllowed names the package-level variables of the guarded
+// packages that may hold a lock, a sync.Map or a map, as "pkg.name", each with
+// the reason it stays. None today.
+var sharedStateAllowed = map[string]string{}
+
+// TestNoPackageLevelSharedState keeps the arithmetic and runtime packages free
+// of process-global mutable state: no package-level sync.Map, sync.Mutex,
+// sync.RWMutex or map variable in a non-test file of internal/{ckks, hefloat,
+// fhir, cluster, serve, sim}. A cache keyed by *ckks.Parameters at package
+// level never shrinks and couples every context in the process; caches belong
+// to the value whose lifetime bounds them (LinearTransform's plans, the
+// Evaluator's pools). Like the guard above it reads syntax only: a variable's
+// declared type or initializer, not what a named type contains.
+func TestNoPackageLevelSharedState(t *testing.T) {
+	// kind names what e declares or constructs, "" when it is none of ours.
+	var kind func(e ast.Expr) string
+	kind = func(e ast.Expr) string {
+		switch e := e.(type) {
+		case *ast.MapType:
+			return "map"
+		case *ast.SelectorExpr:
+			if x, ok := e.X.(*ast.Ident); ok && x.Name == "sync" &&
+				(e.Sel.Name == "Map" || e.Sel.Name == "Mutex" || e.Sel.Name == "RWMutex") {
+				return "sync." + e.Sel.Name
+			}
+		case *ast.StarExpr:
+			return kind(e.X)
+		case *ast.UnaryExpr:
+			return kind(e.X)
+		case *ast.CompositeLit:
+			return kind(e.Type)
+		case *ast.CallExpr: // make(map[K]V)
+			if fn, ok := e.Fun.(*ast.Ident); ok && fn.Name == "make" && len(e.Args) > 0 {
+				return kind(e.Args[0])
+			}
+		}
+		return ""
+	}
+	fset := token.NewFileSet()
+	seen := map[string]bool{}
+	for _, pkg := range []string{"ckks", "hefloat", "fhir", "cluster", "serve", "sim"} {
+		files, err := filepath.Glob(filepath.Join("internal", pkg, "*.go"))
+		if err != nil || len(files) == 0 {
+			t.Fatalf("internal/%s: no Go files (%v)", pkg, err)
+		}
+		for _, path := range files {
+			if strings.HasSuffix(path, "_test.go") {
+				continue
+			}
+			f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, decl := range f.Decls {
+				gd, ok := decl.(*ast.GenDecl)
+				if !ok || gd.Tok != token.VAR {
+					continue
+				}
+				for _, spec := range gd.Specs {
+					vs := spec.(*ast.ValueSpec)
+					for i, id := range vs.Names {
+						k := ""
+						if vs.Type != nil {
+							k = kind(vs.Type)
+						} else if i < len(vs.Values) {
+							k = kind(vs.Values[i])
+						}
+						name := pkg + "." + id.Name
+						seen[name] = true
+						if _, allowed := sharedStateAllowed[name]; k != "" && !allowed {
+							t.Errorf("%s: package-level %s %s: give it to the value whose lifetime bounds it, or allow-list it with the reason",
+								fset.Position(id.Pos()), k, name)
+						}
+					}
+				}
+			}
+		}
+	}
+	for name := range sharedStateAllowed {
+		if !seen[name] {
+			t.Errorf("allowlist entry %s names no package-level variable: drop it", name)
+		}
+	}
+}

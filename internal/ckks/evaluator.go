@@ -342,8 +342,7 @@ func (ev *Evaluator) automorphism(ct *Ciphertext, k uint64) *Ciphertext {
 // (the hoisting optimization BSGS baby steps exploit).
 type hoistedDecomp struct {
 	lvl    int
-	modIdx []int        // accumulator row -> ring table index
-	digits [][][]uint64 // [digit][row][coefficient], NTT domain
+	digits [][][]uint64 // [digit][row][coefficient], NTT domain; row jj lives under table extRow(jj, lvl)
 }
 
 // decomposeExt computes the hoisted decomposition of d (NTT domain). The
@@ -353,17 +352,12 @@ func (ev *Evaluator) decomposeExt(d *ring.Poly) *hoistedDecomp {
 	r := ev.params.RingQP()
 	lvl := d.Level()
 	n := r.N
-	pIdx := ev.params.SpecialIndex()
 
 	dCoeff := r.GetScratch(lvl)
 	dCoeff.Copy(d)
 	r.INTT(dCoeff)
 
-	h := &hoistedDecomp{lvl: lvl, modIdx: make([]int, lvl+2)}
-	for j := 0; j <= lvl; j++ {
-		h.modIdx[j] = j
-	}
-	h.modIdx[lvl+1] = pIdx
+	h := &hoistedDecomp{lvl: lvl}
 
 	// Extension pass: lift every digit to every extended modulus. The NTTs
 	// are deferred so they can be regrouped per table below.
@@ -371,7 +365,8 @@ func (ev *Evaluator) decomposeExt(d *ring.Poly) *hoistedDecomp {
 	ring.ForEachLimb(lvl+1, func(i int) {
 		digit := dCoeff.Coeffs[i]
 		rows := make([][]uint64, lvl+2)
-		for jj, tblIdx := range h.modIdx {
+		for jj := range rows {
+			tblIdx := ev.params.extRow(jj, lvl)
 			m := r.Tables[tblIdx].Mod
 			ext := r.GetRow()
 			if tblIdx == i {
@@ -395,7 +390,7 @@ func (ev *Evaluator) decomposeExt(d *ring.Poly) *hoistedDecomp {
 		for i := 0; i <= lvl; i++ {
 			rows[i] = h.digits[i][jj]
 		}
-		r.Tables[h.modIdx[jj]].ForwardBatch(rows)
+		r.Tables[ev.params.extRow(jj, lvl)].ForwardBatch(rows)
 	})
 	r.PutScratch(dCoeff)
 	return h
@@ -427,7 +422,7 @@ func (ev *Evaluator) ksAccum(h *hoistedDecomp, perm []int, swk *SwitchingKey) (a
 	// the same modulus, so the digit order (and hence the bit pattern) is
 	// preserved while rows run on parallel lanes.
 	ring.ForEachLimb(h.lvl+2, func(jj int) {
-		tblIdx := h.modIdx[jj]
+		tblIdx := ev.params.extRow(jj, h.lvl)
 		qj := r.Moduli[tblIdx]
 		m := r.Tables[tblIdx].Mod
 		a0 := r.GetRow()
@@ -463,8 +458,8 @@ func (ev *Evaluator) ksAccum(h *hoistedDecomp, perm []int, swk *SwitchingKey) (a
 func (ev *Evaluator) ksFromDecomp(h *hoistedDecomp, perm []int, swk *SwitchingKey) (out0, out1 *ring.Poly) {
 	r := ev.params.RingQP()
 	acc0, acc1 := ev.ksAccum(h, perm, swk)
-	out0 = ev.modDownP(acc0, h.modIdx, h.lvl)
-	out1 = ev.modDownP(acc1, h.modIdx, h.lvl)
+	out0 = ev.modDownP(acc0, h.lvl)
+	out1 = ev.modDownP(acc1, h.lvl)
 	for jj := range acc0 {
 		r.PutRow(acc0[jj])
 		r.PutRow(acc1[jj])
@@ -530,13 +525,13 @@ func (ev *Evaluator) RotateHoisted(ct *Ciphertext, rots []int) map[int]*Cipherte
 
 // modDownP divides the accumulated extended polynomial by P with rounding,
 // returning an NTT-domain polynomial at level lvl.
-func (ev *Evaluator) modDownP(acc [][]uint64, modIdx []int, lvl int) *ring.Poly {
+func (ev *Evaluator) modDownP(acc [][]uint64, lvl int) *ring.Poly {
 	r := ev.params.RingQP()
 	p := ev.params.P()
 
 	// Bring all rows to the coefficient domain.
-	ring.ForEachLimb(len(modIdx), func(j int) {
-		r.Tables[modIdx[j]].Inverse(acc[j])
+	ring.ForEachLimb(lvl+2, func(j int) {
+		r.Tables[ev.params.extRow(j, lvl)].Inverse(acc[j])
 	})
 	rem := acc[lvl+1] // residue mod P
 

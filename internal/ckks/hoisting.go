@@ -23,20 +23,18 @@ import (
 // them. Scale tracks the logical message scale — the P factor is implicit.
 type ExtCiphertext struct {
 	Lvl    int
-	ModIdx []int // accumulator row -> ring table index
 	C0, C1 [][]uint64
 	Scale  float64
 }
 
-// extModIdx returns the accumulator row -> ring table index map for level
-// lvl: rows 0..lvl are q_0..q_lvl and row lvl+1 is the special modulus P.
-func (ev *Evaluator) extModIdx(lvl int) []int {
-	idx := make([]int, lvl+2)
-	for j := 0; j <= lvl; j++ {
-		idx[j] = j
+// extRow returns the ring table index of row jj of a level-lvl extended
+// polynomial: rows 0..lvl are q_0..q_lvl and row lvl+1 is the special
+// modulus P.
+func (p *Parameters) extRow(jj, lvl int) int {
+	if jj <= lvl {
+		return jj
 	}
-	idx[lvl+1] = ev.params.SpecialIndex()
-	return idx
+	return p.SpecialIndex()
 }
 
 // NewExtAccumulator returns a zeroed extended-basis accumulator at level lvl
@@ -51,7 +49,7 @@ func (ev *Evaluator) NewExtAccumulator(lvl int, scale float64) *ExtCiphertext {
 		//lint:allow poolleak accumulator rows transfer ownership to the ExtCiphertext; ModDownExt/ReleaseExt return them to the pool
 		c0[jj], c1[jj] = row0, row1
 	}
-	return &ExtCiphertext{Lvl: lvl, ModIdx: ev.extModIdx(lvl), C0: c0, C1: c1, Scale: scale}
+	return &ExtCiphertext{Lvl: lvl, C0: c0, C1: c1, Scale: scale}
 }
 
 // ReleaseExt returns the accumulator's rows to the ring's row pool. The
@@ -120,7 +118,7 @@ func (ev *Evaluator) RotateHoistedExt(ct *Ciphertext, rots []int) map[int]*ExtCi
 			m := r.Tables[j].Mod
 			m.MulAddShoupRowLazyGather(acc0[j], ct.C0.Coeffs[j], ev.pModQi[j], ev.pModQiShoup[j], perm)
 		})
-		out[rot] = &ExtCiphertext{Lvl: lvl, ModIdx: ev.extModIdx(lvl), C0: acc0, C1: acc1, Scale: ct.Scale}
+		out[rot] = &ExtCiphertext{Lvl: lvl, C0: acc0, C1: acc1, Scale: ct.Scale}
 	}
 	if h != nil {
 		h.release(r)
@@ -160,7 +158,7 @@ func (ev *Evaluator) MulPlainExtAcc(xs []*ExtCiphertext, pts []*ExtPlaintext, ac
 	r := ev.params.RingQP()
 	special := ev.params.SpecialIndex()
 	ring.ForEachLimb(acc.Lvl+2, func(jj int) {
-		tblIdx := acc.ModIdx[jj]
+		tblIdx := ev.params.extRow(jj, acc.Lvl)
 		m := r.Tables[tblIdx].Mod
 		for ti, x := range xs {
 			prow := pts[ti].row(tblIdx, special)
@@ -183,7 +181,7 @@ func (ev *Evaluator) AddExtAcc(x *ExtCiphertext, acc *ExtCiphertext) {
 	}
 	r := ev.params.RingQP()
 	ring.ForEachLimb(x.Lvl+2, func(jj int) {
-		m := r.Tables[x.ModIdx[jj]].Mod
+		m := r.Tables[ev.params.extRow(jj, x.Lvl)].Mod
 		m.AddRowLazy(acc.C0[jj], x.C0[jj])
 		m.AddRowLazy(acc.C1[jj], x.C1[jj])
 	})
@@ -196,12 +194,12 @@ func (ev *Evaluator) AddExtAcc(x *ExtCiphertext, acc *ExtCiphertext) {
 func (ev *Evaluator) ModDownExt(e *ExtCiphertext) *Ciphertext {
 	r := ev.params.RingQP()
 	ring.ForEachLimb(e.Lvl+2, func(jj int) {
-		q := r.Moduli[e.ModIdx[jj]]
+		q := r.Moduli[ev.params.extRow(jj, e.Lvl)]
 		ring.ReduceFinalVec(e.C0[jj], q)
 		ring.ReduceFinalVec(e.C1[jj], q)
 	})
-	c0 := ev.modDownP(e.C0, e.ModIdx, e.Lvl)
-	c1 := ev.modDownP(e.C1, e.ModIdx, e.Lvl)
+	c0 := ev.modDownP(e.C0, e.Lvl)
+	c1 := ev.modDownP(e.C1, e.Lvl)
 	ct := &Ciphertext{C0: c0, C1: c1, Scale: e.Scale}
 	ev.ReleaseExt(e)
 	return ct

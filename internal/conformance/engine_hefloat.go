@@ -13,7 +13,8 @@ import (
 // double-hoisted BSGS, hoisted and ext-hoisted rotations, power-tree
 // polynomials); with reference=true it takes the oracle spellings (oracle.go:
 // per-call-encoded single-hoisted BSGS, Horner; sequential rotations). Ops
-// with only one implementation (add, rotate, bootstrap, a lintrans with no
+// with only one hand implementation (add, rotate, bootstrap, ccmm — whose
+// optimized executor is the compiler's, in the ir column — a lintrans with no
 // baby-step count, …) run identical code on both, so there the two columns'
 // outputs must match bitwise.
 func runHEFloat(env *Env, s *ProgramSpec, reference bool) (*ckks.Ciphertext, error) {
@@ -49,12 +50,7 @@ func runHEFloat(env *Env, s *ProgramSpec, reference bool) (*ckks.Ciphertext, err
 			case "mul":
 				out = eval.Rescale(eval.MulRelin(a, b))
 			case "ccmm":
-				if reference {
-					out, err = ccmmReference(env, a, b)
-				} else {
-					out, err = hefloat.CCMM(eval, enc, a, b)
-				}
-				if err != nil {
+				if out, err = ccmmReference(env, a, b); err != nil {
 					return nil, fmt.Errorf("op %d (ccmm): %w", i, err)
 				}
 			}
@@ -135,20 +131,19 @@ func runHEFloat(env *Env, s *ProgramSpec, reference bool) (*ckks.Ciphertext, err
 			if err != nil {
 				return nil, err
 			}
+			// One column rotation and one plaintext mask per diagonal: all
+			// baby steps, no giant step.
+			lt, err := hefloat.NewPCMMTransform(w, s.Slots())
+			if err != nil {
+				return nil, err
+			}
 			if reference {
-				lt, err := hefloat.NewPCMMTransform(w, s.Slots())
-				if err != nil {
-					return nil, err
-				}
 				out, err = evaluateBSGSReference(lt, eval, enc, a, s.Slots())
-				if err != nil {
-					return nil, fmt.Errorf("op %d (pcmm): %w", i, err)
-				}
 			} else {
-				out, err = hefloat.PCMM(eval, enc, a, w)
-				if err != nil {
-					return nil, fmt.Errorf("op %d (pcmm): %w", i, err)
-				}
+				out, err = lt.EvaluateBSGS(eval, enc, a, s.Slots())
+			}
+			if err != nil {
+				return nil, fmt.Errorf("op %d (pcmm): %w", i, err)
 			}
 		case "poly":
 			p := hefloat.Polynomial{Coeffs: op.Coeffs}
@@ -197,11 +192,12 @@ func rotSumSequential(eval *ckks.Evaluator, ct *ckks.Ciphertext, k int) *ckks.Ci
 	return acc
 }
 
-// ccmmReference is the single-hoisted, per-call-encoded counterpart of
-// hefloat.CCMM: the σ/τ pre-transforms run through evaluateBSGSReference and
-// every per-iteration rotation pays its own keyswitch. Built from the same
-// exported CCMMSigma/CCMMTau/CCMMMasks pieces, so the iteration structure is
-// identical and only the hoisting differs.
+// ccmmReference is the hand spelling of the ciphertext matrix product, the
+// single-hoisted, per-call-encoded counterpart of fhir's CCMM frontend: the
+// σ/τ pre-transforms run through evaluateBSGSReference and every
+// per-iteration rotation pays its own keyswitch. Built from the same exported
+// CCMMSigma/CCMMTau/CCMMMasks pieces, so the iteration structure is identical
+// and only the hoisting — the compiler's business — differs.
 func ccmmReference(env *Env, ctX, ctZ *ckks.Ciphertext) (*ckks.Ciphertext, error) {
 	eval, enc := env.Eval, env.Encoder
 	slots := env.Params.Slots()

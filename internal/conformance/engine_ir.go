@@ -211,7 +211,7 @@ func buildIRProgram(s *ProgramSpec) (*fhir.Program, error) {
 	for _, in := range s.Inputs {
 		regs[in.Name] = b.Input(in.Name)
 	}
-	var bt *hefloat.Bootstrapper // built on the first bootstrap op
+	var boot *hefloat.BootstrapDesc // built on the first bootstrap op
 	get := func(name string) (*fhir.Value, error) {
 		v, ok := regs[name]
 		if !ok {
@@ -293,12 +293,12 @@ func buildIRProgram(s *ProgramSpec) (*fhir.Program, error) {
 			if a.Op != fhir.OpInput {
 				return nil, fmt.Errorf("op %d: bootstrap of a computed value has no IR form", i)
 			}
-			if bt == nil {
-				if bt, err = bootTransforms(s); err != nil {
+			if boot == nil {
+				if boot, err = bootDesc(s); err != nil {
 					return nil, fmt.Errorf("op %d (bootstrap): %w", i, err)
 				}
 			}
-			out = b.Bootstrap(a, bt)
+			out = b.Bootstrap(a, boot)
 		default:
 			return nil, fmt.Errorf("op %d: unknown op %q", i, op.Op)
 		}
@@ -312,16 +312,15 @@ func buildIRProgram(s *ProgramSpec) (*fhir.Program, error) {
 	return b.Build()
 }
 
-// bootTransforms builds the bootstrapper whose DFT matrices and sine schedule
-// the frontend writes into the IR. Only the transforms are read, so it needs
-// no evaluator and no keys — which is what lets a bootstrap program compile
-// before its environment's rotation keys (sized from the compiled program)
-// exist. The matrices depend on the parameter set alone, so they equal the
-// ones the hefloat engines' own bootstrappers hold.
-func bootTransforms(s *ProgramSpec) (*hefloat.Bootstrapper, error) {
+// bootDesc builds the bootstrap description the frontend writes into the IR.
+// It needs no evaluator and no keys — which is what lets a bootstrap program
+// compile before its environment's rotation keys (sized from the compiled
+// program) exist — and depends on the parameter set alone, so it equals the one
+// the hefloat engines' bootstrapper executes.
+func bootDesc(s *ProgramSpec) (*hefloat.BootstrapDesc, error) {
 	params, err := newParameters(keyOf(s))
 	if err != nil {
 		return nil, err
 	}
-	return hefloat.NewBootstrapper(params, ckks.NewEncoder(params), nil, bootOptions)
+	return hefloat.NewBootstrapDesc(params, bootOptions)
 }

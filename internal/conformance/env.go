@@ -84,18 +84,11 @@ func rotationsFor(s *ProgramSpec) (rots []int, conjugate bool, err error) {
 			add(hefloat.CCMMRotations(isqrt(slots))...)
 		case "bootstrap":
 			conjugate = true
-			// hefloat.BootstrapRotations without a parameter set: the
-			// baby/giant split depends on the slot count alone.
-			bs := 1
-			for bs*bs < slots {
-				bs <<= 1
+			params, err := newParameters(keyOf(s))
+			if err != nil {
+				return nil, false, err
 			}
-			for j := 1; j < bs; j++ {
-				add(j)
-			}
-			for g := bs; g < slots; g += bs {
-				add(g)
-			}
+			add(hefloat.BootstrapRotations(params, bootOptions)...)
 		}
 	}
 	rots = make([]int, 0, len(set))

@@ -2,8 +2,6 @@ package fhir
 
 import (
 	"fmt"
-	"math"
-	"sort"
 
 	"hydra/internal/hefloat"
 )
@@ -29,20 +27,15 @@ func (b *Builder) LinTrans(x *Value, lt *hefloat.LinearTransform, bs int, key st
 	if bs <= 0 {
 		bs = lt.Dim
 	}
-	ds := make([]int, 0, len(lt.Diags))
-	for d := range lt.Diags {
-		ds = append(ds, d)
-	}
-	sort.Ints(ds)
-	var acc, inner *Value
-	for i, d := range ds {
-		g := d - d%bs
-		pt := b.PlainVec(fmt.Sprintf("%s:g%d:d%d", key, g, d), lt.ShiftedDiag(d, g))
-		inner = b.accum(inner, b.MulPlain(b.Rotate(x, d-g), pt))
-		if i+1 == len(ds) || ds[i+1]-ds[i+1]%bs != g { // last diagonal of its group
-			acc = b.accum(acc, b.Rotate(inner, g))
-			inner = nil
+	var acc *Value
+	for _, grp := range lt.Groups(bs) {
+		var inner *Value
+		for _, j := range grp.Baby {
+			d := grp.Giant + j
+			pt := b.PlainVec(fmt.Sprintf("%s:g%d:d%d", key, grp.Giant, d), lt.ShiftedDiag(d, grp.Giant))
+			inner = b.accum(inner, b.MulPlain(b.Rotate(x, j), pt))
 		}
+		acc = b.accum(acc, b.Rotate(inner, grp.Giant))
 	}
 	return acc
 }
@@ -69,61 +62,38 @@ func (b *Builder) Horner(x *Value, coeffs []float64) *Value {
 	return out
 }
 
-// Bootstrap writes the bootstrap pipeline after ModRaise, for a raised input z
-// decrypting to m + q0·I (the IR has no ModRaise: the host raises the level-0
-// ciphertext once before binding it): CoeffToSlot (u0 = P·z + Q·z̄, u1 = R·z +
-// S·z̄, the Δ/q0 factor folded into the matrices), sin(2πu) per branch — the
-// θ-scaled small-angle Taylor pair by Horner, then the double-angle
-// iterations — and SlotToCoeff (A·w0 + B·w1, q0/(2πΔ) folded in). Same
-// matrices, baby-step count and sine schedule as bt.Bootstrap. Only bt's
-// transforms are read, so a keyless hefloat.NewBootstrapper(params, enc, nil,
-// …) serves: the program can compile before the rotation keys it needs
-// (Program.Rotations) exist.
-func (b *Builder) Bootstrap(z *Value, bt *hefloat.Bootstrapper) *Value {
-	ltP, ltQ, ltR, ltS := bt.CoeffToSlotTransforms()
-	ltA, ltB := bt.SlotToCoeffTransforms()
-	bs := bt.BabySteps()
+// Bootstrap writes the bootstrap pipeline d describes, after ModRaise, for a
+// raised input z decrypting to m + q0·I (the IR has no ModRaise: the host
+// raises the level-0 ciphertext once before binding it): CoeffToSlot (u0 = P·z
+// + Q·z̄, u1 = R·z + S·z̄), sin(2πu) per branch — the θ-scaled small-angle
+// Taylor pair by Horner, then the double-angle iterations — and SlotToCoeff
+// (A·w0 + B·w1). The description is plain data built without keys, so the
+// program can compile before the rotation keys it needs (Program.Rotations)
+// exist; hefloat's Bootstrapper executes the same description by hand.
+func (b *Builder) Bootstrap(z *Value, d *hefloat.BootstrapDesc) *Value {
+	bs := d.BabySteps
 	zc := b.Conjugate(z)
-	u0 := b.Add(b.LinTrans(z, ltP, bs, "boot:P"), b.LinTrans(zc, ltQ, bs, "boot:Q"))
-	u1 := b.Add(b.LinTrans(z, ltR, bs, "boot:R"), b.LinTrans(zc, ltS, bs, "boot:S"))
-
-	deg, iters := bt.SineSchedule()
-	theta := 2 * math.Pi / math.Pow(2, float64(iters))
-	sinC := make([]float64, deg+1) // odd series up to y^deg
-	cosC := make([]float64, deg+2) // even series up to y^(deg+1)
-	term := 1.0
-	for i := 0; i <= deg+1; i++ {
-		if i > 0 {
-			term /= float64(i)
-		}
-		c := term
-		if i%4 >= 2 {
-			c = -c
-		}
-		if i%2 == 0 {
-			cosC[i] = c
-		} else if i <= deg {
-			sinC[i] = c
-		}
-	}
+	u0 := b.Add(b.LinTrans(z, d.P, bs, "boot:P"), b.LinTrans(zc, d.Q, bs, "boot:Q"))
+	u1 := b.Add(b.LinTrans(z, d.R, bs, "boot:R"), b.LinTrans(zc, d.S, bs, "boot:S"))
 	sine := func(u *Value) *Value {
-		y := b.MulConst(u, theta)
-		sn, cs := b.Horner(y, sinC), b.Horner(y, cosC)
-		for i := 0; i < iters; i++ {
+		y := b.MulConst(u, d.Theta)
+		sn, cs := b.Horner(y, d.Sin), b.Horner(y, d.Cos)
+		for i := 0; i < d.DAFIters; i++ {
 			sc, ss := b.Mul(sn, cs), b.Mul(sn, sn)
 			sn = b.Add(sc, sc)                       // sin 2x = 2 sin x cos x
 			cs = b.AddConst(b.Neg(b.Add(ss, ss)), 1) // cos 2x = 1 - 2 sin²x
 		}
 		return sn
 	}
-	return b.Add(b.LinTrans(sine(u0), ltA, bs, "boot:A"), b.LinTrans(sine(u1), ltB, bs, "boot:B"))
+	return b.Add(b.LinTrans(sine(u0), d.A, bs, "boot:A"), b.LinTrans(sine(u1), d.B, bs, "boot:B"))
 }
 
 // CCMM writes the ciphertext-ciphertext matrix product over column-packed
 // k×k operands (k² = the builder's slot count): naive σ/τ pre-transforms, then
-// the k combine iterations with the ψ_d main/wraparound masks — the same
-// iteration structure as hefloat.CCMM, with every product left to the
-// lazy-relinearization pass.
+// the k combine iterations Σ_d φ_d(σ(X)) ⊙ ψ_d(τ(Z)) with the ψ_d
+// main/wraparound masks (hefloat.CCMMMasks), every product left to the
+// lazy-relinearization pass. This is the repo's one ciphertext matrix product;
+// the plaintext-weights product is LinTrans over hefloat.NewPCMMTransform.
 func (b *Builder) CCMM(x, z *Value) *Value {
 	k := 1
 	for k*k < b.slots {

@@ -1,9 +1,11 @@
 package fhir
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 
 	"hydra/internal/ckks"
@@ -60,6 +62,182 @@ func TestLinTransMatchesDenseProduct(t *testing.T) {
 				t.Errorf("%s bs=%d: max slot error %.3g against M·x", name, bs, e)
 			}
 		}
+	}
+}
+
+// TestLinTransFollowsGroups: the BSGS grouping has one spelling,
+// LinearTransform.Groups, and everything derived from it agrees — the groups
+// themselves (every diagonal once, under giant step d - d mod bs, ascending),
+// the rotation keys RotationsBSGS asks for, and the products LinTrans writes
+// (one per diagonal in group order, the baby rotation of x times the
+// pre-shifted diagonal, and the program needing exactly RotationsBSGS).
+func TestLinTransFollowsGroups(t *testing.T) {
+	const dim = 16
+	rng := rand.New(rand.NewSource(4))
+	withDiags := func(ds ...int) *hefloat.LinearTransform {
+		lt := &hefloat.LinearTransform{Dim: dim, Diags: map[int][]complex128{}}
+		for _, d := range ds {
+			lt.Diags[d] = randVec(rng, dim)
+		}
+		return lt
+	}
+	dense := make([]int, dim)
+	for d := range dense {
+		dense[d] = d
+	}
+	permutation, err := hefloat.NewLinearTransform(hefloat.CCMMSigma(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, lt := range map[string]*hefloat.LinearTransform{
+		"band":            withDiags(0, 1, dim-1),
+		"dense":           withDiags(dense...),
+		"permutation":     permutation,
+		"single diagonal": withDiags(5),
+	} {
+		for _, bs := range []int{1, 4, dim} {
+			// The rule, spelled independently: diagonals ascending, giant
+			// step d - d mod bs.
+			ds := make([]int, 0, len(lt.Diags))
+			for d := range lt.Diags {
+				ds = append(ds, d)
+			}
+			sort.Ints(ds)
+			rotSet := map[int]bool{}
+			for _, d := range ds {
+				rotSet[d%bs], rotSet[d-d%bs] = true, true
+			}
+			delete(rotSet, 0)
+			wantRots := make([]int, 0, len(rotSet))
+			for r := range rotSet {
+				wantRots = append(wantRots, r)
+			}
+			sort.Ints(wantRots)
+
+			var walked []int
+			lastGiant := -1
+			for _, grp := range lt.Groups(bs) {
+				if grp.Giant <= lastGiant || grp.Giant%bs != 0 || len(grp.Baby) == 0 {
+					t.Errorf("%s bs=%d: group %+v after giant step %d", name, bs, grp, lastGiant)
+				}
+				lastGiant = grp.Giant
+				for _, j := range grp.Baby {
+					if j < 0 || j >= bs {
+						t.Errorf("%s bs=%d: baby step %d outside [0, %d)", name, bs, j, bs)
+					}
+					walked = append(walked, grp.Giant+j)
+				}
+			}
+			if !reflect.DeepEqual(walked, ds) {
+				t.Errorf("%s bs=%d: groups walk diagonals %v, want %v", name, bs, walked, ds)
+			}
+			if got := lt.RotationsBSGS(bs); !reflect.DeepEqual(got, wantRots) {
+				t.Errorf("%s bs=%d: RotationsBSGS %v, want %v", name, bs, got, wantRots)
+			}
+
+			p := buildFrontend(t, dim, func(b *Builder, x *Value) *Value { return b.LinTrans(x, lt, bs, "m") })
+			if got, conj := p.Rotations(); conj || !reflect.DeepEqual(got, wantRots) {
+				t.Errorf("%s bs=%d: program rotations %v (conjugate %v), want %v", name, bs, got, conj, wantRots)
+			}
+			var emitted []int
+			for _, v := range p.Values {
+				if v.Op != OpMulPlain {
+					continue
+				}
+				d := ds[len(emitted)%len(ds)]
+				g := d - d%bs
+				emitted = append(emitted, d)
+				if want := fmt.Sprintf("m:g%d:d%d", g, d); v.Plain.Key != want {
+					t.Errorf("%s bs=%d: product %d multiplies %q, want %q", name, bs, len(emitted), v.Plain.Key, want)
+				}
+				if x := v.Args[0]; d == g && x.Op != OpInput || d != g && (x.Op != OpRotate || x.K != d-g) {
+					t.Errorf("%s bs=%d: diagonal %d multiplies %v, want x rotated by %d", name, bs, d, x, d-g)
+				}
+				vals, err := v.Plain.Values(dim)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(vals, lt.ShiftedDiag(d, g)) {
+					t.Errorf("%s bs=%d: diagonal %d is not pre-shifted by %d", name, bs, d, g)
+				}
+			}
+			if !reflect.DeepEqual(emitted, ds) {
+				t.Errorf("%s bs=%d: LinTrans multiplies diagonals %v, want %v", name, bs, emitted, ds)
+			}
+		}
+	}
+}
+
+// TestCCMMThenPCMMChain: (X·Z)·W — a ciphertext product feeding a
+// plaintext-weights product, as in an attention block — written with the CCMM
+// frontend and LinTrans over hefloat.NewPCMMTransform. The interpreted program
+// is the plaintext matrix product, and the compiled program evaluated on
+// ciphertexts agrees with it.
+func TestCCMMThenPCMMChain(t *testing.T) {
+	const k, slots, levels = 4, 16, 6
+	mat := func(seed float64) [][]float64 {
+		m := make([][]float64, k)
+		for r := range m {
+			m[r] = make([]float64, k)
+			for c := range m[r] {
+				m[r][c] = math.Sin(seed + float64(r*k+c))
+			}
+		}
+		return m
+	}
+	mul := func(a, b [][]float64) [][]float64 {
+		out := make([][]float64, k)
+		for r := range out {
+			out[r] = make([]float64, k)
+			for c := 0; c < k; c++ {
+				for j := 0; j < k; j++ {
+					out[r][c] += a[r][j] * b[j][c]
+				}
+			}
+		}
+		return out
+	}
+	pack := func(m [][]float64) []complex128 { // column c in slots [c·k, (c+1)·k)
+		v := make([]complex128, slots)
+		for c := 0; c < k; c++ {
+			for r := 0; r < k; r++ {
+				v[c*k+r] = complex(m[r][c], 0)
+			}
+		}
+		return v
+	}
+	x, z, w := mat(0.2), mat(1.1), mat(2.2)
+	pcmm, err := hefloat.NewPCMMTransform(w, slots)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := NewBuilder(slots)
+	b.Output(b.LinTrans(b.CCMM(b.Input("x"), b.Input("z")), pcmm, 0, "pcmm"))
+	src, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	inputs := map[string][]complex128{"x": pack(x), "z": pack(z)}
+	want := pack(mul(mul(x, z), w))
+	interpreted, err := Interpret(src, inputs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e := maxErr(interpreted, want); e > 1e-12 {
+		t.Errorf("interpreted program differs from (X·Z)·W by %.3g", e)
+	}
+	opt, err := Compile(src, Options{Levels: levels})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rots, conj := opt.Rotations()
+	te := newTestEnv(t, 5, levels, rots, conj)
+	out, err := Evaluate(opt, EvalContext{Eval: te.eval, Enc: te.enc}, te.encryptAll(t, inputs, levels))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e := maxErr(te.decryptSlots(out), want); e > 1e-8 {
+		t.Errorf("encrypted (X·Z)·W: max slot error %.3g", e)
 	}
 }
 
@@ -170,13 +348,11 @@ func TestBootstrapIRCost(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Keyless: only the transforms are read.
-	bt, err := hefloat.NewBootstrapper(params, ckks.NewEncoder(params), nil,
-		hefloat.BootstrapperOptions{K: 16})
+	desc, err := hefloat.NewBootstrapDesc(params, hefloat.BootstrapperOptions{K: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
-	src := buildFrontend(t, params.Slots(), func(b *Builder, z *Value) *Value { return b.Bootstrap(z, bt) })
+	src := buildFrontend(t, params.Slots(), func(b *Builder, z *Value) *Value { return b.Bootstrap(z, desc) })
 	opt, err := Compile(src, Options{Levels: levels})
 	if err != nil {
 		t.Fatal(err)

@@ -39,38 +39,6 @@ func BenchmarkLinearTransformBSGS(b *testing.B) {
 	}
 }
 
-func BenchmarkPCMM(b *testing.B) {
-	env := benchEnv(b, 5, 3, PCMMRotations(4))
-	k := matK(env)
-	x := seqRealMatrix(k, 0.1)
-	w := seqRealMatrix(k, 0.9)
-	pt, _ := packMatrix(env.enc, x, env.params.MaxLevel(), env.params.DefaultScale())
-	ct := env.encr.Encrypt(pt)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := PCMM(env.eval, env.enc, ct, w); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkCCMM(b *testing.B) {
-	k := 4
-	env := benchEnv(b, 5, 6, CCMMRotations(k))
-	x := seqRealMatrix(k, 0.1)
-	z := seqRealMatrix(k, 0.9)
-	ptX, _ := packMatrix(env.enc, x, env.params.MaxLevel(), env.params.DefaultScale())
-	ptZ, _ := packMatrix(env.enc, z, env.params.MaxLevel(), env.params.DefaultScale())
-	ctX := env.encr.Encrypt(ptX)
-	ctZ := env.encr.Encrypt(ptZ)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := CCMM(env.eval, env.enc, ctX, ctZ); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkPolynomialTree(b *testing.B) {
 	env := benchEnv(b, 10, 7, nil)
 	pt, _ := env.enc.Encode(make([]complex128, env.params.Slots()))

@@ -3,6 +3,7 @@ package hefloat
 import (
 	"math"
 	"math/cmplx"
+	"reflect"
 	"testing"
 
 	"hydra/internal/ckks"
@@ -123,13 +124,66 @@ func TestBootstrapRejectsBadInput(t *testing.T) {
 	}
 }
 
-func TestInvertEmbeddingRecoversCoefficients(t *testing.T) {
+// TestNewBootstrapperNeedsBindings: a bootstrapper without an encoder or an
+// evaluator cannot run; the constructor says so instead of returning an object
+// whose first Bootstrap nil-dereferences. The keyless form is the description.
+func TestNewBootstrapperNeedsBindings(t *testing.T) {
 	params := ckks.TestParameters(6, 2)
 	enc := ckks.NewEncoder(params)
-	a, b, err := probeEmbedding(params, enc)
+	eval := ckks.NewEvaluator(params, nil, nil)
+	for name, bind := range map[string]struct {
+		enc  *ckks.Encoder
+		eval *ckks.Evaluator
+	}{"nil evaluator": {enc, nil}, "nil encoder": {nil, eval}} {
+		if bt, err := NewBootstrapper(params, bind.enc, bind.eval, BootstrapperOptions{}); err == nil || bt != nil {
+			t.Errorf("%s: NewBootstrapper returned %v, %v; want an error", name, bt, err)
+		}
+	}
+	d, err := NewBootstrapDesc(params, BootstrapperOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	if want := BootstrapRotations(params, BootstrapperOptions{}); !reflect.DeepEqual(d.Rotations, want) {
+		t.Errorf("description rotations %v, want %v", d.Rotations, want)
+	}
+}
+
+// TestSineTaylorPair checks the one sine-series generator against the closed
+// form: sin y = Σ (-1)^k y^(2k+1)/(2k+1)! up to y^deg, cos y = Σ (-1)^k
+// y^(2k)/(2k)! up to y^(deg+1).
+func TestSineTaylorPair(t *testing.T) {
+	for _, deg := range []int{3, 7, 15} {
+		sin, cos := sineTaylorPair(deg)
+		if len(sin) != deg+1 || len(cos) != deg+2 {
+			t.Fatalf("deg %d: %d sine and %d cosine coefficients", deg, len(sin), len(cos))
+		}
+		fact := uint64(1) // i!, exact up to 20!
+		for i := 0; i <= deg+1; i++ {
+			if i > 1 {
+				fact *= uint64(i)
+			}
+			want := 1 / float64(fact)
+			if i%4 >= 2 {
+				want = -want
+			}
+			wantSin, wantCos := 0.0, want
+			if i%2 == 1 {
+				wantSin, wantCos = want, 0
+			}
+			if i <= deg && sin[i] != wantSin {
+				t.Errorf("deg %d: sin[%d] = %g, want %g", deg, i, sin[i], wantSin)
+			}
+			if cos[i] != wantCos {
+				t.Errorf("deg %d: cos[%d] = %g, want %g", deg, i, cos[i], wantCos)
+			}
+		}
+	}
+}
+
+func TestInvertEmbeddingRecoversCoefficients(t *testing.T) {
+	params := ckks.TestParameters(6, 2)
+	enc := ckks.NewEncoder(params)
+	a, b := probeEmbedding(params, enc)
 	p, q, r, s, err := invertEmbedding(a, b)
 	if err != nil {
 		t.Fatal(err)

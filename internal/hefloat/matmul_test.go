@@ -8,8 +8,8 @@ import (
 	"hydra/internal/ckks"
 )
 
-// The column-major packing PCMM and CCMM operate on (column c in slots
-// [c·k, (c+1)·k)), as the client side would apply it.
+// The column-major packing the matrix-product descriptions are laid out for
+// (column c in slots [c·k, (c+1)·k)), as the client side would apply it.
 
 // packMatrix encodes a k×k real matrix column-major into a plaintext; k²
 // must equal the slot count so column rotations wrap cyclically.
@@ -62,20 +62,6 @@ func seqRealMatrix(k int, seed float64) [][]float64 {
 	return m
 }
 
-func matMulPlain(a, b [][]float64) [][]float64 {
-	k := len(a)
-	out := make([][]float64, k)
-	for r := range out {
-		out[r] = make([]float64, k)
-		for c := 0; c < k; c++ {
-			for j := 0; j < k; j++ {
-				out[r][c] += a[r][j] * b[j][c]
-			}
-		}
-	}
-	return out
-}
-
 func maxMatErr(got, want [][]float64) float64 {
 	m := 0.0
 	for r := range want {
@@ -109,83 +95,10 @@ func TestPackMatrixRejectsWrongSize(t *testing.T) {
 	}
 }
 
-func TestPCMM(t *testing.T) {
-	env := newEnv(t, 5, 3, PCMMRotations(4))
-	k := matK(env)
-	x := seqRealMatrix(k, 0.1)
-	w := seqRealMatrix(k, 1.7)
-	pt, err := packMatrix(env.enc, x, env.params.MaxLevel(), env.params.DefaultScale())
-	if err != nil {
-		t.Fatal(err)
-	}
-	ct := env.encr.Encrypt(pt)
-	res, err := PCMM(env.eval, env.enc, ct, w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := unpackMatrix(env.enc, env.decr.Decrypt(res), k)
-	want := matMulPlain(x, w)
-	if e := maxMatErr(got, want); e > 1e-3 {
-		t.Fatalf("PCMM error %g", e)
-	}
-}
-
 func TestPCMMRotationBudget(t *testing.T) {
 	// One rotation per diagonal (Table I: 1 Rotation, 1 PMult per unit).
 	if got := len(PCMMRotations(8)); got != 7 {
 		t.Fatalf("PCMM needs %d rotations for k=8, want 7", got)
-	}
-}
-
-func TestCCMM(t *testing.T) {
-	k := 4
-	env := newEnv(t, 5, 6, CCMMRotations(k))
-	x := seqRealMatrix(k, 0.4)
-	z := seqRealMatrix(k, 2.9)
-	ptX, err := packMatrix(env.enc, x, env.params.MaxLevel(), env.params.DefaultScale())
-	if err != nil {
-		t.Fatal(err)
-	}
-	ptZ, err := packMatrix(env.enc, z, env.params.MaxLevel(), env.params.DefaultScale())
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctX := env.encr.Encrypt(ptX)
-	ctZ := env.encr.Encrypt(ptZ)
-	res, err := CCMM(env.eval, env.enc, ctX, ctZ)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := unpackMatrix(env.enc, env.decr.Decrypt(res), k)
-	want := matMulPlain(x, z)
-	if e := maxMatErr(got, want); e > 1e-2 {
-		t.Fatalf("CCMM error %g", e)
-	}
-}
-
-func TestCCMMThenPCMMChain(t *testing.T) {
-	// (X·Z)·W — a CCMM feeding a PCMM, as in an attention block.
-	k := 4
-	env := newEnv(t, 5, 8, CCMMRotations(k))
-	x := seqRealMatrix(k, 0.2)
-	z := seqRealMatrix(k, 1.1)
-	w := seqRealMatrix(k, 2.2)
-	ptX, _ := packMatrix(env.enc, x, env.params.MaxLevel(), env.params.DefaultScale())
-	ptZ, _ := packMatrix(env.enc, z, env.params.MaxLevel(), env.params.DefaultScale())
-	ctX := env.encr.Encrypt(ptX)
-	ctZ := env.encr.Encrypt(ptZ)
-	xz, err := CCMM(env.eval, env.enc, ctX, ctZ)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := PCMM(env.eval, env.enc, xz, w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := unpackMatrix(env.enc, env.decr.Decrypt(res), k)
-	want := matMulPlain(matMulPlain(x, z), w)
-	if e := maxMatErr(got, want); e > 5e-2 {
-		t.Fatalf("chained matmul error %g", e)
 	}
 }
 

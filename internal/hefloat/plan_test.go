@@ -190,47 +190,3 @@ func TestEvaluateBSGSParallelSerialBitIdentical(t *testing.T) {
 		t.Fatal("parallel plan evaluation differs bitwise from serial")
 	}
 }
-
-// PCMM's all-baby plan and CCMM's cached pre-transforms ride the same cache;
-// repeated calls must stay correct (stale plan state would corrupt them).
-func TestMatmulRepeatedCallsStable(t *testing.T) {
-	const k = 4
-	env := newEnv(t, 5, 6, CCMMRotations(k))
-	x := [][]float64{{1, 2, 0, -1}, {0, 1, 3, 2}, {2, -2, 1, 0}, {1, 0, 0, 1}}
-	z := [][]float64{{0, 1, 1, 0}, {2, 0, -1, 1}, {1, 1, 0, -2}, {0, 3, 1, 1}}
-	scale := env.params.DefaultScale()
-	ptX, err := packMatrix(env.enc, x, env.params.MaxLevel(), scale)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ptZ, err := packMatrix(env.enc, z, env.params.MaxLevel(), scale)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctX := env.encr.Encrypt(ptX)
-	ctZ := env.encr.Encrypt(ptZ)
-
-	want := make([][]float64, k)
-	for r := range want {
-		want[r] = make([]float64, k)
-		for c := 0; c < k; c++ {
-			for i := 0; i < k; i++ {
-				want[r][c] += x[r][i] * z[i][c]
-			}
-		}
-	}
-	for pass := 0; pass < 2; pass++ {
-		out, err := CCMM(env.eval, env.enc, ctX, ctZ)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := unpackMatrix(env.enc, env.decr.Decrypt(out), k)
-		for r := 0; r < k; r++ {
-			for c := 0; c < k; c++ {
-				if d := got[r][c] - want[r][c]; d > 1e-2 || d < -1e-2 {
-					t.Fatalf("pass %d: CCMM[%d][%d] = %g, want %g", pass, r, c, got[r][c], want[r][c])
-				}
-			}
-		}
-	}
-}

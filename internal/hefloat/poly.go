@@ -86,22 +86,14 @@ func evalTreeRec(eval *ckks.Evaluator, pows []*ckks.Ciphertext, coeffs []float64
 		return term
 	}
 	// Align scales: term went through one more rescale than lo may have.
-	return addAligned(eval, lo, term)
+	return AddAligned(eval, lo, term)
 }
 
 // AddAligned adds two ciphertexts that went through rescaling chains of
-// different depth, spending a corrective constant multiplication on the
-// shallower operand to land both on one scale. Exported for the functional
-// cluster runtime.
-func AddAligned(eval *ckks.Evaluator, a, b *ckks.Ciphertext) *ckks.Ciphertext {
-	return addAligned(eval, a, b)
-}
-
-// addAligned adds two ciphertexts that went through rescaling chains of
 // different depth. The shallower (higher-level) operand is multiplied by 1.0
 // encoded at a corrective scale and rescaled once, landing it exactly on the
 // deeper operand's scale; remaining spare levels are then dropped.
-func addAligned(eval *ckks.Evaluator, a, b *ckks.Ciphertext) *ckks.Ciphertext {
+func AddAligned(eval *ckks.Evaluator, a, b *ckks.Ciphertext) *ckks.Ciphertext {
 	// Ensure a is the deeper (lower-level) operand.
 	if a.Level() > b.Level() {
 		a, b = b, a

@@ -20,10 +20,6 @@ type MatVecOptions struct {
 	// StarAggregation is the ablation variant of point (2): partial sums all
 	// sent to the first card instead of the tree pattern of Fig. 3(d).
 	StarAggregation bool
-	// SkipFinalBroadcast omits the redistribution of the aggregated result
-	// (the last of the log2(Cn)+1 communications of Eq. 1) when the next
-	// step only needs the result on the first card.
-	SkipFinalBroadcast bool
 }
 
 // MatVec emits one BSGS ciphertext-vector × plaintext-matrix product across
@@ -129,10 +125,8 @@ func (c *Context) emitMatVec(opts MatVecOptions, label string) error {
 			}
 			rootResult = latest[0]
 		}
-		if !opts.SkipFinalBroadcast {
-			// Redistribute the aggregate (the "+1" communication of Eq. 1).
-			c.B.Send(root, rootResult, c.others(root), bytes, label)
-		}
+		// Redistribute the aggregate (the "+1" communication of Eq. 1).
+		c.B.Send(root, rootResult, c.others(root), bytes, label)
 	}
 	return nil
 }
