@@ -58,11 +58,13 @@ bench-smoke:
 	done
 
 # Short fuzz passes: the ISA task-program decoder, the differential
-# modular-arithmetic fuzzer (Barrett/Shoup vs math/big), the ciphertext wire
+# modular-arithmetic fuzzer (Barrett/Shoup vs math/big), the RNS base
+# conversions (keyswitch ModUp/ModDown vs math/big), the ciphertext wire
 # decoder, and the word-sized plaintext encoder against its math/big oracle.
 fuzz:
 	$(GO) test -fuzz=FuzzUnmarshal -fuzztime=20s ./internal/isa/
 	$(GO) test -fuzz=FuzzModularOps -fuzztime=10s -run '^$$' ./internal/ring/
+	$(GO) test -fuzz=FuzzBaseConversion -fuzztime=10s -run '^$$' ./internal/ring/
 	$(GO) test -fuzz=FuzzUnmarshalCiphertext -fuzztime=10s -run '^$$' ./internal/ckks/
 	$(GO) test -fuzz=FuzzEncodeResidues -fuzztime=10s -run '^$$' ./internal/ckks/
 

@@ -54,29 +54,29 @@ func atLevel(p *ring.Poly, level int) *ring.Poly {
 	return &ring.Poly{Coeffs: p.Coeffs[:level+1], IsNTT: p.IsNTT}
 }
 
-// Encrypt produces a fresh encryption of pt at the plaintext's level.
+// Encrypt produces a fresh encryption of pt at the plaintext's level. The
+// sampler draws one value per coefficient whatever the row count, so v, e0
+// and e1 are sampled and transformed over the level's rows only — the errors
+// straight into the components they end up in — and the ciphertext is the one
+// a full-chain sample sliced to the level gives.
 func (e *Encryptor) Encrypt(pt *Plaintext) *Ciphertext {
 	r := e.params.RingQP()
 	lvl := pt.Level()
 
-	full := r.MaxLevel()
-	v := r.NewPoly(full)
+	v := r.GetScratch(lvl)
 	e.sampler.Ternary(v)
 	r.NTT(v)
-	e0 := r.NewPoly(full)
-	e.sampler.Gaussian(e0, e.params.Sigma())
-	r.NTT(e0)
-	e1 := r.NewPoly(full)
-	e.sampler.Gaussian(e1, e.params.Sigma())
-	r.NTT(e1)
-
 	c0 := r.NewPoly(lvl)
+	e.sampler.Gaussian(c0, e.params.Sigma())
+	r.NTT(c0)
 	c1 := r.NewPoly(lvl)
-	r.MulCoeffs(atLevel(v, lvl), atLevel(e.pk.B, lvl), c0)
-	r.Add(c0, atLevel(e0, lvl), c0)
+	e.sampler.Gaussian(c1, e.params.Sigma())
+	r.NTT(c1)
+
+	r.MulCoeffsAdd(v, atLevel(e.pk.B, lvl), c0)
 	r.Add(c0, pt.Value, c0)
-	r.MulCoeffs(atLevel(v, lvl), atLevel(e.pk.A, lvl), c1)
-	r.Add(c1, atLevel(e1, lvl), c1)
+	r.MulCoeffsAdd(v, atLevel(e.pk.A, lvl), c1)
+	r.PutScratch(v)
 	return &Ciphertext{C0: c0, C1: c1, Scale: pt.Scale}
 }
 

@@ -4,6 +4,9 @@ import (
 	"math"
 	"math/cmplx"
 	"testing"
+
+	"hydra/internal/hw"
+	"hydra/internal/ring"
 )
 
 type testContext struct {
@@ -268,6 +271,13 @@ func TestParameterValidation(t *testing.T) {
 		{LogN: 10, LogQ: nil, LogP: 45},
 		{LogN: 10, LogQ: []int{45}},
 		{LogN: 10, LogSlots: 10, LogQ: []int{45}, LogP: 45},
+		// Modulus sizes outside the word-sized prime range used to panic in
+		// the prime search.
+		{LogN: 10, LogQ: []int{50, 70}, LogP: 50},
+		{LogN: 10, LogQ: []int{45}, LogP: 62},
+		{LogN: 10, LogQ: []int{3}, LogP: 45},
+		// P must cover a digit: a special prime narrower than a chain prime.
+		{LogN: 10, LogQ: []int{50, 45}, LogP: 45},
 	}
 	for i, lit := range cases {
 		if _, err := NewParameters(lit); err == nil {
@@ -283,6 +293,68 @@ func TestParameterValidation(t *testing.T) {
 	}
 	if p.DefaultScale() != math.Pow(2, 40) {
 		t.Fatalf("default scale = %g", p.DefaultScale())
+	}
+}
+
+// TestSwitchingKeyDigitCount: a chain of L+1 limbs draws α = ⌈(L+1)/3⌉
+// special primes and its switching keys hold ⌈(L+1)/α⌉ digits over all
+// L+1+α rows — the paper's dnum, which the cost model prices, from three
+// limbs up (but for four, which two digits of two cover).
+func TestSwitchingKeyDigitCount(t *testing.T) {
+	for _, limbs := range []int{1, 2, 3, 4, 5, 17, 18} {
+		params := TestParameters(5, limbs-1)
+		alpha := len(params.RingQP().Moduli) - limbs
+		if alpha != (limbs+2)/3 || params.ExtRows(limbs-1) != limbs+alpha || params.SpecialIndex() != limbs {
+			t.Fatalf("%d limbs: %d special primes, %d extended rows", limbs, alpha, params.ExtRows(limbs-1))
+		}
+		kg := NewKeyGenerator(params, 1)
+		swk := kg.GenRelinearizationKey(kg.GenSecretKey()).Key
+		if want := (limbs + alpha - 1) / alpha; len(swk.DigitsB) != want || len(swk.DigitsA) != want {
+			t.Fatalf("%d limbs, α=%d: %d+%d digits, want %d", limbs, alpha, len(swk.DigitsB), len(swk.DigitsA), want)
+		}
+		if limbs >= 3 && limbs != 4 && len(swk.DigitsB) != hw.PaperScheme().Dnum {
+			t.Fatalf("%d limbs: %d digits, the cost model prices %d", limbs, len(swk.DigitsB), hw.PaperScheme().Dnum)
+		}
+		for d := range swk.DigitsB {
+			if len(swk.DigitsB[d].Coeffs) != limbs+alpha || len(swk.DigitsA[d].Coeffs) != limbs+alpha {
+				t.Fatalf("%d limbs: digit %d has %d rows, want %d", limbs, d, len(swk.DigitsB[d].Coeffs), limbs+alpha)
+			}
+		}
+	}
+}
+
+// TestEncryptSamplesOnlyItsLevel pins Encrypt, which samples and transforms
+// the plaintext level's rows only, against the full-chain sample sliced to
+// the level: the sampler draws one value per coefficient, so the two are the
+// same ciphertext bit for bit.
+func TestEncryptSamplesOnlyItsLevel(t *testing.T) {
+	tc := newTestContext(t, 6, 4, nil)
+	r := tc.params.RingQP()
+	for lvl := 0; lvl <= tc.params.MaxLevel(); lvl++ {
+		pt, err := tc.enc.EncodeAtLevel(randomComplex(tc.params.Slots(), int64(30+lvl)), tc.params.DefaultScale(), lvl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seed := int64(40 + lvl)
+		got := NewEncryptor(tc.params, tc.pk, seed).Encrypt(pt)
+
+		smp := ring.NewSampler(r, seed)
+		v, e0, e1 := r.NewPoly(r.MaxLevel()), r.NewPoly(r.MaxLevel()), r.NewPoly(r.MaxLevel())
+		smp.Ternary(v)
+		smp.Gaussian(e0, tc.params.Sigma())
+		smp.Gaussian(e1, tc.params.Sigma())
+		for _, p := range []*ring.Poly{v, e0, e1} {
+			r.NTT(p)
+		}
+		want := &Ciphertext{C0: r.NewPoly(lvl), C1: r.NewPoly(lvl), Scale: pt.Scale}
+		r.MulCoeffs(atLevel(v, lvl), atLevel(tc.pk.B, lvl), want.C0)
+		r.Add(want.C0, atLevel(e0, lvl), want.C0)
+		r.Add(want.C0, pt.Value, want.C0)
+		r.MulCoeffs(atLevel(v, lvl), atLevel(tc.pk.A, lvl), want.C1)
+		r.Add(want.C1, atLevel(e1, lvl), want.C1)
+		if !got.Equal(want) {
+			t.Fatalf("level %d: Encrypt differs from the full-chain sample sliced to the level", lvl)
+		}
 	}
 }
 

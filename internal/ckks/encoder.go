@@ -124,9 +124,10 @@ func floatWord(v float64) (w ring.SignedWord, ok bool) {
 
 // encodeRows is the one encode path: the canonical-embedding FFT, scaling,
 // the exact integer part of every coefficient as a machine word, then one
-// signed reduction and one NTT per residue row. rows[i] is taken modulo q_i
-// for i ≤ level and rows[level+1], when present, modulo P. The caller has
-// checked level and owns the rows, heap or pooled.
+// signed reduction and one NTT per residue row. rows[jj] is taken modulo row
+// jj of the level's extended basis (extRow): q_jj up to level, the special
+// primes when the rows go on. The caller has checked level and owns the rows,
+// heap or pooled.
 func (e *Encoder) encodeRows(values []complex128, scale float64, level int, rows [][]uint64) error {
 	slots := e.params.Slots()
 	if len(values) > slots {
@@ -149,10 +150,7 @@ func (e *Encoder) encodeRows(values []complex128, scale float64, level int, rows
 	}
 	r := e.params.RingQP()
 	ring.ForEachLimb(len(rows), func(jj int) {
-		tbl := r.Tables[jj]
-		if jj == level+1 {
-			tbl = r.Tables[e.params.SpecialIndex()]
-		}
+		tbl := r.Tables[e.params.extRow(jj, level)]
 		tbl.Mod.ReduceSignedRow(rows[jj], words)
 		tbl.Forward(rows[jj])
 	})
@@ -181,10 +179,11 @@ func (e *Encoder) EncodeAtLevel(values []complex128, scale float64, level int) (
 	return &Plaintext{Value: poly, Scale: scale}, nil
 }
 
-// ExtPlaintext is a plaintext encoded over the extended basis q_0..q_level, P:
-// the operand form that multiplies extended-basis keyswitch accumulators
-// (ExtCiphertext) without leaving the P·Q domain. Rows[0..Lvl] are the q_i
-// residues and Rows[Lvl+1] the residue mod P, all NTT-domain canonical.
+// ExtPlaintext is a plaintext encoded over the extended basis q_0..q_level
+// and the special primes: the operand form that multiplies extended-basis
+// keyswitch accumulators (ExtCiphertext) without leaving the P·Q domain.
+// Rows[0..Lvl] are the q_i residues and Rows[Lvl+1:] the residues modulo the
+// special primes, ExtRows(Lvl) in all, NTT-domain canonical.
 // EncodeExtAtLevel's rows are heap-allocated, so the result can live in a
 // compiled transform plan; EncodeExtInto fills rows the caller lends it.
 type ExtPlaintext struct {
@@ -193,24 +192,25 @@ type ExtPlaintext struct {
 	Scale float64
 }
 
-// row returns the residue row for ring table index tblIdx, where special is
-// the table index of P.
-func (p *ExtPlaintext) row(tblIdx, special int) []uint64 {
-	if tblIdx == special {
-		return p.Rows[p.Lvl+1]
+// row returns the residue row that meets row jj of a level-lvl extended
+// ciphertext, lvl ≤ p.Lvl: the special rows sit after p's own Q rows.
+func (p *ExtPlaintext) row(jj, lvl int) []uint64 {
+	if jj > lvl {
+		jj += p.Lvl - lvl
 	}
-	return p.Rows[tblIdx]
+	return p.Rows[jj]
 }
 
 // EncodeExtAtLevel encodes values into an extended-basis plaintext at the
 // given level: the same canonical-embedding encode as EncodeAtLevel plus the
-// extra residue row mod P that the double-hoisted keyswitch path consumes.
+// residue rows modulo the special primes that the double-hoisted keyswitch
+// path consumes.
 func (e *Encoder) EncodeExtAtLevel(values []complex128, scale float64, level int) (*ExtPlaintext, error) {
 	if err := e.checkLevel(level); err != nil {
 		return nil, err
 	}
-	pt := &ExtPlaintext{Lvl: level, Rows: make([][]uint64, level+2)}
-	for jj := range pt.Rows { // row by row: N words are a size class, level+2 rows are not
+	pt := &ExtPlaintext{Lvl: level, Rows: make([][]uint64, e.params.ExtRows(level))}
+	for jj := range pt.Rows { // row by row: N words are a size class, the whole plaintext is not
 		pt.Rows[jj] = make([]uint64, e.params.N())
 	}
 	if err := e.EncodeExtInto(values, scale, pt); err != nil {
@@ -220,12 +220,13 @@ func (e *Encoder) EncodeExtAtLevel(values []complex128, scale float64, level int
 }
 
 // EncodeExtInto is EncodeExtAtLevel into rows the caller lends, pooled
-// scratch for instance: pt.Lvl+2 rows of N words, every one overwritten.
+// scratch for instance: ExtRows(pt.Lvl) rows of N words, every one
+// overwritten.
 func (e *Encoder) EncodeExtInto(values []complex128, scale float64, pt *ExtPlaintext) error {
 	if err := e.checkLevel(pt.Lvl); err != nil {
 		return err
 	}
-	if len(pt.Rows) != pt.Lvl+2 {
+	if len(pt.Rows) != e.params.ExtRows(pt.Lvl) {
 		return fmt.Errorf("ckks: extended plaintext at level %d has %d rows", pt.Lvl, len(pt.Rows))
 	}
 	pt.Scale = scale

@@ -15,9 +15,10 @@ type Evaluator struct {
 	rlk    *RelinearizationKey
 	rtks   *RotationKeySet
 
-	pInvModQi   []uint64 // P^-1 mod q_i
-	pModQi      []uint64 // P mod q_i (lifts c0 into the extended basis)
-	pModQiShoup []uint64
+	// modUp[d][g-1] lifts keyswitch digit d, g of its limbs active, to the
+	// rest of the extended basis; modDown divides by P.
+	modUp   [][]*ring.BasisConv
+	modDown *ring.ModDown
 }
 
 // NewEvaluator builds an evaluator. rlk and rtks may be nil if multiplication
@@ -25,16 +26,15 @@ type Evaluator struct {
 func NewEvaluator(params *Parameters, rlk *RelinearizationKey, rtks *RotationKeySet) *Evaluator {
 	r := params.RingQP()
 	ev := &Evaluator{params: params, rlk: rlk, rtks: rtks}
-	nq := len(params.Q())
-	ev.pInvModQi = make([]uint64, nq)
-	ev.pModQi = make([]uint64, nq)
-	ev.pModQiShoup = make([]uint64, nq)
-	for i := 0; i < nq; i++ {
-		pq := ring.Reduce(params.P(), r.Moduli[i])
-		ev.pInvModQi[i] = ring.InvMod(pq, r.Moduli[i])
-		ev.pModQi[i] = pq
-		ev.pModQiShoup[i] = ring.ShoupPrecomp(pq, r.Moduli[i])
+	top := params.MaxLevel()
+	ev.modUp = make([][]*ring.BasisConv, params.digits(top))
+	for d := range ev.modUp {
+		lo, hi := params.digit(d, top)
+		for end := lo + 1; end <= hi; end++ {
+			ev.modUp[d] = append(ev.modUp[d], r.NewBasisConv(lo, end))
+		}
 	}
+	ev.modDown = r.NewModDown(params.SpecialIndex(), len(r.Moduli))
 	return ev
 }
 
@@ -234,13 +234,10 @@ func (ev *Evaluator) MulRelin(a, b *Ciphertext) *Ciphertext {
 	d0 := r.NewPoly(lvl)
 	d1 := r.NewPoly(lvl)
 	d2 := r.GetScratch(lvl)
-	tmp := r.GetScratch(lvl)
 	r.MulCoeffs(a.C0, b.C0, d0)
 	r.MulCoeffs(a.C0, b.C1, d1)
-	r.MulCoeffs(a.C1, b.C0, tmp)
-	r.Add(d1, tmp, d1)
+	r.MulCoeffsAdd(a.C1, b.C0, d1)
 	r.MulCoeffs(a.C1, b.C1, d2)
-	r.PutScratch(tmp)
 
 	ks0, ks1 := ev.keySwitch(d2, ev.rlk.Key)
 	r.PutScratch(d2)
@@ -336,61 +333,55 @@ func (ev *Evaluator) automorphism(ct *Ciphertext, k uint64) *Ciphertext {
 	return &Ciphertext{C0: rc0, C1: ks1, Scale: ct.Scale}
 }
 
-// hoistedDecomp holds the digit decomposition of a polynomial, extended to
-// the active moduli plus P and transformed to the NTT domain — the expensive
-// prefix of a key switch, reusable across many rotations of one ciphertext
-// (the hoisting optimization BSGS baby steps exploit).
+// hoistedDecomp holds the digit decomposition of a polynomial, every digit
+// lifted to the active moduli plus the special primes and transformed to the
+// NTT domain — the expensive prefix of a key switch, reusable across many
+// rotations of one ciphertext (the hoisting optimization BSGS baby steps
+// exploit).
 type hoistedDecomp struct {
 	lvl    int
 	digits [][][]uint64 // [digit][row][coefficient], NTT domain; row jj lives under table extRow(jj, lvl)
 }
 
-// decomposeExt computes the hoisted decomposition of d (NTT domain). The
+// decomposeExt computes the hoisted decomposition of d (NTT domain): digit dd
+// is d over its own active limbs, base-extended to every other row. The lift
+// is the fast conversion, so a digit carries [d]_{Q_dd} + u·Q_dd with
+// 0 ≤ u < α; the key's P̃_dd vanishes off the digit, so the overflow costs
+// noise (a digit α times wider, against P ≥ Q_dd) and never correctness. The
 // digit rows come from the ring's row pool; callers release them with
 // h.release once the decomposition is consumed.
 func (ev *Evaluator) decomposeExt(d *ring.Poly) *hoistedDecomp {
 	r := ev.params.RingQP()
 	lvl := d.Level()
-	n := r.N
 
 	dCoeff := r.GetScratch(lvl)
 	dCoeff.Copy(d)
 	r.INTT(dCoeff)
 
-	h := &hoistedDecomp{lvl: lvl}
-
-	// Extension pass: lift every digit to every extended modulus. The NTTs
-	// are deferred so they can be regrouped per table below.
-	h.digits = make([][][]uint64, lvl+1)
-	ring.ForEachLimb(lvl+1, func(i int) {
-		digit := dCoeff.Coeffs[i]
-		rows := make([][]uint64, lvl+2)
-		for jj := range rows {
-			tblIdx := ev.params.extRow(jj, lvl)
-			m := r.Tables[tblIdx].Mod
+	h := &hoistedDecomp{lvl: lvl, digits: make([][][]uint64, ev.params.digits(lvl))}
+	for dd := range h.digits {
+		lo, hi := ev.params.digit(dd, lvl)
+		ev.modUp[dd][hi-lo-1].Scale(dCoeff.Coeffs[lo:hi])
+		h.digits[dd] = make([][]uint64, ev.params.ExtRows(lvl))
+	}
+	// One task per extended row: a digit's own rows are d's, copied as they
+	// are and never transformed; every other digit is converted to the row's
+	// modulus, and the row's table transforms them in one ForwardBatch.
+	ring.ForEachLimb(ev.params.ExtRows(lvl), func(jj int) {
+		t := ev.params.extRow(jj, lvl)
+		lifted := make([][]uint64, 0, len(h.digits))
+		for dd := range h.digits {
 			ext := r.GetRow()
-			if tblIdx == i {
-				copy(ext, digit)
+			if lo, hi := ev.params.digit(dd, lvl); lo <= t && t < hi {
+				copy(ext, d.Coeffs[t])
 			} else {
-				for t := 0; t < n; t++ {
-					ext[t] = m.Reduce64(digit[t])
-				}
+				ev.modUp[dd][hi-lo-1].Extend(dCoeff.Coeffs[lo:hi], t, ext)
+				lifted = append(lifted, ext)
 			}
 			//lint:allow poolleak digit rows transfer ownership to hoistedDecomp; h.release returns them to the pool
-			rows[jj] = ext
+			h.digits[dd][jj] = ext
 		}
-		h.digits[i] = rows
-	})
-	// Transform pass, regrouped per extended modulus: all lvl+1 digits' rows
-	// for one table go through that table's ForwardBatch, loading its twiddle
-	// tables and scratch row once and streaming them across the digits,
-	// instead of interleaving tables digit by digit.
-	ring.ForEachLimb(lvl+2, func(jj int) {
-		rows := make([][]uint64, lvl+1)
-		for i := 0; i <= lvl; i++ {
-			rows[i] = h.digits[i][jj]
-		}
-		r.Tables[ev.params.extRow(jj, lvl)].ForwardBatch(rows)
+		r.Tables[t].ForwardBatch(lifted)
 	})
 	r.PutScratch(dCoeff)
 	return h
@@ -416,19 +407,20 @@ func (h *hoistedDecomp) release(r *ring.Ring) {
 // permuted decomposition.
 func (ev *Evaluator) ksAccum(h *hoistedDecomp, perm []int, swk *SwitchingKey) (acc0, acc1 [][]uint64) {
 	r := ev.params.RingQP()
-	acc0 = make([][]uint64, h.lvl+2)
-	acc1 = make([][]uint64, h.lvl+2)
+	rows := ev.params.ExtRows(h.lvl)
+	acc0 = make([][]uint64, rows)
+	acc1 = make([][]uint64, rows)
 	// Each accumulator row jj is independent: it folds every digit i over
 	// the same modulus, so the digit order (and hence the bit pattern) is
 	// preserved while rows run on parallel lanes.
-	ring.ForEachLimb(h.lvl+2, func(jj int) {
+	ring.ForEachLimb(rows, func(jj int) {
 		tblIdx := ev.params.extRow(jj, h.lvl)
 		qj := r.Moduli[tblIdx]
 		m := r.Tables[tblIdx].Mod
 		a0 := r.GetRow()
 		a1 := r.GetRow()
-		for i := 0; i <= h.lvl; i++ {
-			ext := h.digits[i][jj]
+		for i, digit := range h.digits {
+			ext := digit[jj]
 			kb := swk.DigitsB[i].Coeffs[tblIdx]
 			ka := swk.DigitsA[i].Coeffs[tblIdx]
 			// Lazy fused MAC: rows stay in [0, 2q) across the whole digit
@@ -471,9 +463,10 @@ func (ev *Evaluator) ksFromDecomp(h *hoistedDecomp, perm []int, swk *SwitchingKe
 // returning the pair to fold into a ciphertext: (out0, out1) such that
 // out0 + out1·sOut ≈ d·sIn.
 //
-// This is the RNS digit-decomposition key switch with one special modulus:
-// each residue of d is a digit; digits are extended to all active moduli plus
-// P, multiplied against the key, accumulated, and the result divided by P.
+// This is the hybrid RNS key switch: every α consecutive residues of d (α the
+// number of special primes) form a digit; digits are extended to all active
+// moduli plus the special primes, multiplied against the key, accumulated,
+// and the result divided by P.
 func (ev *Evaluator) keySwitch(d *ring.Poly, swk *SwitchingKey) (out0, out1 *ring.Poly) {
 	h := ev.decomposeExt(d)
 	out0, out1 = ev.ksFromDecomp(h, nil, swk)
@@ -523,30 +516,26 @@ func (ev *Evaluator) RotateHoisted(ct *Ciphertext, rots []int) map[int]*Cipherte
 	return out
 }
 
-// modDownP divides the accumulated extended polynomial by P with rounding,
-// returning an NTT-domain polynomial at level lvl.
+// modDownP divides the accumulated extended polynomial by P with exact
+// rounding, returning an NTT-domain polynomial at level lvl. Only the special
+// rows leave the NTT domain (and are consumed): their conversion to each q_j
+// is transformed back and meets acc's Q rows where they are.
 func (ev *Evaluator) modDownP(acc [][]uint64, lvl int) *ring.Poly {
 	r := ev.params.RingQP()
-	p := ev.params.P()
-
-	// Bring all rows to the coefficient domain.
-	ring.ForEachLimb(lvl+2, func(j int) {
-		r.Tables[ev.params.extRow(j, lvl)].Inverse(acc[j])
+	special := acc[lvl+1:]
+	ring.ForEachLimb(len(special), func(k int) {
+		r.Tables[ev.params.SpecialIndex()+k].Inverse(special[k])
 	})
-	rem := acc[lvl+1] // residue mod P
+	overflow := r.GetRow()
+	ev.modDown.Digits(special, overflow)
 
 	out := r.NewPoly(lvl)
 	ring.ForEachLimb(lvl+1, func(j int) {
-		qj := r.Moduli[j]
-		inv := ev.pInvModQi[j]
-		invShoup := ring.ShoupPrecomp(inv, qj)
-		src := acc[j]
-		dst := out.Coeffs[j]
-		for t := range dst {
-			rr := ring.CenteredMod(rem[t], p, qj)
-			dst[t] = ring.MulModShoup(ring.SubMod(src[t], rr, qj), inv, invShoup, qj)
-		}
+		ev.modDown.Remainder(special, overflow, j, out.Coeffs[j])
+		r.Tables[j].Forward(out.Coeffs[j])
+		ev.modDown.Finish(j, acc[j], out.Coeffs[j])
 	})
-	r.NTT(out)
+	r.PutRow(overflow)
+	out.IsNTT = true
 	return out
 }

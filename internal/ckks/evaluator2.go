@@ -63,13 +63,10 @@ func (ev *Evaluator) MulNoRelin(a, b *Ciphertext) *Ciphertext2 {
 	d0 := r.NewPoly(lvl)
 	d1 := r.NewPoly(lvl)
 	d2 := r.NewPoly(lvl)
-	tmp := r.GetScratch(lvl)
 	r.MulCoeffs(a.C0, b.C0, d0)
 	r.MulCoeffs(a.C0, b.C1, d1)
-	r.MulCoeffs(a.C1, b.C0, tmp)
-	r.Add(d1, tmp, d1)
+	r.MulCoeffsAdd(a.C1, b.C0, d1)
 	r.MulCoeffs(a.C1, b.C1, d2)
-	r.PutScratch(tmp)
 
 	return &Ciphertext2{C0: d0, C1: d1, C2: d2, Scale: a.Scale * b.Scale}
 }

@@ -27,21 +27,11 @@ type ExtCiphertext struct {
 	Scale  float64
 }
 
-// extRow returns the ring table index of row jj of a level-lvl extended
-// polynomial: rows 0..lvl are q_0..q_lvl and row lvl+1 is the special
-// modulus P.
-func (p *Parameters) extRow(jj, lvl int) int {
-	if jj <= lvl {
-		return jj
-	}
-	return p.SpecialIndex()
-}
-
 // NewExtAccumulator returns a zeroed extended-basis accumulator at level lvl
 // with the given scale, backed by pooled rows.
 func (ev *Evaluator) NewExtAccumulator(lvl int, scale float64) *ExtCiphertext {
 	r := ev.params.RingQP()
-	n := lvl + 2
+	n := ev.params.ExtRows(lvl)
 	c0 := make([][]uint64, n)
 	c1 := make([][]uint64, n)
 	for jj := 0; jj < n; jj++ {
@@ -65,8 +55,8 @@ func (ev *Evaluator) ReleaseExt(e *ExtCiphertext) {
 }
 
 // liftExt lifts ct into the extended basis by multiplying both components by
-// P over the active moduli (the residues mod P are P·c ≡ 0, so the P-rows
-// stay zero). The result is the identity-rotation element of
+// P over the active moduli (the residues mod the special primes are P·c ≡ 0,
+// so those rows stay zero). The result is the identity-rotation element of
 // RotateHoistedExt: ModDownExt(liftExt(ct)) decrypts exactly as ct.
 func (ev *Evaluator) liftExt(ct *Ciphertext) *ExtCiphertext {
 	r := ev.params.RingQP()
@@ -74,8 +64,8 @@ func (ev *Evaluator) liftExt(ct *Ciphertext) *ExtCiphertext {
 	e := ev.NewExtAccumulator(lvl, ct.Scale)
 	ring.ForEachLimb(lvl+1, func(j int) {
 		m := r.Tables[j].Mod
-		m.MulAddShoupRowLazy(e.C0[j], ct.C0.Coeffs[j], ev.pModQi[j], ev.pModQiShoup[j])
-		m.MulAddShoupRowLazy(e.C1[j], ct.C1.Coeffs[j], ev.pModQi[j], ev.pModQiShoup[j])
+		m.MulAddShoupRowLazy(e.C0[j], ct.C0.Coeffs[j], ev.params.pModQ[j], ev.params.pModQShoup[j])
+		m.MulAddShoupRowLazy(e.C1[j], ct.C1.Coeffs[j], ev.params.pModQ[j], ev.params.pModQShoup[j])
 	})
 	return e
 }
@@ -116,7 +106,7 @@ func (ev *Evaluator) RotateHoistedExt(ct *Ciphertext, rots []int) map[int]*ExtCi
 		// same gather form as the keyswitch MAC.
 		ring.ForEachLimb(lvl+1, func(j int) {
 			m := r.Tables[j].Mod
-			m.MulAddShoupRowLazyGather(acc0[j], ct.C0.Coeffs[j], ev.pModQi[j], ev.pModQiShoup[j], perm)
+			m.MulAddShoupRowLazyGather(acc0[j], ct.C0.Coeffs[j], ev.params.pModQ[j], ev.params.pModQShoup[j], perm)
 		})
 		out[rot] = &ExtCiphertext{Lvl: lvl, C0: acc0, C1: acc1, Scale: ct.Scale}
 	}
@@ -132,8 +122,8 @@ func (ev *Evaluator) RotateExt(ct *Ciphertext, rot int) *ExtCiphertext {
 }
 
 // MulPlainExtAcc folds a whole sequence of (x, pt) products into acc in one
-// pass over the extended basis: acc += Σ xs[ti] ⊙ pts[ti] row-wise, including
-// the P-row, with every row staying lazy in [0, 2q). Per accumulator row,
+// pass over the extended basis: acc += Σ xs[ti] ⊙ pts[ti] row-wise, special
+// rows included, with every row staying lazy in [0, 2q). Per accumulator row,
 // every term of the sequence streams through while that row stays resident —
 // a BSGS giant step folds all its diagonals in one sweep of the accumulator
 // instead of re-walking it per diagonal. Every x must sit at acc's level,
@@ -156,12 +146,10 @@ func (ev *Evaluator) MulPlainExtAcc(xs []*ExtCiphertext, pts []*ExtPlaintext, ac
 		}
 	}
 	r := ev.params.RingQP()
-	special := ev.params.SpecialIndex()
-	ring.ForEachLimb(acc.Lvl+2, func(jj int) {
-		tblIdx := ev.params.extRow(jj, acc.Lvl)
-		m := r.Tables[tblIdx].Mod
+	ring.ForEachLimb(ev.params.ExtRows(acc.Lvl), func(jj int) {
+		m := r.Tables[ev.params.extRow(jj, acc.Lvl)].Mod
 		for ti, x := range xs {
-			prow := pts[ti].row(tblIdx, special)
+			prow := pts[ti].row(jj, acc.Lvl)
 			// Lazy row MAC: x rows < 2q times canonical pt rows < q keeps the
 			// 128-bit product within the q·2^64 Barrett budget.
 			m.MulAddRowLazy(acc.C0[jj], x.C0[jj], prow)
@@ -180,7 +168,7 @@ func (ev *Evaluator) AddExtAcc(x *ExtCiphertext, acc *ExtCiphertext) {
 		panic(fmt.Sprintf("ckks: scale mismatch in AddExtAcc: %g vs %g", acc.Scale, x.Scale))
 	}
 	r := ev.params.RingQP()
-	ring.ForEachLimb(x.Lvl+2, func(jj int) {
+	ring.ForEachLimb(ev.params.ExtRows(x.Lvl), func(jj int) {
 		m := r.Tables[ev.params.extRow(jj, x.Lvl)].Mod
 		m.AddRowLazy(acc.C0[jj], x.C0[jj])
 		m.AddRowLazy(acc.C1[jj], x.C1[jj])
@@ -193,7 +181,7 @@ func (ev *Evaluator) AddExtAcc(x *ExtCiphertext, acc *ExtCiphertext) {
 // to the pool).
 func (ev *Evaluator) ModDownExt(e *ExtCiphertext) *Ciphertext {
 	r := ev.params.RingQP()
-	ring.ForEachLimb(e.Lvl+2, func(jj int) {
+	ring.ForEachLimb(ev.params.ExtRows(e.Lvl), func(jj int) {
 		q := r.Moduli[ev.params.extRow(jj, e.Lvl)]
 		ring.ReduceFinalVec(e.C0[jj], q)
 		ring.ReduceFinalVec(e.C1[jj], q)

@@ -17,9 +17,11 @@ type PublicKey struct {
 }
 
 // SwitchingKey re-encrypts a polynomial decryptable under sIn so that it is
-// decryptable under sOut. One digit per ciphertext modulus: Digits[i] is the
-// pair (b_i, a_i) over QP with b_i = -a_i·sOut + e_i + P̃_i·sIn, where P̃_i is
-// P at residue q_i and 0 elsewhere.
+// decryptable under sOut. One digit per group of α consecutive ciphertext
+// moduli (α the number of special primes): digit d is the pair (b_d, a_d) over
+// QP with b_d = -a_d·sOut + e_d + P̃_d·sIn, where P̃_d is P at the residues of
+// the digit's own moduli and 0 elsewhere — P·(Q/Q_d)·[(Q/Q_d)^-1]_{Q_d} at
+// every level, whichever of the digit's moduli are still active.
 type SwitchingKey struct {
 	DigitsB []*ring.Poly
 	DigitsA []*ring.Poly
@@ -92,17 +94,10 @@ func (kg *KeyGenerator) GenPublicKey(sk *SecretKey) *PublicKey {
 func (kg *KeyGenerator) GenSwitchingKey(sIn, sOut *ring.Poly) *SwitchingKey {
 	r := kg.params.RingQP()
 	lvl := r.MaxLevel()
-	nQ := len(kg.params.Q())
-	pModQi := make([]uint64, nQ)
-	for i := 0; i < nQ; i++ {
-		pModQi[i] = ring.Reduce(kg.params.P(), r.Moduli[i])
-	}
+	top := kg.params.MaxLevel()
 
-	swk := &SwitchingKey{
-		DigitsB: make([]*ring.Poly, nQ),
-		DigitsA: make([]*ring.Poly, nQ),
-	}
-	for i := 0; i < nQ; i++ {
+	swk := &SwitchingKey{}
+	for d := 0; d < kg.params.digits(top); d++ {
 		a := r.NewPoly(lvl)
 		kg.sampler.Uniform(a)
 		r.NTT(a)
@@ -114,16 +109,15 @@ func (kg *KeyGenerator) GenSwitchingKey(sIn, sOut *ring.Poly) *SwitchingKey {
 		r.MulCoeffs(a, sOut, b)
 		r.Neg(b, b)
 		r.Add(b, e, b)
-		// Add P̃_i·sIn: only residue q_i is non-zero, equal to (P mod q_i)·sIn.
-		qi := r.Moduli[i]
-		pi := pModQi[i]
-		piShoup := ring.ShoupPrecomp(pi, qi)
-		for j := 0; j < r.N; j++ {
-			term := ring.MulModShoup(sIn.Coeffs[i][j], pi, piShoup, qi)
-			b.Coeffs[i][j] = ring.AddMod(b.Coeffs[i][j], term, qi)
+		// Add P̃_d·sIn: (P mod q_i)·sIn on the digit's own residues, zero on
+		// every other.
+		lo, hi := kg.params.digit(d, top)
+		for i := lo; i < hi; i++ {
+			r.Tables[i].Mod.MulAddShoupRowLazy(b.Coeffs[i], sIn.Coeffs[i], kg.params.pModQ[i], kg.params.pModQShoup[i])
+			ring.ReduceFinalVec(b.Coeffs[i], r.Moduli[i])
 		}
-		swk.DigitsB[i] = b
-		swk.DigitsA[i] = a
+		swk.DigitsB = append(swk.DigitsB, b)
+		swk.DigitsA = append(swk.DigitsA, a)
 	}
 	return swk
 }

@@ -128,7 +128,7 @@ func (e *evalLowering) diagMac(v *Value, xs []*ckks.ExtCiphertext, acc *ckks.Ext
 	chunk := min(4*ring.MaxWorkers(), len(xs)) // he-rot: 199 ms at 1 per worker, 175 at 4, 177 unchunked
 	pts := make([]*ckks.ExtPlaintext, chunk)
 	for i := range pts {
-		scratch := r.GetScratch(v.Level + 1) // level+2 rows: q_0..q_level and P
+		scratch := r.GetScratch(ev.Params().ExtRows(v.Level) - 1) // a level-l scratch has l+1 rows
 		defer r.PutScratch(scratch)
 		pts[i] = &ckks.ExtPlaintext{Lvl: v.Level, Rows: scratch.Coeffs}
 	}

@@ -321,7 +321,16 @@ type node struct {
 
 func runStep(st *task.Step, p *task.Program, cfg Config, pl Placement, start float64, res *Result) (StepStat, error) {
 	// --- Node construction -------------------------------------------------
-	var nodes []node
+	total := 0 // one node per compute task and per comm task, a second per receive
+	for card := 0; card < p.Cards; card++ {
+		total += len(st.Compute[card]) + len(st.Comm[card])
+		for _, c := range st.Comm[card] {
+			if c.Kind == task.Recv {
+				total++
+			}
+		}
+	}
+	nodes := make([]node, 0, total)
 	add := func(n node) int {
 		nodes = append(nodes, n)
 		return len(nodes) - 1

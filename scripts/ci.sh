@@ -95,10 +95,11 @@ go test -fuzz=FuzzIRPasses -fuzztime=10s -run '^$' ./internal/fhir/
 
 echo "== fuzz smoke (seed corpora + 10s per fuzzer)"
 # Short differential-fuzz passes seeded from testdata/fuzz and f.Add: the
-# modular arithmetic kernels and the plaintext encoder against math/big, and
-# the ISA and ciphertext wire decoders against crashes and out-of-contract
-# output.
+# modular arithmetic kernels, the RNS base conversions and the plaintext
+# encoder against math/big, and the ISA and ciphertext wire decoders against
+# crashes and out-of-contract output.
 go test -fuzz=FuzzModularOps -fuzztime=10s -run '^$' ./internal/ring/
+go test -fuzz=FuzzBaseConversion -fuzztime=10s -run '^$' ./internal/ring/
 go test -fuzz=FuzzUnmarshal -fuzztime=10s -run '^$' ./internal/isa/
 go test -fuzz=FuzzUnmarshalCiphertext -fuzztime=10s -run '^$' ./internal/ckks/
 go test -fuzz=FuzzEncodeResidues -fuzztime=10s -run '^$' ./internal/ckks/
