@@ -410,32 +410,20 @@ func (ev *Evaluator) ksAccum(h *hoistedDecomp, perm []int, swk *SwitchingKey) (a
 	rows := ev.params.ExtRows(h.lvl)
 	acc0 = make([][]uint64, rows)
 	acc1 = make([][]uint64, rows)
-	// Each accumulator row jj is independent: it folds every digit i over
-	// the same modulus, so the digit order (and hence the bit pattern) is
-	// preserved while rows run on parallel lanes.
+	// Each accumulator row jj is independent: it sums every digit i over the
+	// same modulus in one 128-bit accumulator per coefficient (dnum = 3
+	// digits never exceed RowMACFold), reduced once to a canonical residue,
+	// while rows run on parallel lanes.
 	ring.ForEachLimb(rows, func(jj int) {
 		tblIdx := ev.params.extRow(jj, h.lvl)
-		qj := r.Moduli[tblIdx]
-		m := r.Tables[tblIdx].Mod
+		var d, kb, ka [ring.RowMACFold][]uint64
+		for i, digit := range h.digits {
+			d[i], kb[i], ka[i] = digit[jj], swk.DigitsB[i].Coeffs[tblIdx], swk.DigitsA[i].Coeffs[tblIdx]
+		}
+		n := len(h.digits)
 		a0 := r.GetRow()
 		a1 := r.GetRow()
-		for i, digit := range h.digits {
-			ext := digit[jj]
-			kb := swk.DigitsB[i].Coeffs[tblIdx]
-			ka := swk.DigitsA[i].Coeffs[tblIdx]
-			// Lazy fused MAC: rows stay in [0, 2q) across the whole digit
-			// fold, deferring the canonicalizing subtraction to one sweep
-			// per row instead of one per multiply.
-			if perm == nil {
-				m.MulAddRowLazy(a0, ext, kb)
-				m.MulAddRowLazy(a1, ext, ka)
-			} else {
-				m.MulAddRowLazyGather(a0, ext, kb, perm)
-				m.MulAddRowLazyGather(a1, ext, ka, perm)
-			}
-		}
-		ring.ReduceFinalVec(a0, qj)
-		ring.ReduceFinalVec(a1, qj)
+		r.Tables[tblIdx].Mod.InnerProductRows(a0, a1, d[:n], kb[:n], ka[:n], perm)
 		//lint:allow poolleak accumulator rows transfer ownership to the caller, which releases them after the deferred ModDown consumes them
 		acc0[jj], acc1[jj] = a0, a1
 	})

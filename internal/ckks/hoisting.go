@@ -128,8 +128,9 @@ func (ev *Evaluator) RotateExt(ct *Ciphertext, rot int) *ExtCiphertext {
 // a BSGS giant step folds all its diagonals in one sweep of the accumulator
 // instead of re-walking it per diagonal. Every x must sit at acc's level,
 // every pt must be encoded at that level or above, and acc's scale must
-// already equal x.Scale·pt.Scale for every pair. The result is bit-identical
-// to accumulating the pairs one call at a time.
+// already equal x.Scale·pt.Scale for every pair. The rows are congruent to
+// accumulating the pairs one call at a time, and bit-identical to it once
+// ModDownExt's sweep makes them canonical.
 func (ev *Evaluator) MulPlainExtAcc(xs []*ExtCiphertext, pts []*ExtPlaintext, acc *ExtCiphertext) {
 	if len(xs) != len(pts) {
 		panic("ckks: MulPlainExtAcc length mismatch")
@@ -148,12 +149,15 @@ func (ev *Evaluator) MulPlainExtAcc(xs []*ExtCiphertext, pts []*ExtPlaintext, ac
 	r := ev.params.RingQP()
 	ring.ForEachLimb(ev.params.ExtRows(acc.Lvl), func(jj int) {
 		m := r.Tables[ev.params.extRow(jj, acc.Lvl)].Mod
-		for ti, x := range xs {
-			prow := pts[ti].row(jj, acc.Lvl)
-			// Lazy row MAC: x rows < 2q times canonical pt rows < q keeps the
-			// 128-bit product within the q·2^64 Barrett budget.
-			m.MulAddRowLazy(acc.C0[jj], x.C0[jj], prow)
-			m.MulAddRowLazy(acc.C1[jj], x.C1[jj], prow)
+		// Lazy x rows (< 2q) times canonical pt rows (< q), RowMACFold terms
+		// per 128-bit sum: one reduction per coefficient per chunk.
+		var x0, x1, p [ring.RowMACFold][]uint64
+		for lo := 0; lo < len(xs); lo += ring.RowMACFold {
+			n := min(ring.RowMACFold, len(xs)-lo)
+			for t, x := range xs[lo : lo+n] {
+				x0[t], x1[t], p[t] = x.C0[jj], x.C1[jj], pts[lo+t].row(jj, acc.Lvl)
+			}
+			m.MulAddRowsLazy(acc.C0[jj], acc.C1[jj], x0[:n], x1[:n], p[:n])
 		}
 	})
 }

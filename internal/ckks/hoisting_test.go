@@ -39,17 +39,26 @@ func TestRotateExtBitIdenticalToRotate(t *testing.T) {
 // also pins EncodeExtAtLevel's Q-rows to EncodeAtLevel's.
 //
 // k terms: a hoisted weighted sum Σ w_k ⊙ τ_k(ct) folded in one call must be
-// bit-identical to folding the same pairs one call at a time (the per-row
-// term order is the same), and must decrypt to the sum of per-rotation
+// bit-identical to folding the same pairs one call at a time (the 128-bit
+// sums differ only in where they reduce, and the closing sweep makes every
+// congruent row canonical), and must decrypt to the sum of per-rotation
 // Rotate+MulPlain results; the single deferred rounding only shrinks the
-// error.
+// error. The 7/8/9/17-term cases straddle the kernel's ring.RowMACFold chunk;
+// terms past the distinct rotations reuse them through copies, so the
+// stepwise reference releases every row exactly once.
 func TestMulPlainExtAcc(t *testing.T) {
+	kRots := []int{0, 1, 2, 5, -1}
 	for _, c := range []struct {
-		name string
-		rots []int
+		name  string
+		rots  []int
+		terms int
 	}{
-		{"1-term", []int{0}},
-		{"k-term", []int{0, 1, 2, 5, -1}},
+		{"1-term", []int{0}, 1},
+		{"k-term", kRots, len(kRots)},
+		{"7-term", kRots, 7},
+		{"8-term", kRots, 8},
+		{"9-term", kRots, 9},
+		{"17-term", kRots, 17},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			tc := newTestContext(t, 6, 3, []int{1, 2, 5, -1})
@@ -62,10 +71,11 @@ func TestMulPlainExtAcc(t *testing.T) {
 			scale := tc.params.DefaultScale()
 
 			exts := tc.eval.RotateHoistedExt(ct, c.rots)
-			xs := make([]*ExtCiphertext, len(c.rots))
-			wExts := make([]*ExtPlaintext, len(c.rots))
+			xs := make([]*ExtCiphertext, c.terms)
+			wExts := make([]*ExtPlaintext, c.terms)
 			var want *Ciphertext
-			for i, rot := range c.rots {
+			for i := range xs {
+				rot := c.rots[i%len(c.rots)]
 				weights := randomComplex(tc.params.Slots(), int64(13+i))
 				wPlain, err := tc.enc.EncodeAtLevel(weights, scale, lvl)
 				if err != nil {
@@ -75,6 +85,9 @@ func TestMulPlainExtAcc(t *testing.T) {
 					t.Fatal(err)
 				}
 				xs[i] = exts[rot]
+				if i >= len(c.rots) {
+					xs[i] = cloneExt(tc.eval, exts[rot])
+				}
 				term := tc.eval.MulPlain(tc.eval.Rotate(ct, rot), wPlain)
 				if want == nil {
 					want = term
@@ -95,7 +108,7 @@ func TestMulPlainExtAcc(t *testing.T) {
 				t.Fatalf("one fold differs from term-at-a-time folds: %v", err)
 			}
 
-			if len(c.rots) == 1 {
+			if c.terms == 1 {
 				if err := ctBitIdentical(got, want); err != nil {
 					t.Fatalf("extended-basis plaintext product differs from MulPlain: %v", err)
 				}
@@ -108,6 +121,16 @@ func TestMulPlainExtAcc(t *testing.T) {
 			}
 		})
 	}
+}
+
+// cloneExt copies x onto fresh pooled rows.
+func cloneExt(ev *Evaluator, x *ExtCiphertext) *ExtCiphertext {
+	c := ev.NewExtAccumulator(x.Lvl, x.Scale)
+	for jj := range x.C0 {
+		copy(c.C0[jj], x.C0[jj])
+		copy(c.C1[jj], x.C1[jj])
+	}
+	return c
 }
 
 // Folding several hoisted rotations in the extended basis with one closing

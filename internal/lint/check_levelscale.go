@@ -281,7 +281,7 @@ func (r *ctRun) call(call *ast.CallExpr, s state[ctFact], rep bool) ctFact {
 		r.assign(cts[0], f, s)
 		return ctFact{}
 
-	case "Add", "Sub", "SubPlain", "AddConst", "SubConst":
+	case "Add", "Sub", "AddConst":
 		if len(cts) >= 2 {
 			a, aTracked := r.operand(cts[0], s, rep)
 			b, bTracked := r.operand(cts[1], s, rep)
@@ -312,7 +312,7 @@ func (r *ctRun) call(call *ast.CallExpr, s state[ctFact], rep bool) ctFact {
 		}
 		return ctFact{}
 
-	case "Mul", "MulRelin", "MulPlain", "MulByConst", "MulNew":
+	case "Mul", "MulRelin", "MulPlain", "MulByConst":
 		// No operand alignment check here: multiplication composes scales
 		// (Δa·Δb is legal) and the evaluator aligns levels — the per-operand
 		// pend/deg checks below catch the real violations.
@@ -339,7 +339,7 @@ func (r *ctRun) call(call *ast.CallExpr, s state[ctFact], rep bool) ctFact {
 			out.pend = maxI8(out.pend, f.pend)
 		}
 		out.pend++
-		if name == "Mul" || name == "MulNew" {
+		if name == "Mul" {
 			out.deg = 2 // not relinearized
 		}
 		return out

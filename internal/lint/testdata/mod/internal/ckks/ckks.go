@@ -113,6 +113,20 @@ func okRowMACForwardBatch(rows, xs [][]uint64, key []uint64, q uint64) uint64 {
 	return ring.AddMod(rows[0][0], 0, q)
 }
 
+// lazydomain: the wide diagonal fold is a lazy row kernel — its accumulator
+// is [0, 2q) until swept...
+func badWideFold(acc [2][]uint64, x0, x1, p [][]uint64, q uint64) uint64 {
+	ring.MulAddRowsLazy(acc[0], acc[1], x0, x1, p)
+	return ring.AddMod(acc[1][0], 0, q) // want lazydomain
+}
+
+// ...while the keyswitch inner product reduces to canonical rows, which any
+// consumer may read directly.
+func okKeyMAC(out0, out1 []uint64, d, k0, k1 [][]uint64, q uint64) uint64 {
+	ring.InnerProductRows(out0, out1, d, k0, k1, nil)
+	return ring.AddMod(out0[0], 0, q)
+}
+
 // consumeCanon's summary marks its parameter canonical-expecting: the value
 // flows into ring.AddMod unswept.
 func consumeCanon(v, q uint64) uint64 {

@@ -43,6 +43,14 @@ func RunTasks(fns ...func()) {
 // in [0, 2q).
 func MulAddRowLazy(acc, a, b []uint64) {}
 
+// MulAddRowsLazy mimics the wide-accumulator diagonal fold: both accumulator
+// rows stay lazy in [0, 2q).
+func MulAddRowsLazy(acc0, acc1 []uint64, x0, x1, p [][]uint64) {}
+
+// InnerProductRows mimics the keyswitch digit inner product: it writes
+// canonical [0, q) output rows.
+func InnerProductRows(out0, out1 []uint64, d, k0, k1 [][]uint64, perm []int) {}
+
 // ForwardBatch mimics the batched NTT entry point: like Forward, it accepts
 // lazy input and folds the canonicalizing sweep into its last pass.
 func ForwardBatch(rows [][]uint64) {}

@@ -1,6 +1,7 @@
 package ring
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -106,5 +107,77 @@ func BenchmarkAutomorphismNTT(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		r.AutomorphismNTT(p, perm, out)
+	}
+}
+
+// perProductRowMAC is the per-product-Barrett row MAC the wide-accumulator
+// kernels replaced: acc[j] += a[perm[j]]·b[j] (a[j] when perm is nil) with
+// one Reduce128Lazy per product, acc lazy in [0, 2q).
+func perProductRowMAC(m Modulus, acc, a, b []uint64, perm []int) {
+	for j := range acc {
+		src := j
+		if perm != nil {
+			src = perm[j]
+		}
+		acc[j] = m.mulAddLazy(acc[j], a[src], b[j])
+	}
+}
+
+// BenchmarkRowMAC sets both wide-accumulator kernels against the per-product
+// loop they replaced, at fold 1, 3 (a dnum = 3 keyswitch) and 8
+// (RowMACFold), on 4096-coefficient rows under a 50-bit NTT prime:
+//
+//	fold/F=k/{wide,perproduct}: MulAddRowsLazy, a BSGS diagonal fold of k
+//	  terms into both accumulator components;
+//	key/F=k/{wide,perproduct}: InnerProductRows with an automorphism gather,
+//	  k digits against both key rows, closed to canonical.
+//
+// go test -run '^$' -bench RowMAC ./internal/ring/
+func BenchmarkRowMAC(b *testing.B) {
+	const n = 4096
+	m := NewModulus(GenerateNTTPrimes(50, n, 1)[0])
+	rng := rand.New(rand.NewSource(1))
+	rows := func(k int, bound uint64) [][]uint64 {
+		out := make([][]uint64, k)
+		for i := range out {
+			out[i] = randomCoeffs(rng, n, bound)
+		}
+		return out
+	}
+	perm := AutomorphismNTTIndex(n, GaloisElementForRotation(n, 1))
+	for _, k := range []int{1, 3, RowMACFold} {
+		x0, x1, p := rows(k, 2*m.Q), rows(k, 2*m.Q), rows(k, m.Q)
+		acc := rows(2, 2*m.Q)
+		b.Run(fmt.Sprintf("fold/F=%d/wide", k), func(b *testing.B) {
+			for range b.N {
+				m.MulAddRowsLazy(acc[0], acc[1], x0, x1, p)
+			}
+		})
+		b.Run(fmt.Sprintf("fold/F=%d/perproduct", k), func(b *testing.B) {
+			for range b.N {
+				for t := range k {
+					perProductRowMAC(m, acc[0], x0[t], p[t], nil)
+					perProductRowMAC(m, acc[1], x1[t], p[t], nil)
+				}
+			}
+		})
+		k0, k1 := rows(k, m.Q), rows(k, m.Q)
+		b.Run(fmt.Sprintf("key/F=%d/wide", k), func(b *testing.B) {
+			for range b.N {
+				m.InnerProductRows(acc[0], acc[1], p, k0, k1, perm)
+			}
+		})
+		b.Run(fmt.Sprintf("key/F=%d/perproduct", k), func(b *testing.B) {
+			for range b.N {
+				clear(acc[0])
+				clear(acc[1])
+				for i := range k {
+					perProductRowMAC(m, acc[0], p[i], k0[i], perm)
+					perProductRowMAC(m, acc[1], p[i], k1[i], perm)
+				}
+				ReduceFinalVec(acc[0], m.Q)
+				ReduceFinalVec(acc[1], m.Q)
+			}
+		})
 	}
 }

@@ -190,14 +190,13 @@ func (m Modulus) ReduceSignedRow(out []uint64, w []SignedWord) {
 	}
 }
 
-// MulAddRowLazy is the fused Barrett multiply-accumulate for operand pairs
-// without Shoup tables (both sides variable, e.g. digit × switching-key
-// rows): acc[j] += a[j]*b[j] for whole rows, with every acc element lazy in
-// [0, 2q) on entry and on return; each product a[j]*b[j] must be below
-// q*2^64, so the transient sum is < 4q < 2^64. The multiply stays inlined
-// here, so each element costs a single Barrett-reduction call. It is the
-// inner kernel of the keyswitch digit inner product; close the window with
-// ReduceFinalVec.
+// MulAddRowLazy is the fused Barrett multiply-accumulate for one operand pair
+// without Shoup tables (both sides variable): acc[j] += a[j]*b[j] for whole
+// rows, with every acc element lazy in [0, 2q) on entry and on return; each
+// product a[j]*b[j] must be below q*2^64, so the transient sum is < 4q < 2^64.
+// The multiply stays inlined here, so each element costs a single
+// Barrett-reduction call. Sums of several products go through the
+// wide-accumulator kernels below instead; close the window with ReduceFinalVec.
 func (m Modulus) MulAddRowLazy(acc, a, b []uint64) {
 	twoQ := m.Q << 1
 	a = a[:len(acc)]
@@ -212,23 +211,103 @@ func (m Modulus) MulAddRowLazy(acc, a, b []uint64) {
 	}
 }
 
-// MulAddRowLazyGather is MulAddRowLazy with an index gather fused into the
-// left operand: acc[j] += a[perm[j]]*b[j], with acc lazy in [0, 2q) on entry
-// and on return. perm must be a permutation of [0, len(acc)). This fuses an
-// NTT-domain automorphism (a pure index permutation) into the keyswitch digit
-// inner product, so hoisted rotations never materialize the permuted digit
-// rows. Close the window with ReduceFinalVec.
-func (m Modulus) MulAddRowLazyGather(acc, a, b []uint64, perm []int) {
-	twoQ := m.Q << 1
-	b = b[:len(acc)]
-	perm = perm[:len(acc)]
-	for j := range acc {
-		hi, lo := bits.Mul64(a[perm[j]], b[j])
-		c := acc[j] + m.Reduce128Lazy(hi, lo)
-		if c >= twoQ {
-			c -= twoQ
+// RowMACFold is the most products the wide-accumulator kernels sum in 128
+// bits before their one reduction per output coefficient. Each product pairs
+// a lazy operand (< 2q) with a canonical one (< q), and the fold may start
+// from a lazy accumulator (< 2q), so F terms sum to at most
+// F·(2q−1)(q−1) + 2q − 1 = 16q² − 22q + 7 for F = 8: below 16q² < 2^128
+// under the package's q < 2^62 contract. F = 9 gives 18q² − 25q + 8, which
+// passes 2^128 as q nears 2^62, so 8 is the widest fold that never carries
+// out of the high word.
+const RowMACFold = 8
+
+// wideHigh prepares the high word of a 128-bit sum of at most RowMACFold
+// products (plus a lazy accumulator) for Reduce128Lazy: such a sum is below
+// 16q², so hi < 4q, and folding hi below q (2^64·q ≡ 0 mod q) meets the
+// q·2^64 input bound without changing the residue.
+func (m Modulus) wideHigh(hi uint64) uint64 {
+	if hi >= m.Q {
+		if twoQ := m.Q << 1; hi >= twoQ {
+			hi -= twoQ
 		}
-		acc[j] = c
+		if hi >= m.Q {
+			hi -= m.Q
+		}
+	}
+	return hi
+}
+
+// MulAddRowsLazy is the extended-basis diagonal fold, the MAC datapath of a
+// BSGS giant step: for up to RowMACFold terms t it sets
+// acc0[j] += Σ_t x0[t][j]·p[t][j] and acc1[j] += Σ_t x1[t][j]·p[t][j] — both
+// components of each ciphertext term against the term's plaintext row —
+// summing the full 128-bit products and reducing once per output coefficient
+// instead of once per product. acc and x rows are lazy in [0, 2q), p rows
+// canonical; acc stays lazy on return. Close the window with ReduceFinalVec.
+func (m Modulus) MulAddRowsLazy(acc0, acc1 []uint64, x0, x1, p [][]uint64) {
+	n := len(p)
+	if n > RowMACFold || len(x0) != n || len(x1) != n {
+		panic("ring: MulAddRowsLazy takes matching operand lists of at most RowMACFold rows")
+	}
+	acc1 = acc1[:len(acc0)]
+	for j := range acc0 {
+		l0, l1 := acc0[j], acc1[j]
+		var h0, h1, c uint64
+		for t := range n {
+			pv := p[t][j]
+			hi, lo := bits.Mul64(x0[t][j], pv)
+			l0, c = bits.Add64(l0, lo, 0)
+			h0 += hi + c
+			hi, lo = bits.Mul64(x1[t][j], pv)
+			l1, c = bits.Add64(l1, lo, 0)
+			h1 += hi + c
+		}
+		acc0[j] = m.Reduce128Lazy(m.wideHigh(h0), l0)
+		acc1[j] = m.Reduce128Lazy(m.wideHigh(h1), l1)
+	}
+}
+
+// InnerProductRows is the keyswitch digit inner product: it sets
+// out0[j] = Σ_i d[i][perm[j]]·k0[i][j] and out1[j] = Σ_i d[i][perm[j]]·k1[i][j]
+// canonical in [0, q), one digit load serving both key rows and one reduction
+// per output coefficient. perm, when non-nil, is an NTT-domain automorphism
+// (a permutation of [0, len(out0))) fused into the digit reads, so hoisted
+// rotations never materialize permuted digit rows. d rows may be lazy in
+// [0, 2q), k rows must be canonical, and at most RowMACFold digits fit one
+// call.
+func (m Modulus) InnerProductRows(out0, out1 []uint64, d, k0, k1 [][]uint64, perm []int) {
+	n := len(d)
+	if n > RowMACFold || len(k0) != n || len(k1) != n {
+		panic("ring: InnerProductRows takes matching operand lists of at most RowMACFold rows")
+	}
+	q := m.Q
+	out1 = out1[:len(out0)]
+	if perm != nil {
+		perm = perm[:len(out0)]
+	}
+	for j := range out0 {
+		src := j
+		if perm != nil {
+			src = perm[j]
+		}
+		var h0, l0, h1, l1, c uint64
+		for i := range n {
+			v := d[i][src]
+			hi, lo := bits.Mul64(v, k0[i][j])
+			l0, c = bits.Add64(l0, lo, 0)
+			h0 += hi + c
+			hi, lo = bits.Mul64(v, k1[i][j])
+			l1, c = bits.Add64(l1, lo, 0)
+			h1 += hi + c
+		}
+		r0, r1 := m.Reduce128Lazy(m.wideHigh(h0), l0), m.Reduce128Lazy(m.wideHigh(h1), l1)
+		if r0 >= q {
+			r0 -= q
+		}
+		if r1 >= q {
+			r1 -= q
+		}
+		out0[j], out1[j] = r0, r1
 	}
 }
 

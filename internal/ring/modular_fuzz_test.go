@@ -3,6 +3,7 @@ package ring
 import (
 	"math/big"
 	"math/bits"
+	"math/rand"
 	"testing"
 )
 
@@ -57,8 +58,9 @@ func mulAddShoupLazy(acc, a, w, wShoup, q uint64) uint64 {
 }
 
 // FuzzModularOps differentially tests every modular-reduction strategy in the
-// package — plain %, Barrett (Reduce128/Reduce64/MulModBarrett) and Shoup —
-// against math/big across random odd moduli. A divergence
+// package — plain %, Barrett (Reduce128/Reduce64/MulModBarrett), Shoup and
+// the wide-accumulator row MACs — against math/big across random odd moduli.
+// A divergence
 // here means two "equivalent" compute-unit models would disagree on the same
 // ciphertext limb, which is exactly the class of bug the cross-checked CU
 // implementations are meant to exclude.
@@ -194,6 +196,11 @@ func FuzzModularOps(f *testing.F) {
 			t.Fatalf("MulAddRowLazy diverges from MulAddLazy: %v", addRow)
 		}
 
+		// The wide-accumulator kernels on operands drawn from the fuzz input:
+		// fold length, operand rows and gather permutation all vary with it.
+		rng := rand.New(rand.NewSource(int64(a ^ b<<1 ^ qseed)))
+		checkWideRowMACs(t, m, rng, int(a%(RowMACFold+1)), 4, b%3 == 0)
+
 		// A CT butterfly (x + w·y, x − w·y) composed from Shoup mul, as the
 		// NTT inner loops do, checked end to end against math/big.
 		w := br
@@ -207,4 +214,104 @@ func FuzzModularOps(f *testing.F) {
 			t.Fatalf("butterfly diff(%d, %d) mod %d = %d, want %d", ar, br, q, got, want)
 		}
 	})
+}
+
+// checkWideRowMACs runs both wide-accumulator kernels on terms operand rows
+// of length n — random, or every operand at its bound (x = 2q−1, p = q−1,
+// acc = 2q−1) when worst — and checks every output against math/big:
+// MulAddRowsLazy congruent and lazy in [0, 2q), InnerProductRows congruent
+// and canonical, with and without a random gather permutation.
+func checkWideRowMACs(t *testing.T, m Modulus, rng *rand.Rand, terms, n int, worst bool) {
+	t.Helper()
+	q := m.Q
+	bigQ := new(big.Int).SetUint64(q)
+	rows := func(count int, bound uint64) [][]uint64 {
+		out := make([][]uint64, count)
+		for i := range out {
+			out[i] = make([]uint64, n)
+			for j := range out[i] {
+				out[i][j] = bound - 1
+				if !worst {
+					out[i][j] = rng.Uint64() % bound
+				}
+			}
+		}
+		return out
+	}
+	// mac returns acc + Σ_t a[t][src]·b[t][j] exactly.
+	mac := func(acc uint64, a, b [][]uint64, src, j int) *big.Int {
+		s := new(big.Int).SetUint64(acc)
+		for i := range a {
+			s.Add(s, new(big.Int).Mul(new(big.Int).SetUint64(a[i][src]), new(big.Int).SetUint64(b[i][j])))
+		}
+		return s
+	}
+	check := func(name string, got uint64, want *big.Int, bound uint64) {
+		t.Helper()
+		if got >= bound || got%q != new(big.Int).Mod(want, bigQ).Uint64() {
+			t.Fatalf("%s, %d terms, q=%d: got %d, want %v mod q below %d", name, terms, q, got, want, bound)
+		}
+	}
+
+	x0, x1, p := rows(terms, 2*q), rows(terms, 2*q), rows(terms, q)
+	acc := rows(2, 2*q)
+	got0, got1 := append([]uint64(nil), acc[0]...), append([]uint64(nil), acc[1]...)
+	m.MulAddRowsLazy(got0, got1, x0, x1, p)
+	for j := range n {
+		check("MulAddRowsLazy acc0", got0[j], mac(acc[0][j], x0, p, j, j), 2*q)
+		check("MulAddRowsLazy acc1", got1[j], mac(acc[1][j], x1, p, j, j), 2*q)
+	}
+
+	k0, k1 := rows(terms, q), rows(terms, q)
+	for _, perm := range [][]int{nil, rng.Perm(n)} {
+		out0, out1 := make([]uint64, n), make([]uint64, n)
+		m.InnerProductRows(out0, out1, x0, k0, k1, perm)
+		for j := range n {
+			src := j
+			if perm != nil {
+				src = perm[j]
+			}
+			check("InnerProductRows out0", out0[j], mac(0, x0, k0, src, j), q)
+			check("InnerProductRows out1", out1[j], mac(0, x0, k1, src, j), q)
+		}
+	}
+}
+
+// TestWideRowMACMatchesBig is the table half of the wide-accumulator
+// differential: every fold length from empty to RowMACFold, random and
+// worst-case operands, on the largest prime the q < 2^62 contract admits —
+// whose worst-case full fold must push the high word past 2q, so both
+// pre-reduction steps run — a 61-bit prime, and the 45/50/55-bit NTT primes
+// of the benchmark's parameter sets.
+func TestWideRowMACMatchesBig(t *testing.T) {
+	const top = 1<<62 - 57 // largest prime below 2^62
+	rng := rand.New(rand.NewSource(25))
+	for _, q := range []uint64{top, testQ, GenerateNTTPrimes(55, 512, 1)[0], GenerateNTTPrimes(50, 512, 1)[0], GenerateNTTPrimes(45, 512, 1)[0]} {
+		m := NewModulus(q)
+		for terms := 0; terms <= RowMACFold; terms++ {
+			checkWideRowMACs(t, m, rng, terms, 64, false)
+			checkWideRowMACs(t, m, rng, terms, 8, true)
+		}
+	}
+
+	// The worst case at the top modulus really exercises the pre-reduction,
+	// and F = RowMACFold is the widest fold whose sum fits 128 bits.
+	sum := func(f int64) *big.Int {
+		x, p := big.NewInt(2*top-1), big.NewInt(top-1)
+		s := new(big.Int).Mul(x, p)
+		return s.Mul(s, big.NewInt(f)).Add(s, x)
+	}
+	hi := new(big.Int).Rsh(sum(RowMACFold), 64).Uint64()
+	if hi < 2*top {
+		t.Fatalf("worst-case fold high word %d stays below 2q: the pre-reduction is not covered", hi)
+	}
+	m := NewModulus(top)
+	for _, h := range []uint64{hi, hi - top, top, top - 1, 2 * top, 4*top - 1} {
+		if got := m.wideHigh(h); got >= top || got != h%top {
+			t.Fatalf("wideHigh(%d) = %d, want %d", h, got, h%top)
+		}
+	}
+	if sum(RowMACFold).BitLen() > 128 || sum(RowMACFold+1).BitLen() <= 128 {
+		t.Fatalf("RowMACFold = %d is not the widest fold under 2^128 at q = 2^62−57", RowMACFold)
+	}
 }

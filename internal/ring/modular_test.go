@@ -150,18 +150,25 @@ func TestRowLazyKernelsMatchReference(t *testing.T) {
 
 		permuted := make([]uint64, n)
 		broadcast := make([]uint64, n)
+		canonB := make([]uint64, n)
 		for j := range permuted {
 			permuted[j] = a[perm[j]]
 			broadcast[j] = w
+			canonB[j] = b[j] % q
 		}
 
-		acc := lazyRow(rng, n, q)
-		want := append([]uint64(nil), acc...)
-		m.MulAddRowLazyGather(acc, a, b, perm)
-		m.MulAddRowLazy(want, permuted, b)
-		checkLazyRowsEqual(t, "MulAddRowLazyGather", acc, want, q)
+		// The key MAC's gather form against the lazy MAC on the permuted row:
+		// both output rows, canonical.
+		out0, out1 := make([]uint64, n), make([]uint64, n)
+		want := make([]uint64, n)
+		m.InnerProductRows(out0, out1, [][]uint64{a}, [][]uint64{canonB}, [][]uint64{broadcast}, perm)
+		m.MulAddRowLazy(want, permuted, canonB)
+		checkCanonRowsEqual(t, "InnerProductRows gather, first key row", out0, want, q)
+		clear(want)
+		m.MulAddRowLazy(want, permuted, broadcast)
+		checkCanonRowsEqual(t, "InnerProductRows gather, second key row", out1, want, q)
 
-		acc = lazyRow(rng, n, q)
+		acc := lazyRow(rng, n, q)
 		want = append([]uint64(nil), acc...)
 		m.MulAddShoupRowLazy(acc, a, w, ws)
 		m.MulAddRowLazy(want, a, broadcast)
@@ -194,6 +201,17 @@ func checkLazyRowsEqual(t *testing.T, name string, got, want []uint64, q uint64)
 		}
 		if got[j]%q != want[j]%q {
 			t.Fatalf("%s: acc[%d] ≡ %d mod q, want %d (q=%d)", name, j, got[j]%q, want[j]%q, q)
+		}
+	}
+}
+
+// checkCanonRowsEqual asserts got is canonical (every element < q) and
+// congruent to want element by element.
+func checkCanonRowsEqual(t *testing.T, name string, got, want []uint64, q uint64) {
+	t.Helper()
+	for j := range got {
+		if got[j] >= q || got[j] != want[j]%q {
+			t.Fatalf("%s: out[%d] = %d, want canonical %d (q=%d)", name, j, got[j], want[j]%q, q)
 		}
 	}
 }
