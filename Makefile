@@ -18,13 +18,14 @@ build:
 test:
 	$(GO) test ./...
 
-# Domain-specific static analysis: enforces the FHE and concurrency
-# invariants (no raw modular arithmetic outside internal/ring, no pooled
-# scratch escaping its acquire/release window, no raw goroutines in hot
-# packages, no float math in exact zones, no dropped errors in the
-# scheduling layers). See DESIGN.md "Static invariants".
+# Domain-specific static analysis over the whole module: enforces the FHE
+# and concurrency invariants (no raw modular arithmetic outside internal/ring,
+# no pooled scratch escaping its acquire/release window, no raw goroutines in
+# hot packages, no float math in exact zones, no dropped errors in the
+# scheduling layers, no lazy residue escaping its window, no goroutine
+# without a cancellation arm). See DESIGN.md "Static invariants".
 lint:
-	$(GO) run ./cmd/hydra-lint ./...
+	$(GO) run ./cmd/hydra-lint
 
 # Race-detector run of the limb pool, the evaluator that fans work onto it,
 # the goroutine-card cluster that nests it (includes the differential

@@ -1,15 +1,15 @@
-// Command hydra-lint runs the repository's domain-specific static checks:
-// the FHE and concurrency invariants that go vet cannot see (see
-// internal/lint). It loads and type-checks the module with the standard
-// library only, so it needs no dependencies beyond the Go toolchain.
+// Command hydra-lint runs every check of internal/lint over the whole module
+// it is started in: the FHE and concurrency invariants that go vet cannot
+// see. It loads and type-checks the module with the standard library only,
+// so it needs no dependencies beyond the Go toolchain.
 //
 // Usage:
 //
-//	hydra-lint [flags] [packages]
+//	hydra-lint
 //
-// Packages are module-relative patterns ("./...", "./internal/ring",
-// "./internal/..."); the default is the whole module. Exit status is 1 when
-// unsuppressed findings remain, 2 on usage or load errors.
+// It takes no flags and no arguments, prints each unsuppressed finding as
+// file:line:col: [check] message, and exits 1 when any remain, 2 on a usage
+// or load error.
 //
 // Intentional findings are suppressed in-source with
 //
@@ -20,12 +20,9 @@
 package main
 
 import (
-	"encoding/json"
-	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
 
 	"hydra/internal/lint"
 )
@@ -35,34 +32,11 @@ func main() {
 }
 
 func run() int {
-	var (
-		list       = flag.Bool("list", false, "list available checks and exit")
-		only       = flag.String("checks", "", "comma-separated list of checks to run (default: all)")
-		disable    = flag.String("disable", "", "comma-separated list of checks to skip")
-		suppressed = flag.Bool("suppressed", false, "also print suppressed findings with their reasons")
-		jsonOut    = flag.Bool("json", false, "emit one JSON object per finding (suppressed ones included) instead of text")
-	)
-	flag.Parse()
-
-	if *list {
-		for _, c := range lint.Checks() {
-			fmt.Printf("%-12s %s\n", c.Name, c.Doc)
-		}
-		return 0
-	}
-
-	checks, err := selectChecks(*only, *disable)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "hydra-lint:", err)
+	if len(os.Args) > 1 {
+		fmt.Fprintln(os.Stderr, "usage: hydra-lint (no flags or arguments; it checks the whole module)")
 		return 2
 	}
-
-	cwd, err := os.Getwd()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "hydra-lint:", err)
-		return 2
-	}
-	root, err := lint.FindModuleRoot(cwd)
+	root, err := lint.FindModuleRoot(".")
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "hydra-lint:", err)
 		return 2
@@ -72,37 +46,15 @@ func run() int {
 		fmt.Fprintln(os.Stderr, "hydra-lint:", err)
 		return 2
 	}
-
-	match, err := patternFilter(cwd, root, flag.Args())
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "hydra-lint:", err)
-		return 2
-	}
-
-	diags := lint.Run(mod, checks)
-	enc := json.NewEncoder(os.Stdout)
 	bad := 0
-	for _, d := range diags {
-		if !match(d.Pos.Filename) {
-			continue
-		}
-		if *jsonOut {
-			if err := enc.Encode(jsonFinding(root, d)); err != nil {
-				fmt.Fprintln(os.Stderr, "hydra-lint:", err)
-				return 2
-			}
-			if !d.Suppressed {
-				bad++
-			}
-			continue
-		}
+	for _, d := range lint.Run(mod, lint.Checks()) {
 		if d.Suppressed {
-			if *suppressed {
-				fmt.Printf("%s (suppressed: %s)\n", rel(root, d), d.Reason)
-			}
 			continue
 		}
-		fmt.Println(rel(root, d))
+		if r, err := filepath.Rel(root, d.Pos.Filename); err == nil {
+			d.Pos.Filename = r
+		}
+		fmt.Println(d)
 		bad++
 	}
 	if bad > 0 {
@@ -110,127 +62,4 @@ func run() int {
 		return 1
 	}
 	return 0
-}
-
-// finding is the one-object-per-line JSON shape of -json mode.
-type finding struct {
-	Check      string `json:"check"`
-	Pos        string `json:"pos"` // module-relative file:line:col
-	Message    string `json:"message"`
-	Suppressed bool   `json:"suppressed"`
-	Reason     string `json:"reason,omitempty"` // the //lint:allow reason when suppressed
-}
-
-func jsonFinding(root string, d lint.Diagnostic) finding {
-	pos := d.Pos
-	if r, err := filepath.Rel(root, pos.Filename); err == nil {
-		pos.Filename = r
-	}
-	return finding{
-		Check:      d.Check,
-		Pos:        pos.String(),
-		Message:    d.Message,
-		Suppressed: d.Suppressed,
-		Reason:     d.Reason,
-	}
-}
-
-func rel(root string, d lint.Diagnostic) string {
-	if r, err := filepath.Rel(root, d.Pos.Filename); err == nil {
-		d.Pos.Filename = r
-	}
-	return d.String()
-}
-
-func selectChecks(only, disable string) ([]*lint.Check, error) {
-	all := lint.Checks()
-	byName := map[string]*lint.Check{}
-	for _, c := range all {
-		byName[c.Name] = c
-	}
-	parse := func(s string) (map[string]bool, error) {
-		set := map[string]bool{}
-		if s == "" {
-			return set, nil
-		}
-		for _, name := range strings.Split(s, ",") {
-			name = strings.TrimSpace(name)
-			if name == "" {
-				continue
-			}
-			if byName[name] == nil {
-				return nil, fmt.Errorf("unknown check %q (known: %s)", name, strings.Join(lint.CheckNames(), ", "))
-			}
-			set[name] = true
-		}
-		return set, nil
-	}
-	onlySet, err := parse(only)
-	if err != nil {
-		return nil, err
-	}
-	disableSet, err := parse(disable)
-	if err != nil {
-		return nil, err
-	}
-	var out []*lint.Check
-	for _, c := range all {
-		if len(onlySet) > 0 && !onlySet[c.Name] {
-			continue
-		}
-		if disableSet[c.Name] {
-			continue
-		}
-		out = append(out, c)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("no checks selected")
-	}
-	return out, nil
-}
-
-// patternFilter maps CLI package patterns to a filename predicate. Patterns
-// are resolved relative to the invocation directory, like the go tool's.
-func patternFilter(cwd, root string, args []string) (func(string) bool, error) {
-	if len(args) == 0 {
-		args = []string{"./..."}
-	}
-	type pat struct {
-		dir       string
-		recursive bool
-	}
-	var pats []pat
-	for _, a := range args {
-		p := pat{dir: a}
-		if strings.HasSuffix(a, "/...") || a == "..." {
-			p.recursive = true
-			p.dir = strings.TrimSuffix(strings.TrimSuffix(a, "..."), "/")
-			if p.dir == "" {
-				p.dir = "."
-			}
-		}
-		abs := p.dir
-		if !filepath.IsAbs(abs) {
-			abs = filepath.Join(cwd, abs)
-		}
-		abs = filepath.Clean(abs)
-		if abs != root && !strings.HasPrefix(abs, root+string(filepath.Separator)) {
-			return nil, fmt.Errorf("pattern %q points outside the module", a)
-		}
-		p.dir = abs
-		pats = append(pats, p)
-	}
-	return func(filename string) bool {
-		dir := filepath.Dir(filename)
-		for _, p := range pats {
-			if p.recursive {
-				if dir == p.dir || strings.HasPrefix(dir, p.dir+string(filepath.Separator)) {
-					return true
-				}
-			} else if dir == p.dir {
-				return true
-			}
-		}
-		return false
-	}, nil
 }

@@ -1,11 +1,11 @@
 // Command hydra-params searches the bootstrapping-DFT parameter space of
 // Eq. 1 — per-level Radix and baby-step count under a multiplication-depth
 // budget — for a given card count, reproducing the machinery behind Table V.
+// The full Table V grid is `hydrasim -exp table5`.
 //
 // Usage:
 //
 //	hydra-params -logslots 15 -levels 3 -cards 64
-//	hydra-params -sweep           # the full Table V grid
 package main
 
 import (
@@ -21,18 +21,7 @@ func main() {
 	logSlots := flag.Int("logslots", 15, "log2 of the ciphertext slot count")
 	levels := flag.Int("levels", 3, "DFT levels (multiplication-depth budget)")
 	cards := flag.Int("cards", 1, "number of accelerator cards")
-	sweep := flag.Bool("sweep", false, "print the full Table V grid instead")
 	flag.Parse()
-
-	if *sweep {
-		rows, err := experiments.Table5()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "hydra-params:", err)
-			os.Exit(1)
-		}
-		fmt.Print(experiments.FormatTable5(rows))
-		return
-	}
 
 	proto := experiments.HydraN(*cards)
 	times := proto.OpTimes()

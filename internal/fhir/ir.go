@@ -6,10 +6,12 @@
 // Hydra compiles networks offline into statically scheduled programs; this
 // package is that compilation step as a real compiler. A Program is a
 // topologically ordered DAG of Values. Each Value carries the (level, scale,
-// degree) facts of the ciphertext it denotes — the same lattice hydra-lint's
-// levelscale check tracks over hand-written evaluator code — and the pass
-// pipeline turns a naively expressed program into the double-hoisted,
-// lazily relinearized form the hand-tuned hefloat procedures use:
+// degree) facts of the ciphertext it denotes — so the modulus-chain protocol
+// is a property of the IR: Legalize computes the facts and reports a program
+// that violates them, and FuzzIRPasses exercises that on random programs —
+// and the pass pipeline turns a naively expressed program into the
+// double-hoisted, lazily relinearized form the hand-tuned hefloat procedures
+// use:
 //
 //	CSE         merges structurally identical rotations and plaintext muls
 //	Legalize    inserts Rescale/ModSwitch to satisfy per-op level and scale

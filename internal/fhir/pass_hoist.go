@@ -309,7 +309,7 @@ func (h *hoister) emitTree(plan *treePlan) *Value {
 	for _, g := range plan.rotGroups {
 		src := h.rep[g.src]
 		terms = append(terms, h.emit(&Value{Op: OpRotSum, Args: []*Value{src},
-			Rots: append([]int(nil), g.ks...),
+			Rots:  append([]int(nil), g.ks...),
 			Level: src.Level, Pend: src.Pend, Degree: 1}))
 	}
 	seen := map[*Value]bool{}

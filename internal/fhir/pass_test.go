@@ -206,7 +206,7 @@ func TestLazyRelinFoldsSums(t *testing.T) {
 func TestLazyRelinKeepsSharedRelins(t *testing.T) {
 	b := NewBuilder(8)
 	x, y := b.Input("x"), b.Input("y")
-	m := b.Mul(x, y)             // relin result used twice
+	m := b.Mul(x, y) // relin result used twice
 	s := b.Add(m, b.Rotate(m, 1))
 	b.Output(s)
 	p, err := b.Build()

@@ -17,7 +17,6 @@ import (
 // channels, and selects in which every arm can block forever.
 var CtxLeak = &Check{
 	Name: "ctxleak",
-	Doc:  "goroutine in the scheduling layers blocks on a channel with no ctx.Done/abort select arm",
 	Run:  runCtxLeak,
 }
 

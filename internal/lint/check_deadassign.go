@@ -14,7 +14,6 @@ import (
 // are not flagged.
 var DeadAssign = &Check{
 	Name: "deadassign",
-	Doc:  "blank assignment of a plain identifier (dead variable kept alive)",
 	Run:  runDeadAssign,
 }
 

@@ -18,7 +18,6 @@ var schedPkgs = []string{"internal/sim", "internal/cluster", "internal/serve", "
 // statements, go/defer calls) or assigned to the blank identifier.
 var ErrDrop = &Check{
 	Name: "errdrop",
-	Doc:  "discarded error return in internal/sim, internal/cluster, internal/serve, internal/fhir",
 	Run:  runErrDrop,
 }
 

@@ -17,7 +17,6 @@ var exactPkgs = []string{"internal/ring", "internal/isa"}
 // corrupts residues in ways no test of small parameters reliably catches.
 var FloatExact = &Check{
 	Name: "floatexact",
-	Doc:  "float arithmetic inside exact-arithmetic zones (internal/ring, internal/isa)",
 	Run:  runFloatExact,
 }
 

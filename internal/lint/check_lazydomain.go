@@ -48,7 +48,6 @@ func joinDom(a, b resDom) resDom {
 // unswept path.
 var LazyDomain = &Check{
 	Name: "lazydomain",
-	Doc:  "lazy [0,2q) residue reaches a canonical-expecting sink with no dominating ReduceFinal sweep",
 	Run:  runLazyDomain,
 }
 

@@ -21,7 +21,6 @@ import (
 // visibly hands it off is flagged at the acquisition site.
 var PoolLeak = &Check{
 	Name: "poolleak",
-	Doc:  "pooled scratch buffer escapes its acquire/release window",
 	Run:  runPoolLeak,
 }
 

@@ -15,7 +15,6 @@ var hotPkgs = []string{"internal/ring", "internal/ckks", "internal/hefloat"}
 // statement bypasses both guarantees.
 var RawGo = &Check{
 	Name: "rawgo",
-	Doc:  "raw go statement in a hot package (bypasses the bounded worker pool)",
 	Run:  runRawGo,
 }
 

@@ -20,7 +20,6 @@ const ringPkg = "internal/ring"
 // lazydomain check).
 var RawMod = &Check{
 	Name: "rawmod",
-	Doc:  "raw +,-,*,% on uint64 values outside internal/ring (missing modular reduction)",
 	Run:  runRawMod,
 }
 

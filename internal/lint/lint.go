@@ -29,19 +29,18 @@ type Diagnostic struct {
 	Check   string
 	Message string
 	// Suppressed marks findings covered by a //lint:allow directive; they
-	// are retained so tooling can audit what is being tolerated and why.
+	// are retained so the golden tests can count each check's suppressions.
 	Suppressed bool
-	Reason     string // the directive's reason, when suppressed
 }
 
 func (d Diagnostic) String() string {
 	return fmt.Sprintf("%s:%d:%d: [%s] %s", d.Pos.Filename, d.Pos.Line, d.Pos.Column, d.Check, d.Message)
 }
 
-// A Check is one named analysis over a single package.
+// A Check is one named analysis over a single package. What it enforces and
+// why is its variable's doc comment.
 type Check struct {
 	Name string
-	Doc  string
 	Run  func(pass *Pass)
 }
 
@@ -76,19 +75,7 @@ func (p *Pass) InPkg(rels ...string) bool {
 
 // Checks returns the full registry in reporting order.
 func Checks() []*Check {
-	return []*Check{
-		RawMod, PoolLeak, RawGo, FloatExact, ErrDrop, DeadAssign, LazyDomain,
-		LevelScale, CtxLeak, LockHeld,
-	}
-}
-
-// CheckNames returns the names of all registered checks.
-func CheckNames() []string {
-	var names []string
-	for _, c := range Checks() {
-		names = append(names, c.Name)
-	}
-	return names
+	return []*Check{RawMod, PoolLeak, RawGo, FloatExact, ErrDrop, DeadAssign, LazyDomain, CtxLeak}
 }
 
 // allowDirective is one parsed //lint:allow comment.
@@ -96,7 +83,6 @@ type allowDirective struct {
 	file   string
 	line   int
 	checks map[string]bool
-	reason string
 }
 
 // Run executes the given checks over every package of the module and returns
@@ -128,7 +114,6 @@ func Run(mod *Module, checks []*Check) []Diagnostic {
 			// standalone comments placed above the offending statement).
 			if d.Pos.Line == dir.line || d.Pos.Line == dir.line+1 {
 				d.Suppressed = true
-				d.Reason = dir.reason
 				break
 			}
 		}
@@ -154,8 +139,10 @@ func Run(mod *Module, checks []*Check) []Diagnostic {
 // validating it against the check registry.
 func collectDirectives(mod *Module) ([]allowDirective, []Diagnostic) {
 	known := map[string]bool{}
-	for _, name := range CheckNames() {
-		known[name] = true
+	var names []string
+	for _, c := range Checks() {
+		known[c.Name] = true
+		names = append(names, c.Name)
 	}
 	var dirs []allowDirective
 	var diags []Diagnostic
@@ -183,24 +170,19 @@ func collectDirectives(mod *Module) ([]allowDirective, []Diagnostic) {
 						report(pos, "allow directive names no check")
 						continue
 					}
-					d := allowDirective{
-						file:   pos.Filename,
-						line:   pos.Line,
-						checks: map[string]bool{},
-						reason: strings.TrimSpace(strings.TrimPrefix(strings.TrimSpace(text), fields[0])),
-					}
+					d := allowDirective{file: pos.Filename, line: pos.Line, checks: map[string]bool{}}
 					for _, name := range strings.Split(fields[0], ",") {
 						if name == "" {
 							continue
 						}
 						if !known[name] {
 							report(pos, "allow directive names unknown check %q (known: %s)",
-								name, strings.Join(CheckNames(), ", "))
+								name, strings.Join(names, ", "))
 							continue
 						}
 						d.checks[name] = true
 					}
-					if d.reason == "" {
+					if len(fields) == 1 {
 						report(pos, "allow directive for %s gives no reason", fields[0])
 					}
 					if len(d.checks) > 0 {

@@ -1,12 +1,8 @@
-// Package serve exercises the ctxleak and lockheld checks: worker
-// goroutines must keep a cancellation arm on every blocking channel
-// operation, and mutex-guarded struct fields must stay guarded.
+// Package serve exercises the ctxleak check: worker goroutines must keep a
+// cancellation arm on every blocking channel operation.
 package serve
 
-import (
-	"context"
-	"sync"
-)
+import "context"
 
 // ctxleak: a bare send in a goroutine blocks forever once the receiver is
 // cancelled.
@@ -62,44 +58,4 @@ func okBufferedAllowed(out chan int) {
 		//lint:allow ctxleak testdata: channel is buffered with capacity for every worker
 		out <- 1
 	}()
-}
-
-// counter is a mutex-guarded aggregate: n and hits are written under mu at
-// every site but the flagged ones.
-type counter struct {
-	mu   sync.Mutex
-	n    int
-	hits int
-}
-
-func (c *counter) inc() {
-	c.mu.Lock()
-	c.n++
-	c.hits++
-	c.mu.Unlock()
-}
-
-func (c *counter) add(d int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.n += d
-	c.hits++
-}
-
-// The *Locked suffix means the caller holds mu (the dispatchLocked
-// convention), so these accesses count as guarded.
-func (c *counter) snapshotLocked() int {
-	return c.n + c.hits
-}
-
-// lockheld: the minority unguarded read.
-func (c *counter) peek() int {
-	return c.n // want lockheld
-}
-
-// lockheld: a suppressed case — an approximate read where staleness is
-// acceptable.
-func (c *counter) racyHint() int {
-	//lint:allow lockheld testdata: approximate metrics read; staleness is acceptable
-	return c.hits
 }

@@ -130,12 +130,17 @@ func (m Modulus) Reduce128(hi, lo uint64) uint64 {
 }
 
 // Reduce128Lazy is Reduce128 with the correction loop replaced by a single
-// conditional subtraction of 2q, returning a lazy residue in [0, 2q). The
-// quotient estimate can be short by up to two (one from flooring the true
-// quotient, one from the discarded low partial products), so the raw
-// remainder lies in [0, 3q); folding the 2q case down keeps every lazy
-// accumulator within the 4q < 2^64 transient budget. The input must be
-// below q*2^64.
+// conditional subtraction of 2q, returning a lazy residue in [0, 2q) for any
+// 128-bit value x = hi*2^64 + lo.
+//
+// Proof, for q < 2^62. The quotient estimate is short of ⌊x/q⌋ by at most
+// two. μ = ⌊2^128/q⌋ > 2^128/q − 1 and x < 2^128, so x·μ/2^128 > x/q − 1,
+// and flooring it gives at least ⌊x/q⌋ − 1. The code can lose one more: the
+// two carries out of bits 64..127 may sum to 2, and bits.Add64 is specified
+// for a carry-in of 0 or 1 only (compiled, it adds 1). The estimate never
+// exceeds x/q. So r = x − q̂·q lies in [0, 3q), below 2^64, which makes
+// computing r modulo 2^64 exact, and one conditional subtraction of 2q lands
+// it in [0, 2q).
 func (m Modulus) Reduce128Lazy(hi, lo uint64) uint64 {
 	mh1, _ := bits.Mul64(lo, m.BarrettLo)
 	mh2, ml2 := bits.Mul64(lo, m.BarrettHi)
@@ -192,8 +197,8 @@ func (m Modulus) ReduceSignedRow(out []uint64, w []SignedWord) {
 
 // MulAddRowLazy is the fused Barrett multiply-accumulate for one operand pair
 // without Shoup tables (both sides variable): acc[j] += a[j]*b[j] for whole
-// rows, with every acc element lazy in [0, 2q) on entry and on return; each
-// product a[j]*b[j] must be below q*2^64, so the transient sum is < 4q < 2^64.
+// rows, with every acc element lazy in [0, 2q) on entry and on return; a[j]
+// and b[j] may be any words, and the transient sum is < 4q < 2^64.
 // The multiply stays inlined here, so each element costs a single
 // Barrett-reduction call. Sums of several products go through the
 // wide-accumulator kernels below instead; close the window with ReduceFinalVec.
@@ -221,22 +226,6 @@ func (m Modulus) MulAddRowLazy(acc, a, b []uint64) {
 // out of the high word.
 const RowMACFold = 8
 
-// wideHigh prepares the high word of a 128-bit sum of at most RowMACFold
-// products (plus a lazy accumulator) for Reduce128Lazy: such a sum is below
-// 16q², so hi < 4q, and folding hi below q (2^64·q ≡ 0 mod q) meets the
-// q·2^64 input bound without changing the residue.
-func (m Modulus) wideHigh(hi uint64) uint64 {
-	if hi >= m.Q {
-		if twoQ := m.Q << 1; hi >= twoQ {
-			hi -= twoQ
-		}
-		if hi >= m.Q {
-			hi -= m.Q
-		}
-	}
-	return hi
-}
-
 // MulAddRowsLazy is the extended-basis diagonal fold, the MAC datapath of a
 // BSGS giant step: for up to RowMACFold terms t it sets
 // acc0[j] += Σ_t x0[t][j]·p[t][j] and acc1[j] += Σ_t x1[t][j]·p[t][j] — both
@@ -262,8 +251,8 @@ func (m Modulus) MulAddRowsLazy(acc0, acc1 []uint64, x0, x1, p [][]uint64) {
 			l1, c = bits.Add64(l1, lo, 0)
 			h1 += hi + c
 		}
-		acc0[j] = m.Reduce128Lazy(m.wideHigh(h0), l0)
-		acc1[j] = m.Reduce128Lazy(m.wideHigh(h1), l1)
+		acc0[j] = m.Reduce128Lazy(h0, l0)
+		acc1[j] = m.Reduce128Lazy(h1, l1)
 	}
 }
 
@@ -300,7 +289,7 @@ func (m Modulus) InnerProductRows(out0, out1 []uint64, d, k0, k1 [][]uint64, per
 			l1, c = bits.Add64(l1, lo, 0)
 			h1 += hi + c
 		}
-		r0, r1 := m.Reduce128Lazy(m.wideHigh(h0), l0), m.Reduce128Lazy(m.wideHigh(h1), l1)
+		r0, r1 := m.Reduce128Lazy(h0, l0), m.Reduce128Lazy(h1, l1)
 		if r0 >= q {
 			r0 -= q
 		}

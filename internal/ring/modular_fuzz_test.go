@@ -34,8 +34,8 @@ func subModLazy(a, b, twoQ uint64) uint64 {
 
 // mulAddLazy returns acc + a*b as a lazy residue in [0, 2q): a fused
 // Barrett multiply-accumulate for operand pairs without Shoup tables (both
-// sides variable, e.g. digit × switching-key rows). acc must be in [0, 2q)
-// and the product a*b below q*2^64; the transient sum is < 4q < 2^64.
+// sides variable, e.g. digit × switching-key rows). acc must be in [0, 2q);
+// the transient sum is < 4q < 2^64.
 func (m Modulus) mulAddLazy(acc, a, b uint64) uint64 {
 	hi, lo := bits.Mul64(a, b)
 	c := acc + m.Reduce128Lazy(hi, lo)
@@ -181,8 +181,11 @@ func FuzzModularOps(f *testing.F) {
 		bigMac := new(big.Int).Add(new(big.Int).SetUint64(la), bigProdAny)
 		checkLazy("MulAddShoupLazy", mulAddShoupLazy(la, a, br, bShoup, q), bigMac, twoQ)
 
-		// Reduce128Lazy and the fused Barrett MAC, under the q*2^64 product
-		// contract (guaranteed here since both factors are < q).
+		// Reduce128Lazy on an arbitrary 128-bit value (a the high word, b the
+		// low one) and on a product of residues, and the fused Barrett MAC.
+		bigX := new(big.Int).Lsh(new(big.Int).SetUint64(a), 64)
+		bigX.Or(bigX, new(big.Int).SetUint64(b))
+		checkLazy("Reduce128Lazy(any)", m.Reduce128Lazy(a, b), bigX, twoQ)
 		bigProd := new(big.Int).Mul(bigA, bigB)
 		phi := new(big.Int).Rsh(bigProd, 64).Uint64()
 		plo := bigProd.Uint64()
@@ -280,9 +283,9 @@ func checkWideRowMACs(t *testing.T, m Modulus, rng *rand.Rand, terms, n int, wor
 // TestWideRowMACMatchesBig is the table half of the wide-accumulator
 // differential: every fold length from empty to RowMACFold, random and
 // worst-case operands, on the largest prime the q < 2^62 contract admits —
-// whose worst-case full fold must push the high word past 2q, so both
-// pre-reduction steps run — a 61-bit prime, and the 45/50/55-bit NTT primes
-// of the benchmark's parameter sets.
+// whose worst-case full fold must push the high word past 2q, so
+// Reduce128Lazy sees sums far above q·2^64 — a 61-bit prime, and the
+// 45/50/55-bit NTT primes of the benchmark's parameter sets.
 func TestWideRowMACMatchesBig(t *testing.T) {
 	const top = 1<<62 - 57 // largest prime below 2^62
 	rng := rand.New(rand.NewSource(25))
@@ -294,8 +297,10 @@ func TestWideRowMACMatchesBig(t *testing.T) {
 		}
 	}
 
-	// The worst case at the top modulus really exercises the pre-reduction,
-	// and F = RowMACFold is the widest fold whose sum fits 128 bits.
+	// The worst case at the top modulus really hands Reduce128Lazy a high
+	// word past 2q, and F = RowMACFold is the widest fold whose sum fits 128
+	// bits. Reduce128Lazy itself takes any 128-bit value: high words from
+	// that worst case up to 2^64−1.
 	sum := func(f int64) *big.Int {
 		x, p := big.NewInt(2*top-1), big.NewInt(top-1)
 		s := new(big.Int).Mul(x, p)
@@ -303,14 +308,27 @@ func TestWideRowMACMatchesBig(t *testing.T) {
 	}
 	hi := new(big.Int).Rsh(sum(RowMACFold), 64).Uint64()
 	if hi < 2*top {
-		t.Fatalf("worst-case fold high word %d stays below 2q: the pre-reduction is not covered", hi)
+		t.Fatalf("worst-case fold high word %d stays below 2q: the wide input is not covered", hi)
 	}
-	m := NewModulus(top)
-	for _, h := range []uint64{hi, hi - top, top, top - 1, 2 * top, 4*top - 1} {
-		if got := m.wideHigh(h); got >= top || got != h%top {
-			t.Fatalf("wideHigh(%d) = %d, want %d", h, got, h%top)
+	check := func(q, h, l uint64) {
+		t.Helper()
+		x := new(big.Int).Lsh(new(big.Int).SetUint64(h), 64)
+		x.Or(x, new(big.Int).SetUint64(l))
+		want := x.Mod(x, new(big.Int).SetUint64(q)).Uint64()
+		if got := NewModulus(q).Reduce128Lazy(h, l); got >= 2*q || got%q != want {
+			t.Fatalf("Reduce128Lazy(%d, %d) mod %d = %d, want ≡ %d in [0, 2q)", h, l, q, got, want)
 		}
 	}
+	for _, q := range []uint64{top, testQ, 3} {
+		for _, h := range []uint64{hi, hi - top, q, q - 1, 2 * q, 4*q - 1, 1<<63 + 12345, ^uint64(0)} {
+			for _, l := range []uint64{0, 1, q, rng.Uint64(), ^uint64(0)} {
+				check(q, h, l)
+			}
+		}
+	}
+	// A quotient estimate two short (raw remainder in [2q, 3q)): the case
+	// the closing 2q subtraction exists for.
+	check(577, 1<<64-3, 9888136238492157485)
 	if sum(RowMACFold).BitLen() > 128 || sum(RowMACFold+1).BitLen() <= 128 {
 		t.Fatalf("RowMACFold = %d is not the widest fold under 2^128 at q = 2^62−57", RowMACFold)
 	}

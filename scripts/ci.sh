@@ -10,37 +10,17 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
-echo "== go vet"
+echo "== go vet + gofmt"
 go vet ./...
-
-echo "== hydra-lint (FHE + concurrency invariants)"
-# Tree-wide run in JSON mode, against a wall-clock budget: the SSA-lite
-# engine re-analyzes function bodies per summary probe, so a runtime blowup
-# is a regression in its own right. The budget is generous next to the ~5s
-# steady state; dataflow accidentally going super-linear blows well past it.
-LINT_START="$(date +%s)"
-LINT_JSON="$(mktemp)"
-LINT_BIN="$(mktemp -d)/hydra-lint"
-go build -o "$LINT_BIN" ./cmd/hydra-lint
-LINT_STATUS=0
-"$LINT_BIN" -json ./... >"$LINT_JSON" || LINT_STATUS=$?
-LINT_ELAPSED=$(( $(date +%s) - LINT_START ))
-echo "-- findings per check (suppressed included), ${LINT_ELAPSED}s tree-wide"
-sed -n 's/.*"check":"\([a-z]*\)".*/\1/p' "$LINT_JSON" | sort | uniq -c | sort -rn
-if [ "$LINT_STATUS" -ne 0 ]; then
-	echo "ci: hydra-lint findings:" >&2
-	grep '"suppressed":false' "$LINT_JSON" >&2 || true
-	rm -f "$LINT_JSON" "$LINT_BIN"
-	exit "$LINT_STATUS"
-fi
-rm -f "$LINT_JSON" "$LINT_BIN"
-if [ "$LINT_ELAPSED" -gt 120 ]; then
-	echo "ci: hydra-lint tree-wide run took ${LINT_ELAPSED}s (budget 120s)" >&2
+UNFORMATTED="$(gofmt -l .)"
+if [ -n "$UNFORMATTED" ]; then
+	echo "ci: gofmt -l lists unformatted files: run gofmt -w on them" >&2
+	echo "$UNFORMATTED" >&2
 	exit 1
 fi
 
-echo "== hydra-lint self-check (the linter's own code must be clean)"
-go run ./cmd/hydra-lint ./internal/lint/... ./cmd/...
+echo "== hydra-lint (FHE + concurrency invariants)"
+make lint
 
 echo "== generated-kernel freshness (go generate ./... must be a no-op)"
 # The specialized NTT kernels in internal/ring/ntt_gen.go are emitted by
