@@ -277,7 +277,7 @@ func runLive(cards, queue int, opt options, cfg sim.Config, shapes []serve.Shape
 	s.Drain()
 	wall := time.Since(start).Seconds()
 
-	snap := s.Metrics().Snapshot()
+	snap := s.Snapshot()
 	fr := fleetReport{
 		Cards:          cards,
 		CardsPerServer: cps,

@@ -15,8 +15,6 @@ type ExecReport struct {
 	// SimSeconds is the analytic makespan of the job on its granted
 	// placement (sim backend; zero for functional backends).
 	SimSeconds float64
-	// Result is the full simulation outcome when the backend is analytic.
-	Result *sim.Result
 }
 
 // Backend executes granted jobs. The placement carries the physical card
@@ -63,7 +61,7 @@ func (b *SimBackend) Run(ctx context.Context, job *Job, pl sim.Placement) (*Exec
 			return nil, err
 		}
 	}
-	return &ExecReport{SimSeconds: res.Makespan, Result: res}, nil
+	return &ExecReport{SimSeconds: res.Makespan}, nil
 }
 
 // sleepCtx sleeps for d or until the context expires.

@@ -28,8 +28,8 @@ type Job struct {
 	// whose deadline is unmeetable (ErrDeadline); queued jobs whose deadline
 	// passes are shed; running jobs are cancelled at the deadline.
 	Deadline time.Time
-	// EstCost is the job's estimated execution time in seconds. Left zero,
-	// the server fills it from Config.Estimator.
+	// EstCost is the job's estimated execution time in seconds, set by the
+	// submitter. Admission refuses a job whose Deadline is closer than it.
 	EstCost float64
 	// BatchKey names the job's continuous-batching compatibility class.
 	// Jobs sharing a non-empty key MUST be interchangeable work: identical

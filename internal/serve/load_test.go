@@ -115,7 +115,7 @@ func TestLoadConcurrentJobsNoLeaks(t *testing.T) {
 		}
 	}
 
-	snap := s.Metrics().Snapshot()
+	snap := s.Snapshot()
 	if snap.Completed != jobs {
 		t.Errorf("completed %d jobs, want %d", snap.Completed, jobs)
 	}
@@ -186,12 +186,12 @@ func TestSaturationShedsLoad(t *testing.T) {
 		if !errors.Is(err, ErrOverloaded) {
 			t.Fatalf("saturated submit %d: got %v, want ErrOverloaded", i, err)
 		}
-		if q := s.Metrics().Snapshot().Queued; q > depth {
+		if q := s.Snapshot().Queued; q > depth {
 			t.Fatalf("queue grew past its bound: %d > %d", q, depth)
 		}
 	}
 
-	snap := s.Metrics().Snapshot()
+	snap := s.Snapshot()
 	if snap.Rejected != extra {
 		t.Errorf("rejected = %d, want %d", snap.Rejected, extra)
 	}
@@ -207,7 +207,7 @@ func TestSaturationShedsLoad(t *testing.T) {
 		}
 	}
 	s.Drain()
-	if snap := s.Metrics().Snapshot(); snap.Completed != 1+depth {
+	if snap := s.Snapshot(); snap.Completed != 1+depth {
 		t.Errorf("completed = %d, want %d", snap.Completed, 1+depth)
 	}
 
@@ -286,7 +286,7 @@ func TestFleetScaleLoad(t *testing.T) {
 	}
 	s.Drain()
 
-	snap := s.Metrics().Snapshot()
+	snap := s.Snapshot()
 	if snap.Submitted != jobs || snap.Completed != jobs {
 		t.Errorf("submitted %d / completed %d, want %d", snap.Submitted, snap.Completed, jobs)
 	}

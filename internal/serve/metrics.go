@@ -1,179 +1,29 @@
 package serve
 
-import (
-	"context"
-	"errors"
-	"sort"
-	"sync"
-	"time"
-)
+import "sort"
 
-// maxSamples caps the latency sample buffers; beyond it, new samples are
-// dropped (the counters keep counting). 64k samples cover any realistic
-// load-test window without unbounded growth.
-const maxSamples = 1 << 16
-
-// Metrics is the serving layer's observability surface. Counters are
-// monotonic; gauges reflect the instantaneous scheduler state; the latency
-// buffers feed the percentile report. All methods are safe for concurrent
-// use.
-type Metrics struct {
-	mu sync.Mutex
-
-	submitted int64 // admitted into the queue
-	completed int64 // finished successfully
-	failed    int64 // finished with a non-cancellation error
-	canceled  int64 // cancelled or timed out while running
-	rejected  int64 // shed at admission (overload or closed)
-	expired   int64 // shed by deadline (at admission or in queue)
-
-	grants    int64 // card grants issued (a grant may carry several jobs)
-	coalesced int64 // jobs that rode a shared grant beyond its leader
-	refills   int64 // grants handed straight to a queued job, no free-list bounce
-
-	queued    int // gauge: jobs waiting
-	running   int // gauge: grants executing (== jobs when nothing coalesces)
-	cardsBusy int // gauge: cards granted to running grants
-
-	queueWait []float64 // seconds
-	exec      []float64 // seconds
-}
-
-func (m *Metrics) admit() {
-	m.mu.Lock()
-	m.submitted++
-	m.queued++
-	m.mu.Unlock()
-}
-
-func (m *Metrics) reject() {
-	m.mu.Lock()
-	m.rejected++
-	m.mu.Unlock()
-}
-
-func (m *Metrics) expire() {
-	m.mu.Lock()
-	m.expired++
-	m.mu.Unlock()
-}
-
-// expireQueued sheds a job that was already admitted.
-func (m *Metrics) expireQueued() {
-	m.mu.Lock()
-	m.expired++
-	m.queued--
-	m.mu.Unlock()
-}
-
-// startGrant records a fresh grant leaving the dispatcher: cards move from
-// the free pool to busy, and every job on the grant (leader plus riders)
-// leaves the queue with its own wait sample.
-func (m *Metrics) startGrant(cards int, waits []time.Duration) {
-	m.mu.Lock()
-	m.queued -= len(waits)
-	m.running++
-	m.cardsBusy += cards
-	m.grants++
-	m.coalesced += int64(len(waits) - 1)
-	for _, w := range waits {
-		if len(m.queueWait) < maxSamples {
-			m.queueWait = append(m.queueWait, w.Seconds())
-		}
-	}
-	m.mu.Unlock()
-}
-
-// refillGrant records a running grant picking up its next batch of queued
-// jobs without releasing its cards. cardsReleased is the trimmed surplus
-// when the refill demand is narrower than the grant.
-func (m *Metrics) refillGrant(cardsReleased int, waits []time.Duration) {
-	m.mu.Lock()
-	m.queued -= len(waits)
-	m.cardsBusy -= cardsReleased
-	m.grants++
-	m.refills++
-	m.coalesced += int64(len(waits) - 1)
-	for _, w := range waits {
-		if len(m.queueWait) < maxSamples {
-			m.queueWait = append(m.queueWait, w.Seconds())
-		}
-	}
-	m.mu.Unlock()
-}
-
-// jobsDone records the outcome of one grant execution round for its jobs
-// batch; the grant (and its cards) may live on through a refill.
-func (m *Metrics) jobsDone(jobs int, elapsed time.Duration, err error) {
-	m.mu.Lock()
-	switch {
-	case err == nil:
-		m.completed += int64(jobs)
-		for i := 0; i < jobs && len(m.exec) < maxSamples; i++ {
-			m.exec = append(m.exec, elapsed.Seconds())
-		}
-	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-		m.canceled += int64(jobs)
-	default:
-		m.failed += int64(jobs)
-	}
-	m.mu.Unlock()
-}
-
-// endGrant retires a grant: its remaining cards return to the free pool.
-func (m *Metrics) endGrant(cards int) {
-	m.mu.Lock()
-	m.running--
-	m.cardsBusy -= cards
-	m.mu.Unlock()
-}
-
-// Snapshot is a point-in-time copy of the metrics with derived percentiles.
+// Snapshot is a point-in-time copy of the scheduler's counters, with the
+// gauges and latency percentiles derived from them (Server.Snapshot).
 type Snapshot struct {
-	Submitted int64 `json:"submitted"`
-	Completed int64 `json:"completed"`
-	Failed    int64 `json:"failed"`
-	Canceled  int64 `json:"canceled"`
-	Rejected  int64 `json:"rejected"`
-	Expired   int64 `json:"expired"`
+	Submitted int64 `json:"submitted"` // admitted into the queue
+	Completed int64 `json:"completed"` // finished successfully
+	Failed    int64 `json:"failed"`    // finished with a non-cancellation error
+	Canceled  int64 `json:"canceled"`  // cancelled or timed out while running
+	Rejected  int64 `json:"rejected"`  // shed at admission (overload or closed)
+	Expired   int64 `json:"expired"`   // shed by deadline (at admission or in queue)
 
-	Grants    int64 `json:"grants"`
-	Coalesced int64 `json:"coalesced"`
-	Refills   int64 `json:"refills"`
+	Grants    int64 `json:"grants"`    // card grants issued (a grant may carry several jobs)
+	Coalesced int64 `json:"coalesced"` // jobs that rode a shared grant beyond its leader
+	Refills   int64 `json:"refills"`   // grants handed straight to a queued job
 
-	Queued    int `json:"queued"`
-	Running   int `json:"running"`
-	CardsBusy int `json:"cards_busy"`
+	Queued    int `json:"queued"`     // jobs waiting
+	Running   int `json:"running"`    // grants executing (== jobs when nothing coalesces)
+	CardsBusy int `json:"cards_busy"` // cards granted to running grants
 
 	QueueWaitP50 float64 `json:"queue_wait_p50_s"`
 	QueueWaitP99 float64 `json:"queue_wait_p99_s"`
 	ExecP50      float64 `json:"exec_p50_s"`
 	ExecP99      float64 `json:"exec_p99_s"`
-}
-
-// Snapshot copies the current state.
-func (m *Metrics) Snapshot() Snapshot {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return Snapshot{
-		Submitted: m.submitted,
-		Completed: m.completed,
-		Failed:    m.failed,
-		Canceled:  m.canceled,
-		Rejected:  m.rejected,
-		Expired:   m.expired,
-		Grants:    m.grants,
-		Coalesced: m.coalesced,
-		Refills:   m.refills,
-		Queued:    m.queued,
-		Running:   m.running,
-		CardsBusy: m.cardsBusy,
-
-		QueueWaitP50: percentile(m.queueWait, 0.50),
-		QueueWaitP99: percentile(m.queueWait, 0.99),
-		ExecP50:      percentile(m.exec, 0.50),
-		ExecP99:      percentile(m.exec, 0.99),
-	}
 }
 
 // percentile returns the nearest-rank q-quantile of samples (0 when empty).

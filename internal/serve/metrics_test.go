@@ -1,10 +1,13 @@
 package serve
 
 import (
-	"math/rand"
+	"context"
+	"fmt"
 	"sync"
 	"testing"
-	"time"
+
+	"hydra/internal/hw"
+	"hydra/internal/sim"
 )
 
 // TestPercentileKnownDistributions pins the nearest-rank percentile against
@@ -47,24 +50,31 @@ func TestPercentileDoesNotMutateSamples(t *testing.T) {
 	}
 }
 
-// TestSnapshotPercentilesFromLifecycle feeds the metrics through their real
-// lifecycle hooks and checks the derived percentiles land on known sample
-// points of the skewed distribution.
+// TestSnapshotPercentilesFromLifecycle drives the scheduler through its real
+// lifecycle — admit, dispatch, finish — and checks the derived percentiles
+// land on known sample points of the skewed distribution.
 func TestSnapshotPercentilesFromLifecycle(t *testing.T) {
-	var m Metrics
+	c, err := newScheduler(hw.Fleet{Cards: 2, CardsPerServer: 2}, 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	// 99 fast jobs (10ms exec) and one slow straggler (1s), queue waits
 	// rising linearly 1..100ms.
 	for i := 1; i <= 100; i++ {
-		m.admit()
-		m.startGrant(2, []time.Duration{time.Duration(i) * time.Millisecond})
-		exec := 10 * time.Millisecond
-		if i == 100 {
-			exec = time.Second
+		if _, err := c.admit(&Job{ID: fmt.Sprint(i), Cards: 2, Build: tinyBuild}, 0); err != nil {
+			t.Fatal(err)
 		}
-		m.jobsDone(1, exec, nil)
-		m.endGrant(2)
+		started, _ := c.dispatch(float64(i) / 1000)
+		if len(started) != 1 {
+			t.Fatalf("job %d: %d grants started, want 1", i, len(started))
+		}
+		exec := 0.010
+		if i == 100 {
+			exec = 1
+		}
+		c.finish(&started[0], float64(i)/1000+exec, exec, nil)
 	}
-	s := m.Snapshot()
+	s := c.snapshot()
 	if s.Submitted != 100 || s.Completed != 100 {
 		t.Fatalf("lifecycle counters off: %+v", s)
 	}
@@ -88,29 +98,42 @@ func TestSnapshotPercentilesFromLifecycle(t *testing.T) {
 	}
 }
 
-// TestMetricsConcurrentWriters hammers every mutator from parallel
-// goroutines while snapshots race them; run under -race this pins the
-// locking discipline, and afterwards the counters must balance exactly.
+// TestMetricsConcurrentWriters hammers one server from parallel submitters
+// while snapshots race them; run under -race this pins the locking
+// discipline (the counters are the scheduler's, guarded by Server.mu), and
+// afterwards the counters must balance exactly.
 func TestMetricsConcurrentWriters(t *testing.T) {
-	var m Metrics
+	s, err := New(Config{
+		Fleet:      hw.Fleet{Cards: 8, CardsPerServer: 8},
+		Backend:    &SimBackend{Cfg: sim.HydraConfig()},
+		QueueDepth: 1024,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
 	const writers = 8
-	const perWriter = 500
+	const perWriter = 100
 	var wg sync.WaitGroup
 	for w := 0; w < writers; w++ {
 		wg.Add(1)
-		go func(seed int64) {
+		go func(w int) {
 			defer wg.Done()
-			rng := rand.New(rand.NewSource(seed))
 			for i := 0; i < perWriter; i++ {
-				m.admit()
-				m.startGrant(1, []time.Duration{time.Duration(rng.Intn(1000)) * time.Microsecond})
-				m.jobsDone(1, time.Duration(rng.Intn(1000))*time.Microsecond, nil)
-				m.endGrant(1)
-				if i%100 == 0 {
-					m.Snapshot()
+				tk, err := s.Submit(&Job{ID: fmt.Sprintf("w%d-%d", w, i), Cards: 1 + i%2, Build: tinyBuild})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if _, err := tk.Wait(context.Background()); err != nil {
+					t.Error(err)
+					return
+				}
+				if i%10 == 0 {
+					s.Snapshot()
 				}
 			}
-		}(int64(w))
+		}(w)
 	}
 	done := make(chan struct{})
 	go func() {
@@ -119,21 +142,22 @@ func TestMetricsConcurrentWriters(t *testing.T) {
 			case <-done:
 				return
 			default:
-				m.Snapshot()
+				s.Snapshot()
 			}
 		}
 	}()
 	wg.Wait()
 	close(done)
-	s := m.Snapshot()
-	if want := int64(writers * perWriter); s.Submitted != want || s.Completed != want {
-		t.Fatalf("submitted %d / completed %d, want %d", s.Submitted, s.Completed, want)
+	s.Drain()
+	snap := s.Snapshot()
+	if want := int64(writers * perWriter); snap.Submitted != want || snap.Completed != want {
+		t.Fatalf("submitted %d / completed %d, want %d", snap.Submitted, snap.Completed, want)
 	}
-	if s.Queued != 0 || s.Running != 0 || s.CardsBusy != 0 {
-		t.Fatalf("gauges should balance to zero: %+v", s)
+	if snap.Queued != 0 || snap.Running != 0 || snap.CardsBusy != 0 {
+		t.Fatalf("gauges should balance to zero: %+v", snap)
 	}
-	if s.ExecP50 < 0 || s.ExecP99 < s.ExecP50 {
-		t.Fatalf("percentiles inconsistent: p50=%v p99=%v", s.ExecP50, s.ExecP99)
+	if snap.ExecP50 < 0 || snap.ExecP99 < snap.ExecP50 {
+		t.Fatalf("percentiles inconsistent: p50=%v p99=%v", snap.ExecP50, snap.ExecP99)
 	}
 }
 

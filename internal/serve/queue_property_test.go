@@ -231,11 +231,11 @@ func TestDispatchPassMatchesSequentialGrants(t *testing.T) {
 		}
 
 		var got []string
-		for _, d := range dispatchPass(hq, hf, 1) {
-			if len(d.riders) != 0 {
+		for _, d := range (&scheduler{q: hq, free: hf, coalesce: 1}).dispatchPass() {
+			if len(d.batch) != 1 {
 				t.Fatalf("trial %d: coalesce=1 produced riders", trial)
 			}
-			got = append(got, fmt.Sprintf("%s %v backfill=%v", d.lead.job.ID, d.cards, d.backfill))
+			got = append(got, fmt.Sprintf("%s %v backfill=%v", d.batch[0].job.ID, d.cards, d.backfill))
 		}
 		if fmt.Sprint(got) != fmt.Sprint(want) {
 			t.Fatalf("trial %d: dispatch transcript diverged\ngot:  %v\nwant: %v", trial, got, want)
@@ -282,8 +282,8 @@ func TestDispatchPassCoalesces(t *testing.T) {
 		}
 		f := newFreeList(free, 8)
 		var got []string
-		for _, d := range dispatchPass(q, f, 3) {
-			got = append(got, fmt.Sprintf("%s+%v", d.lead.job.ID, idsOf(d.riders)))
+		for _, d := range (&scheduler{q: q, free: f, coalesce: 3}).dispatchPass() {
+			got = append(got, fmt.Sprintf("%s+%v", d.batch[0].job.ID, idsOf(d.batch[1:])))
 		}
 		return fmt.Sprint(got), q.len()
 	}

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -13,13 +14,15 @@ import (
 )
 
 // This file is the fleet-scale projection path: a discrete-event loop that
-// drives the real scheduler structures — admitQueue, freeList, dispatchPass,
-// popRefill — in virtual time. Execution is priced analytically instead of
-// slept through, so a thousand-card fleet digesting 10^4+ jobs replays in
-// milliseconds of wall clock. The decisions are the live Server's decisions
-// (same policy core, sched.go); only the clock is synthetic. cmd/hydra-serve
-// uses it for its saturation sweeps (-mode sweep), and bench/'s serve-replay
-// workload times it.
+// drives the grant lifecycle (scheduler, sched.go) in virtual time, the same
+// admit, dispatch and finish the live Server calls, counted by the same
+// counters. Execution is priced by a CostFn instead of run, so a
+// thousand-card fleet digesting 10^4+ jobs replays in milliseconds of wall
+// clock; only the clock is synthetic. Virtual second t is time.Unix(0, 0)
+// plus t, which is the axis a replayed Job.Deadline is read on.
+// cmd/hydra-serve uses it for its saturation sweeps (-mode sweep) and
+// closed-loop runs (-mode closed), and bench/'s serve-replay workload times
+// it.
 
 // CostFn prices one grant execution: the virtual seconds a grant of the
 // given card set holds its cards to run `batch` coalesced instances of the
@@ -91,12 +94,16 @@ type ReplayConfig struct {
 	Cost       CostFn
 }
 
-// ReplayStats summarizes one replay: one point on a saturation curve.
+// ReplayStats summarizes one replay: one point on a saturation curve. The
+// counters and percentiles are the scheduler's own, the ones Server.Snapshot
+// reports; like the live server's, the latency sample buffers keep the
+// first 2^16 samples, so the percentiles of a longer replay describe its
+// first 2^16 grants' jobs.
 type ReplayStats struct {
 	Offered   int `json:"offered"`
 	Admitted  int `json:"admitted"`
-	Shed      int `json:"shed"` // rejected at admission, queue full
-	Expired   int `json:"expired"`
+	Shed      int `json:"shed"`    // rejected at admission, queue full
+	Expired   int `json:"expired"` // deadline unmeetable at admission, or passed in queue
 	Completed int `json:"completed"`
 
 	Grants    int `json:"grants"`
@@ -120,11 +127,10 @@ type replayEvent struct {
 	t   float64
 	seq uint64 // insertion order breaks time ties deterministically
 
-	// Grant completion (cards non-nil): the batch finishes and the cards
-	// refill or retire.
-	batch []*pending
-	cards []int
-	cost  float64
+	// Grant completion (job nil): the grant finishes and its cards refill
+	// or retire.
+	g    grant
+	cost float64
 
 	// Closed-loop arrival (job non-nil): a user's think time elapsed.
 	job  *Job
@@ -188,161 +194,98 @@ func (h *eventHeap) pop() *replayEvent {
 	return top
 }
 
-// replayEngine runs the discrete-event loop over the real scheduler state.
+// replayEngine drives the scheduler from a discrete-event loop: arrivals and
+// grant completions are events on a virtual clock, and execution is priced
+// by the CostFn instead of run.
 type replayEngine struct {
-	rc    ReplayConfig
-	q     *admitQueue
-	free  *freeList
-	depth int
-	seq   uint64
-	epoch time.Time // anchor mapping virtual seconds onto pending.submitted
-
+	rc     ReplayConfig
+	sched  *scheduler
 	events eventHeap
 
 	// Closed-loop hook: called when a job completes at virtual time t, so
 	// the driver can re-arm the submitting user. Nil in open-loop replays.
 	onDone func(p *pending, t float64)
 
-	offered, admitted, shed, expired, completed int
-	grants, coalesced, refills                  int
-	waits, execs                                []float64
-
-	busyCards int
-	busyInt   float64 // card-seconds integral
-	lastT     float64
-	firstAt   float64
-	endT      float64
-	started   bool
-	firstErr  error
+	busyInt  float64 // busy card-seconds integral
+	lastT    float64
+	firstAt  float64
+	endT     float64
+	started  bool
+	firstErr error
 }
 
 func newReplayEngine(rc ReplayConfig) (*replayEngine, error) {
-	if err := rc.Fleet.Validate(); err != nil {
-		return nil, err
-	}
 	if rc.Cost == nil {
 		return nil, fmt.Errorf("serve: replay needs a cost function")
 	}
-	depth := rc.QueueDepth
-	if depth <= 0 {
-		depth = DefaultQueueDepth
+	sched, err := newScheduler(rc.Fleet, rc.QueueDepth, rc.Coalesce)
+	if err != nil {
+		return nil, err
 	}
-	return &replayEngine{
-		rc:    rc,
-		q:     newAdmitQueue(depth),
-		free:  newFreeList(rc.Fleet.Cards, rc.Fleet.CardsPerServer),
-		depth: depth,
-		epoch: time.Unix(0, 0).UTC(),
-	}, nil
+	return &replayEngine{rc: rc, sched: sched}, nil
 }
 
 // advance integrates the busy-card gauge up to virtual time t.
 func (e *replayEngine) advance(t float64) {
 	if t > e.lastT {
-		e.busyInt += float64(e.busyCards) * (t - e.lastT)
+		busy := e.rc.Fleet.Cards - e.sched.free.len()
+		e.busyInt += float64(busy) * (t - e.lastT)
 		e.lastT = t
 	}
 }
 
-// vt maps virtual seconds onto the wall-clock axis pending.submitted lives on.
-func (e *replayEngine) vt(t float64) time.Time { return e.epoch.Add(durationOf(t)) }
-
-// arrive offers one job to the queue at virtual time t.
-func (e *replayEngine) arrive(job *Job, t float64) error {
+// arrive offers one job at virtual time t and reports whether it was
+// queued. Only an invalid job is an error; a shed or expired one is counted.
+func (e *replayEngine) arrive(job *Job, t float64) (bool, error) {
 	e.advance(t)
 	if !e.started || t < e.firstAt {
 		e.firstAt, e.started = t, true
 	}
-	e.offered++
-	if err := job.validate(e.rc.Fleet); err != nil {
-		return err
-	}
-	p := &pending{job: job, ticket: newTicket(job.ID), submitted: e.vt(t), seq: e.seq}
-	e.seq++
-	if err := e.q.push(p); err != nil {
-		e.shed++
-		return nil
-	}
-	e.admitted++
-	e.dispatch(t)
-	return nil
-}
-
-// dispatch sheds expired jobs and grants everything the free cards allow,
-// through the same dispatchPass the live server uses.
-func (e *replayEngine) dispatch(t float64) {
-	for range e.q.expire(e.vt(t)) {
-		e.expired++
-	}
-	for _, d := range dispatchPass(e.q, e.free, e.rc.Coalesce) {
-		e.startGrant(append([]*pending{d.lead}, d.riders...), d.cards, t, false)
-	}
-}
-
-// startGrant prices a grant and schedules its completion.
-func (e *replayEngine) startGrant(batch []*pending, cards []int, t float64, refill bool) {
-	cost, err := e.rc.Cost(batch[0].job, cards, len(batch))
-	if err != nil {
-		// Pricing failures are workload programming errors; record the first
-		// and let the grant complete at zero cost so the replay terminates.
-		if e.firstErr == nil {
-			e.firstErr = err
+	if _, err := e.sched.admit(job, t); err != nil {
+		if errors.Is(err, ErrOverloaded) || errors.Is(err, ErrDeadline) {
+			return false, nil
 		}
-		cost = 0
+		return false, err
 	}
-	e.grants++
-	e.coalesced += len(batch) - 1
-	if refill {
-		e.refills++
-	}
-	for _, p := range batch {
-		e.waits = append(e.waits, t-e.vtInv(p.submitted))
-	}
-	e.busyCards += len(cards)
-	e.events.push(&replayEvent{t: t + cost, batch: batch, cards: cards, cost: cost})
+	started, _ := e.sched.dispatch(t)
+	e.start(started, t)
+	return true, nil
 }
 
-// vtInv maps a pending's submitted stamp back to virtual seconds.
-func (e *replayEngine) vtInv(ts time.Time) float64 {
-	return ts.Sub(e.epoch).Seconds()
+// start prices each grant and schedules its completion.
+func (e *replayEngine) start(grants []grant, t float64) {
+	for _, g := range grants {
+		cost, err := e.rc.Cost(g.batch[0].job, g.cards, len(g.batch))
+		if err != nil {
+			// Pricing failures are workload programming errors; record the
+			// first and let the grant complete at zero cost so the replay
+			// terminates.
+			if e.firstErr == nil {
+				e.firstErr = err
+			}
+			cost = 0
+		}
+		e.events.push(&replayEvent{t: t + cost, g: g, cost: cost})
+	}
 }
 
-// complete retires or refills a finished grant at virtual time t.
-func (e *replayEngine) complete(ev *replayEvent, t float64) {
+// complete finishes a grant at its event time: the scheduler refills or
+// retires it, and every grant that starts is scheduled.
+func (e *replayEngine) complete(ev *replayEvent) {
+	t := ev.t
 	e.advance(t)
-	e.completed += len(ev.batch)
-	for range ev.batch {
-		e.execs = append(e.execs, ev.cost)
-	}
 	e.endT = t
 	if e.onDone != nil {
-		for _, p := range ev.batch {
+		for _, p := range ev.g.batch {
 			e.onDone(p, t)
 		}
 	}
-
-	cards := ev.cards
-	e.busyCards -= len(cards)
-	key := ev.batch[0].job.BatchKey
-	if e.rc.Coalesce > 1 && key != "" {
-		for range e.q.expire(e.vt(t)) {
-			e.expired++
-		}
-		if lead := e.q.popRefill(len(cards), key); lead != nil {
-			riders := e.q.popRiders(key, lead.job.Cards, e.rc.Coalesce-1)
-			keep, surplus := cards[:lead.job.Cards], cards[lead.job.Cards:]
-			if len(surplus) > 0 {
-				e.free.add(surplus)
-			}
-			e.startGrant(append([]*pending{lead}, riders...), keep, t, true)
-			if len(surplus) > 0 {
-				e.dispatch(t)
-			}
-			return
-		}
+	g := ev.g
+	started, _ := e.sched.finish(&g, t, ev.cost, nil)
+	if g.batch != nil {
+		e.start([]grant{g}, t)
 	}
-	e.free.add(cards)
-	e.dispatch(t)
+	e.start(started, t)
 }
 
 // run drains the event heap, interleaving the pregenerated open-loop
@@ -361,19 +304,13 @@ func (e *replayEngine) run(arrivals []Arrival) error {
 		if ev == nil || arrT <= ev.t {
 			a := arrivals[next]
 			next++
-			if err := e.arrive(a.Job, arrT); err != nil {
+			if _, err := e.arrive(a.Job, arrT); err != nil {
 				return err
 			}
 			continue
 		}
 		e.events.pop()
-		if ev.job != nil {
-			if err := e.arrive(ev.job, ev.t); err != nil {
-				return err
-			}
-			continue
-		}
-		e.complete(ev, ev.t)
+		e.complete(ev)
 	}
 }
 
@@ -385,25 +322,26 @@ func (e *replayEngine) peek() *replayEvent {
 }
 
 func (e *replayEngine) stats() *ReplayStats {
+	c := e.sched
 	span := e.endT - e.firstAt
 	st := &ReplayStats{
-		Offered:   e.offered,
-		Admitted:  e.admitted,
-		Shed:      e.shed,
-		Expired:   e.expired,
-		Completed: e.completed,
-		Grants:    e.grants,
-		Coalesced: e.coalesced,
-		Refills:   e.refills,
+		Offered:   c.offered,
+		Admitted:  c.admitted,
+		Shed:      c.rejected,
+		Expired:   c.expired,
+		Completed: c.completed,
+		Grants:    c.grants,
+		Coalesced: c.coalesced,
+		Refills:   c.refills,
 		Makespan:  span,
 
-		QueueWaitP50: percentile(e.waits, 0.50),
-		QueueWaitP99: percentile(e.waits, 0.99),
-		ExecP50:      percentile(e.execs, 0.50),
-		ExecP99:      percentile(e.execs, 0.99),
+		QueueWaitP50: percentile(c.queueWait, 0.50),
+		QueueWaitP99: percentile(c.queueWait, 0.99),
+		ExecP50:      percentile(c.exec, 0.50),
+		ExecP99:      percentile(c.exec, 0.99),
 	}
 	if span > 0 {
-		st.JobsPerSec = float64(e.completed) / span
+		st.JobsPerSec = float64(c.completed) / span
 		st.Utilization = e.busyInt / (float64(e.rc.Fleet.Cards) * span)
 	}
 	return st
@@ -501,23 +439,23 @@ func ReplayClosed(users, jobs int, think time.Duration, seed int64, shapes []Sha
 		e.events.push(&replayEvent{t: gap, job: draw(u), user: u})
 	}
 
-	// Closed loop: an arrival that gets shed re-enters think.
-	for e.completed < jobs {
+	// Closed loop: an arrival that is refused re-enters think.
+	for e.sched.completed < jobs {
 		ev := e.events.pop()
 		if ev == nil {
-			return nil, fmt.Errorf("serve: closed-loop replay stalled at %d/%d jobs", e.completed, jobs)
+			return nil, fmt.Errorf("serve: closed-loop replay stalled at %d/%d jobs", e.sched.completed, jobs)
 		}
-		if ev.job != nil {
-			shedBefore := e.shed
-			if err := e.arrive(ev.job, ev.t); err != nil {
-				return nil, err
-			}
-			if e.shed > shedBefore {
-				rearm(ev.user, ev.t)
-			}
+		if ev.job == nil {
+			e.complete(ev)
 			continue
 		}
-		e.complete(ev, ev.t)
+		queued, err := e.arrive(ev.job, ev.t)
+		if err != nil {
+			return nil, err
+		}
+		if !queued {
+			rearm(ev.user, ev.t)
+		}
 	}
 	if e.firstErr != nil {
 		return nil, e.firstErr

@@ -70,13 +70,18 @@ func TestReplayDeterminism(t *testing.T) {
 }
 
 // TestReplayConservation checks the job-accounting identities on a saturated
-// replay: every offered job is admitted or shed, every admitted job
-// completes (no deadlines in the mix), and utilization stays physical.
+// replay: every offered job is admitted, shed, or refused at admission for a
+// deadline it can no longer meet (one arrival in ten); every admitted job
+// completes (no deadline can pass in the queue); and utilization stays
+// physical.
 func TestReplayConservation(t *testing.T) {
 	w := Workload{Seed: 3, Rate: 2000, Shapes: replayShapes()} // far beyond capacity
 	arrivals, err := w.GenerateN(5000)
 	if err != nil {
 		t.Fatal(err)
+	}
+	for i := 0; i < len(arrivals); i += 10 {
+		arrivals[i].Job.Deadline = instant(arrivals[i].At.Seconds()).Add(-time.Millisecond)
 	}
 	st, err := Replay(arrivals, ReplayConfig{
 		Fleet:      replayFleet(32),
@@ -90,11 +95,14 @@ func TestReplayConservation(t *testing.T) {
 	if st.Offered != 5000 {
 		t.Fatalf("offered %d, want 5000", st.Offered)
 	}
-	if st.Admitted+st.Shed != st.Offered {
-		t.Fatalf("admitted %d + shed %d != offered %d", st.Admitted, st.Shed, st.Offered)
+	if st.Admitted+st.Shed+st.Expired != st.Offered {
+		t.Fatalf("admitted %d + shed %d + expired %d != offered %d", st.Admitted, st.Shed, st.Expired, st.Offered)
+	}
+	if st.Expired != 500 {
+		t.Fatalf("expired %d, want the 500 arrivals past their deadline", st.Expired)
 	}
 	if st.Completed != st.Admitted {
-		t.Fatalf("completed %d != admitted %d (no deadlines in mix)", st.Completed, st.Admitted)
+		t.Fatalf("completed %d != admitted %d (no deadline passes in queue)", st.Completed, st.Admitted)
 	}
 	if st.Shed == 0 {
 		t.Fatal("a 2000/s stream into a 32-card fleet must shed load")
@@ -104,6 +112,25 @@ func TestReplayConservation(t *testing.T) {
 	}
 	if st.Grants == 0 || st.Coalesced != 0 || st.Refills != 0 {
 		t.Fatalf("coalesce=1 must not batch: %+v", st)
+	}
+}
+
+// TestReplayRefusesPastDeadline: admission applies the same deadline rule in
+// virtual time as the live server does on the wall clock — an arrival whose
+// deadline has already passed is refused and counted expired, never
+// admitted. Virtual second t is time.Unix(0, 0) plus t.
+func TestReplayRefusesPastDeadline(t *testing.T) {
+	late := &Job{ID: "late", BatchKey: "conv", Cards: 2, Build: tinyBuild,
+		Deadline: time.Unix(0, 0).Add(500 * time.Millisecond)}
+	st, err := Replay([]Arrival{{At: time.Second, Job: late}}, ReplayConfig{
+		Fleet: replayFleet(8),
+		Cost:  flatCost(replayBase),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Offered != 1 || st.Admitted != 0 || st.Expired != 1 || st.Completed != 0 {
+		t.Fatalf("past-deadline arrival: %+v, want offered 1, admitted 0, expired 1", st)
 	}
 }
 

@@ -9,11 +9,17 @@
 //
 // The moving parts:
 //
+//   - Lifecycle (scheduler, sched.go): every decision a job meets — admit,
+//     dispatch, finish — is made once, by one type that owns the queue, the
+//     card pool, the coalesce bound and the counters. The live Server drives
+//     it under its mutex on the wall clock; Replay drives it from an event
+//     loop on a virtual clock.
 //   - Admission (admitQueue): a bounded queue ordered by priority, then
 //     deadline, then arrival, indexed by a rank heap, a deadline heap and
 //     per-batch-key heaps so dispatch never scans. When it is full, Submit
 //     fails fast with ErrOverloaded instead of queueing unboundedly —
-//     saturation sheds load at the front door, it does not grow memory.
+//     saturation sheds load at the front door, it does not grow memory. A
+//     job whose Deadline is closer than its EstCost is refused at the door.
 //     SubmitBatch admits a whole arrival batch under one lock acquisition.
 //   - Allocation (freeList): a job granted n cards gets the card set
 //     minimizing server span, because a job confined to one server pays only
@@ -34,13 +40,14 @@
 //     cluster (ClusterBackend — end-to-end validation), behind one
 //     interface. Every job runs under a context assembled from its timeout
 //     and deadline; cancellation propagates into the card engines.
-//   - Observability (Metrics): queue-wait and execution-latency samples,
-//     cards-busy/queued/running gauges, admission and grant counters,
-//     snapshot at any time; cmd/hydra-serve prints them as its report.
-//   - Scale projection (Replay): the same queue, allocator and dispatch
-//     pass driven in virtual time by a discrete-event loop — saturation
-//     curves for thousand-card fleets and 10^4+ job traces in milliseconds
-//     of wall clock.
+//   - Observability (Server.Snapshot): the scheduler's admission, grant and
+//     outcome counters, queued/running/cards-busy gauges and queue-wait and
+//     execution-latency percentiles; cmd/hydra-serve prints them as its
+//     report. Replay fills ReplayStats from the same counters.
+//   - Scale projection (Replay, ReplayClosed): the same lifecycle driven in
+//     virtual time by a discrete-event loop — saturation curves for
+//     thousand-card fleets and 10^4+ job traces in milliseconds of wall
+//     clock.
 package serve
 
 import (
@@ -79,11 +86,6 @@ type Config struct {
 	// DefaultTimeout caps jobs that carry no timeout of their own
 	// (0 = uncapped).
 	DefaultTimeout time.Duration
-	// Estimator, when set, prices each admitted job's program on this
-	// analytic machine model (identity placement, the job's own card count)
-	// to fill Job.EstCost. The estimate feeds deadline admission control and
-	// the report; it never blocks dispatch.
-	Estimator *sim.Config
 	// CoalesceLimit bounds the jobs sharing one card grant (continuous
 	// batching). 0 and 1 grant per job — the classic path, kept as the
 	// flag-selectable ablation baseline. k > 1 coalesces up to k compatible
@@ -98,22 +100,18 @@ type Config struct {
 // DefaultQueueDepth is the admission bound when Config.QueueDepth is zero.
 const DefaultQueueDepth = 64
 
-// Server schedules jobs over the card pool.
+// Server schedules jobs over the card pool: it drives the grant lifecycle
+// (scheduler, sched.go) under one mutex and runs each grant on a goroutine.
 type Server struct {
-	cfg      Config
-	backend  Backend
-	coalesce int // normalized CoalesceLimit (>= 1)
+	cfg     Config
+	backend Backend
 
-	mu      sync.Mutex
-	cond    *sync.Cond // signaled whenever queued/running work drains
-	q       *admitQueue
-	free    *freeList
-	running int // in-flight grants (== jobs when nothing coalesces)
-	closed  bool
-	seq     uint64
+	mu     sync.Mutex
+	cond   *sync.Cond // signaled whenever a grant retires or the server closes
+	sched  *scheduler
+	closed bool
 
-	metrics Metrics
-	wg      sync.WaitGroup // one entry per in-flight grant goroutine
+	wg sync.WaitGroup // one entry per in-flight grant goroutine
 
 	baseCtx   context.Context
 	cancelAll context.CancelFunc
@@ -123,35 +121,25 @@ type Server struct {
 
 // New builds a server over the configured fleet.
 func New(cfg Config) (*Server, error) {
-	if err := cfg.Fleet.Validate(); err != nil {
-		return nil, err
-	}
 	if cfg.Backend == nil {
 		return nil, fmt.Errorf("serve: config needs a backend")
 	}
-	depth := cfg.QueueDepth
-	if depth <= 0 {
-		depth = DefaultQueueDepth
+	sched, err := newScheduler(cfg.Fleet, cfg.QueueDepth, cfg.CoalesceLimit)
+	if err != nil {
+		return nil, err
 	}
-	coalesce := cfg.CoalesceLimit
-	if coalesce < 1 {
-		coalesce = 1
-	}
-	s := &Server{
-		cfg:      cfg,
-		backend:  cfg.Backend,
-		coalesce: coalesce,
-		q:        newAdmitQueue(depth),
-		free:     newFreeList(cfg.Fleet.Cards, cfg.Fleet.CardsPerServer),
-		now:      time.Now,
-	}
+	s := &Server{cfg: cfg, backend: cfg.Backend, sched: sched, now: time.Now}
 	s.cond = sync.NewCond(&s.mu)
 	s.baseCtx, s.cancelAll = context.WithCancel(context.Background())
 	return s, nil
 }
 
-// Metrics returns the server's metrics surface.
-func (s *Server) Metrics() *Metrics { return &s.metrics }
+// Snapshot copies the scheduler's counters, gauges and percentiles.
+func (s *Server) Snapshot() Snapshot {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.sched.snapshot()
+}
 
 // Submit admits a job. It returns immediately with a Ticket tracking the
 // job's lifecycle, or a typed error: ErrOverloaded when the admission queue
@@ -171,97 +159,44 @@ func (s *Server) Submit(job *Job) (*Ticket, error) {
 func (s *Server) SubmitBatch(jobs []*Job) ([]*Ticket, []error) {
 	tickets := make([]*Ticket, len(jobs))
 	errs := make([]error, len(jobs))
-
-	// Validate and price before taking the scheduler lock: estimation
-	// simulates the job's program and must not serialize admissions.
-	for i, job := range jobs {
-		if err := job.validate(s.cfg.Fleet); err != nil {
-			errs[i] = err
-			continue
-		}
-		if job.EstCost == 0 && s.cfg.Estimator != nil && job.Build != nil {
-			// Advisory: an unpriced job is admitted with EstCost 0 and fails,
-			// if its Build is broken, alone at its grant.
-			if est, err := estimate(job, *s.cfg.Estimator); err == nil {
-				job.EstCost = est
-			}
-		}
-	}
-
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	now := s.now()
+	now := s.clock()
 	admitted := false
 	for i, job := range jobs {
-		if errs[i] != nil {
-			continue
-		}
 		if s.closed {
-			s.metrics.reject()
+			s.sched.rejected++
 			errs[i] = ErrClosed
 			continue
 		}
-		if !job.Deadline.IsZero() && now.Add(durationOf(job.EstCost)).After(job.Deadline) {
-			s.metrics.expire()
-			errs[i] = fmt.Errorf("serve: job %s: %w", job.ID, ErrDeadline)
+		p, err := s.sched.admit(job, now)
+		if err != nil {
+			errs[i] = err
 			continue
 		}
-		t := newTicket(job.ID)
-		p := &pending{job: job, ticket: t, submitted: now, seq: s.seq}
-		s.seq++
-		if err := s.q.push(p); err != nil {
-			s.metrics.reject()
-			errs[i] = fmt.Errorf("serve: job %s: %w", job.ID, err)
-			continue
-		}
-		s.metrics.admit()
-		tickets[i] = t
+		p.ticket = newTicket(job.ID)
+		tickets[i] = p.ticket
 		admitted = true
 	}
 	if admitted {
-		s.dispatchLocked()
+		s.launch(s.sched.dispatch(now))
 	}
 	return tickets, errs
 }
 
-// durationOf converts the analytic cost model's seconds to a duration.
-func durationOf(seconds float64) time.Duration {
-	return time.Duration(seconds * float64(time.Second))
-}
+// clock reads the server clock in scheduler seconds.
+func (s *Server) clock() float64 { return seconds(s.now()) }
 
-// shedExpiredLocked fails queued jobs whose deadline passed. Callers hold
-// s.mu.
-func (s *Server) shedExpiredLocked() {
-	now := s.now()
-	for _, p := range s.q.expire(now) {
-		s.metrics.expireQueued()
+// launch runs each fresh grant on its own goroutine and fails the jobs that
+// expired in the queue. Callers hold s.mu.
+func (s *Server) launch(started []grant, expired []*pending) {
+	for _, p := range expired {
 		p.ticket.complete(nil, fmt.Errorf("serve: job %s expired in queue: %w", p.job.ID, ErrDeadline))
 	}
-}
-
-// dispatchLocked drains the admission queue onto free cards: expired jobs
-// are shed, then one dispatchPass makes every grant decision the free cards
-// allow — rank order with backfill, compatible jobs coalesced per grant.
-// Callers hold s.mu.
-func (s *Server) dispatchLocked() {
-	s.shedExpiredLocked()
-	now := s.now()
-	for _, d := range dispatchPass(s.q, s.free, s.coalesce) {
-		s.running++
-		s.metrics.startGrant(len(d.cards), grantWaits(d.lead, d.riders, now))
+	for _, g := range started {
 		s.wg.Add(1)
-		go s.runGrant(d)
+		go s.runGrant(g)
 	}
-}
-
-// grantWaits collects the queue-wait sample of every job on a grant.
-func grantWaits(lead *pending, riders []*pending, now time.Time) []time.Duration {
-	waits := make([]time.Duration, 0, 1+len(riders))
-	waits = append(waits, now.Sub(lead.submitted))
-	for _, r := range riders {
-		waits = append(waits, now.Sub(r.submitted))
-	}
-	return waits
 }
 
 // jobContext assembles a job's execution context from the server base
@@ -284,37 +219,16 @@ func (s *Server) jobContext(job *Job) (context.Context, context.CancelFunc) {
 	return ctx, cancel
 }
 
-// refillLocked decides whether a finishing grant's cards go straight to the
-// next compatible queued jobs (continuous batching) instead of through the
-// free list. It returns the next batch (leader first) and the cards to keep;
-// surplus reports cards trimmed off when the next leader demands fewer.
-// A nil batch means the grant retires. Callers hold s.mu.
-func (s *Server) refillLocked(key string, cards []int) (batch []*pending, keep, surplus []int) {
-	if s.closed || s.coalesce <= 1 || key == "" {
-		return nil, cards, nil
-	}
-	s.shedExpiredLocked()
-	lead := s.q.popRefill(len(cards), key)
-	if lead == nil {
-		return nil, cards, nil
-	}
-	riders := s.q.popRiders(key, lead.job.Cards, s.coalesce-1)
-	return append([]*pending{lead}, riders...), cards[:lead.job.Cards], cards[lead.job.Cards:]
-}
-
 // runGrant executes a grant: the leader's program runs once per batch on the
 // granted card set (riders are interchangeable work by the BatchKey
-// contract), every ticket on the grant completes, and then the grant either
-// refills from the queue — same cards, next compatible batch, no free-list
-// round trip — or retires its cards to the pool.
-func (s *Server) runGrant(d decision) {
+// contract), every ticket on the grant completes, and the scheduler then
+// either refills the grant — same cards, next compatible batch, no free-list
+// round trip, same goroutine — or retires its cards to the pool.
+func (s *Server) runGrant(g grant) {
 	defer s.wg.Done()
-	cards := d.cards
-	batch := append([]*pending{d.lead}, d.riders...)
-	backfill := d.backfill
-	refilled := false
-	for {
-		lead := batch[0]
+	for g.batch != nil {
+		done := g
+		lead := done.batch[0]
 		ctx, cancel := s.jobContext(lead.job)
 		started := time.Now()
 		// The backend runs the tenant's own Build / BuildCluster / Preload /
@@ -327,35 +241,22 @@ func (s *Server) runGrant(d decision) {
 				}
 			}()
 			return s.backend.Run(ctx, lead.job, sim.Placement{
-				Cards:          cards,
+				Cards:          done.cards,
 				CardsPerServer: s.cfg.Fleet.CardsPerServer,
-				Batch:          len(batch),
+				Batch:          len(done.batch),
 			})
 		}()
 		elapsed := time.Since(started)
 		cancel()
 
 		s.mu.Lock()
-		s.metrics.jobsDone(len(batch), elapsed, err)
-		next, keep, surplus := s.refillLocked(lead.job.BatchKey, cards)
-		if next == nil {
-			s.free.add(cards)
-			s.metrics.endGrant(len(cards))
-			s.running--
-			s.dispatchLocked()
+		s.launch(s.sched.finish(&g, s.clock(), elapsed.Seconds(), err))
+		if g.batch == nil {
 			s.cond.Broadcast()
-		} else {
-			if len(surplus) > 0 {
-				s.free.add(surplus)
-			}
-			s.metrics.refillGrant(len(surplus), grantWaits(next[0], next[1:], s.now()))
-			if len(surplus) > 0 {
-				s.dispatchLocked()
-			}
 		}
 		s.mu.Unlock()
 
-		for _, p := range batch {
+		for _, p := range done.batch {
 			if err != nil {
 				p.ticket.complete(nil, fmt.Errorf("serve: job %s: %w", p.job.ID, err))
 				continue
@@ -363,10 +264,10 @@ func (s *Server) runGrant(d decision) {
 			res := &Result{
 				JobID:      p.job.ID,
 				Backend:    s.backend.Name(),
-				Cards:      cards,
-				Backfilled: backfill,
-				Refilled:   refilled,
-				Batch:      len(batch),
+				Cards:      done.cards,
+				Backfilled: done.backfill,
+				Refilled:   done.refill,
+				Batch:      len(done.batch),
 				QueueWait:  started.Sub(realOrZero(p.submitted, started)),
 				ExecTime:   elapsed,
 				EstCost:    p.job.EstCost,
@@ -376,12 +277,6 @@ func (s *Server) runGrant(d decision) {
 			}
 			p.ticket.complete(res, nil)
 		}
-
-		if next == nil {
-			return
-		}
-		batch, cards = next, keep
-		backfill, refilled = false, true
 	}
 }
 
@@ -400,7 +295,7 @@ func realOrZero(submitted, started time.Time) time.Time {
 func (s *Server) Drain() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for !s.closed && (s.q.len() > 0 || s.running > 0) {
+	for !s.closed && (s.sched.q.len() > 0 || s.sched.running > 0) {
 		s.cond.Wait()
 	}
 }
@@ -415,8 +310,8 @@ func (s *Server) Close() {
 		return
 	}
 	s.closed = true
-	for _, p := range s.q.drain() {
-		s.metrics.reject()
+	for _, p := range s.sched.q.drain() {
+		s.sched.rejected++
 		p.ticket.complete(nil, fmt.Errorf("serve: job %s: %w", p.job.ID, ErrClosed))
 	}
 	s.cancelAll()
@@ -470,26 +365,4 @@ type Result struct {
 	ExecTime   time.Duration
 	SimSeconds float64 // analytic makespan (sim backend; 0 otherwise)
 	EstCost    float64 // admission-time estimate, seconds
-}
-
-// estimate prices a job by simulating its program on the estimator machine
-// with identity placement (the job's cards packed from 0, the best case).
-// Build is the tenant's code running on the submitter's goroutine: a panic out
-// of it (or out of simulating the nil program it returned) is an estimate
-// that could not be made, not a reason to lose the submitter.
-func estimate(job *Job, cfg sim.Config) (est float64, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			est, err = 0, fmt.Errorf("panic: %v", r)
-		}
-	}()
-	prog, err := job.Build(job.Cards)
-	if err != nil {
-		return 0, err
-	}
-	res, err := sim.Run(prog, cfg)
-	if err != nil {
-		return 0, err
-	}
-	return res.Makespan, nil
 }

@@ -21,11 +21,9 @@ import (
 
 func newSimServer(t *testing.T, cards, cps int) *Server {
 	t.Helper()
-	cfg := sim.HydraConfig()
 	s, err := New(Config{
-		Fleet:     hw.Fleet{Cards: cards, CardsPerServer: cps},
-		Backend:   &SimBackend{Cfg: cfg},
-		Estimator: &cfg,
+		Fleet:   hw.Fleet{Cards: cards, CardsPerServer: cps},
+		Backend: &SimBackend{Cfg: sim.HydraConfig()},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -34,12 +32,20 @@ func newSimServer(t *testing.T, cards, cps int) *Server {
 	return s
 }
 
-// TestSubmitRunsSimJob: the basic happy path — a job is admitted, priced by
-// the estimator, granted cards, simulated, and its result carries the
-// analytic makespan.
+// TestSubmitRunsSimJob: the basic happy path — a job priced by its submitter
+// is admitted, granted cards, simulated, and its result carries the analytic
+// makespan next to the estimate.
 func TestSubmitRunsSimJob(t *testing.T) {
 	s := newSimServer(t, 8, 8)
-	tk, err := s.Submit(&Job{ID: "j1", Cards: 2, Build: tinyBuild})
+	prog, err := tinyBuild(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	est, err := sim.Run(prog, sim.HydraConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	tk, err := s.Submit(&Job{ID: "j1", Cards: 2, Build: tinyBuild, EstCost: est.Makespan})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,8 +59,8 @@ func TestSubmitRunsSimJob(t *testing.T) {
 	if res.SimSeconds <= 0 {
 		t.Errorf("sim makespan not recorded: %g", res.SimSeconds)
 	}
-	if res.EstCost <= 0 {
-		t.Errorf("estimator did not price the job: %g", res.EstCost)
+	if res.EstCost != est.Makespan {
+		t.Errorf("estimate not carried to the result: %g, want %g", res.EstCost, est.Makespan)
 	}
 	if math.Abs(res.EstCost-res.SimSeconds) > res.SimSeconds {
 		t.Errorf("estimate %g wildly off the priced makespan %g", res.EstCost, res.SimSeconds)
@@ -198,7 +204,7 @@ func TestTimeoutCancelsRunningJob(t *testing.T) {
 	if started != "[wedged next]" {
 		t.Errorf("backend saw %s, want [wedged next]", started)
 	}
-	if snap := s.Metrics().Snapshot(); snap.Canceled != 2 {
+	if snap := s.Snapshot(); snap.Canceled != 2 {
 		t.Errorf("canceled counter = %d, want 2", snap.Canceled)
 	}
 }
@@ -353,63 +359,16 @@ func TestPanickingJobFailsOnlyItself(t *testing.T) {
 			t.Errorf("%s: healthy job on the same server: %v", tc.name, err)
 		}
 		s.Drain()
-		snap := s.Metrics().Snapshot()
+		snap := s.Snapshot()
 		if snap.Failed != 1 || snap.Completed != 1 || snap.Completed+snap.Failed != snap.Grants+snap.Coalesced {
 			t.Errorf("%s: completed %d, failed %d, grants %d, coalesced %d; want 1, 1 and every grant accounted for",
 				tc.name, snap.Completed, snap.Failed, snap.Grants, snap.Coalesced)
 		}
 		s.mu.Lock()
-		free := s.free.len()
+		free := s.sched.free.len()
 		s.mu.Unlock()
 		if free != 2 || snap.CardsBusy != 0 {
 			t.Errorf("%s: %d cards free, %d busy after both jobs; want 2 and 0", tc.name, free, snap.CardsBusy)
-		}
-		s.Close()
-	}
-	checkNoGoroutineLeak(t, base)
-}
-
-// TestSubmitSurvivesPanickingEstimate: with an Estimator configured, Submit
-// runs the tenant's Build on the submitting goroutine to price the job. The
-// estimate is advisory, so a Build that panics or returns no program leaves
-// the job unpriced and admitted; it then fails alone at its grant, as in
-// TestPanickingJobFailsOnlyItself.
-func TestSubmitSurvivesPanickingEstimate(t *testing.T) {
-	base := runtime.NumGoroutine()
-	est := sim.HydraConfig()
-	for name, build := range map[string]func(int) (*task.Program, error){
-		"build panics":      func(int) (*task.Program, error) { panic("tenant bug") },
-		"build returns nil": func(int) (*task.Program, error) { return nil, nil },
-	} {
-		s, err := New(Config{
-			Fleet:     hw.Fleet{Cards: 2, CardsPerServer: 2},
-			Backend:   &SimBackend{Cfg: sim.HydraConfig()},
-			Estimator: &est,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		badJob := &Job{ID: "bad", Cards: 2, Build: build}
-		bad, err := s.Submit(badJob)
-		if err != nil {
-			t.Fatalf("%s: unpriceable job must be admitted: %v", name, err)
-		}
-		if badJob.EstCost != 0 {
-			t.Errorf("%s: EstCost %g, want 0", name, badJob.EstCost)
-		}
-		good, err := s.Submit(&Job{ID: "good", Cards: 2, Build: tinyBuild})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := bad.Wait(context.Background()); err == nil {
-			t.Errorf("%s: bad job completed", name)
-		}
-		if _, err := good.Wait(context.Background()); err != nil {
-			t.Errorf("%s: healthy job: %v", name, err)
-		}
-		s.Drain()
-		if snap := s.Metrics().Snapshot(); snap.Failed != 1 || snap.Completed != 1 {
-			t.Errorf("%s: completed %d, failed %d; want 1 and 1", name, snap.Completed, snap.Failed)
 		}
 		s.Close()
 	}
@@ -480,7 +439,7 @@ func TestFakeClockDeadlineExpiry(t *testing.T) {
 	if _, err := doomed.Wait(context.Background()); !errors.Is(err, ErrDeadline) {
 		t.Errorf("expired job: got %v, want ErrDeadline", err)
 	}
-	if snap := s.Metrics().Snapshot(); snap.Expired != 1 {
+	if snap := s.Snapshot(); snap.Expired != 1 {
 		t.Errorf("expired counter = %d, want 1", snap.Expired)
 	}
 }

@@ -98,6 +98,12 @@ echo "== hydra-serve smoke (1-second 1024-card open-loop load, -race)"
 go run -race ./cmd/hydra-serve -mode live -fleets 1024 -rate 300 -duration 1s \
 	-dilation 0.05 -coalesce 8 -queue 2048 -out - >/dev/null
 
+echo "== hydra-serve replay smoke (virtual-time sweep with ablation, closed loop)"
+# The sweep and closed-loop modes drive the same grant lifecycle as the live
+# server, from a discrete-event loop; a failed replay is a non-zero exit.
+go run ./cmd/hydra-serve -mode sweep -fleets 16,64 -jobs 500 -coalesce 8 -ablate -out - >/dev/null
+go run ./cmd/hydra-serve -mode closed -fleets 16 -users 200 -jobs 500 -out - >/dev/null
+
 echo "== loc (non-test, non-generated Go lines; informational, never gates)"
 sh scripts/loc.sh || true
 
