@@ -97,8 +97,8 @@ type ReplayConfig struct {
 // ReplayStats summarizes one replay: one point on a saturation curve. The
 // counters and percentiles are the scheduler's own, the ones Server.Snapshot
 // reports; like the live server's, the latency sample buffers keep the
-// first 2^16 samples, so the percentiles of a longer replay describe its
-// first 2^16 grants' jobs.
+// first 2^16 samples, so past 2^16 jobs the percentiles describe the first
+// 2^16 jobs granted (waits) and completed (exec).
 type ReplayStats struct {
 	Offered   int `json:"offered"`
 	Admitted  int `json:"admitted"`
