@@ -1,6 +1,10 @@
 package ckks
 
-import "hydra/internal/ring"
+import (
+	"fmt"
+
+	"hydra/internal/ring"
+)
 
 // Ciphertext is a degree-1 RLWE ciphertext (c0, c1) in the NTT domain, with
 // its current scale. Decryption computes c0 + c1·s.
@@ -15,6 +19,21 @@ func (ct *Ciphertext) Level() int { return ct.C0.Level() }
 // CopyNew returns a deep copy.
 func (ct *Ciphertext) CopyNew() *Ciphertext {
 	return &Ciphertext{C0: ct.C0.CopyNew(), C1: ct.C1.CopyNew(), Scale: ct.Scale}
+}
+
+// CopyAtLevel returns a deep copy of the rows of both components up to level
+// (no rounding; the scale is unchanged): a level drop that copies only the
+// rows it keeps.
+func (ct *Ciphertext) CopyAtLevel(level int) *Ciphertext {
+	checkDropTo(level, ct.Level())
+	return &Ciphertext{C0: atLevel(ct.C0, level).CopyNew(), C1: atLevel(ct.C1, level).CopyNew(), Scale: ct.Scale}
+}
+
+// checkDropTo panics unless level is one a level-from ciphertext can drop to.
+func checkDropTo(level, from int) {
+	if level < 0 || level > from {
+		panic(fmt.Sprintf("ckks: cannot drop a level-%d ciphertext to level %d", from, level))
+	}
 }
 
 // Equal reports whether ct and other are bitwise identical: same scale and

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/big"
 	"math/cmplx"
+	"sync"
 
 	"hydra/internal/ring"
 )
@@ -27,6 +28,15 @@ type Encoder struct {
 	// stage of half-length h reads tw[h-1 : 2h-1], entry h-1+j being the root
 	// of unity (index 5^j mod 8h, negated for the inverse) of butterfly j.
 	twInv, twFwd []complex128
+	// scratch recycles encodeRows' FFT buffer and word row (*encodeScratch).
+	scratch sync.Pool
+}
+
+// encodeScratch is one encode's working set: Slots() FFT values and N signed
+// coefficient words.
+type encodeScratch struct {
+	buf   []complex128
+	words []ring.SignedWord
 }
 
 // Params returns the encoder's parameter set.
@@ -48,6 +58,9 @@ func NewEncoder(params *Parameters) *Encoder {
 			e.twFwd[lenh-1+j] = roots[idx*m/lenq]
 			e.twInv[lenh-1+j] = roots[(lenq-idx)*m/lenq]
 		}
+	}
+	e.scratch.New = func() any {
+		return &encodeScratch{buf: make([]complex128, slots), words: make([]ring.SignedWord, params.N())}
 	}
 	return e
 }
@@ -133,13 +146,15 @@ func (e *Encoder) encodeRows(values []complex128, scale float64, level int, rows
 	if len(values) > slots {
 		return fmt.Errorf("ckks: %d values exceed %d slots", len(values), slots)
 	}
-	buf := make([]complex128, slots)
-	copy(buf, values)
+	s := e.scratch.Get().(*encodeScratch)
+	defer e.scratch.Put(s)
+	buf, words := s.buf, s.words
+	clear(buf[copy(buf, values):])
 	e.fftSpecialInv(buf)
 
 	nh := e.params.N() / 2
 	gap := nh / slots
-	words := make([]ring.SignedWord, 2*nh)
+	clear(words) // the words between gap strides stay zero
 	for j, c := range buf {
 		re, okRe := floatWord(real(c) * scale)
 		im, okIm := floatWord(imag(c) * scale)

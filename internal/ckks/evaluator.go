@@ -45,44 +45,37 @@ func sameScale(a, b float64) bool {
 	return math.Abs(a-b) <= 1e-6*math.Max(a, b)
 }
 
-// alignLevels drops levels so both ciphertexts share the lower level,
-// returning copies when truncation is needed.
-func alignLevels(a, b *Ciphertext) (*Ciphertext, *Ciphertext) {
-	switch {
-	case a.Level() > b.Level():
-		a2 := a.CopyNew()
-		a2.DropLevel(a.Level() - b.Level())
-		return a2, b
-	case b.Level() > a.Level():
-		b2 := b.CopyNew()
-		b2.DropLevel(b.Level() - a.Level())
-		return a, b2
-	default:
-		return a, b
+// requireNTT panics unless every ciphertext component in polys is in the NTT
+// domain, the form the residue-wise products and the rescale assume.
+func requireNTT(op string, polys ...*ring.Poly) {
+	for _, p := range polys {
+		if !p.IsNTT {
+			panic(fmt.Sprintf("ckks: %s needs NTT-domain ciphertexts", op))
+		}
 	}
 }
 
-// Add returns a + b. Scales must match.
+// Add returns a + b at the lower of the two levels. Scales must match.
 func (ev *Evaluator) Add(a, b *Ciphertext) *Ciphertext {
 	if !sameScale(a.Scale, b.Scale) {
 		panic(fmt.Sprintf("ckks: scale mismatch in Add: %g vs %g", a.Scale, b.Scale))
 	}
-	a, b = alignLevels(a, b)
 	r := ev.params.RingQP()
-	out := &Ciphertext{C0: r.NewPoly(a.Level()), C1: r.NewPoly(a.Level()), Scale: a.Scale}
+	lvl := min(a.Level(), b.Level())
+	out := &Ciphertext{C0: r.NewPoly(lvl), C1: r.NewPoly(lvl), Scale: a.Scale}
 	r.Add(a.C0, b.C0, out.C0)
 	r.Add(a.C1, b.C1, out.C1)
 	return out
 }
 
-// Sub returns a - b. Scales must match.
+// Sub returns a - b at the lower of the two levels. Scales must match.
 func (ev *Evaluator) Sub(a, b *Ciphertext) *Ciphertext {
 	if !sameScale(a.Scale, b.Scale) {
 		panic(fmt.Sprintf("ckks: scale mismatch in Sub: %g vs %g", a.Scale, b.Scale))
 	}
-	a, b = alignLevels(a, b)
 	r := ev.params.RingQP()
-	out := &Ciphertext{C0: r.NewPoly(a.Level()), C1: r.NewPoly(a.Level()), Scale: a.Scale}
+	lvl := min(a.Level(), b.Level())
+	out := &Ciphertext{C0: r.NewPoly(lvl), C1: r.NewPoly(lvl), Scale: a.Scale}
 	r.Sub(a.C0, b.C0, out.C0)
 	r.Sub(a.C1, b.C1, out.C1)
 	return out
@@ -129,25 +122,36 @@ func (ev *Evaluator) RaiseModulus(ct *Ciphertext) *Ciphertext {
 	return out
 }
 
+// constWord returns round(|c|·scale) as a word and the sign of c. A constant
+// whose scaled magnitude is not finite or does not fit 64 bits breaks the
+// evaluator's contract, so it panics rather than wrap.
+func constWord(c, scale float64) (k uint64, neg bool) {
+	v := math.Round(math.Abs(c) * scale)
+	if !(v < 1<<64) { // NaN fails every comparison
+		panic(fmt.Sprintf("ckks: constant %g at scale %g does not fit a 64-bit word", c, scale))
+	}
+	return uint64(v), c < 0
+}
+
 // AddConst returns ct + c where c is a scalar applied to every slot. The
 // constant is encoded at the ciphertext's scale, so the result keeps it.
 func (ev *Evaluator) AddConst(ct *Ciphertext, c float64) *Ciphertext {
 	r := ev.params.RingQP()
-	out := ct.CopyNew()
+	k, neg := constWord(c, ct.Scale)
+	out := &Ciphertext{C0: r.NewPoly(ct.Level()), C1: ct.C1.CopyNew(), Scale: ct.Scale}
 	// A constant polynomial k has NTT image k in every position.
-	neg := c < 0
-	k := uint64(math.Round(math.Abs(c) * ct.Scale))
-	ring.ForEachLimb(out.Level()+1, func(i int) {
+	ring.ForEachLimb(ct.Level()+1, func(i int) {
 		q := r.Moduli[i]
 		kq := ring.Reduce(k, q)
 		if neg {
 			kq = ring.NegMod(kq, q)
 		}
-		row := out.C0.Coeffs[i]
-		for j := range row {
-			row[j] = ring.AddMod(row[j], kq, q)
+		src, dst := ct.C0.Coeffs[i], out.C0.Coeffs[i]
+		for j, v := range src {
+			dst[j] = ring.AddMod(v, kq, q)
 		}
 	})
+	out.C0.IsNTT = ct.C0.IsNTT
 	return out
 }
 
@@ -194,8 +198,7 @@ func (ev *Evaluator) MulByConst(ct *Ciphertext, c float64) *Ciphertext {
 // evaluator uses to align branches of different depth.
 func (ev *Evaluator) MulByConstWithScale(ct *Ciphertext, c, scale float64) *Ciphertext {
 	r := ev.params.RingQP()
-	neg := c < 0
-	k := uint64(math.Round(math.Abs(c) * scale))
+	k, neg := constWord(c, scale)
 	outScale := ct.Scale * scale
 	if c != 0 && k != 0 {
 		// Track the scale actually applied by the rounded integer multiplier.
@@ -227,17 +230,11 @@ func (ev *Evaluator) MulRelin(a, b *Ciphertext) *Ciphertext {
 	if ev.rlk == nil {
 		panic("ckks: evaluator has no relinearization key")
 	}
-	a, b = alignLevels(a, b)
 	r := ev.params.RingQP()
-	lvl := a.Level()
-
-	d0 := r.NewPoly(lvl)
-	d1 := r.NewPoly(lvl)
+	lvl := min(a.Level(), b.Level())
+	d0, d1 := r.NewPoly(lvl), r.NewPoly(lvl)
 	d2 := r.GetScratch(lvl)
-	r.MulCoeffs(a.C0, b.C0, d0)
-	r.MulCoeffs(a.C0, b.C1, d1)
-	r.MulCoeffsAdd(a.C1, b.C0, d1)
-	r.MulCoeffs(a.C1, b.C1, d2)
+	ev.tensor(a, b, d0, d1, d2)
 
 	ks0, ks1 := ev.keySwitch(d2, ev.rlk.Key)
 	r.PutScratch(d2)
@@ -246,50 +243,63 @@ func (ev *Evaluator) MulRelin(a, b *Ciphertext) *Ciphertext {
 	return &Ciphertext{C0: d0, C1: d1, Scale: a.Scale * b.Scale}
 }
 
-// Rescale divides the ciphertext by its top modulus (rounding), dropping one
-// level and dividing the scale by that modulus.
+// tensor writes the degree-2 product of a and b over d0's rows in one pass
+// per limb: d0 = a0·b0, d1 = a0·b1 + a1·b0, d2 = a1·b1, canonical.
+func (ev *Evaluator) tensor(a, b *Ciphertext, d0, d1, d2 *ring.Poly) {
+	requireNTT("a multiply", a.C0, a.C1, b.C0, b.C1)
+	r := ev.params.RingQP()
+	ring.ForEachLimb(len(d0.Coeffs), func(i int) {
+		m := r.Tables[i].Mod
+		a0, a1, b0, b1 := a.C0.Coeffs[i], a.C1.Coeffs[i], b.C0.Coeffs[i], b.C1.Coeffs[i]
+		o0, o1, o2 := d0.Coeffs[i], d1.Coeffs[i], d2.Coeffs[i]
+		for j := range o0 {
+			o0[j] = m.MulModBarrett(a0[j], b0[j])
+			o1[j] = ring.AddMod(m.MulModBarrett(a0[j], b1[j]), m.MulModBarrett(a1[j], b0[j]), m.Q)
+			o2[j] = m.MulModBarrett(a1[j], b1[j])
+		}
+	})
+	d0.IsNTT, d1.IsNTT, d2.IsNTT = true, true, true
+}
+
+// Rescale divides the ciphertext by its top modulus q_ℓ (rounding), dropping
+// one level and dividing the scale by that modulus. Only the dropped row
+// leaves the NTT domain: its centered residues are re-expressed under each
+// surviving q_j and transformed there, and out_j = (ct_j − that)·q_ℓ^-1 is
+// taken in the NTT domain. The transform is linear and returns canonical
+// residues, so this is word for word the division in the coefficient domain,
+// at 2(ℓ+1) transforms instead of 2(2ℓ+1).
 func (ev *Evaluator) Rescale(ct *Ciphertext) *Ciphertext {
 	lvl := ct.Level()
 	if lvl == 0 {
 		panic("ckks: cannot rescale at level 0")
 	}
+	requireNTT("Rescale", ct.C0, ct.C1)
 	r := ev.params.RingQP()
 	qLast := r.Moduli[lvl]
-	out := &Ciphertext{
-		C0:    ev.divRoundByModulus(ct.C0, lvl),
-		C1:    ev.divRoundByModulus(ct.C1, lvl),
-		Scale: ct.Scale / float64(qLast),
-	}
-	return out
-}
-
-// divRoundByModulus computes round(p / q_top) over the remaining residues.
-// p is NTT-domain at level top; the result is NTT-domain at level top-1.
-func (ev *Evaluator) divRoundByModulus(p *ring.Poly, top int) *ring.Poly {
-	r := ev.params.RingQP()
-	qLast := r.Moduli[top]
-	qLastInv := func(qj uint64) uint64 { return ring.InvMod(ring.Reduce(qLast, qj), qj) }
-
-	work := r.GetScratch(top)
-	work.Copy(p)
-	r.INTT(work)
-	out := r.NewPoly(top - 1)
-	ring.ForEachLimb(top, func(j int) {
+	in := [2]*ring.Poly{ct.C0, ct.C1}
+	out := [2]*ring.Poly{r.NewPoly(lvl - 1), r.NewPoly(lvl - 1)}
+	rem := r.GetScratch(1) // the dropped row of each component, coefficient domain
+	ring.ForEachLimb(2, func(c int) {
+		copy(rem.Coeffs[c], in[c].Coeffs[lvl])
+		r.Tables[lvl].Inverse(rem.Coeffs[c])
+	})
+	ring.ForEachLimb(2*lvl, func(i int) {
+		c, j := i/lvl, i%lvl
 		qj := r.Moduli[j]
-		inv := qLastInv(qj)
+		inv := ring.InvMod(ring.Reduce(qLast, qj), qj)
 		invShoup := ring.ShoupPrecomp(inv, qj)
-		src := work.Coeffs[j]
-		rem := work.Coeffs[top]
-		dst := out.Coeffs[j]
-		for t := range dst {
-			// Centered remainder of the dropped residue.
-			rr := ring.CenteredMod(rem[t], qLast, qj)
-			dst[t] = ring.MulModShoup(ring.SubMod(src[t], rr, qj), inv, invShoup, qj)
+		src, dst := in[c].Coeffs[j], out[c].Coeffs[j]
+		for t, v := range rem.Coeffs[c] {
+			dst[t] = ring.CenteredMod(v, qLast, qj)
+		}
+		r.Tables[j].Forward(dst)
+		for t, v := range dst {
+			dst[t] = ring.MulModShoup(ring.SubMod(src[t], v, qj), inv, invShoup, qj)
 		}
 	})
-	r.PutScratch(work)
-	r.NTT(out)
-	return out
+	r.PutScratch(rem)
+	out[0].IsNTT, out[1].IsNTT = true, true
+	return &Ciphertext{C0: out[0], C1: out[1], Scale: ct.Scale / float64(qLast)}
 }
 
 // Rotate rotates slots left by rot positions using the evaluator's rotation
@@ -438,8 +448,7 @@ func (ev *Evaluator) ksAccum(h *hoistedDecomp, perm []int, swk *SwitchingKey) (a
 func (ev *Evaluator) ksFromDecomp(h *hoistedDecomp, perm []int, swk *SwitchingKey) (out0, out1 *ring.Poly) {
 	r := ev.params.RingQP()
 	acc0, acc1 := ev.ksAccum(h, perm, swk)
-	out0 = ev.modDownP(acc0, h.lvl)
-	out1 = ev.modDownP(acc1, h.lvl)
+	out0, out1 = ev.modDownP(acc0, acc1, h.lvl)
 	for jj := range acc0 {
 		r.PutRow(acc0[jj])
 		r.PutRow(acc1[jj])
@@ -504,26 +513,32 @@ func (ev *Evaluator) RotateHoisted(ct *Ciphertext, rots []int) map[int]*Cipherte
 	return out
 }
 
-// modDownP divides the accumulated extended polynomial by P with exact
-// rounding, returning an NTT-domain polynomial at level lvl. Only the special
-// rows leave the NTT domain (and are consumed): their conversion to each q_j
-// is transformed back and meets acc's Q rows where they are.
-func (ev *Evaluator) modDownP(acc [][]uint64, lvl int) *ring.Poly {
+// modDownP divides both components of an extended keyswitch accumulator by P
+// with exact rounding, returning NTT-domain polynomials at level lvl. Only the
+// special rows leave the NTT domain (and are consumed): their conversion to
+// each q_j is transformed back and meets the Q rows where they are. Each
+// phase fans out over both components at once.
+func (ev *Evaluator) modDownP(acc0, acc1 [][]uint64, lvl int) (out0, out1 *ring.Poly) {
 	r := ev.params.RingQP()
-	special := acc[lvl+1:]
-	ring.ForEachLimb(len(special), func(k int) {
-		r.Tables[ev.params.SpecialIndex()+k].Inverse(special[k])
+	rows := lvl + 1
+	special := [2][][]uint64{acc0[rows:], acc1[rows:]}
+	alpha := len(special[0])
+	ring.ForEachLimb(2*alpha, func(i int) {
+		r.Tables[ev.params.SpecialIndex()+i%alpha].Inverse(special[i/alpha][i%alpha])
 	})
-	overflow := r.GetRow()
-	ev.modDown.Digits(special, overflow)
+	overflow := r.GetScratch(1) // one overflow-count row per component
+	ring.ForEachLimb(2, func(c int) { ev.modDown.Digits(special[c], overflow.Coeffs[c]) })
 
-	out := r.NewPoly(lvl)
-	ring.ForEachLimb(lvl+1, func(j int) {
-		ev.modDown.Remainder(special, overflow, j, out.Coeffs[j])
-		r.Tables[j].Forward(out.Coeffs[j])
-		ev.modDown.Finish(j, acc[j], out.Coeffs[j])
+	acc := [2][][]uint64{acc0, acc1}
+	out := [2]*ring.Poly{r.NewPoly(lvl), r.NewPoly(lvl)}
+	ring.ForEachLimb(2*rows, func(i int) {
+		c, j := i/rows, i%rows
+		dst := out[c].Coeffs[j]
+		ev.modDown.Remainder(special[c], overflow.Coeffs[c], j, dst)
+		r.Tables[j].Forward(dst)
+		ev.modDown.Finish(j, acc[c][j], dst)
 	})
-	r.PutRow(overflow)
-	out.IsNTT = true
-	return out
+	r.PutScratch(overflow)
+	out[0].IsNTT, out[1].IsNTT = true, true
+	return out[0], out[1]
 }

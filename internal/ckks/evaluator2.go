@@ -19,60 +19,29 @@ type Ciphertext2 struct {
 // Level returns the ciphertext level.
 func (ct *Ciphertext2) Level() int { return ct.C0.Level() }
 
-// CopyNew returns a deep copy.
-func (ct *Ciphertext2) CopyNew() *Ciphertext2 {
-	return &Ciphertext2{C0: ct.C0.CopyNew(), C1: ct.C1.CopyNew(), C2: ct.C2.CopyNew(), Scale: ct.Scale}
-}
-
-// DropLevel discards the top n moduli of all three components (no rounding;
-// the scale is unchanged).
-func (ct *Ciphertext2) DropLevel(n int) {
-	for i := 0; i < n; i++ {
-		ct.C0.DropLevel()
-		ct.C1.DropLevel()
-		ct.C2.DropLevel()
-	}
-}
-
-// alignLevels2 drops levels so both degree-2 ciphertexts share the lower
-// level, returning copies when truncation is needed.
-func alignLevels2(a, b *Ciphertext2) (*Ciphertext2, *Ciphertext2) {
-	switch {
-	case a.Level() > b.Level():
-		a2 := a.CopyNew()
-		a2.DropLevel(a.Level() - b.Level())
-		return a2, b
-	case b.Level() > a.Level():
-		b2 := b.CopyNew()
-		b2.DropLevel(b.Level() - a.Level())
-		return a, b2
-	default:
-		return a, b
-	}
+// CopyAtLevel returns a deep copy of the rows of all three components up to
+// level (no rounding; the scale is unchanged): a level drop that copies only
+// the rows it keeps.
+func (ct *Ciphertext2) CopyAtLevel(level int) *Ciphertext2 {
+	checkDropTo(level, ct.Level())
+	return &Ciphertext2{C0: atLevel(ct.C0, level).CopyNew(), C1: atLevel(ct.C1, level).CopyNew(),
+		C2: atLevel(ct.C2, level).CopyNew(), Scale: ct.Scale}
 }
 
 // MulNoRelin returns the degree-2 tensor product a·b without relinearizing:
-// (a0b0, a0b1 + a1b0, a1b1). The result's scale is the product. Relinearize
-// (or a chain of Add2 folds followed by one Relinearize) brings it back to
-// degree 1.
+// (a0b0, a0b1 + a1b0, a1b1), at the lower of the two levels. The result's
+// scale is the product. Relinearize (or a chain of Add2 folds followed by one
+// Relinearize) brings it back to degree 1.
 func (ev *Evaluator) MulNoRelin(a, b *Ciphertext) *Ciphertext2 {
-	a, b = alignLevels(a, b)
 	r := ev.params.RingQP()
-	lvl := a.Level()
-
-	d0 := r.NewPoly(lvl)
-	d1 := r.NewPoly(lvl)
-	d2 := r.NewPoly(lvl)
-	r.MulCoeffs(a.C0, b.C0, d0)
-	r.MulCoeffs(a.C0, b.C1, d1)
-	r.MulCoeffsAdd(a.C1, b.C0, d1)
-	r.MulCoeffs(a.C1, b.C1, d2)
-
-	return &Ciphertext2{C0: d0, C1: d1, C2: d2, Scale: a.Scale * b.Scale}
+	lvl := min(a.Level(), b.Level())
+	out := &Ciphertext2{C0: r.NewPoly(lvl), C1: r.NewPoly(lvl), C2: r.NewPoly(lvl), Scale: a.Scale * b.Scale}
+	ev.tensor(a, b, out.C0, out.C1, out.C2)
+	return out
 }
 
-// Add2 returns a + b over degree-2 ciphertexts. Scales must match; levels are
-// aligned by truncation. This is the fold step of lazy relinearization:
+// Add2 returns a + b over degree-2 ciphertexts at the lower of the two
+// levels. Scales must match. This is the fold step of lazy relinearization:
 // relinearization is linear, so Relinearize(Add2(x, y)) agrees with
 // Add(Relinearize(x), Relinearize(y)) up to keyswitch noise while paying one
 // keyswitch instead of two.
@@ -80,9 +49,8 @@ func (ev *Evaluator) Add2(a, b *Ciphertext2) *Ciphertext2 {
 	if !sameScale(a.Scale, b.Scale) {
 		panic(fmt.Sprintf("ckks: scale mismatch in Add2: %g vs %g", a.Scale, b.Scale))
 	}
-	a, b = alignLevels2(a, b)
 	r := ev.params.RingQP()
-	lvl := a.Level()
+	lvl := min(a.Level(), b.Level())
 	out := &Ciphertext2{C0: r.NewPoly(lvl), C1: r.NewPoly(lvl), C2: r.NewPoly(lvl), Scale: a.Scale}
 	r.Add(a.C0, b.C0, out.C0)
 	r.Add(a.C1, b.C1, out.C1)

@@ -190,8 +190,7 @@ func (ev *Evaluator) ModDownExt(e *ExtCiphertext) *Ciphertext {
 		ring.ReduceFinalVec(e.C0[jj], q)
 		ring.ReduceFinalVec(e.C1[jj], q)
 	})
-	c0 := ev.modDownP(e.C0, e.Lvl)
-	c1 := ev.modDownP(e.C1, e.Lvl)
+	c0, c1 := ev.modDownP(e.C0, e.C1, e.Lvl)
 	ct := &Ciphertext{C0: c0, C1: c1, Scale: e.Scale}
 	ev.ReleaseExt(e)
 	return ct

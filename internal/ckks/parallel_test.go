@@ -87,6 +87,17 @@ func runDifferentialSuite(t *testing.T, logN, levels int, seed int64) {
 		{"MulByConst", func() *Ciphertext { return ev.MulByConst(ctA, -0.75) }},
 		{"CMult", func() *Ciphertext { return ev.MulRelin(ctA, ctB) }},
 		{"CMult+Rescale", func() *Ciphertext { return ev.Rescale(ev.MulRelin(ctA, ctB)) }},
+		{"CMult mixed levels", func() *Ciphertext { return ev.MulRelin(ctA, ctB.CopyAtLevel(ctB.Level()-1)) }},
+		{"MulNoRelin+Relinearize+Rescale", func() *Ciphertext { return ev.Rescale(ev.Relinearize(ev.MulNoRelin(ctA, ctB))) }},
+		{"RotateHoistedExt+ModDownExt", func() *Ciphertext {
+			exts := ev.RotateHoistedExt(ctA, rots)
+			acc := ev.NewExtAccumulator(ctA.Level(), ctA.Scale)
+			for _, k := range rots {
+				ev.AddExtAcc(exts[k], acc)
+				ev.ReleaseExt(exts[k])
+			}
+			return ev.ModDownExt(acc)
+		}},
 		{"PMult+Rescale", func() *Ciphertext { return ev.Rescale(ev.MulPlain(ctA, pt2)) }},
 		{"Rotate", func() *Ciphertext { return ev.Rotate(ctA, 2) }},
 		{"RotateNeg", func() *Ciphertext { return ev.Rotate(ctA, -1) }},
@@ -112,7 +123,8 @@ func runDifferentialSuite(t *testing.T, logN, levels int, seed int64) {
 
 func TestParallelSerialDifferential(t *testing.T) {
 	// Property-style sweep: several parameter sets (including the required
-	// N = 2^12) and several input seeds.
+	// N = 2^12, and the he-mul chain of 17 limbs with α = 6 special primes)
+	// and several input seeds.
 	cases := []struct {
 		logN, levels int
 		seeds        []int64
@@ -120,6 +132,7 @@ func TestParallelSerialDifferential(t *testing.T) {
 		{4, 2, []int64{1, 2, 3}},
 		{6, 3, []int64{4, 5}},
 		{12, 3, []int64{6}}, // N = 2^12
+		{10, 16, []int64{7}},
 	}
 	for _, c := range cases {
 		for _, seed := range c.seeds {

@@ -249,18 +249,14 @@ func (e *evalLowering) lower(v *Value) error {
 
 	case OpModSwitch:
 		if ct2, ok := e.deg2[v.Args[0]]; ok {
-			out := ct2.CopyNew()
-			out.DropLevel(v.K)
-			e.deg2[v] = out
+			e.deg2[v] = ct2.CopyAtLevel(ct2.Level() - v.K)
 			return nil
 		}
 		a, err := e.ct(v.Args[0])
 		if err != nil {
 			return err
 		}
-		out := a.CopyNew()
-		out.DropLevel(v.K)
-		e.deg1[v] = out
+		e.deg1[v] = a.CopyAtLevel(a.Level() - v.K)
 
 	case OpRotate:
 		if v.Hoist != 0 {

@@ -214,8 +214,10 @@ func TestEvaluateMixedDifferential(t *testing.T) {
 }
 
 // TestEvaluateContractPanicIsError: the evaluator panics on a missing
-// rotation or relinearization key; Evaluate hands that back as the failing
-// value's error instead of killing the caller.
+// rotation or relinearization key and on a constant that does not fit a word
+// at the ciphertext's scale; Evaluate hands that back as the failing value's
+// error instead of killing the caller (or, for the constant, returning a
+// ciphertext of garbage).
 func TestEvaluateContractPanicIsError(t *testing.T) {
 	const logN, levels = 5, 3
 	params := ckks.TestParameters(logN, levels)
@@ -236,6 +238,10 @@ func TestEvaluateContractPanicIsError(t *testing.T) {
 			func(b *Builder, x *Value) *Value { return b.Mul(x, x) },
 			ckks.NewEvaluator(params, nil, nil),
 		},
+		"constant is NaN": {
+			func(b *Builder, x *Value) *Value { return b.AddConst(x, math.NaN()) },
+			ckks.NewEvaluator(params, nil, nil),
+		},
 	} {
 		p, err := Compile(buildFrontend(t, params.Slots(), tc.body), Options{Levels: levels})
 		if err != nil {
@@ -249,6 +255,42 @@ func TestEvaluateContractPanicIsError(t *testing.T) {
 		if err == nil || out != nil || !strings.Contains(err.Error(), "panic") {
 			t.Errorf("%s: Evaluate returned %v, %v; want the recovered panic as an error", name, out, err)
 		}
+	}
+}
+
+// TestModSwitchCopiesKeptRows: a level drop copies the rows it keeps and no
+// others. Dropping a 17-limb input to level 2 allocates well under four
+// copies of its 3-row result, where copying the input whole and then
+// truncating it is 34 rows.
+func TestModSwitchCopiesKeptRows(t *testing.T) {
+	const logN, levels, to = 10, 16, 2
+	params := ckks.TestParameters(logN, levels)
+	kg := ckks.NewKeyGenerator(params, 1)
+	enc := ckks.NewEncoder(params)
+	pt, err := enc.EncodeAtLevel(randVec(rand.New(rand.NewSource(3)), params.Slots()), params.DefaultScale(), levels)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := map[string]*ckks.Ciphertext{"x": ckks.NewEncryptor(params, kg.GenPublicKey(kg.GenSecretKey()), 2).Encrypt(pt)}
+	x := &Value{ID: 0, Op: OpInput, Name: "x", Level: levels, Degree: 1}
+	drop := &Value{ID: 1, Op: OpModSwitch, Args: []*Value{x}, K: levels - to, Level: to, Degree: 1}
+	p := &Program{Slots: params.Slots(), Values: []*Value{x, drop}, Output: drop, Legal: true, InputLevel: levels}
+	ctx := EvalContext{Eval: ckks.NewEvaluator(params, nil, nil), Enc: enc}
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	out, err := Evaluate(p, ctx, in)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := in["x"].CopyNew()
+	want.DropLevel(levels - to)
+	if out.Level() != to || !out.Equal(want) {
+		t.Fatalf("modswitch to level %d: got level %d or residues other than the input's kept rows", to, out.Level())
+	}
+	if got, bound := after.TotalAlloc-before.TotalAlloc, uint64(4*(to+1)*8<<logN); got >= bound {
+		t.Fatalf("modswitch of a %d-row input to level %d allocates %d B, want < %d", levels+1, to, got, bound)
 	}
 }
 

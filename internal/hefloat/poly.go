@@ -103,8 +103,7 @@ func AddAligned(eval *ckks.Evaluator, a, b *ckks.Ciphertext) *ckks.Ciphertext {
 		// No spare level on either side: spend one level on b's corrective
 		// multiply and drop a to match.
 		targetLevel--
-		a = a.CopyNew()
-		a.DropLevel(1)
+		a = a.CopyAtLevel(targetLevel)
 	}
 	b = matchScaleLevel(eval, b, a.Scale, targetLevel)
 	return eval.Add(a, b)
@@ -122,8 +121,7 @@ func matchScaleLevel(eval *ckks.Evaluator, ct *ckks.Ciphertext, targetScale floa
 		ct = eval.Rescale(eval.MulByConstWithScale(ct, 1.0, corrective))
 	}
 	if ct.Level() > targetLevel {
-		ct = ct.CopyNew()
-		ct.DropLevel(ct.Level() - targetLevel)
+		ct = ct.CopyAtLevel(targetLevel)
 	}
 	return ct
 }
