@@ -259,8 +259,8 @@ func TestEvaluateContractPanicIsError(t *testing.T) {
 }
 
 // TestModSwitchCopiesKeptRows: a level drop copies the rows it keeps and no
-// others. Dropping a 17-limb input to level 2 allocates well under four
-// copies of its 3-row result, where copying the input whole and then
+// others. Dropping a 17-limb input to level 2 allocates less than 4 × 3 rows
+// (the result itself is 2 × 3), where copying the input whole and then
 // truncating it is 34 rows.
 func TestModSwitchCopiesKeptRows(t *testing.T) {
 	const logN, levels, to = 10, 16, 2
