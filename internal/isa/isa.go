@@ -101,6 +101,12 @@ func Marshal(p *task.Program) ([]byte, error) {
 	if err := p.Validate(); err != nil {
 		return nil, fmt.Errorf("isa: refusing to encode invalid program: %w", err)
 	}
+	return encode(p), nil
+}
+
+// encode writes the wire form of a program whose per-step queues cover its
+// cards; it does not validate anything else.
+func encode(p *task.Program) []byte {
 	// Build the label table.
 	labelIdx := map[string]uint64{}
 	var labels []string
@@ -166,7 +172,7 @@ func Marshal(p *task.Program) ([]byte, error) {
 			}
 		}
 	}
-	return w.buf, nil
+	return w.buf
 }
 
 // Unmarshal decodes an encoded program and re-validates it. Sequence

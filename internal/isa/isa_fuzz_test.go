@@ -3,30 +3,33 @@ package isa
 // Fuzz harness for the task-program wire format. The decoder is the trust
 // boundary between the host scheduler and whatever bytes arrive on disk or
 // over the wire, so it must never panic on corrupted input, and every buffer
-// it does accept must survive a Marshal→Unmarshal round trip unchanged.
+// it does accept must survive a Marshal→Unmarshal round trip unchanged and
+// go through the simulator without panicking it.
 
 import (
 	"testing"
 
 	"hydra/internal/fheop"
+	"hydra/internal/sim"
 	"hydra/internal/task"
 )
+
+// fuzzSimConfigs are the machines every accepted program is simulated on: the
+// DTU card, and a host-relayed card whose queues serialize.
+var fuzzSimConfigs = func() []sim.Config {
+	serial := sim.FABConfig()
+	serial.Overlap = false
+	return []sim.Config{sim.HydraConfig(), serial}
+}()
 
 func FuzzUnmarshal(f *testing.F) {
 	// Seed with valid encodings of varied shapes so the fuzzer starts from
 	// deep in the format rather than flailing at the magic check.
-	seeds := []*task.Program{sampleProgram()}
+	seeds := []*task.Program{sampleProgram(), pingProgram()}
 
 	b := task.NewBuilder(1, 1)
 	b.Step("solo")
 	b.Compute(0, fheop.Of(fheop.HAdd, 1), 1, "solo")
-	seeds = append(seeds, b.Build())
-
-	b = task.NewBuilder(2, 2)
-	b.Step("ping")
-	h := b.Compute(0, fheop.Of(fheop.CMult, 1), 4, "ping")
-	r := b.Send(0, h, []int{1}, 1e6, "ping")
-	b.ComputeAfterRecv(1, r[0], fheop.Of(fheop.HAdd, 2), 4, "ping")
 	seeds = append(seeds, b.Build())
 
 	for _, p := range seeds {
@@ -57,6 +60,11 @@ func FuzzUnmarshal(f *testing.F) {
 		}
 		if !programsEqual(p, back) {
 			t.Fatal("Marshal/Unmarshal round trip changed the program")
+		}
+		// An accepted program reaches the simulator: it may be refused (a
+		// dependency cycle, a negative span) but must not panic it.
+		for _, cfg := range fuzzSimConfigs {
+			_, _ = sim.Run(p, cfg)
 		}
 	})
 }

@@ -27,6 +27,41 @@ func sampleProgram() *task.Program {
 	return b.Build()
 }
 
+// pingProgram is one transfer between two cards: card 0 computes and sends,
+// card 1 computes on the arrival.
+func pingProgram() *task.Program {
+	b := task.NewBuilder(2, 2)
+	b.Step("ping")
+	h := b.Compute(0, fheop.Of(fheop.CMult, 1), 4, "ping")
+	r := b.Send(0, h, []int{1}, 1e6, "ping")
+	b.ComputeAfterRecv(1, r[0], fheop.Of(fheop.HAdd, 2), 4, "ping")
+	return b.Build()
+}
+
+// brokenPings each break one field of pingProgram's step in a way the wire
+// format carries but no Builder program has.
+var brokenPings = []struct {
+	name   string
+	mutate func(st *task.Step)
+}{
+	{"send peer out of range", func(st *task.Step) { st.Comm[0][0].Peers[0] = 7 }},
+	{"send to its own card", func(st *task.Step) { st.Comm[0][0].Peers[0] = 0 }},
+	{"send with more destinations than receivers", func(st *task.Step) { st.Comm[0][0].Peers = []int{1, 1} }},
+	{"recv with two sources", func(st *task.Step) { st.Comm[1][0].Peers = []int{0, 0} }},
+	{"recv with no source", func(st *task.Step) { st.Comm[1][0].Peers = nil }},
+	{"zero limbs", func(st *task.Step) { st.Compute[0][0].Limbs = 0 }},
+}
+
+func TestUnmarshalRejectsUnsimulatable(t *testing.T) {
+	for _, bp := range brokenPings {
+		p := pingProgram()
+		bp.mutate(p.Steps[0])
+		if _, err := Unmarshal(encode(p)); err == nil {
+			t.Errorf("%s: Unmarshal accepted the program", bp.name)
+		}
+	}
+}
+
 func programsEqual(a, b *task.Program) bool {
 	if a.Cards != b.Cards || a.CardsPerServer != b.CardsPerServer || len(a.Steps) != len(b.Steps) {
 		return false

@@ -176,6 +176,42 @@ func TestValidateCatchesBadPrograms(t *testing.T) {
 	}
 }
 
+// Programs that reach the simulator from the wire (internal/isa) are not
+// built by the Builder: each of these breaks one field no Builder program
+// has, and Run must refuse it rather than panic.
+func TestRunRejectsUnsimulatable(t *testing.T) {
+	cases := []struct {
+		name   string
+		mutate func(st *task.Step)
+	}{
+		{"send peer out of range", func(st *task.Step) { st.Comm[0][0].Peers[0] = 7 }},
+		{"send to its own card", func(st *task.Step) { st.Comm[0][0].Peers[0] = 0 }},
+		{"send with more destinations than receivers", func(st *task.Step) { st.Comm[0][0].Peers = []int{1, 1} }},
+		{"recv with two sources", func(st *task.Step) { st.Comm[1][0].Peers = []int{0, 0} }},
+		{"zero limbs", func(st *task.Step) { st.Compute[0][0].Limbs = 0 }},
+		{"missing card queues", func(st *task.Step) { st.Comm = st.Comm[:1] }},
+	}
+	for _, tc := range cases {
+		b := task.NewBuilder(2, 2)
+		b.Step("s")
+		h := b.Compute(0, rotOnly(1), 18, "A")
+		r := b.Send(0, h, []int{1}, 1e6, "x")
+		b.ComputeAfterRecv(1, r[0], rotOnly(1), 18, "B")
+		p := b.Build()
+		tc.mutate(p.Steps[0])
+		func() {
+			defer func() {
+				if v := recover(); v != nil {
+					t.Errorf("%s: Run panicked: %v", tc.name, v)
+				}
+			}()
+			if _, err := Run(p, HydraConfig()); err == nil {
+				t.Errorf("%s: Run accepted the program", tc.name)
+			}
+		}()
+	}
+}
+
 func TestBuilderPanics(t *testing.T) {
 	cases := []func(){
 		func() { task.NewBuilder(0, 8) },

@@ -209,14 +209,28 @@ func (c Compute) WithSeq(v int) Compute { c.seq = v; return c }
 // WithSeq returns a copy carrying the given creation-order sequence number.
 func (c Comm) WithSeq(v int) Comm { c.seq = v; return c }
 
-// Validate checks structural invariants of a program: paired tags, in-range
-// dependencies.
+// Validate checks structural invariants of a program: one queue pair per
+// card, positive limb counts, in-range dependencies and peers, and tags that
+// pair each send with exactly one receive per destination. Every program the
+// Builder emits satisfies them, so a program that passes can be simulated.
 func (p *Program) Validate() error {
+	if p.Cards < 1 || p.CardsPerServer < 1 {
+		return fmt.Errorf("task: %d cards in servers of %d", p.Cards, p.CardsPerServer)
+	}
+	sendPeers := map[int]int{} // tag -> destinations of its send, in the step
+	recvs := map[int]int{}     // tag -> receives, in the step
 	for si, st := range p.Steps {
-		sendTag := map[int]int{}  // tag -> expected receivers
-		recvTag := map[int]bool{} // tag seen by a recv
+		if len(st.Compute) != p.Cards || len(st.Comm) != p.Cards {
+			return fmt.Errorf("task: step %d has %d compute and %d comm queues for %d cards", si, len(st.Compute), len(st.Comm), p.Cards)
+		}
+		clear(sendPeers)
+		clear(recvs)
 		for card := 0; card < p.Cards; card++ {
-			for i, c := range st.Compute[card] {
+			for i := range st.Compute[card] {
+				c := &st.Compute[card][i]
+				if c.Limbs < 1 {
+					return fmt.Errorf("task: step %d card %d compute %d runs at %d limbs", si, card, i, c.Limbs)
+				}
 				if c.WaitRecv >= len(st.Comm[card]) {
 					return fmt.Errorf("task: step %d card %d compute %d waits on missing recv %d", si, card, i, c.WaitRecv)
 				}
@@ -224,25 +238,46 @@ func (p *Program) Validate() error {
 					return fmt.Errorf("task: step %d card %d compute %d waits on a non-recv", si, card, i)
 				}
 			}
-			for i, c := range st.Comm[card] {
+			for i := range st.Comm[card] {
+				c := &st.Comm[card][i]
+				for _, peer := range c.Peers {
+					if peer < 0 || peer >= p.Cards {
+						return fmt.Errorf("task: step %d card %d comm %d names peer %d of %d cards", si, card, i, peer, p.Cards)
+					}
+				}
 				switch c.Kind {
 				case Send:
 					if c.WaitCompute >= len(st.Compute[card]) {
 						return fmt.Errorf("task: step %d card %d send %d waits on missing compute %d", si, card, i, c.WaitCompute)
 					}
-					sendTag[c.Tag] = len(c.Peers)
+					for _, peer := range c.Peers {
+						if peer == card {
+							return fmt.Errorf("task: step %d card %d send %d lists its own card", si, card, i)
+						}
+					}
+					if _, dup := sendPeers[c.Tag]; dup {
+						return fmt.Errorf("task: step %d send tag %d is sent twice", si, c.Tag)
+					}
+					sendPeers[c.Tag] = len(c.Peers)
 				case Recv:
-					recvTag[c.Tag] = true
+					if len(c.Peers) != 1 {
+						return fmt.Errorf("task: step %d card %d recv %d names %d sources, want 1", si, card, i, len(c.Peers))
+					}
+					recvs[c.Tag]++
+				default:
+					return fmt.Errorf("task: step %d card %d comm %d has unknown kind %d", si, card, i, c.Kind)
 				}
 			}
 		}
-		for tag := range sendTag {
-			if !recvTag[tag] {
+		for tag, peers := range sendPeers {
+			if n := recvs[tag]; n == 0 {
 				return fmt.Errorf("task: step %d send tag %d has no receiver", si, tag)
+			} else if n != peers {
+				return fmt.Errorf("task: step %d send tag %d has %d receivers for %d destinations", si, tag, n, peers)
 			}
 		}
-		for tag := range recvTag {
-			if _, ok := sendTag[tag]; !ok {
+		for tag := range recvs {
+			if _, ok := sendPeers[tag]; !ok {
 				return fmt.Errorf("task: step %d recv tag %d has no sender", si, tag)
 			}
 		}
