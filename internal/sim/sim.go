@@ -7,8 +7,10 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"hydra/internal/fheop"
@@ -179,9 +181,11 @@ type Placement struct {
 	Batch int
 }
 
-// identity is the trivial placement: logical card i on physical card i.
+// identity is the trivial placement: logical card i on physical card i. It
+// runs before the program is validated, so a negative card count gives an
+// empty placement for RunOn to reject.
 func identity(p *task.Program) Placement {
-	ids := make([]int, p.Cards)
+	ids := make([]int, max(p.Cards, 0))
 	for i := range ids {
 		ids[i] = i
 	}
@@ -211,20 +215,8 @@ func (pl Placement) validate(p *task.Program) error {
 	return nil
 }
 
-// phys maps a slice of logical card IDs to their physical identities.
-func (pl Placement) phys(logical []int) []int {
-	out := make([]int, len(logical))
-	for i, c := range logical {
-		out[i] = pl.Cards[c]
-	}
-	return out
-}
-
 // Run executes the program on the configured machine.
 func Run(p *task.Program, cfg Config) (*Result, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
 	return RunOn(p, cfg, identity(p))
 }
 
@@ -243,20 +235,18 @@ func RunOn(p *task.Program, cfg Config, pl Placement) (*Result, error) {
 	if err := pl.validate(p); err != nil {
 		return nil, err
 	}
-	res := &Result{
-		ComputeBusy:  make([]float64, p.Cards),
-		CommBusy:     make([]float64, p.Cards),
-		EnergyByUnit: map[string]float64{},
-	}
+	r := newRunner(p, &cfg, pl)
+	res := r.res
 	now := 0.0
 	for _, st := range p.Steps {
-		stat, err := runStep(st, p, cfg, pl, now, res)
+		stat, err := r.step(st, now)
 		if err != nil {
 			return nil, fmt.Errorf("sim: step %q: %w", st.Name, err)
 		}
 		res.Steps = append(res.Steps, stat)
 		now += stat.Span
 	}
+	r.writeEnergy()
 	if pl.Batch > 1 {
 		now = scaleForBatch(res, now, pl.Batch, cfg.Card.BatchAmortFrac)
 	}
@@ -308,78 +298,193 @@ const (
 	nodeCommDone // send completion or receive completion
 )
 
+// node is one vertex of a step's dependency graph: a compute task, the ready
+// signal of a receive, or the completion of a send or a receive.
 type node struct {
-	kind     int
-	card     int
-	index    int // queue index
 	duration float64
-	time     float64 // completion time (filled by the scheduler)
-	preds    []int
-	succs    []int
-	indeg    int
+	ready    float64 // latest completion among the predecessors scheduled so far, at least the step start
+	time     float64 // completion time, once scheduled
+	card     int32
+	index    int32 // queue index
+	indeg    int32 // predecessors not yet scheduled
+	kind     uint8
 }
 
-func runStep(st *task.Step, p *task.Program, cfg Config, pl Placement, start float64, res *Result) (StepStat, error) {
+// energyUnits names the per-operation energy contributors, in the order
+// every accumulation runs through them.
+var energyUnits = [...]string{"NTT", "MA", "MM", "Auto", "HBM"}
+
+const numOps = len(fheop.Counts{})
+
+// opCost is what one invocation of an operation at one limb count costs.
+type opCost struct {
+	time   float64
+	energy [len(energyUnits)]float64
+}
+
+// recvRef is a receive of the step, chained to the next receive of its tag.
+type recvRef struct{ card, index, next int32 }
+
+// tagRecvs is the first and the last receive of a tag in recvRef order.
+type tagRecvs struct{ first, last int32 }
+
+// seqNode is a task in a serialized card's merged creation order.
+type seqNode struct {
+	seq         int
+	start, done int32
+}
+
+// runner schedules the steps of one RunOn call. It owns every buffer a step
+// needs, grown to the largest step so far and reused by the next, so a step
+// allocates nothing once they have grown; and it prices each (op, limbs) pair
+// once per run.
+type runner struct {
+	p   *task.Program
+	cfg *Config
+	pl  Placement
+	res *Result
+
+	costs    map[int]*[numOps]opCost // per limb count
+	energy   [len(energyUnits)]float64
+	computed bool // some task ran an operation: the units of energy are in the result
+	comm     float64
+	sent     bool // some task sent: "Comm" is in the result
+
+	nodes              []node
+	compBase, commBase []int32 // per card: its first compute node, its first comm task
+	readyID, doneID    []int32 // per comm task: its ready node (-1 for a send), its done node
+	edges              [][2]int32
+	off, succ          []int32 // CSR: node n's successors are succ[off[n]:off[n+1]], in edge order
+	queue              []int32
+	busy               []float64 // per card: compute time in the step
+	recvs              []recvRef
+	recvByTag          map[int]tagRecvs
+	phys               []int
+	order              []seqNode
+}
+
+func newRunner(p *task.Program, cfg *Config, pl Placement) *runner {
+	return &runner{
+		p: p, cfg: cfg, pl: pl,
+		res: &Result{
+			ComputeBusy:  make([]float64, p.Cards),
+			CommBusy:     make([]float64, p.Cards),
+			EnergyByUnit: make(map[string]float64, len(energyUnits)+2),
+		},
+		costs:     map[int]*[numOps]opCost{},
+		compBase:  make([]int32, p.Cards),
+		commBase:  make([]int32, p.Cards),
+		busy:      make([]float64, p.Cards),
+		recvByTag: map[int]tagRecvs{},
+	}
+}
+
+// resize returns s with length n, reusing its array when it is large enough.
+// The contents are not cleared.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+func (r *runner) add(n node) int32 {
+	r.nodes = append(r.nodes, n)
+	return int32(len(r.nodes) - 1)
+}
+
+func (r *runner) edge(from, to int32) {
+	r.edges = append(r.edges, [2]int32{from, to})
+	r.nodes[to].indeg++
+}
+
+// price returns a compute task's duration, and adds its dynamic energy and
+// its operations to the run's totals in task order.
+func (r *runner) price(c *task.Compute) float64 {
+	costs := r.costs[c.Limbs]
+	if costs == nil {
+		costs = new([numOps]opCost)
+		for op := range costs {
+			parts := r.cfg.Card.EnergyByUnit(fheop.Op(op), c.Limbs, r.cfg.Scheme)
+			costs[op].time = r.cfg.Card.OpTime(fheop.Op(op), c.Limbs, r.cfg.Scheme)
+			for u, name := range energyUnits {
+				costs[op].energy[u] = parts[name]
+			}
+		}
+		r.costs[c.Limbs] = costs
+	}
+	scale := c.EnergyScale
+	if scale <= 0 {
+		scale = 1
+	}
+	total := 0.0
+	for op, n := range c.Ops {
+		if n == 0 {
+			continue
+		}
+		total += float64(n) * costs[op].time
+		for u, e := range costs[op].energy {
+			r.energy[u] += scale * float64(n) * e
+		}
+		r.computed = true
+	}
+	r.res.OpTotals = r.res.OpTotals.Add(c.Ops)
+	return total
+}
+
+// writeEnergy puts the run's dynamic energy into the result, one key per
+// contributor the run touched.
+func (r *runner) writeEnergy() {
+	if r.computed {
+		for u, name := range energyUnits {
+			r.res.EnergyByUnit[name] = r.energy[u]
+		}
+	}
+	if r.sent {
+		r.res.EnergyByUnit["Comm"] = r.comm
+	}
+}
+
+// step builds the step's dependency graph and times it in topological order
+// by forward propagation: a node completes at the latest completion among its
+// predecessors (or the step start) plus its duration.
+func (r *runner) step(st *task.Step, start float64) (StepStat, error) {
+	p, cfg, pl := r.p, r.cfg, r.pl
+
 	// --- Node construction -------------------------------------------------
-	total := 0 // one node per compute task and per comm task, a second per receive
+	r.nodes, r.readyID, r.doneID = r.nodes[:0], r.readyID[:0], r.doneID[:0]
 	for card := 0; card < p.Cards; card++ {
-		total += len(st.Compute[card]) + len(st.Comm[card])
-		for _, c := range st.Comm[card] {
-			if c.Kind == task.Recv {
-				total++
+		r.compBase[card] = int32(len(r.nodes))
+		for i := range st.Compute[card] {
+			r.add(node{kind: nodeCompute, card: int32(card), index: int32(i), duration: r.price(&st.Compute[card][i]), ready: start})
+		}
+		r.commBase[card] = int32(len(r.doneID))
+		for j := range st.Comm[card] {
+			ready := int32(-1)
+			if st.Comm[card][j].Kind == task.Recv {
+				ready = r.add(node{kind: nodeRecvReady, card: int32(card), index: int32(j), duration: cfg.DMAConfigLatency, ready: start})
 			}
+			r.readyID = append(r.readyID, ready)
+			r.doneID = append(r.doneID, r.add(node{kind: nodeCommDone, card: int32(card), index: int32(j), ready: start}))
 		}
 	}
-	nodes := make([]node, 0, total)
-	add := func(n node) int {
-		nodes = append(nodes, n)
-		return len(nodes) - 1
-	}
-	compID := make([][]int, p.Cards)
-	readyID := make([][]int, p.Cards)
-	doneID := make([][]int, p.Cards)
 
-	opTime := opTimeCache(cfg)
+	// Locate receives by tag for send pairing, in queue order.
+	r.recvs = r.recvs[:0]
+	clear(r.recvByTag)
 	for card := 0; card < p.Cards; card++ {
-		compID[card] = make([]int, len(st.Compute[card]))
-		for i, c := range st.Compute[card] {
-			compID[card][i] = add(node{kind: nodeCompute, card: card, index: i, duration: opTime(c.Ops, c.Limbs)})
-		}
-		readyID[card] = make([]int, len(st.Comm[card]))
-		doneID[card] = make([]int, len(st.Comm[card]))
-		for j, c := range st.Comm[card] {
-			switch c.Kind {
-			case task.Recv:
-				readyID[card][j] = add(node{kind: nodeRecvReady, card: card, index: j, duration: cfg.DMAConfigLatency})
-				doneID[card][j] = add(node{kind: nodeCommDone, card: card, index: j})
-			case task.Send:
-				readyID[card][j] = -1
-				doneID[card][j] = add(node{kind: nodeCommDone, card: card, index: j})
+		for j := range st.Comm[card] {
+			c := &st.Comm[card][j]
+			if c.Kind != task.Recv {
+				continue
 			}
-		}
-	}
-
-	addEdge := func(from, to int) {
-		nodes[to].preds = append(nodes[to].preds, from)
-		nodes[from].succs = append(nodes[from].succs, to)
-		nodes[to].indeg++
-	}
-
-	// Map a comm task to the node that gates its start.
-	commStartNode := func(card, j int) int {
-		if st.Comm[card][j].Kind == task.Recv {
-			return readyID[card][j]
-		}
-		return doneID[card][j]
-	}
-
-	// Locate receives by tag for send pairing.
-	type recvRef struct{ card, index int }
-	recvByTag := map[int][]recvRef{}
-	for card := 0; card < p.Cards; card++ {
-		for j, c := range st.Comm[card] {
-			if c.Kind == task.Recv {
-				recvByTag[c.Tag] = append(recvByTag[c.Tag], recvRef{card, j})
+			id := int32(len(r.recvs))
+			r.recvs = append(r.recvs, recvRef{card: int32(card), index: int32(j), next: -1})
+			if t, ok := r.recvByTag[c.Tag]; ok {
+				r.recvs[t.last].next = id
+				r.recvByTag[c.Tag] = tagRecvs{t.first, id}
+			} else {
+				r.recvByTag[c.Tag] = tagRecvs{id, id}
 			}
 		}
 	}
@@ -388,52 +493,63 @@ func runStep(st *task.Step, p *task.Program, cfg Config, pl Placement, start flo
 	// TX and RX engines are full duplex: sends chain on sends; receive
 	// configurations chain on configurations (multi-channel DMA setup), and
 	// arrivals drain through the port in order.
+	r.edges = r.edges[:0]
 	for card := 0; card < p.Cards; card++ {
-		for i := 1; i < len(compID[card]); i++ {
-			addEdge(compID[card][i-1], compID[card][i])
+		cb, mb := r.compBase[card], r.commBase[card]
+		for i := int32(1); i < int32(len(st.Compute[card])); i++ {
+			r.edge(cb+i-1, cb+i)
 		}
-		lastSend, lastRecv := -1, -1
-		for j, c := range st.Comm[card] {
-			if c.Kind == task.Send {
+		lastSend, lastRecv := int32(-1), int32(-1)
+		for j := range st.Comm[card] {
+			k := mb + int32(j)
+			if st.Comm[card][j].Kind == task.Send {
 				if lastSend >= 0 {
-					addEdge(doneID[card][lastSend], doneID[card][j])
+					r.edge(r.doneID[lastSend], r.doneID[k])
 				}
-				lastSend = j
+				lastSend = k
 			} else {
 				if lastRecv >= 0 {
-					addEdge(readyID[card][lastRecv], readyID[card][j])
-					addEdge(doneID[card][lastRecv], doneID[card][j])
+					r.edge(r.readyID[lastRecv], r.readyID[k])
+					r.edge(r.doneID[lastRecv], r.doneID[k])
 				}
-				lastRecv = j
+				lastRecv = k
 			}
 		}
 	}
 
 	// SAC / CAR / transfer edges.
 	for card := 0; card < p.Cards; card++ {
-		for i, c := range st.Compute[card] {
-			if c.WaitRecv >= 0 {
-				addEdge(doneID[card][c.WaitRecv], compID[card][i])
+		cb, mb := r.compBase[card], r.commBase[card]
+		for i := range st.Compute[card] {
+			if w := st.Compute[card][i].WaitRecv; w >= 0 {
+				r.edge(r.doneID[mb+int32(w)], cb+int32(i))
 			}
 		}
-		for j, c := range st.Comm[card] {
+		for j := range st.Comm[card] {
+			c := &st.Comm[card][j]
 			if c.Kind != task.Send {
 				continue
 			}
-			send := doneID[card][j]
+			send := r.doneID[mb+int32(j)]
 			if c.WaitCompute >= 0 {
-				addEdge(compID[card][c.WaitCompute], send)
+				r.edge(cb+int32(c.WaitCompute), send)
 			}
-			refs := recvByTag[c.Tag]
-			for _, ref := range refs {
-				addEdge(readyID[ref.card][ref.index], send) // handshake: ready before send
-				addEdge(send, doneID[ref.card][ref.index])  // data arrival
+			t, ok := r.recvByTag[c.Tag]
+			for k := t.first; ok && k >= 0; k = r.recvs[k].next {
+				ref := r.recvs[k]
+				rk := r.commBase[ref.card] + ref.index
+				r.edge(r.readyID[rk], send) // handshake: ready before send
+				r.edge(send, r.doneID[rk])  // data arrival
 				// Receiver-port drain time (store-and-forward).
-				nodes[doneID[ref.card][ref.index]].duration =
+				r.nodes[r.doneID[rk]].duration =
 					cfg.Network.RecvTime(c.Bytes, pl.Cards[card], pl.Cards[ref.card], pl.CardsPerServer)
 			}
 			// Sender-side injection occupancy.
-			nodes[send].duration = cfg.Network.SendTime(c.Bytes, pl.Cards[card], pl.phys(c.Peers), pl.CardsPerServer)
+			r.phys = r.phys[:0]
+			for _, peer := range c.Peers {
+				r.phys = append(r.phys, pl.Cards[peer])
+			}
+			r.nodes[send].duration = cfg.Network.SendTime(c.Bytes, pl.Cards[card], r.phys, pl.CardsPerServer)
 		}
 	}
 
@@ -441,83 +557,108 @@ func runStep(st *task.Step, p *task.Program, cfg Config, pl Placement, start flo
 	// every task (both queues) chains in creation order.
 	if !cfg.Overlap {
 		for card := 0; card < p.Cards; card++ {
-			type seqNode struct {
-				seq         int
-				start, done int
+			cb, mb := r.compBase[card], r.commBase[card]
+			order := r.order[:0]
+			for i := range st.Compute[card] {
+				id := cb + int32(i)
+				order = append(order, seqNode{st.Compute[card][i].Seq(), id, id})
 			}
-			var order []seqNode
-			for i, c := range st.Compute[card] {
-				order = append(order, seqNode{c.Seq(), compID[card][i], compID[card][i]})
+			for j := range st.Comm[card] {
+				k := mb + int32(j)
+				first := r.doneID[k]
+				if st.Comm[card][j].Kind == task.Recv {
+					first = r.readyID[k]
+				}
+				order = append(order, seqNode{st.Comm[card][j].Seq(), first, r.doneID[k]})
 			}
-			for j, c := range st.Comm[card] {
-				order = append(order, seqNode{c.Seq(), commStartNode(card, j), doneID[card][j]})
-			}
-			sort.Slice(order, func(a, b int) bool { return order[a].seq < order[b].seq })
+			slices.SortFunc(order, func(a, b seqNode) int { return cmp.Compare(a.seq, b.seq) })
 			for k := 1; k < len(order); k++ {
-				addEdge(order[k-1].done, order[k].start)
+				r.edge(order[k-1].done, order[k].start)
 			}
+			r.order = order
 		}
 	}
 
+	// Successor lists: the edges counting-sorted by source.
+	n := len(r.nodes)
+	off := resize(r.off, n+1)
+	clear(off)
+	for _, e := range r.edges {
+		off[e[0]+1]++
+	}
+	for i := 1; i <= n; i++ {
+		off[i] += off[i-1]
+	}
+	succ := resize(r.succ, len(r.edges))
+	for _, e := range r.edges {
+		succ[off[e[0]]] = e[1]
+		off[e[0]]++
+	}
+	copy(off[1:], off[:n])
+	off[0] = 0
+	r.off, r.succ = off, succ
+
 	// --- Kahn scheduling ---------------------------------------------------
-	queue := make([]int, 0, len(nodes))
+	nodes := r.nodes
+	queue := r.queue[:0]
 	for id := range nodes {
 		if nodes[id].indeg == 0 {
-			queue = append(queue, id)
+			queue = append(queue, int32(id))
 		}
 	}
 	processed := 0
 	for len(queue) > 0 {
 		id := queue[len(queue)-1]
 		queue = queue[:len(queue)-1]
-		n := &nodes[id]
-		t := start
-		for _, pid := range n.preds {
-			if nodes[pid].time > t {
-				t = nodes[pid].time
-			}
-		}
-		n.time = t + n.duration
+		nd := &nodes[id]
+		nd.time = nd.ready + nd.duration
 		processed++
-		for _, sid := range n.succs {
-			nodes[sid].indeg--
-			if nodes[sid].indeg == 0 {
+		for _, sid := range succ[off[id]:off[id+1]] {
+			s := &nodes[sid]
+			if nd.time > s.ready {
+				s.ready = nd.time
+			}
+			s.indeg--
+			if s.indeg == 0 {
 				queue = append(queue, sid)
 			}
 		}
 	}
-	if processed != len(nodes) {
-		return StepStat{}, fmt.Errorf("dependency cycle (deadlock) detected: %d of %d tasks runnable", processed, len(nodes))
+	r.queue = queue
+	if processed != n {
+		return StepStat{}, fmt.Errorf("dependency cycle (deadlock) detected: %d of %d tasks runnable", processed, n)
 	}
 
-	// --- Statistics and energy ----------------------------------------------
+	// --- Statistics --------------------------------------------------------
+	res := r.res
 	stat := StepStat{Name: st.Name}
 	end := start
-	computeBusy := make([]float64, p.Cards)
+	clear(r.busy)
 	for id := range nodes {
-		n := &nodes[id]
-		if n.time > end {
-			end = n.time
+		nd := &nodes[id]
+		if nd.time > end {
+			end = nd.time
 		}
-		switch n.kind {
+		switch nd.kind {
 		case nodeCompute:
-			computeBusy[n.card] += n.duration
-			res.ComputeBusy[n.card] += n.duration
+			r.busy[nd.card] += nd.duration
+			res.ComputeBusy[nd.card] += nd.duration
 			if cfg.CollectTrace {
 				res.Trace = append(res.Trace, TraceEvent{
-					Card: n.card, Kind: "compute",
-					Label: st.Compute[n.card][n.index].Label,
-					Start: n.time - n.duration, End: n.time,
+					Card: int(nd.card), Kind: "compute",
+					Label: st.Compute[nd.card][nd.index].Label,
+					Start: nd.time - nd.duration, End: nd.time,
 				})
 			}
 		case nodeCommDone:
-			c := st.Comm[n.card][n.index]
+			c := &st.Comm[nd.card][nd.index]
 			if c.Kind == task.Send {
-				res.CommBusy[n.card] += n.duration
+				res.CommBusy[nd.card] += nd.duration
 				bytes := c.Bytes * float64(len(c.Peers))
 				res.BytesSent += bytes
 				stat.CommBytes += bytes
-				res.EnergyByUnit["Comm"] += bytes * cfg.Card.EnergyNIC
+				r.comm += bytes * cfg.Card.EnergyNIC
+				r.sent = true
 			}
 			if cfg.CollectTrace {
 				kind := "send"
@@ -525,19 +666,15 @@ func runStep(st *task.Step, p *task.Program, cfg Config, pl Placement, start flo
 					kind = "recv"
 				}
 				res.Trace = append(res.Trace, TraceEvent{
-					Card: n.card, Kind: kind, Label: c.Label,
-					Start: n.time - n.duration, End: n.time,
+					Card: int(nd.card), Kind: kind, Label: c.Label,
+					Start: nd.time - nd.duration, End: nd.time,
 				})
 			}
 		}
 	}
-	for card := 0; card < p.Cards; card++ {
-		if computeBusy[card] > stat.ComputeMax {
-			stat.ComputeMax = computeBusy[card]
-		}
-		for _, c := range st.Compute[card] {
-			accumulateOpEnergy(res, cfg, c.Ops, c.Limbs, c.EnergyScale)
-			res.OpTotals = res.OpTotals.Add(c.Ops)
+	for _, b := range r.busy {
+		if b > stat.ComputeMax {
+			stat.ComputeMax = b
 		}
 	}
 	stat.Span = end - start
@@ -545,48 +682,4 @@ func runStep(st *task.Step, p *task.Program, cfg Config, pl Placement, start flo
 		return StepStat{}, fmt.Errorf("invalid step span %v", stat.Span)
 	}
 	return stat, nil
-}
-
-// opTimeCache memoizes per-(op,limbs) latencies for the step.
-func opTimeCache(cfg Config) func(fheop.Counts, int) float64 {
-	type key struct {
-		op    fheop.Op
-		limbs int
-	}
-	cache := map[key]float64{}
-	return func(ops fheop.Counts, limbs int) float64 {
-		total := 0.0
-		for _, op := range fheop.Ops() {
-			n := ops.Get(op)
-			if n == 0 {
-				continue
-			}
-			k := key{op, limbs}
-			t, ok := cache[k]
-			if !ok {
-				t = cfg.Card.OpTime(op, limbs, cfg.Scheme)
-				cache[k] = t
-			}
-			total += float64(n) * t
-		}
-		return total
-	}
-}
-
-var energyUnits = []string{"NTT", "MA", "MM", "Auto", "HBM"}
-
-func accumulateOpEnergy(res *Result, cfg Config, ops fheop.Counts, limbs int, scale float64) {
-	if scale <= 0 {
-		scale = 1
-	}
-	for _, op := range fheop.Ops() {
-		n := ops.Get(op)
-		if n == 0 {
-			continue
-		}
-		parts := cfg.Card.EnergyByUnit(op, limbs, cfg.Scheme)
-		for _, u := range energyUnits {
-			res.EnergyByUnit[u] += scale * float64(n) * parts[u]
-		}
-	}
 }
