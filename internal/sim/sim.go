@@ -451,8 +451,9 @@ func (r *runner) writeEnergy() {
 func (r *runner) step(st *task.Step, start float64) (StepStat, error) {
 	p, cfg, pl := r.p, r.cfg, r.pl
 
-	// --- Node construction -------------------------------------------------
-	r.nodes, r.readyID, r.doneID = r.nodes[:0], r.readyID[:0], r.doneID[:0]
+	// --- Node construction, and receives by tag for send pairing -----------
+	r.nodes, r.readyID, r.doneID, r.recvs = r.nodes[:0], r.readyID[:0], r.doneID[:0], r.recvs[:0]
+	clear(r.recvByTag)
 	for card := 0; card < p.Cards; card++ {
 		r.compBase[card] = int32(len(r.nodes))
 		for i := range st.Compute[card] {
@@ -460,32 +461,21 @@ func (r *runner) step(st *task.Step, start float64) (StepStat, error) {
 		}
 		r.commBase[card] = int32(len(r.doneID))
 		for j := range st.Comm[card] {
+			c := &st.Comm[card][j]
 			ready := int32(-1)
-			if st.Comm[card][j].Kind == task.Recv {
+			if c.Kind == task.Recv {
 				ready = r.add(node{kind: nodeRecvReady, card: int32(card), index: int32(j), duration: cfg.DMAConfigLatency, ready: start})
+				id := int32(len(r.recvs))
+				r.recvs = append(r.recvs, recvRef{card: int32(card), index: int32(j), next: -1})
+				if t, ok := r.recvByTag[c.Tag]; ok {
+					r.recvs[t.last].next = id
+					r.recvByTag[c.Tag] = tagRecvs{t.first, id}
+				} else {
+					r.recvByTag[c.Tag] = tagRecvs{id, id}
+				}
 			}
 			r.readyID = append(r.readyID, ready)
 			r.doneID = append(r.doneID, r.add(node{kind: nodeCommDone, card: int32(card), index: int32(j), ready: start}))
-		}
-	}
-
-	// Locate receives by tag for send pairing, in queue order.
-	r.recvs = r.recvs[:0]
-	clear(r.recvByTag)
-	for card := 0; card < p.Cards; card++ {
-		for j := range st.Comm[card] {
-			c := &st.Comm[card][j]
-			if c.Kind != task.Recv {
-				continue
-			}
-			id := int32(len(r.recvs))
-			r.recvs = append(r.recvs, recvRef{card: int32(card), index: int32(j), next: -1})
-			if t, ok := r.recvByTag[c.Tag]; ok {
-				r.recvs[t.last].next = id
-				r.recvByTag[c.Tag] = tagRecvs{t.first, id}
-			} else {
-				r.recvByTag[c.Tag] = tagRecvs{id, id}
-			}
 		}
 	}
 

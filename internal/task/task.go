@@ -244,16 +244,14 @@ func (p *Program) Validate() error {
 					if peer < 0 || peer >= p.Cards {
 						return fmt.Errorf("task: step %d card %d comm %d names peer %d of %d cards", si, card, i, peer, p.Cards)
 					}
+					if peer == card && c.Kind == Send {
+						return fmt.Errorf("task: step %d card %d send %d lists its own card", si, card, i)
+					}
 				}
 				switch c.Kind {
 				case Send:
 					if c.WaitCompute >= len(st.Compute[card]) {
 						return fmt.Errorf("task: step %d card %d send %d waits on missing compute %d", si, card, i, c.WaitCompute)
-					}
-					for _, peer := range c.Peers {
-						if peer == card {
-							return fmt.Errorf("task: step %d card %d send %d lists its own card", si, card, i)
-						}
 					}
 					if _, dup := sendPeers[c.Tag]; dup {
 						return fmt.Errorf("task: step %d send tag %d is sent twice", si, c.Tag)
