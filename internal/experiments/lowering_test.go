@@ -7,6 +7,7 @@ import (
 
 	"hydra/internal/isa"
 	"hydra/internal/model"
+	"hydra/internal/task"
 )
 
 // TestLoweringWireStable pins the ISA encoding of lowered programs: every
@@ -45,5 +46,40 @@ func TestLoweringWireStable(t *testing.T) {
 		if got := hex.EncodeToString(sum[:]); got != c.hash {
 			t.Errorf("%s/%s: wire hash %s, want %s", c.proto.Name, c.net.Name, got, c.hash)
 		}
+	}
+}
+
+// TestBuildAllocationShape bounds what lowering allocates: per send, the
+// receive indices it returns and at most one peer list; per step, its queue
+// headers and one array per queue kind. Growing a card's queue one task at a
+// time, or a peer list per receive, breaks the bound by an order of magnitude.
+func TestBuildAllocationShape(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	proto, net := HydraL(), model.ResNet18()
+	p, err := proto.Build(net)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sends := 0
+	for _, st := range p.Steps {
+		for _, q := range st.Comm {
+			for _, c := range q {
+				if c.Kind == task.Send {
+					sends++
+				}
+			}
+		}
+	}
+	allocs := testing.AllocsPerRun(3, func() {
+		if _, err := proto.Build(net); err != nil {
+			t.Fatal(err)
+		}
+	})
+	limit := 3*sends + 16*len(p.Steps)
+	t.Logf("%s/%s: %.0f allocations for %d sends over %d steps, bound %d", proto.Name, net.Name, allocs, sends, len(p.Steps), limit)
+	if allocs > float64(limit) {
+		t.Fatal("Build allocates more than the bound")
 	}
 }

@@ -201,14 +201,27 @@ func (n NetworkProfile) SendTime(bytes float64, src int, dsts []int, cardsPerSer
 	}
 	// FAB: PCIe upload plus one LAN copy per remote host, serialized on the
 	// source host's NIC.
-	srcHost := src / cardsPerServer
-	remote := map[int]bool{}
-	for _, dst := range dsts {
-		if h := dst / cardsPerServer; h != srcHost {
-			remote[h] = true
+	return n.PCIe.Transfer(bytes) + n.HostSyncLatency + float64(remoteHosts(src, dsts, cardsPerServer))*n.LAN.Transfer(bytes)
+}
+
+// remoteHosts counts the distinct hosts among dsts other than src's, each at
+// its first destination, without allocating: broadcasts reach a few hosts.
+func remoteHosts(src int, dsts []int, cardsPerServer int) int {
+	srcHost, n := src/cardsPerServer, 0
+next:
+	for i, dst := range dsts {
+		h := dst / cardsPerServer
+		if h == srcHost {
+			continue
 		}
+		for _, prev := range dsts[:i] {
+			if prev/cardsPerServer == h {
+				continue next
+			}
+		}
+		n++
 	}
-	return n.PCIe.Transfer(bytes) + n.HostSyncLatency + float64(len(remote))*n.LAN.Transfer(bytes)
+	return n
 }
 
 // RecvTime returns the receiver-side occupancy of one arrival of `bytes`:

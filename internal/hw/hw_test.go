@@ -189,6 +189,36 @@ func TestBroadcastTimes(t *testing.T) {
 	}
 }
 
+// TestFABSendTimeCountsRemoteHosts holds the FAB send time to one LAN copy
+// per distinct remote host, counted here with a set.
+func TestFABSendTimeCountsRemoteHosts(t *testing.T) {
+	fn := FABNetwork()
+	const bytes = 3e7
+	cases := []struct {
+		src, cps int
+		dsts     []int
+	}{
+		{0, 2, []int{1, 2, 3, 4, 5, 6, 7}},
+		{5, 2, []int{7, 0, 4, 1, 6, 2}},         // unsorted
+		{0, 2, []int{3, 2, 3, 9, 2, 8, 9}},      // hosts and cards repeated
+		{2, 4, []int{3, 1, 0, 1}},               // all on the source's host
+		{9, 8, []int{0, 63, 17, 8, 40, 33, 16}}, // 64 cards, eight per host
+		{1, 1, []int{0}},
+	}
+	for _, c := range cases {
+		remote := map[int]bool{}
+		for _, dst := range c.dsts {
+			if h := dst / c.cps; h != c.src/c.cps {
+				remote[h] = true
+			}
+		}
+		want := fn.PCIe.Transfer(bytes) + fn.HostSyncLatency + float64(len(remote))*fn.LAN.Transfer(bytes)
+		if got := fn.SendTime(bytes, c.src, c.dsts, c.cps); got != want {
+			t.Errorf("src %d dsts %v (%d per host): %g, want %g for %d remote hosts", c.src, c.dsts, c.cps, got, want, len(remote))
+		}
+	}
+}
+
 func TestResourceUtilizationTable(t *testing.T) {
 	rows := HydraResourceUtilization()
 	if len(rows) != 5 {

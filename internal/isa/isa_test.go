@@ -50,6 +50,9 @@ var brokenPings = []struct {
 	{"recv with two sources", func(st *task.Step) { st.Comm[1][0].Peers = []int{0, 0} }},
 	{"recv with no source", func(st *task.Step) { st.Comm[1][0].Peers = nil }},
 	{"zero limbs", func(st *task.Step) { st.Compute[0][0].Limbs = 0 }},
+	{"negative bytes", func(st *task.Step) { st.Comm[0][0].Bytes, st.Comm[1][0].Bytes = -1e3, -1e3 }},
+	{"recv wait below -1", func(st *task.Step) { st.Compute[1][0].WaitRecv = -5 }},
+	{"send wait below -1", func(st *task.Step) { st.Comm[0][0].WaitCompute = -5 }},
 }
 
 func TestUnmarshalRejectsUnsimulatable(t *testing.T) {

@@ -107,6 +107,7 @@ func (c *Context) DistributeBroadcast(units int, recipe fheop.Counts, outputCts 
 		ctsShare := perCardShare(outputCts, nc, ci)
 		batches := (assigned + batch - 1) / batch
 		bytesPerBatch := float64(ctsShare) * c.CtBytes() / float64(batches)
+		others := c.others(card)
 		for done, bi := 0, 0; done < assigned; done, bi = done+batch, bi+1 {
 			sz := batch
 			if done+sz > assigned {
@@ -114,7 +115,7 @@ func (c *Context) DistributeBroadcast(units int, recipe fheop.Counts, outputCts 
 			}
 			h := c.B.Compute(card, recipe.Scale(sz), c.limbs(), label)
 			if nc > 1 && bytesPerBatch > 0 {
-				c.B.Send(card, h, c.others(card), bytesPerBatch, label)
+				c.B.Send(card, h, others, bytesPerBatch, label)
 			}
 		}
 	}

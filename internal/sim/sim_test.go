@@ -190,6 +190,9 @@ func TestRunRejectsUnsimulatable(t *testing.T) {
 		{"recv with two sources", func(st *task.Step) { st.Comm[1][0].Peers = []int{0, 0} }},
 		{"zero limbs", func(st *task.Step) { st.Compute[0][0].Limbs = 0 }},
 		{"missing card queues", func(st *task.Step) { st.Comm = st.Comm[:1] }},
+		{"negative bytes", func(st *task.Step) { st.Comm[0][0].Bytes, st.Comm[1][0].Bytes = -1e3, -1e3 }},
+		{"recv wait below -1", func(st *task.Step) { st.Compute[1][0].WaitRecv = -5 }},
+		{"send wait below -1", func(st *task.Step) { st.Comm[0][0].WaitCompute = -5 }},
 	}
 	for _, tc := range cases {
 		b := task.NewBuilder(2, 2)
@@ -235,6 +238,9 @@ func TestBuilderPanics(t *testing.T) {
 			b.Step("s")
 			b.Send(0, task.FromStart, nil, 1, "none")
 		},
+		func() { task.NewBuilder(2, 8).Send(0, task.FromStart, []int{1}, -1e3, "negative") },
+		func() { task.NewBuilder(2, 8).Send(0, task.FromStart, []int{1}, math.NaN(), "nan") },
+		func() { task.NewBuilder(2, 8).Send(0, task.FromStart, []int{1}, math.Inf(1), "inf") },
 	}
 	for i, fn := range cases {
 		func() {

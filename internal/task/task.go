@@ -7,6 +7,8 @@ package task
 
 import (
 	"fmt"
+	"math"
+	"slices"
 
 	"hydra/internal/fheop"
 )
@@ -42,7 +44,8 @@ const (
 // WaitCompute >= 0 is Send-After-Compute: it fires only once that
 // computation-queue entry finishes. Peers lists the destination cards
 // (len > 1 = broadcast through the switch). A Recv names its source in Peers
-// and is paired with the matching Send through Tag.
+// and is paired with the matching Send through Tag. In a built program,
+// entries may share Peers storage with one another.
 type Comm struct {
 	Kind        CommKind
 	Peers       []int
@@ -57,6 +60,9 @@ type Comm struct {
 // (Procedure 2 units — e.g. one CNN layer or one bootstrap phase), each
 // holding per-card computation and communication queues. Cards are numbered
 // globally; CardsPerServer fixes the server boundaries.
+//
+// A program returned by Builder.Build is read-only: a step's queues are
+// subslices of one array per step, and Comm entries share Peers storage.
 type Program struct {
 	Cards          int
 	CardsPerServer int
@@ -78,12 +84,38 @@ type Handle struct {
 
 // Builder constructs Programs with automatic tag assignment and SAC/CAR
 // wiring.
+//
+// The open step's computations and sends collect in two logs, reused from
+// step to step, and are laid out into the step when it closes (Step, Build):
+// one exact-size array per queue kind, each card's queue a cap-limited
+// subslice of it.
 type Builder struct {
 	prog        *Program
 	cur         *Step
 	nextTag     int
 	nextSeq     int
 	energyScale float64
+
+	computeLog []cardCompute
+	// A send's receives are not logged: layout derives them from the send's
+	// Peers, Tag and seq.
+	sendLog  []cardComm
+	nCompute []int // per card: the open step's queue lengths
+	nComm    []int
+	pending  bool // the logs hold tasks cur does not show yet
+
+	ids       []int   // 0..Cards-1: every receive's Peers is a slice of it
+	lastPeers [][]int // per card: the Peers of its latest send
+}
+
+type cardCompute struct {
+	card int
+	c    Compute
+}
+
+type cardComm struct {
+	card int
+	c    Comm
 }
 
 // NewBuilder starts a program over cards cards grouped into servers of
@@ -92,7 +124,18 @@ func NewBuilder(cards, cardsPerServer int) *Builder {
 	if cards <= 0 || cardsPerServer <= 0 {
 		panic("task: cards and cardsPerServer must be positive")
 	}
-	return &Builder{prog: &Program{Cards: cards, CardsPerServer: cardsPerServer}, energyScale: 1}
+	ids := make([]int, cards)
+	for i := range ids {
+		ids[i] = i
+	}
+	return &Builder{
+		prog:        &Program{Cards: cards, CardsPerServer: cardsPerServer},
+		energyScale: 1,
+		nCompute:    make([]int, cards),
+		nComm:       make([]int, cards),
+		ids:         ids,
+		lastPeers:   make([][]int, cards),
+	}
 }
 
 // SetEnergyScale sets the dynamic-energy derating applied to subsequently
@@ -106,6 +149,11 @@ func (b *Builder) SetEnergyScale(v float64) {
 
 // Step opens a new scheduling step; subsequent emissions go into it.
 func (b *Builder) Step(name string) *Builder {
+	b.layout()
+	b.computeLog = b.computeLog[:0]
+	b.sendLog = b.sendLog[:0]
+	clear(b.nCompute)
+	clear(b.nComm)
 	b.cur = &Step{
 		Name:    name,
 		Compute: make([][]Compute, b.prog.Cards),
@@ -115,11 +163,57 @@ func (b *Builder) Step(name string) *Builder {
 	return b
 }
 
-func (b *Builder) step() *Step {
+// open makes sure a step is open, "main" if none was named.
+func (b *Builder) open() {
 	if b.cur == nil {
 		b.Step("main")
 	}
-	return b.cur
+}
+
+// layout writes the logged tasks into the open step's queues, each queue in
+// creation order. A card with no tasks keeps a nil queue.
+func (b *Builder) layout() {
+	if !b.pending {
+		return
+	}
+	b.pending = false
+	s := b.cur
+	computes := make([]Compute, len(b.computeLog))
+	off := 0
+	for card, n := range b.nCompute {
+		if n > 0 {
+			s.Compute[card] = computes[off : off : off+n]
+			off += n
+		}
+	}
+	for i := range b.computeLog {
+		e := &b.computeLog[i]
+		s.Compute[e.card] = append(s.Compute[e.card], e.c)
+	}
+	total := 0
+	for _, n := range b.nComm {
+		total += n
+	}
+	comms := make([]Comm, total)
+	off = 0
+	for card, n := range b.nComm {
+		if n > 0 {
+			s.Comm[card] = comms[off : off : off+n]
+			off += n
+		}
+	}
+	for i := range b.sendLog {
+		e := &b.sendLog[i]
+		s.Comm[e.card] = append(s.Comm[e.card], e.c)
+		recv := Comm{
+			Kind: Recv, Peers: b.ids[e.card : e.card+1 : e.card+1], Bytes: e.c.Bytes,
+			WaitCompute: -1, Tag: e.c.Tag, Label: e.c.Label,
+		}
+		for k, dst := range e.c.Peers {
+			recv.seq = e.c.seq + 1 + k
+			s.Comm[dst] = append(s.Comm[dst], recv)
+		}
+	}
 }
 
 // Compute appends a data-independent computation task to card's queue.
@@ -134,19 +228,21 @@ func (b *Builder) ComputeAfterRecv(card int, recvIdx int, ops fheop.Counts, limb
 }
 
 func (b *Builder) computeTask(card int, ops fheop.Counts, limbs, waitRecv int, label string) Handle {
-	s := b.step()
+	b.open()
 	if card < 0 || card >= b.prog.Cards {
 		panic(fmt.Sprintf("task: card %d out of range", card))
 	}
 	if limbs <= 0 {
 		panic("task: limbs must be positive")
 	}
-	s.Compute[card] = append(s.Compute[card], Compute{
+	b.computeLog = append(b.computeLog, cardCompute{card, Compute{
 		Ops: ops, Limbs: limbs, WaitRecv: waitRecv, Label: label,
 		EnergyScale: b.energyScale, seq: b.nextSeq,
-	})
+	}})
+	b.pending = true
 	b.nextSeq++
-	return Handle{Card: card, Index: len(s.Compute[card]) - 1}
+	b.nCompute[card]++
+	return Handle{Card: card, Index: b.nCompute[card] - 1}
 }
 
 // Send emits a transfer of bytes from card `from` to each card in `to`
@@ -155,9 +251,12 @@ func (b *Builder) computeTask(card int, ops fheop.Counts, limbs, waitRecv int, l
 // send). It returns the communication-queue index of the matching receive on
 // each destination card, for use with ComputeAfterRecv.
 func (b *Builder) Send(from int, after Handle, to []int, bytes float64, label string) []int {
-	s := b.step()
+	b.open()
 	if len(to) == 0 {
 		panic("task: send needs at least one destination")
+	}
+	if !(bytes >= 0) || math.IsInf(bytes, 1) {
+		panic(fmt.Sprintf("task: send of %g bytes", bytes))
 	}
 	for _, dst := range to {
 		if dst == from {
@@ -172,19 +271,24 @@ func (b *Builder) Send(from int, after Handle, to []int, bytes float64, label st
 	}
 	tag := b.nextTag
 	b.nextTag++
-	s.Comm[from] = append(s.Comm[from], Comm{
-		Kind: Send, Peers: append([]int(nil), to...), Bytes: bytes,
+	// Mapping strategies send one card's results to the same peers batch
+	// after batch; those sends share one copy of the list.
+	peers := b.lastPeers[from]
+	if !slices.Equal(peers, to) {
+		peers = append(make([]int, 0, len(to)), to...)
+		b.lastPeers[from] = peers
+	}
+	b.sendLog = append(b.sendLog, cardComm{from, Comm{
+		Kind: Send, Peers: peers, Bytes: bytes,
 		WaitCompute: after.Index, Tag: tag, Label: label, seq: b.nextSeq,
-	})
-	b.nextSeq++
+	}})
+	b.pending = true
+	b.nextSeq += 1 + len(to) // the send, then one receive per destination
+	b.nComm[from]++
 	recvIdx := make([]int, len(to))
 	for i, dst := range to {
-		s.Comm[dst] = append(s.Comm[dst], Comm{
-			Kind: Recv, Peers: []int{from}, Bytes: bytes,
-			WaitCompute: -1, Tag: tag, Label: label, seq: b.nextSeq,
-		})
-		b.nextSeq++
-		recvIdx[i] = len(s.Comm[dst]) - 1
+		recvIdx[i] = b.nComm[dst]
+		b.nComm[dst]++
 	}
 	return recvIdx
 }
@@ -192,8 +296,12 @@ func (b *Builder) Send(from int, after Handle, to []int, bytes float64, label st
 // FromStart is the Handle for sends with no computation dependence.
 var FromStart = Handle{Card: -1, Index: -1}
 
-// Build finalizes and returns the program.
-func (b *Builder) Build() *Program { return b.prog }
+// Build lays out the open step and returns the program. Emitting more after
+// Build is allowed; the next Step or Build lays the open step out again.
+func (b *Builder) Build() *Program {
+	b.layout()
+	return b.prog
+}
 
 // Seq exposes the creation order (used by the simulator for cards without an
 // independent communication unit, where both queues serialize on one engine).
@@ -210,9 +318,10 @@ func (c Compute) WithSeq(v int) Compute { c.seq = v; return c }
 func (c Comm) WithSeq(v int) Comm { c.seq = v; return c }
 
 // Validate checks structural invariants of a program: one queue pair per
-// card, positive limb counts, in-range dependencies and peers, and tags that
-// pair each send with exactly one receive per destination. Every program the
-// Builder emits satisfies them, so a program that passes can be simulated.
+// card, positive limb counts, in-range dependencies and peers, finite
+// non-negative byte counts, and tags that pair each send with exactly one
+// receive per destination. Every program the Builder emits satisfies them,
+// so a program that passes can be simulated.
 func (p *Program) Validate() error {
 	if p.Cards < 1 || p.CardsPerServer < 1 {
 		return fmt.Errorf("task: %d cards in servers of %d", p.Cards, p.CardsPerServer)
@@ -231,7 +340,7 @@ func (p *Program) Validate() error {
 				if c.Limbs < 1 {
 					return fmt.Errorf("task: step %d card %d compute %d runs at %d limbs", si, card, i, c.Limbs)
 				}
-				if c.WaitRecv >= len(st.Comm[card]) {
+				if c.WaitRecv < -1 || c.WaitRecv >= len(st.Comm[card]) {
 					return fmt.Errorf("task: step %d card %d compute %d waits on missing recv %d", si, card, i, c.WaitRecv)
 				}
 				if c.WaitRecv >= 0 && st.Comm[card][c.WaitRecv].Kind != Recv {
@@ -247,6 +356,12 @@ func (p *Program) Validate() error {
 					if peer == card && c.Kind == Send {
 						return fmt.Errorf("task: step %d card %d send %d lists its own card", si, card, i)
 					}
+				}
+				if !(c.Bytes >= 0) || math.IsInf(c.Bytes, 1) {
+					return fmt.Errorf("task: step %d card %d comm %d carries %g bytes", si, card, i, c.Bytes)
+				}
+				if c.WaitCompute < -1 {
+					return fmt.Errorf("task: step %d card %d comm %d waits on missing compute %d", si, card, i, c.WaitCompute)
 				}
 				switch c.Kind {
 				case Send:

@@ -1,10 +1,144 @@
 package task
 
 import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 
 	"hydra/internal/fheop"
 )
+
+// TestBuilderMatchesOracle drives Builder and the reference builder of
+// oracle_test.go with the same seeded call sequences and requires the same
+// handles, receive indices and programs. Sends draw their destinations into
+// one reused buffer, as the mapping emitters do: lists come unsorted, with
+// repeated cards, repeated from the previous send or changed in place.
+func TestBuilderMatchesOracle(t *testing.T) {
+	labels := []string{"ConvBN", "Boot", "FC"}
+	for seed := int64(1); seed <= 400; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		cards := 1 + rng.Intn(6)
+		cps := 1 + rng.Intn(cards)
+		b, o := NewBuilder(cards, cps), newOracleBuilder(cards, cps)
+		// The open step's compute handles and receive indices, per card.
+		handles, recvs := make([][]Handle, cards), make([][]int, cards)
+		to, from := make([]int, 0, 2*cards), 0
+		check := func(what string) {
+			t.Helper()
+			got, want := b.Build(), o.Build()
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("seed %d, %s: program differs from the reference builder: %s", seed, what, firstDiff(got, want))
+			}
+			if b.Build() != got {
+				t.Fatalf("seed %d, %s: a second Build returned another program", seed, what)
+			}
+			// Appending to one card's queue must not write into the next's.
+			for si, st := range got.Steps {
+				for card := range st.Compute {
+					if cap(st.Compute[card]) != len(st.Compute[card]) || cap(st.Comm[card]) != len(st.Comm[card]) {
+						t.Fatalf("seed %d, %s: step %d card %d queues have spare capacity", seed, what, si, card)
+					}
+				}
+			}
+		}
+		for n := rng.Intn(150); n > 0; n-- {
+			label := labels[rng.Intn(len(labels))]
+			switch r := rng.Intn(20); {
+			case r < 2:
+				name := fmt.Sprintf("s%d", rng.Intn(4))
+				b.Step(name)
+				o.Step(name)
+				for c := range handles {
+					handles[c], recvs[c] = nil, nil
+				}
+			case r < 3:
+				v := rng.Float64()*2 - 0.5
+				b.SetEnergyScale(v)
+				o.SetEnergyScale(v)
+			case r < 4:
+				check("mid-sequence Build")
+			case r < 10:
+				card := rng.Intn(cards)
+				ops := fheop.Of(fheop.Rotation, rng.Intn(4), fheop.HAdd, rng.Intn(3))
+				limbs := 1 + rng.Intn(30)
+				var hb, ho Handle
+				if w := recvs[card]; len(w) > 0 && rng.Intn(2) == 0 {
+					wait := w[rng.Intn(len(w))]
+					hb = b.ComputeAfterRecv(card, wait, ops, limbs, label)
+					ho = o.ComputeAfterRecv(card, wait, ops, limbs, label)
+				} else {
+					hb = b.Compute(card, ops, limbs, label)
+					ho = o.Compute(card, ops, limbs, label)
+				}
+				if hb != ho {
+					t.Fatalf("seed %d: handle %v, reference %v", seed, hb, ho)
+				}
+				handles[card] = append(handles[card], hb)
+			default:
+				if cards == 1 {
+					continue
+				}
+				// Half the time the same card sends the same list again.
+				if rng.Intn(2) == 0 || len(to) == 0 || slices.Contains(to, from) {
+					from = rng.Intn(cards)
+					to = to[:0]
+					for k := 1 + rng.Intn(2*cards-1); k > 0; k-- {
+						if dst := rng.Intn(cards); dst != from {
+							to = append(to, dst)
+						}
+					}
+					if len(to) == 0 {
+						to = append(to, (from+1)%cards)
+					}
+				}
+				after := FromStart
+				switch h := handles[from]; rng.Intn(3) {
+				case 0:
+					if len(h) > 0 {
+						after = h[rng.Intn(len(h))]
+					}
+				case 1:
+					after = Handle{Card: rng.Intn(cards), Index: -1}
+				}
+				bytes := float64(rng.Intn(3)) * rng.Float64() * 1e6
+				rb := b.Send(from, after, to, bytes, label)
+				ro := o.Send(from, after, to, bytes, label)
+				if !slices.Equal(rb, ro) {
+					t.Fatalf("seed %d: receive indices %v, reference %v", seed, rb, ro)
+				}
+				for i, dst := range to {
+					recvs[dst] = append(recvs[dst], rb[i])
+				}
+			}
+		}
+		check("final Build")
+	}
+}
+
+// firstDiff names the first step queue where two programs differ.
+func firstDiff(got, want *Program) string {
+	if got.Cards != want.Cards || got.CardsPerServer != want.CardsPerServer || len(got.Steps) != len(want.Steps) {
+		return fmt.Sprintf("%d cards in %d, %d steps; want %d in %d, %d steps",
+			got.Cards, got.CardsPerServer, len(got.Steps), want.Cards, want.CardsPerServer, len(want.Steps))
+	}
+	for si, g := range got.Steps {
+		w := want.Steps[si]
+		if g.Name != w.Name || len(g.Compute) != len(w.Compute) || len(g.Comm) != len(w.Comm) {
+			return fmt.Sprintf("step %d: %q, want %q", si, g.Name, w.Name)
+		}
+		for card := range g.Compute {
+			if !reflect.DeepEqual(g.Compute[card], w.Compute[card]) {
+				return fmt.Sprintf("step %d card %d compute %+v, want %+v", si, card, g.Compute[card], w.Compute[card])
+			}
+			if !reflect.DeepEqual(g.Comm[card], w.Comm[card]) {
+				return fmt.Sprintf("step %d card %d comm %+v, want %+v", si, card, g.Comm[card], w.Comm[card])
+			}
+		}
+	}
+	return "no queue differs"
+}
 
 func TestBuilderQueuesAndTags(t *testing.T) {
 	b := NewBuilder(3, 8)
