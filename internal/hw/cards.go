@@ -1,5 +1,7 @@
 package hw
 
+import "slices"
+
 // HydraCard is the per-card model of the Hydra prototype on a Xilinx Alveo
 // U280: 512-lane compute units at 300 MHz, radix-4 NTT (a better match to
 // N = 2^16 than Poseidon's radix-8, Section IV-B), MAD-style scratchpad reuse
@@ -204,24 +206,19 @@ func (n NetworkProfile) SendTime(bytes float64, src int, dsts []int, cardsPerSer
 	return n.PCIe.Transfer(bytes) + n.HostSyncLatency + float64(remoteHosts(src, dsts, cardsPerServer))*n.LAN.Transfer(bytes)
 }
 
-// remoteHosts counts the distinct hosts among dsts other than src's, each at
-// its first destination, without allocating: broadcasts reach a few hosts.
+// remoteHosts counts the distinct hosts among dsts other than src's. The
+// hosts seen so far live in a stack array, so a broadcast to up to 64 remote
+// hosts does not allocate.
 func remoteHosts(src int, dsts []int, cardsPerServer int) int {
-	srcHost, n := src/cardsPerServer, 0
-next:
-	for i, dst := range dsts {
-		h := dst / cardsPerServer
-		if h == srcHost {
-			continue
+	var buf [64]int
+	seen := buf[:0]
+	srcHost := src / cardsPerServer
+	for _, dst := range dsts {
+		if h := dst / cardsPerServer; h != srcHost && !slices.Contains(seen, h) {
+			seen = append(seen, h)
 		}
-		for _, prev := range dsts[:i] {
-			if prev/cardsPerServer == h {
-				continue next
-			}
-		}
-		n++
 	}
-	return n
+	return len(seen)
 }
 
 // RecvTime returns the receiver-side occupancy of one arrival of `bytes`:

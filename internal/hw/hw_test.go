@@ -194,6 +194,10 @@ func TestBroadcastTimes(t *testing.T) {
 func TestFABSendTimeCountsRemoteHosts(t *testing.T) {
 	fn := FABNetwork()
 	const bytes = 3e7
+	var wide []int // 99 remote hosts of one card each
+	for c := 99; c > 0; c-- {
+		wide = append(wide, c)
+	}
 	cases := []struct {
 		src, cps int
 		dsts     []int
@@ -204,6 +208,7 @@ func TestFABSendTimeCountsRemoteHosts(t *testing.T) {
 		{2, 4, []int{3, 1, 0, 1}},               // all on the source's host
 		{9, 8, []int{0, 63, 17, 8, 40, 33, 16}}, // 64 cards, eight per host
 		{1, 1, []int{0}},
+		{0, 1, wide},
 	}
 	for _, c := range cases {
 		remote := map[int]bool{}
