@@ -302,13 +302,9 @@ func checkKeySwitchBar(t *testing.T, src *Program, levels int, full Cost) {
 	}
 }
 
-// TestLinTransHeRotShape pins what the compiler makes of the benchmark's
-// he-rot shape, 256 diagonals at 16 baby steps: the frontend asks for the
-// BSGS rotation set (babies 1..15, giants 16..240) and the compiled program
-// pays one keyswitch per member, 30, against 255 compiled naively, and one
-// decomposition for the baby basket plus one per giant step, 16.
-func TestLinTransHeRotShape(t *testing.T) {
-	const dim, bs = 256, 16
+// heRotMatrix is a dense dim × dim matrix whose d-th diagonal is d+1
+// everywhere: the he-rot benchmark's shape.
+func heRotMatrix(dim int) *hefloat.LinearTransform {
 	lt := &hefloat.LinearTransform{Dim: dim, Diags: map[int][]complex128{}}
 	for d := 0; d < dim; d++ {
 		diag := make([]complex128, dim)
@@ -317,6 +313,17 @@ func TestLinTransHeRotShape(t *testing.T) {
 		}
 		lt.Diags[d] = diag
 	}
+	return lt
+}
+
+// TestLinTransHeRotShape pins what the compiler makes of the benchmark's
+// he-rot shape, 256 diagonals at 16 baby steps: the frontend asks for the
+// BSGS rotation set (babies 1..15, giants 16..240) and the compiled program
+// pays one keyswitch per member, 30, against 255 compiled naively, and one
+// decomposition for the baby basket plus one per giant step, 16.
+func TestLinTransHeRotShape(t *testing.T) {
+	const dim, bs = 256, 16
+	lt := heRotMatrix(dim)
 	src := buildFrontend(t, dim, func(b *Builder, x *Value) *Value { return b.LinTrans(x, lt, bs, "m") })
 	rots, conj := src.Rotations()
 	if want := lt.RotationsBSGS(bs); conj || !reflect.DeepEqual(rots, want) {
@@ -333,12 +340,10 @@ func TestLinTransHeRotShape(t *testing.T) {
 	checkKeySwitchBar(t, src, 4, c)
 }
 
-// TestBootstrapIRCost pins what the compiler makes of the paper's key
-// procedure: the static cost and output level of the compiled bootstrap
-// program on conformance's bootstrap-small parameter set. A pass change that
-// moves any of these shows up here, against bootstrap, before it shows up as
-// a timing.
-func TestBootstrapIRCost(t *testing.T) {
+// bootstrapSmall is the bootstrap program on conformance's bootstrap-small
+// parameter set, uncompiled, with the level count it compiles at.
+func bootstrapSmall(t *testing.T) (*Program, int) {
+	t.Helper()
 	const levels = 20
 	logQ := []int{50}
 	for i := 0; i < levels; i++ {
@@ -352,7 +357,16 @@ func TestBootstrapIRCost(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	src := buildFrontend(t, params.Slots(), func(b *Builder, z *Value) *Value { return b.Bootstrap(z, desc) })
+	return buildFrontend(t, params.Slots(), func(b *Builder, z *Value) *Value { return b.Bootstrap(z, desc) }), levels
+}
+
+// TestBootstrapIRCost pins what the compiler makes of the paper's key
+// procedure: the static cost and output level of the compiled bootstrap
+// program on conformance's bootstrap-small parameter set. A pass change that
+// moves any of these shows up here, against bootstrap, before it shows up as
+// a timing.
+func TestBootstrapIRCost(t *testing.T) {
+	src, levels := bootstrapSmall(t)
 	opt, err := Compile(src, Options{Levels: levels})
 	if err != nil {
 		t.Fatal(err)
