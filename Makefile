@@ -29,11 +29,14 @@ lint:
 
 # Race-detector run of the limb pool, the evaluator that fans work onto it,
 # the goroutine-card cluster that nests it (includes the differential
-# parallel-vs-serial harness), and the multi-tenant serving layer. Matches
-# the ci.sh race coverage: hefloat and the conformance matrix run -short to
-# skip the slow bootstrap-convergence tests that add no race coverage.
+# parallel-vs-serial harness), fhir's cluster lowering (cards running fhir's
+# evaluator concurrently on one shared Evaluator and Encoder), and the
+# multi-tenant serving layer. Matches the ci.sh race coverage: hefloat and
+# the conformance matrix run -short to skip the slow bootstrap-convergence
+# tests that add no race coverage.
 race:
 	$(GO) test -race ./internal/ring/... ./internal/ckks/... ./internal/cluster/... ./internal/serve/...
+	$(GO) test -race -run Cluster ./internal/fhir/
 	$(GO) test -race -short ./internal/hefloat/ ./internal/conformance/
 
 ci:

@@ -2,18 +2,19 @@
 // schedules a program's operation counts on modeled cards, this package
 // executes its arithmetic. Every card is a goroutine owning real CKKS state
 // (an evaluator, its keys, and a named ciphertext store); cards execute
-// instruction scripts — Rotate, PMult, CMult, Add, Rescale — and exchange
-// serialized ciphertexts over a switch of channels, with the
-// Send-After-Compute / Compute-After-Receive ordering arising naturally from
-// the per-card program order.
+// instruction streams and exchange serialized ciphertexts over a switch of
+// channels, with the Send-After-Compute / Compute-After-Receive ordering
+// arising naturally from the per-card program order.
 //
 // This realizes, at laptop scale, the paper's full stack: the host preloads
 // per-card instruction streams (Section IV-D), the cards run them with
 // hardware-style synchronization, and the arithmetic is the actual CKKS
-// arithmetic of internal/ckks rather than a cost model. The streams come from
-// fhir.LowerCluster (any compiled program) or BuildConv (the ring-broadcast
-// convolution layer); tests check that what 4 cards compute decrypts to the
-// same values as the single-card execution.
+// arithmetic of internal/ckks rather than a cost model. A stream is either
+// compute kernels plus the transfers and additions that reduce their
+// partials — what fhir.LowerCluster emits for any compiled program, each
+// kernel running the card's share through fhir's evaluator — or BuildConv's
+// primitives (Rotate, PMult, Rescale, Send, Recv) for the ring-broadcast
+// convolution layer.
 //
 // Concurrency: cards are plain goroutines (they must be, since a card can
 // block on a switch receive while its peer computes), but the CKKS ops they
@@ -43,19 +44,20 @@ type OpCode int
 // Card instructions. Register operands name entries of the card's ciphertext
 // store; Send/Recv move ciphertexts through the switch.
 const (
-	OpRotate    OpCode = iota // Dst = Rotate(Src1, Imm)
-	OpPMult                   // Dst = Src1 ⊙ plaintext operand
-	OpCMult                   // Dst = Src1 · Src2 (relinearized)
-	OpAdd                     // Dst = Src1 + Src2
-	OpSub                     // Dst = Src1 - Src2
-	OpRescale                 // Dst = Rescale(Src1)
-	OpAddConst                // Dst = Src1 + Const
-	OpCopy                    // Dst = Src1
-	OpSend                    // transmit Src1 to card Peer under tag Tag
-	OpRecv                    // receive tag Tag into Dst
-	OpNeg                     // Dst = -Src1
-	OpConjugate               // Dst = Conjugate(Src1)
+	OpRotate  OpCode = iota // Dst = Rotate(Src1, Imm)
+	OpPMult                 // Dst = Src1 ⊙ plaintext operand
+	OpAdd                   // Dst = Src1 + Src2
+	OpRescale               // Dst = Rescale(Src1)
+	OpSend                  // transmit Src1 to card Peer under tag Tag
+	OpRecv                  // receive tag Tag into Dst
+	OpKernel                // Dst = Kernel(store)
 )
+
+// Kernel is an OpKernel instruction's computation: it reads the card's store,
+// computes with the card's evaluator and returns the ciphertext for Dst. It
+// checks ctx between its steps and returns ctx's error once ctx is done, so a
+// cancelled job does not wait out a long kernel.
+type Kernel func(ctx context.Context, eval *ckks.Evaluator, store map[string]*ckks.Ciphertext) (*ckks.Ciphertext, error)
 
 // Instr is one instruction of a card's stream.
 type Instr struct {
@@ -63,8 +65,8 @@ type Instr struct {
 	Dst        string
 	Src1, Src2 string
 	Imm        int             // rotation amount
-	Const      float64         // scalar operand (OpAddConst)
 	Plain      *ckks.Plaintext // PMult operand
+	Kernel     Kernel          // OpKernel computation
 	Peer       int             // Send destination
 	Tag        int             // Send/Recv pairing
 }
@@ -159,10 +161,11 @@ func (cl *Cluster) Run(ctx context.Context, programs [][]Instr) error {
 // because programs consume tags in emission order. Blocking switch operations
 // watch both the abort channel (a peer failure cannot strand this card) and
 // the context (a caller cancellation cannot either); compute-bound cards poll
-// the context between instructions so a cancelled program stops promptly even
-// when it never touches the switch. The evaluator reports contract violations
-// by panicking; the recover turns one into this card's error, so a bad
-// program fails its own Run instead of the process.
+// the context between instructions, and kernels between their own steps, so a
+// cancelled program stops promptly even when it never touches the switch. The
+// evaluator reports contract violations by panicking; the recover turns one
+// into this card's error, so a bad program fails its own Run instead of the
+// process.
 func (cl *Cluster) execute(ctx context.Context, card *Card, prog []Instr, abort <-chan struct{}) (err error) {
 	var pc int
 	var ins Instr
@@ -199,7 +202,7 @@ func (cl *Cluster) execute(ctx context.Context, card *Card, prog []Instr, abort 
 				return fmt.Errorf("pc %d: PMult without plaintext", pc)
 			}
 			card.Store[ins.Dst] = card.Eval.MulPlain(src, ins.Plain)
-		case OpCMult:
+		case OpAdd:
 			a, err := get(ins.Src1)
 			if err != nil {
 				return err
@@ -208,51 +211,22 @@ func (cl *Cluster) execute(ctx context.Context, card *Card, prog []Instr, abort 
 			if err != nil {
 				return err
 			}
-			card.Store[ins.Dst] = card.Eval.MulRelin(a, b)
-		case OpAdd, OpSub:
-			a, err := get(ins.Src1)
-			if err != nil {
-				return err
-			}
-			b, err := get(ins.Src2)
-			if err != nil {
-				return err
-			}
-			if ins.Op == OpAdd {
-				card.Store[ins.Dst] = card.Eval.Add(a, b)
-			} else {
-				card.Store[ins.Dst] = card.Eval.Sub(a, b)
-			}
+			card.Store[ins.Dst] = card.Eval.Add(a, b)
 		case OpRescale:
 			src, err := get(ins.Src1)
 			if err != nil {
 				return err
 			}
 			card.Store[ins.Dst] = card.Eval.Rescale(src)
-		case OpAddConst:
-			src, err := get(ins.Src1)
-			if err != nil {
-				return err
+		case OpKernel:
+			if ins.Kernel == nil {
+				return fmt.Errorf("pc %d: kernel instruction without a kernel", pc)
 			}
-			card.Store[ins.Dst] = card.Eval.AddConst(src, ins.Const)
-		case OpNeg:
-			src, err := get(ins.Src1)
+			ct, err := ins.Kernel(ctx, card.Eval, card.Store)
 			if err != nil {
-				return err
+				return fmt.Errorf("pc %d: %w", pc, err)
 			}
-			card.Store[ins.Dst] = card.Eval.Neg(src)
-		case OpConjugate:
-			src, err := get(ins.Src1)
-			if err != nil {
-				return err
-			}
-			card.Store[ins.Dst] = card.Eval.Conjugate(src)
-		case OpCopy:
-			src, err := get(ins.Src1)
-			if err != nil {
-				return err
-			}
-			card.Store[ins.Dst] = src.CopyNew()
+			card.Store[ins.Dst] = ct
 		case OpSend:
 			src, err := get(ins.Src1)
 			if err != nil {

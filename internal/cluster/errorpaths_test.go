@@ -80,7 +80,7 @@ func TestCardPanicBecomesCardError(t *testing.T) {
 	cl.Load(1, "x", e.encryptSeq(e.params.DefaultScale()))
 	progs := [][]Instr{
 		{{Op: OpRecv, Dst: "u", Tag: 7}},
-		{{Op: OpCopy, Dst: "y", Src1: "x"}, {Op: OpRotate, Dst: "y", Src1: "y", Imm: 5}},
+		{{Op: OpRotate, Dst: "y", Src1: "x", Imm: 1}, {Op: OpRotate, Dst: "y", Src1: "y", Imm: 5}},
 	}
 	base := runtime.NumGoroutine()
 	done := make(chan error, 1)

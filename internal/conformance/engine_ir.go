@@ -28,11 +28,14 @@ import (
 //	sim      fhir.BuildTaskProgram on the paper-scale accelerator model —
 //	         validate, byte-stable ISA round trip, schedule on the Hydra fleet;
 //	cluster  fhir.LowerCluster as a 2-card job through internal/serve onto the
-//	         goroutine-card runtime.
+//	         goroutine-card runtime: each card runs its share through
+//	         Evaluate's evaluator, so the output must equal ir's bit for bit.
 //
 // A budget pass certifies that the compiler's optimizations and that lowering
 // preserved the program's semantics; none of the three is an independent
 // re-implementation of the corpus (the hefloat engines and Interpret are).
+// The cluster column checks the partition, the transfers and the card
+// runtime, not a second lowering of the ops.
 
 const (
 	// clusterCards is the grant size every program is lowered for: two cards

@@ -176,7 +176,7 @@ func (h *Harness) Run(opts RunOptions) (Matrix, error) {
 		}
 		c := h.compiledFor(s)
 
-		var refCt *ckks.Ciphertext
+		var refCt, clusterCt *ckks.Ciphertext
 		row := map[string]Outcome{}
 		cells := map[string]func() Outcome{
 			"reference": func() Outcome {
@@ -199,6 +199,7 @@ func (h *Harness) Run(opts RunOptions) (Matrix, error) {
 			},
 			"cluster": func() Outcome {
 				ct, err := runGuarded(func() (*ckks.Ciphertext, error) { return runCluster(env, srv, c, s) })
+				clusterCt = ct
 				return checkCiphertext(env, ct, err, expected, s)
 			},
 			"sim": func() Outcome {
@@ -210,11 +211,20 @@ func (h *Harness) Run(opts RunOptions) (Matrix, error) {
 			},
 			"ir": func() Outcome {
 				ct, err := runGuarded(func() (*ckks.Ciphertext, error) { return runIR(env, c, s) })
-				return checkCiphertext(env, ct, err, expected, s)
+				o := checkCiphertext(env, ct, err, expected, s)
+				if o.Status != "pass" || row["cluster"].Status != "pass" {
+					return o
+				}
+				if !ct.Equal(clusterCt) {
+					return Outcome{Status: "fail", MaxErr: o.MaxErr,
+						Detail: "ir output not bit-identical to the cluster's (one partitioned evaluator must match the whole)"}
+				}
+				o.Detail = "bit-identical to cluster"
+				return o
 			},
 		}
 		m[s.Name] = row
-		for _, e := range EngineNames { // reference runs before optimized
+		for _, e := range EngineNames { // reference before optimized, cluster before ir
 			if reason, ok := s.Skip[e]; ok {
 				row[e] = Outcome{Status: "skip", Detail: reason}
 				logf("%-24s %-10s skip  (%s)", s.Name, e, reason)

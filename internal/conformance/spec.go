@@ -19,9 +19,10 @@
 // once by the full pass stack (CSE, lazy rescale placement, lazy
 // relinearization, rotation hoisting), and then
 //
-//  3. cluster    — fhir.LowerCluster: per-card instruction streams of the
-//     functional multi-card runtime, scheduled and executed as a 2-card job
-//     through internal/serve's ClusterBackend;
+//  3. cluster    — fhir.LowerCluster: the partition's shares, each run by
+//     fhir's evaluator on its card, and the transfers that reduce them,
+//     scheduled and executed as a 2-card job through internal/serve's
+//     ClusterBackend;
 //  4. sim        — fhir.BuildTaskProgram: the task graph is round-tripped
 //     through the ISA encoding (internal/isa) and legality-checked on the
 //     simulator (internal/sim); the numeric check becomes a
@@ -31,7 +32,8 @@
 // Every numeric cell is scored against the plaintext interpreter (Interpret)
 // under the program's budget. Engines 1 and 2 are additionally pinned
 // bit-identical on the programs whose spec sets bitExact (the paths PR 4/5
-// proved bit-identity for). The per-(program, engine) pass matrix is compared
+// proved bit-identity for), and engine 5 to engine 3 on every program both
+// pass: one evaluator, partitioned or whole, computes the same ciphertext. The per-(program, engine) pass matrix is compared
 // against testdata/golden_matrix.json so an engine silently losing coverage
 // fails CI.
 package conformance

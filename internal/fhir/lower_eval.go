@@ -1,6 +1,7 @@
 package fhir
 
 import (
+	"context"
 	"errors"
 	"fmt"
 
@@ -25,31 +26,16 @@ type EvalContext struct {
 // contract violations (a missing rotation or relinearization key, a rescale
 // at level 0) by panicking; one raised on the calling goroutine comes back as
 // the failing value's error.
-func Evaluate(p *Program, ctx EvalContext, inputs map[string]*ckks.Ciphertext) (out *ckks.Ciphertext, err error) {
+func Evaluate(p *Program, ctx EvalContext, inputs map[string]*ckks.Ciphertext) (*ckks.Ciphertext, error) {
 	if !p.Legal {
 		return nil, fmt.Errorf("fhir: Evaluate needs a legalized program")
 	}
 	if ctx.Eval == nil || ctx.Enc == nil {
 		return nil, fmt.Errorf("fhir: Evaluate needs an evaluator and an encoder")
 	}
-	e := &evalLowering{
-		p: p, ctx: ctx, inputs: inputs,
-		deg1:    map[*Value]*ckks.Ciphertext{},
-		deg2:    map[*Value]*ckks.Ciphertext2{},
-		baskets: map[*Value]map[int]*ckks.ExtCiphertext{},
-		hoisted: map[int]map[int]*ckks.Ciphertext{},
-	}
-	var v *Value
-	defer func() {
-		if r := recover(); r != nil {
-			out, err = nil, fmt.Errorf("fhir: evaluate v%d (%s): panic: %v", v.ID, v.Op, r)
-		}
-	}()
-	defer e.releaseBaskets()
-	for _, v = range p.Values {
-		if err := e.lower(v); err != nil {
-			return nil, fmt.Errorf("fhir: evaluate v%d (%s): %w", v.ID, v.Op, err)
-		}
+	e := newEvalLowering(p, ctx, inputs)
+	if err := e.run(context.TODO(), p.Values); err != nil {
+		return nil, err
 	}
 	out, ok := e.deg1[p.Output]
 	if !ok {
@@ -58,15 +44,53 @@ func Evaluate(p *Program, ctx EvalContext, inputs map[string]*ckks.Ciphertext) (
 	return out, nil
 }
 
+// evalLowering runs values of one program on the functional evaluator. Both
+// Evaluate (every value) and each LowerCluster kernel (a card's share) run
+// through it.
 type evalLowering struct {
 	p      *Program
 	ctx    EvalContext
 	inputs map[string]*ckks.Ciphertext
+	vals   []*Value // what run is lowering; hoist groups draw from it
 
 	deg1    map[*Value]*ckks.Ciphertext
 	deg2    map[*Value]*ckks.Ciphertext2
 	baskets map[*Value]map[int]*ckks.ExtCiphertext
 	hoisted map[int]map[int]*ckks.Ciphertext // tier-A group id -> rot -> result
+}
+
+func newEvalLowering(p *Program, ctx EvalContext, inputs map[string]*ckks.Ciphertext) *evalLowering {
+	return &evalLowering{
+		p: p, ctx: ctx, inputs: inputs,
+		deg1:    map[*Value]*ckks.Ciphertext{},
+		deg2:    map[*Value]*ckks.Ciphertext2{},
+		baskets: map[*Value]map[int]*ckks.ExtCiphertext{},
+		hoisted: map[int]map[int]*ckks.Ciphertext{},
+	}
+}
+
+// run lowers vals in order, checking ctx between values; a value's operands
+// must be among vals or already bound in deg1. An error or a recovered panic
+// comes back naming the failing value.
+func (e *evalLowering) run(ctx context.Context, vals []*Value) (err error) {
+	e.vals = vals
+	var v *Value
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("fhir: evaluate v%d (%s): panic: %v", v.ID, v.Op, r)
+		}
+	}()
+	defer e.releaseBaskets()
+	for _, v = range vals {
+		err := ctx.Err()
+		if err == nil {
+			err = e.lower(v)
+		}
+		if err != nil {
+			return fmt.Errorf("fhir: evaluate v%d (%s): %w", v.ID, v.Op, err)
+		}
+	}
+	return nil
 }
 
 // releaseBaskets returns every surviving extended-basis row to the ring pool.
@@ -96,7 +120,8 @@ func encodePlain(enc *ckks.Encoder, pl *Plain, slots, level int) (*ckks.Plaintex
 }
 
 // hoistGroup materializes a tier-A group on first touch: one RotateHoisted
-// call covering every rotation in the group.
+// call covering every rotation of the group that run is lowering. A rotation's
+// result does not depend on which others share its call.
 func (e *evalLowering) hoistGroup(v *Value) (map[int]*ckks.Ciphertext, error) {
 	if m, ok := e.hoisted[v.Hoist]; ok {
 		return m, nil
@@ -106,7 +131,7 @@ func (e *evalLowering) hoistGroup(v *Value) (map[int]*ckks.Ciphertext, error) {
 		return nil, err
 	}
 	var rots []int
-	for _, w := range e.p.Values {
+	for _, w := range e.vals {
 		if w.Op == OpRotate && w.Hoist == v.Hoist {
 			rots = append(rots, w.K)
 		}

@@ -1,8 +1,6 @@
 package fhir
 
 import (
-	"fmt"
-
 	"hydra/internal/fheop"
 	"hydra/internal/hw"
 	"hydra/internal/task"
@@ -76,134 +74,41 @@ func fusionSets(p *Program) (relinFused, mulFused map[*Value]bool) {
 	return
 }
 
-// outputTerms splits the output's addition tree into its top-level terms —
-// the parallel units the card partition distributes. Unary wrappers that
-// distribute over addition (the Rescale/ModSwitch chain Legalize appends to
-// canonicalize the output) are peeled first and returned outermost-last, to
-// be re-applied on the aggregating card. A non-add output is a single term.
-func outputTerms(p *Program) (terms, wrappers []*Value) {
-	out := p.Output
-	for out.Op == OpRescale || out.Op == OpModSwitch {
-		wrappers = append([]*Value{out}, wrappers...)
-		out = out.Args[0]
-	}
-	var walk func(v *Value)
-	walk = func(v *Value) {
-		if v.Op == OpAdd && v.Degree == 1 {
-			walk(v.Args[0])
-			walk(v.Args[1])
-			return
-		}
-		terms = append(terms, v)
-	}
-	walk(out)
-	return terms, wrappers
-}
-
-// closure returns every value reachable from the given roots, in program
-// order.
-func closure(p *Program, roots []*Value) []*Value {
-	in := map[*Value]bool{}
-	var mark func(v *Value)
-	mark = func(v *Value) {
-		if in[v] {
-			return
-		}
-		in[v] = true
-		for _, a := range v.Args {
-			mark(a)
-		}
-	}
-	for _, r := range roots {
-		mark(r)
-	}
-	var out []*Value
-	for _, v := range p.Values {
-		if in[v] {
-			out = append(out, v)
-		}
-	}
-	return out
-}
-
-// LowerTask emits a legalized program into the builder's current step as a
-// multi-card task-queue schedule, Hydra's static compilation target:
-//
-//   - the output addition tree is split into its terms, dealt round-robin
-//     over the cards;
-//   - each card computes the full closure of its terms (shared subtrees are
-//     recomputed per card — the uniform-baby-step choice of the paper's BSGS
-//     mapping, which trades duplicate compute for zero redistribution) and
-//     folds them locally;
-//   - partial sums aggregate pairwise to the first card in a tree,
-//     log2(cards) rounds of send + receive-and-add, as in Fig. 3(d).
-//
-// The result lands on cards[0]. Card count must be a power of two.
-func LowerTask(p *Program, b *task.Builder, scheme hw.SchemeParams, cards []int, label string) error {
-	if !p.Legal {
-		return fmt.Errorf("fhir: LowerTask needs a legalized program")
-	}
-	nc := len(cards)
-	if nc == 0 || nc&(nc-1) != 0 {
-		return fmt.Errorf("fhir: card count %d must be a positive power of two", nc)
+// BuildTaskProgram lowers a legalized program onto cards 0..cards-1 as a
+// multi-card task-queue schedule, Hydra's static compilation target: one step
+// named after the label holding the partition's shares as computes, its
+// reduction tree as send + receive-and-add pairs, and the output wrappers on
+// card 0. It validates and returns the task program. Every compute is priced
+// at the input level.
+func BuildTaskProgram(p *Program, scheme hw.SchemeParams, cards, cardsPerServer int, label string) (*task.Program, error) {
+	pt, err := partitionFor(p, cards)
+	if err != nil {
+		return nil, err
 	}
 	relinFused, mulFused := fusionSets(p)
 	limbs := p.InputLevel + 1
 	bytes := float64(scheme.CiphertextBytes(p.Output.Level + 1))
 
-	terms, wrappers := outputTerms(p)
-	partials := make([]task.Handle, 0, nc)
-	active := make([]int, 0, nc)
-	for ci := 0; ci < nc && ci < len(terms); ci++ {
-		var mine []*Value
-		for ti := ci; ti < len(terms); ti += nc {
-			mine = append(mine, terms[ti])
-		}
-		ops := fheop.Counts{}
-		for _, v := range closure(p, mine) {
+	b := task.NewBuilder(cards, cardsPerServer)
+	b.Step(label)
+	partials := make([]task.Handle, len(pt.shares))
+	for c, sh := range pt.shares {
+		ops := fheop.Of(fheop.HAdd, len(sh.terms)-1)
+		for _, v := range sh.vals {
 			ops = ops.Add(opCounts(v, relinFused, mulFused))
 		}
-		if len(mine) > 1 {
-			ops = ops.Add(fheop.Of(fheop.HAdd, len(mine)-1))
-		}
-		partials = append(partials, b.Compute(cards[ci], ops, limbs, label))
-		active = append(active, cards[ci])
+		partials[c] = b.Compute(c, ops, limbs, label)
 	}
-
-	// Pairwise tree aggregation onto cards[0].
-	n := len(active)
-	for n > 1 {
-		half := (n + 1) / 2
-		for i := half; i < n; i++ {
-			recvs := b.Send(active[i], partials[i], []int{active[i-half]}, bytes, label)
-			partials[i-half] = b.ComputeAfterRecv(active[i-half], recvs[0],
-				fheop.Of(fheop.HAdd, 1), limbs, label)
-		}
-		n = half
+	for _, e := range pt.tree {
+		recvs := b.Send(e.from, partials[e.from], []int{e.to}, bytes, label)
+		partials[e.to] = b.ComputeAfterRecv(e.to, recvs[0], fheop.Of(fheop.HAdd, 1), limbs, label)
 	}
-	// Re-apply the peeled output canonicalization on the aggregating card.
 	wrapOps := fheop.Counts{}
-	for _, w := range wrappers {
+	for _, w := range pt.wrappers {
 		wrapOps = wrapOps.Add(opCounts(w, nil, nil))
 	}
 	if wrapOps != (fheop.Counts{}) {
-		b.Compute(cards[0], wrapOps, limbs, label)
-	}
-	return nil
-}
-
-// BuildTaskProgram is the one-shot form of LowerTask: it opens a step named
-// after the label, lowers the program over cards 0..cards-1, validates, and
-// returns the task program.
-func BuildTaskProgram(p *Program, scheme hw.SchemeParams, cards, cardsPerServer int, label string) (*task.Program, error) {
-	b := task.NewBuilder(cards, cardsPerServer)
-	b.Step(label)
-	ids := make([]int, cards)
-	for i := range ids {
-		ids[i] = i
-	}
-	if err := LowerTask(p, b, scheme, ids, label); err != nil {
-		return nil, err
+		b.Compute(0, wrapOps, limbs, label)
 	}
 	tp := b.Build()
 	if err := tp.Validate(); err != nil {

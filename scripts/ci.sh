@@ -40,6 +40,11 @@ go test -race "$@" \
 	./internal/cluster/... \
 	./internal/serve/...
 
+echo "== go test -race -run Cluster (cards running fhir's evaluator concurrently)"
+# Every card of a LowerCluster job runs its share through fhir's evaluator on
+# the one Evaluator and Encoder the cluster shares.
+go test -race -run Cluster "$@" ./internal/fhir/
+
 echo "== go test -race -short (plan cache + double-hoisted BSGS)"
 # The hefloat suite includes the concurrent shared-plan and the
 # parallel-vs-serial plan differential; -short skips the slow bootstrap
@@ -49,7 +54,7 @@ go test -race -short "$@" ./internal/hefloat/
 echo "== go test -race -short (conformance reduced matrix)"
 # The cross-engine matrix minus the heavy bootstrap program: every remaining
 # program still runs on all five engines, with the cluster column putting
-# fhir.LowerCluster's streams and the goroutine-card runtime under the race
+# fhir.LowerCluster's kernels and the goroutine-card runtime under the race
 # detector.
 go test -race -short "$@" ./internal/conformance/
 
