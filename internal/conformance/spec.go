@@ -33,9 +33,9 @@
 // under the program's budget. Engines 1 and 2 are additionally pinned
 // bit-identical on the programs whose spec sets bitExact (the paths PR 4/5
 // proved bit-identity for), and engine 5 to engine 3 on every program both
-// pass: one evaluator, partitioned or whole, computes the same ciphertext. The per-(program, engine) pass matrix is compared
-// against testdata/golden_matrix.json so an engine silently losing coverage
-// fails CI.
+// pass: one evaluator, partitioned or whole, computes the same ciphertext.
+// The per-(program, engine) pass matrix is compared against
+// testdata/golden_matrix.json so an engine silently losing coverage fails CI.
 package conformance
 
 import (
