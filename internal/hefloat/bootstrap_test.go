@@ -1,6 +1,8 @@
 package hefloat
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"math"
 	"math/cmplx"
 	"reflect"
@@ -41,6 +43,10 @@ func bootEnv(t testing.TB) (*ckks.Parameters, *ckks.Encoder, *ckks.Encryptor, *c
 	return params, enc, ckks.NewEncryptor(params, pk, 2), ckks.NewDecryptor(params, sk), eval, bt
 }
 
+// bootstrapDigest is the SHA-256 of the wire form of the bootstrap
+// TestBootstrapRefreshesLevelAndMessage computes.
+const bootstrapDigest = "77b91cbab8ca35b90c2cb34b5834fd9284193fb28ffc3ce91ed8b901decb7220"
+
 func TestBootstrapRefreshesLevelAndMessage(t *testing.T) {
 	if testing.Short() {
 		t.Skip("bootstrapping in short mode")
@@ -64,6 +70,12 @@ func TestBootstrapRefreshesLevelAndMessage(t *testing.T) {
 	}
 	if out.Level() < 2 {
 		t.Fatalf("bootstrap output level %d too low to be useful", out.Level())
+	}
+	// The refreshed ciphertext itself is pinned word for word: every residue,
+	// the level and the scale.
+	sum := sha256.Sum256(ckks.MarshalCiphertext(out))
+	if d := hex.EncodeToString(sum[:]); d != bootstrapDigest {
+		t.Errorf("bootstrap output digest %s, want %s", d, bootstrapDigest)
 	}
 	got := enc.Decode(decr.Decrypt(out))
 	maxErr := 0.0
