@@ -227,20 +227,15 @@ func (ev *Evaluator) MulByConstWithScale(ct *Ciphertext, c, scale float64) *Ciph
 // MulRelin returns a·b, relinearized back to degree 1 with the evaluator's
 // relinearization key. The result's scale is the product; Rescale afterwards.
 func (ev *Evaluator) MulRelin(a, b *Ciphertext) *Ciphertext {
-	if ev.rlk == nil {
-		panic("ckks: evaluator has no relinearization key")
-	}
 	r := ev.params.RingQP()
 	lvl := min(a.Level(), b.Level())
-	d0, d1 := r.NewPoly(lvl), r.NewPoly(lvl)
-	d2 := r.GetScratch(lvl)
+	d0, d1, d2 := r.GetScratch(lvl), r.GetScratch(lvl), r.GetScratch(lvl)
 	ev.tensor(a, b, d0, d1, d2)
-
-	ks0, ks1 := ev.keySwitch(d2, ev.rlk.Key)
+	e := ev.relinExt(d0, d1, d2, a.Scale*b.Scale)
+	r.PutScratch(d0)
+	r.PutScratch(d1)
 	r.PutScratch(d2)
-	r.Add(d0, ks0, d0)
-	r.Add(d1, ks1, d1)
-	return &Ciphertext{C0: d0, C1: d1, Scale: a.Scale * b.Scale}
+	return ev.ModDownExt(e)
 }
 
 // tensor writes the degree-2 product of a and b over d0's rows in one pass
@@ -263,11 +258,8 @@ func (ev *Evaluator) tensor(a, b *Ciphertext, d0, d1, d2 *ring.Poly) {
 
 // Rescale divides the ciphertext by its top modulus q_ℓ (rounding), dropping
 // one level and dividing the scale by that modulus. Only the dropped row
-// leaves the NTT domain: its centered residues are re-expressed under each
-// surviving q_j and transformed there, and out_j = (ct_j − that)·q_ℓ^-1 is
-// taken in the NTT domain. The transform is linear and returns canonical
-// residues, so this is word for word the division in the coefficient domain,
-// at 2(ℓ+1) transforms instead of 2(2ℓ+1).
+// leaves the NTT domain; every kept row is finished by rescaleRow, at
+// 2(ℓ+1) transforms instead of the coefficient-domain division's 2(2ℓ+1).
 func (ev *Evaluator) Rescale(ct *Ciphertext) *Ciphertext {
 	lvl := ct.Level()
 	if lvl == 0 {
@@ -275,7 +267,6 @@ func (ev *Evaluator) Rescale(ct *Ciphertext) *Ciphertext {
 	}
 	requireNTT("Rescale", ct.C0, ct.C1)
 	r := ev.params.RingQP()
-	qLast := r.Moduli[lvl]
 	in := [2]*ring.Poly{ct.C0, ct.C1}
 	out := [2]*ring.Poly{r.NewPoly(lvl - 1), r.NewPoly(lvl - 1)}
 	rem := r.GetScratch(1) // the dropped row of each component, coefficient domain
@@ -285,21 +276,38 @@ func (ev *Evaluator) Rescale(ct *Ciphertext) *Ciphertext {
 	})
 	ring.ForEachLimb(2*lvl, func(i int) {
 		c, j := i/lvl, i%lvl
-		qj := r.Moduli[j]
-		inv := ring.InvMod(ring.Reduce(qLast, qj), qj)
-		invShoup := ring.ShoupPrecomp(inv, qj)
-		src, dst := in[c].Coeffs[j], out[c].Coeffs[j]
-		for t, v := range rem.Coeffs[c] {
-			dst[t] = ring.CenteredMod(v, qLast, qj)
-		}
-		r.Tables[j].Forward(dst)
-		for t, v := range dst {
-			dst[t] = ring.MulModShoup(ring.SubMod(src[t], v, qj), inv, invShoup, qj)
-		}
+		src, qj := in[c].Coeffs[j], r.Moduli[j]
+		ev.rescaleRow(lvl, j, rem.Coeffs[c], out[c].Coeffs[j], func(dst []uint64) {
+			for t, v := range dst {
+				dst[t] = ring.AddMod(src[t], v, qj)
+			}
+		})
 	})
 	r.PutScratch(rem)
 	out[0].IsNTT, out[1].IsNTT = true, true
-	return &Ciphertext{C0: out[0], C1: out[1], Scale: ct.Scale / float64(qLast)}
+	return &Ciphertext{C0: out[0], C1: out[1], Scale: ct.Scale / float64(r.Moduli[lvl])}
+}
+
+// rescaleRow is the one per-row tail of a division by q_lvl, shared by
+// Rescale and ModDownExtRescale. rem is the dropped row in the coefficient
+// domain; dst enters as a canonical coefficient-domain row s (zero for a bare
+// rescale); add adds the row's NTT-domain part x to its canonical argument,
+// canonically. dst leaves as (x + NTT(s − [rem]_centered))·q_lvl^-1 mod q_j.
+// The transform is linear and returns canonical residues, so however a row is
+// split into x and s this is word for word the coefficient-domain division
+// (x' − [rem]_centered)·q_lvl^-1 of x' = x + NTT(s).
+func (ev *Evaluator) rescaleRow(lvl, j int, rem, dst []uint64, add func(dst []uint64)) {
+	r := ev.params.RingQP()
+	qLast, qj := r.Moduli[lvl], r.Moduli[j]
+	for t, v := range rem {
+		dst[t] = ring.SubMod(dst[t], ring.CenteredMod(v, qLast, qj), qj)
+	}
+	r.Tables[j].Forward(dst)
+	add(dst)
+	inv, invShoup := ev.params.rescaleInv[lvl][j], ev.params.rescaleInvShoup[lvl][j]
+	for t, v := range dst {
+		dst[t] = ring.MulModShoup(v, inv, invShoup, qj)
+	}
 }
 
 // Rotate rotates slots left by rot positions using the evaluator's rotation
@@ -448,26 +456,11 @@ func (ev *Evaluator) ksAccum(h *hoistedDecomp, perm []int, swk *SwitchingKey) (a
 func (ev *Evaluator) ksFromDecomp(h *hoistedDecomp, perm []int, swk *SwitchingKey) (out0, out1 *ring.Poly) {
 	r := ev.params.RingQP()
 	acc0, acc1 := ev.ksAccum(h, perm, swk)
-	out0, out1 = ev.modDownP(acc0, acc1, h.lvl)
+	out0, out1 = ev.modDownP(acc0, acc1, h.lvl, false)
 	for jj := range acc0 {
 		r.PutRow(acc0[jj])
 		r.PutRow(acc1[jj])
 	}
-	return out0, out1
-}
-
-// keySwitch applies swk to the degree-1 part d (NTT domain, level l),
-// returning the pair to fold into a ciphertext: (out0, out1) such that
-// out0 + out1·sOut ≈ d·sIn.
-//
-// This is the hybrid RNS key switch: every α consecutive residues of d (α the
-// number of special primes) form a digit; digits are extended to all active
-// moduli plus the special primes, multiplied against the key, accumulated,
-// and the result divided by P.
-func (ev *Evaluator) keySwitch(d *ring.Poly, swk *SwitchingKey) (out0, out1 *ring.Poly) {
-	h := ev.decomposeExt(d)
-	out0, out1 = ev.ksFromDecomp(h, nil, swk)
-	h.release(ev.params.RingQP())
 	return out0, out1
 }
 
@@ -514,31 +507,58 @@ func (ev *Evaluator) RotateHoisted(ct *Ciphertext, rots []int) map[int]*Cipherte
 }
 
 // modDownP divides both components of an extended keyswitch accumulator by P
-// with exact rounding, returning NTT-domain polynomials at level lvl. Only the
-// special rows leave the NTT domain (and are consumed): their conversion to
-// each q_j is transformed back and meets the Q rows where they are. Each
-// phase fans out over both components at once.
-func (ev *Evaluator) modDownP(acc0, acc1 [][]uint64, lvl int) (out0, out1 *ring.Poly) {
+// with exact rounding, returning NTT-domain polynomials at level lvl; with
+// rescale set it divides by P·q_lvl and returns them at level lvl−1. Only the
+// special rows leave the NTT domain (and are consumed), and with rescale the
+// row it drops: their conversion to each kept q_j is transformed back and
+// meets the Q rows where they are. The dropped row's coefficient-domain value
+// is Remainder_lvl + acc_lvl·P^-1 — what the inverse transform of the P-only
+// result's row would give, the transform being linear — so the rescaled form
+// equals Rescale of the other word for word at 2(lvl+1) fewer transforms.
+// Each phase fans out over both components at once.
+func (ev *Evaluator) modDownP(acc0, acc1 [][]uint64, lvl int, rescale bool) (out0, out1 *ring.Poly) {
 	r := ev.params.RingQP()
-	rows := lvl + 1
-	special := [2][][]uint64{acc0[rows:], acc1[rows:]}
+	acc := [2][][]uint64{acc0, acc1}
+	special := [2][][]uint64{acc0[lvl+1:], acc1[lvl+1:]}
 	alpha := len(special[0])
-	ring.ForEachLimb(2*alpha, func(i int) {
-		r.Tables[ev.params.SpecialIndex()+i%alpha].Inverse(special[i/alpha][i%alpha])
+	inv, rows := alpha, lvl+1 // rows to inverse-transform, rows kept
+	if rescale {
+		inv, rows = alpha+1, lvl
+	}
+	ring.ForEachLimb(2*inv, func(i int) {
+		c, k := i/inv, i%inv
+		if k == alpha {
+			r.Tables[lvl].Inverse(acc[c][lvl])
+		} else {
+			r.Tables[ev.params.SpecialIndex()+k].Inverse(special[c][k])
+		}
 	})
 	overflow := r.GetScratch(1) // one overflow-count row per component
-	ring.ForEachLimb(2, func(c int) { ev.modDown.Digits(special[c], overflow.Coeffs[c]) })
+	dropped := r.GetScratch(1)  // with rescale, each component's dropped row
+	ring.ForEachLimb(2, func(c int) {
+		ev.modDown.Digits(special[c], overflow.Coeffs[c])
+		if rescale {
+			ev.modDown.Remainder(special[c], overflow.Coeffs[c], lvl, dropped.Coeffs[c])
+			ev.modDown.Finish(lvl, acc[c][lvl], dropped.Coeffs[c])
+		}
+	})
 
-	acc := [2][][]uint64{acc0, acc1}
-	out := [2]*ring.Poly{r.NewPoly(lvl), r.NewPoly(lvl)}
+	out := [2]*ring.Poly{r.NewPoly(rows - 1), r.NewPoly(rows - 1)}
 	ring.ForEachLimb(2*rows, func(i int) {
 		c, j := i/rows, i%rows
 		dst := out[c].Coeffs[j]
 		ev.modDown.Remainder(special[c], overflow.Coeffs[c], j, dst)
-		r.Tables[j].Forward(dst)
-		ev.modDown.Finish(j, acc[c][j], dst)
+		finish := func(dst []uint64) { ev.modDown.Finish(j, acc[c][j], dst) }
+		if !rescale {
+			r.Tables[j].Forward(dst)
+			finish(dst)
+			return
+		}
+		ring.ReduceFinalVec(dst, r.Moduli[j])
+		ev.rescaleRow(lvl, j, dropped.Coeffs[c], dst, finish)
 	})
 	r.PutScratch(overflow)
+	r.PutScratch(dropped)
 	out[0].IsNTT, out[1].IsNTT = true, true
 	return out[0], out[1]
 }

@@ -30,8 +30,8 @@ func (ct *Ciphertext2) CopyAtLevel(level int) *Ciphertext2 {
 
 // MulNoRelin returns the degree-2 tensor product a·b without relinearizing:
 // (a0b0, a0b1 + a1b0, a1b1), at the lower of the two levels. The result's
-// scale is the product. Relinearize (or a chain of Add2 folds followed by one
-// Relinearize) brings it back to degree 1.
+// scale is the product. RelinearizeExt (or a chain of Add2 folds followed by
+// one RelinearizeExt) brings it back to degree 1.
 func (ev *Evaluator) MulNoRelin(a, b *Ciphertext) *Ciphertext2 {
 	r := ev.params.RingQP()
 	lvl := min(a.Level(), b.Level())
@@ -42,9 +42,9 @@ func (ev *Evaluator) MulNoRelin(a, b *Ciphertext) *Ciphertext2 {
 
 // Add2 returns a + b over degree-2 ciphertexts at the lower of the two
 // levels. Scales must match. This is the fold step of lazy relinearization:
-// relinearization is linear, so Relinearize(Add2(x, y)) agrees with
-// Add(Relinearize(x), Relinearize(y)) up to keyswitch noise while paying one
-// keyswitch instead of two.
+// relinearization is linear, so relinearizing Add2(x, y) agrees with adding
+// the relinearized x and y up to keyswitch noise while paying one keyswitch
+// instead of two.
 func (ev *Evaluator) Add2(a, b *Ciphertext2) *Ciphertext2 {
 	if !sameScale(a.Scale, b.Scale) {
 		panic(fmt.Sprintf("ckks: scale mismatch in Add2: %g vs %g", a.Scale, b.Scale))
@@ -58,17 +58,27 @@ func (ev *Evaluator) Add2(a, b *Ciphertext2) *Ciphertext2 {
 	return out
 }
 
-// Relinearize switches the degree-2 component onto the key basis, returning
-// the degree-1 ciphertext (c0 + ks0, c1 + ks1) with the same scale. This is
-// the keyswitch MulRelin fuses into the tensor product, exposed separately so
-// deferred (lazily accumulated) products pay it once.
-func (ev *Evaluator) Relinearize(ct *Ciphertext2) *Ciphertext {
+// RelinearizeExt switches the degree-2 component onto the key basis with the
+// keyswitch's ModDown deferred: the accumulator of C2 in the extended basis,
+// with P·C0 and P·C1 folded into its Q rows, at the same scale. ModDownExt of
+// it is the relinearized degree-1 ciphertext — MulRelin's result for a tensor
+// product — and ModDownExtRescale that ciphertext rescaled, word for word.
+// Exposed apart from MulRelin so deferred (lazily accumulated) products pay
+// one keyswitch, and a following rescale rides its ModDown.
+func (ev *Evaluator) RelinearizeExt(ct *Ciphertext2) *ExtCiphertext {
+	return ev.relinExt(ct.C0, ct.C1, ct.C2, ct.Scale)
+}
+
+// relinExt is the one relinearization keyswitch: decompose c2, multiply
+// against the relinearization key, fold in P·(c0, c1).
+func (ev *Evaluator) relinExt(c0, c1, c2 *ring.Poly, scale float64) *ExtCiphertext {
 	if ev.rlk == nil {
 		panic("ckks: evaluator has no relinearization key")
 	}
-	r := ev.params.RingQP()
-	ks0, ks1 := ev.keySwitch(ct.C2, ev.rlk.Key)
-	r.Add(ks0, ct.C0, ks0)
-	r.Add(ks1, ct.C1, ks1)
-	return &Ciphertext{C0: ks0, C1: ks1, Scale: ct.Scale}
+	h := ev.decomposeExt(c2)
+	acc0, acc1 := ev.ksAccum(h, nil, ev.rlk.Key)
+	h.release(ev.params.RingQP())
+	e := &ExtCiphertext{Lvl: c2.Level(), C0: acc0, C1: acc1, Scale: scale}
+	ev.addLifted(e, c0, c1)
+	return e
 }

@@ -6,7 +6,8 @@ import (
 
 // TestMulNoRelinMatchesMulRelin pins the split tensor/relinearize path
 // bit-identical to the fused MulRelin: the same tensor product followed by
-// the same keyswitch must produce the same residues.
+// the same keyswitch must produce the same residues, and a rescale riding
+// the keyswitch's ModDown the same residues as a separate one.
 func TestMulNoRelinMatchesMulRelin(t *testing.T) {
 	tc := newTestContext(t, 8, 3, nil)
 	a := randomComplex(tc.params.Slots(), 3)
@@ -22,9 +23,12 @@ func TestMulNoRelinMatchesMulRelin(t *testing.T) {
 	ca, cb := tc.encr.Encrypt(pa), tc.encr.Encrypt(pb)
 
 	fused := tc.eval.MulRelin(ca, cb)
-	split := tc.eval.Relinearize(tc.eval.MulNoRelin(ca, cb))
+	split := tc.eval.ModDownExt(tc.eval.RelinearizeExt(tc.eval.MulNoRelin(ca, cb)))
 	if !fused.Equal(split) {
-		t.Fatal("Relinearize(MulNoRelin(a,b)) is not bit-identical to MulRelin(a,b)")
+		t.Fatal("ModDownExt(RelinearizeExt(MulNoRelin(a,b))) is not bit-identical to MulRelin(a,b)")
+	}
+	if !tc.eval.Rescale(fused).Equal(tc.eval.ModDownExtRescale(tc.eval.RelinearizeExt(tc.eval.MulNoRelin(ca, cb)))) {
+		t.Fatal("ModDownExtRescale(RelinearizeExt(MulNoRelin(a,b))) is not bit-identical to Rescale(MulRelin(a,b))")
 	}
 }
 
@@ -48,7 +52,7 @@ func TestLazyRelinearization(t *testing.T) {
 	// Eager: relinearize each product, then add.
 	eager := tc.eval.Add(tc.eval.MulRelin(cts[0], cts[1]), tc.eval.MulRelin(cts[2], cts[3]))
 	// Lazy: fold the degree-2 tensors, relinearize once.
-	lazy := tc.eval.Relinearize(tc.eval.Add2(tc.eval.MulNoRelin(cts[0], cts[1]), tc.eval.MulNoRelin(cts[2], cts[3])))
+	lazy := tc.eval.ModDownExt(tc.eval.RelinearizeExt(tc.eval.Add2(tc.eval.MulNoRelin(cts[0], cts[1]), tc.eval.MulNoRelin(cts[2], cts[3]))))
 
 	want := make([]complex128, slots)
 	for i := range want {
@@ -90,7 +94,7 @@ func TestAdd2LevelAlignment(t *testing.T) {
 	for i := range want {
 		want[i] = 2 * va[i] * vb[i]
 	}
-	got := tc.enc.Decode(tc.decr.Decrypt(tc.eval.Rescale(tc.eval.Relinearize(sum))))
+	got := tc.enc.Decode(tc.decr.Decrypt(tc.eval.ModDownExtRescale(tc.eval.RelinearizeExt(sum))))
 	if e := maxErr(got, want); e > 1e-4 {
 		t.Fatalf("aligned Add2 error %g", e)
 	}

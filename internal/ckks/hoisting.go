@@ -59,15 +59,22 @@ func (ev *Evaluator) ReleaseExt(e *ExtCiphertext) {
 // so those rows stay zero). The result is the identity-rotation element of
 // RotateHoistedExt: ModDownExt(liftExt(ct)) decrypts exactly as ct.
 func (ev *Evaluator) liftExt(ct *Ciphertext) *ExtCiphertext {
-	r := ev.params.RingQP()
-	lvl := ct.Level()
-	e := ev.NewExtAccumulator(lvl, ct.Scale)
-	ring.ForEachLimb(lvl+1, func(j int) {
-		m := r.Tables[j].Mod
-		m.MulAddShoupRowLazy(e.C0[j], ct.C0.Coeffs[j], ev.params.pModQ[j], ev.params.pModQShoup[j])
-		m.MulAddShoupRowLazy(e.C1[j], ct.C1.Coeffs[j], ev.params.pModQ[j], ev.params.pModQShoup[j])
-	})
+	e := ev.NewExtAccumulator(ct.Level(), ct.Scale)
+	ev.addLifted(e, ct.C0, ct.C1)
 	return e
+}
+
+// addLifted adds P·c0 and P·c1 into e's Q rows, lazy in [0, 2q); their
+// special-prime residues are zero, so the special rows — and with them every
+// later ModDown's rounding — are unchanged: ModDownExt(e) + (c0, c1) equals
+// ModDownExt of the result word for word.
+func (ev *Evaluator) addLifted(e *ExtCiphertext, c0, c1 *ring.Poly) {
+	r := ev.params.RingQP()
+	ring.ForEachLimb(e.Lvl+1, func(j int) {
+		m := r.Tables[j].Mod
+		m.MulAddShoupRowLazy(e.C0[j], c0.Coeffs[j], ev.params.pModQ[j], ev.params.pModQShoup[j])
+		m.MulAddShoupRowLazy(e.C1[j], c1.Coeffs[j], ev.params.pModQ[j], ev.params.pModQShoup[j])
+	})
 }
 
 // RotateHoistedExt rotates ct by every index in rots, decomposing the
@@ -184,14 +191,31 @@ func (ev *Evaluator) AddExtAcc(x *ExtCiphertext, acc *ExtCiphertext) {
 // Q-basis ciphertext. The extended ciphertext is consumed (its rows return
 // to the pool).
 func (ev *Evaluator) ModDownExt(e *ExtCiphertext) *Ciphertext {
+	return ev.closeExt(e, false)
+}
+
+// ModDownExtRescale closes the window and drops the top level in the same
+// pass, dividing by P·q_ℓ: Rescale(ModDownExt(e)) word for word, without
+// transforming the kept rows twice. e is consumed.
+func (ev *Evaluator) ModDownExtRescale(e *ExtCiphertext) *Ciphertext {
+	if e.Lvl == 0 {
+		panic("ckks: cannot rescale at level 0")
+	}
+	return ev.closeExt(e, true)
+}
+
+func (ev *Evaluator) closeExt(e *ExtCiphertext, rescale bool) *Ciphertext {
 	r := ev.params.RingQP()
 	ring.ForEachLimb(ev.params.ExtRows(e.Lvl), func(jj int) {
 		q := r.Moduli[ev.params.extRow(jj, e.Lvl)]
 		ring.ReduceFinalVec(e.C0[jj], q)
 		ring.ReduceFinalVec(e.C1[jj], q)
 	})
-	c0, c1 := ev.modDownP(e.C0, e.C1, e.Lvl)
+	c0, c1 := ev.modDownP(e.C0, e.C1, e.Lvl, rescale)
 	ct := &Ciphertext{C0: c0, C1: c1, Scale: e.Scale}
+	if rescale {
+		ct.Scale /= float64(r.Moduli[e.Lvl])
+	}
 	ev.ReleaseExt(e)
 	return ct
 }

@@ -88,7 +88,12 @@ func runDifferentialSuite(t *testing.T, logN, levels int, seed int64) {
 		{"CMult", func() *Ciphertext { return ev.MulRelin(ctA, ctB) }},
 		{"CMult+Rescale", func() *Ciphertext { return ev.Rescale(ev.MulRelin(ctA, ctB)) }},
 		{"CMult mixed levels", func() *Ciphertext { return ev.MulRelin(ctA, ctB.CopyAtLevel(ctB.Level()-1)) }},
-		{"MulNoRelin+Relinearize+Rescale", func() *Ciphertext { return ev.Rescale(ev.Relinearize(ev.MulNoRelin(ctA, ctB))) }},
+		{"MulNoRelin+RelinearizeExt+ModDownExt", func() *Ciphertext {
+			return ev.ModDownExt(ev.RelinearizeExt(ev.MulNoRelin(ctA, ctB)))
+		}},
+		{"RelinearizeExt+ModDownExtRescale", func() *Ciphertext {
+			return ev.ModDownExtRescale(ev.RelinearizeExt(ev.MulNoRelin(ctA, ctB)))
+		}},
 		{"RotateHoistedExt+ModDownExt", func() *Ciphertext {
 			exts := ev.RotateHoistedExt(ctA, rots)
 			acc := ev.NewExtAccumulator(ctA.Level(), ctA.Scale)
@@ -97,6 +102,15 @@ func runDifferentialSuite(t *testing.T, logN, levels int, seed int64) {
 				ev.ReleaseExt(exts[k])
 			}
 			return ev.ModDownExt(acc)
+		}},
+		{"RotateHoistedExt+ModDownExtRescale", func() *Ciphertext {
+			exts := ev.RotateHoistedExt(ctA, rots)
+			acc := ev.NewExtAccumulator(ctA.Level(), ctA.Scale)
+			for _, k := range rots {
+				ev.AddExtAcc(exts[k], acc)
+				ev.ReleaseExt(exts[k])
+			}
+			return ev.ModDownExtRescale(acc)
 		}},
 		{"PMult+Rescale", func() *Ciphertext { return ev.Rescale(ev.MulPlain(ctA, pt2)) }},
 		{"Rotate", func() *Ciphertext { return ev.Rotate(ctA, 2) }},

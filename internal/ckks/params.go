@@ -29,6 +29,11 @@ type Parameters struct {
 	ringQP *ring.Ring // ring over q_0 … q_L, p_0 … p_{α-1}
 
 	pModQ, pModQShoup []uint64 // P mod q_i: the key's gadget factor, and the lift into the extended basis
+
+	// rescaleInv[l][j], j < l, is q_l^-1 mod q_j, the divisor of a rescale
+	// from level l (with its Shoup constant): L(L+1)/2 pairs, 3.4 KB at 21
+	// limbs.
+	rescaleInv, rescaleInvShoup [][]uint64
 }
 
 // dnum is the paper's keyswitch digit count (Section V-A: N = 2^16,
@@ -131,6 +136,15 @@ func NewParameters(lit ParametersLiteral) (*Parameters, error) {
 		}
 		params.pModQ = append(params.pModQ, pq)
 		params.pModQShoup = append(params.pModQShoup, ring.ShoupPrecomp(pq, qi))
+	}
+	params.rescaleInv = make([][]uint64, len(q))
+	params.rescaleInvShoup = make([][]uint64, len(q))
+	for l, ql := range q {
+		for _, qj := range q[:l] {
+			inv := ring.InvMod(ring.Reduce(ql, qj), qj)
+			params.rescaleInv[l] = append(params.rescaleInv[l], inv)
+			params.rescaleInvShoup[l] = append(params.rescaleInvShoup[l], ring.ShoupPrecomp(inv, qj))
+		}
 	}
 	return params, nil
 }

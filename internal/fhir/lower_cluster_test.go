@@ -115,7 +115,10 @@ func TestClusterSingleCard(t *testing.T) {
 
 // TestLowerClusterEqualsEvaluate: on 1 to 4 cards — idle cards, an odd
 // reduction tree and shares of unequal size included — the cluster computes
-// exactly what Evaluate does, residue for residue and scale for scale.
+// exactly what Evaluate does, residue for residue and scale for scale. An
+// output Rescale(Relin(…)) is one ModDownExtRescale in Evaluate, while the
+// cluster closes the Relin on its card and rescales it in card 0's wrapper
+// run.
 func TestLowerClusterEqualsEvaluate(t *testing.T) {
 	body := func(f func(b *Builder, x, y, z *Value) *Value) *Program {
 		b := NewBuilder(16)
@@ -132,18 +135,20 @@ func TestLowerClusterEqualsEvaluate(t *testing.T) {
 		src    *Program
 		levels int
 		wrap   bool // end the compiled output in a ModSwitch after its Rescale
+		over   Op   // when set, the compiled output must be a Rescale of this op
 	}{
-		{"bsgs", buildBSGS(t, 16, 4, 4), 3, false},
+		{"bsgs", buildBSGS(t, 16, 4, 4), 3, false, 0},
 		{"lazy-relin-sum", body(func(b *Builder, x, y, z *Value) *Value {
 			return b.Sum(b.Mul(x, y), b.Mul(y, z), b.Mul(b.Rotate(x, 1), z))
-		}), 3, false},
-		{"single-term", body(func(b *Builder, x, y, z *Value) *Value { return b.Rotate(b.Neg(x), 1) }), 1, false},
+		}), 3, false, OpRelin},
+		{"single-term", body(func(b *Builder, x, y, z *Value) *Value { return b.Rotate(b.Neg(x), 1) }), 1, false, 0},
 		{"rescale-modswitch-wrapped", body(func(b *Builder, x, y, z *Value) *Value {
 			return b.Sum(b.MulPlain(x, b.PlainVec("w", w)), b.MulConst(y, 0.5), b.MulPlain(b.Rotate(z, 1), b.PlainVec("w", w)))
-		}), 3, true},
+		}), 3, true, 0},
 		{"horner", body(func(b *Builder, x, y, z *Value) *Value {
 			return b.Horner(x, []float64{0.5, 1, -0.25, 0.125, 0.0625, -0.03125})
-		}), 5, false},
+		}), 5, false, 0},
+		{"relin-rescale", body(func(b *Builder, x, y, z *Value) *Value { return b.Mul(b.Add(x, y), z) }), 2, false, OpRelin},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			p, err := Compile(tc.src, Options{Levels: tc.levels})
@@ -157,6 +162,9 @@ func TestLowerClusterEqualsEvaluate(t *testing.T) {
 				}
 				ms := &Value{ID: len(p.Values), Op: OpModSwitch, Args: []*Value{out}, K: 1, Level: out.Level - 1, Degree: 1}
 				p.Values, p.Output = append(p.Values, ms), ms
+			}
+			if out := p.Output; tc.over != 0 && (out.Op != OpRescale || out.Args[0].Op != tc.over) {
+				t.Fatalf("compiled output is %s, want a Rescale of %s", out.Op, tc.over)
 			}
 			rots, conj := p.Rotations()
 			te := newTestEnv(t, 5, tc.levels, rots, conj)

@@ -22,10 +22,12 @@ type EvalContext struct {
 // and canonical scale. Fused ops lower onto the extended-basis machinery:
 // RotBasket → RotateHoistedExt, DiagMac → EncodeExtInto pooled rows +
 // MulPlainExtAcc + one ModDownExt, RotSum → AddExtAcc folds; tier-A
-// hoist groups share one RotateHoisted decomposition. The evaluator reports
-// contract violations (a missing rotation or relinearization key, a rescale
-// at level 0) by panicking; one raised on the calling goroutine comes back as
-// the failing value's error.
+// hoist groups share one RotateHoisted decomposition. A Relin, DiagMac or
+// RotSum whose one consumer is a Rescale closes its extended-basis
+// accumulator with that Rescale, in one ModDownExtRescale. The evaluator
+// reports contract violations (a missing rotation or relinearization key, a
+// rescale at level 0) by panicking; one raised on the calling goroutine comes
+// back as the failing value's error.
 func Evaluate(p *Program, ctx EvalContext, inputs map[string]*ckks.Ciphertext) (*ckks.Ciphertext, error) {
 	if !p.Legal {
 		return nil, fmt.Errorf("fhir: Evaluate needs a legalized program")
@@ -57,6 +59,9 @@ type evalLowering struct {
 	deg2    map[*Value]*ckks.Ciphertext2
 	baskets map[*Value]map[int]*ckks.ExtCiphertext
 	hoisted map[int]map[int]*ckks.Ciphertext // tier-A group id -> rot -> result
+
+	fused map[*Value]bool                // values whose accumulator their Rescale closes
+	open  map[*Value]*ckks.ExtCiphertext // a fused value's accumulator, until its Rescale
 }
 
 func newEvalLowering(p *Program, ctx EvalContext, inputs map[string]*ckks.Ciphertext) *evalLowering {
@@ -66,6 +71,7 @@ func newEvalLowering(p *Program, ctx EvalContext, inputs map[string]*ckks.Cipher
 		deg2:    map[*Value]*ckks.Ciphertext2{},
 		baskets: map[*Value]map[int]*ckks.ExtCiphertext{},
 		hoisted: map[int]map[int]*ckks.Ciphertext{},
+		open:    map[*Value]*ckks.ExtCiphertext{},
 	}
 }
 
@@ -74,6 +80,7 @@ func newEvalLowering(p *Program, ctx EvalContext, inputs map[string]*ckks.Cipher
 // comes back naming the failing value.
 func (e *evalLowering) run(ctx context.Context, vals []*Value) (err error) {
 	e.vals = vals
+	e.fused = fusedOperands(e.p, vals)
 	var v *Value
 	defer func() {
 		if r := recover(); r != nil {
@@ -95,13 +102,51 @@ func (e *evalLowering) run(ctx context.Context, vals []*Value) (err error) {
 
 // releaseBaskets returns every surviving extended-basis row to the ring pool.
 // Basket entries are read, never consumed (only the DiagMac accumulator is),
-// so they are all still live here.
+// so they are all still live here; an open accumulator survives only a run
+// that failed before its Rescale.
 func (e *evalLowering) releaseBaskets() {
 	for _, basket := range e.baskets {
 		for _, ext := range basket {
 			e.ctx.Eval.ReleaseExt(ext)
 		}
 	}
+	for _, ext := range e.open {
+		e.ctx.Eval.ReleaseExt(ext)
+	}
+}
+
+// fusedOperands returns the values that lower to an extended-basis
+// accumulator (Relin, DiagMac, RotSum) and whose one consumer is a Rescale in
+// vals: that Rescale closes the accumulator with ModDownExtRescale, and the
+// value itself is never materialized. A Rescale outside vals — the output
+// wrapper a multi-card lowering peels onto card 0 — does not fuse with its
+// operand in an earlier run; it need not, both forms being equal word for
+// word.
+func fusedOperands(p *Program, vals []*Value) map[*Value]bool {
+	uses := p.uses()
+	fused := map[*Value]bool{}
+	for _, v := range vals {
+		if v.Op != OpRescale {
+			continue
+		}
+		switch a := v.Args[0]; a.Op {
+		case OpRelin, OpDiagMac, OpRotSum:
+			if uses[a] == 1 {
+				fused[a] = true
+			}
+		}
+	}
+	return fused
+}
+
+// close binds v's accumulator: held open for its Rescale when v is fused,
+// closed by ModDownExt otherwise.
+func (e *evalLowering) close(v *Value, acc *ckks.ExtCiphertext) {
+	if e.fused[v] {
+		e.open[v] = acc
+		return
+	}
+	e.deg1[v] = e.ctx.Eval.ModDownExt(acc)
 }
 
 func (e *evalLowering) ct(v *Value) (*ckks.Ciphertext, error) {
@@ -263,9 +308,14 @@ func (e *evalLowering) lower(v *Value) error {
 		if !ok {
 			return fmt.Errorf("relinearization of a non-degree-2 operand")
 		}
-		e.deg1[v] = ev.Relinearize(ct2)
+		e.close(v, ev.RelinearizeExt(ct2))
 
 	case OpRescale:
+		if acc, ok := e.open[v.Args[0]]; ok {
+			delete(e.open, v.Args[0])
+			e.deg1[v] = ev.ModDownExtRescale(acc)
+			return nil
+		}
 		a, err := e.ct(v.Args[0])
 		if err != nil {
 			return err
@@ -332,7 +382,7 @@ func (e *evalLowering) lower(v *Value) error {
 			ev.ReleaseExt(acc)
 			return err
 		}
-		e.deg1[v] = ev.ModDownExt(acc)
+		e.close(v, acc)
 
 	case OpRotSum:
 		a, err := e.ct(v.Args[0])
@@ -347,7 +397,7 @@ func (e *evalLowering) lower(v *Value) error {
 		for _, ext := range exts {
 			ev.ReleaseExt(ext)
 		}
-		e.deg1[v] = ev.ModDownExt(acc)
+		e.close(v, acc)
 
 	default:
 		return fmt.Errorf("op %s is not lowered", v.Op)

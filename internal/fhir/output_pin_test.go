@@ -3,7 +3,6 @@ package fhir
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"fmt"
 	"math/rand"
 	"testing"
 
@@ -61,6 +60,9 @@ func TestEvaluateOutputsPinned(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			if tc.name == "bootstrap-ir" && testing.Short() {
 				t.Skip("bootstrap program in short mode")
+			}
+			if raceEnabled && tc.logN >= 9 {
+				t.Skip("full-size program under the race detector: the small ones run the same fan-outs")
 			}
 			src, levels := tc.src()
 			p := src
@@ -121,7 +123,7 @@ func evaluatePinned(t *testing.T, p *Program, logN, levels int, boot bool) *ckks
 	}
 	out, err := Evaluate(p, EvalContext{Eval: eval, Enc: enc}, inputs)
 	if err != nil {
-		t.Fatal(fmt.Errorf("evaluate: %w", err))
+		t.Fatalf("evaluate: %v", err)
 	}
 	return out
 }

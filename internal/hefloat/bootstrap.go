@@ -151,8 +151,8 @@ func (bt *Bootstrapper) evalSine(u *ckks.Ciphertext) (*ckks.Ciphertext, error) {
 		return nil, err
 	}
 	for i := 0; i < bt.desc.DAFIters; i++ {
-		sc := bt.eval.Rescale(bt.eval.MulRelin(s, c))
-		ss := bt.eval.Rescale(bt.eval.MulRelin(s, s))
+		sc := mulRescale(bt.eval, s, c)
+		ss := mulRescale(bt.eval, s, s)
 		s = bt.eval.Add(sc, sc) // sin(2x) = 2 sin x cos x
 		negss2 := bt.eval.Neg(bt.eval.Add(ss, ss))
 		c = bt.eval.AddConst(negss2, 1) // cos(2x) = 1 - 2 sin²x

@@ -177,7 +177,7 @@ func (p *TransformPlan) Apply(eval *ckks.Evaluator, ct *ckks.Ciphertext) (*ckks.
 		eval.AddExtAcc(e, acc)
 		eval.ReleaseExt(e)
 	}
-	return eval.Rescale(eval.ModDownExt(acc)), nil
+	return eval.ModDownExtRescale(acc), nil
 }
 
 // EvaluateBSGS applies the transform with the Baby-Step Giant-Step algorithm:

@@ -44,7 +44,7 @@ func EvaluateTree(eval *ckks.Evaluator, ct *ckks.Ciphertext, p Polynomial) (*ckk
 	pows := []*ckks.Ciphertext{ct}
 	for 1<<len(pows) <= deg {
 		prev := pows[len(pows)-1]
-		pows = append(pows, eval.Rescale(eval.MulRelin(prev, prev)))
+		pows = append(pows, mulRescale(eval, prev, prev))
 	}
 	out := evalTreeRec(eval, pows, p.Coeffs)
 	return out, nil
@@ -81,12 +81,18 @@ func evalTreeRec(eval *ckks.Evaluator, pows []*ckks.Ciphertext, coeffs []float64
 	if hi == nil {
 		return lo
 	}
-	term := eval.Rescale(eval.MulRelin(hi, pows[k]))
+	term := mulRescale(eval, hi, pows[k])
 	if lo == nil {
 		return term
 	}
 	// Align scales: term went through one more rescale than lo may have.
 	return AddAligned(eval, lo, term)
+}
+
+// mulRescale returns Rescale(MulRelin(a, b)) word for word, the rescale
+// riding the relinearization's ModDown.
+func mulRescale(eval *ckks.Evaluator, a, b *ckks.Ciphertext) *ckks.Ciphertext {
+	return eval.ModDownExtRescale(eval.RelinearizeExt(eval.MulNoRelin(a, b)))
 }
 
 // AddAligned adds two ciphertexts that went through rescaling chains of

@@ -40,10 +40,12 @@ go test -race "$@" \
 	./internal/cluster/... \
 	./internal/serve/...
 
-echo "== go test -race -run Cluster (cards running fhir's evaluator concurrently)"
-# Every card of a LowerCluster job runs its share through fhir's evaluator on
-# the one Evaluator and Encoder the cluster shares.
-go test -race -run Cluster "$@" ./internal/fhir/
+echo "== go test -race -run 'Cluster|Evaluate' (fhir's evaluator, alone and on concurrent cards)"
+# Evaluate fans out on the limb pool itself (DiagMac's diagonal-parallel
+# encodes, the fused rescale tail), and every card of a LowerCluster job runs
+# its share through the same evaluator on the one Evaluator and Encoder the
+# cluster shares.
+go test -race -run 'Cluster|Evaluate' "$@" ./internal/fhir/
 
 echo "== go test -race -short (plan cache + double-hoisted BSGS)"
 # The hefloat suite includes the concurrent shared-plan and the
