@@ -512,10 +512,10 @@ func (ev *Evaluator) RotateHoisted(ct *Ciphertext, rots []int) map[int]*Cipherte
 // special rows leave the NTT domain (and are consumed), and with rescale the
 // row it drops: their conversion to each kept q_j is transformed back and
 // meets the Q rows where they are. The dropped row's coefficient-domain value
-// is Remainder_lvl + acc_lvl·P^-1 — what the inverse transform of the P-only
-// result's row would give, the transform being linear — so the rescaled form
-// equals Rescale of the other word for word at 2(lvl+1) fewer transforms.
-// Each phase fans out over both components at once.
+// is Remainder_lvl + acc_lvl·P^-1, what inverse-transforming that row of the
+// division by P alone gives, the transform being linear; so with rescale the
+// result is Rescale of the result without, word for word, at 2(lvl+1) fewer
+// transforms. Each phase fans out over both components at once.
 func (ev *Evaluator) modDownP(acc0, acc1 [][]uint64, lvl int, rescale bool) (out0, out1 *ring.Poly) {
 	r := ev.params.RingQP()
 	acc := [2][][]uint64{acc0, acc1}
@@ -534,7 +534,10 @@ func (ev *Evaluator) modDownP(acc0, acc1 [][]uint64, lvl int, rescale bool) (out
 		}
 	})
 	overflow := r.GetScratch(1) // one overflow-count row per component
-	dropped := r.GetScratch(1)  // with rescale, each component's dropped row
+	var dropped *ring.Poly      // with rescale, each component's dropped row
+	if rescale {
+		dropped = r.GetScratch(1)
+	}
 	ring.ForEachLimb(2, func(c int) {
 		ev.modDown.Digits(special[c], overflow.Coeffs[c])
 		if rescale {
@@ -548,14 +551,13 @@ func (ev *Evaluator) modDownP(acc0, acc1 [][]uint64, lvl int, rescale bool) (out
 		c, j := i/rows, i%rows
 		dst := out[c].Coeffs[j]
 		ev.modDown.Remainder(special[c], overflow.Coeffs[c], j, dst)
-		finish := func(dst []uint64) { ev.modDown.Finish(j, acc[c][j], dst) }
 		if !rescale {
 			r.Tables[j].Forward(dst)
-			finish(dst)
+			ev.modDown.Finish(j, acc[c][j], dst)
 			return
 		}
 		ring.ReduceFinalVec(dst, r.Moduli[j])
-		ev.rescaleRow(lvl, j, dropped.Coeffs[c], dst, finish)
+		ev.rescaleRow(lvl, j, dropped.Coeffs[c], dst, func(dst []uint64) { ev.modDown.Finish(j, acc[c][j], dst) })
 	})
 	r.PutScratch(overflow)
 	r.PutScratch(dropped)

@@ -6,8 +6,7 @@ import (
 
 // TestMulNoRelinMatchesMulRelin pins the split tensor/relinearize path
 // bit-identical to the fused MulRelin: the same tensor product followed by
-// the same keyswitch must produce the same residues, and a rescale riding
-// the keyswitch's ModDown the same residues as a separate one.
+// the same keyswitch must produce the same residues.
 func TestMulNoRelinMatchesMulRelin(t *testing.T) {
 	tc := newTestContext(t, 8, 3, nil)
 	a := randomComplex(tc.params.Slots(), 3)
@@ -26,9 +25,6 @@ func TestMulNoRelinMatchesMulRelin(t *testing.T) {
 	split := tc.eval.ModDownExt(tc.eval.RelinearizeExt(tc.eval.MulNoRelin(ca, cb)))
 	if !fused.Equal(split) {
 		t.Fatal("ModDownExt(RelinearizeExt(MulNoRelin(a,b))) is not bit-identical to MulRelin(a,b)")
-	}
-	if !tc.eval.Rescale(fused).Equal(tc.eval.ModDownExtRescale(tc.eval.RelinearizeExt(tc.eval.MulNoRelin(ca, cb)))) {
-		t.Fatal("ModDownExtRescale(RelinearizeExt(MulNoRelin(a,b))) is not bit-identical to Rescale(MulRelin(a,b))")
 	}
 }
 
