@@ -55,6 +55,15 @@ func requireNTT(op string, polys ...*ring.Poly) {
 	}
 }
 
+// newNTTCiphertext returns a zero NTT-domain ciphertext at level lvl on the
+// heap, for a result whose rows are written in place.
+func (ev *Evaluator) newNTTCiphertext(lvl int, scale float64) *Ciphertext {
+	r := ev.params.RingQP()
+	ct := &Ciphertext{C0: r.NewPoly(lvl), C1: r.NewPoly(lvl), Scale: scale}
+	ct.C0.IsNTT, ct.C1.IsNTT = true, true
+	return ct
+}
+
 // Add returns a + b at the lower of the two levels. Scales must match.
 func (ev *Evaluator) Add(a, b *Ciphertext) *Ciphertext {
 	if !sameScale(a.Scale, b.Scale) {
@@ -342,13 +351,27 @@ func (ev *Evaluator) automorphism(ct *Ciphertext, k uint64) *Ciphertext {
 	// (decomposition commutes with the coefficient permutation), so τ_k(c1)
 	// is never materialized.
 	h := ev.decomposeExt(ct.C1)
-	ks0, ks1 := ev.ksFromDecomp(h, perm, swk)
+	out := ev.newNTTCiphertext(lvl, ct.Scale)
+	ev.rotateFromDecomp(h, perm, swk, ct.C0, out.C0.Coeffs, out.C1.Coeffs)
 	h.release(r)
+	return out
+}
 
-	rc0 := r.NewPoly(lvl)
-	r.AutomorphismNTT(ct.C0, perm, rc0)
-	r.Add(rc0, ks0, rc0)
-	return &Ciphertext{C0: rc0, C1: ks1, Scale: ct.Scale}
+// rotateFromDecomp writes τ_k(c0, c1) into out0 and out1 (zeroed rows at
+// h's level): the keyswitch of τ_k(c1) from its hoisted decomposition,
+// divided by P, with τ_k(c0) gathered into the c0 output in place. The
+// addition commutes, so this is word for word materializing τ_k(c0) and
+// adding the keyswitch to it.
+func (ev *Evaluator) rotateFromDecomp(h *hoistedDecomp, perm []int, swk *SwitchingKey, c0 *ring.Poly, out0, out1 [][]uint64) {
+	requireNTT("a rotation", c0)
+	r := ev.params.RingQP()
+	ev.ksFromDecomp(h, perm, swk, out0, out1)
+	ring.ForEachLimb(len(out0), func(j int) {
+		q, src, dst := r.Moduli[j], c0.Coeffs[j], out0[j]
+		for t := range dst {
+			dst[t] = ring.AddMod(dst[t], src[perm[t]], q)
+		}
+	})
 }
 
 // hoistedDecomp holds the digit decomposition of a polynomial, every digit
@@ -450,18 +473,18 @@ func (ev *Evaluator) ksAccum(h *hoistedDecomp, perm []int, swk *SwitchingKey) (a
 
 // ksFromDecomp multiply-accumulates a hoisted decomposition against a
 // switching key (optionally fusing an automorphism gather, see ksAccum) and
-// performs the ModDown immediately — the classic single-hoisted keyswitch.
-// The double-hoisted path instead keeps the ksAccum output in the extended
-// basis (ExtCiphertext) and defers the ModDown across many operations.
-func (ev *Evaluator) ksFromDecomp(h *hoistedDecomp, perm []int, swk *SwitchingKey) (out0, out1 *ring.Poly) {
+// performs the ModDown immediately into out0 and out1 (zeroed rows at h's
+// level) — the classic single-hoisted keyswitch. The double-hoisted path
+// instead keeps the ksAccum output in the extended basis (ExtCiphertext) and
+// defers the ModDown across many operations.
+func (ev *Evaluator) ksFromDecomp(h *hoistedDecomp, perm []int, swk *SwitchingKey, out0, out1 [][]uint64) {
 	r := ev.params.RingQP()
 	acc0, acc1 := ev.ksAccum(h, perm, swk)
-	out0, out1 = ev.modDownP(acc0, acc1, h.lvl, false)
+	ev.modDownP(acc0, acc1, h.lvl, false, out0, out1)
 	for jj := range acc0 {
 		r.PutRow(acc0[jj])
 		r.PutRow(acc1[jj])
 	}
-	return out0, out1
 }
 
 // RotateHoisted rotates ct by every index in rots, decomposing the
@@ -493,12 +516,9 @@ func (ev *Evaluator) RotateHoisted(ct *Ciphertext, rots []int) map[int]*Cipherte
 		if h == nil {
 			h = ev.decomposeExt(ct.C1)
 		}
-		perm := ring.AutomorphismNTTIndex(r.N, k)
-		ks0, ks1 := ev.ksFromDecomp(h, perm, swk)
-		rc0 := r.NewPoly(lvl)
-		r.AutomorphismNTT(ct.C0, perm, rc0)
-		r.Add(rc0, ks0, rc0)
-		out[rot] = &Ciphertext{C0: rc0, C1: ks1, Scale: ct.Scale}
+		res := ev.newNTTCiphertext(lvl, ct.Scale)
+		ev.rotateFromDecomp(h, ring.AutomorphismNTTIndex(r.N, k), swk, ct.C0, res.C0.Coeffs, res.C1.Coeffs)
+		out[rot] = res
 	}
 	if h != nil {
 		h.release(r)
@@ -507,8 +527,9 @@ func (ev *Evaluator) RotateHoisted(ct *Ciphertext, rots []int) map[int]*Cipherte
 }
 
 // modDownP divides both components of an extended keyswitch accumulator by P
-// with exact rounding, returning NTT-domain polynomials at level lvl; with
-// rescale set it divides by P·q_lvl and returns them at level lvl−1. Only the
+// with exact rounding, writing NTT-domain rows at level lvl into out0 and
+// out1 (zeroed rows, lvl+1 each); with rescale set it divides by P·q_lvl and
+// writes them at level lvl−1 (lvl rows each). Only the
 // special rows leave the NTT domain (and are consumed), and with rescale the
 // row it drops: their conversion to each kept q_j is transformed back and
 // meets the Q rows where they are. The dropped row's coefficient-domain value
@@ -516,7 +537,7 @@ func (ev *Evaluator) RotateHoisted(ct *Ciphertext, rots []int) map[int]*Cipherte
 // division by P alone gives, the transform being linear; so with rescale the
 // result is Rescale of the result without, word for word, at 2(lvl+1) fewer
 // transforms. Each phase fans out over both components at once.
-func (ev *Evaluator) modDownP(acc0, acc1 [][]uint64, lvl int, rescale bool) (out0, out1 *ring.Poly) {
+func (ev *Evaluator) modDownP(acc0, acc1 [][]uint64, lvl int, rescale bool, out0, out1 [][]uint64) {
 	r := ev.params.RingQP()
 	acc := [2][][]uint64{acc0, acc1}
 	special := [2][][]uint64{acc0[lvl+1:], acc1[lvl+1:]}
@@ -546,10 +567,10 @@ func (ev *Evaluator) modDownP(acc0, acc1 [][]uint64, lvl int, rescale bool) (out
 		}
 	})
 
-	out := [2]*ring.Poly{r.NewPoly(rows - 1), r.NewPoly(rows - 1)}
+	out := [2][][]uint64{out0, out1}
 	ring.ForEachLimb(2*rows, func(i int) {
 		c, j := i/rows, i%rows
-		dst := out[c].Coeffs[j]
+		dst := out[c][j]
 		ev.modDown.Remainder(special[c], overflow.Coeffs[c], j, dst)
 		if !rescale {
 			r.Tables[j].Forward(dst)
@@ -561,6 +582,4 @@ func (ev *Evaluator) modDownP(acc0, acc1 [][]uint64, lvl int, rescale bool) (out
 	})
 	r.PutScratch(overflow)
 	r.PutScratch(dropped)
-	out[0].IsNTT, out[1].IsNTT = true, true
-	return out[0], out[1]
 }

@@ -211,8 +211,12 @@ func (ev *Evaluator) closeExt(e *ExtCiphertext, rescale bool) *Ciphertext {
 		ring.ReduceFinalVec(e.C0[jj], q)
 		ring.ReduceFinalVec(e.C1[jj], q)
 	})
-	c0, c1 := ev.modDownP(e.C0, e.C1, e.Lvl, rescale)
-	ct := &Ciphertext{C0: c0, C1: c1, Scale: e.Scale}
+	lvl := e.Lvl
+	if rescale {
+		lvl--
+	}
+	ct := ev.newNTTCiphertext(lvl, e.Scale)
+	ev.modDownP(e.C0, e.C1, e.Lvl, rescale, ct.C0.Coeffs, ct.C1.Coeffs)
 	if rescale {
 		ct.Scale /= float64(r.Moduli[e.Lvl])
 	}

@@ -7,11 +7,12 @@ import "testing"
 func relinearizeOracle(ev *Evaluator, ct *Ciphertext2) *Ciphertext {
 	r := ev.params.RingQP()
 	h := ev.decomposeExt(ct.C2)
-	ks0, ks1 := ev.ksFromDecomp(h, nil, ev.rlk.Key)
+	out := ev.newNTTCiphertext(ct.Level(), ct.Scale)
+	ev.ksFromDecomp(h, nil, ev.rlk.Key, out.C0.Coeffs, out.C1.Coeffs)
 	h.release(r)
-	r.Add(ks0, ct.C0, ks0)
-	r.Add(ks1, ct.C1, ks1)
-	return &Ciphertext{C0: ks0, C1: ks1, Scale: ct.Scale}
+	r.Add(out.C0, ct.C0, out.C0)
+	r.Add(out.C1, ct.C1, out.C1)
+	return out
 }
 
 // rescaleOracle is the coefficient-domain rescale of both components.
