@@ -60,8 +60,10 @@ type evalLowering struct {
 	baskets map[*Value]map[int]*ckks.ExtCiphertext
 	hoisted map[int]map[int]*ckks.Ciphertext // tier-A group id -> rot -> result
 
+	uses  map[*Value]int
 	fused map[*Value]bool                // values whose accumulator their Rescale closes
 	open  map[*Value]*ckks.ExtCiphertext // a fused value's accumulator, until its Rescale
+	owned map[*Value]bool                // values whose ciphertext this run made and nothing else holds
 }
 
 func newEvalLowering(p *Program, ctx EvalContext, inputs map[string]*ckks.Ciphertext) *evalLowering {
@@ -72,6 +74,7 @@ func newEvalLowering(p *Program, ctx EvalContext, inputs map[string]*ckks.Cipher
 		baskets: map[*Value]map[int]*ckks.ExtCiphertext{},
 		hoisted: map[int]map[int]*ckks.Ciphertext{},
 		open:    map[*Value]*ckks.ExtCiphertext{},
+		owned:   map[*Value]bool{},
 	}
 }
 
@@ -80,7 +83,8 @@ func newEvalLowering(p *Program, ctx EvalContext, inputs map[string]*ckks.Cipher
 // comes back naming the failing value.
 func (e *evalLowering) run(ctx context.Context, vals []*Value) (err error) {
 	e.vals = vals
-	e.fused = fusedOperands(e.p, vals)
+	e.uses = e.p.uses()
+	e.fused = fusedOperands(e.uses, vals)
 	var v *Value
 	defer func() {
 		if r := recover(); r != nil {
@@ -96,6 +100,9 @@ func (e *evalLowering) run(ctx context.Context, vals []*Value) (err error) {
 		if err != nil {
 			return fmt.Errorf("fhir: evaluate v%d (%s): %w", v.ID, v.Op, err)
 		}
+		// The caller owns the inputs, and a hoist group's map holds its
+		// rotations.
+		e.owned[v] = v.Op != OpInput && (v.Op != OpRotate || v.Hoist == 0)
 	}
 	return nil
 }
@@ -122,8 +129,7 @@ func (e *evalLowering) releaseBaskets() {
 // wrapper a multi-card lowering peels onto card 0 — does not fuse with its
 // operand in an earlier run; it need not, both forms being equal word for
 // word.
-func fusedOperands(p *Program, vals []*Value) map[*Value]bool {
-	uses := p.uses()
+func fusedOperands(uses map[*Value]int, vals []*Value) map[*Value]bool {
 	fused := map[*Value]bool{}
 	for _, v := range vals {
 		if v.Op != OpRescale {
@@ -254,10 +260,15 @@ func (e *evalLowering) lower(v *Value) error {
 		if err != nil {
 			return err
 		}
-		if v.Op == OpAdd {
-			e.deg1[v] = ev.Add(a, b)
-		} else {
+		switch {
+		case v.Op == OpSub:
 			e.deg1[v] = ev.Sub(a, b)
+		case e.owned[v.Args[0]] && e.uses[v.Args[0]] == 1:
+			// No one else reads a: add into it, word for word Add's result.
+			ev.AddAcc(b, a)
+			e.deg1[v] = a
+		default:
+			e.deg1[v] = ev.Add(a, b)
 		}
 
 	case OpNeg:
