@@ -236,12 +236,13 @@ func (e *Encoder) EncodeExtAtLevel(values []complex128, scale float64, level int
 
 // EncodeExtInto is EncodeExtAtLevel into rows the caller lends, pooled
 // scratch for instance: ExtRows(pt.Lvl) rows of N words, every one
-// overwritten.
+// overwritten — or pt.Lvl+1 rows for the Q residues alone, the operand of a
+// closed accumulator.
 func (e *Encoder) EncodeExtInto(values []complex128, scale float64, pt *ExtPlaintext) error {
 	if err := e.checkLevel(pt.Lvl); err != nil {
 		return err
 	}
-	if len(pt.Rows) != e.params.ExtRows(pt.Lvl) {
+	if n := len(pt.Rows); n != e.params.ExtRows(pt.Lvl) && n != pt.Lvl+1 {
 		return fmt.Errorf("ckks: extended plaintext at level %d has %d rows", pt.Lvl, len(pt.Rows))
 	}
 	pt.Scale = scale

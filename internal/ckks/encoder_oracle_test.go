@@ -5,6 +5,7 @@ import (
 	"math/big"
 	"math/cmplx"
 	"runtime"
+	"slices"
 	"testing"
 
 	"hydra/internal/ring"
@@ -164,6 +165,22 @@ func checkEncodeAgainstOracle(t *testing.T, enc *Encoder, o *encodeOracle, value
 	if err := enc.EncodeExtInto(values, scale, lent); err != nil || lent.Scale != scale {
 		t.Fatalf("EncodeExtInto: %v, scale %g", err, lent.Scale)
 	}
+	// The Q rows alone, a closed accumulator's operand, get the same residues.
+	qRows := &ExtPlaintext{Lvl: level, Rows: make([][]uint64, level+1)}
+	for jj := range qRows.Rows {
+		qRows.Rows[jj] = make([]uint64, enc.params.N())
+		for i := range qRows.Rows[jj] {
+			qRows.Rows[jj][i] = ^uint64(0)
+		}
+	}
+	if err := enc.EncodeExtInto(values, scale, qRows); err != nil {
+		t.Fatalf("EncodeExtInto over the Q rows: %v", err)
+	}
+	for jj, row := range qRows.Rows {
+		if !slices.Equal(row, want[jj]) {
+			t.Fatalf("EncodeExtInto over the Q rows, scale %g level %d: row %d differs from the oracle", scale, level, jj)
+		}
+	}
 	for jj, w := range want {
 		for i := range w {
 			if lent.Rows[jj][i] != w[i] {
@@ -308,8 +325,8 @@ func TestEncodeRejectsNonFinite(t *testing.T) {
 	if _, err := enc.EncodeExtAtLevel(nil, params.DefaultScale(), params.MaxLevel()+1); err == nil {
 		t.Error("EncodeExtAtLevel above the top level: no error")
 	}
-	if err := enc.EncodeExtInto(nil, 1, &ExtPlaintext{Lvl: 1, Rows: make([][]uint64, 2)}); err == nil {
-		t.Error("EncodeExtInto with a row short: no error")
+	if err := enc.EncodeExtInto(nil, 1, &ExtPlaintext{Lvl: 1, Rows: make([][]uint64, 1)}); err == nil {
+		t.Error("EncodeExtInto with a row short of the Q rows: no error")
 	}
 }
 

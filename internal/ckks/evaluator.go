@@ -493,20 +493,38 @@ func (ev *Evaluator) ksFromDecomp(h *hoistedDecomp, perm []int, swk *SwitchingKe
 // identically to per-index Rotate calls (the digit lift differs, the values
 // do not).
 func (ev *Evaluator) RotateHoisted(ct *Ciphertext, rots []int) map[int]*Ciphertext {
+	out := make(map[int]*Ciphertext, len(rots))
+	ev.rotateHoisted(ct, rots, func(rot int) (c0, c1 [][]uint64) {
+		res := ev.newNTTCiphertext(ct.Level(), ct.Scale)
+		out[rot] = res
+		return res.C0.Coeffs, res.C1.Coeffs
+	})
+	return out
+}
+
+// rotateHoisted is the loop of RotateHoisted and RotateHoistedClosed: one
+// decomposition of ct for every distinct rotation in rots, each result
+// written into the zeroed rows dst hands out for it (ct's own rows copied for
+// the identity).
+func (ev *Evaluator) rotateHoisted(ct *Ciphertext, rots []int, dst func(rot int) (c0, c1 [][]uint64)) {
 	if ev.rtks == nil {
 		panic("ckks: evaluator has no rotation keys")
 	}
 	r := ev.params.RingQP()
-	lvl := ct.Level()
-	out := make(map[int]*Ciphertext, len(rots))
+	done := make(map[int]bool, len(rots))
 	var h *hoistedDecomp
 	for _, rot := range rots {
-		if _, done := out[rot]; done {
+		if done[rot] {
 			continue
 		}
+		done[rot] = true
 		k := ring.GaloisElementForRotation(ev.params.N(), rot)
 		if k == 1 {
-			out[rot] = ct.CopyNew()
+			c0, c1 := dst(rot)
+			for j := range c0 {
+				copy(c0[j], ct.C0.Coeffs[j])
+				copy(c1[j], ct.C1.Coeffs[j])
+			}
 			continue
 		}
 		swk, ok := ev.rtks.Keys[k]
@@ -516,14 +534,12 @@ func (ev *Evaluator) RotateHoisted(ct *Ciphertext, rots []int) map[int]*Cipherte
 		if h == nil {
 			h = ev.decomposeExt(ct.C1)
 		}
-		res := ev.newNTTCiphertext(lvl, ct.Scale)
-		ev.rotateFromDecomp(h, ring.AutomorphismNTTIndex(r.N, k), swk, ct.C0, res.C0.Coeffs, res.C1.Coeffs)
-		out[rot] = res
+		c0, c1 := dst(rot)
+		ev.rotateFromDecomp(h, ring.AutomorphismNTTIndex(r.N, k), swk, ct.C0, c0, c1)
 	}
 	if h != nil {
 		h.release(r)
 	}
-	return out
 }
 
 // modDownP divides both components of an extended keyswitch accumulator by P

@@ -21,20 +21,40 @@ import (
 //
 // Rows come from the ring's row pool; ModDownExt (or ReleaseExt) returns
 // them. Scale tracks the logical message scale — the P factor is implicit.
+//
+// An ExtCiphertext that carries only its Lvl+1 Q rows is closed: P is already
+// divided out (RotateHoistedClosed), so it is the Q-basis ciphertext itself
+// in pooled rows. MulPlainExtAcc folds closed operands against Q-row
+// plaintexts into a closed accumulator (NewClosedAccumulator), and ModDownExt
+// closes that with the reduction sweep alone — the form for a fold whose
+// plaintexts are encoded per call, where α special rows per diagonal cost
+// more than one ModDown per rotation.
 type ExtCiphertext struct {
 	Lvl    int
 	C0, C1 [][]uint64
 	Scale  float64
 }
 
+// closed reports that e carries its Q rows only.
+func (e *ExtCiphertext) closed() bool { return len(e.C0) == e.Lvl+1 }
+
 // NewExtAccumulator returns a zeroed extended-basis accumulator at level lvl
 // with the given scale, backed by pooled rows.
 func (ev *Evaluator) NewExtAccumulator(lvl int, scale float64) *ExtCiphertext {
+	return ev.newPooledExt(lvl, ev.params.ExtRows(lvl), scale)
+}
+
+// NewClosedAccumulator returns a zeroed closed accumulator at level lvl, its
+// Q rows alone, backed by pooled rows.
+func (ev *Evaluator) NewClosedAccumulator(lvl int, scale float64) *ExtCiphertext {
+	return ev.newPooledExt(lvl, lvl+1, scale)
+}
+
+func (ev *Evaluator) newPooledExt(lvl, rows int, scale float64) *ExtCiphertext {
 	r := ev.params.RingQP()
-	n := ev.params.ExtRows(lvl)
-	c0 := make([][]uint64, n)
-	c1 := make([][]uint64, n)
-	for jj := 0; jj < n; jj++ {
+	c0 := make([][]uint64, rows)
+	c1 := make([][]uint64, rows)
+	for jj := 0; jj < rows; jj++ {
 		row0, row1 := r.GetRow(), r.GetRow()
 		//lint:allow poolleak accumulator rows transfer ownership to the ExtCiphertext; ModDownExt/ReleaseExt return them to the pool
 		c0[jj], c1[jj] = row0, row1
@@ -123,38 +143,56 @@ func (ev *Evaluator) RotateHoistedExt(ct *Ciphertext, rots []int) map[int]*ExtCi
 	return out
 }
 
+// RotateHoistedClosed is RotateHoisted into pooled rows: every rotation's
+// ModDown is paid at once and its result held closed, Rotate(ct, rot) word
+// for word, for a fold that multiplies over the Q rows alone. The identity is
+// a copy of ct. Callers return the rows with ReleaseExt.
+func (ev *Evaluator) RotateHoistedClosed(ct *Ciphertext, rots []int) map[int]*ExtCiphertext {
+	out := make(map[int]*ExtCiphertext, len(rots))
+	ev.rotateHoisted(ct, rots, func(rot int) (c0, c1 [][]uint64) {
+		e := ev.NewClosedAccumulator(ct.Level(), ct.Scale)
+		out[rot] = e
+		return e.C0, e.C1
+	})
+	return out
+}
+
 // RotateExt is the single-rotation form of RotateHoistedExt.
 func (ev *Evaluator) RotateExt(ct *Ciphertext, rot int) *ExtCiphertext {
 	return ev.RotateHoistedExt(ct, []int{rot})[rot]
 }
 
 // MulPlainExtAcc folds a whole sequence of (x, pt) products into acc in one
-// pass over the extended basis: acc += Σ xs[ti] ⊙ pts[ti] row-wise, special
-// rows included, with every row staying lazy in [0, 2q). Per accumulator row,
+// pass over the rows acc carries: acc += Σ xs[ti] ⊙ pts[ti] row-wise —
+// special rows included for an extended accumulator, the Q rows alone for a
+// closed one — with every row staying lazy in [0, 2q). Per accumulator row,
 // every term of the sequence streams through while that row stays resident —
 // a BSGS giant step folds all its diagonals in one sweep of the accumulator
-// instead of re-walking it per diagonal. Every x must sit at acc's level,
-// every pt must be encoded at that level or above, and acc's scale must
-// already equal x.Scale·pt.Scale for every pair. The rows are congruent to
-// accumulating the pairs one call at a time, and bit-identical to it once
-// ModDownExt's sweep makes them canonical.
+// instead of re-walking it per diagonal. Every x must sit at acc's level in
+// acc's basis, every pt must be encoded at that level or above over at least
+// acc's rows, and acc's scale must already equal x.Scale·pt.Scale for every
+// pair. The rows are congruent to accumulating the pairs one call at a time,
+// and bit-identical to it once ModDownExt's sweep makes them canonical.
 func (ev *Evaluator) MulPlainExtAcc(xs []*ExtCiphertext, pts []*ExtPlaintext, acc *ExtCiphertext) {
 	if len(xs) != len(pts) {
 		panic("ckks: MulPlainExtAcc length mismatch")
 	}
 	for ti, x := range xs {
-		if x.Lvl != acc.Lvl {
-			panic(fmt.Sprintf("ckks: level mismatch in MulPlainExtAcc: %d vs %d", x.Lvl, acc.Lvl))
+		if x.Lvl != acc.Lvl || len(x.C0) != len(acc.C0) {
+			panic(fmt.Sprintf("ckks: basis mismatch in MulPlainExtAcc: level %d, %d rows vs level %d, %d rows", x.Lvl, len(x.C0), acc.Lvl, len(acc.C0)))
 		}
 		if pts[ti].Lvl < x.Lvl {
 			panic(fmt.Sprintf("ckks: plaintext level %d below ciphertext level %d in MulPlainExtAcc", pts[ti].Lvl, x.Lvl))
+		}
+		if !acc.closed() && len(pts[ti].Rows) == pts[ti].Lvl+1 {
+			panic("ckks: a Q-row plaintext cannot meet an extended accumulator in MulPlainExtAcc")
 		}
 		if !sameScale(acc.Scale, x.Scale*pts[ti].Scale) {
 			panic(fmt.Sprintf("ckks: scale mismatch in MulPlainExtAcc: %g vs %g", acc.Scale, x.Scale*pts[ti].Scale))
 		}
 	}
 	r := ev.params.RingQP()
-	ring.ForEachLimb(ev.params.ExtRows(acc.Lvl), func(jj int) {
+	ring.ForEachLimb(len(acc.C0), func(jj int) {
 		m := r.Tables[ev.params.extRow(jj, acc.Lvl)].Mod
 		// Lazy x rows (< 2q) times canonical pt rows (< q), RowMACFold terms
 		// per 128-bit sum: one reduction per coefficient per chunk.
@@ -169,17 +207,17 @@ func (ev *Evaluator) MulPlainExtAcc(xs []*ExtCiphertext, pts []*ExtPlaintext, ac
 	})
 }
 
-// AddExtAcc adds x into acc in place over the extended basis (acc += x),
-// both staying lazy in [0, 2q). Levels and scales must match.
+// AddExtAcc adds x into acc in place over the rows acc carries (acc += x),
+// both staying lazy in [0, 2q). Levels, bases and scales must match.
 func (ev *Evaluator) AddExtAcc(x *ExtCiphertext, acc *ExtCiphertext) {
-	if x.Lvl != acc.Lvl {
-		panic(fmt.Sprintf("ckks: level mismatch in AddExtAcc: %d vs %d", x.Lvl, acc.Lvl))
+	if x.Lvl != acc.Lvl || len(x.C0) != len(acc.C0) {
+		panic(fmt.Sprintf("ckks: basis mismatch in AddExtAcc: level %d, %d rows vs level %d, %d rows", x.Lvl, len(x.C0), acc.Lvl, len(acc.C0)))
 	}
 	if !sameScale(acc.Scale, x.Scale) {
 		panic(fmt.Sprintf("ckks: scale mismatch in AddExtAcc: %g vs %g", acc.Scale, x.Scale))
 	}
 	r := ev.params.RingQP()
-	ring.ForEachLimb(ev.params.ExtRows(x.Lvl), func(jj int) {
+	ring.ForEachLimb(len(acc.C0), func(jj int) {
 		m := r.Tables[ev.params.extRow(jj, x.Lvl)].Mod
 		m.AddRowLazy(acc.C0[jj], x.C0[jj])
 		m.AddRowLazy(acc.C1[jj], x.C1[jj])
@@ -188,29 +226,43 @@ func (ev *Evaluator) AddExtAcc(x *ExtCiphertext, acc *ExtCiphertext) {
 
 // ModDownExt closes the deferred-ModDown window: it sweeps every row back to
 // canonical residues, divides both components by P, and returns the ordinary
-// Q-basis ciphertext. The extended ciphertext is consumed (its rows return
-// to the pool).
+// Q-basis ciphertext. A closed accumulator has no P to divide: the sweep
+// alone closes it. The extended ciphertext is consumed (its rows return to
+// the pool).
 func (ev *Evaluator) ModDownExt(e *ExtCiphertext) *Ciphertext {
 	return ev.closeExt(e, false)
 }
 
 // ModDownExtRescale closes the window and drops the top level in the same
 // pass, dividing by P·q_ℓ: Rescale(ModDownExt(e)) word for word, without
-// transforming the kept rows twice. e is consumed.
+// transforming the kept rows twice. e is consumed and must not be closed: a
+// closed accumulator has no ModDown for the rescale to ride.
 func (ev *Evaluator) ModDownExtRescale(e *ExtCiphertext) *Ciphertext {
 	if e.Lvl == 0 {
 		panic("ckks: cannot rescale at level 0")
+	}
+	if e.closed() {
+		panic("ckks: ModDownExtRescale of a closed accumulator")
 	}
 	return ev.closeExt(e, true)
 }
 
 func (ev *Evaluator) closeExt(e *ExtCiphertext, rescale bool) *Ciphertext {
 	r := ev.params.RingQP()
-	ring.ForEachLimb(ev.params.ExtRows(e.Lvl), func(jj int) {
+	ring.ForEachLimb(len(e.C0), func(jj int) {
 		q := r.Moduli[ev.params.extRow(jj, e.Lvl)]
 		ring.ReduceFinalVec(e.C0[jj], q)
 		ring.ReduceFinalVec(e.C1[jj], q)
 	})
+	if e.closed() {
+		ct := ev.newNTTCiphertext(e.Lvl, e.Scale)
+		for j := range e.C0 {
+			copy(ct.C0.Coeffs[j], e.C0[j])
+			copy(ct.C1.Coeffs[j], e.C1[j])
+		}
+		ev.ReleaseExt(e)
+		return ct
+	}
 	lvl := e.Lvl
 	if rescale {
 		lvl--

@@ -123,9 +123,86 @@ func TestMulPlainExtAcc(t *testing.T) {
 	}
 }
 
+// The closed form: RotateHoistedClosed pays each rotation's ModDown at once,
+// so every entry is Rotate's result word for word, and a Q-row fold of k
+// terms, closed by the sweep alone, is word for word the Q-basis sum of
+// MulPlain(Rotate) products — one reduction per output coefficient instead of
+// one per product, the same canonical residue. Q-row plaintexts and extended
+// ones (whose Q rows are the same) fold alike; a Q-row plaintext cannot meet
+// an extended accumulator, and a closed one has no ModDown for a rescale to
+// ride.
+func TestMulPlainExtAccClosed(t *testing.T) {
+	rots := []int{0, 1, 2, 5, -1}
+	tc := newTestContext(t, 6, 3, rots[1:])
+	pt, err := tc.enc.Encode(randomComplex(tc.params.Slots(), 16))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ct := tc.encr.Encrypt(pt)
+	lvl, scale := ct.Level(), tc.params.DefaultScale()
+	closed := tc.eval.RotateHoistedClosed(ct, append(rots, 1))
+	if len(closed) != len(rots) {
+		t.Fatalf("%d closed rotations for %d distinct indices", len(closed), len(rots))
+	}
+	var want *Ciphertext
+	xs := make([]*ExtCiphertext, 9)
+	pts := make([]*ExtPlaintext, len(xs))
+	for i := range xs {
+		rot := rots[i%len(rots)]
+		if i < len(rots) {
+			if err := ctBitIdentical(tc.eval.ModDownExt(cloneExt(tc.eval, closed[rot])), tc.eval.Rotate(ct, rot)); err != nil {
+				t.Fatalf("rot %d: closed rotation differs from Rotate: %v", rot, err)
+			}
+		}
+		weights := randomComplex(tc.params.Slots(), int64(17+i))
+		wPlain, err := tc.enc.EncodeAtLevel(weights, scale, lvl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pts[i] = &ExtPlaintext{Lvl: lvl, Rows: make([][]uint64, lvl+1)}
+		if i%2 == 1 {
+			pts[i].Rows = make([][]uint64, tc.params.ExtRows(lvl))
+		}
+		for jj := range pts[i].Rows {
+			pts[i].Rows[jj] = make([]uint64, tc.params.N())
+		}
+		if err := tc.enc.EncodeExtInto(weights, scale, pts[i]); err != nil {
+			t.Fatal(err)
+		}
+		xs[i] = closed[rot]
+		term := tc.eval.MulPlain(tc.eval.Rotate(ct, rot), wPlain)
+		if want == nil {
+			want = term
+		} else {
+			tc.eval.AddAcc(term, want)
+		}
+	}
+	acc := tc.eval.NewClosedAccumulator(lvl, ct.Scale*scale)
+	tc.eval.MulPlainExtAcc(xs, pts, acc)
+	if err := ctBitIdentical(tc.eval.ModDownExt(acc), want); err != nil {
+		t.Fatalf("closed fold differs from the Q-basis MulPlain sum: %v", err)
+	}
+	if !panics(func() {
+		tc.eval.MulPlainExtAcc(xs[:1], pts[:1], tc.eval.NewExtAccumulator(lvl, ct.Scale*scale))
+	}) {
+		t.Error("a closed operand folded into an extended accumulator")
+	}
+	if !panics(func() {
+		tc.eval.MulPlainExtAcc([]*ExtCiphertext{tc.eval.RotateExt(ct, 1)}, pts[:1], tc.eval.NewExtAccumulator(lvl, ct.Scale*scale))
+	}) {
+		t.Error("a Q-row plaintext folded into an extended accumulator")
+	}
+	if !panics(func() { tc.eval.ModDownExtRescale(tc.eval.NewClosedAccumulator(lvl, 1)) }) {
+		t.Error("ModDownExtRescale accepted a closed accumulator")
+	}
+	for _, x := range closed {
+		tc.eval.ReleaseExt(x)
+	}
+}
+
 // cloneExt copies x onto fresh pooled rows.
 func cloneExt(ev *Evaluator, x *ExtCiphertext) *ExtCiphertext {
-	c := ev.NewExtAccumulator(x.Lvl, x.Scale)
+	c := ev.newPooledExt(x.Lvl, len(x.C0), x.Scale)
 	for jj := range x.C0 {
 		copy(c.C0[jj], x.C0[jj])
 		copy(c.C1[jj], x.C1[jj])
@@ -204,6 +281,16 @@ func TestParallelSerialDifferentialExt(t *testing.T) {
 				return tc.eval.ModDownExt(acc)
 			}
 			diffOp(t, "ExtFold", fold)
+			closedFold := func() *Ciphertext {
+				closed := tc.eval.RotateHoistedClosed(ct, rots)
+				acc := tc.eval.NewClosedAccumulator(ct.Level(), ct.Scale*wExt.Scale)
+				for _, rot := range rots {
+					tc.eval.MulPlainExtAcc([]*ExtCiphertext{closed[rot]}, []*ExtPlaintext{wExt}, acc)
+					tc.eval.ReleaseExt(closed[rot])
+				}
+				return tc.eval.ModDownExt(acc)
+			}
+			diffOp(t, "ClosedFold", closedFold)
 		})
 	}
 }

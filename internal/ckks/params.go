@@ -41,6 +41,11 @@ type Parameters struct {
 // α = ⌈(L+1)/dnum⌉ limbs, and α special primes make P cover a digit.
 const dnum = 3
 
+// SpecialPrimes is α = ⌈(L+1)/dnum⌉, the special-prime count NewParameters
+// draws for a chain whose top level is L: the rows an extended polynomial
+// carries beyond its Q rows.
+func SpecialPrimes(maxLevel int) int { return (maxLevel + dnum) / dnum }
+
 // ParametersLiteral is the user-facing description from which Parameters are
 // built. LogQ lists the bit sizes of the ciphertext moduli; LogP the bit size
 // of each special prime used for key switching, of which NewParameters draws
@@ -95,7 +100,7 @@ func NewParameters(lit ParametersLiteral) (*Parameters, error) {
 	for _, lq := range lit.LogQ {
 		counts[lq]++
 	}
-	alpha := (len(lit.LogQ) + dnum - 1) / dnum
+	alpha := SpecialPrimes(len(lit.LogQ) - 1)
 	counts[lit.LogP] += alpha
 	pools := map[int][]uint64{}
 	for sz, c := range counts {

@@ -24,8 +24,10 @@ type Cost struct {
 //	Conjugate   1 keyswitch, 1 decomposition, 1 ModDown
 //	Relin       1 keyswitch, 1 decomposition, 1 ModDown
 //	RotBasket   1 decomposition, one keyswitch per nonzero rotation,
-//	            no ModDown (results stay in the extended basis)
-//	DiagMac     n plaintext mults, 1 ModDown (the deferred one)
+//	            no ModDown (results stay in the extended basis); closed,
+//	            one ModDown per nonzero rotation
+//	DiagMac     n plaintext mults, 1 ModDown (the deferred one); over a
+//	            closed basket none (a Q-row fold closed by a sweep)
 //	RotSum      1 decomposition, one keyswitch per nonzero rotation, 1 ModDown
 //	MulPlain,
 //	MulConst    1 plaintext mult
@@ -50,22 +52,19 @@ func Measure(p *Program) Cost {
 			c.ModDown++
 		case OpRotBasket:
 			c.Decomp++
-			for _, r := range v.Rots {
-				if r != 0 {
-					c.KeySwitch++
-				}
+			c.KeySwitch += nonzeroRots(v.Rots)
+			if v.Closed {
+				c.ModDown += nonzeroRots(v.Rots)
 			}
 		case OpDiagMac:
 			c.PMult += len(v.Rots)
-			c.ModDown++
+			if !v.Args[0].Closed {
+				c.ModDown++
+			}
 		case OpRotSum:
 			c.Decomp++
 			c.ModDown++
-			for _, r := range v.Rots {
-				if r != 0 {
-					c.KeySwitch++
-				}
-			}
+			c.KeySwitch += nonzeroRots(v.Rots)
 		case OpMulPlain, OpMulConst:
 			c.PMult++
 		case OpRescale:

@@ -21,7 +21,10 @@
 //	            degree-2 tensor products into a single keyswitch
 //	Hoist       merges rotations sharing a digit decomposition into one
 //	            extended-basis fold (RotBasket/DiagMac/RotSum), deferring
-//	            all but one ModDown per fold
+//	            all but one ModDown per fold — or, for a basket whose
+//	            DiagMacs would spend more transforms encoding diagonals over
+//	            the special primes than it saves, closing each baby rotation
+//	            once and folding over the Q rows alone
 //	DCE         drops values unreachable from the output
 //
 // The scale lattice is tracked as an integer count of pending (unclosed)
@@ -56,8 +59,8 @@ const (
 	OpModSwitch           // drop K levels without rounding (level alignment)
 	OpRotate              // rotate slots left by K
 	OpConjugate           // conjugate every slot
-	OpRotBasket           // hoisted: Args[0] rotated by every r in Rots, one shared decomposition, results left in the extended basis
-	OpDiagMac             // Args[0] must be a RotBasket: ModDown(Σ_j basket[Rots[j]] ⊙ Plains[j]), one deferred ModDown for the whole fold
+	OpRotBasket           // hoisted: Args[0] rotated by every r in Rots, one shared decomposition, results left in the extended basis (Closed: each ModDowned once, Q rows)
+	OpDiagMac             // Args[0] must be a RotBasket: ModDown(Σ_j basket[Rots[j]] ⊙ Plains[j]), one deferred ModDown for the whole fold (over a closed basket: a Q-row fold, no ModDown)
 	OpRotSum              // Σ_{r ∈ Rots} rotate(Args[0], r) through one extended-basis accumulator and one ModDown
 )
 
@@ -117,6 +120,11 @@ type Value struct {
 	// (tier-A hoisting: the lowering decomposes the source once per group).
 	// Zero means ungrouped.
 	Hoist int
+	// Closed marks a RotBasket whose nonzero rotations each pay their ModDown
+	// at once, so its DiagMacs encode their diagonals over q_0..q_Level only
+	// and close by a reduction sweep instead of a ModDown. Hoist sets it by
+	// counting transforms (closeBaskets).
+	Closed bool
 }
 
 // Program is a topologically ordered value DAG with one designated output.
@@ -238,6 +246,9 @@ func (p *Program) Validate() error {
 		default:
 			err = fmt.Errorf("fhir: v%d has unknown op %d", v.ID, int(v.Op))
 		}
+		if err == nil && v.Closed && v.Op != OpRotBasket {
+			err = fmt.Errorf("fhir: v%d %s is marked closed; only a rotbasket can be", v.ID, v.Op)
+		}
 		if err != nil {
 			return err
 		}
@@ -278,7 +289,7 @@ func (p *Program) Rotations() (rots []int, conjugate bool) {
 }
 
 // String renders the program in a compact single-line-per-value form, used
-// by tests and the compiler driver's -dump flag.
+// by the tests' failure messages; a closed basket reads "closed".
 func (p *Program) String() string {
 	out := ""
 	for _, v := range p.Values {
@@ -299,6 +310,9 @@ func (p *Program) String() string {
 			out += " " + v.Plain.cseKey()
 		case OpRotBasket, OpRotSum, OpDiagMac:
 			out += fmt.Sprintf(" %v", v.Rots)
+		}
+		if v.Closed {
+			out += " closed"
 		}
 		if p.Legal {
 			out += fmt.Sprintf("  [L%d P%d d%d]", v.Level, v.Pend, v.Degree)

@@ -21,10 +21,12 @@ type EvalContext struct {
 // Inputs maps input names to ciphertexts, each at the program's InputLevel
 // and canonical scale. Fused ops lower onto the extended-basis machinery:
 // RotBasket → RotateHoistedExt, DiagMac → EncodeExtInto pooled rows +
-// MulPlainExtAcc + one ModDownExt, RotSum → AddExtAcc folds; tier-A
-// hoist groups share one RotateHoisted decomposition. A Relin, DiagMac or
-// RotSum whose one consumer is a Rescale closes its extended-basis
-// accumulator with that Rescale, in one ModDownExtRescale. The evaluator
+// MulPlainExtAcc + one ModDownExt, RotSum → AddExtAcc folds; a closed
+// basket → RotateHoistedClosed, its DiagMacs folding Q-row encodes into a
+// closed accumulator that ModDownExt closes by a sweep; tier-A hoist groups
+// share one RotateHoisted decomposition. A Relin, extended DiagMac or RotSum
+// whose one consumer is a Rescale closes its extended-basis accumulator with
+// that Rescale, in one ModDownExtRescale. The evaluator
 // reports contract violations (a missing rotation or relinearization key, a
 // rescale at level 0) by panicking; one raised on the calling goroutine comes
 // back as the failing value's error.
@@ -107,10 +109,10 @@ func (e *evalLowering) run(ctx context.Context, vals []*Value) (err error) {
 	return nil
 }
 
-// releaseBaskets returns every surviving extended-basis row to the ring pool.
-// Basket entries are read, never consumed (only the DiagMac accumulator is),
-// so they are all still live here; an open accumulator survives only a run
-// that failed before its Rescale.
+// releaseBaskets returns every surviving basket row, extended or closed, to
+// the ring pool. Basket entries are read, never consumed (only the DiagMac
+// accumulator is), so they are all still live here; an open accumulator
+// survives only a run that failed before its Rescale.
 func (e *evalLowering) releaseBaskets() {
 	for _, basket := range e.baskets {
 		for _, ext := range basket {
@@ -125,10 +127,11 @@ func (e *evalLowering) releaseBaskets() {
 // fusedOperands returns the values that lower to an extended-basis
 // accumulator (Relin, DiagMac, RotSum) and whose one consumer is a Rescale in
 // vals: that Rescale closes the accumulator with ModDownExtRescale, and the
-// value itself is never materialized. A Rescale outside vals — the output
-// wrapper a multi-card lowering peels onto card 0 — does not fuse with its
-// operand in an earlier run; it need not, both forms being equal word for
-// word.
+// value itself is never materialized. A DiagMac over a closed basket has no
+// ModDown for the Rescale to ride, so it never fuses. A Rescale outside vals
+// — the output wrapper a multi-card lowering peels onto card 0 — does not
+// fuse with its operand in an earlier run; it need not, both forms being
+// equal word for word.
 func fusedOperands(uses map[*Value]int, vals []*Value) map[*Value]bool {
 	fused := map[*Value]bool{}
 	for _, v := range vals {
@@ -137,7 +140,7 @@ func fusedOperands(uses map[*Value]int, vals []*Value) map[*Value]bool {
 		}
 		switch a := v.Args[0]; a.Op {
 		case OpRelin, OpDiagMac, OpRotSum:
-			if uses[a] == 1 {
+			if uses[a] == 1 && (a.Op != OpDiagMac || !a.Args[0].Closed) {
 				fused[a] = true
 			}
 		}
@@ -193,7 +196,8 @@ func (e *evalLowering) hoistGroup(v *Value) (map[int]*ckks.Ciphertext, error) {
 }
 
 // diagMac folds Σ xs[i] ⊙ encode(v.Plains[i]) into acc a chunk of diagonals
-// at a time: the chunk is encoded as independent tasks on the limb pool (FFT
+// at a time: the chunk is encoded over the rows acc carries (extended, or Q
+// only when acc is closed) as independent tasks on the limb pool (FFT
 // included; each task's row fan-out runs inline once the pool is busy) into
 // pooled scratch, then folded by one MulPlainExtAcc. Every chunk reuses the
 // scratch, handed back on return: no plaintext outlives the call. Terms fold
@@ -201,10 +205,10 @@ func (e *evalLowering) hoistGroup(v *Value) (map[int]*ckks.Ciphertext, error) {
 func (e *evalLowering) diagMac(v *Value, xs []*ckks.ExtCiphertext, acc *ckks.ExtCiphertext) error {
 	ev := e.ctx.Eval
 	r := ev.Params().RingQP()
-	chunk := min(4*ring.MaxWorkers(), len(xs)) // he-rot: 199 ms at 1 per worker, 175 at 4, 177 unchunked
+	chunk := min(4*ring.MaxWorkers(), len(xs)) // four diagonals per worker: the pool stays busy between folds
 	pts := make([]*ckks.ExtPlaintext, chunk)
 	for i := range pts {
-		scratch := r.GetScratch(ev.Params().ExtRows(v.Level) - 1) // a level-l scratch has l+1 rows
+		scratch := r.GetScratch(len(acc.C0) - 1) // a level-l scratch has l+1 rows
 		defer r.PutScratch(scratch)
 		pts[i] = &ckks.ExtPlaintext{Lvl: v.Level, Rows: scratch.Coeffs}
 	}
@@ -371,7 +375,11 @@ func (e *evalLowering) lower(v *Value) error {
 		if err != nil {
 			return err
 		}
-		e.baskets[v] = ev.RotateHoistedExt(a, v.Rots)
+		if v.Closed {
+			e.baskets[v] = ev.RotateHoistedClosed(a, v.Rots)
+		} else {
+			e.baskets[v] = ev.RotateHoistedExt(a, v.Rots)
+		}
 
 	case OpDiagMac:
 		basket, ok := e.baskets[v.Args[0]]
@@ -388,7 +396,11 @@ func (e *evalLowering) lower(v *Value) error {
 			xs[i] = ext
 			srcScale = ext.Scale
 		}
-		acc := ev.NewExtAccumulator(v.Level, srcScale*ev.Params().DefaultScale())
+		newAcc := ev.NewExtAccumulator
+		if v.Args[0].Closed {
+			newAcc = ev.NewClosedAccumulator
+		}
+		acc := newAcc(v.Level, srcScale*ev.Params().DefaultScale())
 		if err := e.diagMac(v, xs, acc); err != nil {
 			ev.ReleaseExt(acc)
 			return err

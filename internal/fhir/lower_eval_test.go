@@ -342,17 +342,38 @@ func diagMacEnv(t *testing.T, p *Program, logN, levels int) (EvalContext, map[st
 	return EvalContext{Eval: te.eval, Enc: te.enc}, te.encryptAll(t, map[string][]complex128{"x": x}, levels)
 }
 
-// TestEvaluateDiagMacStreamsEncodes: DiagMac encodes its diagonals into
-// pooled rows a chunk at a time, so a whole Evaluate — basket, encodes,
-// ModDown and result included — allocates less than the sixteen extended
-// plaintexts alone would if each were built on the heap.
-func TestEvaluateDiagMacStreamsEncodes(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool sheds entries at random under the race detector")
+// bsgsProgram compiles a bs × gs BSGS product over random diagonals, the
+// he-rot shape: one basket shared by gs DiagMacs, each giant step rotated and
+// summed.
+func bsgsProgram(t *testing.T, slots, bs, gs, levels int) *Program {
+	t.Helper()
+	rng := rand.New(rand.NewSource(13))
+	b := NewBuilder(slots)
+	x := b.Input("x")
+	var acc *Value
+	for g := 0; g < gs; g++ {
+		var inner *Value
+		for j := 0; j < bs; j++ {
+			inner = b.accum(inner, b.MulPlain(b.Rotate(x, j), b.PlainVec("", randVec(rng, slots))))
+		}
+		acc = b.accum(acc, b.Rotate(inner, g*bs))
 	}
-	const logN, levels, diags = 10, 6, 16
-	p := diagMacProgram(t, 1<<(logN-1), diags, levels, 0)
-	ctx, cts := diagMacEnv(t, p, logN, levels)
+	b.Output(acc)
+	src, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := Compile(src, Options{Levels: levels})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// allocPerEvaluate is the heap bytes one Evaluate of p allocates once the
+// ring's pools are warm.
+func allocPerEvaluate(t *testing.T, p *Program, ctx EvalContext, cts map[string]*ckks.Ciphertext) uint64 {
+	t.Helper()
 	run := func() {
 		if _, err := Evaluate(p, ctx, cts); err != nil {
 			t.Fatal(err)
@@ -367,37 +388,93 @@ func TestEvaluateDiagMacStreamsEncodes(t *testing.T) {
 		run()
 	}
 	runtime.ReadMemStats(&after)
-	perRun := (after.TotalAlloc - before.TotalAlloc) / runs
-	if livePlaintexts := uint64(diags * (levels + 2) * (8 << logN)); perRun >= livePlaintexts {
-		t.Fatalf("Evaluate allocates %d bytes; %d heap-resident extended plaintexts are %d", perRun, diags, livePlaintexts)
+	return (after.TotalAlloc - before.TotalAlloc) / runs
+}
+
+// TestEvaluateDiagMacStreamsEncodes: DiagMac encodes its diagonals into
+// pooled rows a chunk at a time, so a whole Evaluate — basket, encodes,
+// ModDown and result included — allocates less than the sixteen extended
+// plaintexts alone would if each were built on the heap. A closed basket's
+// rotations live in pooled rows too, and a giant step's rotation and running
+// sum add no third poly: an 8 × 8 BSGS allocates no more than the extended
+// form of the same program does per call, and that is within a few rows of
+// the ciphertexts it must hand out (one per DiagMac, one per giant rotation,
+// the rescaled output) plus one automorphism index per rotation.
+func TestEvaluateDiagMacStreamsEncodes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool sheds entries at random under the race detector")
 	}
+	const logN, levels, diags = 10, 6, 16
+	row := uint64(8 << logN)
+	t.Run("one group", func(t *testing.T) {
+		p := diagMacProgram(t, 1<<(logN-1), diags, levels, 0)
+		ctx, cts := diagMacEnv(t, p, logN, levels)
+		perRun := allocPerEvaluate(t, p, ctx, cts)
+		if livePlaintexts := diags * (levels + 2) * row; perRun >= livePlaintexts {
+			t.Fatalf("Evaluate allocates %d bytes; %d heap-resident extended plaintexts are %d", perRun, diags, livePlaintexts)
+		}
+	})
+	t.Run("closed basket", func(t *testing.T) {
+		const bs, gs = 8, 8
+		p := bsgsProgram(t, 1<<(logN-1), bs, gs, levels)
+		if countClosed(p) != 1 {
+			t.Fatalf("%d closed baskets, want 1\n%s", countClosed(p), p)
+		}
+		ctx, cts := diagMacEnv(t, p, logN, levels)
+		closed := allocPerEvaluate(t, p, ctx, cts)
+		for _, v := range p.Values {
+			v.Closed = false
+		}
+		extended := allocPerEvaluate(t, p, ctx, cts)
+		// Rows: the DiagMac results and giant rotations, the rescaled output
+		// and an automorphism index per rotation, plus a slack of small
+		// allocations (maps, row slices, pool refills) that stays below the
+		// 7 rows a third poly per giant rotation would add each.
+		need := uint64(2*gs-1)*2*(levels+1) + 2*levels + bs - 1 + gs - 1
+		const slack = 24
+		t.Logf("closed %d B, extended %d B, bound %d B", closed, extended, (need+slack)*row)
+		if bound := (need + slack) * row; closed > extended+6*row || max(closed, extended) > bound {
+			t.Fatalf("Evaluate allocates %d bytes closed, %d extended; want closed within six rows of extended, both <= %d", closed, extended, bound)
+		}
+	})
 }
 
 // TestEvaluateDiagMacFanOutBitIdentical extends the parallel-vs-serial
 // differential to the diagonal-parallel encode: forced-serial, one worker (a
 // chunk of 4 diagonals) and eight workers (one chunk of 16, encodes racing
-// for the limb pool) must produce the same ciphertext residue for residue.
+// for the limb pool) must produce the same ciphertext residue for residue —
+// for a one-group DiagMac (extended) and a 4 × 4 BSGS whose basket closes
+// (Q-row encodes, closed rotations, sweep-closed folds).
 func TestEvaluateDiagMacFanOutBitIdentical(t *testing.T) {
 	const logN, levels = 8, 3
-	p := diagMacProgram(t, 1<<(logN-1), 16, levels, 0)
-	ctx, cts := diagMacEnv(t, p, logN, levels)
-	defer ring.SetMaxWorkers(ring.MaxWorkers())
-	defer ring.SetSerial(ring.Serial())
-	ring.SetSerial(true)
-	want, err := Evaluate(p, ctx, cts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ring.SetSerial(false)
-	for _, workers := range []int{1, 2, 8} {
-		ring.SetMaxWorkers(workers)
-		got, err := Evaluate(p, ctx, cts)
-		if err != nil {
-			t.Fatal(err)
+	for name, p := range map[string]*Program{
+		"extended": diagMacProgram(t, 1<<(logN-1), 16, levels, 0),
+		"closed":   bsgsProgram(t, 1<<(logN-1), 4, 4, levels),
+	} {
+		if closed := countClosed(p) == 1; closed != (name == "closed") {
+			t.Fatalf("%s: basket closed %v\n%s", name, closed, p)
 		}
-		if !got.C0.Equal(want.C0) || !got.C1.Equal(want.C1) || got.Scale != want.Scale {
-			t.Fatalf("%d workers: ciphertext differs from the forced-serial run", workers)
-		}
+		ctx, cts := diagMacEnv(t, p, logN, levels)
+		func() {
+			defer ring.SetMaxWorkers(ring.MaxWorkers())
+			defer ring.SetSerial(ring.Serial())
+			ring.SetSerial(true)
+			want, err := Evaluate(p, ctx, cts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ring.SetSerial(false)
+			for _, workers := range []int{1, 2, 8} {
+				ring.SetMaxWorkers(workers)
+				got, err := Evaluate(p, ctx, cts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !got.Equal(want) {
+					t.Fatalf("%s, %d workers: ciphertext differs from the forced-serial run", name, workers)
+				}
+			}
+		}()
 	}
 }
 

@@ -19,15 +19,6 @@ import (
 // keyswitches (Rotation) — what they save at runtime is decompositions and
 // ModDowns, which the static op vocabulary does not price.
 func opCounts(v *Value, relinFused, mulFused map[*Value]bool) fheop.Counts {
-	nonzero := func(rots []int) int {
-		n := 0
-		for _, r := range rots {
-			if r != 0 {
-				n++
-			}
-		}
-		return n
-	}
 	switch v.Op {
 	case OpAdd, OpSub, OpNeg, OpAddConst:
 		return fheop.Of(fheop.HAdd, 1)
@@ -50,11 +41,11 @@ func opCounts(v *Value, relinFused, mulFused map[*Value]bool) fheop.Counts {
 	case OpConjugate:
 		return fheop.Of(fheop.Conjugate, 1)
 	case OpRotBasket:
-		return fheop.Of(fheop.Rotation, nonzero(v.Rots))
+		return fheop.Of(fheop.Rotation, nonzeroRots(v.Rots))
 	case OpDiagMac:
 		return fheop.Of(fheop.PMult, len(v.Rots), fheop.HAdd, len(v.Rots)-1)
 	case OpRotSum:
-		return fheop.Of(fheop.Rotation, nonzero(v.Rots), fheop.HAdd, len(v.Rots)-1)
+		return fheop.Of(fheop.Rotation, nonzeroRots(v.Rots), fheop.HAdd, len(v.Rots)-1)
 	default: // OpInput, OpModSwitch: no accelerator work
 		return fheop.Counts{}
 	}

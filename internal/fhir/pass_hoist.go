@@ -1,6 +1,10 @@
 package fhir
 
-import "sort"
+import (
+	"sort"
+
+	"hydra/internal/ckks"
+)
 
 // Hoist merges rotations that share a digit decomposition into extended-basis
 // folds — the compiler form of the double-hoisting optimization (PR 5's
@@ -21,6 +25,10 @@ import "sort"
 // rotations of the same source are grouped (Value.Hoist), and the lowering
 // decomposes the source once per group (RotateHoisted), paying one ModDown
 // per rotation but one decomposition per group.
+//
+// Which basis a basket's DiagMacs multiply in is decided last, per basket,
+// once every tree has emitted its folds (baskets are shared across trees):
+// see closeBaskets.
 //
 // Hoist requires a legalized program; a tree's leaves all carry the same
 // (level, pend) facts, so every fused value's facts follow directly.
@@ -63,7 +71,57 @@ func Hoist(p *Program) *Program {
 	out.Output = h.rep[p.Output]
 	out = dce(out)
 	annotateSharedDecomp(out)
+	closeBaskets(out)
 	return out
+}
+
+// closeBaskets decides, per RotBasket, the basis its DiagMacs multiply in, by
+// counting the transforms each form runs per evaluation. A ModDown at level ℓ
+// is 2α + 2(ℓ+1) transforms, α = ckks.SpecialPrimes(InputLevel). For a basket
+// of r nonzero rotations feeding G DiagMacs of n diagonals in all:
+//
+//	extended  n·α special-row encodes (each diagonal is encoded per call)
+//	          plus G ModDowns, one closing each fold
+//	closed    r ModDowns, one per baby rotation; the folds run over the Q
+//	          rows and close with a reduction sweep
+//
+// The smaller count wins and a tie stays extended. he-rot's 16 × 16 split at
+// ℓ = 4 (α = 2) is 736 against 210, so it closes; a one-group fold of 16
+// diagonals there is 46 against 210, so it stays extended.
+func closeBaskets(p *Program) {
+	alpha := ckks.SpecialPrimes(p.InputLevel)
+	groups, diags := map[*Value]int{}, map[*Value]int{}
+	for _, v := range p.Values {
+		if v.Op == OpDiagMac {
+			groups[v.Args[0]]++
+			diags[v.Args[0]] += len(v.Rots)
+		}
+	}
+	for _, v := range p.Values {
+		if v.Op == OpRotBasket {
+			extended, closed := basketTransforms(v.Level, alpha, nonzeroRots(v.Rots), groups[v], diags[v])
+			v.Closed = closed < extended
+		}
+	}
+}
+
+// basketTransforms counts the transforms a basket at level lvl with rots
+// nonzero rotations, feeding groups DiagMacs of diags diagonals in all, runs
+// per evaluation in each form (closeBaskets).
+func basketTransforms(lvl, alpha, rots, groups, diags int) (extended, closed int) {
+	modDown := 2*alpha + 2*(lvl+1)
+	return diags*alpha + groups*modDown, rots * modDown
+}
+
+// nonzeroRots counts the rotations of rots that need a keyswitch.
+func nonzeroRots(rots []int) int {
+	n := 0
+	for _, r := range rots {
+		if r != 0 {
+			n++
+		}
+	}
+	return n
 }
 
 // treePlan is one addition tree scheduled for restructuring.

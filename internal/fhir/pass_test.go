@@ -1,8 +1,11 @@
 package fhir
 
 import (
+	"reflect"
 	"strings"
 	"testing"
+
+	"hydra/internal/ckks"
 )
 
 func countOp(p *Program, op Op) int {
@@ -303,8 +306,100 @@ func TestHoistBSGS(t *testing.T) {
 	if co.ModDown >= cn.ModDown {
 		t.Errorf("moddowns not reduced: %d vs naive %d", co.ModDown, cn.ModDown)
 	}
+	// At ℓ = 3 (α = 2) the basket closes, 36 transforms against 80: its 3
+	// nonzero rotations pay a ModDown each, the 4 DiagMacs none, and the 3
+	// giant steps one each.
+	if countClosed(opt) != 1 || co.ModDown != 6 || !strings.Contains(opt.String(), "] closed") {
+		t.Errorf("%d closed baskets and %d moddowns, want 1 and 6\n%s", countClosed(opt), co.ModDown, opt)
+	}
 	if err := opt.Validate(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func countClosed(p *Program) int {
+	n := 0
+	for _, v := range p.Values {
+		if v.Closed {
+			n++
+		}
+	}
+	return n
+}
+
+// basketChoice is one RotBasket of a compiled program as closeBaskets saw
+// it, with the transforms each form would run.
+type basketChoice struct {
+	level, rots, groups, diags int
+	extended, closed           int
+	isClosed                   bool
+}
+
+func basketChoices(p *Program) []basketChoice {
+	var out []basketChoice
+	for _, b := range p.Values {
+		if b.Op != OpRotBasket {
+			continue
+		}
+		c := basketChoice{level: b.Level, rots: nonzeroRots(b.Rots), isClosed: b.Closed}
+		for _, v := range p.Values {
+			if v.Op == OpDiagMac && v.Args[0] == b {
+				c.groups++
+				c.diags += len(v.Rots)
+			}
+		}
+		c.extended, c.closed = basketTransforms(c.level, ckks.SpecialPrimes(p.InputLevel), c.rots, c.groups, c.diags)
+		out = append(out, c)
+	}
+	return out
+}
+
+// TestCloseBasketsRule: the compiler picks each basket's basis by counting
+// transforms — n·α special-row encodes plus one ModDown per DiagMac against
+// one ModDown per nonzero rotation, a ModDown at level ℓ being 2α + 2(ℓ+1) —
+// and a tie stays extended. he-rot's 16 × 16 split closes; a one-group fold
+// of 16 diagonals does not; the bootstrap's two C2S baskets (z and its
+// conjugate, each feeding 32 giant steps of the P/R and Q/S transforms) close
+// at level 20, where α = 7.
+func TestCloseBasketsRule(t *testing.T) {
+	compile := func(src *Program, levels int) *Program {
+		p, err := Compile(src, Options{Levels: levels})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	boot, bootLevels := bootstrapSmall(t)
+	// A tie: ℓ = 1 (α = 1, a ModDown is 6 transforms), two nonzero
+	// rotations against six diagonals in one DiagMac, 12 = 12.
+	x := &Value{ID: 0, Op: OpInput, Name: "x", Level: 1, Degree: 1}
+	basket := &Value{ID: 1, Op: OpRotBasket, Args: []*Value{x}, Rots: []int{0, 1, 2}, Level: 1, Degree: 1}
+	mac := &Value{ID: 2, Op: OpDiagMac, Args: []*Value{basket}, Rots: []int{0, 1, 2, 0, 1, 2}, Level: 1, Pend: 1, Degree: 1}
+	for range mac.Rots {
+		mac.Plains = append(mac.Plains, &Plain{Key: "w"})
+	}
+	tie := &Program{Slots: 8, Values: []*Value{x, basket, mac}, Output: mac, Legal: true, InputLevel: 1}
+	closeBaskets(tie)
+
+	heRot := basketChoice{level: 4, rots: 15, groups: 16, diags: 256, extended: 736, closed: 210, isClosed: true}
+	bootC2S := basketChoice{level: 20, rots: 15, groups: 32, diags: 512, extended: 5376, closed: 840, isClosed: true}
+	for _, tc := range []struct {
+		name string
+		p    *Program
+		want []basketChoice
+	}{
+		{"he-rot 16x16 at L=4", compile(buildBSGS(t, 256, 16, 16), 4), []basketChoice{heRot}},
+		{"one group of 16 at L=4", diagMacProgram(t, 32, 16, 4, 0), []basketChoice{{4, 15, 1, 16, 46, 210, false}}},
+		{"bootstrap-small", compile(boot, bootLevels), []basketChoice{bootC2S, bootC2S}},
+		{"tie", tie, []basketChoice{{1, 2, 1, 6, 12, 12, false}}},
+	} {
+		if got := basketChoices(tc.p); !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%s: baskets %+v, want %+v", tc.name, got, tc.want)
+		}
+	}
+	mac.Closed = true
+	if err := tie.Validate(); err == nil || !strings.Contains(err.Error(), "closed") {
+		t.Errorf("a closed DiagMac validated: %v", err)
 	}
 }
 
