@@ -48,7 +48,7 @@ func TestEvaluateOutputsPinned(t *testing.T) {
 				return acc
 			}), 16
 		}, "2c150556b97b88678c3c039d4d89111466b86a9e40c0d24688171ccac03ff1a1"},
-		{"he-rot-bsgs", 12, 4, func() (*Program, int) { return buildBSGS(t, 1<<11, 16, 16), 4 }, "3fb9667bd8721666f162f6d0edf3798b7e4d392e58c7c86116be7ceb48d0a6f2"},
+		{"he-rot-bsgs", 12, 4, func() (*Program, int) { return buildBSGS(t, 1<<11, 16, 16), 4 }, "f9307dacec7dd8d7b50a8757a319bddd795f6c2898a864691580b9950818be4f"},
 		{"lazy-relin-sum", 6, 3, func() (*Program, int) {
 			return prog(32, func(b *Builder, x, y, z *Value) *Value {
 				return b.Sum(b.Mul(x, y), b.Mul(y, z), b.Mul(b.Rotate(x, 1), z))
