@@ -55,7 +55,7 @@ func TestEvaluateOutputsPinned(t *testing.T) {
 			}), 3
 		}, "8248b64c189083d2ab054010e08535b3b5c6eb882eb379553f5374de9175664f"},
 		{"diagmac", 8, 4, func() (*Program, int) { return diagMacProgram(t, 1<<7, 16, 4, 0), 4 }, "4e4bd653cc6a98851abdd6594cf71c05ec94e1358186a059bb320315945d153a"},
-		{"bootstrap-ir", 9, 20, func() (*Program, int) { return bootstrapSmall(t) }, "93e2a78b572101085853e9626aa4b201abfbc953839ef1edbaa32719aa7ae51b"},
+		{"bootstrap-ir", 9, 20, func() (*Program, int) { return bootstrapSmall(t) }, "4467d71638664d53529d64b1899a5a55ece04f2c70b8b4db7fd7c660d34bac85"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if tc.name == "bootstrap-ir" && testing.Short() {
