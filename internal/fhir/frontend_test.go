@@ -371,7 +371,7 @@ func TestBootstrapIRCost(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := Cost{KeySwitch: 207, Decomp: 151, ModDown: 241, Rescale: 627, PMult: 1542}
+	want := Cost{KeySwitch: 207, Decomp: 151, ModDown: 207, Rescale: 627, PMult: 1542}
 	got := Measure(opt)
 	got.Values = 0 // IR size, not a cost
 	if got != want {
