@@ -207,17 +207,17 @@ func (ev *Evaluator) MulPlainExtAcc(xs []*ExtCiphertext, pts []*ExtPlaintext, ac
 	})
 }
 
-// AddExtAcc adds x into acc in place over the rows acc carries (acc += x),
-// both staying lazy in [0, 2q). Levels, bases and scales must match.
+// AddExtAcc adds x into acc in place over the extended basis (acc += x),
+// both staying lazy in [0, 2q). Levels and scales must match.
 func (ev *Evaluator) AddExtAcc(x *ExtCiphertext, acc *ExtCiphertext) {
-	if x.Lvl != acc.Lvl || len(x.C0) != len(acc.C0) {
-		panic(fmt.Sprintf("ckks: basis mismatch in AddExtAcc: level %d, %d rows vs level %d, %d rows", x.Lvl, len(x.C0), acc.Lvl, len(acc.C0)))
+	if x.Lvl != acc.Lvl {
+		panic(fmt.Sprintf("ckks: level mismatch in AddExtAcc: %d vs %d", x.Lvl, acc.Lvl))
 	}
 	if !sameScale(acc.Scale, x.Scale) {
 		panic(fmt.Sprintf("ckks: scale mismatch in AddExtAcc: %g vs %g", acc.Scale, x.Scale))
 	}
 	r := ev.params.RingQP()
-	ring.ForEachLimb(len(acc.C0), func(jj int) {
+	ring.ForEachLimb(ev.params.ExtRows(x.Lvl), func(jj int) {
 		m := r.Tables[ev.params.extRow(jj, x.Lvl)].Mod
 		m.AddRowLazy(acc.C0[jj], x.C0[jj])
 		m.AddRowLazy(acc.C1[jj], x.C1[jj])
