@@ -344,7 +344,8 @@ func diagMacEnv(t *testing.T, p *Program, logN, levels int) (EvalContext, map[st
 
 // bsgsProgram compiles a bs × gs BSGS product over random diagonals, the
 // he-rot shape: one basket shared by gs DiagMacs, each giant step rotated and
-// summed.
+// summed. Unlike buildBSGS's, its plaintexts hand out vectors built once, so
+// an Evaluate allocates nothing for them.
 func bsgsProgram(t *testing.T, slots, bs, gs, levels int) *Program {
 	t.Helper()
 	rng := rand.New(rand.NewSource(13))
