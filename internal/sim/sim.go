@@ -363,19 +363,54 @@ type runner struct {
 	order              []seqNode
 }
 
+// newRunner sizes every buffer to the program's largest step, so no step
+// grows one.
 func newRunner(p *task.Program, cfg *Config, pl Placement) *runner {
+	var nodes, edges, comms, recvs, tasks int // per step or per card, the largest
+	for _, st := range p.Steps {
+		var c, s, rv int
+		for card := range st.Compute {
+			c += len(st.Compute[card])
+			for j := range st.Comm[card] {
+				if st.Comm[card][j].Kind == task.Recv {
+					rv++
+				}
+			}
+			s += len(st.Comm[card])
+			tasks = max(tasks, len(st.Compute[card])+len(st.Comm[card]))
+		}
+		s -= rv
+		// Queue order, SAC/CAR and transfers: at most 2 edges per compute or
+		// send and 4 per receive; serialization adds one per task.
+		e := 2*c + 2*s + 4*rv
+		if !cfg.Overlap {
+			e += c + s + rv
+		}
+		nodes, edges = max(nodes, c+s+2*rv), max(edges, e)
+		comms, recvs = max(comms, s+rv), max(recvs, rv)
+	}
 	return &runner{
 		p: p, cfg: cfg, pl: pl,
 		res: &Result{
 			ComputeBusy:  make([]float64, p.Cards),
 			CommBusy:     make([]float64, p.Cards),
 			EnergyByUnit: make(map[string]float64, len(energyUnits)+2),
+			Steps:        make([]StepStat, 0, len(p.Steps)),
 		},
 		costs:     map[int]*[numOps]opCost{},
+		nodes:     make([]node, 0, nodes),
 		compBase:  make([]int32, p.Cards),
 		commBase:  make([]int32, p.Cards),
+		readyID:   make([]int32, 0, comms),
+		doneID:    make([]int32, 0, comms),
+		edges:     make([][2]int32, 0, edges),
+		off:       make([]int32, nodes+1),
+		succ:      make([]int32, edges),
+		queue:     make([]int32, 0, nodes),
 		busy:      make([]float64, p.Cards),
-		recvByTag: map[int]tagRecvs{},
+		recvs:     make([]recvRef, 0, recvs),
+		recvByTag: make(map[int]tagRecvs, recvs),
+		order:     make([]seqNode, 0, tasks),
 	}
 }
 
