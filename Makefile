@@ -63,12 +63,14 @@ bench-smoke:
 		bash bench/run.sh -scale smoke -seconds 2 -workload $$w || exit 1; \
 	done
 
-# Short fuzz passes: the ISA task-program decoder, the differential
+# Short fuzz passes: the ISA task-program decoder, the simulator against its
+# reference scheduler on programs with repeated steps, the differential
 # modular-arithmetic fuzzer (Barrett/Shoup vs math/big), the RNS base
 # conversions (keyswitch ModUp/ModDown vs math/big), the ciphertext wire
 # decoder, and the word-sized plaintext encoder against its math/big oracle.
 fuzz:
 	$(GO) test -fuzz=FuzzUnmarshal -fuzztime=20s ./internal/isa/
+	$(GO) test -fuzz=FuzzRunMatchesOracle -fuzztime=10s -run '^$$' ./internal/sim/
 	$(GO) test -fuzz=FuzzModularOps -fuzztime=10s -run '^$$' ./internal/ring/
 	$(GO) test -fuzz=FuzzBaseConversion -fuzztime=10s -run '^$$' ./internal/ring/
 	$(GO) test -fuzz=FuzzUnmarshalCiphertext -fuzztime=10s -run '^$$' ./internal/ckks/

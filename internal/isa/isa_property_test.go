@@ -17,24 +17,33 @@ func randomProgram(seed int64) *task.Program {
 	steps := 1 + rng.Intn(3)
 	for s := 0; s < steps; s++ {
 		b.Step("s")
-		lastCompute := make(map[int]task.Handle)
+		last := make([]task.Handle, cards) // per card: its latest compute, once Index >= 0
+		for c := range last {
+			last[c] = task.FromStart
+		}
+		computed := false
 		nTasks := 1 + rng.Intn(10)
 		for i := 0; i < nTasks; i++ {
 			card := rng.Intn(cards)
 			switch {
-			case rng.Intn(3) > 0 || len(lastCompute) == 0 || cards == 1:
+			case rng.Intn(3) > 0 || !computed || cards == 1:
 				ops := fheop.Of(fheop.Op(rng.Intn(3)), 1+rng.Intn(5))
 				if rng.Intn(4) == 0 {
 					b.SetEnergyScale(0.25 + rng.Float64())
 				}
-				lastCompute[card] = b.Compute(card, ops, 1+rng.Intn(28), "L")
+				last[card] = b.Compute(card, ops, 1+rng.Intn(28), "L")
+				computed = true
 			default:
-				// Send from a card that has computed, to random others.
-				var from int
-				for c := range lastCompute {
-					from = c
-					break
+				// Send from a card that has computed, to random others. The
+				// seed draws the sender over the cards in order, so that a
+				// seed names one program.
+				var senders []int
+				for c, h := range last {
+					if h.Index >= 0 {
+						senders = append(senders, c)
+					}
 				}
+				from := senders[rng.Intn(len(senders))]
 				var dsts []int
 				for c := 0; c < cards; c++ {
 					if c != from && rng.Intn(2) == 0 {
@@ -44,10 +53,10 @@ func randomProgram(seed int64) *task.Program {
 				if len(dsts) == 0 {
 					dsts = []int{(from + 1) % cards}
 				}
-				recvs := b.Send(from, lastCompute[from], dsts, float64(1+rng.Intn(1e6)), "x")
+				recvs := b.Send(from, last[from], dsts, float64(1+rng.Intn(1e6)), "x")
 				if rng.Intn(2) == 0 {
 					dst := dsts[0]
-					lastCompute[dst] = b.ComputeAfterRecv(dst, recvs[0], fheop.Of(fheop.HAdd, 1), 1+rng.Intn(28), "L")
+					last[dst] = b.ComputeAfterRecv(dst, recvs[0], fheop.Of(fheop.HAdd, 1), 1+rng.Intn(28), "L")
 				}
 			}
 		}

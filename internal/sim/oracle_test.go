@@ -15,13 +15,6 @@ import (
 	"hydra/internal/task"
 )
 
-// Exported for the external test package, which lowers real networks
-// through internal/experiments (an import cycle from package sim).
-var (
-	RunOnOracle        = runOnOracle
-	RandomValidProgram = randomValidProgram
-)
-
 // runOnOracle is RunOn on the reference scheduler.
 func runOnOracle(p *task.Program, cfg Config, pl Placement) (*Result, error) {
 	if err := p.Validate(); err != nil {
@@ -63,6 +56,13 @@ func physOf(pl Placement, logical []int) []int {
 	}
 	return out
 }
+
+// node kinds in the step dependency graph.
+const (
+	nodeCompute = iota
+	nodeRecvReady
+	nodeCommDone // send completion or receive completion
+)
 
 type refNode struct {
 	kind     int

@@ -8,7 +8,9 @@ package sim
 
 import (
 	"cmp"
+	"encoding/binary"
 	"fmt"
+	"hash/maphash"
 	"math"
 	"slices"
 	"sort"
@@ -235,24 +237,7 @@ func RunOn(p *task.Program, cfg Config, pl Placement) (*Result, error) {
 	if err := pl.validate(p); err != nil {
 		return nil, err
 	}
-	r := newRunner(p, &cfg, pl)
-	res := r.res
-	now := 0.0
-	for _, st := range p.Steps {
-		stat, err := r.step(st, now)
-		if err != nil {
-			return nil, fmt.Errorf("sim: step %q: %w", st.Name, err)
-		}
-		res.Steps = append(res.Steps, stat)
-		now += stat.Span
-	}
-	r.writeEnergy()
-	if pl.Batch > 1 {
-		now = scaleForBatch(res, now, pl.Batch, cfg.Card.BatchAmortFrac)
-	}
-	res.Makespan = now
-	res.EnergyByUnit["Static"] = cfg.Card.IdlePowerW * res.Makespan * float64(p.Cards)
-	return res, nil
+	return newRunner(p, &cfg, pl).run()
 }
 
 // batchFactor is the batched-run time dilation: a batch of b interchangeable
@@ -291,25 +276,6 @@ func scaleForBatch(res *Result, makespan float64, batch int, amortFrac float64) 
 	return makespan * f
 }
 
-// node kinds in the step dependency graph.
-const (
-	nodeCompute = iota
-	nodeRecvReady
-	nodeCommDone // send completion or receive completion
-)
-
-// node is one vertex of a step's dependency graph: a compute task, the ready
-// signal of a receive, or the completion of a send or a receive.
-type node struct {
-	duration float64
-	ready    float64 // latest completion among the predecessors scheduled so far, at least the step start
-	time     float64 // completion time, once scheduled
-	card     int32
-	index    int32 // queue index
-	indeg    int32 // predecessors not yet scheduled
-	kind     uint8
-}
-
 // energyUnits names the per-operation energy contributors, in the order
 // every accumulation runs through them.
 var energyUnits = [...]string{"NTT", "MA", "MM", "Auto", "HBM"}
@@ -322,11 +288,11 @@ type opCost struct {
 	energy [len(energyUnits)]float64
 }
 
-// recvRef is a receive of the step, chained to the next receive of its tag.
-type recvRef struct{ card, index, next int32 }
-
-// tagRecvs is the first and the last receive of a tag in recvRef order.
-type tagRecvs struct{ first, last int32 }
+// recvRef is a receive of the step.
+type recvRef struct {
+	tag         int
+	card, index int32
+}
 
 // seqNode is a task in a serialized card's merged creation order.
 type seqNode struct {
@@ -334,10 +300,20 @@ type seqNode struct {
 	start, done int32
 }
 
-// runner schedules the steps of one RunOn call. It owns every buffer a step
-// needs, grown to the largest step so far and reused by the next, so a step
-// allocates nothing once they have grown; and it prices each (op, limbs) pair
-// once per run.
+// shape is a step's dependency graph compiled for timing. Its nodes are
+// numbered in queue order: each card's computes, then its comm tasks, a
+// receive's ready signal before its completion.
+type shape struct {
+	src       *task.Step // the step it was compiled from; a match is checked against it
+	dur       []float64  // per node
+	order     []int32    // the nodes in a topological order
+	off, succ []int32    // CSR: node n's successors are succ[off[n]:off[n+1]], in edge order
+}
+
+// runner schedules the steps of one RunOn call. It compiles each distinct
+// step into a shape once and times every step from its shape. It owns every
+// buffer a step needs, sized to the program's largest step, and it prices
+// each (op, limbs) pair once per run.
 type runner struct {
 	p   *task.Program
 	cfg *Config
@@ -350,44 +326,44 @@ type runner struct {
 	comm     float64
 	sent     bool // some task sent: "Comm" is in the result
 
-	nodes              []node
+	shapes map[uint64][]*shape // by hash
+	seed   maphash.Seed
+	key    []byte // the hash so far, then a card's queues
+
+	at   []float64 // per node: the latest completion among its predecessors, then its own
+	busy []float64 // per card: compute time in the step
+
+	// Compilation scratch.
+	dur                []float64
 	compBase, commBase []int32 // per card: its first compute node, its first comm task
 	readyID, doneID    []int32 // per comm task: its ready node (-1 for a send), its done node
 	edges              [][2]int32
-	off, succ          []int32 // CSR: node n's successors are succ[off[n]:off[n+1]], in edge order
-	queue              []int32
-	busy               []float64 // per card: compute time in the step
-	recvs              []recvRef
-	recvByTag          map[int]tagRecvs
+	indeg              []int32 // per node: predecessors not yet ordered
+	stack              []int32
+	recvs              []recvRef // by tag, each tag's in queue order
 	phys               []int
 	order              []seqNode
 }
 
 // newRunner sizes every buffer to the program's largest step, so no step
-// grows one.
+// grows one. It reads only queue lengths, taking every comm task for a
+// receive, which bounds the nodes and the edges from above.
 func newRunner(p *task.Program, cfg *Config, pl Placement) *runner {
-	var nodes, edges, comms, recvs, tasks int // per step or per card, the largest
+	var nodes, edges, comms, tasks int // per step or per card, the largest
 	for _, st := range p.Steps {
-		var c, s, rv int
+		var c, m int
 		for card := range st.Compute {
 			c += len(st.Compute[card])
-			for j := range st.Comm[card] {
-				if st.Comm[card][j].Kind == task.Recv {
-					rv++
-				}
-			}
-			s += len(st.Comm[card])
+			m += len(st.Comm[card])
 			tasks = max(tasks, len(st.Compute[card])+len(st.Comm[card]))
 		}
-		s -= rv
-		// Queue order, SAC/CAR and transfers: at most 2 edges per compute or
-		// send and 4 per receive; serialization adds one per task.
-		e := 2*c + 2*s + 4*rv
+		// Queue order, SAC/CAR and transfers: at most 2 edges per compute and
+		// 4 per receive; serialization adds one per task.
+		e := 2*c + 4*m
 		if !cfg.Overlap {
-			e += c + s + rv
+			e += c + m
 		}
-		nodes, edges = max(nodes, c+s+2*rv), max(edges, e)
-		comms, recvs = max(comms, s+rv), max(recvs, rv)
+		nodes, edges, comms = max(nodes, c+2*m), max(edges, e), max(comms, m)
 	}
 	return &runner{
 		p: p, cfg: cfg, pl: pl,
@@ -395,76 +371,96 @@ func newRunner(p *task.Program, cfg *Config, pl Placement) *runner {
 			ComputeBusy:  make([]float64, p.Cards),
 			CommBusy:     make([]float64, p.Cards),
 			EnergyByUnit: make(map[string]float64, len(energyUnits)+2),
-			Steps:        make([]StepStat, 0, len(p.Steps)),
+			// Nil for a program without steps, as appending would leave it.
+			Steps: slices.Grow([]StepStat(nil), len(p.Steps)),
 		},
-		costs:     map[int]*[numOps]opCost{},
-		nodes:     make([]node, 0, nodes),
-		compBase:  make([]int32, p.Cards),
-		commBase:  make([]int32, p.Cards),
-		readyID:   make([]int32, 0, comms),
-		doneID:    make([]int32, 0, comms),
-		edges:     make([][2]int32, 0, edges),
-		off:       make([]int32, nodes+1),
-		succ:      make([]int32, edges),
-		queue:     make([]int32, 0, nodes),
-		busy:      make([]float64, p.Cards),
-		recvs:     make([]recvRef, 0, recvs),
-		recvByTag: make(map[int]tagRecvs, recvs),
-		order:     make([]seqNode, 0, tasks),
+		costs:    map[int]*[numOps]opCost{},
+		shapes:   map[uint64][]*shape{},
+		seed:     maphash.MakeSeed(),
+		at:       make([]float64, nodes),
+		dur:      make([]float64, 0, nodes),
+		compBase: make([]int32, p.Cards),
+		commBase: make([]int32, p.Cards),
+		readyID:  make([]int32, 0, comms),
+		doneID:   make([]int32, 0, comms),
+		edges:    make([][2]int32, 0, edges),
+		indeg:    make([]int32, nodes),
+		stack:    make([]int32, 0, nodes),
+		busy:     make([]float64, p.Cards),
+		recvs:    make([]recvRef, 0, comms),
+		order:    make([]seqNode, 0, tasks),
 	}
 }
 
-// resize returns s with length n, reusing its array when it is large enough.
-// The contents are not cleared.
-func resize[T any](s []T, n int) []T {
-	if cap(s) < n {
-		return make([]T, n)
+// run schedules the program's steps one after the other, each starting at
+// the barrier that ends the one before.
+func (r *runner) run() (*Result, error) {
+	res := r.res
+	now := 0.0
+	for _, st := range r.p.Steps {
+		stat, err := r.step(st, now)
+		if err != nil {
+			return nil, fmt.Errorf("sim: step %q: %w", st.Name, err)
+		}
+		res.Steps = append(res.Steps, stat)
+		now += stat.Span
 	}
-	return s[:n]
+	r.writeEnergy()
+	if r.pl.Batch > 1 {
+		now = scaleForBatch(res, now, r.pl.Batch, r.cfg.Card.BatchAmortFrac)
+	}
+	res.Makespan = now
+	res.EnergyByUnit["Static"] = r.cfg.Card.IdlePowerW * res.Makespan * float64(r.p.Cards)
+	return res, nil
 }
 
-func (r *runner) add(n node) int32 {
-	r.nodes = append(r.nodes, n)
-	return int32(len(r.nodes) - 1)
-}
-
-func (r *runner) edge(from, to int32) {
-	r.edges = append(r.edges, [2]int32{from, to})
-	r.nodes[to].indeg++
-}
-
-// price returns a compute task's duration, and adds its dynamic energy and
-// its operations to the run's totals in task order.
-func (r *runner) price(c *task.Compute) float64 {
-	costs := r.costs[c.Limbs]
+// costsAt returns what each operation costs at limbs, pricing it on first use.
+func (r *runner) costsAt(limbs int) *[numOps]opCost {
+	costs := r.costs[limbs]
 	if costs == nil {
 		costs = new([numOps]opCost)
 		for op := range costs {
-			parts := r.cfg.Card.EnergyByUnit(fheop.Op(op), c.Limbs, r.cfg.Scheme)
-			costs[op].time = r.cfg.Card.OpTime(fheop.Op(op), c.Limbs, r.cfg.Scheme)
+			parts := r.cfg.Card.EnergyByUnit(fheop.Op(op), limbs, r.cfg.Scheme)
+			costs[op].time = r.cfg.Card.OpTime(fheop.Op(op), limbs, r.cfg.Scheme)
 			for u, name := range energyUnits {
 				costs[op].energy[u] = parts[name]
 			}
 		}
-		r.costs[c.Limbs] = costs
+		r.costs[limbs] = costs
 	}
+	return costs
+}
+
+// duration returns a compute task's duration.
+func (r *runner) duration(c *task.Compute) float64 {
+	costs := r.costsAt(c.Limbs)
+	total := 0.0
+	for op, n := range c.Ops {
+		if n != 0 {
+			total += float64(n) * costs[op].time
+		}
+	}
+	return total
+}
+
+// account adds a compute task's dynamic energy and its operations to the
+// run's totals; the tasks come in run order.
+func (r *runner) account(c *task.Compute) {
+	costs := r.costsAt(c.Limbs)
 	scale := c.EnergyScale
 	if scale <= 0 {
 		scale = 1
 	}
-	total := 0.0
 	for op, n := range c.Ops {
 		if n == 0 {
 			continue
 		}
-		total += float64(n) * costs[op].time
 		for u, e := range costs[op].energy {
 			r.energy[u] += scale * float64(n) * e
 		}
 		r.computed = true
 	}
 	r.res.OpTotals = r.res.OpTotals.Add(c.Ops)
-	return total
 }
 
 // writeEnergy puts the run's dynamic energy into the result, one key per
@@ -480,39 +476,232 @@ func (r *runner) writeEnergy() {
 	}
 }
 
-// step builds the step's dependency graph and times it in topological order
-// by forward propagation: a node completes at the latest completion among its
-// predecessors (or the step start) plus its duration.
+// step times the step from its shape by forward propagation: a node
+// completes at the latest completion among its predecessors (or the step
+// start) plus its duration.
 func (r *runner) step(st *task.Step, start float64) (StepStat, error) {
+	sh, err := r.shape(st)
+	if err != nil {
+		return StepStat{}, err
+	}
+	at := r.at[:len(sh.dur)]
+	for id := range at {
+		at[id] = start
+	}
+	for _, id := range sh.order {
+		t := at[id] + sh.dur[id]
+		at[id] = t
+		for _, s := range sh.succ[sh.off[id]:sh.off[id+1]] {
+			if t > at[s] {
+				at[s] = t
+			}
+		}
+	}
+
+	// --- Statistics, over the step's own queues in node order --------------
+	cfg, res := r.cfg, r.res
+	stat := StepStat{Name: st.Name}
+	end := start
+	clear(r.busy)
+	id := 0
+	for card := range st.Compute {
+		for i := range st.Compute[card] {
+			c := &st.Compute[card][i]
+			r.account(c)
+			t, d := at[id], sh.dur[id]
+			id++
+			if t > end {
+				end = t
+			}
+			r.busy[card] += d
+			res.ComputeBusy[card] += d
+			if cfg.CollectTrace {
+				res.Trace = append(res.Trace, TraceEvent{Card: card, Kind: "compute", Label: c.Label, Start: t - d, End: t})
+			}
+		}
+		for j := range st.Comm[card] {
+			c := &st.Comm[card][j]
+			if c.Kind == task.Recv { // its ready signal
+				if at[id] > end {
+					end = at[id]
+				}
+				id++
+			}
+			t, d := at[id], sh.dur[id]
+			id++
+			if t > end {
+				end = t
+			}
+			if c.Kind == task.Send {
+				res.CommBusy[card] += d
+				bytes := c.Bytes * float64(len(c.Peers))
+				res.BytesSent += bytes
+				stat.CommBytes += bytes
+				r.comm += bytes * cfg.Card.EnergyNIC
+				r.sent = true
+			}
+			if cfg.CollectTrace {
+				kind := "send"
+				if c.Kind == task.Recv {
+					kind = "recv"
+				}
+				res.Trace = append(res.Trace, TraceEvent{Card: card, Kind: kind, Label: c.Label, Start: t - d, End: t})
+			}
+		}
+	}
+	for _, b := range r.busy {
+		if b > stat.ComputeMax {
+			stat.ComputeMax = b
+		}
+	}
+	stat.Span = end - start
+	if stat.Span < 0 || math.IsNaN(stat.Span) {
+		return StepStat{}, fmt.Errorf("invalid step span %v", stat.Span)
+	}
+	return stat, nil
+}
+
+// shape returns st's compiled dependency graph: an earlier step's when the
+// two match, else a new one. The hash only picks the candidates.
+func (r *runner) shape(st *task.Step) (*shape, error) {
+	h := r.hash(st)
+	for _, sh := range r.shapes[h] {
+		if sameShape(sh.src, st) {
+			return sh, nil
+		}
+	}
+	sh, err := r.compile(st)
+	if err != nil {
+		return nil, err
+	}
+	r.shapes[h] = append(r.shapes[h], sh)
+	return sh, nil
+}
+
+// sameShape reports whether a and b compile to the same shape: their queues
+// are equal on what sets a duration or an edge (each compute's Ops, Limbs and
+// WaitRecv, each comm task's Kind, Peers, Bytes and WaitCompute), and their
+// tags and their seqs are equal relative to each step's first. Label and
+// EnergyScale are not compared.
+func sameShape(a, b *task.Step) bool {
+	var tags, seqs offset
+	for card := range a.Compute {
+		ac, bc, am, bm := a.Compute[card], b.Compute[card], a.Comm[card], b.Comm[card]
+		if len(ac) != len(bc) || len(am) != len(bm) {
+			return false
+		}
+		for i := range ac {
+			x, y := &ac[i], &bc[i]
+			if x.Ops != y.Ops || x.Limbs != y.Limbs || x.WaitRecv != y.WaitRecv || !seqs.same(x.Seq(), y.Seq()) {
+				return false
+			}
+		}
+		for j := range am {
+			x, y := &am[j], &bm[j]
+			if x.Kind != y.Kind || math.Float64bits(x.Bytes) != math.Float64bits(y.Bytes) || x.WaitCompute != y.WaitCompute ||
+				!slices.Equal(x.Peers, y.Peers) || !tags.same(x.Tag, y.Tag) || !seqs.same(x.Seq(), y.Seq()) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// offset checks that two steps' numbers differ by one offset throughout,
+// the offset of the first pair it is given.
+type offset struct {
+	a0, b0 int
+	set    bool
+}
+
+// same reports whether a - a0 == b - b0 exactly: the differences wrapped to
+// 64 bits, and their signs, which the wrap loses.
+func (o *offset) same(a, b int) bool {
+	if !o.set {
+		o.a0, o.b0, o.set = a, b, true
+	}
+	return a-o.a0 == b-o.b0 && (a < o.a0) == (b < o.b0)
+}
+
+// hash hashes what sameShape compares, tags and seqs relative to the step's
+// first, folding in one card's queues at a time. Each number is cut to 32
+// bits, which only merges candidates.
+func (r *runner) hash(st *task.Step) uint64 {
+	u := binary.LittleEndian.AppendUint32
+	var tag0, seq0 int
+	noTag, noSeq := true, true
+	b := r.key[:0]
+	for card := range st.Compute {
+		b = u(b, uint32(len(st.Compute[card])))
+		b = u(b, uint32(len(st.Comm[card])))
+		for i := range st.Compute[card] {
+			c := &st.Compute[card][i]
+			if noSeq {
+				seq0, noSeq = c.Seq(), false
+			}
+			for _, n := range c.Ops {
+				b = u(b, uint32(n))
+			}
+			b = u(b, uint32(c.Limbs))
+			b = u(b, uint32(c.WaitRecv))
+			b = u(b, uint32(c.Seq()-seq0))
+		}
+		for j := range st.Comm[card] {
+			c := &st.Comm[card][j]
+			if noSeq {
+				seq0, noSeq = c.Seq(), false
+			}
+			if noTag {
+				tag0, noTag = c.Tag, false
+			}
+			b = u(b, uint32(c.Kind))
+			b = u(b, uint32(len(c.Peers)))
+			for _, peer := range c.Peers {
+				b = u(b, uint32(peer))
+			}
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(c.Bytes))
+			b = u(b, uint32(c.WaitCompute))
+			b = u(b, uint32(c.Tag-tag0))
+			b = u(b, uint32(c.Seq()-seq0))
+		}
+		b = binary.LittleEndian.AppendUint64(b[:0], maphash.Bytes(r.seed, b))
+	}
+	r.key = b
+	return maphash.Bytes(r.seed, b)
+}
+
+func (r *runner) edge(from, to int32) {
+	r.edges = append(r.edges, [2]int32{from, to})
+}
+
+// compile builds st's dependency graph and orders it topologically.
+func (r *runner) compile(st *task.Step) (*shape, error) {
 	p, cfg, pl := r.p, r.cfg, r.pl
 
-	// --- Node construction, and receives by tag for send pairing -----------
-	r.nodes, r.readyID, r.doneID, r.recvs = r.nodes[:0], r.readyID[:0], r.doneID[:0], r.recvs[:0]
-	clear(r.recvByTag)
+	// --- Nodes, and receives by tag for send pairing -----------------------
+	dur := r.dur[:0]
+	r.readyID, r.doneID, r.recvs = r.readyID[:0], r.doneID[:0], r.recvs[:0]
 	for card := 0; card < p.Cards; card++ {
-		r.compBase[card] = int32(len(r.nodes))
+		r.compBase[card] = int32(len(dur))
 		for i := range st.Compute[card] {
-			r.add(node{kind: nodeCompute, card: int32(card), index: int32(i), duration: r.price(&st.Compute[card][i]), ready: start})
+			dur = append(dur, r.duration(&st.Compute[card][i]))
 		}
 		r.commBase[card] = int32(len(r.doneID))
 		for j := range st.Comm[card] {
 			c := &st.Comm[card][j]
 			ready := int32(-1)
 			if c.Kind == task.Recv {
-				ready = r.add(node{kind: nodeRecvReady, card: int32(card), index: int32(j), duration: cfg.DMAConfigLatency, ready: start})
-				id := int32(len(r.recvs))
-				r.recvs = append(r.recvs, recvRef{card: int32(card), index: int32(j), next: -1})
-				if t, ok := r.recvByTag[c.Tag]; ok {
-					r.recvs[t.last].next = id
-					r.recvByTag[c.Tag] = tagRecvs{t.first, id}
-				} else {
-					r.recvByTag[c.Tag] = tagRecvs{id, id}
-				}
+				ready = int32(len(dur))
+				dur = append(dur, cfg.DMAConfigLatency)
+				r.recvs = append(r.recvs, recvRef{c.Tag, int32(card), int32(j)})
 			}
 			r.readyID = append(r.readyID, ready)
-			r.doneID = append(r.doneID, r.add(node{kind: nodeCommDone, card: int32(card), index: int32(j), ready: start}))
+			r.doneID = append(r.doneID, int32(len(dur)))
+			dur = append(dur, 0)
 		}
 	}
+	r.dur = dur
+	slices.SortStableFunc(r.recvs, func(a, b recvRef) int { return cmp.Compare(a.tag, b.tag) })
 
 	// Queue-order edges. The computation queue is strictly serial. The DTU's
 	// TX and RX engines are full duplex: sends chain on sends; receive
@@ -559,22 +748,21 @@ func (r *runner) step(st *task.Step, start float64) (StepStat, error) {
 			if c.WaitCompute >= 0 {
 				r.edge(cb+int32(c.WaitCompute), send)
 			}
-			t, ok := r.recvByTag[c.Tag]
-			for k := t.first; ok && k >= 0; k = r.recvs[k].next {
+			k, _ := slices.BinarySearchFunc(r.recvs, c.Tag, func(ref recvRef, tag int) int { return cmp.Compare(ref.tag, tag) })
+			for ; k < len(r.recvs) && r.recvs[k].tag == c.Tag; k++ {
 				ref := r.recvs[k]
 				rk := r.commBase[ref.card] + ref.index
 				r.edge(r.readyID[rk], send) // handshake: ready before send
 				r.edge(send, r.doneID[rk])  // data arrival
 				// Receiver-port drain time (store-and-forward).
-				r.nodes[r.doneID[rk]].duration =
-					cfg.Network.RecvTime(c.Bytes, pl.Cards[card], pl.Cards[ref.card], pl.CardsPerServer)
+				dur[r.doneID[rk]] = cfg.Network.RecvTime(c.Bytes, pl.Cards[card], pl.Cards[ref.card], pl.CardsPerServer)
 			}
 			// Sender-side injection occupancy.
 			r.phys = r.phys[:0]
 			for _, peer := range c.Peers {
 				r.phys = append(r.phys, pl.Cards[peer])
 			}
-			r.nodes[send].duration = cfg.Network.SendTime(c.Bytes, pl.Cards[card], r.phys, pl.CardsPerServer)
+			dur[send] = cfg.Network.SendTime(c.Bytes, pl.Cards[card], r.phys, pl.CardsPerServer)
 		}
 	}
 
@@ -605,106 +793,52 @@ func (r *runner) step(st *task.Step, start float64) (StepStat, error) {
 	}
 
 	// Successor lists: the edges counting-sorted by source.
-	n := len(r.nodes)
-	off := resize(r.off, n+1)
-	clear(off)
+	n := len(dur)
+	ints := make([]int32, 2*n+1+len(r.edges))
+	sh := &shape{
+		src:   st,
+		dur:   append(make([]float64, 0, n), dur...),
+		order: ints[:0:n],
+		off:   ints[n : 2*n+1 : 2*n+1],
+		succ:  ints[2*n+1:],
+	}
+	off, succ, indeg := sh.off, sh.succ, r.indeg[:n]
+	clear(indeg)
 	for _, e := range r.edges {
 		off[e[0]+1]++
+		indeg[e[1]]++
 	}
 	for i := 1; i <= n; i++ {
 		off[i] += off[i-1]
 	}
-	succ := resize(r.succ, len(r.edges))
 	for _, e := range r.edges {
 		succ[off[e[0]]] = e[1]
 		off[e[0]]++
 	}
 	copy(off[1:], off[:n])
 	off[0] = 0
-	r.off, r.succ = off, succ
 
-	// --- Kahn scheduling ---------------------------------------------------
-	nodes := r.nodes
-	queue := r.queue[:0]
-	for id := range nodes {
-		if nodes[id].indeg == 0 {
-			queue = append(queue, int32(id))
+	// --- Kahn: the order, and cycle detection -------------------------------
+	stack := r.stack[:0]
+	for id := range indeg {
+		if indeg[id] == 0 {
+			stack = append(stack, int32(id))
 		}
 	}
-	processed := 0
-	for len(queue) > 0 {
-		id := queue[len(queue)-1]
-		queue = queue[:len(queue)-1]
-		nd := &nodes[id]
-		nd.time = nd.ready + nd.duration
-		processed++
-		for _, sid := range succ[off[id]:off[id+1]] {
-			s := &nodes[sid]
-			if nd.time > s.ready {
-				s.ready = nd.time
-			}
-			s.indeg--
-			if s.indeg == 0 {
-				queue = append(queue, sid)
+	for len(stack) > 0 {
+		id := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		sh.order = append(sh.order, id)
+		for _, s := range succ[off[id]:off[id+1]] {
+			indeg[s]--
+			if indeg[s] == 0 {
+				stack = append(stack, s)
 			}
 		}
 	}
-	r.queue = queue
-	if processed != n {
-		return StepStat{}, fmt.Errorf("dependency cycle (deadlock) detected: %d of %d tasks runnable", processed, n)
+	r.stack = stack
+	if len(sh.order) != n {
+		return nil, fmt.Errorf("dependency cycle (deadlock) detected: %d of %d tasks runnable", len(sh.order), n)
 	}
-
-	// --- Statistics --------------------------------------------------------
-	res := r.res
-	stat := StepStat{Name: st.Name}
-	end := start
-	clear(r.busy)
-	for id := range nodes {
-		nd := &nodes[id]
-		if nd.time > end {
-			end = nd.time
-		}
-		switch nd.kind {
-		case nodeCompute:
-			r.busy[nd.card] += nd.duration
-			res.ComputeBusy[nd.card] += nd.duration
-			if cfg.CollectTrace {
-				res.Trace = append(res.Trace, TraceEvent{
-					Card: int(nd.card), Kind: "compute",
-					Label: st.Compute[nd.card][nd.index].Label,
-					Start: nd.time - nd.duration, End: nd.time,
-				})
-			}
-		case nodeCommDone:
-			c := &st.Comm[nd.card][nd.index]
-			if c.Kind == task.Send {
-				res.CommBusy[nd.card] += nd.duration
-				bytes := c.Bytes * float64(len(c.Peers))
-				res.BytesSent += bytes
-				stat.CommBytes += bytes
-				r.comm += bytes * cfg.Card.EnergyNIC
-				r.sent = true
-			}
-			if cfg.CollectTrace {
-				kind := "send"
-				if c.Kind == task.Recv {
-					kind = "recv"
-				}
-				res.Trace = append(res.Trace, TraceEvent{
-					Card: int(nd.card), Kind: kind, Label: c.Label,
-					Start: nd.time - nd.duration, End: nd.time,
-				})
-			}
-		}
-	}
-	for _, b := range r.busy {
-		if b > stat.ComputeMax {
-			stat.ComputeMax = b
-		}
-	}
-	stat.Span = end - start
-	if stat.Span < 0 || math.IsNaN(stat.Span) {
-		return StepStat{}, fmt.Errorf("invalid step span %v", stat.Span)
-	}
-	return stat, nil
+	return sh, nil
 }
