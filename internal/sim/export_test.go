@@ -29,8 +29,7 @@ func Footprint(p *task.Program, cfg Config) (shapes, shapeBytes, scratchBytes in
 		}
 	}
 	for _, b := range []int{
-		2 * bytesOf(r.key), // grown by appending
-		bytesOf(r.at), bytesOf(r.busy), bytesOf(r.dur), bytesOf(r.compBase), bytesOf(r.commBase),
+		bytesOf(r.key), bytesOf(r.at), bytesOf(r.busy), bytesOf(r.dur), bytesOf(r.compBase), bytesOf(r.commBase),
 		bytesOf(r.readyID), bytesOf(r.doneID), bytesOf(r.edges), bytesOf(r.indeg), bytesOf(r.stack),
 		bytesOf(r.recvs), bytesOf(r.phys), bytesOf(r.order),
 	} {

@@ -2,11 +2,13 @@ package sim_test
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"runtime"
 	"testing"
 
 	"hydra/internal/experiments"
+	"hydra/internal/fheop"
 	"hydra/internal/model"
 	"hydra/internal/sim"
 	"hydra/internal/task"
@@ -118,6 +120,26 @@ func TestRunMatchesOracle(t *testing.T) {
 		}
 	})
 
+	// A wire program's seqs can wrap past MaxInt. Two steps whose seqs
+	// differ from their first by the same 64-bit residues, but in the other
+	// order, must not share a shape on a card without a DTU.
+	t.Run("seq-wrap", func(t *testing.T) {
+		step := func(seq0 int) *task.Step {
+			return &task.Step{
+				Name:    "s",
+				Compute: [][]task.Compute{{task.Compute{Ops: fheop.Of(fheop.Rotation, 3), Limbs: 20, WaitRecv: -1}.WithSeq(seq0)}, nil},
+				Comm: [][]task.Comm{
+					{task.Comm{Kind: task.Send, Peers: []int{1}, Bytes: 1e6, WaitCompute: -1}.WithSeq(seq0 + 1)},
+					{task.Comm{Kind: task.Recv, Peers: []int{0}, Bytes: 1e6, WaitCompute: -1}.WithSeq(seq0 + 2)},
+				},
+			}
+		}
+		p := &task.Program{Cards: 2, CardsPerServer: 2, Steps: []*task.Step{step(0), step(math.MaxInt)}}
+		cfg := configs["hydra-serial"]
+		cfg.CollectTrace = true
+		requireOracle(t, "hydra-serial", p, cfg, identity(p))
+	})
+
 	// Host relay (FAB-M), the serialized queue (Poseidon) and 64 cards
 	// across eight servers (Hydra-L).
 	t.Run("resnet18", func(t *testing.T) {
@@ -160,16 +182,19 @@ func FuzzRunMatchesOracle(f *testing.F) {
 
 // TestShapeCacheHits counts the shapes a run compiles: one per distinct
 // step. A match that missed steps equal up to a tag and seq offset would
-// still be exact, and slow.
+// still be exact, and slow. On Hydra-S's one card, 15 of ResNet-50's 19
+// kinds of step share one queue-length vector.
 func TestShapeCacheHits(t *testing.T) {
-	proto := experiments.HydraL()
 	for _, c := range []struct {
+		proto         experiments.Prototype
 		net           model.Network
 		steps, shapes int
 	}{
-		{model.BERTBase(), 132, 5},
-		{model.ResNet18(), 45, 16},
+		{experiments.HydraL(), model.BERTBase(), 132, 5},
+		{experiments.HydraL(), model.ResNet18(), 45, 16},
+		{experiments.HydraS(), model.ResNet50(), 133, 19},
 	} {
+		proto := c.proto
 		p, err := proto.Build(c.net)
 		if err != nil {
 			t.Fatal(err)

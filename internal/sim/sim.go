@@ -10,7 +10,6 @@ import (
 	"cmp"
 	"encoding/binary"
 	"fmt"
-	"hash/maphash"
 	"math"
 	"slices"
 	"sort"
@@ -326,9 +325,8 @@ type runner struct {
 	comm     float64
 	sent     bool // some task sent: "Comm" is in the result
 
-	shapes map[uint64][]*shape // by hash
-	seed   maphash.Seed
-	key    []byte // the hash so far, then a card's queues
+	shapes map[string][]*shape // by their steps' queue lengths
+	key    []byte              // a step's queue lengths
 
 	at   []float64 // per node: the latest completion among its predecessors, then its own
 	busy []float64 // per card: compute time in the step
@@ -375,8 +373,8 @@ func newRunner(p *task.Program, cfg *Config, pl Placement) *runner {
 			Steps: slices.Grow([]StepStat(nil), len(p.Steps)),
 		},
 		costs:    map[int]*[numOps]opCost{},
-		shapes:   map[uint64][]*shape{},
-		seed:     maphash.MakeSeed(),
+		shapes:   map[string][]*shape{},
+		key:      make([]byte, 0, 8*p.Cards),
 		at:       make([]float64, nodes),
 		dur:      make([]float64, 0, nodes),
 		compBase: make([]int32, p.Cards),
@@ -562,21 +560,34 @@ func (r *runner) step(st *task.Step, start float64) (StepStat, error) {
 }
 
 // shape returns st's compiled dependency graph: an earlier step's when the
-// two match, else a new one. The hash only picks the candidates.
+// two match, else a new one. Shapes are kept by their steps' queue lengths,
+// at most maxCandidates to a length vector, so a step is compared with a
+// bounded number of candidates; one that matches none of a full list is
+// compiled and not kept.
 func (r *runner) shape(st *task.Step) (*shape, error) {
-	h := r.hash(st)
-	for _, sh := range r.shapes[h] {
+	r.key = r.key[:0]
+	for card := range st.Compute {
+		r.key = binary.LittleEndian.AppendUint32(r.key, uint32(len(st.Compute[card])))
+		r.key = binary.LittleEndian.AppendUint32(r.key, uint32(len(st.Comm[card])))
+	}
+	list := r.shapes[string(r.key)]
+	for _, sh := range list {
 		if sameShape(sh.src, st) {
 			return sh, nil
 		}
 	}
 	sh, err := r.compile(st)
-	if err != nil {
-		return nil, err
+	if err == nil && len(list) < maxCandidates {
+		r.shapes[string(r.key)] = append(list, sh)
 	}
-	r.shapes[h] = append(r.shapes[h], sh)
-	return sh, nil
+	return sh, err
 }
+
+// maxCandidates bounds the shapes kept per queue-length vector, and so the
+// compares a step can cost. A failed compare mostly stops at the first task.
+// On one card, where every step has one length vector, the Table II networks
+// have at most 15 kinds of step.
+const maxCandidates = 32
 
 // sameShape reports whether a and b compile to the same shape: their queues
 // are equal on what sets a duration or an edge (each compute's Ops, Limbs and
@@ -621,53 +632,6 @@ func (o *offset) same(a, b int) bool {
 		o.a0, o.b0, o.set = a, b, true
 	}
 	return a-o.a0 == b-o.b0 && (a < o.a0) == (b < o.b0)
-}
-
-// hash hashes what sameShape compares, tags and seqs relative to the step's
-// first, folding in one card's queues at a time. Each number is cut to 32
-// bits, which only merges candidates.
-func (r *runner) hash(st *task.Step) uint64 {
-	u := binary.LittleEndian.AppendUint32
-	var tag0, seq0 int
-	noTag, noSeq := true, true
-	b := r.key[:0]
-	for card := range st.Compute {
-		b = u(b, uint32(len(st.Compute[card])))
-		b = u(b, uint32(len(st.Comm[card])))
-		for i := range st.Compute[card] {
-			c := &st.Compute[card][i]
-			if noSeq {
-				seq0, noSeq = c.Seq(), false
-			}
-			for _, n := range c.Ops {
-				b = u(b, uint32(n))
-			}
-			b = u(b, uint32(c.Limbs))
-			b = u(b, uint32(c.WaitRecv))
-			b = u(b, uint32(c.Seq()-seq0))
-		}
-		for j := range st.Comm[card] {
-			c := &st.Comm[card][j]
-			if noSeq {
-				seq0, noSeq = c.Seq(), false
-			}
-			if noTag {
-				tag0, noTag = c.Tag, false
-			}
-			b = u(b, uint32(c.Kind))
-			b = u(b, uint32(len(c.Peers)))
-			for _, peer := range c.Peers {
-				b = u(b, uint32(peer))
-			}
-			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(c.Bytes))
-			b = u(b, uint32(c.WaitCompute))
-			b = u(b, uint32(c.Tag-tag0))
-			b = u(b, uint32(c.Seq()-seq0))
-		}
-		b = binary.LittleEndian.AppendUint64(b[:0], maphash.Bytes(r.seed, b))
-	}
-	r.key = b
-	return maphash.Bytes(r.seed, b)
 }
 
 func (r *runner) edge(from, to int32) {
