@@ -17,7 +17,8 @@ type Ring struct {
 	// scratch recycles full-capacity polynomial backings and rows recycles
 	// single N-length residue rows, so the limb-parallel hot paths (key
 	// switching, rescaling, digit decomposition) don't trade CPU for GC
-	// pressure.
+	// pressure. Neither pool has a New: a miss makes a fresh buffer, which
+	// is zero already, so only a recycled one is cleared.
 	scratch sync.Pool
 	rows    sync.Pool
 }
@@ -43,14 +44,6 @@ func NewRing(n int, moduli []uint64) (*Ring, error) {
 		psi := PrimitiveRoot2N(n, q)
 		r.Tables = append(r.Tables, NewNTTTable(n, q, psi))
 	}
-	r.scratch.New = func() any {
-		backing := make([]uint64, len(r.Moduli)*r.N)
-		return &backing
-	}
-	r.rows.New = func() any {
-		row := make([]uint64, r.N)
-		return &row
-	}
 	return r, nil
 }
 
@@ -61,8 +54,13 @@ func (r *Ring) GetScratch(level int) *Poly {
 	if level < 0 || level > r.MaxLevel() {
 		panic(fmt.Sprintf("ring: level %d out of range [0,%d]", level, r.MaxLevel()))
 	}
-	backing := *(r.scratch.Get().(*[]uint64))
-	clear(backing[:(level+1)*r.N])
+	var backing []uint64
+	if b, ok := r.scratch.Get().(*[]uint64); ok {
+		backing = *b
+		clear(backing[:(level+1)*r.N])
+	} else {
+		backing = make([]uint64, len(r.Moduli)*r.N) // a miss: make zeroes it
+	}
 	p := &Poly{Coeffs: make([][]uint64, level+1)}
 	for i := range p.Coeffs {
 		p.Coeffs[i], backing = backing[:r.N], backing[r.N:]
@@ -86,9 +84,11 @@ func (r *Ring) PutScratch(p *Poly) {
 
 // GetRow returns a zeroed length-N coefficient row from the row pool.
 func (r *Ring) GetRow() []uint64 {
-	row := *(r.rows.Get().(*[]uint64))
-	clear(row)
-	return row
+	if row, ok := r.rows.Get().(*[]uint64); ok {
+		clear(*row)
+		return *row
+	}
+	return make([]uint64, r.N) // a miss: make zeroes it
 }
 
 // PutRow returns a GetRow row to the pool.
