@@ -126,11 +126,17 @@ func (r *Ring) NewPoly(level int) *Poly {
 // Level returns the polynomial's level.
 func (p *Poly) Level() int { return len(p.Coeffs) - 1 }
 
-// CopyNew returns a deep copy of p.
+// CopyNew returns a deep copy of p, its rows on one backing as NewPoly's.
 func (p *Poly) CopyNew() *Poly {
+	n := 0
+	for _, row := range p.Coeffs {
+		n += len(row)
+	}
+	backing := make([]uint64, n)
 	out := &Poly{Coeffs: make([][]uint64, len(p.Coeffs)), IsNTT: p.IsNTT}
-	for i := range p.Coeffs {
-		out.Coeffs[i] = append([]uint64(nil), p.Coeffs[i]...)
+	for i, row := range p.Coeffs {
+		out.Coeffs[i], backing = backing[:len(row)], backing[len(row):]
+		copy(out.Coeffs[i], row)
 	}
 	return out
 }
