@@ -29,6 +29,14 @@ func (ct *Ciphertext) CopyAtLevel(level int) *Ciphertext {
 	return &Ciphertext{C0: atLevel(ct.C0, level).CopyNew(), C1: atLevel(ct.C1, level).CopyNew(), Scale: ct.Scale}
 }
 
+// ViewAtLevel returns ct dropped to level (no rounding; the scale is
+// unchanged) as a view: its components share ct's rows up to level, and
+// nothing is copied.
+func (ct *Ciphertext) ViewAtLevel(level int) *Ciphertext {
+	checkDropTo(level, ct.Level())
+	return &Ciphertext{C0: atLevel(ct.C0, level), C1: atLevel(ct.C1, level), Scale: ct.Scale}
+}
+
 // checkDropTo panics unless level is one a level-from ciphertext can drop to.
 func checkDropTo(level, from int) {
 	if level < 0 || level > from {

@@ -55,13 +55,62 @@ func requireNTT(op string, polys ...*ring.Poly) {
 	}
 }
 
-// newNTTCiphertext returns a zero NTT-domain ciphertext at level lvl on the
-// heap, for a result whose rows are written in place.
-func (ev *Evaluator) newNTTCiphertext(lvl int, scale float64) *Ciphertext {
+// pooledRow takes a row of the ring's row pool for a value that owns it: an
+// op's result, an extended-basis accumulator or a hoisted decomposition. It
+// comes back as its last holder left it; a taker that accumulates into it
+// clears it first. The owner hands it back with Release, ReleaseExt or
+// hoistedDecomp.release, or drops it to the collector.
+func (ev *Evaluator) pooledRow() []uint64 {
+	//lint:allow poolleak the row's ownership passes to the value it is taken for, whose release returns it to the pool
+	return ev.params.RingQP().GetRawRow()
+}
+
+// pooledPoly is an NTT-domain polynomial at level lvl on pooled rows.
+func (ev *Evaluator) pooledPoly(lvl int) *ring.Poly {
+	p := &ring.Poly{Coeffs: make([][]uint64, lvl+1), IsNTT: true}
+	for i := range p.Coeffs {
+		p.Coeffs[i] = ev.pooledRow()
+	}
+	return p
+}
+
+// newCiphertext is the one constructor of every degree-1 result: an
+// NTT-domain ciphertext at level lvl on pooled rows whose contents are
+// undefined, so the op writes every word of them.
+func (ev *Evaluator) newCiphertext(lvl int, scale float64) *Ciphertext {
+	return &Ciphertext{C0: ev.pooledPoly(lvl), C1: ev.pooledPoly(lvl), Scale: scale}
+}
+
+// copyPooled is a copy of ct on pooled rows.
+func (ev *Evaluator) copyPooled(ct *Ciphertext) *Ciphertext {
+	out := ev.newCiphertext(ct.Level(), ct.Scale)
+	out.C0.Copy(ct.C0)
+	out.C1.Copy(ct.C1)
+	return out
+}
+
+// Release returns ct's rows to the ring's row pool, the rows a level drop
+// hid included, for the next result to reuse: the twin of ReleaseExt. ct
+// must own its rows — an Evaluator result no other ciphertext shares them
+// with — and must not be used afterwards. A ciphertext that is never
+// released is reclaimed by the collector instead.
+func (ev *Evaluator) Release(ct *Ciphertext) {
+	ev.releasePolys(ct.C0, ct.C1)
+}
+
+// Release2 is Release of a degree-2 ciphertext.
+func (ev *Evaluator) Release2(ct *Ciphertext2) {
+	ev.releasePolys(ct.C0, ct.C1, ct.C2)
+}
+
+func (ev *Evaluator) releasePolys(polys ...*ring.Poly) {
 	r := ev.params.RingQP()
-	ct := &Ciphertext{C0: r.NewPoly(lvl), C1: r.NewPoly(lvl), Scale: scale}
-	ct.C0.IsNTT, ct.C1.IsNTT = true, true
-	return ct
+	for _, p := range polys {
+		for _, row := range p.Coeffs[:cap(p.Coeffs)] {
+			r.PutRow(row)
+		}
+		p.Coeffs = nil
+	}
 }
 
 // Add returns a + b at the lower of the two levels. Scales must match.
@@ -70,8 +119,7 @@ func (ev *Evaluator) Add(a, b *Ciphertext) *Ciphertext {
 		panic(fmt.Sprintf("ckks: scale mismatch in Add: %g vs %g", a.Scale, b.Scale))
 	}
 	r := ev.params.RingQP()
-	lvl := min(a.Level(), b.Level())
-	out := &Ciphertext{C0: r.NewPoly(lvl), C1: r.NewPoly(lvl), Scale: a.Scale}
+	out := ev.newCiphertext(min(a.Level(), b.Level()), a.Scale)
 	r.Add(a.C0, b.C0, out.C0)
 	r.Add(a.C1, b.C1, out.C1)
 	return out
@@ -83,8 +131,7 @@ func (ev *Evaluator) Sub(a, b *Ciphertext) *Ciphertext {
 		panic(fmt.Sprintf("ckks: scale mismatch in Sub: %g vs %g", a.Scale, b.Scale))
 	}
 	r := ev.params.RingQP()
-	lvl := min(a.Level(), b.Level())
-	out := &Ciphertext{C0: r.NewPoly(lvl), C1: r.NewPoly(lvl), Scale: a.Scale}
+	out := ev.newCiphertext(min(a.Level(), b.Level()), a.Scale)
 	r.Sub(a.C0, b.C0, out.C0)
 	r.Sub(a.C1, b.C1, out.C1)
 	return out
@@ -93,7 +140,7 @@ func (ev *Evaluator) Sub(a, b *Ciphertext) *Ciphertext {
 // Neg returns -ct (free: no level or scale cost).
 func (ev *Evaluator) Neg(ct *Ciphertext) *Ciphertext {
 	r := ev.params.RingQP()
-	out := &Ciphertext{C0: r.NewPoly(ct.Level()), C1: r.NewPoly(ct.Level()), Scale: ct.Scale}
+	out := ev.newCiphertext(ct.Level(), ct.Scale)
 	r.Neg(ct.C0, out.C0)
 	r.Neg(ct.C1, out.C1)
 	return out
@@ -109,7 +156,7 @@ func (ev *Evaluator) RaiseModulus(ct *Ciphertext) *Ciphertext {
 	}
 	r := ev.params.RingQP()
 	top := len(ev.params.Q()) - 1
-	out := &Ciphertext{C0: r.NewPoly(top), C1: r.NewPoly(top), Scale: ct.Scale}
+	out := ev.newCiphertext(top, ct.Scale)
 	q0 := r.Moduli[0]
 	for _, pair := range [][2]*ring.Poly{{ct.C0, out.C0}, {ct.C1, out.C1}} {
 		src := r.GetScratch(0)
@@ -145,23 +192,35 @@ func constWord(c, scale float64) (k uint64, neg bool) {
 // AddConst returns ct + c where c is a scalar applied to every slot. The
 // constant is encoded at the ciphertext's scale, so the result keeps it.
 func (ev *Evaluator) AddConst(ct *Ciphertext, c float64) *Ciphertext {
+	out := ev.newCiphertext(ct.Level(), ct.Scale)
+	out.C1.Copy(ct.C1)
+	ev.addConst(ct.C0, c, ct.Scale, out.C0)
+	return out
+}
+
+// AddConstAcc adds c into acc in place (acc += c), sparing AddConst's fresh
+// rows and its copy of C1: word for word AddConst's result.
+func (ev *Evaluator) AddConstAcc(c float64, acc *Ciphertext) {
+	ev.addConst(acc.C0, c, acc.Scale, acc.C0)
+}
+
+// addConst sets out = src + round(c·scale) over src's rows; out may be src.
+func (ev *Evaluator) addConst(src *ring.Poly, c, scale float64, out *ring.Poly) {
 	r := ev.params.RingQP()
-	k, neg := constWord(c, ct.Scale)
-	out := &Ciphertext{C0: r.NewPoly(ct.Level()), C1: ct.C1.CopyNew(), Scale: ct.Scale}
+	k, neg := constWord(c, scale)
 	// A constant polynomial k has NTT image k in every position.
-	ring.ForEachLimb(ct.Level()+1, func(i int) {
+	ring.ForEachLimb(src.Level()+1, func(i int) {
 		q := r.Moduli[i]
 		kq := ring.Reduce(k, q)
 		if neg {
 			kq = ring.NegMod(kq, q)
 		}
-		src, dst := ct.C0.Coeffs[i], out.C0.Coeffs[i]
+		src, dst := src.Coeffs[i], out.Coeffs[i]
 		for j, v := range src {
 			dst[j] = ring.AddMod(v, kq, q)
 		}
 	})
-	out.C0.IsNTT = ct.C0.IsNTT
-	return out
+	out.IsNTT = src.IsNTT
 }
 
 // MulPlain returns ct ⊙ pt. The result's scale is the product of scales; call
@@ -172,7 +231,7 @@ func (ev *Evaluator) MulPlain(ct *Ciphertext, pt *Plaintext) *Ciphertext {
 		lvl = pt.Level()
 	}
 	r := ev.params.RingQP()
-	out := &Ciphertext{C0: r.NewPoly(lvl), C1: r.NewPoly(lvl), Scale: ct.Scale * pt.Scale}
+	out := ev.newCiphertext(lvl, ct.Scale*pt.Scale)
 	r.MulCoeffs(atLevel(ct.C0, lvl), atLevel(pt.Value, lvl), out.C0)
 	r.MulCoeffs(atLevel(ct.C1, lvl), atLevel(pt.Value, lvl), out.C1)
 	return out
@@ -213,7 +272,7 @@ func (ev *Evaluator) MulByConstWithScale(ct *Ciphertext, c, scale float64) *Ciph
 		// Track the scale actually applied by the rounded integer multiplier.
 		outScale = ct.Scale * float64(k) / math.Abs(c)
 	}
-	out := &Ciphertext{C0: r.NewPoly(ct.Level()), C1: r.NewPoly(ct.Level()), Scale: outScale}
+	out := ev.newCiphertext(ct.Level(), outScale)
 	ring.ForEachLimb(ct.Level()+1, func(i int) {
 		q := r.Moduli[i]
 		kq := ring.Reduce(k, q)
@@ -277,7 +336,8 @@ func (ev *Evaluator) Rescale(ct *Ciphertext) *Ciphertext {
 	requireNTT("Rescale", ct.C0, ct.C1)
 	r := ev.params.RingQP()
 	in := [2]*ring.Poly{ct.C0, ct.C1}
-	out := [2]*ring.Poly{r.NewPoly(lvl - 1), r.NewPoly(lvl - 1)}
+	res := ev.newCiphertext(lvl-1, ct.Scale/float64(r.Moduli[lvl]))
+	out := [2]*ring.Poly{res.C0, res.C1}
 	rem := r.GetScratch(1) // the dropped row of each component, coefficient domain
 	ring.ForEachLimb(2, func(c int) {
 		copy(rem.Coeffs[c], in[c].Coeffs[lvl])
@@ -285,16 +345,16 @@ func (ev *Evaluator) Rescale(ct *Ciphertext) *Ciphertext {
 	})
 	ring.ForEachLimb(2*lvl, func(i int) {
 		c, j := i/lvl, i%lvl
-		src, qj := in[c].Coeffs[j], r.Moduli[j]
-		ev.rescaleRow(lvl, j, rem.Coeffs[c], out[c].Coeffs[j], func(dst []uint64) {
+		src, qj, dst := in[c].Coeffs[j], r.Moduli[j], out[c].Coeffs[j]
+		clear(dst)
+		ev.rescaleRow(lvl, j, rem.Coeffs[c], dst, func(dst []uint64) {
 			for t, v := range dst {
 				dst[t] = ring.AddMod(src[t], v, qj)
 			}
 		})
 	})
 	r.PutScratch(rem)
-	out[0].IsNTT, out[1].IsNTT = true, true
-	return &Ciphertext{C0: out[0], C1: out[1], Scale: ct.Scale / float64(r.Moduli[lvl])}
+	return res
 }
 
 // rescaleRow is the one per-row tail of a division by q_lvl, shared by
@@ -334,7 +394,7 @@ func (ev *Evaluator) Conjugate(ct *Ciphertext) *Ciphertext {
 
 func (ev *Evaluator) automorphism(ct *Ciphertext, k uint64) *Ciphertext {
 	if k == 1 {
-		return ct.CopyNew()
+		return ev.copyPooled(ct)
 	}
 	if ev.rtks == nil {
 		panic("ckks: evaluator has no rotation keys")
@@ -351,14 +411,14 @@ func (ev *Evaluator) automorphism(ct *Ciphertext, k uint64) *Ciphertext {
 	// (decomposition commutes with the coefficient permutation), so τ_k(c1)
 	// is never materialized.
 	h := ev.decomposeExt(ct.C1)
-	out := ev.newNTTCiphertext(lvl, ct.Scale)
+	out := ev.newCiphertext(lvl, ct.Scale)
 	ev.rotateFromDecomp(h, perm, swk, ct.C0, out.C0.Coeffs, out.C1.Coeffs)
 	h.release(r)
 	return out
 }
 
-// rotateFromDecomp writes τ_k(c0, c1) into out0 and out1 (zeroed rows at
-// h's level): the keyswitch of τ_k(c1) from its hoisted decomposition,
+// rotateFromDecomp writes τ_k(c0, c1) into out0 and out1 (rows at h's
+// level, their contents overwritten): the keyswitch of τ_k(c1) from its hoisted decomposition,
 // divided by P, with τ_k(c0) gathered into the c0 output in place. The
 // addition commutes, so this is word for word materializing τ_k(c0) and
 // adding the keyswitch to it.
@@ -412,14 +472,14 @@ func (ev *Evaluator) decomposeExt(d *ring.Poly) *hoistedDecomp {
 		t := ev.params.extRow(jj, lvl)
 		lifted := make([][]uint64, 0, len(h.digits))
 		for dd := range h.digits {
-			ext := r.GetRow()
+			ext := ev.pooledRow()
 			if lo, hi := ev.params.digit(dd, lvl); lo <= t && t < hi {
 				copy(ext, d.Coeffs[t])
 			} else {
+				clear(ext)
 				ev.modUp[dd][hi-lo-1].Extend(dCoeff.Coeffs[lo:hi], t, ext)
 				lifted = append(lifted, ext)
 			}
-			//lint:allow poolleak digit rows transfer ownership to hoistedDecomp; h.release returns them to the pool
 			h.digits[dd][jj] = ext
 		}
 		r.Tables[t].ForwardBatch(lifted)
@@ -462,19 +522,16 @@ func (ev *Evaluator) ksAccum(h *hoistedDecomp, perm []int, swk *SwitchingKey) (a
 			d[i], kb[i], ka[i] = digit[jj], swk.DigitsB[i].Coeffs[tblIdx], swk.DigitsA[i].Coeffs[tblIdx]
 		}
 		n := len(h.digits)
-		a0 := r.GetRow()
-		a1 := r.GetRow()
-		r.Tables[tblIdx].Mod.InnerProductRows(a0, a1, d[:n], kb[:n], ka[:n], perm)
-		//lint:allow poolleak accumulator rows transfer ownership to the caller, which releases them after the deferred ModDown consumes them
-		acc0[jj], acc1[jj] = a0, a1
+		acc0[jj], acc1[jj] = ev.pooledRow(), ev.pooledRow()
+		r.Tables[tblIdx].Mod.InnerProductRows(acc0[jj], acc1[jj], d[:n], kb[:n], ka[:n], perm)
 	})
 	return acc0, acc1
 }
 
 // ksFromDecomp multiply-accumulates a hoisted decomposition against a
 // switching key (optionally fusing an automorphism gather, see ksAccum) and
-// performs the ModDown immediately into out0 and out1 (zeroed rows at h's
-// level) — the classic single-hoisted keyswitch. The double-hoisted path
+// performs the ModDown immediately into out0 and out1 (rows at h's level,
+// their contents overwritten) — the classic single-hoisted keyswitch. The double-hoisted path
 // instead keeps the ksAccum output in the extended basis (ExtCiphertext) and
 // defers the ModDown across many operations.
 func (ev *Evaluator) ksFromDecomp(h *hoistedDecomp, perm []int, swk *SwitchingKey, out0, out1 [][]uint64) {
@@ -495,7 +552,7 @@ func (ev *Evaluator) ksFromDecomp(h *hoistedDecomp, perm []int, swk *SwitchingKe
 func (ev *Evaluator) RotateHoisted(ct *Ciphertext, rots []int) map[int]*Ciphertext {
 	out := make(map[int]*Ciphertext, len(rots))
 	ev.rotateHoisted(ct, rots, func(rot int) (c0, c1 [][]uint64) {
-		res := ev.newNTTCiphertext(ct.Level(), ct.Scale)
+		res := ev.newCiphertext(ct.Level(), ct.Scale)
 		out[rot] = res
 		return res.C0.Coeffs, res.C1.Coeffs
 	})
@@ -504,7 +561,7 @@ func (ev *Evaluator) RotateHoisted(ct *Ciphertext, rots []int) map[int]*Cipherte
 
 // rotateHoisted is the loop of RotateHoisted and RotateHoistedClosed: one
 // decomposition of ct for every distinct rotation in rots, each result
-// written into the zeroed rows dst hands out for it (ct's own rows copied for
+// written over the rows dst hands out for it (ct's own rows copied for
 // the identity).
 func (ev *Evaluator) rotateHoisted(ct *Ciphertext, rots []int, dst func(rot int) (c0, c1 [][]uint64)) {
 	if ev.rtks == nil {
@@ -543,9 +600,9 @@ func (ev *Evaluator) rotateHoisted(ct *Ciphertext, rots []int, dst func(rot int)
 }
 
 // modDownP divides both components of an extended keyswitch accumulator by P
-// with exact rounding, writing NTT-domain rows at level lvl into out0 and
-// out1 (zeroed rows, lvl+1 each); with rescale set it divides by P·q_lvl and
-// writes them at level lvl−1 (lvl rows each). Only the
+// with exact rounding, writing NTT-domain rows at level lvl over out0 and
+// out1 (lvl+1 rows each, their contents overwritten); with rescale set it
+// divides by P·q_lvl and writes them at level lvl−1 (lvl rows each). Only the
 // special rows leave the NTT domain (and are consumed), and with rescale the
 // row it drops: their conversion to each kept q_j is transformed back and
 // meets the Q rows where they are. The dropped row's coefficient-domain value
@@ -587,6 +644,7 @@ func (ev *Evaluator) modDownP(acc0, acc1 [][]uint64, lvl int, rescale bool, out0
 	ring.ForEachLimb(2*rows, func(i int) {
 		c, j := i/rows, i%rows
 		dst := out[c][j]
+		clear(dst)
 		ev.modDown.Remainder(special[c], overflow.Coeffs[c], j, dst)
 		if !rescale {
 			r.Tables[j].Forward(dst)

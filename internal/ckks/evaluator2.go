@@ -19,13 +19,17 @@ type Ciphertext2 struct {
 // Level returns the ciphertext level.
 func (ct *Ciphertext2) Level() int { return ct.C0.Level() }
 
-// CopyAtLevel returns a deep copy of the rows of all three components up to
-// level (no rounding; the scale is unchanged): a level drop that copies only
-// the rows it keeps.
-func (ct *Ciphertext2) CopyAtLevel(level int) *Ciphertext2 {
+// ViewAtLevel returns ct dropped to level (no rounding; the scale is
+// unchanged) as a view: its components share ct's rows up to level, and
+// nothing is copied.
+func (ct *Ciphertext2) ViewAtLevel(level int) *Ciphertext2 {
 	checkDropTo(level, ct.Level())
-	return &Ciphertext2{C0: atLevel(ct.C0, level).CopyNew(), C1: atLevel(ct.C1, level).CopyNew(),
-		C2: atLevel(ct.C2, level).CopyNew(), Scale: ct.Scale}
+	return &Ciphertext2{C0: atLevel(ct.C0, level), C1: atLevel(ct.C1, level), C2: atLevel(ct.C2, level), Scale: ct.Scale}
+}
+
+// newCiphertext2 is newCiphertext for a degree-2 result.
+func (ev *Evaluator) newCiphertext2(lvl int, scale float64) *Ciphertext2 {
+	return &Ciphertext2{C0: ev.pooledPoly(lvl), C1: ev.pooledPoly(lvl), C2: ev.pooledPoly(lvl), Scale: scale}
 }
 
 // MulNoRelin returns the degree-2 tensor product a·b without relinearizing:
@@ -33,9 +37,7 @@ func (ct *Ciphertext2) CopyAtLevel(level int) *Ciphertext2 {
 // scale is the product. RelinearizeExt (or a chain of Add2 folds followed by
 // one RelinearizeExt) brings it back to degree 1.
 func (ev *Evaluator) MulNoRelin(a, b *Ciphertext) *Ciphertext2 {
-	r := ev.params.RingQP()
-	lvl := min(a.Level(), b.Level())
-	out := &Ciphertext2{C0: r.NewPoly(lvl), C1: r.NewPoly(lvl), C2: r.NewPoly(lvl), Scale: a.Scale * b.Scale}
+	out := ev.newCiphertext2(min(a.Level(), b.Level()), a.Scale*b.Scale)
 	ev.tensor(a, b, out.C0, out.C1, out.C2)
 	return out
 }
@@ -50,8 +52,7 @@ func (ev *Evaluator) Add2(a, b *Ciphertext2) *Ciphertext2 {
 		panic(fmt.Sprintf("ckks: scale mismatch in Add2: %g vs %g", a.Scale, b.Scale))
 	}
 	r := ev.params.RingQP()
-	lvl := min(a.Level(), b.Level())
-	out := &Ciphertext2{C0: r.NewPoly(lvl), C1: r.NewPoly(lvl), C2: r.NewPoly(lvl), Scale: a.Scale}
+	out := ev.newCiphertext2(min(a.Level(), b.Level()), a.Scale)
 	r.Add(a.C0, b.C0, out.C0)
 	r.Add(a.C1, b.C1, out.C1)
 	r.Add(a.C2, b.C2, out.C2)

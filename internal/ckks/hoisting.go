@@ -51,13 +51,12 @@ func (ev *Evaluator) NewClosedAccumulator(lvl int, scale float64) *ExtCiphertext
 }
 
 func (ev *Evaluator) newPooledExt(lvl, rows int, scale float64) *ExtCiphertext {
-	r := ev.params.RingQP()
 	c0 := make([][]uint64, rows)
 	c1 := make([][]uint64, rows)
-	for jj := 0; jj < rows; jj++ {
-		row0, row1 := r.GetRow(), r.GetRow()
-		//lint:allow poolleak accumulator rows transfer ownership to the ExtCiphertext; ModDownExt/ReleaseExt return them to the pool
-		c0[jj], c1[jj] = row0, row1
+	for jj := range c0 {
+		c0[jj], c1[jj] = ev.pooledRow(), ev.pooledRow()
+		clear(c0[jj])
+		clear(c1[jj])
 	}
 	return &ExtCiphertext{Lvl: lvl, C0: c0, C1: c1, Scale: scale}
 }
@@ -227,8 +226,8 @@ func (ev *Evaluator) AddExtAcc(x *ExtCiphertext, acc *ExtCiphertext) {
 // ModDownExt closes the deferred-ModDown window: it sweeps every row back to
 // canonical residues, divides both components by P, and returns the ordinary
 // Q-basis ciphertext. A closed accumulator has no P to divide: the sweep
-// alone closes it. The extended ciphertext is consumed (its rows return to
-// the pool).
+// alone closes it, and its rows become the result's. The extended ciphertext
+// is consumed (its rows return to the pool, or pass to the result).
 func (ev *Evaluator) ModDownExt(e *ExtCiphertext) *Ciphertext {
 	return ev.closeExt(e, false)
 }
@@ -255,19 +254,16 @@ func (ev *Evaluator) closeExt(e *ExtCiphertext, rescale bool) *Ciphertext {
 		ring.ReduceFinalVec(e.C1[jj], q)
 	})
 	if e.closed() {
-		ct := ev.newNTTCiphertext(e.Lvl, e.Scale)
-		for j := range e.C0 {
-			copy(ct.C0.Coeffs[j], e.C0[j])
-			copy(ct.C1.Coeffs[j], e.C1[j])
-		}
-		ev.ReleaseExt(e)
+		// The rows are the result's: they pass to it uncopied.
+		ct := &Ciphertext{C0: &ring.Poly{Coeffs: e.C0, IsNTT: true}, C1: &ring.Poly{Coeffs: e.C1, IsNTT: true}, Scale: e.Scale}
+		e.C0, e.C1 = nil, nil
 		return ct
 	}
 	lvl := e.Lvl
 	if rescale {
 		lvl--
 	}
-	ct := ev.newNTTCiphertext(lvl, e.Scale)
+	ct := ev.newCiphertext(lvl, e.Scale)
 	ev.modDownP(e.C0, e.C1, e.Lvl, rescale, ct.C0.Coeffs, ct.C1.Coeffs)
 	if rescale {
 		ct.Scale /= float64(r.Moduli[e.Lvl])

@@ -101,7 +101,9 @@ func genProgram(data []byte, slots int) *Program {
 // FuzzIRPasses is the differential fuzzer of the pass pipeline: for every
 // generated DAG, the fully optimized program and the naive eager program must
 // both equal the exact plaintext interpretation within CKKS noise tolerance
-// when run on real ciphertexts.
+// when run on real ciphertexts. Each is evaluated twice on the one evaluator:
+// the second run reuses the rows the first handed back, and must give the
+// same output word for word and leave the inputs as they were.
 func FuzzIRPasses(f *testing.F) {
 	// Seed corpus: shapes that exercise each pass.
 	f.Add([]byte{0, 0, 1})                                              // one add
@@ -143,9 +145,22 @@ func FuzzIRPasses(f *testing.F) {
 		ctx := EvalContext{Eval: te.eval, Enc: te.enc}
 		for name, p := range map[string]*Program{"optimized": opt, "naive": naive} {
 			cts := te.encryptAll(t, plainIn, fuzzLevels)
+			ins := map[string]string{"x": ctDigest(cts["x"]), "y": ctDigest(cts["y"])}
 			out, err := Evaluate(p, ctx, cts)
 			if err != nil {
 				t.Fatalf("%s: evaluate: %v\nprogram:\n%s", name, err, p)
+			}
+			again, err := Evaluate(p, ctx, cts)
+			if err != nil {
+				t.Fatalf("%s: second evaluate: %v\nprogram:\n%s", name, err, p)
+			}
+			if !again.Equal(out) {
+				t.Fatalf("%s: a second evaluation differs from the first\nprogram:\n%s", name, p)
+			}
+			for in, d := range ins {
+				if ctDigest(cts[in]) != d {
+					t.Fatalf("%s: evaluation changed input %s\nprogram:\n%s", name, in, p)
+				}
 			}
 			got := te.decryptSlots(out)
 			if e := maxErr(got, want); e > 1e-2 {

@@ -26,7 +26,11 @@ type EvalContext struct {
 // closed accumulator that ModDownExt closes by a sweep; tier-A hoist groups
 // share one RotateHoisted decomposition. A Relin, extended DiagMac or RotSum
 // whose one consumer is a Rescale closes its extended-basis accumulator with
-// that Rescale, in one ModDownExtRescale. The evaluator
+// that Rescale, in one ModDownExtRescale. A value's rows go back to the
+// ring's row pool once its last consumer has lowered, for the next result to
+// reuse; a level drop is a view of its operand's rows, and an Add or AddConst
+// whose operand dies writes into it. The inputs are read, never written, and
+// the output is the caller's alone. The evaluator
 // reports contract violations (a missing rotation or relinearization key, a
 // rescale at level 0) by panicking; one raised on the calling goroutine comes
 // back as the failing value's error.
@@ -45,6 +49,11 @@ func Evaluate(p *Program, ctx EvalContext, inputs map[string]*ckks.Ciphertext) (
 	if !ok {
 		return nil, fmt.Errorf("fhir: output v%d did not lower to a degree-1 ciphertext", p.Output.ID)
 	}
+	if !e.owned[p.Output] {
+		// An input, a view that may share an input's rows, or rows a live
+		// view pinned: the caller gets rows of its own.
+		out = out.CopyNew()
+	}
 	return out, nil
 }
 
@@ -62,10 +71,10 @@ type evalLowering struct {
 	baskets map[*Value]map[int]*ckks.ExtCiphertext
 	hoisted map[int]map[int]*ckks.Ciphertext // tier-A group id -> rot -> result
 
-	uses  map[*Value]int
+	left  map[*Value]int                 // uses not yet lowered; the output's and other cards' never are
 	fused map[*Value]bool                // values whose accumulator their Rescale closes
 	open  map[*Value]*ckks.ExtCiphertext // a fused value's accumulator, until its Rescale
-	owned map[*Value]bool                // values whose ciphertext this run made and nothing else holds
+	owned map[*Value]bool                // values whose rows this run made and releases at their last use
 }
 
 func newEvalLowering(p *Program, ctx EvalContext, inputs map[string]*ckks.Ciphertext) *evalLowering {
@@ -81,16 +90,26 @@ func newEvalLowering(p *Program, ctx EvalContext, inputs map[string]*ckks.Cipher
 }
 
 // run lowers vals in order, checking ctx between values; a value's operands
-// must be among vals or already bound in deg1. An error or a recovered panic
-// comes back naming the failing value.
+// must be among vals or already bound in deg1. A value whose last use has
+// lowered retires, its rows back in the pool if it owns them; the output and
+// a value a consumer on another card reads never retire. An error or a
+// recovered panic comes back naming the failing value, every row the run
+// still owns released.
 func (e *evalLowering) run(ctx context.Context, vals []*Value) (err error) {
 	e.vals = vals
-	e.uses = e.p.uses()
-	e.fused = fusedOperands(e.uses, vals)
+	e.left = e.p.uses()
+	e.fused = fusedOperands(e.left, vals)
 	var v *Value
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("fhir: evaluate v%d (%s): panic: %v", v.ID, v.Op, r)
+		}
+		if err != nil {
+			for w, owned := range e.owned {
+				if owned {
+					e.release(w)
+				}
+			}
 		}
 	}()
 	defer e.releaseBaskets()
@@ -102,17 +121,63 @@ func (e *evalLowering) run(ctx context.Context, vals []*Value) (err error) {
 		if err != nil {
 			return fmt.Errorf("fhir: evaluate v%d (%s): %w", v.ID, v.Op, err)
 		}
-		// The caller owns the inputs, and a hoist group's map holds its
-		// rotations.
-		e.owned[v] = v.Op != OpInput && (v.Op != OpRotate || v.Hoist == 0)
+		if _, adopted := e.owned[v]; !adopted {
+			// Fresh rows, but for the caller's inputs and the rotations a
+			// hoist group's map holds.
+			e.owned[v] = v.Op != OpInput && (v.Op != OpRotate || v.Hoist == 0)
+		}
+		for _, a := range v.Args {
+			if e.left[a]--; e.left[a] == 0 {
+				e.retire(a)
+			}
+		}
 	}
 	return nil
 }
 
+// dies reports that the value lowering now is a's last use and a's rows are
+// the run's: that value may write into them.
+func (e *evalLowering) dies(a *Value) bool { return e.owned[a] && e.left[a] == 1 }
+
+// adopt hands a's rows to v, which views them or wrote into them: v owns them
+// when a did and v is a's last use. A view of a value that lives on pins it,
+// never released, so a owns nothing either way.
+func (e *evalLowering) adopt(v, a *Value) {
+	e.owned[v] = e.dies(a)
+	e.owned[a] = false
+}
+
+// retire drops a value no later value in the run reads.
+func (e *evalLowering) retire(v *Value) {
+	if e.owned[v] {
+		e.release(v)
+	}
+	delete(e.deg1, v)
+	delete(e.deg2, v)
+	delete(e.baskets, v)
+}
+
+// release returns an owned value's rows to the ring pool.
+func (e *evalLowering) release(v *Value) {
+	ev := e.ctx.Eval
+	if ct, ok := e.deg1[v]; ok {
+		ev.Release(ct)
+	}
+	if ct, ok := e.deg2[v]; ok {
+		ev.Release2(ct)
+	}
+	for _, ext := range e.baskets[v] {
+		ev.ReleaseExt(ext)
+	}
+	delete(e.baskets, v)
+	e.owned[v] = false
+}
+
 // releaseBaskets returns every surviving basket row, extended or closed, to
-// the ring pool. Basket entries are read, never consumed (only the DiagMac
-// accumulator is), so they are all still live here; an open accumulator
-// survives only a run that failed before its Rescale.
+// the ring pool: a basket a DiagMac on another card reads, or one a failed
+// run left. Basket entries are read, never consumed (only the DiagMac
+// accumulator is); an open accumulator survives only a run that failed
+// before its Rescale.
 func (e *evalLowering) releaseBaskets() {
 	for _, basket := range e.baskets {
 		for _, ext := range basket {
@@ -267,10 +332,11 @@ func (e *evalLowering) lower(v *Value) error {
 		switch {
 		case v.Op == OpSub:
 			e.deg1[v] = ev.Sub(a, b)
-		case e.owned[v.Args[0]] && e.uses[v.Args[0]] == 1:
+		case e.dies(v.Args[0]):
 			// No one else reads a: add into it, word for word Add's result.
 			ev.AddAcc(b, a)
 			e.deg1[v] = a
+			e.adopt(v, v.Args[0])
 		default:
 			e.deg1[v] = ev.Add(a, b)
 		}
@@ -287,7 +353,13 @@ func (e *evalLowering) lower(v *Value) error {
 		if err != nil {
 			return err
 		}
-		e.deg1[v] = ev.AddConst(a, v.Const)
+		if !e.dies(v.Args[0]) {
+			e.deg1[v] = ev.AddConst(a, v.Const)
+			return nil
+		}
+		ev.AddConstAcc(v.Const, a)
+		e.deg1[v] = a
+		e.adopt(v, v.Args[0])
 
 	case OpMulConst:
 		a, err := e.ct(v.Args[0])
@@ -338,15 +410,17 @@ func (e *evalLowering) lower(v *Value) error {
 		e.deg1[v] = ev.Rescale(a)
 
 	case OpModSwitch:
+		// A view of the rows the drop keeps: nothing is copied.
 		if ct2, ok := e.deg2[v.Args[0]]; ok {
-			e.deg2[v] = ct2.CopyAtLevel(ct2.Level() - v.K)
-			return nil
+			e.deg2[v] = ct2.ViewAtLevel(ct2.Level() - v.K)
+		} else {
+			a, err := e.ct(v.Args[0])
+			if err != nil {
+				return err
+			}
+			e.deg1[v] = a.ViewAtLevel(a.Level() - v.K)
 		}
-		a, err := e.ct(v.Args[0])
-		if err != nil {
-			return err
-		}
-		e.deg1[v] = a.CopyAtLevel(a.Level() - v.K)
+		e.adopt(v, v.Args[0])
 
 	case OpRotate:
 		if v.Hoist != 0 {

@@ -37,17 +37,7 @@ func TestEvaluateOutputsPinned(t *testing.T) {
 		src          func() (*Program, int) // source program and compile levels
 		want         string
 	}{
-		{"he-mul-horner", 12, 16, func() (*Program, int) {
-			rng := rand.New(rand.NewSource(5))
-			c := func() float64 { return rng.Float64() - 0.5 }
-			return prog(1<<11, func(b *Builder, x, _, _ *Value) *Value {
-				acc := b.AddConst(b.MulConst(x, c()), c())
-				for i := 13; i >= 0; i-- {
-					acc = b.AddConst(b.Mul(acc, x), c())
-				}
-				return acc
-			}), 16
-		}, "2c150556b97b88678c3c039d4d89111466b86a9e40c0d24688171ccac03ff1a1"},
+		{"he-mul-horner", 12, 16, func() (*Program, int) { return heMulHorner(t), 16 }, "2c150556b97b88678c3c039d4d89111466b86a9e40c0d24688171ccac03ff1a1"},
 		{"he-rot-bsgs", 12, 4, func() (*Program, int) { return buildBSGS(t, 1<<11, 16, 16), 4 }, "f9307dacec7dd8d7b50a8757a319bddd795f6c2898a864691580b9950818be4f"},
 		{"lazy-relin-sum", 6, 3, func() (*Program, int) {
 			return prog(32, func(b *Builder, x, y, z *Value) *Value {
@@ -80,9 +70,40 @@ func TestEvaluateOutputsPinned(t *testing.T) {
 	}
 }
 
-// evaluatePinned keys a context for p, encrypts deterministic inputs at the
-// program's input level (raised from level 0 for a bootstrap) and evaluates.
+// heMulHorner is the benchmark's he-mul program: a degree-15 Horner
+// polynomial over 2048 slots, as a source program for 16 levels.
+func heMulHorner(t *testing.T) *Program {
+	t.Helper()
+	rng := rand.New(rand.NewSource(5))
+	c := func() float64 { return rng.Float64() - 0.5 }
+	b := NewBuilder(1 << 11)
+	x := b.Input("x")
+	acc := b.AddConst(b.MulConst(x, c()), c())
+	for i := 13; i >= 0; i-- {
+		acc = b.AddConst(b.Mul(acc, x), c())
+	}
+	b.Output(acc)
+	p, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// evaluatePinned evaluates p on pinnedEnv's context and inputs.
 func evaluatePinned(t *testing.T, p *Program, logN, levels int, boot bool) *ckks.Ciphertext {
+	t.Helper()
+	ctx, inputs := pinnedEnv(t, p, logN, levels, boot)
+	out, err := Evaluate(p, ctx, inputs)
+	if err != nil {
+		t.Fatalf("evaluate: %v", err)
+	}
+	return out
+}
+
+// pinnedEnv keys a context for p and encrypts deterministic inputs at the
+// program's input level (raised from level 0 for a bootstrap).
+func pinnedEnv(t *testing.T, p *Program, logN, levels int, boot bool) (EvalContext, map[string]*ckks.Ciphertext) {
 	t.Helper()
 	params := ckks.TestParameters(logN, levels)
 	if boot {
@@ -121,9 +142,5 @@ func evaluatePinned(t *testing.T, p *Program, logN, levels int, boot bool) *ckks
 			inputs[in.Name] = eval.RaiseModulus(inputs[in.Name])
 		}
 	}
-	out, err := Evaluate(p, EvalContext{Eval: eval, Enc: enc}, inputs)
-	if err != nil {
-		t.Fatalf("evaluate: %v", err)
-	}
-	return out
+	return EvalContext{Eval: eval, Enc: enc}, inputs
 }

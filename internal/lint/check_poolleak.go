@@ -6,13 +6,13 @@ import (
 	"strings"
 )
 
-// PoolLeak flags pooled scratch buffers (ring.GetScratch / ring.GetRow
-// results) that leave their acquire/release window: values returned from the
-// acquiring function, stored into struct fields, slices or maps, sent on
-// channels, placed in composite literals, or captured by closures that
-// outlive the call (goroutines, stored/returned func values). A leaked
-// buffer is returned to the sync.Pool while still referenced, and the next
-// GetScratch hands the same memory to an unrelated limb — a silent
+// PoolLeak flags pooled scratch buffers (ring.GetScratch / ring.GetRow /
+// ring.GetRawRow results) that leave their acquire/release window: values
+// returned from the acquiring function, stored into struct fields, slices or
+// maps, sent on channels, placed in composite literals, or captured by
+// closures that outlive the call (goroutines, stored/returned func values).
+// A leaked buffer is returned to the sync.Pool while still referenced, and
+// the next GetScratch hands the same memory to an unrelated limb — a silent
 // cross-ciphertext corruption no local test catches.
 //
 // Closures passed directly to the bounded pool (ring.ForEachLimb /
@@ -24,7 +24,7 @@ var PoolLeak = &Check{
 	Run:  runPoolLeak,
 }
 
-var poolAcquire = map[string]bool{"GetScratch": true, "GetRow": true}
+var poolAcquire = map[string]bool{"GetScratch": true, "GetRow": true, "GetRawRow": true}
 var poolRelease = map[string]bool{"PutScratch": true, "PutRow": true}
 
 func runPoolLeak(pass *Pass) {

@@ -84,11 +84,25 @@ func (r *Ring) PutScratch(p *Poly) {
 
 // GetRow returns a zeroed length-N coefficient row from the row pool.
 func (r *Ring) GetRow() []uint64 {
-	if row, ok := r.rows.Get().(*[]uint64); ok {
-		clear(*row)
-		return *row
+	row, recycled := r.getRow()
+	if recycled {
+		clear(row)
 	}
-	return make([]uint64, r.N) // a miss: make zeroes it
+	return row
+}
+
+// GetRawRow is GetRow for a row its taker writes whole before reading any of
+// it: a recycled row comes back as its last holder left it, uncleared.
+func (r *Ring) GetRawRow() []uint64 {
+	row, _ := r.getRow()
+	return row
+}
+
+func (r *Ring) getRow() (row []uint64, recycled bool) {
+	if p, ok := r.rows.Get().(*[]uint64); ok {
+		return *p, true
+	}
+	return make([]uint64, r.N), false // a miss: make zeroes it
 }
 
 // PutRow returns a GetRow row to the pool.
