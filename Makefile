@@ -63,18 +63,22 @@ bench-smoke:
 		bash bench/run.sh -scale smoke -seconds 2 -workload $$w || exit 1; \
 	done
 
-# Short fuzz passes: the ISA task-program decoder, the simulator against its
-# reference scheduler on programs with repeated steps, the differential
-# modular-arithmetic fuzzer (Barrett/Shoup vs math/big), the RNS base
-# conversions (keyswitch ModUp/ModDown vs math/big), the ciphertext wire
-# decoder, and the word-sized plaintext encoder against its math/big oracle.
+# Short fuzz passes, 10 s each (scripts/ci.sh runs this same list): the ISA
+# task-program decoder, the simulator against its reference scheduler on
+# programs with repeated steps, the differential modular-arithmetic fuzzer
+# (Barrett/Shoup vs math/big), the RNS base conversions (keyswitch
+# ModUp/ModDown vs math/big), the ciphertext wire decoder, the word-sized
+# plaintext encoder against its math/big oracle, and the IR pass pipeline on
+# real ciphertexts (optimized and naive compiles against the interpreter,
+# each evaluated twice on one evaluator).
 fuzz:
-	$(GO) test -fuzz=FuzzUnmarshal -fuzztime=20s ./internal/isa/
+	$(GO) test -fuzz=FuzzUnmarshal -fuzztime=10s -run '^$$' ./internal/isa/
 	$(GO) test -fuzz=FuzzRunMatchesOracle -fuzztime=10s -run '^$$' ./internal/sim/
 	$(GO) test -fuzz=FuzzModularOps -fuzztime=10s -run '^$$' ./internal/ring/
 	$(GO) test -fuzz=FuzzBaseConversion -fuzztime=10s -run '^$$' ./internal/ring/
 	$(GO) test -fuzz=FuzzUnmarshalCiphertext -fuzztime=10s -run '^$$' ./internal/ckks/
 	$(GO) test -fuzz=FuzzEncodeResidues -fuzztime=10s -run '^$$' ./internal/ckks/
+	$(GO) test -fuzz=FuzzIRPasses -fuzztime=10s -run '^$$' ./internal/fhir/
 
 # Regenerate the experiment golden snapshots after an intentional change.
 golden-update:

@@ -70,26 +70,21 @@ echo "== conformance matrix (full corpus x 5 engines, golden-checked)"
 # regression against testdata/golden_matrix.json.
 go test -count=1 -run TestConformanceMatrix ./internal/conformance/
 
-echo "== compiler (IR pass-ablation report + differential fuzz smoke)"
+echo "== compiler (IR pass-ablation report)"
 # The report compiles the three benchmark programs (BSGS dense matvec,
 # bootstrap, ResNet block) under every pass configuration, so a pass
 # combination that stops compiling fails here; the 20% keyswitch-reduction
 # bar itself is asserted by internal/fhir's tests in the tier-1 stage above.
-# The fuzzer differentially checks random IR programs (interpreter: optimized
-# vs naive compile) for 10 seconds.
 go run ./cmd/hydra-compile >/dev/null
-go test -fuzz=FuzzIRPasses -fuzztime=10s -run '^$' ./internal/fhir/
 
-echo "== fuzz smoke (seed corpora + 10s per fuzzer)"
+echo "== fuzz smoke (seed corpora + 10s per fuzzer, the make fuzz list)"
 # Short differential-fuzz passes seeded from testdata/fuzz and f.Add: the
 # modular arithmetic kernels, the RNS base conversions and the plaintext
-# encoder against math/big, and the ISA and ciphertext wire decoders against
-# crashes and out-of-contract output.
-go test -fuzz=FuzzModularOps -fuzztime=10s -run '^$' ./internal/ring/
-go test -fuzz=FuzzBaseConversion -fuzztime=10s -run '^$' ./internal/ring/
-go test -fuzz=FuzzUnmarshal -fuzztime=10s -run '^$' ./internal/isa/
-go test -fuzz=FuzzUnmarshalCiphertext -fuzztime=10s -run '^$' ./internal/ckks/
-go test -fuzz=FuzzEncodeResidues -fuzztime=10s -run '^$' ./internal/ckks/
+# encoder against math/big, the ISA and ciphertext wire decoders against
+# crashes and out-of-contract output, the simulator against its reference
+# scheduler, and random IR programs (interpreter: optimized vs naive
+# compile, each evaluated twice on one evaluator).
+make fuzz
 
 echo "== bench-smoke (bench/ module: vet, test, five workloads at smoke scale)"
 # bench/ is its own module (replace hydra => ../), invisible to the
