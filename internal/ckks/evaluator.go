@@ -192,35 +192,28 @@ func constWord(c, scale float64) (k uint64, neg bool) {
 // AddConst returns ct + c where c is a scalar applied to every slot. The
 // constant is encoded at the ciphertext's scale, so the result keeps it.
 func (ev *Evaluator) AddConst(ct *Ciphertext, c float64) *Ciphertext {
-	out := ev.newCiphertext(ct.Level(), ct.Scale)
-	out.C1.Copy(ct.C1)
-	ev.addConst(ct.C0, c, ct.Scale, out.C0)
+	out := ev.copyPooled(ct)
+	ev.AddConstAcc(c, out)
 	return out
 }
 
-// AddConstAcc adds c into acc in place (acc += c), sparing AddConst's fresh
-// rows and its copy of C1: word for word AddConst's result.
+// AddConstAcc adds c into acc in place (acc += c): AddConst without its
+// fresh rows and their copy.
 func (ev *Evaluator) AddConstAcc(c float64, acc *Ciphertext) {
-	ev.addConst(acc.C0, c, acc.Scale, acc.C0)
-}
-
-// addConst sets out = src + round(c·scale) over src's rows; out may be src.
-func (ev *Evaluator) addConst(src *ring.Poly, c, scale float64, out *ring.Poly) {
 	r := ev.params.RingQP()
-	k, neg := constWord(c, scale)
+	k, neg := constWord(c, acc.Scale)
 	// A constant polynomial k has NTT image k in every position.
-	ring.ForEachLimb(src.Level()+1, func(i int) {
+	ring.ForEachLimb(acc.Level()+1, func(i int) {
 		q := r.Moduli[i]
 		kq := ring.Reduce(k, q)
 		if neg {
 			kq = ring.NegMod(kq, q)
 		}
-		src, dst := src.Coeffs[i], out.Coeffs[i]
-		for j, v := range src {
-			dst[j] = ring.AddMod(v, kq, q)
+		row := acc.C0.Coeffs[i]
+		for j, v := range row {
+			row[j] = ring.AddMod(v, kq, q)
 		}
 	})
-	out.IsNTT = src.IsNTT
 }
 
 // MulPlain returns ct ⊙ pt. The result's scale is the product of scales; call
@@ -550,38 +543,19 @@ func (ev *Evaluator) ksFromDecomp(h *hoistedDecomp, perm []int, swk *SwitchingKe
 // identically to per-index Rotate calls (the digit lift differs, the values
 // do not).
 func (ev *Evaluator) RotateHoisted(ct *Ciphertext, rots []int) map[int]*Ciphertext {
-	out := make(map[int]*Ciphertext, len(rots))
-	ev.rotateHoisted(ct, rots, func(rot int) (c0, c1 [][]uint64) {
-		res := ev.newCiphertext(ct.Level(), ct.Scale)
-		out[rot] = res
-		return res.C0.Coeffs, res.C1.Coeffs
-	})
-	return out
-}
-
-// rotateHoisted is the loop of RotateHoisted and RotateHoistedClosed: one
-// decomposition of ct for every distinct rotation in rots, each result
-// written over the rows dst hands out for it (ct's own rows copied for
-// the identity).
-func (ev *Evaluator) rotateHoisted(ct *Ciphertext, rots []int, dst func(rot int) (c0, c1 [][]uint64)) {
 	if ev.rtks == nil {
 		panic("ckks: evaluator has no rotation keys")
 	}
 	r := ev.params.RingQP()
-	done := make(map[int]bool, len(rots))
+	out := make(map[int]*Ciphertext, len(rots))
 	var h *hoistedDecomp
 	for _, rot := range rots {
-		if done[rot] {
+		if _, done := out[rot]; done {
 			continue
 		}
-		done[rot] = true
 		k := ring.GaloisElementForRotation(ev.params.N(), rot)
 		if k == 1 {
-			c0, c1 := dst(rot)
-			for j := range c0 {
-				copy(c0[j], ct.C0.Coeffs[j])
-				copy(c1[j], ct.C1.Coeffs[j])
-			}
+			out[rot] = ev.copyPooled(ct)
 			continue
 		}
 		swk, ok := ev.rtks.Keys[k]
@@ -591,12 +565,14 @@ func (ev *Evaluator) rotateHoisted(ct *Ciphertext, rots []int, dst func(rot int)
 		if h == nil {
 			h = ev.decomposeExt(ct.C1)
 		}
-		c0, c1 := dst(rot)
-		ev.rotateFromDecomp(h, ring.AutomorphismNTTIndex(r.N, k), swk, ct.C0, c0, c1)
+		res := ev.newCiphertext(ct.Level(), ct.Scale)
+		ev.rotateFromDecomp(h, ring.AutomorphismNTTIndex(r.N, k), swk, ct.C0, res.C0.Coeffs, res.C1.Coeffs)
+		out[rot] = res
 	}
 	if h != nil {
 		h.release(r)
 	}
+	return out
 }
 
 // modDownP divides both components of an extended keyswitch accumulator by P

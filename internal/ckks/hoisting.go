@@ -142,17 +142,16 @@ func (ev *Evaluator) RotateHoistedExt(ct *Ciphertext, rots []int) map[int]*ExtCi
 	return out
 }
 
-// RotateHoistedClosed is RotateHoisted into pooled rows: every rotation's
-// ModDown is paid at once and its result held closed, Rotate(ct, rot) word
-// for word, for a fold that multiplies over the Q rows alone. The identity is
-// a copy of ct. Callers return the rows with ReleaseExt.
+// RotateHoistedClosed is RotateHoisted held closed: every rotation's
+// ModDown is paid at once and its result's pooled rows held as a closed
+// ExtCiphertext, Rotate(ct, rot) word for word, for a fold that multiplies
+// over the Q rows alone. The identity is a copy of ct. Callers return the
+// rows with ReleaseExt.
 func (ev *Evaluator) RotateHoistedClosed(ct *Ciphertext, rots []int) map[int]*ExtCiphertext {
 	out := make(map[int]*ExtCiphertext, len(rots))
-	ev.rotateHoisted(ct, rots, func(rot int) (c0, c1 [][]uint64) {
-		e := ev.NewClosedAccumulator(ct.Level(), ct.Scale)
-		out[rot] = e
-		return e.C0, e.C1
-	})
+	for rot, res := range ev.RotateHoisted(ct, rots) {
+		out[rot] = &ExtCiphertext{Lvl: res.Level(), C0: res.C0.Coeffs, C1: res.C1.Coeffs, Scale: res.Scale}
+	}
 	return out
 }
 

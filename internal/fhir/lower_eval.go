@@ -111,8 +111,8 @@ func (e *evalLowering) run(ctx context.Context, vals []*Value) (err error) {
 				}
 			}
 		}
+		e.releaseBaskets()
 	}()
-	defer e.releaseBaskets()
 	for _, v = range vals {
 		err := ctx.Err()
 		if err == nil {
@@ -173,11 +173,9 @@ func (e *evalLowering) release(v *Value) {
 	e.owned[v] = false
 }
 
-// releaseBaskets returns every surviving basket row, extended or closed, to
-// the ring pool: a basket a DiagMac on another card reads, or one a failed
-// run left. Basket entries are read, never consumed (only the DiagMac
-// accumulator is); an open accumulator survives only a run that failed
-// before its Rescale.
+// releaseBaskets returns the rows of every basket that never retired — one
+// a DiagMac on another card reads — to the ring pool, and those of an open
+// accumulator, which survives only a run that failed before its Rescale.
 func (e *evalLowering) releaseBaskets() {
 	for _, basket := range e.baskets {
 		for _, ext := range basket {
