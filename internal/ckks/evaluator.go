@@ -55,23 +55,20 @@ func requireNTT(op string, polys ...*ring.Poly) {
 	}
 }
 
-// pooledRow takes a row of the ring's row pool for a value that owns it: an
-// op's result, an extended-basis accumulator or a hoisted decomposition. It
-// comes back as its last holder left it; a taker that accumulates into it
-// clears it first. The owner hands it back with Release, ReleaseExt or
-// hoistedDecomp.release, or drops it to the collector.
-func (ev *Evaluator) pooledRow() []uint64 {
-	//lint:allow poolleak the row's ownership passes to the value it is taken for, whose release returns it to the pool
-	return ev.params.RingQP().GetRawRow()
+// pooledRows takes n rows of the ring's row pool for a value that owns
+// them: an op's result, an extended-basis accumulator or a hoisted
+// decomposition. They come back as their last holder left them; a taker
+// that accumulates into a row clears it first. The owner hands them back
+// with Release, ReleaseExt or hoistedDecomp.release, or drops them to the
+// collector.
+func (ev *Evaluator) pooledRows(n int) [][]uint64 {
+	//lint:allow poolleak the rows' ownership passes to the value they are taken for, whose release returns them to the pool
+	return ev.params.RingQP().GetRawRows(n)
 }
 
 // pooledPoly is an NTT-domain polynomial at level lvl on pooled rows.
 func (ev *Evaluator) pooledPoly(lvl int) *ring.Poly {
-	p := &ring.Poly{Coeffs: make([][]uint64, lvl+1), IsNTT: true}
-	for i := range p.Coeffs {
-		p.Coeffs[i] = ev.pooledRow()
-	}
-	return p
+	return &ring.Poly{Coeffs: ev.pooledRows(lvl + 1), IsNTT: true}
 }
 
 // newCiphertext is the one constructor of every degree-1 result: an
@@ -456,7 +453,7 @@ func (ev *Evaluator) decomposeExt(d *ring.Poly) *hoistedDecomp {
 	for dd := range h.digits {
 		lo, hi := ev.params.digit(dd, lvl)
 		ev.modUp[dd][hi-lo-1].Scale(dCoeff.Coeffs[lo:hi])
-		h.digits[dd] = make([][]uint64, ev.params.ExtRows(lvl))
+		h.digits[dd] = ev.pooledRows(ev.params.ExtRows(lvl))
 	}
 	// One task per extended row: a digit's own rows are d's, copied as they
 	// are and never transformed; every other digit is converted to the row's
@@ -465,7 +462,7 @@ func (ev *Evaluator) decomposeExt(d *ring.Poly) *hoistedDecomp {
 		t := ev.params.extRow(jj, lvl)
 		lifted := make([][]uint64, 0, len(h.digits))
 		for dd := range h.digits {
-			ext := ev.pooledRow()
+			ext := h.digits[dd][jj]
 			if lo, hi := ev.params.digit(dd, lvl); lo <= t && t < hi {
 				copy(ext, d.Coeffs[t])
 			} else {
@@ -473,7 +470,6 @@ func (ev *Evaluator) decomposeExt(d *ring.Poly) *hoistedDecomp {
 				ev.modUp[dd][hi-lo-1].Extend(dCoeff.Coeffs[lo:hi], t, ext)
 				lifted = append(lifted, ext)
 			}
-			h.digits[dd][jj] = ext
 		}
 		r.Tables[t].ForwardBatch(lifted)
 	})
@@ -502,8 +498,7 @@ func (h *hoistedDecomp) release(r *ring.Ring) {
 func (ev *Evaluator) ksAccum(h *hoistedDecomp, perm []int, swk *SwitchingKey) (acc0, acc1 [][]uint64) {
 	r := ev.params.RingQP()
 	rows := ev.params.ExtRows(h.lvl)
-	acc0 = make([][]uint64, rows)
-	acc1 = make([][]uint64, rows)
+	acc0, acc1 = ev.pooledRows(rows), ev.pooledRows(rows)
 	// Each accumulator row jj is independent: it sums every digit i over the
 	// same modulus in one 128-bit accumulator per coefficient (dnum = 3
 	// digits never exceed RowMACFold), reduced once to a canonical residue,
@@ -515,7 +510,6 @@ func (ev *Evaluator) ksAccum(h *hoistedDecomp, perm []int, swk *SwitchingKey) (a
 			d[i], kb[i], ka[i] = digit[jj], swk.DigitsB[i].Coeffs[tblIdx], swk.DigitsA[i].Coeffs[tblIdx]
 		}
 		n := len(h.digits)
-		acc0[jj], acc1[jj] = ev.pooledRow(), ev.pooledRow()
 		r.Tables[tblIdx].Mod.InnerProductRows(acc0[jj], acc1[jj], d[:n], kb[:n], ka[:n], perm)
 	})
 	return acc0, acc1

@@ -51,10 +51,8 @@ func (ev *Evaluator) NewClosedAccumulator(lvl int, scale float64) *ExtCiphertext
 }
 
 func (ev *Evaluator) newPooledExt(lvl, rows int, scale float64) *ExtCiphertext {
-	c0 := make([][]uint64, rows)
-	c1 := make([][]uint64, rows)
+	c0, c1 := ev.pooledRows(rows), ev.pooledRows(rows)
 	for jj := range c0 {
-		c0[jj], c1[jj] = ev.pooledRow(), ev.pooledRow()
 		clear(c0[jj])
 		clear(c1[jj])
 	}

@@ -7,7 +7,7 @@ import (
 )
 
 // PoolLeak flags pooled scratch buffers (ring.GetScratch / ring.GetRow /
-// ring.GetRawRow results) that leave their acquire/release window: values
+// ring.GetRawRows results) that leave their acquire/release window: values
 // returned from the acquiring function, stored into struct fields, slices or
 // maps, sent on channels, placed in composite literals, or captured by
 // closures that outlive the call (goroutines, stored/returned func values).
@@ -24,7 +24,7 @@ var PoolLeak = &Check{
 	Run:  runPoolLeak,
 }
 
-var poolAcquire = map[string]bool{"GetScratch": true, "GetRow": true, "GetRawRow": true}
+var poolAcquire = map[string]bool{"GetScratch": true, "GetRow": true, "GetRawRows": true}
 var poolRelease = map[string]bool{"PutScratch": true, "PutRow": true}
 
 func runPoolLeak(pass *Pass) {

@@ -234,3 +234,16 @@ func okExtAccTransfer(r *ring.Ring, n int) *extAcc {
 	}
 	return e
 }
+
+// poolleak: raw (uncleared) rows are pooled scratch like any other.
+func badRawRowsNeverReleased(r *ring.Ring) {
+	rows := r.GetRawRows(2) // want poolleak
+	rows[0] = nil
+}
+
+// poolleak: the sanctioned result-row shape — one helper takes every pooled
+// row a result owns, its hand-off documented once.
+func okPooledRows(r *ring.Ring, n int) [][]uint64 {
+	//lint:allow poolleak testdata: the rows' ownership passes to the result they are taken for
+	return r.GetRawRows(n)
+}

@@ -23,6 +23,8 @@ func (r *Ring) PutScratch(p *Poly) {}
 
 func (r *Ring) GetRow() []uint64 { return make([]uint64, r.N) }
 
+func (r *Ring) GetRawRows(n int) [][]uint64 { return make([][]uint64, n) }
+
 func (r *Ring) PutRow(row []uint64) {}
 
 // ForEachLimb mimics the bounded pool's fan-out entry point.

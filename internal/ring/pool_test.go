@@ -129,6 +129,13 @@ func TestScratchAndRowPools(t *testing.T) {
 	}
 	r.PutRow(row2)
 
+	// Raw rows are whole rows, whether recycled or made on one backing.
+	for _, row := range r.GetRawRows(5) {
+		if len(row) != r.N || cap(row) != r.N {
+			t.Fatalf("raw row of length %d, capacity %d; want %d", len(row), cap(row), r.N)
+		}
+	}
+
 	// Foreign buffers (not pool-backed) are rejected, not pooled.
 	r.PutScratch(r.NewPoly(1))
 	r.PutRow(make([]uint64, 3))

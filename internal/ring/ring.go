@@ -84,28 +84,34 @@ func (r *Ring) PutScratch(p *Poly) {
 
 // GetRow returns a zeroed length-N coefficient row from the row pool.
 func (r *Ring) GetRow() []uint64 {
-	row, recycled := r.getRow()
-	if recycled {
-		clear(row)
+	if row, ok := r.rows.Get().(*[]uint64); ok {
+		clear(*row)
+		return *row
 	}
-	return row
+	return make([]uint64, r.N) // a miss: make zeroes it
 }
 
-// GetRawRow is GetRow for a row its taker writes whole before reading any of
-// it: a recycled row comes back as its last holder left it, uncleared.
-func (r *Ring) GetRawRow() []uint64 {
-	row, _ := r.getRow()
-	return row
-}
-
-func (r *Ring) getRow() (row []uint64, recycled bool) {
-	if p, ok := r.rows.Get().(*[]uint64); ok {
-		return *p, true
+// GetRawRows returns n length-N rows from the row pool for a taker that
+// writes each one whole before reading any of it: a recycled row comes back
+// as its last holder left it, uncleared. Once the pool runs dry the rest are
+// made on one backing, as NewPoly's rows are.
+func (r *Ring) GetRawRows(n int) [][]uint64 {
+	rows := make([][]uint64, n)
+	for i := range rows {
+		row, ok := r.rows.Get().(*[]uint64)
+		if !ok {
+			backing := make([]uint64, (n-i)*r.N)
+			for j := i; j < n; j++ {
+				rows[j], backing = backing[:r.N:r.N], backing[r.N:]
+			}
+			break
+		}
+		rows[i] = *row
 	}
-	return make([]uint64, r.N), false // a miss: make zeroes it
+	return rows
 }
 
-// PutRow returns a GetRow row to the pool.
+// PutRow returns a GetRow or GetRawRows row to the pool.
 func (r *Ring) PutRow(row []uint64) {
 	if len(row) != r.N {
 		return
