@@ -159,8 +159,11 @@ func (p *TransformPlan) Apply(eval *ckks.Evaluator, ct *ckks.Ciphertext) (*ckks.
 			eval.MulPlainExtAcc(xs, grp.pts, acc)
 			if grp.Giant != 0 {
 				// The group's only ModDown; the giant rotation re-enters the
-				// extended basis so the final fold stays deferred.
-				acc = eval.RotateExt(eval.ModDownExt(acc), grp.Giant)
+				// extended basis so the final fold stays deferred, and the
+				// ModDown's rows go back to the pool.
+				down := eval.ModDownExt(acc)
+				acc = eval.RotateExt(down, grp.Giant)
+				eval.Release(down)
 			}
 			exts[gi] = acc
 			return nil
