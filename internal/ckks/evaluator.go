@@ -329,37 +329,39 @@ func (ev *Evaluator) Rescale(ct *Ciphertext) *Ciphertext {
 	res := ev.newCiphertext(lvl-1, ct.Scale/float64(r.Moduli[lvl]))
 	out := [2]*ring.Poly{res.C0, res.C1}
 	rem := r.GetScratch(1) // the dropped row of each component, coefficient domain
+	zero := r.GetRow()     // the bare rescale's s
 	ring.ForEachLimb(2, func(c int) {
 		copy(rem.Coeffs[c], in[c].Coeffs[lvl])
 		r.Tables[lvl].Inverse(rem.Coeffs[c])
 	})
 	ring.ForEachLimb(2*lvl, func(i int) {
 		c, j := i/lvl, i%lvl
-		src, qj, dst := in[c].Coeffs[j], r.Moduli[j], out[c].Coeffs[j]
-		clear(dst)
-		ev.rescaleRow(lvl, j, rem.Coeffs[c], dst, func(dst []uint64) {
+		src, qj := in[c].Coeffs[j], r.Moduli[j]
+		ev.rescaleRow(lvl, j, rem.Coeffs[c], zero, out[c].Coeffs[j], func(dst []uint64) {
 			for t, v := range dst {
 				dst[t] = ring.AddMod(src[t], v, qj)
 			}
 		})
 	})
 	r.PutScratch(rem)
+	r.PutRow(zero)
 	return res
 }
 
 // rescaleRow is the one per-row tail of a division by q_lvl, shared by
 // Rescale and ModDownExtRescale. rem is the dropped row in the coefficient
-// domain; dst enters as a canonical coefficient-domain row s (zero for a bare
-// rescale); add adds the row's NTT-domain part x to its canonical argument,
-// canonically. dst leaves as (x + NTT(s − [rem]_centered))·q_lvl^-1 mod q_j.
+// domain; s is a canonical coefficient-domain row (zero for a bare rescale),
+// which may be dst itself; add adds the row's NTT-domain part x to its
+// canonical argument, canonically. dst leaves as
+// (x + NTT(s − [rem]_centered))·q_lvl^-1 mod q_j, whatever it held.
 // The transform is linear and returns canonical residues, so however a row is
 // split into x and s this is word for word the coefficient-domain division
 // (x' − [rem]_centered)·q_lvl^-1 of x' = x + NTT(s).
-func (ev *Evaluator) rescaleRow(lvl, j int, rem, dst []uint64, add func(dst []uint64)) {
+func (ev *Evaluator) rescaleRow(lvl, j int, rem, s, dst []uint64, add func(dst []uint64)) {
 	r := ev.params.RingQP()
 	qLast, qj := r.Moduli[lvl], r.Moduli[j]
 	for t, v := range rem {
-		dst[t] = ring.SubMod(dst[t], ring.CenteredMod(v, qLast, qj), qj)
+		dst[t] = ring.SubMod(s[t], ring.CenteredMod(v, qLast, qj), qj)
 	}
 	r.Tables[j].Forward(dst)
 	add(dst)
@@ -614,7 +616,6 @@ func (ev *Evaluator) modDownP(acc0, acc1 [][]uint64, lvl int, rescale bool, out0
 	ring.ForEachLimb(2*rows, func(i int) {
 		c, j := i/rows, i%rows
 		dst := out[c][j]
-		clear(dst)
 		ev.modDown.Remainder(special[c], overflow.Coeffs[c], j, dst)
 		if !rescale {
 			r.Tables[j].Forward(dst)
@@ -622,7 +623,7 @@ func (ev *Evaluator) modDownP(acc0, acc1 [][]uint64, lvl int, rescale bool, out0
 			return
 		}
 		ring.ReduceFinalVec(dst, r.Moduli[j])
-		ev.rescaleRow(lvl, j, dropped.Coeffs[c], dst, func(dst []uint64) { ev.modDown.Finish(j, acc[c][j], dst) })
+		ev.rescaleRow(lvl, j, dropped.Coeffs[c], dst, dst, func(dst []uint64) { ev.modDown.Finish(j, acc[c][j], dst) })
 	})
 	r.PutScratch(overflow)
 	r.PutScratch(dropped)

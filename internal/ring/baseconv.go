@@ -133,20 +133,16 @@ func (d *ModDown) Digits(x [][]uint64, u []uint64) {
 	d.r.PutRow(frac)
 }
 
-// Remainder sets out, zero on entry, to h·Q_B^-1 − Σ_s y[s]·q_s^-1 + u mod
-// q_t, lazy in [0, 2q_t): what Finish adds x·Q_B^-1 to. It is linear, so it
-// may be taken on coefficient-domain rows and transformed before Finish
-// meets an NTT-domain x.
+// Remainder sets out, whatever it held, to h·Q_B^-1 − Σ_s y[s]·q_s^-1 + u
+// mod q_t, lazy in [0, 2q_t): what Finish adds x·Q_B^-1 to. It is linear,
+// so it may be taken on coefficient-domain rows and transformed before
+// Finish meets an NTT-domain x.
 func (d *ModDown) Remainder(y [][]uint64, u []uint64, t int, out []uint64) {
-	d.Extend(y, t, out)
-	c, twoQ := d.bHalf[t], d.r.Moduli[t]<<1
-	for j, v := range out {
-		v += u[j] + c
-		if v >= twoQ {
-			v -= twoQ
-		}
-		out[j] = v
+	c := d.bHalf[t]
+	for j := range out {
+		out[j] = u[j] + c // c < q_t and u[j] ≤ len(y): lazy already
 	}
+	d.Extend(y, t, out)
 }
 
 // Finish adds x·Q_B^-1 mod q_t to out (canonical or lazy), leaving
