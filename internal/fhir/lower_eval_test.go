@@ -258,10 +258,11 @@ func TestEvaluateContractPanicIsError(t *testing.T) {
 	}
 }
 
-// TestModSwitchCopiesKeptRows: a level drop copies the rows it keeps and no
-// others. Dropping a 17-limb input to level 2 allocates less than 4 × 3 rows
-// (the result itself is 2 × 3), where copying the input whole and then
-// truncating it is 34 rows.
+// TestModSwitchCopiesKeptRows: a level drop is a view of the rows it keeps,
+// and an output that views an input is copied for the caller, those rows
+// and no others. Dropping a 17-limb input to level 2 allocates less than
+// 4 × 3 rows (the result itself is 2 × 3), where copying the input whole and
+// then truncating it is 34 rows.
 func TestModSwitchCopiesKeptRows(t *testing.T) {
 	const logN, levels, to = 10, 16, 2
 	params := ckks.TestParameters(logN, levels)
