@@ -16,6 +16,7 @@ import (
 	"os"
 	"sort"
 
+	"hydra/internal/experiments"
 	"hydra/internal/mapping"
 	"hydra/internal/sim"
 	"hydra/internal/task"
@@ -38,9 +39,13 @@ func main() {
 }
 
 func run(proc string, cards, units, cts, degree int, verbose, gantt bool) error {
-	cfg := sim.HydraConfig()
+	if cards < 1 {
+		return fmt.Errorf("-cards %d: need at least one card", cards)
+	}
+	proto := experiments.HydraN(cards)
+	cfg := proto.Sim
 	cfg.CollectTrace = gantt
-	b := task.NewBuilder(cards, min(cards, 8))
+	b := task.NewBuilder(cards, proto.CardsPerServer)
 	ctx := mapping.NewContext(b, cfg.Scheme, cards)
 
 	var err error
@@ -58,11 +63,7 @@ func run(proc string, cards, units, cts, degree int, verbose, gantt bool) error 
 	case "poly":
 		err = ctx.PolyEval(degree, "Poly")
 	case "boot":
-		com := 0.0
-		if cards > 1 {
-			com = cfg.Network.TransferTime(ctx.CtBytes(), 0, 1, min(cards, 8))
-		}
-		times := mapping.OpTimesFor(cfg.Card, cfg.Scheme, 25, com)
+		times := proto.OpTimes()
 		opts := mapping.DefaultBootstrapOptions(cfg.Scheme, cards, times)
 		err = ctx.BootstrapBatch(cts, opts, times, "Boot")
 	default:
@@ -163,11 +164,4 @@ func printGantt(res *sim.Result) {
 	for _, k := range keys {
 		fmt.Printf("card %s |%s|\n", k, rows[k])
 	}
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

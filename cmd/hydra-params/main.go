@@ -22,6 +22,10 @@ func main() {
 	levels := flag.Int("levels", 3, "DFT levels (multiplication-depth budget)")
 	cards := flag.Int("cards", 1, "number of accelerator cards")
 	flag.Parse()
+	if *cards < 1 {
+		fmt.Fprintf(os.Stderr, "hydra-params: -cards %d: need at least one card\n", *cards)
+		os.Exit(1)
+	}
 
 	proto := experiments.HydraN(*cards)
 	times := proto.OpTimes()

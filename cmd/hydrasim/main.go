@@ -30,6 +30,10 @@ func main() {
 	traceJSON := flag.String("trace-json", "", "simulate one benchmark with trace collection and write the task-level schedule as JSON to this path (\"-\" = stdout)")
 	cards := flag.Int("cards", 8, "fleet size for -trace-json")
 	flag.Parse()
+	if *cards < 1 {
+		fmt.Fprintf(os.Stderr, "hydrasim: -cards %d: need at least one card\n", *cards)
+		os.Exit(1)
+	}
 
 	if *traceJSON != "" {
 		if err := runTraceJSON(*traceJSON, *benchmark, *cards); err != nil {

@@ -17,9 +17,9 @@ import (
 func main() {
 	cfg := sim.HydraConfig()
 	const cards = 8
-	ctBytes := float64(cfg.Scheme.CiphertextBytes(25))
-	com := cfg.Network.TransferTime(ctBytes, 0, 1, cards)
-	times := mapping.OpTimesFor(cfg.Card, cfg.Scheme, 25, com)
+	limbs := cfg.Scheme.BootLimbs()
+	com := cfg.Network.TransferTime(float64(cfg.Scheme.CiphertextBytes(limbs)), 0, 1, cards)
+	times := mapping.OpTimesFor(cfg.Card, cfg.Scheme, limbs, com)
 
 	fmt.Println("== Eq. 1 parameter search (logSlots 15, 3 DFT levels) ==")
 	for _, n := range []int{1, 8, 64} {
@@ -40,7 +40,7 @@ func main() {
 	run := func(name string, mutate func(*mapping.MatVecOptions)) {
 		b := task.NewBuilder(cards, cards)
 		ctx := mapping.NewContext(b, cfg.Scheme, cards)
-		ctx.Limbs = opts.Limbs
+		ctx.Limbs = limbs
 		// Emit the C2S levels with the requested aggregation variant, then
 		// the rest of the pipeline unmodified.
 		for i := range opts.DFT.Radix {

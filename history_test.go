@@ -60,3 +60,18 @@ func TestBenchHistoryWellFormed(t *testing.T) {
 		t.Error("BENCH_history.jsonl is empty")
 	}
 }
+
+// TestDocsSize caps DESIGN.md and EXPERIMENTS.md at their sizes when the cap
+// was set. A change that needs more room deletes stale text first, so the
+// documents hold the current state rather than a log of every change.
+func TestDocsSize(t *testing.T) {
+	for name, limit := range map[string]int64{"DESIGN.md": 92250, "EXPERIMENTS.md": 124228} {
+		fi, err := os.Stat(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fi.Size() > limit {
+			t.Errorf("%s is %d bytes, over its cap of %d: delete stale text first", name, fi.Size(), limit)
+		}
+	}
+}

@@ -37,11 +37,9 @@ const (
 	poseidonReportScale = 55.05 / 243.96
 )
 
-// HydraS is one server with one Hydra card and no DTU.
+// HydraS is one server with one Hydra card.
 func HydraS() Prototype {
-	cfg := sim.HydraConfig()
-	cfg.Card = hw.HydraSCard()
-	return Prototype{Name: "Hydra-S", Cards: 1, CardsPerServer: 1, Sim: cfg, ReportScale: hydraReportScale}
+	return Prototype{Name: "Hydra-S", Cards: 1, CardsPerServer: 1, Sim: sim.HydraConfig(), ReportScale: hydraReportScale}
 }
 
 // HydraM is one server with eight Hydra cards behind the in-server switch.
@@ -70,7 +68,7 @@ func FABS() Prototype {
 }
 
 // FABM is FAB's 8-card architecture: two cards per host, host-relayed
-// transfers, no computation/communication overlap.
+// transfers.
 func FABM() Prototype {
 	return Prototype{Name: "FAB-M", Cards: 8, CardsPerServer: 2, Sim: sim.FABConfig(), ReportScale: fabReportScale}
 }
@@ -85,12 +83,8 @@ func FABL() Prototype {
 func Poseidon() Prototype {
 	cfg := sim.HydraConfig()
 	cfg.Card = hw.PoseidonCard()
-	cfg.Overlap = false
 	return Prototype{Name: "Poseidon", Cards: 1, CardsPerServer: 1, Sim: cfg, ReportScale: poseidonReportScale}
 }
-
-// bootLimbs is the limb count bootstrapping runs at.
-func bootLimbs(s hw.SchemeParams) int { return (s.MaxLimbs + s.FreshLimbs) / 2 }
 
 // OpTimes returns the Eq. 1 latencies for this prototype: per-op card
 // latencies plus the cost of one intra-server ciphertext transfer (zero on a
@@ -99,9 +93,9 @@ func (p Prototype) OpTimes() mapping.OpTimes {
 	s := p.Sim.Scheme
 	com := 0.0
 	if p.Cards > 1 {
-		com = p.Sim.Network.TransferTime(float64(s.CiphertextBytes(bootLimbs(s))), 0, 1, p.CardsPerServer)
+		com = p.Sim.Network.TransferTime(float64(s.CiphertextBytes(s.BootLimbs())), 0, 1, p.CardsPerServer)
 	}
-	return mapping.OpTimesFor(p.Sim.Card, s, bootLimbs(s), com)
+	return mapping.OpTimesFor(p.Sim.Card, s, s.BootLimbs(), com)
 }
 
 // Build lowers a network onto this prototype's cards.

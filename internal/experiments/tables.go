@@ -190,7 +190,7 @@ func Table3() (*Table3Result, error) {
 			delay := r.Makespan * p.ReportScale
 			// Static energy accrues over the calibrated wall clock.
 			energy := r.TotalEnergy() - r.EnergyByUnit["Static"] +
-				p.Sim.Card.IdlePowerW*delay*float64(p.Cards)
+				hw.IdlePowerW*delay*float64(p.Cards)
 			area := float64(p.Cards) * p.Sim.Card.AreaMM2
 			raw[p.Name][net.Name] = energy * delay * area
 		}

@@ -3,29 +3,22 @@ package hw
 import "slices"
 
 // HydraCard is the per-card model of the Hydra prototype on a Xilinx Alveo
-// U280: 512-lane compute units at 300 MHz, radix-4 NTT (a better match to
+// U280: 512-lane compute units, radix-4 NTT (a better match to
 // N = 2^16 than Poseidon's radix-8, Section IV-B), MAD-style scratchpad reuse
 // in front of HBM, and a DTU for switch-based card-to-card transfers.
 func HydraCard() CardProfile {
 	return CardProfile{
 		Name:              "Hydra",
-		ClockHz:           300e6,
 		Lanes:             512,
 		NTTPassEff:        0.85,
 		ScratchpadHitRate: 0.80,
 		HBMBandwidth:      460e9,
-		Calibration:       1.0,
 
-		EnergyNTT:    0.37e-3,
-		EnergyMA:     0.03e-3,
-		EnergyMM:     0.20e-3,
-		EnergyAuto:   0.10e-3,
-		EnergyHBM:    5e-9,
-		EnergyNIC:    5e-12,
-		IdlePowerW:   25,
-		AreaMM2:      120, // 7nm RTL-normalized equivalent
-		PowerBudgetW: 215,
-		HasDTU:       true,
+		EnergyNTT:  0.37e-3,
+		EnergyMA:   0.03e-3,
+		EnergyMM:   0.20e-3,
+		EnergyAuto: 0.10e-3,
+		AreaMM2:    120, // 7nm RTL-normalized equivalent
 
 		KeySwitchDnum: 3,
 
@@ -35,37 +28,21 @@ func HydraCard() CardProfile {
 	}
 }
 
-// HydraSCard is the Hydra single-card prototype: identical to the compute
-// node of Hydra-M/L but without the DTU (Section V-A).
-func HydraSCard() CardProfile {
-	c := HydraCard()
-	c.Name = "Hydra-S"
-	c.HasDTU = false
-	return c
-}
-
 // FABCard models FAB's single card: radix-2 NTT datapath with fewer lanes, a
 // shallower on-chip buffer, and a wider key-switch decomposition.
 func FABCard() CardProfile {
 	return CardProfile{
 		Name:              "FAB",
-		ClockHz:           300e6,
 		Lanes:             256,
 		NTTPassEff:        0.70,
 		ScratchpadHitRate: 0.45,
 		HBMBandwidth:      460e9,
-		Calibration:       1.0,
 
-		EnergyNTT:    0.42e-3,
-		EnergyMA:     0.033e-3,
-		EnergyMM:     0.22e-3,
-		EnergyAuto:   0.12e-3,
-		EnergyHBM:    5e-9,
-		EnergyNIC:    5e-12,
-		IdlePowerW:   25,
-		AreaMM2:      130,
-		PowerBudgetW: 215,
-		HasDTU:       false, // FAB transfers go through the host
+		EnergyNTT:  0.42e-3,
+		EnergyMA:   0.033e-3,
+		EnergyMM:   0.22e-3,
+		EnergyAuto: 0.12e-3,
+		AreaMM2:    130,
 
 		KeySwitchDnum: 5,
 	}
@@ -77,23 +54,16 @@ func FABCard() CardProfile {
 func PoseidonCard() CardProfile {
 	return CardProfile{
 		Name:              "Poseidon",
-		ClockHz:           300e6,
 		Lanes:             512,
 		NTTPassEff:        0.80,
 		ScratchpadHitRate: 0.0,
 		HBMBandwidth:      420e9,
-		Calibration:       1.0,
 
-		EnergyNTT:    0.39e-3,
-		EnergyMA:     0.031e-3,
-		EnergyMM:     0.21e-3,
-		EnergyAuto:   0.11e-3,
-		EnergyHBM:    5e-9,
-		EnergyNIC:    5e-12,
-		IdlePowerW:   25,
-		AreaMM2:      125,
-		PowerBudgetW: 215,
-		HasDTU:       false,
+		EnergyNTT:  0.39e-3,
+		EnergyMA:   0.031e-3,
+		EnergyMM:   0.21e-3,
+		EnergyAuto: 0.11e-3,
+		AreaMM2:    125,
 
 		KeySwitchDnum: 3,
 	}
@@ -112,18 +82,14 @@ func (l LinkProfile) Transfer(bytes float64) float64 {
 
 // NetworkProfile describes how cards reach each other.
 type NetworkProfile struct {
-	Name string
-
 	// Hydra path: DTU → switch → DTU.
 	IntraServer LinkProfile // between cards in one server
 	InterServer LinkProfile // between cards in different servers
-	Broadcast   bool        // switch supports hardware broadcast
 
 	// FAB path: FPGA → PCIe → host (→ LAN → host) → PCIe → FPGA.
 	HostRelay       bool
 	PCIe            LinkProfile
 	LAN             LinkProfile
-	PairDirect      bool    // FAB pairs two FPGAs with a direct network link
 	HostSyncLatency float64 // host round-trip charged per synchronized dependency
 }
 
@@ -131,12 +97,10 @@ type NetworkProfile struct {
 // in-server and cross-server switches, point-to-point and broadcast modes.
 func HydraNetwork() NetworkProfile {
 	return NetworkProfile{
-		Name:        "hydra",
 		IntraServer: LinkProfile{Bandwidth: 12.5e9, Latency: 2e-6}, // 100 Gb/s QSFP
 		// Cross-server traffic shares the oversubscribed uplinks to the top
 		// switch, so its effective per-flow bandwidth is lower.
 		InterServer: LinkProfile{Bandwidth: 5e9, Latency: 5e-6},
-		Broadcast:   true,
 	}
 }
 
@@ -145,11 +109,9 @@ func HydraNetwork() NetworkProfile {
 // host, the 10 Gb/s LAN between hosts, and PCIe down to the destination.
 func FABNetwork() NetworkProfile {
 	return NetworkProfile{
-		Name:            "fab",
 		HostRelay:       true,
 		PCIe:            LinkProfile{Bandwidth: 16e9, Latency: 5e-6},    // Alveo U280 PCIe
 		LAN:             LinkProfile{Bandwidth: 1.25e9, Latency: 30e-6}, // 10 Gb/s LAN
-		PairDirect:      true,
 		HostSyncLatency: 20e-6,
 	}
 }
@@ -167,7 +129,7 @@ func (n NetworkProfile) TransferTime(bytes float64, src, dst, cardsPerServer int
 		return n.InterServer.Transfer(bytes)
 	}
 	// FAB-style path.
-	if n.PairDirect && src^1 == dst {
+	if src^1 == dst {
 		// Paired boards exchange data over their direct network link.
 		return n.LAN.Transfer(bytes)
 	}
@@ -196,10 +158,7 @@ func (n NetworkProfile) SendTime(bytes float64, src int, dsts []int, cardsPerSer
 				break
 			}
 		}
-		if len(dsts) > 1 && !n.Broadcast {
-			return float64(len(dsts)) * link.Transfer(bytes)
-		}
-		return link.Transfer(bytes) // switch replicates a broadcast
+		return link.Transfer(bytes) // the switch replicates a broadcast
 	}
 	// FAB: PCIe upload plus one LAN copy per remote host, serialized on the
 	// source host's NIC.

@@ -36,7 +36,7 @@ func TestSchemeValidation(t *testing.T) {
 }
 
 func TestCardProfilesValid(t *testing.T) {
-	for _, c := range []CardProfile{HydraCard(), HydraSCard(), FABCard(), PoseidonCard()} {
+	for _, c := range []CardProfile{HydraCard(), FABCard(), PoseidonCard()} {
 		if err := c.Validate(); err != nil {
 			t.Fatalf("%s: %v", c.Name, err)
 		}
@@ -112,7 +112,7 @@ func TestSingleCardOrderingMatchesPaper(t *testing.T) {
 	// than FAB-S.
 	s := PaperScheme()
 	l := s.EffectiveLimb
-	hydra := HydraSCard().OpTime(fheop.Rotation, l, s)
+	hydra := HydraCard().OpTime(fheop.Rotation, l, s)
 	poseidon := PoseidonCard().OpTime(fheop.Rotation, l, s)
 	fab := FABCard().OpTime(fheop.Rotation, l, s)
 	if !(hydra < poseidon && poseidon < fab) {
@@ -264,7 +264,7 @@ func TestDecomposePanicsOnBadLimbs(t *testing.T) {
 }
 
 func TestSendRecvTimesMonotoneInBytes(t *testing.T) {
-	for _, n := range []NetworkProfile{HydraNetwork(), FABNetwork()} {
+	for name, n := range map[string]NetworkProfile{"hydra": HydraNetwork(), "fab": FABNetwork()} {
 		f := func(kb uint16) bool {
 			b1 := float64(kb) * 1e3
 			b2 := b1 + 1e6
@@ -274,7 +274,7 @@ func TestSendRecvTimesMonotoneInBytes(t *testing.T) {
 				n.TransferTime(b2, 0, 1, 2) >= n.TransferTime(b1, 0, 1, 2)
 		}
 		if err := quick.Check(f, nil); err != nil {
-			t.Fatalf("%s: %v", n.Name, err)
+			t.Fatalf("%s: %v", name, err)
 		}
 	}
 }

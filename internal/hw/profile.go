@@ -6,13 +6,21 @@ import (
 	"hydra/internal/fheop"
 )
 
+// The values all three card profiles share: every design runs on an Alveo
+// U280 (Section V-A).
+const (
+	ClockHz    = 300e6 // compute-unit clock
+	EnergyHBM  = 5e-9  // J per byte of off-chip traffic
+	EnergyNIC  = 5e-12 // J per byte a card sends
+	IdlePowerW = 25    // static power per card
+)
+
 // CardProfile describes one accelerator card: compute-unit throughput, memory
 // system behaviour, and per-unit energy. Times come out of a roofline: an
 // operation takes max(compute time, off-chip traffic / HBM bandwidth).
 type CardProfile struct {
-	Name    string
-	ClockHz float64
-	Lanes   int // operands processed per cycle by each compute unit (paper: 512)
+	Name  string
+	Lanes int // operands processed per cycle by each compute unit (paper: 512)
 
 	// NTTPassEff derates the ideal butterfly throughput for pipeline bubbles
 	// and twiddle loading; radix-4 designs (Hydra) sustain more of the ideal
@@ -24,23 +32,13 @@ type CardProfile struct {
 	ScratchpadHitRate float64
 	HBMBandwidth      float64 // bytes/s
 
-	// Calibration aligns the analytic model with the paper's single-card
-	// totals (their numbers come from an RTL-informed simulator we don't
-	// have). One scalar per card family; no per-benchmark adjustment.
-	Calibration float64
-
-	// Energy model (Joules per invocation / per byte), used by the energy
+	// Energy model (Joules per one-limb invocation), used by the energy
 	// breakdown of Fig. 7 and the EDAP of Table III.
-	EnergyNTT     float64 // J per one-limb NTT
-	EnergyMA      float64 // J per one-limb coefficient pass
+	EnergyNTT     float64
+	EnergyMA      float64 // one coefficient pass
 	EnergyMM      float64
 	EnergyAuto    float64
-	EnergyHBM     float64 // J per byte of off-chip traffic
-	EnergyNIC     float64 // J per byte transferred by the DTU
-	IdlePowerW    float64 // static power
 	AreaMM2       float64 // die-equivalent area at 7nm (for EDAP)
-	PowerBudgetW  float64 // TDP-style bound (reporting only)
-	HasDTU        bool    // Hydra-S omits the DTU
 	KeySwitchDnum int     // digits used by this card's key-switch datapath
 
 	// BatchAmortFrac is the fraction of a single run's time that batching
@@ -52,14 +50,11 @@ type CardProfile struct {
 
 // Validate checks the profile.
 func (c CardProfile) Validate() error {
-	if c.ClockHz <= 0 || c.Lanes <= 0 || c.NTTPassEff <= 0 || c.HBMBandwidth <= 0 {
+	if c.Lanes <= 0 || c.NTTPassEff <= 0 || c.HBMBandwidth <= 0 {
 		return fmt.Errorf("hw: profile %q has non-positive rate fields", c.Name)
 	}
 	if c.ScratchpadHitRate < 0 || c.ScratchpadHitRate >= 1 {
 		return fmt.Errorf("hw: profile %q hit rate %v out of [0,1)", c.Name, c.ScratchpadHitRate)
-	}
-	if c.Calibration <= 0 {
-		return fmt.Errorf("hw: profile %q calibration must be positive", c.Name)
 	}
 	if c.BatchAmortFrac < 0 || c.BatchAmortFrac >= 1 {
 		return fmt.Errorf("hw: profile %q batch amortization %v out of [0,1)", c.Name, c.BatchAmortFrac)
@@ -183,21 +178,17 @@ func OpTraffic(op fheop.Op, limbs int, s SchemeParams, dnum int) float64 {
 
 // OpTime returns the wall-clock seconds one invocation of op takes on this
 // card at the given limb count: a roofline of compute cycles against HBM
-// traffic, times the calibration factor.
+// traffic.
 func (c CardProfile) OpTime(op fheop.Op, limbs int, s SchemeParams) float64 {
 	counts := Decompose(op, limbs, s, c.KeySwitchDnum)
 	cycles := 0.0
 	for _, b := range fheop.BasicOps() {
 		cycles += float64(counts.Get(b)) * c.BasicOpCycles(b, s)
 	}
-	compute := cycles / c.ClockHz
+	compute := cycles / ClockHz
 	traffic := OpTraffic(op, limbs, s, c.KeySwitchDnum) * (1 - c.ScratchpadHitRate)
 	memory := traffic / c.HBMBandwidth
-	t := compute
-	if memory > t {
-		t = memory
-	}
-	return t * c.Calibration
+	return max(compute, memory)
 }
 
 // EnergyByUnit returns the per-unit energy split of one op invocation,
@@ -209,6 +200,6 @@ func (c CardProfile) EnergyByUnit(op fheop.Op, limbs int, s SchemeParams) map[st
 		"MA":   float64(counts.Get(fheop.MA)) * c.EnergyMA,
 		"MM":   float64(counts.Get(fheop.MM)) * c.EnergyMM,
 		"Auto": float64(counts.Get(fheop.Auto)) * c.EnergyAuto,
-		"HBM":  OpTraffic(op, limbs, s, c.KeySwitchDnum) * (1 - c.ScratchpadHitRate) * c.EnergyHBM,
+		"HBM":  OpTraffic(op, limbs, s, c.KeySwitchDnum) * (1 - c.ScratchpadHitRate) * EnergyHBM,
 	}
 }

@@ -16,7 +16,6 @@ type SchemeParams struct {
 	MaxLimbs      int // RNS limbs of Q at the top level
 	SpecialLimbs  int // limbs of the key-switching modulus P
 	Dnum          int // key-switch decomposition number (digits)
-	LimbBits      int // bits per limb modulus
 	BootDepth     int // multiplicative depth consumed per DFT level in C2S/S2C
 	FreshLimbs    int // limbs immediately after bootstrapping
 	EffectiveLimb int // average limb count charged for steady-state inference ops
@@ -31,7 +30,6 @@ func PaperScheme() SchemeParams {
 		MaxLimbs:      28,
 		SpecialLimbs:  10,
 		Dnum:          3,
-		LimbBits:      45,
 		BootDepth:     3,
 		FreshLimbs:    22,
 		EffectiveLimb: 18,
@@ -40,6 +38,10 @@ func PaperScheme() SchemeParams {
 
 // N returns the ring degree.
 func (s SchemeParams) N() int { return 1 << s.LogN }
+
+// BootLimbs returns the limb count bootstrapping runs at: midway between the
+// top level and the level a bootstrap leaves behind.
+func (s SchemeParams) BootLimbs() int { return (s.MaxLimbs + s.FreshLimbs) / 2 }
 
 // Slots returns the slot count N/2.
 func (s SchemeParams) Slots() int { return s.N() / 2 }

@@ -15,12 +15,8 @@ import (
 )
 
 // fuzzSimConfigs are the machines every accepted program is simulated on: the
-// DTU card, and a host-relayed card whose queues serialize.
-var fuzzSimConfigs = func() []sim.Config {
-	serial := sim.FABConfig()
-	serial.Overlap = false
-	return []sim.Config{sim.HydraConfig(), serial}
-}()
+// DTU card and the host-relayed card.
+var fuzzSimConfigs = []sim.Config{sim.HydraConfig(), sim.FABConfig()}
 
 func FuzzUnmarshal(f *testing.F) {
 	// Seed with valid encodings of varied shapes so the fuzzer starts from

@@ -145,7 +145,6 @@ type BootstrapOptions struct {
 	DFT       DFTParams // shared by C2S and S2C
 	EvaExpDeg int       // degree of the exp-approximation polynomial (paper: 59)
 	DAFIters  int       // double-angle iterations after EvaExp
-	Limbs     int       // limb count bootstrapping ops run at (0 = high default)
 }
 
 // DefaultBootstrapOptions returns the paper's setting: logSlots 15 DFT split
@@ -156,8 +155,7 @@ func DefaultBootstrapOptions(s hw.SchemeParams, cards int, t OpTimes) BootstrapO
 	if err != nil {
 		panic(err)
 	}
-	limbs := (s.MaxLimbs + s.FreshLimbs) / 2
-	return BootstrapOptions{LogSlots: logSlots, DFT: dft, EvaExpDeg: 59, DAFIters: 3, Limbs: limbs}
+	return BootstrapOptions{LogSlots: logSlots, DFT: dft, EvaExpDeg: 59, DAFIters: 3}
 }
 
 // Bootstrap emits one full bootstrapping of a single ciphertext across the
@@ -177,9 +175,7 @@ func (c *Context) emitBootstrap(opts BootstrapOptions, label string) error {
 		return fmt.Errorf("mapping: %s: bad EvaExp degree or DAF iterations", label)
 	}
 	ctx := *c
-	if opts.Limbs > 0 {
-		ctx.Limbs = opts.Limbs
-	}
+	ctx.Limbs = c.Scheme.BootLimbs()
 
 	// CoeffToSlot.
 	for i := range opts.DFT.Radix {
@@ -282,9 +278,7 @@ func (c *Context) BootstrapBatch(cts int, opts BootstrapOptions, times OpTimes, 
 		local := opts
 		local.DFT = dft
 		sub := *c
-		if opts.Limbs > 0 {
-			sub.Limbs = opts.Limbs
-		}
+		sub.Limbs = c.Scheme.BootLimbs()
 		return sub.DistributeLocal(cts, BootstrapCounts(local), cts, label)
 	}
 	group := 1

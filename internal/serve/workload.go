@@ -31,8 +31,7 @@ type Shape struct {
 //   - boot: a two-ciphertext bootstrap batch — the heavy, rotation-dominated
 //     job that holds a whole server for hundreds of milliseconds.
 func DefaultShapes(scheme hw.SchemeParams, card hw.CardProfile) []Shape {
-	limbs := (scheme.MaxLimbs + scheme.FreshLimbs) / 2
-	times := mapping.OpTimesFor(card, scheme, limbs, 0)
+	times := mapping.OpTimesFor(card, scheme, scheme.BootLimbs(), 0)
 	return []Shape{
 		{
 			Name: "conv", Weight: 6, Cards: 2, Priority: 0, Build: func(cards int) (*task.Program, error) {

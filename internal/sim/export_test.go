@@ -31,7 +31,7 @@ func Footprint(p *task.Program, cfg Config) (shapes, shapeBytes, scratchBytes in
 	for _, b := range []int{
 		bytesOf(r.key), bytesOf(r.at), bytesOf(r.busy), bytesOf(r.dur), bytesOf(r.compBase), bytesOf(r.commBase),
 		bytesOf(r.readyID), bytesOf(r.doneID), bytesOf(r.edges), bytesOf(r.indeg), bytesOf(r.stack),
-		bytesOf(r.recvs), bytesOf(r.phys), bytesOf(r.order),
+		bytesOf(r.recvs), bytesOf(r.phys),
 	} {
 		scratchBytes += held(b)
 	}

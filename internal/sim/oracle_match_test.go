@@ -62,11 +62,9 @@ func acrossServers(p *task.Program) sim.Placement {
 }
 
 // oracleConfigs are the machines the scheduler is held to the reference on:
-// the DTU, the host relay, and a DTU-less card whose queues serialize.
+// the DTU and the host relay.
 func oracleConfigs() map[string]sim.Config {
-	serial := sim.HydraConfig()
-	serial.Overlap = false
-	return map[string]sim.Config{"hydra": sim.HydraConfig(), "fab": sim.FABConfig(), "hydra-serial": serial}
+	return map[string]sim.Config{"hydra": sim.HydraConfig(), "fab": sim.FABConfig()}
 }
 
 func TestRunMatchesOracle(t *testing.T) {
@@ -100,9 +98,8 @@ func TestRunMatchesOracle(t *testing.T) {
 	})
 
 	// Steps repeated with fresh tags and seqs replay a cached shape; the
-	// near-miss copies at the end of each program must not. The last copy
-	// swaps two seqs and closes a cycle on hydra-serial in most programs, so
-	// the program without it is held to the oracle too, and must run.
+	// near-miss copies at the end of each program must not. The program
+	// without its last copy is held to the oracle too, and must run.
 	t.Run("repeated", func(t *testing.T) {
 		for seed := int64(1); seed <= 150; seed++ {
 			p := sim.RandomValidProgram(seed, 4)
@@ -122,7 +119,7 @@ func TestRunMatchesOracle(t *testing.T) {
 
 	// A wire program's seqs can wrap past MaxInt. Two steps whose seqs
 	// differ from their first by the same 64-bit residues, but in the other
-	// order, must not share a shape on a card without a DTU.
+	// order, must still run as the reference runs them.
 	t.Run("seq-wrap", func(t *testing.T) {
 		step := func(seq0 int) *task.Step {
 			return &task.Step{
@@ -135,13 +132,14 @@ func TestRunMatchesOracle(t *testing.T) {
 			}
 		}
 		p := &task.Program{Cards: 2, CardsPerServer: 2, Steps: []*task.Step{step(0), step(math.MaxInt)}}
-		cfg := configs["hydra-serial"]
-		cfg.CollectTrace = true
-		requireOracle(t, "hydra-serial", p, cfg, identity(p))
+		for name, cfg := range configs {
+			cfg.CollectTrace = true
+			requireOracle(t, name, p, cfg, identity(p))
+		}
 	})
 
-	// Host relay (FAB-M), the serialized queue (Poseidon) and 64 cards
-	// across eight servers (Hydra-L).
+	// Host relay (FAB-M), Poseidon's card and 64 cards across eight servers
+	// (Hydra-L).
 	t.Run("resnet18", func(t *testing.T) {
 		for _, proto := range []experiments.Prototype{experiments.FABM(), experiments.Poseidon(), experiments.HydraL()} {
 			p, err := proto.Build(model.ResNet18())

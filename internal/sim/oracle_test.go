@@ -9,9 +9,9 @@ package sim
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"hydra/internal/fheop"
+	"hydra/internal/hw"
 	"hydra/internal/task"
 )
 
@@ -44,7 +44,7 @@ func runOnOracle(p *task.Program, cfg Config, pl Placement) (*Result, error) {
 		now = scaleForBatch(res, now, pl.Batch, cfg.Card.BatchAmortFrac)
 	}
 	res.Makespan = now
-	res.EnergyByUnit["Static"] = cfg.Card.IdlePowerW * res.Makespan * float64(p.Cards)
+	res.EnergyByUnit["Static"] = hw.IdlePowerW * res.Makespan * float64(p.Cards)
 	return res, nil
 }
 
@@ -121,14 +121,6 @@ func runStep(st *task.Step, p *task.Program, cfg Config, pl Placement, start flo
 		nodes[to].indeg++
 	}
 
-	// Map a comm task to the node that gates its start.
-	commStartNode := func(card, j int) int {
-		if st.Comm[card][j].Kind == task.Recv {
-			return readyID[card][j]
-		}
-		return doneID[card][j]
-	}
-
 	// Locate receives by tag for send pairing.
 	type recvRef struct{ card, index int }
 	recvByTag := map[int][]recvRef{}
@@ -193,28 +185,6 @@ func runStep(st *task.Step, p *task.Program, cfg Config, pl Placement, start flo
 		}
 	}
 
-	// Serialization edges for cards without an independent comm engine:
-	// every task (both queues) chains in creation order.
-	if !cfg.Overlap {
-		for card := 0; card < p.Cards; card++ {
-			type seqNode struct {
-				seq         int
-				start, done int
-			}
-			var order []seqNode
-			for i, c := range st.Compute[card] {
-				order = append(order, seqNode{c.Seq(), compID[card][i], compID[card][i]})
-			}
-			for j, c := range st.Comm[card] {
-				order = append(order, seqNode{c.Seq(), commStartNode(card, j), doneID[card][j]})
-			}
-			sort.Slice(order, func(a, b int) bool { return order[a].seq < order[b].seq })
-			for k := 1; k < len(order); k++ {
-				addEdge(order[k-1].done, order[k].start)
-			}
-		}
-	}
-
 	// --- Kahn scheduling ---------------------------------------------------
 	queue := make([]int, 0, len(nodes))
 	for id := range nodes {
@@ -273,7 +243,7 @@ func runStep(st *task.Step, p *task.Program, cfg Config, pl Placement, start flo
 				bytes := c.Bytes * float64(len(c.Peers))
 				res.BytesSent += bytes
 				stat.CommBytes += bytes
-				res.EnergyByUnit["Comm"] += bytes * cfg.Card.EnergyNIC
+				res.EnergyByUnit["Comm"] += bytes * hw.EnergyNIC
 			}
 			if cfg.CollectTrace {
 				kind := "send"

@@ -2,8 +2,8 @@
 // scale-out system: per-card computation and communication engines with the
 // hardware handshake of Procedure 1 (ready/finish signals, Send-After-Compute
 // and Compute-After-Receive dependences), switch-based point-to-point and
-// broadcast transfers, step barriers per Procedure 2, and cards without a DTU
-// (FAB-style) whose communication serializes with their computation.
+// broadcast transfers, host-relayed transfers (FAB-style), and step barriers
+// per Procedure 2.
 package sim
 
 import (
@@ -27,10 +27,6 @@ type Config struct {
 	// DMAConfigLatency is the receive-side configuration time before the
 	// ready signal is handshaked back to the sender (Procedure 1 steps 5-6).
 	DMAConfigLatency float64
-	// Overlap reports whether communication proceeds concurrently with
-	// computation (Hydra's DTU). When false (FAB), each card's two queues
-	// serialize on one engine in program order.
-	Overlap bool
 	// CollectTrace records per-task start/end times in Result.Trace
 	// (memory-proportional to the task count; off by default).
 	CollectTrace bool
@@ -53,7 +49,6 @@ func HydraConfig() Config {
 		Card:             hw.HydraCard(),
 		Network:          hw.HydraNetwork(),
 		DMAConfigLatency: 0.5e-6,
-		Overlap:          true,
 	}
 }
 
@@ -67,7 +62,6 @@ func FABConfig() Config {
 		Card:             hw.FABCard(),
 		Network:          hw.FABNetwork(),
 		DMAConfigLatency: 5e-6, // host-mediated descriptor setup
-		Overlap:          true,
 	}
 }
 
@@ -293,12 +287,6 @@ type recvRef struct {
 	card, index int32
 }
 
-// seqNode is a task in a serialized card's merged creation order.
-type seqNode struct {
-	seq         int
-	start, done int32
-}
-
 // shape is a step's dependency graph compiled for timing. Its nodes are
 // numbered in queue order: each card's computes, then its comm tasks, a
 // receive's ready signal before its completion.
@@ -340,28 +328,22 @@ type runner struct {
 	stack              []int32
 	recvs              []recvRef // by tag, each tag's in queue order
 	phys               []int
-	order              []seqNode
 }
 
 // newRunner sizes every buffer to the program's largest step, so no step
 // grows one. It reads only queue lengths, taking every comm task for a
 // receive, which bounds the nodes and the edges from above.
 func newRunner(p *task.Program, cfg *Config, pl Placement) *runner {
-	var nodes, edges, comms, tasks int // per step or per card, the largest
+	var nodes, edges, comms int // per step, the largest
 	for _, st := range p.Steps {
 		var c, m int
 		for card := range st.Compute {
 			c += len(st.Compute[card])
 			m += len(st.Comm[card])
-			tasks = max(tasks, len(st.Compute[card])+len(st.Comm[card]))
 		}
 		// Queue order, SAC/CAR and transfers: at most 2 edges per compute and
-		// 4 per receive; serialization adds one per task.
-		e := 2*c + 4*m
-		if !cfg.Overlap {
-			e += c + m
-		}
-		nodes, edges, comms = max(nodes, c+2*m), max(edges, e), max(comms, m)
+		// 4 per receive.
+		nodes, edges, comms = max(nodes, c+2*m), max(edges, 2*c+4*m), max(comms, m)
 	}
 	return &runner{
 		p: p, cfg: cfg, pl: pl,
@@ -386,7 +368,6 @@ func newRunner(p *task.Program, cfg *Config, pl Placement) *runner {
 		stack:    make([]int32, 0, nodes),
 		busy:     make([]float64, p.Cards),
 		recvs:    make([]recvRef, 0, comms),
-		order:    make([]seqNode, 0, tasks),
 	}
 }
 
@@ -408,7 +389,7 @@ func (r *runner) run() (*Result, error) {
 		now = scaleForBatch(res, now, r.pl.Batch, r.cfg.Card.BatchAmortFrac)
 	}
 	res.Makespan = now
-	res.EnergyByUnit["Static"] = r.cfg.Card.IdlePowerW * res.Makespan * float64(r.p.Cards)
+	res.EnergyByUnit["Static"] = hw.IdlePowerW * res.Makespan * float64(r.p.Cards)
 	return res, nil
 }
 
@@ -535,7 +516,7 @@ func (r *runner) step(st *task.Step, start float64) (StepStat, error) {
 				bytes := c.Bytes * float64(len(c.Peers))
 				res.BytesSent += bytes
 				stat.CommBytes += bytes
-				r.comm += bytes * cfg.Card.EnergyNIC
+				r.comm += bytes * hw.EnergyNIC
 				r.sent = true
 			}
 			if cfg.CollectTrace {
@@ -727,32 +708,6 @@ func (r *runner) compile(st *task.Step) (*shape, error) {
 				r.phys = append(r.phys, pl.Cards[peer])
 			}
 			dur[send] = cfg.Network.SendTime(c.Bytes, pl.Cards[card], r.phys, pl.CardsPerServer)
-		}
-	}
-
-	// Serialization edges for cards without an independent comm engine:
-	// every task (both queues) chains in creation order.
-	if !cfg.Overlap {
-		for card := 0; card < p.Cards; card++ {
-			cb, mb := r.compBase[card], r.commBase[card]
-			order := r.order[:0]
-			for i := range st.Compute[card] {
-				id := cb + int32(i)
-				order = append(order, seqNode{st.Compute[card][i].Seq(), id, id})
-			}
-			for j := range st.Comm[card] {
-				k := mb + int32(j)
-				first := r.doneID[k]
-				if st.Comm[card][j].Kind == task.Recv {
-					first = r.readyID[k]
-				}
-				order = append(order, seqNode{st.Comm[card][j].Seq(), first, r.doneID[k]})
-			}
-			slices.SortFunc(order, func(a, b seqNode) int { return cmp.Compare(a.seq, b.seq) })
-			for k := 1; k < len(order); k++ {
-				r.edge(order[k-1].done, order[k].start)
-			}
-			r.order = order
 		}
 	}
 

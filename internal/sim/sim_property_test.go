@@ -86,8 +86,8 @@ func randomStep(b *task.Builder, cards int, label string, rng *rand.Rand) {
 // tags and seqs shifted, as a later repeat's would be, and is then changed in
 // one place: a send's Bytes, a send's peer, a send's WaitCompute (to the
 // compute before, so no cycle closes), or the seqs of two tasks on one card
-// swapped, which may close a cycle on a card without a DTU and is the last
-// step when present. A copy with nothing of its kind to change is left out.
+// swapped, the last step when present. A copy with nothing of its kind to
+// change is left out.
 func addNearMisses(p *task.Program, rng *rand.Rand) {
 	n := len(p.Steps)
 	for change := 0; change < 4; change++ {
@@ -180,12 +180,7 @@ func setSeq(st *task.Step, card, i, seq int) {
 }
 
 func TestSchedulerInvariants(t *testing.T) {
-	for _, overlap := range []bool{true, false} {
-		cfg := HydraConfig()
-		if !overlap {
-			cfg = FABConfig()
-			cfg.Overlap = false
-		}
+	for name, cfg := range map[string]Config{"hydra": HydraConfig(), "fab": FABConfig()} {
 		f := func(seed int64) bool {
 			p := randomValidProgram(seed, 1)
 			res, err := Run(p, cfg)
@@ -218,7 +213,7 @@ func TestSchedulerInvariants(t *testing.T) {
 			return true
 		}
 		if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
-			t.Fatalf("overlap=%v: %v", overlap, err)
+			t.Fatalf("%s: %v", name, err)
 		}
 	}
 }
@@ -237,29 +232,6 @@ func TestSchedulerDeterminism(t *testing.T) {
 		return a.Makespan == b.Makespan && a.BytesSent == b.BytesSent
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestOverlapNeverSlower(t *testing.T) {
-	// With identical cards and network, the full-duplex DTU machine is never
-	// slower than the serialized one.
-	f := func(seed int64) bool {
-		p := randomValidProgram(seed, 1)
-		with := HydraConfig()
-		without := HydraConfig()
-		without.Overlap = false
-		a, err := Run(p, with)
-		if err != nil {
-			return false
-		}
-		b, err := Run(p, without)
-		if err != nil {
-			return false
-		}
-		return a.Makespan <= b.Makespan+1e-9
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
 	}
 }

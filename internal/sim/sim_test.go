@@ -95,28 +95,6 @@ func TestCommOverlapsCompute(t *testing.T) {
 	}
 }
 
-func TestNoOverlapSerializes(t *testing.T) {
-	// Cards without an independent comm engine stall during transfers.
-	cfg := FABConfig()
-	cfg.Overlap = false
-	bytes := 50e6
-	b := task.NewBuilder(2, 8)
-	b.Step("s")
-	c0 := b.Compute(0, rotOnly(2), 18, "A")
-	b.Send(0, c0, []int{1}, bytes, "x")
-	b.Compute(0, rotOnly(2), 18, "A")
-	res, err := Run(b.Build(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rotT := cfg.Card.OpTime(fheop.Rotation, 18, cfg.Scheme)
-	xfer := cfg.Network.SendTime(bytes, 0, []int{1}, 8)
-	want := 4*rotT + xfer
-	if res.Makespan < want*(1-1e-6) {
-		t.Fatalf("serialized makespan %g, want >= %g", res.Makespan, want)
-	}
-}
-
 func TestBroadcastCheaperThanUnicastsOnHydra(t *testing.T) {
 	cfg := HydraConfig()
 	bytes := 20e6

@@ -77,6 +77,16 @@ echo "== compiler (IR pass-ablation report)"
 # bar itself is asserted by internal/fhir's tests in the tier-1 stage above.
 go run ./cmd/hydra-compile >/dev/null
 
+echo "== hydrasim front end (table2, fig6, table5 against the experiments goldens)"
+# TestGolden* pins what the generators return; this pins what the command
+# line prints from them, byte for byte.
+for e in table2 fig6 table5; do
+	if ! go run ./cmd/hydrasim -exp "$e" | diff -u "internal/experiments/testdata/$e.golden" -; then
+		echo "ci: hydrasim -exp $e differs from internal/experiments/testdata/$e.golden" >&2
+		exit 1
+	fi
+done
+
 echo "== fuzz smoke (seed corpora + 10s per fuzzer, the make fuzz list)"
 # Short differential-fuzz passes seeded from testdata/fuzz and f.Add: the
 # modular arithmetic kernels, the RNS base conversions and the plaintext
