@@ -3,9 +3,11 @@ package experiments
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"reflect"
 	"testing"
 
 	"hydra/internal/isa"
+	"hydra/internal/mapping"
 	"hydra/internal/model"
 	"hydra/internal/task"
 )
@@ -49,10 +51,42 @@ func TestLoweringWireStable(t *testing.T) {
 	}
 }
 
-// TestBuildAllocationShape bounds what lowering allocates: per send, the
-// receive indices it returns and at most one peer list; per step, its queue
-// headers and one array per queue kind. Growing a card's queue one task at a
-// time, or a peer list per receive, breaks the bound by an order of magnitude.
+// TestSharedLoweringIsUnshared lowers every Table II cell twice: as Build
+// does, each repeated procedure's steps shared by pointer, and one procedure
+// at a time, each a network of its own on one builder, so that no step is
+// shared. The two programs must be equal: sharing says the same program.
+func TestSharedLoweringIsUnshared(t *testing.T) {
+	for _, proto := range MeasuredPrototypes() {
+		for _, net := range model.Benchmarks() {
+			if testing.Short() && proto.Name == "Hydra-L" && net.Name == "OPT-6.7B" {
+				continue
+			}
+			shared, err := proto.Build(net)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", proto.Name, net.Name, err)
+			}
+			b := task.NewBuilder(proto.Cards, proto.CardsPerServer)
+			ctx := mapping.NewContext(b, proto.Sim.Scheme, proto.Cards)
+			times := proto.OpTimes()
+			boot := mapping.DefaultBootstrapOptions(proto.Sim.Scheme, proto.Cards, times)
+			for _, proc := range net.Procedures {
+				one := model.Network{Name: net.Name, Procedures: []model.Procedure{proc}}
+				if err := one.Emit(ctx, boot, times); err != nil {
+					t.Fatalf("%s/%s: %v", proto.Name, net.Name, err)
+				}
+			}
+			if !reflect.DeepEqual(shared, b.Build()) {
+				t.Errorf("%s/%s: the shared lowering differs from the procedure-by-procedure one", proto.Name, net.Name)
+			}
+		}
+	}
+}
+
+// TestBuildAllocationShape bounds what lowering allocates by the program's
+// distinct steps: per send, the receive indices it returns and at most one
+// peer list; per step, its queue headers and one array per queue kind. A
+// repeated procedure lowered again, a card's queue grown one task at a time,
+// or a peer list per receive breaks the bound.
 func TestBuildAllocationShape(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
@@ -62,8 +96,12 @@ func TestBuildAllocationShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sends := 0
+	sends, steps := 0, map[*task.Step]bool{}
 	for _, st := range p.Steps {
+		if steps[st] {
+			continue
+		}
+		steps[st] = true
 		for _, q := range st.Comm {
 			for _, c := range q {
 				if c.Kind == task.Send {
@@ -77,8 +115,8 @@ func TestBuildAllocationShape(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	limit := 3*sends + 16*len(p.Steps)
-	t.Logf("%s/%s: %.0f allocations for %d sends over %d steps, bound %d", proto.Name, net.Name, allocs, sends, len(p.Steps), limit)
+	limit := 3*sends + 16*len(steps)
+	t.Logf("%s/%s: %.0f allocations for %d sends over %d distinct steps, bound %d", proto.Name, net.Name, allocs, sends, len(steps), limit)
 	if allocs > float64(limit) {
 		t.Fatal("Build allocates more than the bound")
 	}

@@ -6,8 +6,9 @@
 // in the instruction stream.
 //
 // The encoding is a compact varint-based binary format: a shared label
-// table, then per step and per card the computation-queue and
-// communication-queue entries with their SAC/CAR dependence fields.
+// table, then per step either a back-reference to the earlier step it repeats
+// or, per card, the computation-queue and communication-queue entries with
+// their SAC/CAR dependence fields.
 package isa
 
 import (
@@ -22,8 +23,10 @@ import (
 // Magic identifies an encoded Hydra program.
 var Magic = [4]byte{'H', 'Y', 'D', 'R'}
 
-// Version is the current format version.
-const Version = 1
+// Version is the current format version. Version 2 writes a repeated step
+// (one *task.Step appearing again in Program.Steps) as a back-reference to
+// its first occurrence, and carries no creation-order seqs.
+const Version = 2
 
 type writer struct {
 	buf []byte
@@ -119,7 +122,12 @@ func encode(p *task.Program) []byte {
 		labels = append(labels, s)
 		return i
 	}
-	for _, st := range p.Steps {
+	first := make(map[*task.Step]int, len(p.Steps)) // a step's first index
+	for i, st := range p.Steps {
+		if _, ok := first[st]; ok {
+			continue
+		}
+		first[st] = i
 		intern(st.Name)
 		for _, q := range st.Compute {
 			for _, c := range q {
@@ -143,7 +151,13 @@ func encode(p *task.Program) []byte {
 		w.bytes([]byte(s))
 	}
 	w.uvarint(uint64(len(p.Steps)))
-	for _, st := range p.Steps {
+	for i, st := range p.Steps {
+		// 0 opens a new step; k > 0 repeats step k-1.
+		if j := first[st]; j < i {
+			w.uvarint(uint64(j + 1))
+			continue
+		}
+		w.uvarint(0)
 		w.uvarint(labelIdx[st.Name])
 		for card := 0; card < p.Cards; card++ {
 			w.uvarint(uint64(len(st.Compute[card])))
@@ -155,7 +169,6 @@ func encode(p *task.Program) []byte {
 				w.svarint(int64(c.WaitRecv))
 				w.uvarint(labelIdx[c.Label])
 				w.f64(c.EnergyScale)
-				w.uvarint(uint64(c.Seq()))
 			}
 			w.uvarint(uint64(len(st.Comm[card])))
 			for _, c := range st.Comm[card] {
@@ -168,17 +181,16 @@ func encode(p *task.Program) []byte {
 				w.svarint(int64(c.WaitCompute))
 				w.uvarint(uint64(c.Tag))
 				w.uvarint(labelIdx[c.Label])
-				w.uvarint(uint64(c.Seq()))
 			}
 		}
 	}
 	return w.buf
 }
 
-// Unmarshal decodes an encoded program and re-validates it. Sequence
-// numbers (global creation order, consumed by the serialization model of
-// DTU-less cards) travel on the wire, so a decoded program simulates
-// identically to the original.
+// Unmarshal decodes an encoded program and re-validates it. A back-reference
+// decodes to the earlier step's pointer, so the decoded program shares its
+// repeated steps as the original does; one naming its own or a later step is
+// rejected.
 func Unmarshal(data []byte) (*task.Program, error) {
 	r := &reader{buf: data}
 	if len(data) < 5 || data[0] != Magic[0] || data[1] != Magic[1] || data[2] != Magic[2] || data[3] != Magic[3] {
@@ -232,6 +244,17 @@ func Unmarshal(data []byte) (*task.Program, error) {
 	}
 	p := &task.Program{Cards: int(cards64), CardsPerServer: int(cps64)}
 	for s := uint64(0); s < nSteps; s++ {
+		ref, err := r.uvarint()
+		if err != nil {
+			return nil, err
+		}
+		if ref > 0 {
+			if ref > s {
+				return nil, fmt.Errorf("isa: step %d back-reference %d names no earlier step", s, ref)
+			}
+			p.Steps = append(p.Steps, p.Steps[int(ref)-1])
+			continue
+		}
 		nameIdx, err := r.uvarint()
 		if err != nil {
 			return nil, err
@@ -284,11 +307,7 @@ func Unmarshal(data []byte) (*task.Program, error) {
 				if c.EnergyScale, err = r.f64(); err != nil {
 					return nil, err
 				}
-				seq, err := r.uvarint()
-				if err != nil {
-					return nil, err
-				}
-				st.Compute[card] = append(st.Compute[card], c.WithSeq(int(seq)))
+				st.Compute[card] = append(st.Compute[card], c)
 			}
 			nComm, err := r.uvarint()
 			if err != nil {
@@ -338,11 +357,7 @@ func Unmarshal(data []byte) (*task.Program, error) {
 				if c.Label, err = label(li); err != nil {
 					return nil, err
 				}
-				seq, err := r.uvarint()
-				if err != nil {
-					return nil, err
-				}
-				st.Comm[card] = append(st.Comm[card], c.WithSeq(int(seq)))
+				st.Comm[card] = append(st.Comm[card], c)
 			}
 		}
 		p.Steps = append(p.Steps, st)

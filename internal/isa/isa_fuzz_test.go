@@ -35,6 +35,10 @@ func FuzzUnmarshal(f *testing.F) {
 		}
 		f.Add(data)
 	}
+	// A program repeating steps by back-reference, and one whose first step
+	// names a later one.
+	f.Add(refBlob(0, 0, 1, 2))
+	f.Add(refBlob(2, 0))
 	// A few deliberately broken prefixes to seed the error paths too.
 	f.Add([]byte{})
 	f.Add(Magic[:])

@@ -60,6 +60,10 @@ func randomProgram(seed int64) *task.Program {
 				}
 			}
 		}
+		// Now and then, say a run of the steps so far again.
+		if rng.Intn(3) == 0 {
+			b.Repeat(rng.Intn(b.Len()), b.Len())
+		}
 	}
 	return b.Build()
 }

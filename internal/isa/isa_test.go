@@ -3,6 +3,7 @@ package isa
 import (
 	"bytes"
 	"math"
+	"slices"
 	"testing"
 
 	"hydra/internal/fheop"
@@ -24,6 +25,7 @@ func sampleProgram() *task.Program {
 	h2 := b.Compute(2, fheop.Of(fheop.CMult, 3), 25, "Boot")
 	r2 := b.Send(2, h2, []int{0}, 2.6e7, "Boot")
 	b.ComputeAfterRecv(0, r2[0], fheop.Of(fheop.HAdd, 1), 25, "Boot")
+	b.Repeat(0, 2) // both steps again, shared
 	return b.Build()
 }
 
@@ -65,8 +67,10 @@ func TestUnmarshalRejectsUnsimulatable(t *testing.T) {
 	}
 }
 
+// programsEqual reports whether two programs hold the same steps, repeated
+// at the same places.
 func programsEqual(a, b *task.Program) bool {
-	if a.Cards != b.Cards || a.CardsPerServer != b.CardsPerServer || len(a.Steps) != len(b.Steps) {
+	if a.Cards != b.Cards || a.CardsPerServer != b.CardsPerServer || !slices.Equal(firstOf(a), firstOf(b)) {
 		return false
 	}
 	for i := range a.Steps {
@@ -81,14 +85,14 @@ func programsEqual(a, b *task.Program) bool {
 			for j := range sa.Compute[c] {
 				x, y := sa.Compute[c][j], sb.Compute[c][j]
 				if x.Ops != y.Ops || x.Limbs != y.Limbs || x.WaitRecv != y.WaitRecv ||
-					x.Label != y.Label || x.EnergyScale != y.EnergyScale || x.Seq() != y.Seq() {
+					x.Label != y.Label || x.EnergyScale != y.EnergyScale {
 					return false
 				}
 			}
 			for j := range sa.Comm[c] {
 				x, y := sa.Comm[c][j], sb.Comm[c][j]
 				if x.Kind != y.Kind || len(x.Peers) != len(y.Peers) || x.Bytes != y.Bytes ||
-					x.WaitCompute != y.WaitCompute || x.Tag != y.Tag || x.Label != y.Label || x.Seq() != y.Seq() {
+					x.WaitCompute != y.WaitCompute || x.Tag != y.Tag || x.Label != y.Label {
 					return false
 				}
 				for k := range x.Peers {
@@ -100,6 +104,82 @@ func programsEqual(a, b *task.Program) bool {
 		}
 	}
 	return true
+}
+
+// firstOf maps each step of p to the index of its first occurrence.
+func firstOf(p *task.Program) []int {
+	first := map[*task.Step]int{}
+	out := make([]int, len(p.Steps))
+	for i, st := range p.Steps {
+		if _, ok := first[st]; !ok {
+			first[st] = i
+		}
+		out[i] = first[st]
+	}
+	return out
+}
+
+// distinct counts p's distinct steps.
+func distinct(p *task.Program) int {
+	n := 0
+	for i, f := range firstOf(p) {
+		if f == i {
+			n++
+		}
+	}
+	return n
+}
+
+// refBlob encodes a one-card program whose steps are given by their wire
+// references: 0 is a new, empty step; k > 0 repeats step k-1.
+func refBlob(refs ...uint64) []byte {
+	w := &writer{}
+	w.buf = append(append(w.buf, Magic[:]...), Version)
+	w.uvarint(1) // cards
+	w.uvarint(1) // cards per server
+	w.uvarint(1) // labels
+	w.bytes([]byte("s"))
+	w.uvarint(uint64(len(refs)))
+	for _, ref := range refs {
+		w.uvarint(ref)
+		if ref == 0 {
+			w.uvarint(0) // name
+			w.uvarint(0) // computes
+			w.uvarint(0) // comm tasks
+		}
+	}
+	return w.buf
+}
+
+func TestBackReferences(t *testing.T) {
+	p, err := Unmarshal(refBlob(0, 0, 1, 2, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := firstOf(p); !slices.Equal(got, []int{0, 1, 0, 1, 0}) {
+		t.Fatalf("first occurrences %v", got)
+	}
+	for name, blob := range map[string][]byte{
+		"itself":  refBlob(0, 2),
+		"later":   refBlob(2, 0),
+		"missing": refBlob(0, 7),
+	} {
+		if _, err := Unmarshal(blob); err == nil {
+			t.Errorf("a repeat of %s step was accepted", name)
+		}
+	}
+}
+
+// TestUnmarshalRejectsStrayReceive decodes a program whose send goes to
+// card 1 while the only receive of its tag sits on card 3, naming card 2.
+func TestUnmarshalRejectsStrayReceive(t *testing.T) {
+	comm := make([][]task.Comm, 4)
+	comm[0] = []task.Comm{{Kind: task.Send, Peers: []int{1}, Bytes: 1, WaitCompute: -1, Tag: 7}}
+	comm[3] = []task.Comm{{Kind: task.Recv, Peers: []int{2}, Bytes: 1, WaitCompute: -1, Tag: 7}}
+	p := &task.Program{Cards: 4, CardsPerServer: 4, Steps: []*task.Step{{Name: "s", Compute: make([][]task.Compute, 4), Comm: comm}}}
+	if _, err := Unmarshal(encode(p)); err == nil {
+		t.Fatal("Unmarshal accepted a receive its send does not name")
+	}
 }
 
 func TestRoundTrip(t *testing.T) {
@@ -115,7 +195,7 @@ func TestRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !programsEqual(p, back) {
+	if !programsEqual(p, back) || distinct(back) != 2 || len(back.Steps) != 4 {
 		t.Fatal("round trip lost information")
 	}
 }

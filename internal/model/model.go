@@ -131,11 +131,21 @@ func (n Network) Validate() error {
 // mapping strategies. boot carries the bootstrapping configuration (the DFT
 // parameters are re-optimized per batch inside BootstrapBatch) and times the
 // Eq. 1 operation latencies of the target machine.
+//
+// A procedure's steps depend only on the procedure and on Emit's arguments,
+// so a procedure seen before is not lowered again: its first emission's steps
+// are appended again, shared by pointer (task.Builder.Repeat).
 func (n Network) Emit(ctx *mapping.Context, boot mapping.BootstrapOptions, times mapping.OpTimes) error {
 	if err := n.Validate(); err != nil {
 		return err
 	}
+	first := map[Procedure][2]int{} // a procedure's steps [from, to), from its first emission
 	for i, p := range n.Procedures {
+		if r, ok := first[p]; ok {
+			ctx.B.Repeat(r[0], r[1])
+			continue
+		}
+		from := ctx.B.Len()
 		sub := *ctx
 		if p.Limbs > 0 {
 			sub.Limbs = p.Limbs
@@ -168,6 +178,7 @@ func (n Network) Emit(ctx *mapping.Context, boot mapping.BootstrapOptions, times
 		if err != nil {
 			return fmt.Errorf("model: %s procedure %d (%s): %w", n.Name, i, p.Label, err)
 		}
+		first[p] = [2]int{from, ctx.B.Len()}
 	}
 	return nil
 }

@@ -21,15 +21,13 @@ func Footprint(p *task.Program, cfg Config) (shapes, shapeBytes, scratchBytes in
 	if _, err := r.run(); err != nil {
 		return 0, 0, 0, err
 	}
-	for _, list := range r.shapes {
-		for _, sh := range list {
-			shapes++
-			ints := cap(sh.order) + len(sh.off) + len(sh.succ) // one array
-			shapeBytes += held(int(unsafe.Sizeof(*sh))) + held(bytesOf(sh.dur)) + held(4*ints)
-		}
+	for _, sh := range r.shapes {
+		shapes++
+		ints := cap(sh.order) + len(sh.off) + len(sh.succ) // one array
+		shapeBytes += held(int(unsafe.Sizeof(*sh))) + held(bytesOf(sh.dur)) + held(4*ints)
 	}
 	for _, b := range []int{
-		bytesOf(r.key), bytesOf(r.at), bytesOf(r.busy), bytesOf(r.dur), bytesOf(r.compBase), bytesOf(r.commBase),
+		bytesOf(r.at), bytesOf(r.busy), bytesOf(r.dur), bytesOf(r.compBase), bytesOf(r.commBase),
 		bytesOf(r.readyID), bytesOf(r.doneID), bytesOf(r.edges), bytesOf(r.indeg), bytesOf(r.stack),
 		bytesOf(r.recvs), bytesOf(r.phys),
 	} {

@@ -8,7 +8,6 @@ package sim
 
 import (
 	"cmp"
-	"encoding/binary"
 	"fmt"
 	"math"
 	"slices"
@@ -291,14 +290,14 @@ type recvRef struct {
 // numbered in queue order: each card's computes, then its comm tasks, a
 // receive's ready signal before its completion.
 type shape struct {
-	src       *task.Step // the step it was compiled from; a match is checked against it
-	dur       []float64  // per node
-	order     []int32    // the nodes in a topological order
-	off, succ []int32    // CSR: node n's successors are succ[off[n]:off[n+1]], in edge order
+	dur       []float64 // per node
+	order     []int32   // the nodes in a topological order
+	off, succ []int32   // CSR: node n's successors are succ[off[n]:off[n+1]], in edge order
 }
 
 // runner schedules the steps of one RunOn call. It compiles each distinct
-// step into a shape once and times every step from its shape. It owns every
+// *task.Step into a shape once (a program repeats a step by pointer) and
+// times every occurrence from its shape. It owns every
 // buffer a step needs, sized to the program's largest step, and it prices
 // each (op, limbs) pair once per run.
 type runner struct {
@@ -313,8 +312,7 @@ type runner struct {
 	comm     float64
 	sent     bool // some task sent: "Comm" is in the result
 
-	shapes map[string][]*shape // by their steps' queue lengths
-	key    []byte              // a step's queue lengths
+	shapes map[*task.Step]*shape
 
 	at   []float64 // per node: the latest completion among its predecessors, then its own
 	busy []float64 // per card: compute time in the step
@@ -355,8 +353,7 @@ func newRunner(p *task.Program, cfg *Config, pl Placement) *runner {
 			Steps: slices.Grow([]StepStat(nil), len(p.Steps)),
 		},
 		costs:    map[int]*[numOps]opCost{},
-		shapes:   map[string][]*shape{},
-		key:      make([]byte, 0, 8*p.Cards),
+		shapes:   map[*task.Step]*shape{},
 		at:       make([]float64, nodes),
 		dur:      make([]float64, 0, nodes),
 		compBase: make([]int32, p.Cards),
@@ -540,79 +537,17 @@ func (r *runner) step(st *task.Step, start float64) (StepStat, error) {
 	return stat, nil
 }
 
-// shape returns st's compiled dependency graph: an earlier step's when the
-// two match, else a new one. Shapes are kept by their steps' queue lengths,
-// at most maxCandidates to a length vector, so a step is compared with a
-// bounded number of candidates; one that matches none of a full list is
-// compiled and not kept.
+// shape returns st's compiled dependency graph, compiling it on st's first
+// occurrence.
 func (r *runner) shape(st *task.Step) (*shape, error) {
-	r.key = r.key[:0]
-	for card := range st.Compute {
-		r.key = binary.LittleEndian.AppendUint32(r.key, uint32(len(st.Compute[card])))
-		r.key = binary.LittleEndian.AppendUint32(r.key, uint32(len(st.Comm[card])))
-	}
-	list := r.shapes[string(r.key)]
-	for _, sh := range list {
-		if sameShape(sh.src, st) {
-			return sh, nil
-		}
+	if sh := r.shapes[st]; sh != nil {
+		return sh, nil
 	}
 	sh, err := r.compile(st)
-	if err == nil && len(list) < maxCandidates {
-		r.shapes[string(r.key)] = append(list, sh)
+	if err == nil {
+		r.shapes[st] = sh
 	}
 	return sh, err
-}
-
-// maxCandidates bounds the shapes kept per queue-length vector, and so the
-// compares a step can cost. A failed compare mostly stops at the first task.
-// On one card, where every step has one length vector, the Table II networks
-// have at most 15 kinds of step.
-const maxCandidates = 32
-
-// sameShape reports whether a and b compile to the same shape: their queues
-// are equal on what sets a duration or an edge (each compute's Ops, Limbs and
-// WaitRecv, each comm task's Kind, Peers, Bytes and WaitCompute), and their
-// tags and their seqs are equal relative to each step's first. Label and
-// EnergyScale are not compared.
-func sameShape(a, b *task.Step) bool {
-	var tags, seqs offset
-	for card := range a.Compute {
-		ac, bc, am, bm := a.Compute[card], b.Compute[card], a.Comm[card], b.Comm[card]
-		if len(ac) != len(bc) || len(am) != len(bm) {
-			return false
-		}
-		for i := range ac {
-			x, y := &ac[i], &bc[i]
-			if x.Ops != y.Ops || x.Limbs != y.Limbs || x.WaitRecv != y.WaitRecv || !seqs.same(x.Seq(), y.Seq()) {
-				return false
-			}
-		}
-		for j := range am {
-			x, y := &am[j], &bm[j]
-			if x.Kind != y.Kind || math.Float64bits(x.Bytes) != math.Float64bits(y.Bytes) || x.WaitCompute != y.WaitCompute ||
-				!slices.Equal(x.Peers, y.Peers) || !tags.same(x.Tag, y.Tag) || !seqs.same(x.Seq(), y.Seq()) {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// offset checks that two steps' numbers differ by one offset throughout,
-// the offset of the first pair it is given.
-type offset struct {
-	a0, b0 int
-	set    bool
-}
-
-// same reports whether a - a0 == b - b0 exactly: the differences wrapped to
-// 64 bits, and their signs, which the wrap loses.
-func (o *offset) same(a, b int) bool {
-	if !o.set {
-		o.a0, o.b0, o.set = a, b, true
-	}
-	return a-o.a0 == b-o.b0 && (a < o.a0) == (b < o.b0)
 }
 
 func (r *runner) edge(from, to int32) {
@@ -715,7 +650,6 @@ func (r *runner) compile(st *task.Step) (*shape, error) {
 	n := len(dur)
 	ints := make([]int32, 2*n+1+len(r.edges))
 	sh := &shape{
-		src:   st,
 		dur:   append(make([]float64, 0, n), dur...),
 		order: ints[:0:n],
 		off:   ints[n : 2*n+1 : 2*n+1],

@@ -13,7 +13,6 @@ type oracleBuilder struct {
 	prog        *Program
 	cur         *Step
 	nextTag     int
-	nextSeq     int
 	energyScale float64
 }
 
@@ -32,6 +31,7 @@ func (b *oracleBuilder) SetEnergyScale(v float64) {
 }
 
 func (b *oracleBuilder) Step(name string) *oracleBuilder {
+	b.nextTag = 0
 	b.cur = &Step{
 		Name:    name,
 		Compute: make([][]Compute, b.prog.Cards),
@@ -39,6 +39,11 @@ func (b *oracleBuilder) Step(name string) *oracleBuilder {
 	}
 	b.prog.Steps = append(b.prog.Steps, b.cur)
 	return b
+}
+
+func (b *oracleBuilder) Repeat(from, to int) {
+	b.prog.Steps = append(b.prog.Steps, b.prog.Steps[from:to]...)
+	b.cur = nil
 }
 
 func (b *oracleBuilder) step() *Step {
@@ -66,9 +71,8 @@ func (b *oracleBuilder) computeTask(card int, ops fheop.Counts, limbs, waitRecv 
 	}
 	s.Compute[card] = append(s.Compute[card], Compute{
 		Ops: ops, Limbs: limbs, WaitRecv: waitRecv, Label: label,
-		EnergyScale: b.energyScale, seq: b.nextSeq,
+		EnergyScale: b.energyScale,
 	})
-	b.nextSeq++
 	return Handle{Card: card, Index: len(s.Compute[card]) - 1}
 }
 
@@ -92,16 +96,14 @@ func (b *oracleBuilder) Send(from int, after Handle, to []int, bytes float64, la
 	b.nextTag++
 	s.Comm[from] = append(s.Comm[from], Comm{
 		Kind: Send, Peers: append([]int(nil), to...), Bytes: bytes,
-		WaitCompute: after.Index, Tag: tag, Label: label, seq: b.nextSeq,
+		WaitCompute: after.Index, Tag: tag, Label: label,
 	})
-	b.nextSeq++
 	recvIdx := make([]int, len(to))
 	for i, dst := range to {
 		s.Comm[dst] = append(s.Comm[dst], Comm{
 			Kind: Recv, Peers: []int{from}, Bytes: bytes,
-			WaitCompute: -1, Tag: tag, Label: label, seq: b.nextSeq,
+			WaitCompute: -1, Tag: tag, Label: label,
 		})
-		b.nextSeq++
 		recvIdx[i] = len(s.Comm[dst]) - 1
 	}
 	return recvIdx

@@ -28,7 +28,6 @@ type Compute struct {
 	// times (PCMM/CCMM) move far less off-chip data than the per-op roofline
 	// assumes.
 	EnergyScale float64
-	seq         int // global creation order, used on cards without a DTU
 }
 
 // CommKind distinguishes the communication queue entries.
@@ -51,9 +50,8 @@ type Comm struct {
 	Peers       []int
 	Bytes       float64
 	WaitCompute int // computation-queue index the send waits on, or -1
-	Tag         int // pairs a send with its receive(s)
+	Tag         int // pairs a send with its receive(s), numbered from 0 in each step
 	Label       string
-	seq         int
 }
 
 // Program is the full multi-card instruction stream: a sequence of steps
@@ -62,7 +60,9 @@ type Comm struct {
 // globally; CardsPerServer fixes the server boundaries.
 //
 // A program returned by Builder.Build is read-only: a step's queues are
-// subslices of one array per step, and Comm entries share Peers storage.
+// subslices of one array per step, Comm entries share Peers storage, and a
+// step may appear more than once in Steps, by pointer (Builder.Repeat): a
+// network's repeated layers are one step said again.
 type Program struct {
 	Cards          int
 	CardsPerServer int
@@ -92,13 +92,12 @@ type Handle struct {
 type Builder struct {
 	prog        *Program
 	cur         *Step
-	nextTag     int
-	nextSeq     int
+	nextTag     int // the open step's next tag
 	energyScale float64
 
 	computeLog []cardCompute
 	// A send's receives are not logged: layout derives them from the send's
-	// Peers, Tag and seq.
+	// Peers and Tag.
 	sendLog  []cardComm
 	nCompute []int // per card: the open step's queue lengths
 	nComm    []int
@@ -147,13 +146,15 @@ func (b *Builder) SetEnergyScale(v float64) {
 	b.energyScale = v
 }
 
-// Step opens a new scheduling step; subsequent emissions go into it.
+// Step opens a new scheduling step; subsequent emissions go into it. Its
+// tags start again at 0, so emitting the same tasks twice gives equal steps.
 func (b *Builder) Step(name string) *Builder {
 	b.layout()
 	b.computeLog = b.computeLog[:0]
 	b.sendLog = b.sendLog[:0]
 	clear(b.nCompute)
 	clear(b.nComm)
+	b.nextTag = 0
 	b.cur = &Step{
 		Name:    name,
 		Compute: make([][]Compute, b.prog.Cards),
@@ -161,6 +162,22 @@ func (b *Builder) Step(name string) *Builder {
 	}
 	b.prog.Steps = append(b.prog.Steps, b.cur)
 	return b
+}
+
+// Len returns the number of steps emitted so far.
+func (b *Builder) Len() int { return len(b.prog.Steps) }
+
+// Repeat appends steps [from, to) again, the same *Step values: the program
+// says "these steps again" without a copy. It closes the open step, so an
+// emission after it opens a new step ("main" if none is named) and never
+// writes into a shared one.
+func (b *Builder) Repeat(from, to int) {
+	if from < 0 || from > to || to > len(b.prog.Steps) {
+		panic(fmt.Sprintf("task: repeat of steps [%d, %d) of %d", from, to, len(b.prog.Steps)))
+	}
+	b.layout()
+	b.cur = nil
+	b.prog.Steps = append(b.prog.Steps, b.prog.Steps[from:to]...)
 }
 
 // open makes sure a step is open, "main" if none was named.
@@ -209,8 +226,7 @@ func (b *Builder) layout() {
 			Kind: Recv, Peers: b.ids[e.card : e.card+1 : e.card+1], Bytes: e.c.Bytes,
 			WaitCompute: -1, Tag: e.c.Tag, Label: e.c.Label,
 		}
-		for k, dst := range e.c.Peers {
-			recv.seq = e.c.seq + 1 + k
+		for _, dst := range e.c.Peers {
 			s.Comm[dst] = append(s.Comm[dst], recv)
 		}
 	}
@@ -237,10 +253,9 @@ func (b *Builder) computeTask(card int, ops fheop.Counts, limbs, waitRecv int, l
 	}
 	b.computeLog = append(b.computeLog, cardCompute{card, Compute{
 		Ops: ops, Limbs: limbs, WaitRecv: waitRecv, Label: label,
-		EnergyScale: b.energyScale, seq: b.nextSeq,
+		EnergyScale: b.energyScale,
 	}})
 	b.pending = true
-	b.nextSeq++
 	b.nCompute[card]++
 	return Handle{Card: card, Index: b.nCompute[card] - 1}
 }
@@ -280,10 +295,9 @@ func (b *Builder) Send(from int, after Handle, to []int, bytes float64, label st
 	}
 	b.sendLog = append(b.sendLog, cardComm{from, Comm{
 		Kind: Send, Peers: peers, Bytes: bytes,
-		WaitCompute: after.Index, Tag: tag, Label: label, seq: b.nextSeq,
+		WaitCompute: after.Index, Tag: tag, Label: label,
 	}})
 	b.pending = true
-	b.nextSeq += 1 + len(to) // the send, then one receive per destination
 	b.nComm[from]++
 	recvIdx := make([]int, len(to))
 	for i, dst := range to {
@@ -303,37 +317,34 @@ func (b *Builder) Build() *Program {
 	return b.prog
 }
 
-// Seq exposes the creation order (used by the simulator for cards without an
-// independent communication unit, where both queues serialize on one engine).
-func (c Compute) Seq() int { return c.seq }
-
-// Seq exposes the creation order of a communication task.
-func (c Comm) Seq() int { return c.seq }
-
-// WithSeq returns a copy carrying the given creation-order sequence number.
-// Used by decoders (internal/isa) reconstructing programs from the wire.
-func (c Compute) WithSeq(v int) Compute { c.seq = v; return c }
-
-// WithSeq returns a copy carrying the given creation-order sequence number.
-func (c Comm) WithSeq(v int) Comm { c.seq = v; return c }
-
 // Validate checks structural invariants of a program: one queue pair per
 // card, positive limb counts, in-range dependencies and peers, finite
 // non-negative byte counts, and tags that pair each send with exactly one
-// receive per destination. Every program the Builder emits satisfies them,
-// so a program that passes can be simulated.
+// receive on each of its destinations, each receive naming the sender. Every
+// program the Builder emits satisfies them, so a program that passes can be
+// simulated. A step repeated by pointer is checked once.
 func (p *Program) Validate() error {
 	if p.Cards < 1 || p.CardsPerServer < 1 {
 		return fmt.Errorf("task: %d cards in servers of %d", p.Cards, p.CardsPerServer)
 	}
-	sendPeers := map[int]int{} // tag -> destinations of its send, in the step
-	recvs := map[int]int{}     // tag -> receives, in the step
+	type sendRef struct {
+		tag, card   int
+		peers       []int
+		recvs, last int // receives found so far, and the card of the latest
+	}
+	byTag := map[int]int{} // tag -> its send's index in sends, in the step
+	var sends []sendRef
+	seen := make(map[*Step]bool, len(p.Steps))
 	for si, st := range p.Steps {
+		if seen[st] {
+			continue
+		}
+		seen[st] = true
 		if len(st.Compute) != p.Cards || len(st.Comm) != p.Cards {
 			return fmt.Errorf("task: step %d has %d compute and %d comm queues for %d cards", si, len(st.Compute), len(st.Comm), p.Cards)
 		}
-		clear(sendPeers)
-		clear(recvs)
+		clear(byTag)
+		sends = sends[:0]
 		for card := 0; card < p.Cards; card++ {
 			for i := range st.Compute[card] {
 				c := &st.Compute[card][i]
@@ -368,30 +379,48 @@ func (p *Program) Validate() error {
 					if c.WaitCompute >= len(st.Compute[card]) {
 						return fmt.Errorf("task: step %d card %d send %d waits on missing compute %d", si, card, i, c.WaitCompute)
 					}
-					if _, dup := sendPeers[c.Tag]; dup {
+					if _, dup := byTag[c.Tag]; dup {
 						return fmt.Errorf("task: step %d send tag %d is sent twice", si, c.Tag)
 					}
-					sendPeers[c.Tag] = len(c.Peers)
+					byTag[c.Tag] = len(sends)
+					sends = append(sends, sendRef{tag: c.Tag, card: card, peers: c.Peers, last: -1})
 				case Recv:
 					if len(c.Peers) != 1 {
 						return fmt.Errorf("task: step %d card %d recv %d names %d sources, want 1", si, card, i, len(c.Peers))
 					}
-					recvs[c.Tag]++
 				default:
 					return fmt.Errorf("task: step %d card %d comm %d has unknown kind %d", si, card, i, c.Kind)
 				}
 			}
 		}
-		for tag, peers := range sendPeers {
-			if n := recvs[tag]; n == 0 {
-				return fmt.Errorf("task: step %d send tag %d has no receiver", si, tag)
-			} else if n != peers {
-				return fmt.Errorf("task: step %d send tag %d has %d receivers for %d destinations", si, tag, n, peers)
+		// A card's receives are scanned together, so a tag received twice on
+		// one card is its send's latest receive.
+		for card := 0; card < p.Cards; card++ {
+			for i := range st.Comm[card] {
+				c := &st.Comm[card][i]
+				if c.Kind != Recv {
+					continue
+				}
+				k, ok := byTag[c.Tag]
+				if !ok {
+					return fmt.Errorf("task: step %d recv tag %d has no sender", si, c.Tag)
+				}
+				s := &sends[k]
+				switch {
+				case c.Peers[0] != s.card:
+					return fmt.Errorf("task: step %d card %d recv %d names source %d, but card %d sends tag %d", si, card, i, c.Peers[0], s.card, c.Tag)
+				case !slices.Contains(s.peers, card):
+					return fmt.Errorf("task: step %d card %d recv %d takes tag %d, which is not sent to card %d", si, card, i, c.Tag, card)
+				case s.last == card:
+					return fmt.Errorf("task: step %d card %d receives tag %d twice", si, card, c.Tag)
+				}
+				s.recvs++
+				s.last = card
 			}
 		}
-		for tag := range recvs {
-			if _, ok := sendPeers[tag]; !ok {
-				return fmt.Errorf("task: step %d recv tag %d has no sender", si, tag)
+		for _, s := range sends {
+			if s.recvs != len(s.peers) {
+				return fmt.Errorf("task: step %d send tag %d has %d receivers for %d destinations", si, s.tag, s.recvs, len(s.peers))
 			}
 		}
 	}

@@ -53,6 +53,15 @@ func TestBuilderMatchesOracle(t *testing.T) {
 				for c := range handles {
 					handles[c], recvs[c] = nil, nil
 				}
+			case r < 3 && b.Len() > 0 && rng.Intn(2) == 0:
+				// Say earlier steps again; the next emission opens a step.
+				to := 1 + rng.Intn(b.Len())
+				from := rng.Intn(to)
+				b.Repeat(from, to)
+				o.Repeat(from, to)
+				for c := range handles {
+					handles[c], recvs[c] = nil, nil
+				}
 			case r < 3:
 				v := rng.Float64()*2 - 0.5
 				b.SetEnergyScale(v)
@@ -176,21 +185,6 @@ func TestImplicitStep(t *testing.T) {
 	}
 }
 
-func TestSeqMonotone(t *testing.T) {
-	b := NewBuilder(2, 2)
-	b.Step("s")
-	b.Compute(0, fheop.Of(fheop.HAdd, 1), 5, "A")
-	b.Send(0, FromStart, []int{1}, 1, "x")
-	b.Compute(1, fheop.Of(fheop.HAdd, 1), 5, "B")
-	p := b.Build()
-	st := p.Steps[0]
-	if !(st.Compute[0][0].Seq() < st.Comm[0][0].Seq() &&
-		st.Comm[0][0].Seq() < st.Comm[1][0].Seq() &&
-		st.Comm[1][0].Seq() < st.Compute[1][0].Seq()) {
-		t.Fatal("sequence numbers not monotone in creation order")
-	}
-}
-
 func TestValidateDetectsCorruption(t *testing.T) {
 	mk := func() *Program {
 		b := NewBuilder(2, 2)
@@ -216,6 +210,62 @@ func TestValidateDetectsCorruption(t *testing.T) {
 	p.Steps[0].Compute[0] = append(p.Steps[0].Compute[0], Compute{WaitRecv: 0, Limbs: 5})
 	if err := p.Validate(); err == nil {
 		t.Fatal("expected CAR-on-send error")
+	}
+	// Card 0 sends tag 7 to card 1; its only receive sits on card `on` and
+	// names card `src` as its source.
+	for _, c := range []struct{ on, src int }{{3, 2}, {1, 2}, {3, 0}} {
+		comm := make([][]Comm, 4)
+		comm[0] = []Comm{{Kind: Send, Peers: []int{1}, Bytes: 1, WaitCompute: -1, Tag: 7}}
+		comm[c.on] = []Comm{{Kind: Recv, Peers: []int{c.src}, Bytes: 1, WaitCompute: -1, Tag: 7}}
+		p = &Program{Cards: 4, CardsPerServer: 4, Steps: []*Step{{Name: "s", Compute: make([][]Compute, 4), Comm: comm}}}
+		if err := p.Validate(); err == nil {
+			t.Errorf("receive on card %d from card %d: expected an error", c.on, c.src)
+		}
+	}
+	// A send to cards 1 and 2 received twice on card 1 and never on card 2.
+	b := NewBuilder(3, 3)
+	b.Step("s")
+	b.Send(0, FromStart, []int{1, 2}, 1, "x")
+	p = b.Build()
+	p.Steps[0].Comm[1] = append(p.Steps[0].Comm[1], p.Steps[0].Comm[2][0])
+	p.Steps[0].Comm[2] = nil
+	if err := p.Validate(); err == nil {
+		t.Fatal("expected an error for a tag received twice on one card")
+	}
+	// A step repeated by pointer is checked once, and a broken one is found.
+	p = mk()
+	p.Steps = append(p.Steps, p.Steps[0], p.Steps[0])
+	if err := p.Validate(); err != nil {
+		t.Fatalf("repeated step: %v", err)
+	}
+	p.Steps[2].Comm[1][0].Tag = 999
+	if err := p.Validate(); err == nil {
+		t.Fatal("expected tag mismatch error in a repeated step")
+	}
+}
+
+func TestRepeatSharesSteps(t *testing.T) {
+	b := NewBuilder(2, 2)
+	b.Step("a")
+	h := b.Compute(0, fheop.Of(fheop.HAdd, 1), 5, "A")
+	b.Send(0, h, []int{1}, 1, "x")
+	b.Step("b")
+	b.Send(1, FromStart, []int{0}, 2, "y")
+	b.Repeat(0, 2)
+	b.Compute(1, fheop.Of(fheop.HAdd, 2), 5, "B") // opens "main"
+	p := b.Build()
+	if len(p.Steps) != 5 || p.Steps[2] != p.Steps[0] || p.Steps[3] != p.Steps[1] || p.Steps[4].Name != "main" {
+		t.Fatalf("steps after Repeat: %+v", p.Steps)
+	}
+	if len(p.Steps[1].Compute[1]) != 0 {
+		t.Fatal("an emission after Repeat wrote into a shared step")
+	}
+	// Tags restart in each step.
+	if p.Steps[0].Comm[0][0].Tag != 0 || p.Steps[1].Comm[1][0].Tag != 0 {
+		t.Fatalf("tags %d and %d, want 0 and 0", p.Steps[0].Comm[0][0].Tag, p.Steps[1].Comm[1][0].Tag)
+	}
+	if err := p.Validate(); err != nil {
+		t.Fatal(err)
 	}
 }
 
