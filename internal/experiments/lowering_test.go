@@ -18,7 +18,7 @@ import (
 // streams alone must leave these hashes alone. The single-card prototypes
 // lower identically; only their simulated machines differ.
 func TestLoweringWireStable(t *testing.T) {
-	const oneCardR18 = "fdaed2b951bd643945ffa7ccbce5fcad95bc6e154b986d4f0e1d280420b388e6"
+	const oneCardR18 = "be3450ebfcdbc4c85093faddd3decb5f6959b2e9181e940542162dab56be8d9b"
 	r18 := model.ResNet18()
 	cells := []struct {
 		proto Prototype
@@ -27,13 +27,13 @@ func TestLoweringWireStable(t *testing.T) {
 	}{
 		{FABS(), r18, oneCardR18},
 		{Poseidon(), r18, oneCardR18},
-		{FABM(), r18, "95a418ca9503f6c9c3711d2f4f9d4c11f6bd64b27946ee130e59c0c95d303091"},
+		{FABM(), r18, "0d95d7894ca6f6ca9552e8d8f188232ccdbc449898148755b64512f9c2b10059"},
 		{HydraS(), r18, oneCardR18},
-		{HydraM(), r18, "b70c7ef4985156458189b1efa53cd43e053366e45fc4c549b72aef1cba281b2d"},
-		{HydraL(), r18, "f9c6daccfacb6b096d8b536b12828ae8136b20af06bc8a8c6991fb7b4cc80070"},
-		{HydraM(), model.ResNet50(), "af7ffc3ce1caceb01355fbbf7c561b45dfa54f8d688ea56887a83ff2bc623fe5"},
-		{HydraM(), model.BERTBase(), "769100e070dfd5ff47f4849c5d04e1a0dae3622da078f03c9aa5f258796b2fa4"},
-		{HydraM(), model.OPT67B(), "5efeab1fc8db3279d3a8655fe737629c5494cd9388f2d92da3174f5f4be8354f"},
+		{HydraM(), r18, "4d622243adbd98a126d4b1c0f40fa7c811d7182cda6d192912cea1a54fed6b6f"},
+		{HydraL(), r18, "c0ff9af07635f491ca769c73dcab3d5e9cc7f46f2d716051716ab0052385f99c"},
+		{HydraM(), model.ResNet50(), "b63e81bfbd9a60863e95a24b2a64c216100143eb09b5d7a06f31b2dcaf5f5588"},
+		{HydraM(), model.BERTBase(), "881398665acef3e19db08f564698dab4d5bcb7392d3a94deefa7d99f369ddf54"},
+		{HydraM(), model.OPT67B(), "4526822f4d427547e8d92d2b0f37921c673d26d90633684a177fc08a1499ecb9"},
 	}
 	for _, c := range cells {
 		p, err := c.proto.Build(c.net)

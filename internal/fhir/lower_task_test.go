@@ -104,19 +104,19 @@ func TestBuildTaskProgramWireStable(t *testing.T) {
 		want   [3]string // SHA-256 of the ISA blob on 1, 2 and 4 cards
 	}{
 		{"he-rot", buildFrontend(t, 256, func(b *Builder, x *Value) *Value { return b.LinTrans(x, heRotMatrix(256), 16, "m") }), 4, [3]string{
-			"a5e04c707f07223eac422cd66b36a9a321b118ee0f8004a44569d555bfaef9eb",
-			"3706e5009b9203ab0096998f72d1843b36a8c7e21b731b38473bc047d8fefb29",
-			"0795e772bc408cbd39c5e79993c460ee3f386bf8b540ec566e1fb766df2f5446",
+			"b4e616e4b5869de2d258f9abebfd4291cbeaa921ab0661a043fb2c58bbd5bee2",
+			"c5e55dae1f168f12333caf45bb0b26761c60fa87ddbfb5d2fa22bf2a2677db47",
+			"e84165bb55814063985f0023a88426fa73fb2965c3a9e99e2a5dc0d05b5cbbf3",
 		}},
 		{"horner-15", buildFrontend(t, 16, func(b *Builder, x *Value) *Value { return b.Horner(x, horner) }), 16, [3]string{
-			"d522a83e9e13b947dd4341a5268dfd3751de841cce348ceeafc72bb1129bb153",
-			"1cbc27d287c354efadd086f03f3eee59f4e10142a0317c15339846705debbc96",
-			"10d959c2222792416f0f5be1f2cfba1a674b41783e4a8efdd6041879f9440e99",
+			"a60420188e62ff9814e67d1c2e3c41b632529fc976f7497b572ccebfd7a882b3",
+			"689a13b130ec9fcb8d849dffc2b592d016f8c02c13473cde723eb39e69d2e633",
+			"bdacc14553e81dde81cda2cdaa1f656dc0c0e50d20c8c69907cd7f8c11f3bb21",
 		}},
 		{"bootstrap-small", boot, bootLevels, [3]string{
-			"9fe684615af2a2ee70307631e2f760caf6f9aa21483dc3bdce77ef15a6988408",
-			"12481d6c9bffdba2d3a188c655150766040ab1e89e106cd637a9e6b16c790731",
-			"588f53e24b8ab671ec03b0ca6fc934c43856a230edc23d64fff5c33b9bfe206e",
+			"fdb720d82ccd1a038a682d8bd74efb738ac8c23a8f65196d1953f27b94221a25",
+			"c71421a9d0d8b6bcc45bb8d325320d76c66984c82811c366afe9a2978d27bd63",
+			"62e4dd8eb161f4b92d83c5eb4b498ddac8d2e39dc0ca82e7d5f18f1d36c9a1cd",
 		}},
 	} {
 		p, err := Compile(tc.src, Options{Levels: tc.levels})
