@@ -25,7 +25,7 @@ var Magic = [4]byte{'H', 'Y', 'D', 'R'}
 
 // Version is the current format version. Version 2 writes a repeated step
 // (one *task.Step appearing again in Program.Steps) as a back-reference to
-// its first occurrence, and carries no creation-order seqs.
+// its first occurrence.
 const Version = 2
 
 type writer struct {

@@ -297,9 +297,9 @@ type shape struct {
 
 // runner schedules the steps of one RunOn call. It compiles each distinct
 // *task.Step into a shape once (a program repeats a step by pointer) and
-// times every occurrence from its shape. It owns every
-// buffer a step needs, sized to the program's largest step, and it prices
-// each (op, limbs) pair once per run.
+// times every occurrence from its shape. It owns every buffer a step needs,
+// sized to the program's largest step, and it prices each (op, limbs) pair
+// once per run.
 type runner struct {
 	p   *task.Program
 	cfg *Config
