@@ -65,6 +65,12 @@ echo "== go test (full tier-1 suite)"
 # checked-in measurement, is well-formed for every BENCHMARK.json workload.
 go test ./...
 
+echo "== go benchmarks, each run once"
+# No other stage runs the Benchmark* functions, so a b.Fatal path (a lowering
+# that fails, a result that stops checking) would break unseen. One iteration
+# each, timings ignored.
+go test -run '^$' -bench . -benchtime 1x "$@" ./internal/...
+
 echo "== conformance matrix (full corpus x 5 engines, golden-checked)"
 # Fails on any cell outside its program's precision budget and on any
 # regression against testdata/golden_matrix.json.
