@@ -26,19 +26,17 @@ type Snapshot struct {
 	ExecP99      float64 `json:"exec_p99_s"`
 }
 
-// percentile returns the nearest-rank q-quantile of samples (0 when empty).
-func percentile(samples []float64, q float64) float64 {
+// percentiles returns the nearest-rank p50 and p99 of samples (0 when
+// empty), sorting one copy and leaving the caller's buffer as it was.
+func percentiles(samples []float64) (p50, p99 float64) {
 	if len(samples) == 0 {
-		return 0
+		return 0, 0
 	}
 	sorted := append([]float64(nil), samples...)
 	sort.Float64s(sorted)
-	idx := int(q*float64(len(sorted))+0.5) - 1
-	if idx < 0 {
-		idx = 0
+	rank := func(q float64) float64 {
+		idx := int(q*float64(len(sorted))+0.5) - 1
+		return sorted[max(0, min(idx, len(sorted)-1))]
 	}
-	if idx >= len(sorted) {
-		idx = len(sorted) - 1
-	}
-	return sorted[idx]
+	return rank(0.50), rank(0.99)
 }

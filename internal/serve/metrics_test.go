@@ -10,7 +10,7 @@ import (
 	"hydra/internal/sim"
 )
 
-// TestPercentileKnownDistributions pins the nearest-rank percentile against
+// TestPercentileKnownDistributions pins the nearest-rank percentiles against
 // distributions whose quantiles are known by construction.
 func TestPercentileKnownDistributions(t *testing.T) {
 	cases := []struct {
@@ -31,8 +31,13 @@ func TestPercentileKnownDistributions(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if got := percentile(tc.samples, tc.q); got != tc.want {
-				t.Fatalf("percentile(%v, %v) = %v, want %v", tc.samples, tc.q, got, tc.want)
+			p50, p99 := percentiles(tc.samples)
+			got := p99
+			if tc.q == 0.5 {
+				got = p50
+			}
+			if got != tc.want {
+				t.Fatalf("percentiles(%v) at q=%v = %v, want %v", tc.samples, tc.q, got, tc.want)
 			}
 		})
 	}
@@ -42,10 +47,10 @@ func TestPercentileKnownDistributions(t *testing.T) {
 // hold the live sample buffer under the metrics lock.
 func TestPercentileDoesNotMutateSamples(t *testing.T) {
 	samples := []float64{5, 1, 4, 2, 3}
-	percentile(samples, 0.99)
+	percentiles(samples)
 	for i, want := range []float64{5, 1, 4, 2, 3} {
 		if samples[i] != want {
-			t.Fatalf("percentile reordered the caller's buffer: %v", samples)
+			t.Fatalf("percentiles reordered the caller's buffer: %v", samples)
 		}
 	}
 }

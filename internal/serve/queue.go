@@ -1,6 +1,9 @@
 package serve
 
-import "time"
+import (
+	"slices"
+	"time"
+)
 
 // pending is one admitted-but-not-yet-running job. The three *idx fields are
 // the job's live positions inside the admission queue's indexes (rank heap,
@@ -52,7 +55,7 @@ func deadlineBefore(a, b *pending) bool {
 	return a.seq < b.seq
 }
 
-// pheap is an indexed binary min-heap of pending entries. The index callback
+// pheap is an indexed binary min-heap of pending entries. The index setter
 // keeps each entry's position field current across sifts, so removal by
 // position — not just pop-min — stays O(log n). Three instances back the
 // admission queue: the rank heap (rankBefore), the deadline heap
@@ -63,6 +66,11 @@ type pheap struct {
 	less  func(a, b *pending) bool
 	set   func(p *pending, i int)
 }
+
+// The index setters of the three heap kinds.
+func setRankIdx(p *pending, i int) { p.rankIdx = i }
+func setDlIdx(p *pending, i int)   { p.dlIdx = i }
+func setKeyIdx(p *pending, i int)  { p.keyIdx = i }
 
 func (h *pheap) len() int { return len(h.items) }
 
@@ -160,6 +168,9 @@ type admitQueue struct {
 	demand map[int]int
 
 	minDemand int // cached min key of demand; -1 = stale, recompute
+
+	spare []*pheap   // emptied per-key heaps, kept for the next new keys
+	skip  []*pending // popFit scratch, reused from call to call
 }
 
 func newAdmitQueue(max int) *admitQueue {
@@ -168,14 +179,14 @@ func newAdmitQueue(max int) *admitQueue {
 	return q
 }
 
-// init wires the heap callbacks; the zero admitQueue calls it lazily so the
+// init wires the heap setters; the zero admitQueue calls it lazily so the
 // struct-literal construction used throughout the tests keeps working.
 func (q *admitQueue) init() {
 	if q.rank.set != nil {
 		return
 	}
-	q.rank = pheap{less: rankBefore, set: func(p *pending, i int) { p.rankIdx = i }}
-	q.dl = pheap{less: deadlineBefore, set: func(p *pending, i int) { p.dlIdx = i }}
+	q.rank = pheap{less: rankBefore, set: setRankIdx}
+	q.dl = pheap{less: deadlineBefore, set: setDlIdx}
 	q.byKey = map[string]*pheap{}
 	q.demand = map[int]int{}
 	q.minDemand = -1
@@ -206,7 +217,11 @@ func (q *admitQueue) requeue(p *pending) {
 	if key := p.job.BatchKey; key != "" {
 		kh := q.byKey[key]
 		if kh == nil {
-			kh = &pheap{less: rankBefore, set: func(p *pending, i int) { p.keyIdx = i }}
+			if n := len(q.spare); n > 0 {
+				kh, q.spare = q.spare[n-1], q.spare[:n-1]
+			} else {
+				kh = &pheap{less: rankBefore, set: setKeyIdx}
+			}
 			q.byKey[key] = kh
 		}
 		kh.push(p)
@@ -228,6 +243,7 @@ func (q *admitQueue) detach(p *pending) {
 		kh.remove(p.keyIdx)
 		if kh.len() == 0 {
 			delete(q.byKey, p.job.BatchKey)
+			q.spare = append(q.spare, kh)
 		}
 	}
 	if n := q.demand[p.job.Cards] - 1; n > 0 {
@@ -270,7 +286,7 @@ func (q *admitQueue) popFit(freeCards int) (p *pending, backfill bool) {
 	if !q.fitsAny(freeCards) {
 		return nil, false
 	}
-	var skipped []*pending
+	skipped := q.skip[:0]
 	for q.rank.len() > 0 {
 		top := q.rank.pop()
 		if top.job.Cards <= freeCards {
@@ -282,6 +298,8 @@ func (q *admitQueue) popFit(freeCards int) (p *pending, backfill bool) {
 	for _, s := range skipped {
 		q.rank.push(s)
 	}
+	clear(skipped)
+	q.skip = skipped[:0]
 	if p == nil {
 		return nil, false
 	}
@@ -289,32 +307,28 @@ func (q *admitQueue) popFit(freeCards int) (p *pending, backfill bool) {
 	return p, len(skipped) > 0
 }
 
-// popRiders removes and returns up to max additional queued jobs compatible
-// with a grant: same non-empty batch key and the exact same card demand, in
-// rank order. Demand equality is load-bearing twice over — riders execute the
+// popRiders appends to dst, in rank order, up to max more queued jobs
+// compatible with a grant: same non-empty batch key and the exact same card
+// demand. Demand equality is load-bearing twice over — riders execute the
 // leader's program shape on the leader's card set, and it guarantees a rider
 // can never be one of dispatchPass's temporarily-popped skipped entries
 // (skipped entries demand strictly more cards than the leader was granted).
-func (q *admitQueue) popRiders(key string, cards, max int) []*pending {
+func (q *admitQueue) popRiders(dst []*pending, key string, cards, max int) []*pending {
 	q.init()
-	if key == "" || max <= 0 {
-		return nil
-	}
-	kh := q.byKey[key]
-	var out []*pending
-	for len(out) < max && kh != nil && kh.len() > 0 {
+	kh := q.byKey[key] // nil for the empty key, which never enters byKey
+	for n := 0; n < max && kh != nil && kh.len() > 0; n++ {
 		top := kh.items[0]
 		if top.job.Cards != cards {
 			break
 		}
-		q.rank.remove(top.rankIdx)
-		q.detach(top) // removes from kh too
-		out = append(out, top)
-		if kh.len() == 0 {
-			kh = nil
+		if n == 0 {
+			dst = slices.Grow(dst, min(max, kh.len()))
 		}
+		q.rank.remove(top.rankIdx)
+		q.detach(top) // removes from kh too; an emptied kh becomes the spare
+		dst = append(dst, top)
 	}
-	return out
+	return dst
 }
 
 // popRefill hands a finishing grant's cards straight to the next compatible

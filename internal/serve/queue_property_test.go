@@ -391,7 +391,7 @@ const benchFleetCards, benchFleetCPS = 1024, 8
 func benchOccupy(f *freeList) {
 	for srv := 0; srv < benchFleetCards/benchFleetCPS; srv += 2 {
 		for c := 0; c < benchFleetCPS/2; c++ {
-			f.takeFromServer(srv, 1)
+			f.takeFromServer(nil, srv, 1)
 		}
 	}
 }

@@ -5,7 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 	"strconv"
 	"time"
 
@@ -30,14 +30,16 @@ import (
 type CostFn func(job *Job, cards []int, batch int) (float64, error)
 
 // SimCost builds a CostFn over the analytic machine model, memoized by
-// (compatibility class, per-server span signature, batch): a placement
+// (compatibility class, batch, per-server span signature): a placement
 // affects cost only through how the grant splits across server boundaries,
-// so two grants with the same split price identically.
+// so two grants with the same split price identically. The class is the
+// job's BatchKey, the one promise of interchangeable work, else its ID.
 func SimCost(cfg sim.Config, cps int) CostFn {
 	cache := map[string]float64{}
+	var k costKey
 	return func(job *Job, cards []int, batch int) (float64, error) {
-		key := costKey(job, cards, cps, batch)
-		if v, ok := cache[key]; ok {
+		key := k.of(job, cards, cps, batch)
+		if v, ok := cache[string(key)]; ok {
 			return v, nil
 		}
 		if job.Build == nil {
@@ -51,39 +53,46 @@ func SimCost(cfg sim.Config, cps int) CostFn {
 		if err != nil {
 			return 0, fmt.Errorf("serve: replay job %s: %w", job.ID, err)
 		}
-		cache[key] = res.Makespan
+		cache[string(key)] = res.Makespan
 		return res.Makespan, nil
 	}
 }
 
-// costKey canonicalizes a grant for the pricing cache. The class is the
-// job's compatibility key (shape); the span signature is the per-server card
-// counts sorted descending ("6" vs "4+2" vs "2+2+2").
-func costKey(job *Job, cards []int, cps, batch int) string {
+// costKey canonicalizes a grant for the pricing memo, "class/bBATCH/COUNTS"
+// with COUNTS the per-server card counts in descending order ("6" vs "4+2"
+// vs "2+2+2"), built in buffers reused from grant to grant: of returns a key
+// valid until its next call. cards need not be sorted.
+type costKey struct {
+	buf         []byte
+	srv, counts []int
+}
+
+func (k *costKey) of(job *Job, cards []int, cps, batch int) []byte {
 	class := job.BatchKey
-	if class == "" {
-		class = job.Tenant
-	}
 	if class == "" {
 		class = job.ID
 	}
-	perServer := map[int]int{}
+	k.srv = k.srv[:0]
 	for _, c := range cards {
-		perServer[c/cps]++
+		k.srv = append(k.srv, c/cps)
 	}
-	counts := make([]int, 0, len(perServer))
-	for _, n := range perServer {
-		counts = append(counts, n)
-	}
-	sort.Sort(sort.Reverse(sort.IntSlice(counts)))
-	key := class + "/b" + strconv.Itoa(batch) + "/"
-	for i, n := range counts {
-		if i > 0 {
-			key += "+"
+	slices.Sort(k.srv)
+	k.counts = k.counts[:0]
+	for i, j := 0, 0; i < len(k.srv); i = j {
+		for j = i; j < len(k.srv) && k.srv[j] == k.srv[i]; j++ {
 		}
-		key += strconv.Itoa(n)
+		k.counts = append(k.counts, j-i)
 	}
-	return key
+	slices.SortFunc(k.counts, func(a, b int) int { return b - a })
+	k.buf = append(append(k.buf[:0], class...), "/b"...)
+	k.buf = append(strconv.AppendInt(k.buf, int64(batch), 10), '/')
+	for i, n := range k.counts {
+		if i > 0 {
+			k.buf = append(k.buf, '+')
+		}
+		k.buf = strconv.AppendInt(k.buf, int64(n), 10)
+	}
+	return k.buf
 }
 
 // ReplayConfig configures a virtual-time replay of the scheduler.
@@ -137,13 +146,13 @@ type replayEvent struct {
 	user int
 }
 
-// eventHeap is a binary min-heap on (t, seq).
+// eventHeap is a binary min-heap on (t, seq), holding events by value.
 type eventHeap struct {
-	items []*replayEvent
+	items []replayEvent
 	seq   uint64
 }
 
-func (h *eventHeap) push(e *replayEvent) {
+func (h *eventHeap) push(e replayEvent) {
 	e.seq = h.seq
 	h.seq++
 	h.items = append(h.items, e)
@@ -159,21 +168,22 @@ func (h *eventHeap) push(e *replayEvent) {
 }
 
 func (h *eventHeap) less(a, b int) bool {
-	ea, eb := h.items[a], h.items[b]
+	ea, eb := &h.items[a], &h.items[b]
 	if ea.t != eb.t {
 		return ea.t < eb.t
 	}
 	return ea.seq < eb.seq
 }
 
-func (h *eventHeap) pop() *replayEvent {
+// pop removes and returns the earliest event; ok is false when empty.
+func (h *eventHeap) pop() (top replayEvent, ok bool) {
 	n := len(h.items)
 	if n == 0 {
-		return nil
+		return top, false
 	}
-	top := h.items[0]
+	top = h.items[0]
 	h.items[0] = h.items[n-1]
-	h.items[n-1] = nil
+	h.items[n-1] = replayEvent{} // no stale grant in the backing array
 	h.items = h.items[:n-1]
 	i := 0
 	for {
@@ -191,7 +201,7 @@ func (h *eventHeap) pop() *replayEvent {
 		h.items[i], h.items[min] = h.items[min], h.items[i]
 		i = min
 	}
-	return top
+	return top, true
 }
 
 // replayEngine drives the scheduler from a discrete-event loop: arrivals and
@@ -248,30 +258,30 @@ func (e *replayEngine) arrive(job *Job, t float64) (bool, error) {
 		return false, err
 	}
 	started, _ := e.sched.dispatch(t)
-	e.start(started, t)
+	for _, g := range started {
+		e.price(g, t)
+	}
 	return true, nil
 }
 
-// start prices each grant and schedules its completion.
-func (e *replayEngine) start(grants []grant, t float64) {
-	for _, g := range grants {
-		cost, err := e.rc.Cost(g.batch[0].job, g.cards, len(g.batch))
-		if err != nil {
-			// Pricing failures are workload programming errors; record the
-			// first and let the grant complete at zero cost so the replay
-			// terminates.
-			if e.firstErr == nil {
-				e.firstErr = err
-			}
-			cost = 0
+// price prices one grant starting at t and schedules its completion.
+func (e *replayEngine) price(g grant, t float64) {
+	cost, err := e.rc.Cost(g.batch[0].job, g.cards, len(g.batch))
+	if err != nil {
+		// Pricing failures are workload programming errors; record the
+		// first and let the grant complete at zero cost so the replay
+		// terminates.
+		if e.firstErr == nil {
+			e.firstErr = err
 		}
-		e.events.push(&replayEvent{t: t + cost, g: g, cost: cost})
+		cost = 0
 	}
+	e.events.push(replayEvent{t: t + cost, g: g, cost: cost})
 }
 
 // complete finishes a grant at its event time: the scheduler refills or
 // retires it, and every grant that starts is scheduled.
-func (e *replayEngine) complete(ev *replayEvent) {
+func (e *replayEngine) complete(ev replayEvent) {
 	t := ev.t
 	e.advance(t)
 	e.endT = t
@@ -280,12 +290,13 @@ func (e *replayEngine) complete(ev *replayEvent) {
 			e.onDone(p, t)
 		}
 	}
-	g := ev.g
-	started, _ := e.sched.finish(&g, t, ev.cost, nil)
-	if g.batch != nil {
-		e.start([]grant{g}, t)
+	started, _ := e.sched.finish(&ev.g, t, ev.cost, nil)
+	if ev.g.batch != nil {
+		e.price(ev.g, t)
 	}
-	e.start(started, t)
+	for _, g := range started {
+		e.price(g, t)
+	}
 }
 
 // run drains the event heap, interleaving the pregenerated open-loop
@@ -309,8 +320,8 @@ func (e *replayEngine) run(arrivals []Arrival) error {
 			}
 			continue
 		}
-		e.events.pop()
-		e.complete(ev)
+		top, _ := e.events.pop()
+		e.complete(top)
 	}
 }
 
@@ -318,30 +329,32 @@ func (e *replayEngine) peek() *replayEvent {
 	if len(e.events.items) == 0 {
 		return nil
 	}
-	return e.events.items[0]
+	return &e.events.items[0]
 }
 
+// stats is the scheduler's snapshot plus the replayer's own makespan,
+// goodput and utilization.
 func (e *replayEngine) stats() *ReplayStats {
-	c := e.sched
+	snap := e.sched.snapshot()
 	span := e.endT - e.firstAt
 	st := &ReplayStats{
-		Offered:   c.offered,
-		Admitted:  c.admitted,
-		Shed:      c.rejected,
-		Expired:   c.expired,
-		Completed: c.completed,
-		Grants:    c.grants,
-		Coalesced: c.coalesced,
-		Refills:   c.refills,
+		Offered:   e.sched.offered,
+		Admitted:  int(snap.Submitted),
+		Shed:      int(snap.Rejected),
+		Expired:   int(snap.Expired),
+		Completed: int(snap.Completed),
+		Grants:    int(snap.Grants),
+		Coalesced: int(snap.Coalesced),
+		Refills:   int(snap.Refills),
 		Makespan:  span,
 
-		QueueWaitP50: percentile(c.queueWait, 0.50),
-		QueueWaitP99: percentile(c.queueWait, 0.99),
-		ExecP50:      percentile(c.exec, 0.50),
-		ExecP99:      percentile(c.exec, 0.99),
+		QueueWaitP50: snap.QueueWaitP50,
+		QueueWaitP99: snap.QueueWaitP99,
+		ExecP50:      snap.ExecP50,
+		ExecP99:      snap.ExecP99,
 	}
 	if span > 0 {
-		st.JobsPerSec = float64(c.completed) / span
+		st.JobsPerSec = float64(snap.Completed) / span
 		st.Utilization = e.busyInt / (float64(e.rc.Fleet.Cards) * span)
 	}
 	return st
@@ -355,6 +368,8 @@ func Replay(arrivals []Arrival, rc ReplayConfig) (*ReplayStats, error) {
 	if err != nil {
 		return nil, err
 	}
+	n := min(len(arrivals), maxSamples)
+	e.sched.queueWait, e.sched.exec = make([]float64, 0, n), make([]float64, 0, n)
 	if err := e.run(arrivals); err != nil {
 		return nil, err
 	}
@@ -420,7 +435,7 @@ func ReplayClosed(users, jobs int, think time.Duration, seed int64, shapes []Sha
 	}
 	rearm := func(user int, t float64) {
 		gap := -math.Log(1-rng.Float64()) * thinkS
-		e.events.push(&replayEvent{t: t + gap, job: draw(user), user: user})
+		e.events.push(replayEvent{t: t + gap, job: draw(user), user: user})
 	}
 
 	// Re-arm users on completion. The submitting user is encoded in the job
@@ -436,13 +451,13 @@ func ReplayClosed(users, jobs int, think time.Duration, seed int64, shapes []Sha
 	// does not open on a synchronized thundering herd.
 	for u := 0; u < users; u++ {
 		gap := -math.Log(1-rng.Float64()) * thinkS
-		e.events.push(&replayEvent{t: gap, job: draw(u), user: u})
+		e.events.push(replayEvent{t: gap, job: draw(u), user: u})
 	}
 
 	// Closed loop: an arrival that is refused re-enters think.
 	for e.sched.completed < jobs {
-		ev := e.events.pop()
-		if ev == nil {
+		ev, ok := e.events.pop()
+		if !ok {
 			return nil, fmt.Errorf("serve: closed-loop replay stalled at %d/%d jobs", e.sched.completed, jobs)
 		}
 		if ev.job == nil {

@@ -18,23 +18,7 @@ func TestReplayStatsGolden(t *testing.T) {
 	cfg := sim.HydraConfig()
 	shapes := DefaultShapes(cfg.Scheme, cfg.Card)
 	const cards, cps = 64, 8
-
-	// Capacity, as the bench harness defines it: the fleet's cards over the
-	// mean card-seconds one job of the mix holds.
-	totalW, cardSec := 0.0, 0.0
-	for _, sh := range shapes {
-		prog, err := sh.Build(sh.Cards)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := sim.Run(prog, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		totalW += sh.Weight
-		cardSec += sh.Weight * float64(sh.Cards) * res.Makespan
-	}
-	capacity := cards * totalW / cardSec
+	capacity := replayCapacity(t, cfg, shapes, cards)
 	rc := func(coalesce int) ReplayConfig {
 		return ReplayConfig{
 			Fleet:      hw.Fleet{Cards: cards, CardsPerServer: cps},
@@ -76,5 +60,97 @@ func TestReplayStatsGolden(t *testing.T) {
 		if got[i] != want[i] {
 			t.Errorf("replay %d:\ngot  %s\nwant %s", i, got[i], want[i])
 		}
+	}
+}
+
+// replayCapacity is the fleet's capacity in jobs per second, as the bench
+// harness defines it: the fleet's cards over the mean card-seconds one job
+// of the mix holds.
+func replayCapacity(tb testing.TB, cfg sim.Config, shapes []Shape, cards int) float64 {
+	tb.Helper()
+	totalW, cardSec := 0.0, 0.0
+	for _, sh := range shapes {
+		prog, err := sh.Build(sh.Cards)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		res, err := sim.Run(prog, cfg)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		totalW += sh.Weight
+		cardSec += sh.Weight * float64(sh.Cards) * res.Makespan
+	}
+	return float64(cards) * totalW / cardSec
+}
+
+// TestReplayAllocationShape bounds the host allocations of a replay with a
+// warm pricing memo: the golden's saturated coalescing point (64 cards,
+// coalesce 8, load 1.25, 3 000 jobs). What a replay may allocate is what a
+// job or a grant owns — its pending entry, its batch and its cards — not
+// per-decision scratch.
+func TestReplayAllocationShape(t *testing.T) {
+	cfg := sim.HydraConfig()
+	shapes := DefaultShapes(cfg.Scheme, cfg.Card)
+	const cards, cps, jobs = 64, 8, 3000
+	w := Workload{Seed: 17, Rate: 1.25 * replayCapacity(t, cfg, shapes, cards), Shapes: shapes}
+	arrivals, err := w.GenerateN(jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rc := ReplayConfig{
+		Fleet:      hw.Fleet{Cards: cards, CardsPerServer: cps},
+		QueueDepth: 256,
+		Coalesce:   8,
+		Cost:       SimCost(cfg, cps),
+	}
+	allocs := testing.AllocsPerRun(3, func() {
+		if _, err := Replay(arrivals, rc); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if perJob := allocs / jobs; perJob > 4 {
+		t.Fatalf("replay allocates %.2f objects per offered job, want <= 4", perJob)
+	} else {
+		t.Logf("%.0f allocations, %.2f per offered job", allocs, perJob)
+	}
+}
+
+// BenchmarkReplay is the serve-replay sweep as a Go benchmark: 20 000 jobs
+// at 0.5, 1.0 and 1.25 of capacity on 256 cards, 8 per server, queue 1024,
+// coalesce 8, with the pricing memo warm. One op is the whole sweep, so
+// `go test -bench Replay -cpuprofile` attributes the scheduler's own cost.
+func BenchmarkReplay(b *testing.B) {
+	cfg := sim.HydraConfig()
+	shapes := DefaultShapes(cfg.Scheme, cfg.Card)
+	const cards, cps, jobs = 256, 8, 20000
+	capacity := replayCapacity(b, cfg, shapes, cards)
+	rc := ReplayConfig{
+		Fleet:      hw.Fleet{Cards: cards, CardsPerServer: cps},
+		QueueDepth: 1024,
+		Coalesce:   8,
+		Cost:       SimCost(cfg, cps),
+	}
+	var sweep [][]Arrival
+	for i, load := range []float64{0.5, 1.0, 1.25} {
+		w := Workload{Seed: 1 + int64(i), Rate: load * capacity, Shapes: shapes}
+		arrivals, err := w.GenerateN(jobs)
+		if err != nil {
+			b.Fatal(err)
+		}
+		sweep = append(sweep, arrivals)
+	}
+	run := func() {
+		for _, arrivals := range sweep {
+			if _, err := Replay(arrivals, rc); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	run() // prices every grant shape the sweep meets
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run()
 	}
 }

@@ -5,8 +5,10 @@ import (
 	"testing"
 	"time"
 
+	"hydra/internal/fheop"
 	"hydra/internal/hw"
 	"hydra/internal/sim"
+	"hydra/internal/task"
 )
 
 // flatCost is a synthetic pricing function with the standard batch
@@ -231,5 +233,26 @@ func TestSimCostPricesAndCaches(t *testing.T) {
 	}
 	if again != local {
 		t.Fatalf("cache miss on identical signature: %.9f vs %.9f", again, local)
+	}
+
+	// Without a BatchKey nothing promises two jobs interchangeable, not
+	// even a shared tenant: each prices as its own program.
+	heavy := func(cards int) (*task.Program, error) {
+		b := task.NewBuilder(cards, cards)
+		b.Step("heavy")
+		b.Compute(0, fheop.Of(fheop.Rotation, 400), 18, "A")
+		return b.Build(), nil
+	}
+	cost = SimCost(sim.HydraConfig(), 8)
+	light, err := cost(&Job{ID: "a1", Tenant: "alice", Cards: 1, Build: tinyBuild}, []int{0}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dear, err := cost(&Job{ID: "a2", Tenant: "alice", Cards: 1, Build: heavy}, []int{0}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dear <= light {
+		t.Fatalf("un-keyed jobs of one tenant share a price: 400 rotations %.6f s, tiny %.6f s", dear, light)
 	}
 }

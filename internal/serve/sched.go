@@ -66,6 +66,10 @@ type scheduler struct {
 	running                              int // gauge: live grants
 
 	queueWait, exec []float64 // seconds, capped at maxSamples
+
+	// dispatchPass scratch, reused from pass to pass.
+	out     []grant
+	skipped []*pending
 }
 
 func newScheduler(fleet hw.Fleet, depth, coalesce int) (*scheduler, error) {
@@ -118,7 +122,7 @@ func (c *scheduler) shed(now float64) []*pending {
 }
 
 // dispatch sheds expired jobs, then grants everything the free cards allow
-// in one dispatchPass.
+// in one dispatchPass. started is valid until the scheduler's next call.
 func (c *scheduler) dispatch(now float64) (started []grant, expired []*pending) {
 	expired = c.shed(now)
 	started = c.dispatchPass()
@@ -132,7 +136,7 @@ func (c *scheduler) dispatch(now float64) (started []grant, expired []*pending) 
 // finish records g's completion at now — exec seconds of execution ending in
 // err — then refills g in place with the next compatible batch, releasing
 // the cards its new leader does not need, or retires it (g.batch == nil).
-// Either way it dispatches again when cards came free.
+// Either way it dispatches again when cards came free (started as dispatch).
 func (c *scheduler) finish(g *grant, now, exec float64, err error) (started []grant, expired []*pending) {
 	n := len(g.batch)
 	switch {
@@ -175,7 +179,7 @@ func (c *scheduler) finish(g *grant, now, exec float64, err error) (started []gr
 func (c *scheduler) batch(lead *pending, ride bool) []*pending {
 	b := []*pending{lead}
 	if ride && c.coalesce > 1 {
-		b = append(b, c.q.popRiders(lead.job.BatchKey, lead.job.Cards, c.coalesce-1)...)
+		b = c.q.popRiders(b, lead.job.BatchKey, lead.job.Cards, c.coalesce-1)
 	}
 	return b
 }
@@ -220,11 +224,13 @@ func sample(buf []float64, v float64) []float64 {
 // baseline. Riders can never collide with the skipped set: a skipped entry
 // demands strictly more cards than were free when it was skipped, hence
 // strictly more than any later leader's demand.
+//
+// The returned slice is the scheduler's buffer, valid until its next call.
 func (c *scheduler) dispatchPass() []grant {
 	q, f := c.q, c.free
 	q.init()
-	var out []grant
-	var skipped []*pending
+	clear(c.out) // drop the last pass's grants
+	out, skipped := c.out[:0], c.skipped[:0]
 	// Invariant: the demand index covers heap ∪ skipped, and every skipped
 	// entry demands more than f.len(); so while fitsAny holds, a fitting
 	// entry exists in the heap and the inner pop loop terminates on it.
@@ -248,12 +254,14 @@ func (c *scheduler) dispatchPass() []grant {
 	for _, s := range skipped {
 		q.rank.push(s)
 	}
+	clear(skipped)
+	c.out, c.skipped = out, skipped[:0]
 	return out
 }
 
 // snapshot copies the counters and derives the gauges and percentiles.
 func (c *scheduler) snapshot() Snapshot {
-	return Snapshot{
+	snap := Snapshot{
 		Submitted: int64(c.admitted),
 		Completed: int64(c.completed),
 		Failed:    int64(c.failed),
@@ -266,10 +274,8 @@ func (c *scheduler) snapshot() Snapshot {
 		Queued:    c.q.len(),
 		Running:   c.running,
 		CardsBusy: c.fleet.Cards - c.free.len(),
-
-		QueueWaitP50: percentile(c.queueWait, 0.50),
-		QueueWaitP99: percentile(c.queueWait, 0.99),
-		ExecP50:      percentile(c.exec, 0.50),
-		ExecP99:      percentile(c.exec, 0.99),
 	}
+	snap.QueueWaitP50, snap.QueueWaitP99 = percentiles(c.queueWait)
+	snap.ExecP50, snap.ExecP99 = percentiles(c.exec)
+	return snap
 }

@@ -2,7 +2,7 @@ package serve
 
 import (
 	"math/bits"
-	"sort"
+	"slices"
 )
 
 // freeList tracks the idle cards of the fleet with three indexed views, so
@@ -31,7 +31,12 @@ type freeList struct {
 	bitmap []uint64   // card c free <=> bit c set
 	cnt    []int      // per-server free count
 	bucket [][]uint64 // bucket[k]: server-index bitmap of servers with cnt == k
+
+	picks []serverPick // take's spanning-grant scratch, reused
 }
+
+// serverPick is m cards a spanning grant takes from server srv.
+type serverPick struct{ srv, m int }
 
 // newFreeList builds the free list of an all-idle fleet.
 func newFreeList(n, cps int) *freeList {
@@ -89,16 +94,16 @@ func lowestServer(bm []uint64) int {
 	return -1
 }
 
-// takeFromServer removes and returns the m lowest-numbered free cards of one
-// server, maintaining every index.
-func (f *freeList) takeFromServer(srv, m int) []int {
-	out := make([]int, 0, m)
+// takeFromServer removes the m lowest-numbered free cards of one server,
+// maintaining every index, and appends them to dst.
+func (f *freeList) takeFromServer(dst []int, srv, m int) []int {
+	start := len(dst)
 	lo := srv * f.cps
 	hi := lo + f.cps
 	if hi > f.cards {
 		hi = f.cards
 	}
-	for w := lo / 64; w <= (hi-1)/64 && len(out) < m; w++ {
+	for w := lo / 64; w <= (hi-1)/64 && len(dst)-start < m; w++ {
 		word := f.bitmap[w]
 		// Mask the word down to this server's card range.
 		if base := w * 64; base < lo {
@@ -109,17 +114,18 @@ func (f *freeList) takeFromServer(srv, m int) []int {
 			//lint:allow rawmod bitmap mask construction, not residue arithmetic
 			word &= (1 << uint(hi-base)) - 1
 		}
-		for word != 0 && len(out) < m {
+		for word != 0 && len(dst)-start < m {
 			b := bits.TrailingZeros64(word)
 			word &^= 1 << uint(b)
 			f.bitmap[w] &^= 1 << uint(b)
-			out = append(out, w*64+b)
+			dst = append(dst, w*64+b)
 		}
 	}
-	f.free -= len(out)
-	f.moveBucket(srv, f.cnt[srv], f.cnt[srv]-len(out))
-	f.cnt[srv] -= len(out)
-	return out
+	n := len(dst) - start
+	f.free -= n
+	f.moveBucket(srv, f.cnt[srv], f.cnt[srv]-n)
+	f.cnt[srv] -= n
+	return dst
 }
 
 // take removes and returns n cards, minimizing the server span of the grant —
@@ -145,14 +151,13 @@ func (f *freeList) take(n int) []int {
 	// lowest set bit of its bucket is the lowest-index such server.
 	for k := n; k <= f.width; k++ {
 		if srv := lowestServer(f.bucket[k]); srv >= 0 {
-			return f.takeFromServer(srv, n)
+			return f.takeFromServer(make([]int, 0, n), srv, n)
 		}
 	}
 	// Spanning grant: fullest pools first, lowest server index on ties.
 	// Collect the per-server picks before mutating, then apply in server
 	// order so the result comes out ascending without an element sort.
-	type pick struct{ srv, m int }
-	var picks []pick
+	picks := f.picks[:0]
 	need := n
 	for k := f.width; k >= 1 && need > 0; k-- {
 		for wi, word := range f.bucket[k] {
@@ -163,7 +168,7 @@ func (f *freeList) take(n int) []int {
 				if m > need {
 					m = need
 				}
-				picks = append(picks, pick{wi*64 + b, m})
+				picks = append(picks, serverPick{wi*64 + b, m})
 				need -= m
 			}
 			if need == 0 {
@@ -171,11 +176,12 @@ func (f *freeList) take(n int) []int {
 			}
 		}
 	}
-	sort.Slice(picks, func(a, b int) bool { return picks[a].srv < picks[b].srv })
+	slices.SortFunc(picks, func(a, b serverPick) int { return a.srv - b.srv })
 	out := make([]int, 0, n)
 	for _, p := range picks {
-		out = append(out, f.takeFromServer(p.srv, p.m)...)
+		out = f.takeFromServer(out, p.srv, p.m)
 	}
+	f.picks = picks
 	return out
 }
 
