@@ -8,7 +8,7 @@ import (
 // pending is one admitted-but-not-yet-running job. The three *idx fields are
 // the job's live positions inside the admission queue's indexes (rank heap,
 // deadline heap, per-key heap); -1 means "not in that index". They are
-// maintained by the heaps' swap callbacks so any entry can be removed in
+// maintained by the heaps' index setters so any entry can be removed in
 // O(log n) without a scan.
 type pending struct {
 	job       *Job
