@@ -1,10 +1,11 @@
 // Functional scale-out FHE: four "cards" (goroutines with real CKKS state)
-// cooperatively execute a convolution layer with the paper's ring-broadcast
-// mapping and a distributed BSGS matrix-vector product, exchanging
-// serialized ciphertexts over a channel switch. The decrypted results are
-// checked against the single-card computation — the whole Hydra stack, from
-// instruction preloading to hardware-style synchronization to CKKS
-// arithmetic, running for real at laptop scale.
+// cooperatively execute a distributed BSGS matrix-vector product, exchanging
+// serialized ciphertexts over a channel switch. The program is written with
+// internal/fhir's builder, compiled, and lowered onto the cards by
+// fhir.LowerCluster; card 0's result must equal fhir.Evaluate's on one
+// evaluator word for word, or the example exits non-zero — the whole Hydra
+// stack, from instruction preloading to hardware-style synchronization to
+// CKKS arithmetic, running for real at laptop scale.
 package main
 
 import (
@@ -16,51 +17,60 @@ import (
 
 	"hydra/internal/ckks"
 	"hydra/internal/cluster"
+	"hydra/internal/fhir"
 )
 
 func main() {
-	const cards = 4
-	params := ckks.TestParameters(8, 3) // N = 256, 3 levels
-	kg := ckks.NewKeyGenerator(params, 1)
-	sk := kg.GenSecretKey()
-	pk := kg.GenPublicKey(sk)
-	rlk := kg.GenRelinearizationKey(sk)
-	rots := make([]int, 0, 16)
-	for d := 1; d < 16; d++ {
-		rots = append(rots, d)
-	}
-	rtks := kg.GenRotationKeys(sk, rots, false)
-	enc := ckks.NewEncoder(params)
-	encr := ckks.NewEncryptor(params, pk, 2)
-	decr := ckks.NewDecryptor(params, sk)
-	eval := ckks.NewEvaluator(params, rlk, rtks)
+	const cards, levels, bs, gs = 4, 3, 4, 4
+	params := ckks.TestParameters(8, levels) // N = 256
+	slots := params.Slots()
 
-	// Encrypt an activation vector.
-	vals := make([]complex128, params.Slots())
-	for i := range vals {
-		vals[i] = complex(math.Sin(float64(i)/5), 0)
+	// y = Σ_g Rot_{g·bs}(Σ_j d_{g,j} ⊙ Rot_j(x)): the BSGS form of a dense
+	// matrix with bs·gs diagonals, each plaintext pre-rotated by its giant step.
+	b := fhir.NewBuilder(slots)
+	x := b.Input("x")
+	var giant []*fhir.Value
+	for g := 0; g < gs; g++ {
+		var baby []*fhir.Value
+		for j := 0; j < bs; j++ {
+			d := make([]complex128, slots)
+			for i := range d {
+				d[i] = complex(math.Cos(float64(i+g*bs+j)), 0) / bs / gs
+			}
+			baby = append(baby, b.MulPlain(b.Rotate(x, j), b.PlainVec(fmt.Sprintf("d%d", g*bs+j), d)))
+		}
+		giant = append(giant, b.Rotate(b.Sum(baby...), g*bs))
 	}
-	pt, err := enc.Encode(vals)
+	b.Output(b.Sum(giant...))
+	src, err := b.Build()
 	if err != nil {
 		log.Fatal(err)
 	}
-	ct := encr.Encrypt(pt)
-
-	// A ConvBN-style layer: 8 kernels, each one rotation and one weight mask.
-	layer := cluster.ConvLayer{Rotations: []int{0, 1, 2, 3, 4, 5, 6, 7}}
-	for k := range layer.Rotations {
-		w := make([]complex128, params.Slots())
-		for i := range w {
-			w[i] = complex(0.05*float64(k+1), 0)
-		}
-		ptW, err := enc.EncodeAtLevel(w, params.DefaultScale(), ct.Level())
-		if err != nil {
-			log.Fatal(err)
-		}
-		layer.Weights = append(layer.Weights, ptW)
+	prog, err := fhir.Compile(src, fhir.Options{Levels: levels})
+	if err != nil {
+		log.Fatal(err)
 	}
 
-	progs, err := cluster.BuildConv(cards, layer)
+	kg := ckks.NewKeyGenerator(params, 1)
+	sk := kg.GenSecretKey()
+	pk := kg.GenPublicKey(sk)
+	rots, conj := prog.Rotations()
+	eval := ckks.NewEvaluator(params, kg.GenRelinearizationKey(sk), kg.GenRotationKeys(sk, rots, conj))
+	enc := ckks.NewEncoder(params)
+	decr := ckks.NewDecryptor(params, sk)
+
+	// Encrypt an activation vector.
+	vals := make([]complex128, slots)
+	for i := range vals {
+		vals[i] = complex(math.Sin(float64(i)/5), 0)
+	}
+	pt, err := enc.EncodeAtLevel(vals, params.DefaultScale(), levels)
+	if err != nil {
+		log.Fatal(err)
+	}
+	ct := ckks.NewEncryptor(params, pk, 2).Encrypt(pt)
+
+	progs, err := fhir.LowerCluster(prog, enc, cards)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -71,22 +81,27 @@ func main() {
 	if err := cl.Run(context.Background(), progs); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("ConvBN on %d functional cards: %d kernels computed and ring-broadcast\n", cards, len(layer.Rotations))
-
-	// Verify kernel 5 on the last card against the single-card computation.
-	got, err := cl.Get(cards-1, "out5")
+	got, err := cl.Get(0, "out")
 	if err != nil {
 		log.Fatal(err)
 	}
-	single := eval.Rescale(eval.MulPlain(eval.Rotate(ct, 5), layer.Weights[5]))
-	dGot := enc.Decode(decr.Decrypt(got))
-	dWant := enc.Decode(decr.Decrypt(single))
-	maxErr := 0.0
-	for i := range dGot {
-		if e := cmplx.Abs(dGot[i] - dWant[i]); e > maxErr {
-			maxErr = e
-		}
+	want, err := fhir.Evaluate(prog, fhir.EvalContext{Eval: eval, Enc: enc}, map[string]*ckks.Ciphertext{"x": ct})
+	if err != nil {
+		log.Fatal(err)
 	}
-	fmt.Printf("  kernel 5 on card %d matches the single-card result within %.2e\n", cards-1, maxErr)
+	if !got.Equal(want) {
+		log.Fatalf("%d-card output differs from fhir.Evaluate", cards)
+	}
+	fmt.Printf("BSGS matrix-vector product (%d diagonals) on %d functional cards: equal to fhir.Evaluate word for word\n", bs*gs, cards)
+
+	exact, err := fhir.Interpret(src, map[string][]complex128{"x": vals})
+	if err != nil {
+		log.Fatal(err)
+	}
+	maxErr := 0.0
+	for i, v := range enc.Decode(decr.Decrypt(got)) {
+		maxErr = math.Max(maxErr, cmplx.Abs(v-exact[i]))
+	}
+	fmt.Printf("  decrypted result matches the exact product within %.2e\n", maxErr)
 	fmt.Printf("  bytes per ciphertext on the wire: %d\n", len(ckks.MarshalCiphertext(got)))
 }

@@ -9,12 +9,11 @@
 // This realizes, at laptop scale, the paper's full stack: the host preloads
 // per-card instruction streams (Section IV-D), the cards run them with
 // hardware-style synchronization, and the arithmetic is the actual CKKS
-// arithmetic of internal/ckks rather than a cost model. A stream is either
-// compute kernels plus the transfers and additions that reduce their
-// partials — what fhir.LowerCluster emits for any compiled program, each
-// kernel running the card's share through fhir's evaluator — or BuildConv's
-// primitives (Rotate, PMult, Rescale, Send, Recv) for the ring-broadcast
-// convolution layer.
+// arithmetic of internal/ckks rather than a cost model. The instruction set is
+// Procedure 1's two kinds of work: compute kernels (OpKernel), and the DTU's
+// card-to-card transfers (OpSend, OpRecv). Every stream comes from
+// fhir.LowerCluster, each kernel running its share of a compiled program
+// through fhir's evaluator.
 //
 // Concurrency: cards are plain goroutines (they must be, since a card can
 // block on a switch receive while its peer computes), but the CKKS ops they
@@ -44,13 +43,9 @@ type OpCode int
 // Card instructions. Register operands name entries of the card's ciphertext
 // store; Send/Recv move ciphertexts through the switch.
 const (
-	OpRotate  OpCode = iota // Dst = Rotate(Src1, Imm)
-	OpPMult                 // Dst = Src1 ⊙ plaintext operand
-	OpAdd                   // Dst = Src1 + Src2
-	OpRescale               // Dst = Rescale(Src1)
-	OpSend                  // transmit Src1 to card Peer under tag Tag
-	OpRecv                  // receive tag Tag into Dst
-	OpKernel                // Dst = Kernel(store)
+	OpKernel OpCode = iota // Dst = Kernel(store)
+	OpSend                 // transmit Src to card Peer under tag Tag
+	OpRecv                 // receive tag Tag into Dst
 )
 
 // Kernel is an OpKernel instruction's computation: it reads the card's store,
@@ -61,14 +56,12 @@ type Kernel func(ctx context.Context, eval *ckks.Evaluator, store map[string]*ck
 
 // Instr is one instruction of a card's stream.
 type Instr struct {
-	Op         OpCode
-	Dst        string
-	Src1, Src2 string
-	Imm        int             // rotation amount
-	Plain      *ckks.Plaintext // PMult operand
-	Kernel     Kernel          // OpKernel computation
-	Peer       int             // Send destination
-	Tag        int             // Send/Recv pairing
+	Op     OpCode
+	Dst    string
+	Src    string // Send source
+	Kernel Kernel // OpKernel computation
+	Peer   int    // Send destination
+	Tag    int    // Send/Recv pairing
 }
 
 // Card is one functional accelerator node.
@@ -179,45 +172,7 @@ func (cl *Cluster) execute(ctx context.Context, card *Card, prog []Instr, abort 
 		if err := ctx.Err(); err != nil {
 			return fmt.Errorf("pc %d: %w", pc, err)
 		}
-		get := func(name string) (*ckks.Ciphertext, error) {
-			ct, ok := card.Store[name]
-			if !ok {
-				return nil, fmt.Errorf("pc %d: register %q undefined", pc, name)
-			}
-			return ct, nil
-		}
 		switch ins.Op {
-		case OpRotate:
-			src, err := get(ins.Src1)
-			if err != nil {
-				return err
-			}
-			card.Store[ins.Dst] = card.Eval.Rotate(src, ins.Imm)
-		case OpPMult:
-			src, err := get(ins.Src1)
-			if err != nil {
-				return err
-			}
-			if ins.Plain == nil {
-				return fmt.Errorf("pc %d: PMult without plaintext", pc)
-			}
-			card.Store[ins.Dst] = card.Eval.MulPlain(src, ins.Plain)
-		case OpAdd:
-			a, err := get(ins.Src1)
-			if err != nil {
-				return err
-			}
-			b, err := get(ins.Src2)
-			if err != nil {
-				return err
-			}
-			card.Store[ins.Dst] = card.Eval.Add(a, b)
-		case OpRescale:
-			src, err := get(ins.Src1)
-			if err != nil {
-				return err
-			}
-			card.Store[ins.Dst] = card.Eval.Rescale(src)
 		case OpKernel:
 			if ins.Kernel == nil {
 				return fmt.Errorf("pc %d: kernel instruction without a kernel", pc)
@@ -228,9 +183,9 @@ func (cl *Cluster) execute(ctx context.Context, card *Card, prog []Instr, abort 
 			}
 			card.Store[ins.Dst] = ct
 		case OpSend:
-			src, err := get(ins.Src1)
-			if err != nil {
-				return err
+			src, ok := card.Store[ins.Src]
+			if !ok {
+				return fmt.Errorf("pc %d: register %q undefined", pc, ins.Src)
 			}
 			if ins.Peer < 0 || ins.Peer >= len(cl.Cards) || ins.Peer == card.ID {
 				return fmt.Errorf("pc %d: bad peer %d", pc, ins.Peer)

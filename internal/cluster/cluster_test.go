@@ -3,7 +3,7 @@ package cluster
 import (
 	"context"
 	"math"
-	"math/cmplx"
+	"strings"
 	"testing"
 
 	"hydra/internal/ckks"
@@ -13,7 +13,6 @@ type env struct {
 	params *ckks.Parameters
 	enc    *ckks.Encoder
 	encr   *ckks.Encryptor
-	decr   *ckks.Decryptor
 	eval   *ckks.Evaluator
 }
 
@@ -29,7 +28,6 @@ func newEnv(t testing.TB, logN, levels int, rotations []int) *env {
 		params: params,
 		enc:    ckks.NewEncoder(params),
 		encr:   ckks.NewEncryptor(params, pk, 2),
-		decr:   ckks.NewDecryptor(params, sk),
 		eval:   ckks.NewEvaluator(params, rlk, rtks),
 	}
 }
@@ -43,63 +41,17 @@ func (e *env) encryptSeq(scale float64) *ckks.Ciphertext {
 	return e.encr.Encrypt(pt)
 }
 
-func maxSlotErr(a, b []complex128) float64 {
-	m := 0.0
-	for i := range a {
-		if e := cmplx.Abs(a[i] - b[i]); e > m {
-			m = e
-		}
+// rotate is a kernel that rotates register src by k.
+func rotate(src string, k int) Kernel {
+	return func(_ context.Context, eval *ckks.Evaluator, store map[string]*ckks.Ciphertext) (*ckks.Ciphertext, error) {
+		return eval.Rotate(store[src], k), nil
 	}
-	return m
 }
 
-func TestDistributedConvMatchesSingleCard(t *testing.T) {
-	const cards = 4
-	rotations := []int{0, 1, 2, 3, 4, 5, 6, 7}
-	e := newEnv(t, 8, 3, rotations)
-	ct := e.encryptSeq(e.params.DefaultScale())
-
-	layer := ConvLayer{Rotations: rotations}
-	for k := range rotations {
-		w := make([]complex128, e.params.Slots())
-		for i := range w {
-			w[i] = complex(0.1*float64(k+1), 0)
-		}
-		pt, err := e.enc.EncodeAtLevel(w, e.params.DefaultScale(), ct.Level())
-		if err != nil {
-			t.Fatal(err)
-		}
-		layer.Weights = append(layer.Weights, pt)
-	}
-
-	progs, err := BuildConv(cards, layer)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cl := New(e.params, e.eval, cards)
-	for c := 0; c < cards; c++ {
-		cl.Load(c, "x", ct)
-	}
-	if err := cl.Run(context.Background(), progs); err != nil {
-		t.Fatal(err)
-	}
-
-	// Every card must hold every kernel output, identical to the
-	// single-card computation.
-	for k := range rotations {
-		single := e.eval.Rescale(e.eval.MulPlain(e.eval.Rotate(ct, rotations[k]), layer.Weights[k]))
-		want := e.enc.Decode(e.decr.Decrypt(single))
-		name := "out" + string(rune('0'+k))
-		for c := 0; c < cards; c++ {
-			got, err := cl.Get(c, name)
-			if err != nil {
-				t.Fatalf("card %d: %v", c, err)
-			}
-			dec := e.enc.Decode(e.decr.Decrypt(got))
-			if err := maxSlotErr(dec, want); err > 1e-5 {
-				t.Fatalf("card %d kernel %d: error %g", c, k, err)
-			}
-		}
+// fail is a kernel that returns err.
+func fail(err error) Kernel {
+	return func(context.Context, *ckks.Evaluator, map[string]*ckks.Ciphertext) (*ckks.Ciphertext, error) {
+		return nil, err
 	}
 }
 
@@ -107,15 +59,21 @@ func TestClusterErrors(t *testing.T) {
 	e := newEnv(t, 6, 2, []int{1})
 	cl := New(e.params, e.eval, 2)
 	// Undefined register.
-	err := cl.Run(context.Background(), [][]Instr{{{Op: OpRotate, Dst: "y", Src1: "missing", Imm: 1}}, nil})
-	if err == nil {
-		t.Fatal("expected undefined-register error")
+	err := cl.Run(context.Background(), [][]Instr{{{Op: OpSend, Src: "missing", Peer: 1}}, nil})
+	if err == nil || !strings.Contains(err.Error(), "undefined") {
+		t.Fatalf("expected undefined-register error, got %v", err)
+	}
+	// Kernel instruction without a kernel, and an unknown opcode.
+	for _, ins := range []Instr{{Op: OpKernel, Dst: "y"}, {Op: OpRecv + 1}} {
+		if err := New(e.params, e.eval, 1).Run(context.Background(), [][]Instr{{ins}}); err == nil {
+			t.Fatalf("expected an error for %+v", ins)
+		}
 	}
 	// Bad peer.
 	cl2 := New(e.params, e.eval, 2)
 	ct := e.encryptSeq(e.params.DefaultScale())
 	cl2.Load(0, "x", ct)
-	err = cl2.Run(context.Background(), [][]Instr{{{Op: OpSend, Src1: "x", Peer: 5, Tag: 1}}, nil})
+	err = cl2.Run(context.Background(), [][]Instr{{{Op: OpSend, Src: "x", Peer: 5, Tag: 1}}, nil})
 	if err == nil {
 		t.Fatal("expected bad-peer error")
 	}
@@ -138,8 +96,8 @@ func TestOutOfOrderTagsAreBuffered(t *testing.T) {
 	// Card 0 sends tag 2 then tag 1; card 1 receives tag 1 first.
 	progs := [][]Instr{
 		{
-			{Op: OpSend, Src1: "a", Peer: 1, Tag: 2},
-			{Op: OpSend, Src1: "b", Peer: 1, Tag: 1},
+			{Op: OpSend, Src: "a", Peer: 1, Tag: 2},
+			{Op: OpSend, Src: "b", Peer: 1, Tag: 1},
 		},
 		{
 			{Op: OpRecv, Dst: "first", Tag: 1},

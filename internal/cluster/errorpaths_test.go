@@ -7,19 +7,17 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"hydra/internal/ckks"
 )
 
 // TestCardFailureUnblocksPeers is the liveness test for the abort broadcast:
-// card 0 dies on an undefined register while card 1 is parked on a Recv that
-// will never be satisfied. Without the abort channel this deadlocks Run
+// card 0's kernel fails while card 1 is parked on a Recv that will never be
+// satisfied. Without the abort channel this deadlocks Run
 // forever; with it, Run returns the root-cause error promptly.
 func TestCardFailureUnblocksPeers(t *testing.T) {
 	e := newEnv(t, 6, 2, []int{1})
 	cl := New(e.params, e.eval, 2)
 	progs := [][]Instr{
-		{{Op: OpRotate, Dst: "y", Src1: "missing", Imm: 1}},
+		{{Op: OpKernel, Dst: "y", Kernel: fail(errors.New("kernel failed"))}},
 		{{Op: OpRecv, Dst: "u", Tag: 7}},
 	}
 	done := make(chan error, 1)
@@ -29,8 +27,8 @@ func TestCardFailureUnblocksPeers(t *testing.T) {
 		if err == nil {
 			t.Fatal("expected an error from the failing card")
 		}
-		if !strings.Contains(err.Error(), "undefined") {
-			t.Fatalf("want the root-cause register error, got: %v", err)
+		if !strings.Contains(err.Error(), "card 0: pc 0: kernel failed") {
+			t.Fatalf("want the root-cause kernel error, got: %v", err)
 		}
 		if errors.Is(err, errAborted) {
 			t.Fatalf("abort must not mask the root cause: %v", err)
@@ -42,7 +40,7 @@ func TestCardFailureUnblocksPeers(t *testing.T) {
 
 // TestCardFailureUnblocksBlockedSend covers the other blocking switch
 // operation: card 0 saturates card 1's link buffer and blocks in OpSend
-// while card 1 fails without draining. The abort must unwind the sender.
+// while card 1's kernel fails without draining. The abort must unwind the sender.
 func TestCardFailureUnblocksBlockedSend(t *testing.T) {
 	e := newEnv(t, 6, 2, []int{1})
 	cl := New(e.params, e.eval, 2)
@@ -51,9 +49,9 @@ func TestCardFailureUnblocksBlockedSend(t *testing.T) {
 	// The switch buffers 64 frames per link; 70 sends guarantee card 0 blocks.
 	var p0 []Instr
 	for i := 0; i < 70; i++ {
-		p0 = append(p0, Instr{Op: OpSend, Src1: "x", Peer: 1, Tag: i})
+		p0 = append(p0, Instr{Op: OpSend, Src: "x", Peer: 1, Tag: i})
 	}
-	progs := [][]Instr{p0, {{Op: OpPMult, Dst: "y", Src1: "nope"}}}
+	progs := [][]Instr{p0, {{Op: OpKernel, Dst: "y", Kernel: fail(errors.New("kernel failed"))}}}
 	done := make(chan error, 1)
 	go func() { done <- cl.Run(context.Background(), progs) }()
 	select {
@@ -70,8 +68,8 @@ func TestCardFailureUnblocksBlockedSend(t *testing.T) {
 }
 
 // TestCardPanicBecomesCardError pins panic containment at the card goroutine:
-// card 1 rotates by an index the evaluator holds no key for (ckks panics on
-// that) while card 0 is parked on a Recv. The panic must become card 1's
+// card 1's second kernel rotates by an index the evaluator holds no key for
+// (ckks panics on that) while card 0 is parked on a Recv. The panic must become card 1's
 // error, fire the abort broadcast so card 0 unwinds, and leave no goroutine
 // behind — not take the process down.
 func TestCardPanicBecomesCardError(t *testing.T) {
@@ -80,7 +78,7 @@ func TestCardPanicBecomesCardError(t *testing.T) {
 	cl.Load(1, "x", e.encryptSeq(e.params.DefaultScale()))
 	progs := [][]Instr{
 		{{Op: OpRecv, Dst: "u", Tag: 7}},
-		{{Op: OpRotate, Dst: "y", Src1: "x", Imm: 1}, {Op: OpRotate, Dst: "y", Src1: "y", Imm: 5}},
+		{{Op: OpKernel, Dst: "y", Kernel: rotate("x", 1)}, {Op: OpKernel, Dst: "y", Kernel: rotate("y", 5)}},
 	}
 	base := runtime.NumGoroutine()
 	done := make(chan error, 1)
@@ -137,17 +135,6 @@ func TestRecvFailureAfterBadFrame(t *testing.T) {
 	}
 }
 
-// TestBuilderValidation covers the instruction-stream builder's error paths:
-// malformed layers must be rejected before any card runs.
-func TestBuilderValidation(t *testing.T) {
-	if _, err := BuildConv(2, ConvLayer{}); err == nil {
-		t.Fatal("BuildConv: expected error for an empty layer")
-	}
-	if _, err := BuildConv(2, ConvLayer{Rotations: []int{0, 1}, Weights: []*ckks.Plaintext{nil}}); err == nil {
-		t.Fatal("BuildConv: expected error for mismatched rotations/weights")
-	}
-}
-
 // TestCancellationUnblocksParkedRecv is the serving-layer timeout path: both
 // cards are parked on receives that no peer will ever satisfy (a hung job),
 // and only the caller's context cancellation can unwind them. Run must
@@ -186,7 +173,7 @@ func TestCancellationUnblocksBlockedSend(t *testing.T) {
 	cl.Load(0, "x", ct)
 	var p0 []Instr
 	for i := 0; i < 70; i++ {
-		p0 = append(p0, Instr{Op: OpSend, Src1: "x", Peer: 1, Tag: i})
+		p0 = append(p0, Instr{Op: OpSend, Src: "x", Peer: 1, Tag: i})
 	}
 	progs := [][]Instr{p0, {{Op: OpRecv, Dst: "v", Tag: 99}}}
 	ctx, cancel := context.WithCancel(context.Background())
@@ -204,7 +191,7 @@ func TestCancellationUnblocksBlockedSend(t *testing.T) {
 }
 
 // TestDeadlineAbortsComputeBoundProgram proves a card that never touches the
-// switch still honors the context: a long compute-only stream stops at the
+// switch still honors the context: a long stream of kernels stops at the
 // first instruction boundary after the deadline passes.
 func TestDeadlineAbortsComputeBoundProgram(t *testing.T) {
 	e := newEnv(t, 6, 2, []int{1})
@@ -213,7 +200,7 @@ func TestDeadlineAbortsComputeBoundProgram(t *testing.T) {
 	cl.Load(0, "x", ct)
 	var p0 []Instr
 	for i := 0; i < 100000; i++ {
-		p0 = append(p0, Instr{Op: OpRotate, Dst: "x", Src1: "x", Imm: 1})
+		p0 = append(p0, Instr{Op: OpKernel, Dst: "x", Kernel: rotate("x", 1)})
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()

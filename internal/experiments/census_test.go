@@ -28,7 +28,6 @@ var census = []struct{ name, source string }{
 	{"hw.CardProfile.EnergyMA", "assumed; read by Fig. 7 and Table III"},
 	{"hw.CardProfile.EnergyMM", "assumed; read by Fig. 7 and Table III"},
 	{"hw.CardProfile.EnergyAuto", "assumed; read by Fig. 7 and Table III"},
-	{"hw.CardProfile.AreaMM2", "Table III, 7 nm-normalized; only Hydra's is read"},
 	{"hw.CardProfile.KeySwitchDnum", "§V-A: dnum = 3; FAB's 5 assumed"},
 	{"hw.CardProfile.BatchAmortFrac", "fit to a 1.50x batch-8 host kernel speedup; that host layer is gone"},
 	{"hw.ClockHz", "§V-A: 300 MHz, all three designs on the U280"},

@@ -167,8 +167,10 @@ type Table3Result struct {
 
 // Table3 computes EDAP = Energy × Delay × Area for the Hydra prototypes and
 // carries the published ASIC values. Our energy and delay come from the
-// simulator; the product is expressed in the paper's (unspecified) unit by
-// anchoring Hydra-S/ResNet-18 to its published 0.12.
+// simulator; every prototype is built from one card design, so its area is
+// its card count. The product is expressed in the paper's (unspecified) unit
+// by anchoring Hydra-S/ResNet-18 to its published 0.12, which divides the
+// per-card area back out.
 func Table3() (*Table3Result, error) {
 	res := &Table3Result{Rows: map[string]map[string]Table3Cell{}}
 	for _, asic := range []string{"CraterLake", "BTS", "ARK", "SHARP"} {
@@ -191,8 +193,7 @@ func Table3() (*Table3Result, error) {
 			// Static energy accrues over the calibrated wall clock.
 			energy := r.TotalEnergy() - r.EnergyByUnit["Static"] +
 				hw.IdlePowerW*delay*float64(p.Cards)
-			area := float64(p.Cards) * p.Sim.Card.AreaMM2
-			raw[p.Name][net.Name] = energy * delay * area
+			raw[p.Name][net.Name] = energy * delay * float64(p.Cards)
 		}
 	}
 	anchor := baseline.TableIII["Hydra-S"]["ResNet-18"] / raw["Hydra-S"]["ResNet-18"]

@@ -169,26 +169,12 @@ func (p *Program) uses() map[*Value]int {
 // dce returns the program restricted to values reachable from the output,
 // preserving relative order and renumbering IDs densely.
 func dce(p *Program) *Program {
-	live := map[*Value]bool{}
-	var mark func(v *Value)
-	mark = func(v *Value) {
-		if live[v] {
-			return
-		}
-		live[v] = true
-		for _, a := range v.Args {
-			mark(a)
-		}
-	}
-	if p.Output != nil {
-		mark(p.Output)
-	}
 	out := &Program{Slots: p.Slots, Output: p.Output, Legal: p.Legal, InputLevel: p.InputLevel}
-	for _, v := range p.Values {
-		if live[v] {
-			v.ID = len(out.Values)
-			out.Values = append(out.Values, v)
-		}
+	if p.Output != nil {
+		out.Values = closure(p, []*Value{p.Output})
+	}
+	for i, v := range out.Values {
+		v.ID = i
 	}
 	return out
 }

@@ -12,12 +12,12 @@ import (
 // BuildTaskProgram does. Each card's share is one kernel instruction that runs
 // the share's closure through the evaluator Evaluate uses (hoisted baskets,
 // extended-basis MACs, deferred relinearization) and folds its terms; the
-// partials then reduce in the partition's tree as Send / Recv / Add, and a
-// last kernel on card 0 re-applies the output wrappers. Every term a card
-// computes is bit-identical to Evaluate's, residue addition is associative
-// and commutative, and each receiver's partial is the left operand (the sum
-// keeps the first term's scale, as the add tree does), so card 0's "out"
-// register ends bit-identical to Evaluate's output.
+// partials then reduce in the partition's tree as Send, Recv and an adding
+// kernel, and a last kernel on card 0 re-applies the output wrappers. Every
+// term a card computes is bit-identical to Evaluate's, residue addition is
+// associative and commutative, and each receiver's partial is the left
+// operand (the sum keeps the first term's scale, as the add tree does), so
+// card 0's "out" register ends bit-identical to Evaluate's output.
 //
 // Every card accumulates its partial in its "out" register. The caller
 // preloads every input ciphertext, under its input name, on every card, and
@@ -32,15 +32,21 @@ func LowerCluster(p *Program, enc *ckks.Encoder, cards int) ([][]cluster.Instr, 
 		progs[c] = []cluster.Instr{{Op: cluster.OpKernel, Dst: "out", Kernel: kernel(p, enc, nil, sh.vals, sh.terms)}}
 	}
 	for _, e := range pt.tree {
-		progs[e.from] = append(progs[e.from], cluster.Instr{Op: cluster.OpSend, Src1: "out", Peer: e.to, Tag: e.from})
+		progs[e.from] = append(progs[e.from], cluster.Instr{Op: cluster.OpSend, Src: "out", Peer: e.to, Tag: e.from})
 		progs[e.to] = append(progs[e.to],
 			cluster.Instr{Op: cluster.OpRecv, Dst: "partial", Tag: e.from},
-			cluster.Instr{Op: cluster.OpAdd, Dst: "out", Src1: "out", Src2: "partial"})
+			cluster.Instr{Op: cluster.OpKernel, Dst: "out", Kernel: addPartial})
 	}
 	if w := pt.wrappers; len(w) > 0 {
 		progs[0] = append(progs[0], cluster.Instr{Op: cluster.OpKernel, Dst: "out", Kernel: kernel(p, enc, w[0].Args[0], w, []*Value{p.Output})})
 	}
 	return progs, nil
+}
+
+// addPartial adds a received partial into the card's own, which stays the
+// left operand.
+func addPartial(_ context.Context, ev *ckks.Evaluator, store map[string]*ckks.Ciphertext) (*ckks.Ciphertext, error) {
+	return ev.Add(store["out"], store["partial"]), nil
 }
 
 // kernel runs vals on a card, inputs read from its store, and returns the sum

@@ -18,7 +18,6 @@ func HydraCard() CardProfile {
 		EnergyMA:   0.03e-3,
 		EnergyMM:   0.20e-3,
 		EnergyAuto: 0.10e-3,
-		AreaMM2:    120, // 7nm RTL-normalized equivalent
 
 		KeySwitchDnum: 3,
 
@@ -42,7 +41,6 @@ func FABCard() CardProfile {
 		EnergyMA:   0.033e-3,
 		EnergyMM:   0.22e-3,
 		EnergyAuto: 0.12e-3,
-		AreaMM2:    130,
 
 		KeySwitchDnum: 5,
 	}
@@ -63,7 +61,6 @@ func PoseidonCard() CardProfile {
 		EnergyMA:   0.031e-3,
 		EnergyMM:   0.21e-3,
 		EnergyAuto: 0.11e-3,
-		AreaMM2:    125,
 
 		KeySwitchDnum: 3,
 	}

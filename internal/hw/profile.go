@@ -38,8 +38,7 @@ type CardProfile struct {
 	EnergyMA      float64 // one coefficient pass
 	EnergyMM      float64
 	EnergyAuto    float64
-	AreaMM2       float64 // die-equivalent area at 7nm (for EDAP)
-	KeySwitchDnum int     // digits used by this card's key-switch datapath
+	KeySwitchDnum int // digits used by this card's key-switch datapath
 
 	// BatchAmortFrac is the fraction of a single run's time that batching
 	// amortizes away (pipeline fill, evaluation-key loads, per-limb setup):

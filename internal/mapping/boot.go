@@ -224,35 +224,21 @@ func (c *Context) emitBootstrap(opts BootstrapOptions, label string) error {
 // distributed because the layer refreshes more ciphertexts than there are
 // cards).
 func BootstrapCounts(opts BootstrapOptions) fheop.Counts {
-	total := fheop.Counts{}
+	dft := fheop.Counts{} // one DFT pass; SlotToCoeff mirrors CoeffToSlot
 	for i, r := range opts.DFT.Radix {
 		bs := opts.DFT.BS[i]
 		gs := 2 * r / bs
 		if gs < 1 {
 			gs = 1
 		}
-		total = total.Add(fheop.Of(
+		dft = dft.Add(fheop.Of(
 			fheop.Rotation, bs+gs,
 			fheop.PMult, bs*gs,
 			fheop.HAdd, (bs-1)*gs+gs-1,
 		))
 	}
-	total = total.Add(PolyEvalCounts(opts.EvaExpDeg))
-	total = total.Add(fheop.Of(fheop.CMult, opts.DAFIters, fheop.PMult, opts.DAFIters, fheop.HAdd, opts.DAFIters))
-	// S2C mirrors C2S.
-	for i, r := range opts.DFT.Radix {
-		bs := opts.DFT.BS[i]
-		gs := 2 * r / bs
-		if gs < 1 {
-			gs = 1
-		}
-		total = total.Add(fheop.Of(
-			fheop.Rotation, bs+gs,
-			fheop.PMult, bs*gs,
-			fheop.HAdd, (bs-1)*gs+gs-1,
-		))
-	}
-	return total
+	return dft.Scale(2).Add(PolyEvalCounts(opts.EvaExpDeg)).
+		Add(fheop.Of(fheop.CMult, opts.DAFIters, fheop.PMult, opts.DAFIters, fheop.HAdd, opts.DAFIters))
 }
 
 // BootstrapBatch refreshes `cts` ciphertexts: whole bootstraps stay on single

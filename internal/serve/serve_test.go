@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/cmplx"
 	"runtime"
 	"strings"
 	"sync"
@@ -14,6 +13,7 @@ import (
 
 	"hydra/internal/ckks"
 	"hydra/internal/cluster"
+	"hydra/internal/fhir"
 	"hydra/internal/hw"
 	"hydra/internal/sim"
 	"hydra/internal/task"
@@ -209,53 +209,55 @@ func TestTimeoutCancelsRunningJob(t *testing.T) {
 	}
 }
 
-// TestClusterBackendFunctional runs a real distributed CKKS convolution
-// through the serving layer and checks the decrypted output against the
-// single-card computation — the Backend seam keeps the functional runtime
-// and the analytic model interchangeable.
+// TestClusterBackendFunctional runs a real distributed CKKS program — a
+// rotate-and-weight sum compiled by fhir and lowered onto the granted cards —
+// through the serving layer and checks the output bit for bit against
+// fhir.Evaluate: the Backend seam keeps the functional runtime and the
+// analytic model interchangeable.
 func TestClusterBackendFunctional(t *testing.T) {
-	const cards = 2
-	rotations := []int{0, 1, 2, 3}
-	params := ckks.TestParameters(8, 3)
+	const cards, levels = 2, 3
+	params := ckks.TestParameters(8, levels)
+	b := fhir.NewBuilder(params.Slots())
+	x := b.Input("x")
+	var terms []*fhir.Value
+	for k := 0; k < 4; k++ {
+		w := make([]complex128, params.Slots())
+		for i := range w {
+			w[i] = complex(0.1*float64(k+1), 0)
+		}
+		terms = append(terms, b.MulPlain(b.Rotate(x, k), b.PlainVec(fmt.Sprint("w", k), w)))
+	}
+	b.Output(b.Sum(terms...))
+	src, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := fhir.Compile(src, fhir.Options{Levels: levels})
+	if err != nil {
+		t.Fatal(err)
+	}
 	kg := ckks.NewKeyGenerator(params, 1)
 	sk := kg.GenSecretKey()
-	pk := kg.GenPublicKey(sk)
-	rlk := kg.GenRelinearizationKey(sk)
-	rtks := kg.GenRotationKeys(sk, rotations, false)
+	rots, conj := prog.Rotations()
+	eval := ckks.NewEvaluator(params, kg.GenRelinearizationKey(sk), kg.GenRotationKeys(sk, rots, conj))
 	enc := ckks.NewEncoder(params)
-	encr := ckks.NewEncryptor(params, pk, 2)
-	decr := ckks.NewDecryptor(params, sk)
-	eval := ckks.NewEvaluator(params, rlk, rtks)
 
 	vals := make([]complex128, params.Slots())
 	for i := range vals {
 		vals[i] = complex(math.Sin(float64(i)/3), 0)
 	}
-	pt, err := enc.EncodeAtLevel(vals, params.DefaultScale(), params.MaxLevel())
+	pt, err := enc.EncodeAtLevel(vals, params.DefaultScale(), levels)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ct := encr.Encrypt(pt)
-
-	layer := cluster.ConvLayer{Rotations: rotations}
-	for k := range rotations {
-		w := make([]complex128, params.Slots())
-		for i := range w {
-			w[i] = complex(0.1*float64(k+1), 0)
-		}
-		wpt, err := enc.EncodeAtLevel(w, params.DefaultScale(), ct.Level())
-		if err != nil {
-			t.Fatal(err)
-		}
-		layer.Weights = append(layer.Weights, wpt)
-	}
+	ct := ckks.NewEncryptor(params, kg.GenPublicKey(sk), 2).Encrypt(pt)
 
 	var got *ckks.Ciphertext
 	job := &Job{
-		ID:    "conv-functional",
+		ID:    "bsgs-functional",
 		Cards: cards,
 		BuildCluster: func(n int) (*ClusterJob, error) {
-			progs, err := cluster.BuildConv(n, layer)
+			progs, err := fhir.LowerCluster(prog, enc, n)
 			if err != nil {
 				return nil, err
 			}
@@ -268,7 +270,7 @@ func TestClusterBackendFunctional(t *testing.T) {
 					return nil
 				},
 				Collect: func(cl *cluster.Cluster) error {
-					out, err := cl.Get(0, "out0")
+					out, err := cl.Get(0, "out")
 					got = out
 					return err
 				},
@@ -296,18 +298,12 @@ func TestClusterBackendFunctional(t *testing.T) {
 	if res.Backend != "cluster" {
 		t.Errorf("backend = %q, want cluster", res.Backend)
 	}
-
-	single := eval.Rescale(eval.MulPlain(eval.Rotate(ct, rotations[0]), layer.Weights[0]))
-	want := enc.Decode(decr.Decrypt(single))
-	dec := enc.Decode(decr.Decrypt(got))
-	maxErr := 0.0
-	for i := range dec {
-		if e := cmplx.Abs(dec[i] - want[i]); e > maxErr {
-			maxErr = e
-		}
+	want, err := fhir.Evaluate(prog, fhir.EvalContext{Eval: eval, Enc: enc}, map[string]*ckks.Ciphertext{"x": ct})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if maxErr > 1e-5 {
-		t.Errorf("distributed conv drifted from single-card: max slot error %g", maxErr)
+	if !got.Equal(want) {
+		t.Error("the cluster job's output is not bit-identical to fhir.Evaluate")
 	}
 }
 

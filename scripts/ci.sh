@@ -83,6 +83,13 @@ echo "== compiler (IR pass-ablation report)"
 # bar itself is asserted by internal/fhir's tests in the tier-1 stage above.
 go run ./cmd/hydra-compile >/dev/null
 
+echo "== examples (cluster, quickstart, bootstrap)"
+# Each runs end to end in a few seconds; examples/cluster exits non-zero when
+# its 4-card output differs from fhir.Evaluate's.
+for e in cluster quickstart bootstrap; do
+	go run "./examples/$e" >/dev/null
+done
+
 echo "== hydrasim front end (table2, fig6, table5 against the experiments goldens)"
 # TestGolden* pins what the generators return; this pins what the command
 # line prints from them, byte for byte.
@@ -98,8 +105,9 @@ echo "== fuzz smoke (seed corpora + 10s per fuzzer, the make fuzz list)"
 # modular arithmetic kernels, the RNS base conversions and the plaintext
 # encoder against math/big, the ISA and ciphertext wire decoders against
 # crashes and out-of-contract output, the simulator against its reference
-# scheduler, and random IR programs (interpreter: optimized vs naive
-# compile, each evaluated twice on one evaluator).
+# scheduler, random IR programs (interpreter: optimized vs naive
+# compile, each evaluated twice on one evaluator), and hostile card scripts
+# against the cluster runtime.
 make fuzz
 
 echo "== bench-smoke (bench/ module: vet, test, five workloads at smoke scale)"
