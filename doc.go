@@ -12,8 +12,9 @@
 // (internal/model), and generators for every table and figure of the
 // paper's evaluation section (internal/experiments).
 //
-// See DESIGN.md for the system inventory and EXPERIMENTS.md for measured vs
-// published results. cmd/hydrasim prints each table and figure; bench/ is
-// the repository benchmark (BENCHMARK.json), and BENCH_history.jsonl, kept
-// well-formed by history_test.go, is the only checked-in measurement.
+// README.md's Architecture lists the packages, DESIGN.md says how each
+// mechanism works and EXPERIMENTS.md holds measured vs published results.
+// cmd/hydrasim prints each table and figure; bench/ is the repository
+// benchmark (BENCHMARK.json), and BENCH_history.jsonl, kept well-formed by
+// history_test.go, is the only checked-in measurement.
 package hydra

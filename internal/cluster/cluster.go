@@ -149,16 +149,15 @@ func (cl *Cluster) Run(ctx context.Context, programs [][]Instr) error {
 	return aborted
 }
 
-// execute runs a card's stream in order. Receives block on the switch; the
-// per-tag framing keeps out-of-order arrivals from earlier broadcasts safe
-// because programs consume tags in emission order. Blocking switch operations
-// watch both the abort channel (a peer failure cannot strand this card) and
-// the context (a caller cancellation cannot either); compute-bound cards poll
-// the context between instructions, and kernels between their own steps, so a
-// cancelled program stops promptly even when it never touches the switch. The
-// evaluator reports contract violations by panicking; the recover turns one
-// into this card's error, so a bad program fails its own Run instead of the
-// process.
+// execute runs a card's stream in order. Receives block on the switch; frames
+// that arrive before their receive queue per tag, so one tag's frames are
+// received in arrival order. Blocking switch operations watch both the abort
+// channel (a peer failure cannot strand this card) and the context (a caller
+// cancellation cannot either); compute-bound cards poll the context between
+// instructions, and kernels between their own steps, so a cancelled program
+// stops promptly even when it never touches the switch. The evaluator reports
+// contract violations by panicking; the recover turns one into this card's
+// error, so a bad program fails its own Run instead of the process.
 func (cl *Cluster) execute(ctx context.Context, card *Card, prog []Instr, abort <-chan struct{}) (err error) {
 	var pc int
 	var ins Instr
@@ -167,7 +166,7 @@ func (cl *Cluster) execute(ctx context.Context, card *Card, prog []Instr, abort 
 			err = fmt.Errorf("pc %d: panic: %v", pc, r)
 		}
 	}()
-	pending := map[int][]byte{} // tag -> frame that arrived early
+	pending := map[int][][]byte{} // tag -> frames that arrived early, oldest first
 	for pc, ins = range prog {
 		if err := ctx.Err(); err != nil {
 			return fmt.Errorf("pc %d: %w", pc, err)
@@ -198,15 +197,17 @@ func (cl *Cluster) execute(ctx context.Context, card *Card, prog []Instr, abort 
 				return fmt.Errorf("pc %d: send to card %d: %w", pc, ins.Peer, ctx.Err())
 			}
 		case OpRecv:
-			data, ok := pending[ins.Tag]
+			data, ok := []byte(nil), false
+			if queued := pending[ins.Tag]; len(queued) > 0 {
+				data, ok, pending[ins.Tag] = queued[0], true, queued[1:]
+			}
 			for !ok {
 				select {
 				case f := <-cl.links[card.ID]:
 					if f.tag == ins.Tag {
-						data = f.data
-						ok = true
+						data, ok = f.data, true
 					} else {
-						pending[f.tag] = f.data
+						pending[f.tag] = append(pending[f.tag], f.data)
 					}
 				case <-abort:
 					return fmt.Errorf("pc %d: recv tag %d: %w", pc, ins.Tag, errAborted)
@@ -214,7 +215,6 @@ func (cl *Cluster) execute(ctx context.Context, card *Card, prog []Instr, abort 
 					return fmt.Errorf("pc %d: recv tag %d: %w", pc, ins.Tag, ctx.Err())
 				}
 			}
-			delete(pending, ins.Tag)
 			ct, err := ckks.UnmarshalCiphertext(cl.Params, data)
 			if err != nil {
 				return fmt.Errorf("pc %d: %w", pc, err)

@@ -5,6 +5,7 @@ import (
 	"math"
 	"strings"
 	"testing"
+	"time"
 
 	"hydra/internal/ckks"
 )
@@ -87,30 +88,51 @@ func TestClusterErrors(t *testing.T) {
 	}
 }
 
+// TestOutOfOrderTagsAreBuffered sends frames that arrive before their
+// receives: two tags received in the opposite order, and one tag sent twice
+// while card 1 first waits for a third. Every register must hold the frame
+// sent into it, one tag's frames taken in the order they were sent, well
+// before the deadline.
 func TestOutOfOrderTagsAreBuffered(t *testing.T) {
 	e := newEnv(t, 6, 2, []int{1})
-	cl := New(e.params, e.eval, 2)
-	ct := e.encryptSeq(e.params.DefaultScale())
-	cl.Load(0, "a", ct)
-	cl.Load(0, "b", ct)
-	// Card 0 sends tag 2 then tag 1; card 1 receives tag 1 first.
-	progs := [][]Instr{
-		{
-			{Op: OpSend, Src: "a", Peer: 1, Tag: 2},
-			{Op: OpSend, Src: "b", Peer: 1, Tag: 1},
-		},
-		{
-			{Op: OpRecv, Dst: "first", Tag: 1},
-			{Op: OpRecv, Dst: "second", Tag: 2},
-		},
-	}
-	if err := cl.Run(context.Background(), progs); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cl.Get(1, "first"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cl.Get(1, "second"); err != nil {
-		t.Fatal(err)
+	a := e.encryptSeq(e.params.DefaultScale())
+	sent := map[string]*ckks.Ciphertext{"a": a, "b": e.eval.Rotate(a, 1), "c": e.encryptSeq(e.params.DefaultScale())}
+	send := func(src string, tag int) Instr { return Instr{Op: OpSend, Src: src, Peer: 1, Tag: tag} }
+	recv := func(dst string, tag int) Instr { return Instr{Op: OpRecv, Dst: dst, Tag: tag} }
+	for _, tc := range []struct {
+		name  string
+		card0 []Instr
+		card1 []Instr
+		want  map[string]string // card 1 register -> card 0 register sent into it
+	}{
+		{"two-tags-reversed",
+			[]Instr{send("a", 2), send("b", 1)},
+			[]Instr{recv("first", 1), recv("second", 2)},
+			map[string]string{"first": "b", "second": "a"}},
+		{"one-tag-twice",
+			[]Instr{send("a", 7), send("b", 7), send("c", 9)},
+			[]Instr{recv("c", 9), recv("first", 7), recv("second", 7)},
+			map[string]string{"c": "c", "first": "a", "second": "b"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cl := New(e.params, e.eval, 2)
+			for name, ct := range sent {
+				cl.Load(0, name, ct)
+			}
+			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+			defer cancel()
+			if err := cl.Run(ctx, [][]Instr{tc.card0, tc.card1}); err != nil {
+				t.Fatal(err)
+			}
+			for dst, src := range tc.want {
+				got, err := cl.Get(1, dst)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !got.Equal(sent[src]) {
+					t.Errorf("register %q does not hold the frame sent from %q", dst, src)
+				}
+			}
+		})
 	}
 }

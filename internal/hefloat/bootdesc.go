@@ -36,17 +36,15 @@ type BootstrapDesc struct {
 
 // BootstrapperOptions tune the bootstrapper.
 type BootstrapperOptions struct {
-	K         int // bound on the ModRaise overflow (default 16; needs a sparse secret)
-	TaylorDeg int // degree of the small-angle sine polynomial (default 7)
-	BabySteps int // BSGS baby steps for the DFT transforms (default ~sqrt(slots))
+	K int // bound on the ModRaise overflow (default 16; needs a sparse secret)
 }
 
-// babySteps is the option's baby-step count, or the smallest power of two
-// whose square covers the slot count.
-func (o BootstrapperOptions) babySteps(slots int) int {
-	if o.BabySteps > 0 {
-		return o.BabySteps
-	}
+// bootTaylorDeg is the degree of the small-angle sine polynomial.
+const bootTaylorDeg = 7
+
+// bootBabySteps is the BSGS baby-step count of the six transforms: the
+// smallest power of two whose square covers the slot count.
+func bootBabySteps(slots int) int {
 	bs := 1
 	for bs*bs < slots {
 		bs <<= 1
@@ -56,10 +54,10 @@ func (o BootstrapperOptions) babySteps(slots int) int {
 
 // BootstrapRotations returns the rotation indices the bootstrapper's
 // transforms need (generate keys for these plus conjugation): every baby step
-// and every giant step of a dense slots×slots BSGS.
-func BootstrapRotations(params *ckks.Parameters, opts BootstrapperOptions) []int {
+// and every giant step of a dense slots×slots BSGS. No option changes them.
+func BootstrapRotations(params *ckks.Parameters, _ BootstrapperOptions) []int {
 	slots := params.Slots()
-	bs := opts.babySteps(slots)
+	bs := bootBabySteps(slots)
 	set := map[int]bool{}
 	for j := 1; j < bs; j++ {
 		set[j] = true
@@ -103,12 +101,9 @@ func NewBootstrapDesc(params *ckks.Parameters, opts BootstrapperOptions) (*Boots
 	if opts.K == 0 {
 		opts.K = 16
 	}
-	if opts.TaylorDeg == 0 {
-		opts.TaylorDeg = 7
-	}
 	d := &BootstrapDesc{
-		BabySteps: opts.babySteps(params.Slots()),
-		TaylorDeg: opts.TaylorDeg,
+		BabySteps: bootBabySteps(params.Slots()),
+		TaylorDeg: bootTaylorDeg,
 		Rotations: BootstrapRotations(params, opts),
 	}
 	// Double-angle iterations: bring 2π(K+1) under a comfortable small angle.
