@@ -29,7 +29,6 @@ var census = []struct{ name, source string }{
 	{"hw.CardProfile.EnergyMM", "assumed; read by Fig. 7 and Table III"},
 	{"hw.CardProfile.EnergyAuto", "assumed; read by Fig. 7 and Table III"},
 	{"hw.CardProfile.KeySwitchDnum", "§V-A: dnum = 3; FAB's 5 assumed"},
-	{"hw.CardProfile.BatchAmortFrac", "fit to a 1.50x batch-8 host kernel speedup; that host layer is gone"},
 	{"hw.ClockHz", "§V-A: 300 MHz, all three designs on the U280"},
 	{"hw.EnergyHBM", "assumed; read by Fig. 7 and Table III"},
 	{"hw.EnergyNIC", "assumed; read by Fig. 7 and Table III"},
@@ -56,6 +55,7 @@ var census = []struct{ name, source string }{
 	{"experiments.fabReportScale", "fit to Table II, FAB-S on ResNet-18: 131.94/584.35"},
 	{"experiments.poseidonReportScale", "fit to Table II, Poseidon on ResNet-18: 55.05/243.96"},
 	{"model.pcmmEnergyScale", "assumed: PCMM/CCMM operand residency, 0.7 of their dynamic energy"},
+	{"serve.batchAmortFrac", "fit to a deleted host layer's 1.50x batch-8 speedup; derived key-traffic share 0.017-0.020"},
 }
 
 // censusTypes are the machine descriptions whose every field needs a row.
@@ -68,7 +68,7 @@ var censusTypes = []reflect.Type{
 
 // censusPackages are the directories, by package name, of the constants a
 // row may name.
-var censusPackages = map[string]string{"hw": "../hw", "model": "../model", "experiments": "."}
+var censusPackages = map[string]string{"hw": "../hw", "model": "../model", "serve": "../serve", "experiments": "."}
 
 // TestMachineModelCensus fails when a field of the machine model has no
 // census row, when a row names a field or constant that does not exist, when

@@ -20,10 +20,6 @@ func HydraCard() CardProfile {
 		EnergyAuto: 0.10e-3,
 
 		KeySwitchDnum: 3,
-
-		// 0.38 reproduces the 1.50x kernel-level batch-8 speedup measured at
-		// the residue-batch seam in PR 9: 8/(0.38 + 0.62*8) = 1.498.
-		BatchAmortFrac: 0.38,
 	}
 }
 

@@ -39,12 +39,6 @@ type CardProfile struct {
 	EnergyMM      float64
 	EnergyAuto    float64
 	KeySwitchDnum int // digits used by this card's key-switch datapath
-
-	// BatchAmortFrac is the fraction of a single run's time that batching
-	// amortizes away (pipeline fill, evaluation-key loads, per-limb setup):
-	// a batch of b interchangeable jobs takes t*(a + (1-a)*b) instead of
-	// t*b. Zero disables amortization — a batch of b costs b private runs.
-	BatchAmortFrac float64
 }
 
 // Validate checks the profile.
@@ -54,9 +48,6 @@ func (c CardProfile) Validate() error {
 	}
 	if c.ScratchpadHitRate < 0 || c.ScratchpadHitRate >= 1 {
 		return fmt.Errorf("hw: profile %q hit rate %v out of [0,1)", c.Name, c.ScratchpadHitRate)
-	}
-	if c.BatchAmortFrac < 0 || c.BatchAmortFrac >= 1 {
-		return fmt.Errorf("hw: profile %q batch amortization %v out of [0,1)", c.Name, c.BatchAmortFrac)
 	}
 	return nil
 }

@@ -19,19 +19,20 @@ type ExecReport struct {
 
 // Backend executes granted jobs. The placement carries the physical card
 // set and the fleet's server width, so backends can price (sim) or shape
-// (cluster) the execution for where the scheduler landed the job.
+// (cluster) the execution for where the scheduler landed the job; batch is
+// the number of coalesced jobs the grant runs, 1 for a private grant.
 type Backend interface {
 	Name() string
-	Run(ctx context.Context, job *Job, pl sim.Placement) (*ExecReport, error)
+	Run(ctx context.Context, job *Job, pl sim.Placement, batch int) (*ExecReport, error)
 }
 
 // SimBackend executes jobs on the analytic timing model: the job's program
 // is built for the grant size, priced on the granted placement (so a grant
 // spanning servers costs more than one confined to a server), and the card
 // occupancy is emulated by a context-aware sleep of Dilation real seconds
-// per simulated second. Dilation 0 makes jobs instantaneous — pure
-// scheduler stress; Dilation 1 emulates the fleet in real time — capacity
-// planning and load tests.
+// per simulated second. A batch dilates both by batchFactor. Dilation 0
+// makes jobs instantaneous — pure scheduler stress; Dilation 1 emulates the
+// fleet in real time — capacity planning and load tests.
 type SimBackend struct {
 	Cfg      sim.Config
 	Dilation float64
@@ -41,7 +42,7 @@ type SimBackend struct {
 func (b *SimBackend) Name() string { return "sim" }
 
 // Run implements Backend.
-func (b *SimBackend) Run(ctx context.Context, job *Job, pl sim.Placement) (*ExecReport, error) {
+func (b *SimBackend) Run(ctx context.Context, job *Job, pl sim.Placement, batch int) (*ExecReport, error) {
 	if job.Build == nil {
 		return nil, fmt.Errorf("sim backend: job %s has no task-program builder", job.ID)
 	}
@@ -56,12 +57,13 @@ func (b *SimBackend) Run(ctx context.Context, job *Job, pl sim.Placement) (*Exec
 	if err != nil {
 		return nil, fmt.Errorf("sim backend: job %s: %w", job.ID, err)
 	}
+	t := res.Makespan * batchFactor(batch)
 	if b.Dilation > 0 {
-		if err := sleepCtx(ctx, durationOf(res.Makespan*b.Dilation)); err != nil {
+		if err := sleepCtx(ctx, durationOf(t*b.Dilation)); err != nil {
 			return nil, err
 		}
 	}
-	return &ExecReport{SimSeconds: res.Makespan}, nil
+	return &ExecReport{SimSeconds: t}, nil
 }
 
 // sleepCtx sleeps for d or until the context expires.
@@ -82,7 +84,8 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 // ClusterBackend executes jobs functionally: each grant gets a fresh
 // goroutine-card cluster of the grant's size running real CKKS arithmetic,
 // with the job's context (timeout, deadline, server shutdown) cancelling
-// the card engines mid-flight.
+// the card engines mid-flight. It runs one job's data per grant, so New
+// refuses it with a CoalesceLimit above 1.
 type ClusterBackend struct {
 	Params *ckks.Parameters
 	// Eval is the shared evaluator template (the paper preloads identical
@@ -94,14 +97,9 @@ type ClusterBackend struct {
 func (b *ClusterBackend) Name() string { return "cluster" }
 
 // Run implements Backend.
-func (b *ClusterBackend) Run(ctx context.Context, job *Job, pl sim.Placement) (*ExecReport, error) {
+func (b *ClusterBackend) Run(ctx context.Context, job *Job, pl sim.Placement, _ int) (*ExecReport, error) {
 	if job.BuildCluster == nil {
 		return nil, fmt.Errorf("cluster backend: job %s has no cluster builder", job.ID)
-	}
-	if pl.Batch > 1 {
-		// The functional cluster executes one job's data; it has no batched
-		// datapath to amortize over. Serve with CoalesceLimit <= 1.
-		return nil, fmt.Errorf("cluster backend: job %s: batched grants (batch=%d) are not executable functionally", job.ID, pl.Batch)
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err

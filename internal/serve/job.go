@@ -34,12 +34,12 @@ type Job struct {
 	// BatchKey names the job's continuous-batching compatibility class.
 	// Jobs sharing a non-empty key MUST be interchangeable work: identical
 	// program shape, parameters and card demand, so that any of them can
-	// execute as one batched run of the leader's program (sim prices the
-	// batch via Placement.Batch). The scheduler then coalesces queued
-	// same-key jobs onto one card grant, and hands a finishing grant's
-	// cards straight to the next same-key job instead of bouncing them
-	// through the free list. An empty key (the zero value) opts out: the
-	// job always gets a private grant.
+	// execute as one batched run of the leader's program (priced by
+	// batchFactor). The scheduler then coalesces queued same-key jobs onto
+	// one card grant, and hands a finishing grant's cards straight to the
+	// next same-key job instead of bouncing them through the free list. An
+	// empty key (the zero value) opts out: the job always gets a private
+	// grant.
 	BatchKey string
 
 	// Build materializes the job's task program for a grant of the given

@@ -140,7 +140,7 @@ type gateBackend struct {
 
 func (b *gateBackend) Name() string { return "gate" }
 
-func (b *gateBackend) Run(ctx context.Context, job *Job, pl sim.Placement) (*ExecReport, error) {
+func (b *gateBackend) Run(ctx context.Context, job *Job, _ sim.Placement, _ int) (*ExecReport, error) {
 	b.mu.Lock()
 	b.started = append(b.started, job.ID)
 	b.mu.Unlock()

@@ -29,18 +29,35 @@ import (
 // job's program.
 type CostFn func(job *Job, cards []int, batch int) (float64, error)
 
-// SimCost builds a CostFn over the analytic machine model, memoized by
-// (compatibility class, batch, per-server span signature): a placement
-// affects cost only through how the grant splits across server boundaries,
-// so two grants with the same split price identically. The class is the
-// job's BatchKey, the one promise of interchangeable work, else its ID.
+// batchAmortFrac is the fraction a of one run's time that batching
+// amortizes (pipeline fill, evaluation-key loads, per-limb setup). 0.38 was
+// fitted to a deleted host batch layer's 1.50x at batch 8, 8/(0.38 +
+// 0.62*8) = 1.498; derived from the card model, key traffic is 0.017-0.020
+// of the conv, bsgs and boot shapes' roofline time on the Hydra card.
+const batchAmortFrac = 0.38
+
+// batchFactor is the time b interchangeable jobs take as one batch, in
+// single runs: a + (1-a)*b, a = batchAmortFrac.
+func batchFactor(b int) float64 {
+	if b <= 1 {
+		return 1
+	}
+	return batchAmortFrac + (1-batchAmortFrac)*float64(b)
+}
+
+// SimCost builds a CostFn over the analytic machine model, the makespan of
+// one run times batchFactor, memoized by (compatibility class, per-server
+// span signature): a placement affects cost only through how the grant
+// splits across server boundaries, so two grants with the same split price
+// identically. The class is the job's BatchKey, the one promise of
+// interchangeable work, else its ID.
 func SimCost(cfg sim.Config, cps int) CostFn {
 	cache := map[string]float64{}
 	var k costKey
 	return func(job *Job, cards []int, batch int) (float64, error) {
-		key := k.of(job, cards, cps, batch)
-		if v, ok := cache[string(key)]; ok {
-			return v, nil
+		key := k.of(job, cards, cps)
+		if t, ok := cache[string(key)]; ok {
+			return t * batchFactor(batch), nil
 		}
 		if job.Build == nil {
 			return 0, fmt.Errorf("serve: replay job %s has no task-program builder", job.ID)
@@ -49,25 +66,25 @@ func SimCost(cfg sim.Config, cps int) CostFn {
 		if err != nil {
 			return 0, fmt.Errorf("serve: replay job %s: %w", job.ID, err)
 		}
-		res, err := sim.RunOn(prog, cfg, sim.Placement{Cards: cards, CardsPerServer: cps, Batch: batch})
+		res, err := sim.RunOn(prog, cfg, sim.Placement{Cards: cards, CardsPerServer: cps})
 		if err != nil {
 			return 0, fmt.Errorf("serve: replay job %s: %w", job.ID, err)
 		}
 		cache[string(key)] = res.Makespan
-		return res.Makespan, nil
+		return res.Makespan * batchFactor(batch), nil
 	}
 }
 
-// costKey canonicalizes a grant for the pricing memo, "class/bBATCH/COUNTS"
-// with COUNTS the per-server card counts in descending order ("6" vs "4+2"
-// vs "2+2+2"), built in buffers reused from grant to grant: of returns a key
+// costKey canonicalizes a grant for the pricing memo, "class/COUNTS" with
+// COUNTS the per-server card counts in descending order ("6" vs "4+2" vs
+// "2+2+2"), built in buffers reused from grant to grant: of returns a key
 // valid until its next call. cards need not be sorted.
 type costKey struct {
 	buf         []byte
 	srv, counts []int
 }
 
-func (k *costKey) of(job *Job, cards []int, cps, batch int) []byte {
+func (k *costKey) of(job *Job, cards []int, cps int) []byte {
 	class := job.BatchKey
 	if class == "" {
 		class = job.ID
@@ -84,8 +101,7 @@ func (k *costKey) of(job *Job, cards []int, cps, batch int) []byte {
 		k.counts = append(k.counts, j-i)
 	}
 	slices.SortFunc(k.counts, func(a, b int) int { return b - a })
-	k.buf = append(append(k.buf[:0], class...), "/b"...)
-	k.buf = append(strconv.AppendInt(k.buf, int64(batch), 10), '/')
+	k.buf = append(append(k.buf[:0], class...), '/')
 	for i, n := range k.counts {
 		if i > 0 {
 			k.buf = append(k.buf, '+')

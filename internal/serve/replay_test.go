@@ -201,11 +201,16 @@ func TestReplayClosedLoop(t *testing.T) {
 
 // TestSimCostPricesAndCaches exercises the analytic pricing path: a real
 // program priced on single-server vs spanning placements must cost more
-// when spanning, batch must amortize (batched cost below batch * solo), and
-// the memoization must hit for same-signature grants.
+// when spanning, a batch of b must cost the solo price times
+// 0.38 + 0.62*b, and the memoization must hit for same-signature grants
+// whatever their batch size.
 func TestSimCostPricesAndCaches(t *testing.T) {
 	cost := SimCost(sim.HydraConfig(), 8)
-	job := &Job{ID: "t", Tenant: "tiny", BatchKey: "tiny", Cards: 4, Build: tinyBuild}
+	builds := 0
+	job := &Job{ID: "t", Tenant: "tiny", BatchKey: "tiny", Cards: 4, Build: func(cards int) (*task.Program, error) {
+		builds++
+		return tinyBuild(cards)
+	}}
 
 	local, err := cost(job, []int{0, 1, 2, 3}, 1)
 	if err != nil {
@@ -218,12 +223,18 @@ func TestSimCostPricesAndCaches(t *testing.T) {
 	if span <= local {
 		t.Fatalf("server-spanning grant (%.6f s) should cost more than local (%.6f s)", span, local)
 	}
-	b8, err := cost(job, []int{0, 1, 2, 3}, 8)
-	if err != nil {
-		t.Fatal(err)
+	before := builds
+	for _, b := range []int{2, 8} {
+		got, err := cost(job, []int{0, 1, 2, 3}, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := local * (0.38 + 0.62*float64(b)); got != want {
+			t.Fatalf("batch-%d cost %v s, want solo %v s x (0.38 + 0.62*%d) = %v s", b, got, local, b, want)
+		}
 	}
-	if b8 <= local || b8 >= 8*local {
-		t.Fatalf("batch-8 cost %.6f s should amortize within (solo, 8*solo) = (%.6f, %.6f)", b8, local, 8*local)
+	if builds != before {
+		t.Fatalf("batched grants on a priced signature built the program %d more times, want 0", builds-before)
 	}
 	// Same span signature, different physical cards: must hit the cache and
 	// price identically.

@@ -91,9 +91,9 @@ type Config struct {
 	// flag-selectable ablation baseline. k > 1 coalesces up to k compatible
 	// queued jobs (same Job.BatchKey and card demand) into one batched
 	// execution per grant, and lets a finishing grant refill from the queue
-	// without a free-list round trip. Batched grants reach the backend as
-	// Placement.Batch; the sim backend prices them, the cluster backend
-	// rejects them.
+	// without a free-list round trip. A grant's job count reaches
+	// Backend.Run as its batch, which SimBackend prices by batchFactor; New
+	// refuses k > 1 with ClusterBackend, which has no batched datapath.
 	CoalesceLimit int
 }
 
@@ -123,6 +123,9 @@ type Server struct {
 func New(cfg Config) (*Server, error) {
 	if cfg.Backend == nil {
 		return nil, fmt.Errorf("serve: config needs a backend")
+	}
+	if _, ok := cfg.Backend.(*ClusterBackend); ok && cfg.CoalesceLimit > 1 {
+		return nil, fmt.Errorf("serve: the cluster backend runs one job per grant; CoalesceLimit %d needs <= 1", cfg.CoalesceLimit)
 	}
 	sched, err := newScheduler(cfg.Fleet, cfg.QueueDepth, cfg.CoalesceLimit)
 	if err != nil {
@@ -240,11 +243,8 @@ func (s *Server) runGrant(g grant) {
 					rep, err = nil, fmt.Errorf("panic: %v", r)
 				}
 			}()
-			return s.backend.Run(ctx, lead.job, sim.Placement{
-				Cards:          done.cards,
-				CardsPerServer: s.cfg.Fleet.CardsPerServer,
-				Batch:          len(done.batch),
-			})
+			pl := sim.Placement{Cards: done.cards, CardsPerServer: s.cfg.Fleet.CardsPerServer}
+			return s.backend.Run(ctx, lead.job, pl, len(done.batch))
 		}()
 		elapsed := time.Since(started)
 		cancel()

@@ -67,8 +67,13 @@ func TestSubmitRunsSimJob(t *testing.T) {
 	}
 }
 
-// TestSubmitValidation: the typed admission failures.
+// TestSubmitValidation: the typed admission failures, and a configuration
+// that could only fail under load.
 func TestSubmitValidation(t *testing.T) {
+	if _, err := New(Config{Fleet: hw.Fleet{Cards: 4, CardsPerServer: 4}, Backend: &ClusterBackend{}, CoalesceLimit: 2}); err == nil {
+		t.Error("cluster backend accepted CoalesceLimit 2: it cannot run a batched grant")
+	}
+
 	s := newSimServer(t, 4, 4)
 
 	if _, err := s.Submit(&Job{ID: "too-big", Cards: 5, Build: tinyBuild}); !errors.Is(err, ErrInfeasible) {

@@ -50,9 +50,9 @@ func requireOracle(t *testing.T, name string, p *task.Program, cfg sim.Config, p
 }
 
 // acrossServers places logical card 0 at the end of server 0 and the others
-// on server 1, for a batch of 3.
+// on server 1.
 func acrossServers(p *task.Program) sim.Placement {
-	pl := sim.Placement{CardsPerServer: 8, Batch: 3}
+	pl := sim.Placement{CardsPerServer: 8}
 	for i := 0; i < p.Cards; i++ {
 		pl.Cards = append(pl.Cards, 7+i)
 	}
@@ -86,7 +86,7 @@ func TestRunMatchesOracle(t *testing.T) {
 		}
 	})
 
-	t.Run("batched-across-servers", func(t *testing.T) {
+	t.Run("across-servers", func(t *testing.T) {
 		for seed := int64(1); seed <= 40; seed++ {
 			p := sim.RandomValidProgram(seed, 1)
 			for name, cfg := range configs {
@@ -104,7 +104,7 @@ func TestRunMatchesOracle(t *testing.T) {
 				for _, trace := range []bool{false, true} {
 					cfg.CollectTrace = trace
 					for _, pl := range []sim.Placement{identity(p), acrossServers(p)} {
-						requireOracle(t, fmt.Sprintf("seed %d %s trace=%v batch=%d", seed, name, trace, pl.Batch), p, cfg, pl)
+						requireOracle(t, fmt.Sprintf("seed %d %s trace=%v cards=%v", seed, name, trace, pl.Cards), p, cfg, pl)
 					}
 				}
 			}

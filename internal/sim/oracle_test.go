@@ -40,9 +40,6 @@ func runOnOracle(p *task.Program, cfg Config, pl Placement) (*Result, error) {
 		res.Steps = append(res.Steps, stat)
 		now += stat.Span
 	}
-	if pl.Batch > 1 {
-		now = scaleForBatch(res, now, pl.Batch, cfg.Card.BatchAmortFrac)
-	}
 	res.Makespan = now
 	res.EnergyByUnit["Static"] = hw.IdlePowerW * res.Makespan * float64(p.Cards)
 	return res, nil

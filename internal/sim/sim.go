@@ -165,14 +165,6 @@ func (r *Result) StepSpanByName() map[string]float64 {
 type Placement struct {
 	Cards          []int
 	CardsPerServer int
-	// Batch is the number of interchangeable jobs sharing this execution as
-	// one batched run (continuous batching in the serving layer). 0 and 1
-	// mean a private run. b > 1 dilates the run's time line by the
-	// amortization factor a + (1-a)*b, where a = Card.BatchAmortFrac is the
-	// fraction of a single run that batching amortizes (pipeline fill,
-	// evaluation-key loads, per-limb setup); traffic and dynamic energy
-	// scale with b, since the batch moves every job's data.
-	Batch int
 }
 
 // identity is the trivial placement: logical card i on physical card i. It
@@ -192,9 +184,6 @@ func (pl Placement) validate(p *task.Program) error {
 	}
 	if pl.CardsPerServer <= 0 {
 		return fmt.Errorf("sim: placement needs a positive CardsPerServer, got %d", pl.CardsPerServer)
-	}
-	if pl.Batch < 0 {
-		return fmt.Errorf("sim: placement batch must be non-negative, got %d", pl.Batch)
 	}
 	seen := map[int]bool{}
 	for _, c := range pl.Cards {
@@ -230,42 +219,6 @@ func RunOn(p *task.Program, cfg Config, pl Placement) (*Result, error) {
 		return nil, err
 	}
 	return newRunner(p, &cfg, pl).run()
-}
-
-// batchFactor is the batched-run time dilation: a batch of b interchangeable
-// jobs takes t*(a + (1-a)*b), where t is the single-run time and a is the
-// amortizable fraction of t (BatchAmortFrac). a = 0 means no amortization
-// (b jobs cost b runs); a = 1 means the batch rides entirely on the first
-// job's schedule. HydraCard's a = 0.38 reproduces the measured 1.50x
-// kernel-level speedup at batch 8: 8/(0.38 + 0.62*8) = 1.498.
-func batchFactor(b int, a float64) float64 {
-	if b <= 1 {
-		return 1
-	}
-	return a + (1-a)*float64(b)
-}
-
-// scaleForBatch turns a single-run result into the batched-run result: time
-// quantities dilate by batchFactor, traffic and the dynamic energy accrued
-// so far scale with the jobs carried. OpTotals and the trace keep the
-// single-run schedule (the batch replays it, it does not reshape it).
-func scaleForBatch(res *Result, makespan float64, batch int, amortFrac float64) float64 {
-	f := batchFactor(batch, amortFrac)
-	b := float64(batch)
-	for i := range res.Steps {
-		res.Steps[i].Span *= f
-		res.Steps[i].ComputeMax *= f
-		res.Steps[i].CommBytes *= b
-	}
-	for c := range res.ComputeBusy {
-		res.ComputeBusy[c] *= f
-		res.CommBusy[c] *= f
-	}
-	res.BytesSent *= b
-	for unit := range res.EnergyByUnit {
-		res.EnergyByUnit[unit] *= b
-	}
-	return makespan * f
 }
 
 // energyUnits names the per-operation energy contributors, in the order
@@ -382,9 +335,6 @@ func (r *runner) run() (*Result, error) {
 		now += stat.Span
 	}
 	r.writeEnergy()
-	if r.pl.Batch > 1 {
-		now = scaleForBatch(res, now, r.pl.Batch, r.cfg.Card.BatchAmortFrac)
-	}
 	res.Makespan = now
 	res.EnergyByUnit["Static"] = hw.IdlePowerW * res.Makespan * float64(r.p.Cards)
 	return res, nil

@@ -124,11 +124,21 @@ echo "== hydra-serve smoke (1-second 1024-card open-loop load, -race)"
 go run -race ./cmd/hydra-serve -mode live -fleets 1024 -rate 300 -duration 1s \
 	-dilation 0.05 -coalesce 8 -queue 2048 -out - >/dev/null
 
-echo "== hydra-serve replay smoke (virtual-time sweep with ablation, closed loop)"
+echo "== hydra-serve replay smoke (virtual-time sweep with ablation, closed loop, against goldens)"
 # The sweep and closed-loop modes drive the same grant lifecycle as the live
-# server, from a discrete-event loop; a failed replay is a non-zero exit.
-go run ./cmd/hydra-serve -mode sweep -fleets 16,64 -jobs 500 -coalesce 8 -ablate -out - >/dev/null
-go run ./cmd/hydra-serve -mode closed -fleets 16 -users 200 -jobs 500 -out - >/dev/null
+# server, from a discrete-event loop. Their JSON is deterministic, so each is
+# diffed byte for byte against its golden in cmd/hydra-serve/testdata: a
+# failed replay or a moved number is a non-zero exit.
+if ! go run ./cmd/hydra-serve -mode sweep -fleets 16,64 -jobs 500 -coalesce 8 -ablate -out - |
+	diff -u cmd/hydra-serve/testdata/sweep.golden -; then
+	echo "ci: hydra-serve -mode sweep differs from cmd/hydra-serve/testdata/sweep.golden" >&2
+	exit 1
+fi
+if ! go run ./cmd/hydra-serve -mode closed -fleets 16 -users 200 -jobs 500 -out - |
+	diff -u cmd/hydra-serve/testdata/closed.golden -; then
+	echo "ci: hydra-serve -mode closed differs from cmd/hydra-serve/testdata/closed.golden" >&2
+	exit 1
+fi
 
 echo "== loc (non-test, non-generated Go lines; informational, never gates)"
 sh scripts/loc.sh || true
