@@ -90,15 +90,14 @@ for e in cluster quickstart bootstrap; do
 	go run "./examples/$e" >/dev/null
 done
 
-echo "== hydrasim front end (table2, fig6, table5 against the experiments goldens)"
-# TestGolden* pins what the generators return; this pins what the command
-# line prints from them, byte for byte.
-for e in table2 fig6 table5; do
-	if ! go run ./cmd/hydrasim -exp "$e" | diff -u "internal/experiments/testdata/$e.golden" -; then
-		echo "ci: hydrasim -exp $e differs from internal/experiments/testdata/$e.golden" >&2
-		exit 1
-	fi
-done
+echo "== hydrasim front end (-exp all against cmd/hydrasim/testdata/all.golden)"
+# TestGolden* pins what the generators return; this pins everything the
+# command line prints from them, byte for byte, Table III's EDAP and Fig. 7's
+# energy breakdown included.
+if ! go run ./cmd/hydrasim -exp all | diff -u cmd/hydrasim/testdata/all.golden -; then
+	echo "ci: hydrasim -exp all differs from cmd/hydrasim/testdata/all.golden" >&2
+	exit 1
+fi
 
 echo "== fuzz smoke (seed corpora + 10s per fuzzer, the make fuzz list)"
 # Short differential-fuzz passes seeded from testdata/fuzz and f.Add: the
