@@ -13,27 +13,29 @@ var (
 	RandomValidProgram = randomValidProgram
 )
 
-// Footprint runs p as Run does and reports how many shapes its runner
-// compiled, and the bytes the allocator hands out at most for those shapes
-// and for the runner's scratch.
-func Footprint(p *task.Program, cfg Config) (shapes, shapeBytes, scratchBytes int, err error) {
+// Footprint runs p as Run does, without a trace, and reports how many steps
+// its runner compiled, and the bytes the allocator hands out at most for
+// their memos and for the one compile scratch every step reuses.
+func Footprint(p *task.Program, cfg Config) (compiled, memoBytes, scratchBytes int, err error) {
+	cfg.CollectTrace = false
 	r := newRunner(p, &cfg, identity(p))
 	if _, err := r.run(); err != nil {
 		return 0, 0, 0, err
 	}
-	for _, sh := range r.shapes {
-		shapes++
-		ints := cap(sh.order) + len(sh.off) + len(sh.succ) // one array
-		shapeBytes += held(int(unsafe.Sizeof(*sh))) + held(bytesOf(sh.dur)) + held(4*ints)
+	for _, m := range r.memos {
+		compiled++
+		memoBytes += held(int(unsafe.Sizeof(*m))) + held(bytesOf(m.busy)+bytesOf(m.commBusy))
 	}
 	for _, b := range []int{
-		bytesOf(r.at), bytesOf(r.busy), bytesOf(r.dur), bytesOf(r.compBase), bytesOf(r.commBase),
-		bytesOf(r.readyID), bytesOf(r.doneID), bytesOf(r.edges), bytesOf(r.indeg), bytesOf(r.stack),
-		bytesOf(r.recvs), bytesOf(r.phys),
+		bytesOf(r.dur), bytesOf(r.at), bytesOf(r.compBase), bytesOf(r.commBase), bytesOf(r.doneID),
+		bytesOf(r.edges), bytesOf(r.off), bytesOf(r.succ), bytesOf(r.indeg), bytesOf(r.stack),
 	} {
 		scratchBytes += held(b)
 	}
-	return shapes, shapeBytes, scratchBytes, nil
+	// The table of sends and the physical peer list grow on demand: the arrays
+	// they outgrew hold at most as much again.
+	scratchBytes += 2*held(bytesOf(r.sends)) + 2*held(bytesOf(r.phys))
+	return compiled, memoBytes, scratchBytes, nil
 }
 
 // bytesOf is the size of s's array.

@@ -2,8 +2,10 @@ package sim_test
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 
 	"hydra/internal/experiments"
@@ -95,7 +97,7 @@ func TestRunMatchesOracle(t *testing.T) {
 		}
 	})
 
-	// Steps repeated by pointer replay their first occurrence's shape; the
+	// Steps repeated by pointer add their first occurrence's memo; the
 	// reference scheduler runs every occurrence from scratch.
 	t.Run("repeated", func(t *testing.T) {
 		for seed := int64(1); seed <= 150; seed++ {
@@ -123,7 +125,7 @@ func TestRunMatchesOracle(t *testing.T) {
 		}
 	})
 
-	// 132 steps of 5 kinds: almost every step replays a shape.
+	// 132 steps of 6 kinds: almost every step adds a memo.
 	t.Run("bert-base", func(t *testing.T) {
 		proto := experiments.HydraM()
 		p, err := proto.Build(model.BERTBase())
@@ -151,9 +153,86 @@ func FuzzRunMatchesOracle(f *testing.F) {
 	})
 }
 
-// TestShapeCacheHits counts the shapes a run compiles: one per distinct
-// *task.Step. Lowering says a repeated procedure's steps again by pointer, so
-// a Table II network has few distinct steps.
+// TestSharedStepsTimeAlike holds every occurrence of a step repeated by
+// pointer to one StepStat, bit for bit, and a program to the result of its
+// copy whose steps share nothing, trace on and off.
+func TestSharedStepsTimeAlike(t *testing.T) {
+	check := func(name string, p *task.Program, cfg sim.Config) {
+		t.Helper()
+		copied := unshare(p)
+		for _, trace := range []bool{false, true} {
+			cfg.CollectTrace = trace
+			got, err := sim.Run(p, cfg)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			first := map[*task.Step]int{}
+			for i, st := range p.Steps {
+				f, ok := first[st]
+				if !ok {
+					first[st] = i
+				} else if a, b := got.Steps[f], got.Steps[i]; !sameStat(a, b) {
+					t.Fatalf("%s trace=%v: step %d %+v, its first occurrence (step %d) %+v", name, trace, i, b, f, a)
+				}
+			}
+			want, err := sim.Run(copied, cfg)
+			if err != nil {
+				t.Fatalf("%s, steps copied: %v", name, err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s trace=%v: makespan %v energy %v, with its steps copied %v %v",
+					name, trace, got.Makespan, got.EnergyByUnit, want.Makespan, want.EnergyByUnit)
+			}
+		}
+	}
+	configs := oracleConfigs()
+	for seed := int64(1); seed <= 150; seed++ {
+		p := sim.RandomValidProgram(seed, 4)
+		for name, cfg := range configs {
+			check(fmt.Sprintf("seed %d %s", seed, name), p, cfg)
+		}
+	}
+	for _, proto := range []experiments.Prototype{experiments.HydraM(), experiments.FABM()} {
+		for _, net := range []model.Network{model.ResNet18(), model.BERTBase()} {
+			p, err := proto.Build(net)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check(proto.Name+"/"+net.Name, p, proto.Sim)
+		}
+	}
+}
+
+// sameStat reports whether two step statistics are equal bit for bit.
+func sameStat(a, b sim.StepStat) bool {
+	bits := math.Float64bits
+	return a.Name == b.Name && bits(a.Span) == bits(b.Span) &&
+		bits(a.ComputeMax) == bits(b.ComputeMax) && bits(a.CommBytes) == bits(b.CommBytes)
+}
+
+// unshare returns a deep copy of p in which no two steps, queues or peer
+// lists share storage.
+func unshare(p *task.Program) *task.Program {
+	q := &task.Program{Cards: p.Cards, CardsPerServer: p.CardsPerServer}
+	for _, st := range p.Steps {
+		c := &task.Step{Name: st.Name, Compute: make([][]task.Compute, len(st.Compute)), Comm: make([][]task.Comm, len(st.Comm))}
+		for card := range st.Compute {
+			c.Compute[card] = slices.Clone(st.Compute[card])
+		}
+		for card := range st.Comm {
+			c.Comm[card] = slices.Clone(st.Comm[card])
+			for j := range c.Comm[card] {
+				c.Comm[card][j].Peers = slices.Clone(c.Comm[card][j].Peers)
+			}
+		}
+		q.Steps = append(q.Steps, c)
+	}
+	return q
+}
+
+// TestShapeCacheHits counts the steps a run compiles and times: one per
+// distinct *task.Step. Lowering says a repeated procedure's steps again by
+// pointer, so a Table II network has few distinct steps.
 func TestShapeCacheHits(t *testing.T) {
 	for _, c := range []struct {
 		proto           experiments.Prototype
@@ -173,19 +252,20 @@ func TestShapeCacheHits(t *testing.T) {
 		for _, st := range p.Steps {
 			distinct[st] = true
 		}
-		shapes, _, _, err := sim.Footprint(p, proto.Sim)
+		compiled, _, _, err := sim.Footprint(p, proto.Sim)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(p.Steps) != c.steps || len(distinct) != c.distinct || shapes != c.distinct {
-			t.Errorf("%s/%s: %d shapes for %d distinct of %d steps, want %d for %d of %d",
-				proto.Name, c.net.Name, shapes, len(distinct), len(p.Steps), c.distinct, c.distinct, c.steps)
+		if len(p.Steps) != c.steps || len(distinct) != c.distinct || compiled != c.distinct {
+			t.Errorf("%s/%s: %d compiled for %d distinct of %d steps, want %d for %d of %d",
+				proto.Name, c.net.Name, compiled, len(distinct), len(p.Steps), c.distinct, c.distinct, c.steps)
 		}
 	}
 }
 
-// TestRunAllocationShape bounds what Run allocates by its shapes, its
-// scratch and its result: a step that replays a shape allocates nothing.
+// TestRunAllocationShape bounds what Run allocates by its step memos, its
+// one compile scratch and its result: an occurrence of a step already timed
+// allocates nothing.
 func TestRunAllocationShape(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
@@ -195,7 +275,7 @@ func TestRunAllocationShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	shapes, shapeBytes, scratchBytes, err := sim.Footprint(p, proto.Sim)
+	compiled, memoBytes, scratchBytes, err := sim.Footprint(p, proto.Sim)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,17 +289,17 @@ func TestRunAllocationShape(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	limit := validate + shapeBytes + scratchBytes + resultSlack
-	t.Logf("%d shapes for %d steps: %d B allocated; %d B in Validate, %d B in shapes, %d B of scratch", shapes, len(p.Steps), got, validate, shapeBytes, scratchBytes)
+	limit := validate + memoBytes + scratchBytes + resultSlack
+	t.Logf("%d steps compiled of %d: %d B allocated; %d B in Validate, %d B in memos, %d B of scratch", compiled, len(p.Steps), got, validate, memoBytes, scratchBytes)
 	if got > limit {
-		t.Fatalf("Run allocates %d B, more than its shapes and scratch allow (%d B)", got, limit)
+		t.Fatalf("Run allocates %d B, more than its memos and scratch allow (%d B)", got, limit)
 	}
 }
 
-// resultSlack covers what Run allocates besides Validate, its shapes and its
+// resultSlack covers what Run allocates besides Validate, its memos and its
 // scratch: the result, the runner and its maps, about 20 KB on ResNet-18.
-// Twenty-nine steps replay a shape there; a replay allocating a kilobyte
-// breaks the bound.
+// Twenty-nine steps there add a memo already made; one that allocated a
+// kilobyte would break the bound.
 const resultSlack = 32 << 10
 
 // allocated returns the bytes f allocates.

@@ -3,12 +3,14 @@ package sim
 // The reference scheduler: the simulator as it was before each step was
 // scheduled from flat, reused arrays. Every node keeps its predecessor and
 // successor lists, each step prices its operations through its own cache and
-// pulls a node's start time from its predecessors. TestRunMatchesOracle
-// requires RunOn to return exactly what this returns.
+// pulls a node's start time from its predecessors. Every occurrence of a
+// step is scheduled anew, from its barrier at t = 0, into a result of its
+// own; the run adds the steps' results in step order and shifts their
+// traces by their start. TestRunMatchesOracle requires RunOn to return
+// exactly what this returns.
 
 import (
 	"fmt"
-	"math"
 
 	"hydra/internal/fheop"
 	"hydra/internal/hw"
@@ -33,11 +35,25 @@ func runOnOracle(p *task.Program, cfg Config, pl Placement) (*Result, error) {
 	}
 	now := 0.0
 	for _, st := range p.Steps {
-		stat, err := runStep(st, p, cfg, pl, now, res)
+		stat, sr, err := runStep(st, p, cfg, pl)
 		if err != nil {
 			return nil, fmt.Errorf("sim: step %q: %w", st.Name, err)
 		}
 		res.Steps = append(res.Steps, stat)
+		for card := 0; card < p.Cards; card++ {
+			res.ComputeBusy[card] += sr.ComputeBusy[card]
+			res.CommBusy[card] += sr.CommBusy[card]
+		}
+		res.BytesSent += sr.BytesSent
+		for unit, e := range sr.EnergyByUnit {
+			res.EnergyByUnit[unit] += e
+		}
+		res.OpTotals = res.OpTotals.Add(sr.OpTotals)
+		for _, ev := range sr.Trace {
+			ev.Start = now + ev.Start
+			ev.End = now + ev.End
+			res.Trace = append(res.Trace, ev)
+		}
 		now += stat.Span
 	}
 	res.Makespan = now
@@ -72,7 +88,14 @@ type refNode struct {
 	indeg    int
 }
 
-func runStep(st *task.Step, p *task.Program, cfg Config, pl Placement, start float64, res *Result) (StepStat, error) {
+// runStep schedules one step from t = 0 and returns its statistics and what
+// it adds to the run, its trace times counted from the step's start.
+func runStep(st *task.Step, p *task.Program, cfg Config, pl Placement) (StepStat, *Result, error) {
+	res := &Result{
+		ComputeBusy:  make([]float64, p.Cards),
+		CommBusy:     make([]float64, p.Cards),
+		EnergyByUnit: map[string]float64{},
+	}
 	// --- Node construction -------------------------------------------------
 	total := 0 // one node per compute task and per comm task, a second per receive
 	for card := 0; card < p.Cards; card++ {
@@ -194,7 +217,7 @@ func runStep(st *task.Step, p *task.Program, cfg Config, pl Placement, start flo
 		id := queue[len(queue)-1]
 		queue = queue[:len(queue)-1]
 		n := &nodes[id]
-		t := start
+		t := 0.0
 		for _, pid := range n.preds {
 			if nodes[pid].time > t {
 				t = nodes[pid].time
@@ -210,13 +233,12 @@ func runStep(st *task.Step, p *task.Program, cfg Config, pl Placement, start flo
 		}
 	}
 	if processed != len(nodes) {
-		return StepStat{}, fmt.Errorf("dependency cycle (deadlock) detected: %d of %d tasks runnable", processed, len(nodes))
+		return StepStat{}, nil, fmt.Errorf("dependency cycle (deadlock) detected: %d of %d tasks runnable", processed, len(nodes))
 	}
 
 	// --- Statistics and energy ----------------------------------------------
 	stat := StepStat{Name: st.Name}
-	end := start
-	computeBusy := make([]float64, p.Cards)
+	end := 0.0
 	for id := range nodes {
 		n := &nodes[id]
 		if n.time > end {
@@ -224,7 +246,6 @@ func runStep(st *task.Step, p *task.Program, cfg Config, pl Placement, start flo
 		}
 		switch n.kind {
 		case nodeCompute:
-			computeBusy[n.card] += n.duration
 			res.ComputeBusy[n.card] += n.duration
 			if cfg.CollectTrace {
 				res.Trace = append(res.Trace, TraceEvent{
@@ -255,19 +276,16 @@ func runStep(st *task.Step, p *task.Program, cfg Config, pl Placement, start flo
 		}
 	}
 	for card := 0; card < p.Cards; card++ {
-		if computeBusy[card] > stat.ComputeMax {
-			stat.ComputeMax = computeBusy[card]
+		if res.ComputeBusy[card] > stat.ComputeMax {
+			stat.ComputeMax = res.ComputeBusy[card]
 		}
 		for _, c := range st.Compute[card] {
 			accumulateOpEnergy(res, cfg, c.Ops, c.Limbs, c.EnergyScale)
 			res.OpTotals = res.OpTotals.Add(c.Ops)
 		}
 	}
-	stat.Span = end - start
-	if stat.Span < 0 || math.IsNaN(stat.Span) {
-		return StepStat{}, fmt.Errorf("invalid step span %v", stat.Span)
-	}
-	return stat, nil
+	stat.Span = end
+	return stat, res, nil
 }
 
 // opTimeCache memoizes per-(op,limbs) latencies for the step.

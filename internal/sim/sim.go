@@ -7,9 +7,7 @@
 package sim
 
 import (
-	"cmp"
 	"fmt"
-	"math"
 	"slices"
 	"sort"
 
@@ -233,57 +231,57 @@ type opCost struct {
 	energy [len(energyUnits)]float64
 }
 
-// recvRef is a receive of the step.
-type recvRef struct {
-	tag         int
-	card, index int32
+// stepMemo is what one step adds to a run, timed from its barrier at t = 0.
+// It depends on the step and the machine alone, so every occurrence of a
+// step repeated by pointer adds the same.
+type stepMemo struct {
+	stat           StepStat
+	busy, commBusy []float64 // per card: compute time, send occupancy
+	energy         [len(energyUnits)]float64
+	comm           float64 // NIC energy
+	computed, sent bool    // some task ran an operation; some task sent
+	ops            fheop.Counts
+	trace          []TraceEvent // times from the step's start
 }
 
-// shape is a step's dependency graph compiled for timing. Its nodes are
-// numbered in queue order: each card's computes, then its comm tasks, a
-// receive's ready signal before its completion.
-type shape struct {
-	dur       []float64 // per node
-	order     []int32   // the nodes in a topological order
-	off, succ []int32   // CSR: node n's successors are succ[off[n]:off[n+1]], in edge order
+// sendSlot is an entry of the table of a step's sends by tag: the send is
+// queue entry j-1 of card's comm queue; j is 0 in an empty slot.
+type sendSlot struct {
+	tag     int
+	card, j int32
 }
 
-// runner schedules the steps of one RunOn call. It compiles each distinct
-// *task.Step into a shape once (a program repeats a step by pointer) and
-// times every occurrence from its shape. It owns every buffer a step needs,
-// sized to the program's largest step, and it prices each (op, limbs) pair
-// once per run.
+// runner schedules the steps of one RunOn call. It compiles and times each
+// distinct *task.Step once, on its first occurrence, and adds the step's
+// memo at every occurrence (a program repeats a step by pointer). Every
+// compilation reuses one scratch, sized to the program's largest step, and
+// the runner prices each (op, limbs) pair once.
 type runner struct {
 	p   *task.Program
 	cfg *Config
 	pl  Placement
 	res *Result
 
-	costs    map[int]*[numOps]opCost // per limb count
-	energy   [len(energyUnits)]float64
-	computed bool // some task ran an operation: the units of energy are in the result
-	comm     float64
-	sent     bool // some task sent: "Comm" is in the result
+	costs map[int]*[numOps]opCost // per limb count
+	memos map[*task.Step]*stepMemo
 
-	shapes map[*task.Step]*shape
-
-	at   []float64 // per node: the latest completion among its predecessors, then its own
-	busy []float64 // per card: compute time in the step
-
-	// Compilation scratch.
-	dur                []float64
-	compBase, commBase []int32 // per card: its first compute node, its first comm task
-	readyID, doneID    []int32 // per comm task: its ready node (-1 for a send), its done node
+	// Compile scratch. A step's nodes are numbered in queue order: each
+	// card's computes, then its comm tasks, a receive's ready signal just
+	// before its completion.
+	dur, at            []float64  // per node: its duration; its completion, once timed
+	compBase, commBase []int32    // per card: its first compute node, its first comm task
+	doneID             []int32    // per comm task: its completion node
+	sends              []sendSlot // by tag, open addressing with linear probing
 	edges              [][2]int32
-	indeg              []int32 // per node: predecessors not yet ordered
+	off, succ          []int32 // CSR: node n's successors are succ[off[n]:off[n+1]]
+	indeg              []int32 // per node: predecessors not yet timed
 	stack              []int32
-	recvs              []recvRef // by tag, each tag's in queue order
 	phys               []int
 }
 
-// newRunner sizes every buffer to the program's largest step, so no step
-// grows one. It reads only queue lengths, taking every comm task for a
-// receive, which bounds the nodes and the edges from above.
+// newRunner sizes the scratch to the program's largest step. It reads only
+// queue lengths, taking every comm task for a receive, which bounds the
+// nodes and the edges from above; the table of sends grows on demand.
 func newRunner(p *task.Program, cfg *Config, pl Placement) *runner {
 	var nodes, edges, comms int // per step, the largest
 	for _, st := range p.Steps {
@@ -306,35 +304,63 @@ func newRunner(p *task.Program, cfg *Config, pl Placement) *runner {
 			Steps: slices.Grow([]StepStat(nil), len(p.Steps)),
 		},
 		costs:    map[int]*[numOps]opCost{},
-		shapes:   map[*task.Step]*shape{},
-		at:       make([]float64, nodes),
+		memos:    map[*task.Step]*stepMemo{},
 		dur:      make([]float64, 0, nodes),
+		at:       make([]float64, nodes),
 		compBase: make([]int32, p.Cards),
 		commBase: make([]int32, p.Cards),
-		readyID:  make([]int32, 0, comms),
 		doneID:   make([]int32, 0, comms),
 		edges:    make([][2]int32, 0, edges),
+		off:      make([]int32, nodes+1),
+		succ:     make([]int32, edges),
 		indeg:    make([]int32, nodes),
 		stack:    make([]int32, 0, nodes),
-		busy:     make([]float64, p.Cards),
-		recvs:    make([]recvRef, 0, comms),
 	}
 }
 
-// run schedules the program's steps one after the other, each starting at
-// the barrier that ends the one before.
+// run adds the program's steps one after the other, each starting at the
+// barrier that ends the one before: a step's sums are added in step order,
+// and its trace is shifted by its start.
 func (r *runner) run() (*Result, error) {
 	res := r.res
+	var energy [len(energyUnits)]float64
+	comm, computed, sent := 0.0, false, false
 	now := 0.0
 	for _, st := range r.p.Steps {
-		stat, err := r.step(st, now)
-		if err != nil {
-			return nil, fmt.Errorf("sim: step %q: %w", st.Name, err)
+		m := r.memos[st]
+		if m == nil {
+			var err error
+			if m, err = r.time(st); err != nil {
+				return nil, fmt.Errorf("sim: step %q: %w", st.Name, err)
+			}
+			r.memos[st] = m
 		}
-		res.Steps = append(res.Steps, stat)
-		now += stat.Span
+		res.Steps = append(res.Steps, m.stat)
+		for card, b := range m.busy {
+			res.ComputeBusy[card] += b
+			res.CommBusy[card] += m.commBusy[card]
+		}
+		res.BytesSent += m.stat.CommBytes
+		for u, e := range m.energy {
+			energy[u] += e
+		}
+		comm += m.comm
+		computed, sent = computed || m.computed, sent || m.sent
+		res.OpTotals = res.OpTotals.Add(m.ops)
+		for _, ev := range m.trace {
+			ev.Start, ev.End = now+ev.Start, now+ev.End
+			res.Trace = append(res.Trace, ev)
+		}
+		now += m.stat.Span
 	}
-	r.writeEnergy()
+	if computed {
+		for u, name := range energyUnits {
+			res.EnergyByUnit[name] = energy[u]
+		}
+	}
+	if sent {
+		res.EnergyByUnit["Comm"] = comm
+	}
 	res.Makespan = now
 	res.EnergyByUnit["Static"] = hw.IdlePowerW * res.Makespan * float64(r.p.Cards)
 	return res, nil
@@ -369,80 +395,68 @@ func (r *runner) duration(c *task.Compute) float64 {
 	return total
 }
 
-// account adds a compute task's dynamic energy and its operations to the
-// run's totals; the tasks come in run order.
-func (r *runner) account(c *task.Compute) {
-	costs := r.costsAt(c.Limbs)
-	scale := c.EnergyScale
-	if scale <= 0 {
-		scale = 1
-	}
-	for op, n := range c.Ops {
-		if n == 0 {
-			continue
-		}
-		for u, e := range costs[op].energy {
-			r.energy[u] += scale * float64(n) * e
-		}
-		r.computed = true
-	}
-	r.res.OpTotals = r.res.OpTotals.Add(c.Ops)
-}
-
-// writeEnergy puts the run's dynamic energy into the result, one key per
-// contributor the run touched.
-func (r *runner) writeEnergy() {
-	if r.computed {
-		for u, name := range energyUnits {
-			r.res.EnergyByUnit[name] = r.energy[u]
+// time compiles st and times it from its barrier at t = 0, taking the nodes
+// in a topological order (Kahn's): a node completes at the latest completion
+// among its predecessors (or 0) plus its duration. A maximum does not depend
+// on the order of its terms, so neither do the times.
+func (r *runner) time(st *task.Step) (*stepMemo, error) {
+	n := r.compile(st)
+	at, dur, off, succ, indeg := r.at[:n], r.dur, r.off, r.succ, r.indeg
+	clear(at)
+	stack := r.stack[:0]
+	for id := range n {
+		if indeg[id] == 0 {
+			stack = append(stack, int32(id))
 		}
 	}
-	if r.sent {
-		r.res.EnergyByUnit["Comm"] = r.comm
-	}
-}
-
-// step times the step from its shape by forward propagation: a node
-// completes at the latest completion among its predecessors (or the step
-// start) plus its duration.
-func (r *runner) step(st *task.Step, start float64) (StepStat, error) {
-	sh, err := r.shape(st)
-	if err != nil {
-		return StepStat{}, err
-	}
-	at := r.at[:len(sh.dur)]
-	for id := range at {
-		at[id] = start
-	}
-	for _, id := range sh.order {
-		t := at[id] + sh.dur[id]
+	timed := 0
+	for len(stack) > 0 {
+		id := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		timed++
+		t := at[id] + dur[id]
 		at[id] = t
-		for _, s := range sh.succ[sh.off[id]:sh.off[id+1]] {
+		for _, s := range succ[off[id]:off[id+1]] {
 			if t > at[s] {
 				at[s] = t
 			}
+			indeg[s]--
+			if indeg[s] == 0 {
+				stack = append(stack, s)
+			}
 		}
 	}
+	r.stack = stack
+	if timed != n {
+		return nil, fmt.Errorf("dependency cycle (deadlock) detected: %d of %d tasks runnable", timed, n)
+	}
+	return r.memo(st, n), nil
+}
 
-	// --- Statistics, over the step's own queues in node order --------------
-	cfg, res := r.cfg, r.res
-	stat := StepStat{Name: st.Name}
-	end := start
-	clear(r.busy)
-	id := 0
+// memo sums what the timed step adds to the run, over its queues in node
+// order.
+func (r *runner) memo(st *task.Step, nodes int) *stepMemo {
+	cards := r.p.Cards
+	perCard := make([]float64, 2*cards)
+	m := &stepMemo{stat: StepStat{Name: st.Name}, busy: perCard[:cards:cards], commBusy: perCard[cards:]}
+	trace := r.cfg.CollectTrace
+	if trace {
+		m.trace = make([]TraceEvent, 0, nodes)
+	}
+	at, dur := r.at, r.dur
+	end, id := 0.0, 0
 	for card := range st.Compute {
 		for i := range st.Compute[card] {
 			c := &st.Compute[card][i]
-			r.account(c)
-			t, d := at[id], sh.dur[id]
+			m.account(c, r.costsAt(c.Limbs))
+			t, d := at[id], dur[id]
 			id++
 			if t > end {
 				end = t
 			}
-			r.busy[card] += d
-			res.ComputeBusy[card] += d
-			if cfg.CollectTrace {
-				res.Trace = append(res.Trace, TraceEvent{Card: card, Kind: "compute", Label: c.Label, Start: t - d, End: t})
+			m.busy[card] += d
+			if trace {
+				m.trace = append(m.trace, TraceEvent{Card: card, Kind: "compute", Label: c.Label, Start: t - d, End: t})
 			}
 		}
 		for j := range st.Comm[card] {
@@ -453,64 +467,70 @@ func (r *runner) step(st *task.Step, start float64) (StepStat, error) {
 				}
 				id++
 			}
-			t, d := at[id], sh.dur[id]
+			t, d := at[id], dur[id]
 			id++
 			if t > end {
 				end = t
 			}
 			if c.Kind == task.Send {
-				res.CommBusy[card] += d
+				m.commBusy[card] += d
 				bytes := c.Bytes * float64(len(c.Peers))
-				res.BytesSent += bytes
-				stat.CommBytes += bytes
-				r.comm += bytes * hw.EnergyNIC
-				r.sent = true
+				m.stat.CommBytes += bytes
+				m.comm += bytes * hw.EnergyNIC
+				m.sent = true
 			}
-			if cfg.CollectTrace {
+			if trace {
 				kind := "send"
 				if c.Kind == task.Recv {
 					kind = "recv"
 				}
-				res.Trace = append(res.Trace, TraceEvent{Card: card, Kind: kind, Label: c.Label, Start: t - d, End: t})
+				m.trace = append(m.trace, TraceEvent{Card: card, Kind: kind, Label: c.Label, Start: t - d, End: t})
 			}
 		}
 	}
-	for _, b := range r.busy {
-		if b > stat.ComputeMax {
-			stat.ComputeMax = b
+	for _, b := range m.busy {
+		if b > m.stat.ComputeMax {
+			m.stat.ComputeMax = b
 		}
 	}
-	stat.Span = end - start
-	if stat.Span < 0 || math.IsNaN(stat.Span) {
-		return StepStat{}, fmt.Errorf("invalid step span %v", stat.Span)
-	}
-	return stat, nil
+	m.stat.Span = end
+	return m
 }
 
-// shape returns st's compiled dependency graph, compiling it on st's first
-// occurrence.
-func (r *runner) shape(st *task.Step) (*shape, error) {
-	if sh := r.shapes[st]; sh != nil {
-		return sh, nil
+// account adds a compute task's dynamic energy and its operations to the
+// step's sums; the tasks come in node order.
+func (m *stepMemo) account(c *task.Compute, costs *[numOps]opCost) {
+	scale := c.EnergyScale
+	if scale <= 0 {
+		scale = 1
 	}
-	sh, err := r.compile(st)
-	if err == nil {
-		r.shapes[st] = sh
+	for op, n := range c.Ops {
+		if n == 0 {
+			continue
+		}
+		for u, e := range costs[op].energy {
+			m.energy[u] += scale * float64(n) * e
+		}
+		m.computed = true
 	}
-	return sh, err
+	m.ops = m.ops.Add(c.Ops)
 }
 
 func (r *runner) edge(from, to int32) {
 	r.edges = append(r.edges, [2]int32{from, to})
 }
 
-// compile builds st's dependency graph and orders it topologically.
-func (r *runner) compile(st *task.Step) (*shape, error) {
+// compile builds st's dependency graph in the scratch and returns its node
+// count. A receive finds its send through a table by tag: Validate leaves
+// one send per tag in a step, and a Builder numbers a step's tags from 0, so
+// a lookup takes one probe.
+func (r *runner) compile(st *task.Step) int {
 	p, cfg, pl := r.p, r.cfg, r.pl
 
-	// --- Nodes, and receives by tag for send pairing -----------------------
+	// --- Nodes ---------------------------------------------------------------
 	dur := r.dur[:0]
-	r.readyID, r.doneID, r.recvs = r.readyID[:0], r.doneID[:0], r.recvs[:0]
+	r.doneID = r.doneID[:0]
+	sends := 0
 	for card := 0; card < p.Cards; card++ {
 		r.compBase[card] = int32(len(dur))
 		for i := range st.Compute[card] {
@@ -518,25 +538,30 @@ func (r *runner) compile(st *task.Step) (*shape, error) {
 		}
 		r.commBase[card] = int32(len(r.doneID))
 		for j := range st.Comm[card] {
-			c := &st.Comm[card][j]
-			ready := int32(-1)
-			if c.Kind == task.Recv {
-				ready = int32(len(dur))
+			if st.Comm[card][j].Kind == task.Recv { // its ready signal
 				dur = append(dur, cfg.DMAConfigLatency)
-				r.recvs = append(r.recvs, recvRef{c.Tag, int32(card), int32(j)})
+			} else {
+				sends++
 			}
-			r.readyID = append(r.readyID, ready)
 			r.doneID = append(r.doneID, int32(len(dur)))
 			dur = append(dur, 0)
 		}
 	}
 	r.dur = dur
-	slices.SortStableFunc(r.recvs, func(a, b recvRef) int { return cmp.Compare(a.tag, b.tag) })
+	size := 1
+	for size < 2*sends {
+		size <<= 1
+	}
+	if len(r.sends) < size {
+		r.sends = make([]sendSlot, size)
+	}
+	table, mask := r.sends[:size], size-1
+	clear(table)
 
-	// Queue-order edges. The computation queue is strictly serial. The DTU's
-	// TX and RX engines are full duplex: sends chain on sends; receive
-	// configurations chain on configurations (multi-channel DMA setup), and
-	// arrivals drain through the port in order.
+	// Queue-order edges, and the sends into the table. The computation queue
+	// is strictly serial. The DTU's TX and RX engines are full duplex: sends
+	// chain on sends; receive configurations chain on configurations
+	// (multi-channel DMA setup), and arrivals drain through the port in order.
 	r.edges = r.edges[:0]
 	for card := 0; card < p.Cards; card++ {
 		cb, mb := r.compBase[card], r.commBase[card]
@@ -545,18 +570,23 @@ func (r *runner) compile(st *task.Step) (*shape, error) {
 		}
 		lastSend, lastRecv := int32(-1), int32(-1)
 		for j := range st.Comm[card] {
-			k := mb + int32(j)
-			if st.Comm[card][j].Kind == task.Send {
+			done := r.doneID[mb+int32(j)]
+			if c := &st.Comm[card][j]; c.Kind == task.Send {
 				if lastSend >= 0 {
-					r.edge(r.doneID[lastSend], r.doneID[k])
+					r.edge(lastSend, done)
 				}
-				lastSend = k
+				lastSend = done
+				h := c.Tag & mask
+				for table[h].j != 0 {
+					h = (h + 1) & mask
+				}
+				table[h] = sendSlot{c.Tag, int32(card), int32(j) + 1}
 			} else {
 				if lastRecv >= 0 {
-					r.edge(r.readyID[lastRecv], r.readyID[k])
-					r.edge(r.doneID[lastRecv], r.doneID[k])
+					r.edge(lastRecv-1, done-1)
+					r.edge(lastRecv, done)
 				}
-				lastRecv = k
+				lastRecv = done
 			}
 		}
 	}
@@ -571,41 +601,36 @@ func (r *runner) compile(st *task.Step) (*shape, error) {
 		}
 		for j := range st.Comm[card] {
 			c := &st.Comm[card][j]
-			if c.Kind != task.Send {
+			done := r.doneID[mb+int32(j)]
+			if c.Kind == task.Send {
+				if c.WaitCompute >= 0 {
+					r.edge(cb+int32(c.WaitCompute), done)
+				}
+				// Sender-side injection occupancy.
+				r.phys = r.phys[:0]
+				for _, peer := range c.Peers {
+					r.phys = append(r.phys, pl.Cards[peer])
+				}
+				dur[done] = cfg.Network.SendTime(c.Bytes, pl.Cards[card], r.phys, pl.CardsPerServer)
 				continue
 			}
-			send := r.doneID[mb+int32(j)]
-			if c.WaitCompute >= 0 {
-				r.edge(cb+int32(c.WaitCompute), send)
+			h := c.Tag & mask
+			for table[h].j == 0 || table[h].tag != c.Tag {
+				h = (h + 1) & mask
 			}
-			k, _ := slices.BinarySearchFunc(r.recvs, c.Tag, func(ref recvRef, tag int) int { return cmp.Compare(ref.tag, tag) })
-			for ; k < len(r.recvs) && r.recvs[k].tag == c.Tag; k++ {
-				ref := r.recvs[k]
-				rk := r.commBase[ref.card] + ref.index
-				r.edge(r.readyID[rk], send) // handshake: ready before send
-				r.edge(send, r.doneID[rk])  // data arrival
-				// Receiver-port drain time (store-and-forward).
-				dur[r.doneID[rk]] = cfg.Network.RecvTime(c.Bytes, pl.Cards[card], pl.Cards[ref.card], pl.CardsPerServer)
-			}
-			// Sender-side injection occupancy.
-			r.phys = r.phys[:0]
-			for _, peer := range c.Peers {
-				r.phys = append(r.phys, pl.Cards[peer])
-			}
-			dur[send] = cfg.Network.SendTime(c.Bytes, pl.Cards[card], r.phys, pl.CardsPerServer)
+			s := table[h]
+			send := r.doneID[r.commBase[s.card]+s.j-1]
+			r.edge(done-1, send) // handshake: ready before send
+			r.edge(send, done)   // data arrival
+			// Receiver-port drain time (store-and-forward).
+			dur[done] = cfg.Network.RecvTime(st.Comm[s.card][s.j-1].Bytes, pl.Cards[s.card], pl.Cards[card], pl.CardsPerServer)
 		}
 	}
 
 	// Successor lists: the edges counting-sorted by source.
 	n := len(dur)
-	ints := make([]int32, 2*n+1+len(r.edges))
-	sh := &shape{
-		dur:   append(make([]float64, 0, n), dur...),
-		order: ints[:0:n],
-		off:   ints[n : 2*n+1 : 2*n+1],
-		succ:  ints[2*n+1:],
-	}
-	off, succ, indeg := sh.off, sh.succ, r.indeg[:n]
+	off, succ, indeg := r.off[:n+1], r.succ, r.indeg[:n]
+	clear(off)
 	clear(indeg)
 	for _, e := range r.edges {
 		off[e[0]+1]++
@@ -620,28 +645,5 @@ func (r *runner) compile(st *task.Step) (*shape, error) {
 	}
 	copy(off[1:], off[:n])
 	off[0] = 0
-
-	// --- Kahn: the order, and cycle detection -------------------------------
-	stack := r.stack[:0]
-	for id := range indeg {
-		if indeg[id] == 0 {
-			stack = append(stack, int32(id))
-		}
-	}
-	for len(stack) > 0 {
-		id := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		sh.order = append(sh.order, id)
-		for _, s := range succ[off[id]:off[id+1]] {
-			indeg[s]--
-			if indeg[s] == 0 {
-				stack = append(stack, s)
-			}
-		}
-	}
-	r.stack = stack
-	if len(sh.order) != n {
-		return nil, fmt.Errorf("dependency cycle (deadlock) detected: %d of %d tasks runnable", len(sh.order), n)
-	}
-	return sh, nil
+	return n
 }

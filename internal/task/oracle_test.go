@@ -2,6 +2,8 @@ package task
 
 import (
 	"fmt"
+	"math"
+	"slices"
 
 	"hydra/internal/fheop"
 )
@@ -110,3 +112,110 @@ func (b *oracleBuilder) Send(from int, after Handle, to []int, bytes float64, la
 }
 
 func (b *oracleBuilder) Build() *Program { return b.prog }
+
+// validateOracle is the reference Validate: it checks that a receive is
+// addressed to its card by searching its send's peer list.
+// TestValidateMatchesOracle holds Validate to its verdict and its error text.
+func validateOracle(p *Program) error {
+	if p.Cards < 1 || p.CardsPerServer < 1 {
+		return fmt.Errorf("task: %d cards in servers of %d", p.Cards, p.CardsPerServer)
+	}
+	type sendRef struct {
+		tag, card   int
+		peers       []int
+		recvs, last int // receives found so far, and the card of the latest
+	}
+	byTag := map[int]int{} // tag -> its send's index in sends, in the step
+	var sends []sendRef
+	seen := make(map[*Step]bool, len(p.Steps))
+	for si, st := range p.Steps {
+		if seen[st] {
+			continue
+		}
+		seen[st] = true
+		if len(st.Compute) != p.Cards || len(st.Comm) != p.Cards {
+			return fmt.Errorf("task: step %d has %d compute and %d comm queues for %d cards", si, len(st.Compute), len(st.Comm), p.Cards)
+		}
+		clear(byTag)
+		sends = sends[:0]
+		for card := 0; card < p.Cards; card++ {
+			for i := range st.Compute[card] {
+				c := &st.Compute[card][i]
+				if c.Limbs < 1 {
+					return fmt.Errorf("task: step %d card %d compute %d runs at %d limbs", si, card, i, c.Limbs)
+				}
+				if c.WaitRecv < -1 || c.WaitRecv >= len(st.Comm[card]) {
+					return fmt.Errorf("task: step %d card %d compute %d waits on missing recv %d", si, card, i, c.WaitRecv)
+				}
+				if c.WaitRecv >= 0 && st.Comm[card][c.WaitRecv].Kind != Recv {
+					return fmt.Errorf("task: step %d card %d compute %d waits on a non-recv", si, card, i)
+				}
+			}
+			for i := range st.Comm[card] {
+				c := &st.Comm[card][i]
+				for _, peer := range c.Peers {
+					if peer < 0 || peer >= p.Cards {
+						return fmt.Errorf("task: step %d card %d comm %d names peer %d of %d cards", si, card, i, peer, p.Cards)
+					}
+					if peer == card && c.Kind == Send {
+						return fmt.Errorf("task: step %d card %d send %d lists its own card", si, card, i)
+					}
+				}
+				if !(c.Bytes >= 0) || math.IsInf(c.Bytes, 1) {
+					return fmt.Errorf("task: step %d card %d comm %d carries %g bytes", si, card, i, c.Bytes)
+				}
+				if c.WaitCompute < -1 {
+					return fmt.Errorf("task: step %d card %d comm %d waits on missing compute %d", si, card, i, c.WaitCompute)
+				}
+				switch c.Kind {
+				case Send:
+					if c.WaitCompute >= len(st.Compute[card]) {
+						return fmt.Errorf("task: step %d card %d send %d waits on missing compute %d", si, card, i, c.WaitCompute)
+					}
+					if _, dup := byTag[c.Tag]; dup {
+						return fmt.Errorf("task: step %d send tag %d is sent twice", si, c.Tag)
+					}
+					byTag[c.Tag] = len(sends)
+					sends = append(sends, sendRef{tag: c.Tag, card: card, peers: c.Peers, last: -1})
+				case Recv:
+					if len(c.Peers) != 1 {
+						return fmt.Errorf("task: step %d card %d recv %d names %d sources, want 1", si, card, i, len(c.Peers))
+					}
+				default:
+					return fmt.Errorf("task: step %d card %d comm %d has unknown kind %d", si, card, i, c.Kind)
+				}
+			}
+		}
+		// A card's receives are scanned together, so a tag received twice on
+		// one card is its send's latest receive.
+		for card := 0; card < p.Cards; card++ {
+			for i := range st.Comm[card] {
+				c := &st.Comm[card][i]
+				if c.Kind != Recv {
+					continue
+				}
+				k, ok := byTag[c.Tag]
+				if !ok {
+					return fmt.Errorf("task: step %d recv tag %d has no sender", si, c.Tag)
+				}
+				s := &sends[k]
+				switch {
+				case c.Peers[0] != s.card:
+					return fmt.Errorf("task: step %d card %d recv %d names source %d, but card %d sends tag %d", si, card, i, c.Peers[0], s.card, c.Tag)
+				case !slices.Contains(s.peers, card):
+					return fmt.Errorf("task: step %d card %d recv %d takes tag %d, which is not sent to card %d", si, card, i, c.Tag, card)
+				case s.last == card:
+					return fmt.Errorf("task: step %d card %d receives tag %d twice", si, card, c.Tag)
+				}
+				s.recvs++
+				s.last = card
+			}
+		}
+		for _, s := range sends {
+			if s.recvs != len(s.peers) {
+				return fmt.Errorf("task: step %d send tag %d has %d receivers for %d destinations", si, s.tag, s.recvs, len(s.peers))
+			}
+		}
+	}
+	return nil
+}

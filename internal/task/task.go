@@ -322,7 +322,8 @@ func (b *Builder) Build() *Program {
 // non-negative byte counts, and tags that pair each send with exactly one
 // receive on each of its destinations, each receive naming the sender. Every
 // program the Builder emits satisfies them, so a program that passes can be
-// simulated. A step repeated by pointer is checked once.
+// simulated. A step repeated by pointer is checked once, in time linear in
+// its tasks and their peers.
 func (p *Program) Validate() error {
 	if p.Cards < 1 || p.CardsPerServer < 1 {
 		return fmt.Errorf("task: %d cards in servers of %d", p.Cards, p.CardsPerServer)
@@ -331,9 +332,15 @@ func (p *Program) Validate() error {
 		tag, card   int
 		peers       []int
 		recvs, last int // receives found so far, and the card of the latest
+		to          int // the card whose receives are checked, once the send names it
 	}
 	byTag := map[int]int{} // tag -> its send's index in sends, in the step
 	var sends []sendRef
+	// The sends naming each card, a list per card: named[head[c]] is card c's
+	// latest, and next leads to the one before (-1 ends a list).
+	type naming struct{ send, next int }
+	var named []naming
+	var head []int
 	seen := make(map[*Step]bool, len(p.Steps))
 	for si, st := range p.Steps {
 		if seen[st] {
@@ -383,7 +390,7 @@ func (p *Program) Validate() error {
 						return fmt.Errorf("task: step %d send tag %d is sent twice", si, c.Tag)
 					}
 					byTag[c.Tag] = len(sends)
-					sends = append(sends, sendRef{tag: c.Tag, card: card, peers: c.Peers, last: -1})
+					sends = append(sends, sendRef{tag: c.Tag, card: card, peers: c.Peers, last: -1, to: -1})
 				case Recv:
 					if len(c.Peers) != 1 {
 						return fmt.Errorf("task: step %d card %d recv %d names %d sources, want 1", si, card, i, len(c.Peers))
@@ -393,9 +400,23 @@ func (p *Program) Validate() error {
 				}
 			}
 		}
-		// A card's receives are scanned together, so a tag received twice on
-		// one card is its send's latest receive.
+		head, named = head[:0], named[:0]
+		for range p.Cards {
+			head = append(head, -1)
+		}
+		for k := range sends {
+			for _, peer := range sends[k].peers {
+				named = append(named, naming{k, head[peer]})
+				head[peer] = len(named) - 1
+			}
+		}
+		// A card's receives are scanned together, after its sends are marked
+		// with it: a tag received twice on one card is its send's latest
+		// receive, and a send not marked with the card does not name it.
 		for card := 0; card < p.Cards; card++ {
+			for e := head[card]; e >= 0; e = named[e].next {
+				sends[named[e].send].to = card
+			}
 			for i := range st.Comm[card] {
 				c := &st.Comm[card][i]
 				if c.Kind != Recv {
@@ -409,7 +430,7 @@ func (p *Program) Validate() error {
 				switch {
 				case c.Peers[0] != s.card:
 					return fmt.Errorf("task: step %d card %d recv %d names source %d, but card %d sends tag %d", si, card, i, c.Peers[0], s.card, c.Tag)
-				case !slices.Contains(s.peers, card):
+				case s.to != card:
 					return fmt.Errorf("task: step %d card %d recv %d takes tag %d, which is not sent to card %d", si, card, i, c.Tag, card)
 				case s.last == card:
 					return fmt.Errorf("task: step %d card %d receives tag %d twice", si, card, c.Tag)

@@ -244,6 +244,153 @@ func TestValidateDetectsCorruption(t *testing.T) {
 	}
 }
 
+// TestValidateMatchesOracle corrupts one field of random valid programs at a
+// time and requires Validate to give the reference Validate's verdict and
+// error text.
+func TestValidateMatchesOracle(t *testing.T) {
+	corruptions := []struct {
+		name string
+		// apply corrupts p, drawing from rng; false if p has nothing to corrupt.
+		apply func(p *Program, rng *rand.Rand) bool
+	}{
+		{"none", func(*Program, *rand.Rand) bool { return true }},
+		{"tag", func(p *Program, rng *rand.Rand) bool {
+			return anyComm(p, rng, func(st *Step, card int, c *Comm) { c.Tag = rng.Intn(8) - 1 })
+		}},
+		{"peer", func(p *Program, rng *rand.Rand) bool {
+			return anyComm(p, rng, func(st *Step, card int, c *Comm) {
+				c.Peers = slices.Clone(c.Peers)
+				c.Peers[rng.Intn(len(c.Peers))] = rng.Intn(p.Cards+2) - 1
+			})
+		}},
+		{"extra peer", func(p *Program, rng *rand.Rand) bool {
+			return anyComm(p, rng, func(st *Step, card int, c *Comm) {
+				c.Peers = append(slices.Clone(c.Peers), rng.Intn(p.Cards))
+			})
+		}},
+		{"kind", func(p *Program, rng *rand.Rand) bool {
+			return anyComm(p, rng, func(st *Step, card int, c *Comm) { c.Kind = CommKind(rng.Intn(3)) })
+		}},
+		{"WaitRecv", func(p *Program, rng *rand.Rand) bool {
+			st := p.Steps[rng.Intn(len(p.Steps))]
+			card := rng.Intn(p.Cards)
+			if len(st.Compute[card]) == 0 {
+				return false
+			}
+			st.Compute[card][rng.Intn(len(st.Compute[card]))].WaitRecv = rng.Intn(len(st.Comm[card])+3) - 2
+			return true
+		}},
+		{"WaitCompute", func(p *Program, rng *rand.Rand) bool {
+			return anyComm(p, rng, func(st *Step, card int, c *Comm) {
+				c.WaitCompute = rng.Intn(len(st.Compute[card])+3) - 2
+			})
+		}},
+		{"duplicate receive", func(p *Program, rng *rand.Rand) bool {
+			return anyRecv(p, rng, func(st *Step, card int, c Comm) {
+				st.Comm[card] = append(st.Comm[card], c)
+			})
+		}},
+		{"receive on another card", func(p *Program, rng *rand.Rand) bool {
+			return anyRecv(p, rng, func(st *Step, card int, c Comm) {
+				other := rng.Intn(p.Cards)
+				st.Comm[other] = append(st.Comm[other], c)
+			})
+		}},
+	}
+	for seed := int64(1); seed <= 300; seed++ {
+		for _, c := range corruptions {
+			rng := rand.New(rand.NewSource(seed))
+			p := randomProgram(rng)
+			if !c.apply(p, rng) {
+				continue
+			}
+			got, want := p.Validate(), validateOracle(p)
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("seed %d, %s: Validate says %v, the reference %v", seed, c.name, got, want)
+			}
+			if c.name == "none" && got != nil {
+				t.Fatalf("seed %d: a Builder program fails Validate: %v", seed, got)
+			}
+		}
+	}
+}
+
+// randomProgram builds a valid program from rng: broadcasts, computes that
+// wait on a receive, sends that wait on a compute, and steps said again by
+// pointer.
+func randomProgram(rng *rand.Rand) *Program {
+	cards := 1 + rng.Intn(6)
+	b := NewBuilder(cards, cards)
+	for s := 1 + rng.Intn(3); s > 0; s-- {
+		b.Step(fmt.Sprint("s", s))
+		last := make([]Handle, cards)
+		for card := range last {
+			last[card] = FromStart
+		}
+		for n := rng.Intn(16); n > 0; n-- {
+			card := rng.Intn(cards)
+			if cards == 1 || rng.Intn(2) == 0 {
+				last[card] = b.Compute(card, fheop.Of(fheop.HAdd, 1), 1+rng.Intn(4), "c")
+				continue
+			}
+			var to []int
+			for c := range cards {
+				if c != card && rng.Intn(2) == 0 {
+					to = append(to, c)
+				}
+			}
+			if len(to) == 0 {
+				to = []int{(card + 1) % cards}
+			}
+			recvs := b.Send(card, last[card], to, float64(rng.Intn(100)), "x")
+			if k := rng.Intn(len(to)); rng.Intn(2) == 0 {
+				last[to[k]] = b.ComputeAfterRecv(to[k], recvs[k], fheop.Of(fheop.HAdd, 1), 1+rng.Intn(4), "c")
+			}
+		}
+		if rng.Intn(3) == 0 {
+			b.Repeat(rng.Intn(b.Len()), b.Len())
+		}
+	}
+	return b.Build()
+}
+
+// anyComm applies f to a comm task of p drawn from rng; false if the drawn
+// step and card have none.
+func anyComm(p *Program, rng *rand.Rand, f func(st *Step, card int, c *Comm)) bool {
+	st := p.Steps[rng.Intn(len(p.Steps))]
+	card := rng.Intn(p.Cards)
+	if len(st.Comm[card]) == 0 {
+		return false
+	}
+	f(st, card, &st.Comm[card][rng.Intn(len(st.Comm[card]))])
+	return true
+}
+
+// anyRecv applies f to a copy of a receive of p drawn from rng, with the
+// receive's step and card; false if p has none.
+func anyRecv(p *Program, rng *rand.Rand, f func(st *Step, card int, c Comm)) bool {
+	type ref struct {
+		st        *Step
+		card, idx int
+	}
+	var recvs []ref
+	for _, st := range p.Steps {
+		for card := range st.Comm {
+			for j, c := range st.Comm[card] {
+				if c.Kind == Recv {
+					recvs = append(recvs, ref{st, card, j})
+				}
+			}
+		}
+	}
+	if len(recvs) == 0 {
+		return false
+	}
+	r := recvs[rng.Intn(len(recvs))]
+	f(r.st, r.card, r.st.Comm[r.card][r.idx])
+	return true
+}
+
 func TestRepeatSharesSteps(t *testing.T) {
 	b := NewBuilder(2, 2)
 	b.Step("a")
