@@ -338,9 +338,9 @@ func (p *Program) Validate() error {
 	var sends []sendRef
 	// The sends naming each card, a list per card: named[head[c]] is card c's
 	// latest, and next leads to the one before (-1 ends a list).
-	type naming struct{ send, next int }
+	type naming struct{ send, next int32 }
 	var named []naming
-	var head []int
+	var head []int32
 	seen := make(map[*Step]bool, len(p.Steps))
 	for si, st := range p.Steps {
 		if seen[st] {
@@ -352,6 +352,7 @@ func (p *Program) Validate() error {
 		}
 		clear(byTag)
 		sends = sends[:0]
+		peers := 0 // over the step's sends
 		for card := 0; card < p.Cards; card++ {
 			for i := range st.Compute[card] {
 				c := &st.Compute[card][i]
@@ -391,6 +392,7 @@ func (p *Program) Validate() error {
 					}
 					byTag[c.Tag] = len(sends)
 					sends = append(sends, sendRef{tag: c.Tag, card: card, peers: c.Peers, last: -1, to: -1})
+					peers += len(c.Peers)
 				case Recv:
 					if len(c.Peers) != 1 {
 						return fmt.Errorf("task: step %d card %d recv %d names %d sources, want 1", si, card, i, len(c.Peers))
@@ -400,14 +402,14 @@ func (p *Program) Validate() error {
 				}
 			}
 		}
-		head, named = head[:0], named[:0]
+		head, named = head[:0], slices.Grow(named[:0], peers)
 		for range p.Cards {
 			head = append(head, -1)
 		}
 		for k := range sends {
 			for _, peer := range sends[k].peers {
-				named = append(named, naming{k, head[peer]})
-				head[peer] = len(named) - 1
+				named = append(named, naming{int32(k), head[peer]})
+				head[peer] = int32(len(named) - 1)
 			}
 		}
 		// A card's receives are scanned together, after its sends are marked
