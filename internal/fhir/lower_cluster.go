@@ -55,9 +55,9 @@ func kernel(p *Program, enc *ckks.Encoder, in *Value, vals, outs []*Value) clust
 	return func(ctx context.Context, ev *ckks.Evaluator, store map[string]*ckks.Ciphertext) (*ckks.Ciphertext, error) {
 		e := newEvalLowering(p, EvalContext{Eval: ev, Enc: enc}, store)
 		if in != nil {
-			e.deg1[in] = store["out"]
+			e.slots[in.ID].ct = store["out"]
 		}
-		if err := e.run(ctx, vals); err != nil {
+		if err := e.run(ctx, vals, outs); err != nil {
 			return nil, err
 		}
 		var acc *ckks.Ciphertext

@@ -118,7 +118,8 @@ func TestClusterSingleCard(t *testing.T) {
 // exactly what Evaluate does, residue for residue and scale for scale. An
 // output Rescale(Relin(…)) is one ModDownExtRescale in Evaluate, while the
 // cluster closes the Relin on its card and rescales it in card 0's wrapper
-// run.
+// run; a tier-A group dealt over several cards is hoisted once per card,
+// over that card's rotations only.
 func TestLowerClusterEqualsEvaluate(t *testing.T) {
 	body := func(f func(b *Builder, x, y, z *Value) *Value) *Program {
 		b := NewBuilder(16)
@@ -155,6 +156,15 @@ func TestLowerClusterEqualsEvaluate(t *testing.T) {
 			return b.Horner(x, []float64{0.5, 1, -0.25, 0.125, 0.0625, -0.03125})
 		}), 5, false, 0},
 		{"relin-rescale", body(func(b *Builder, x, y, z *Value) *Value { return b.Mul(b.Add(x, y), z) }), 2, false, OpRelin},
+		// Σ c_i · rot(x, i): one tier-A group whose rotations the 2-card
+		// partition deals to both cards, each hoisting its own share.
+		{"tier-a-split", body(func(b *Builder, x, y, z *Value) *Value {
+			var terms []*Value
+			for i := 1; i <= 4; i++ {
+				terms = append(terms, b.MulConst(b.Rotate(x, i), float64(i)/4))
+			}
+			return b.Sum(terms...)
+		}), 2, false, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			p, err := Compile(tc.src, Options{Levels: tc.levels})
@@ -174,6 +184,9 @@ func TestLowerClusterEqualsEvaluate(t *testing.T) {
 			}
 			if want := tc.name == "bsgs"; (countClosed(p) > 0) != want {
 				t.Fatalf("%d closed baskets, want closed %v\n%s", countClosed(p), want, p)
+			}
+			if tc.name == "tier-a-split" && !groupSplit(p, 2) {
+				t.Fatalf("no tier-A group spans both cards of the 2-card partition\n%s", p)
 			}
 			rots, conj := p.Rotations()
 			te := newTestEnv(t, 5, tc.levels, rots, conj)
@@ -195,6 +208,29 @@ func TestLowerClusterEqualsEvaluate(t *testing.T) {
 			}
 		})
 	}
+}
+
+// groupSplit reports whether some tier-A group has rotations on more than one
+// card of p's partition over cards.
+func groupSplit(p *Program, cards int) bool {
+	pt, err := partitionFor(p, cards)
+	if err != nil {
+		return false
+	}
+	card := map[int]int{} // group -> the first card seen holding one of its rotations
+	for c, sh := range pt.shares {
+		for _, v := range sh.vals {
+			if v.Op != OpRotate || v.Hoist == 0 {
+				continue
+			}
+			if first, ok := card[v.Hoist]; !ok {
+				card[v.Hoist] = c
+			} else if first != c {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // TestLowerClusterCancelMidShare: a 2-card job whose every share cancels the

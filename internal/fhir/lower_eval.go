@@ -17,9 +17,10 @@ type EvalContext struct {
 	Enc  *ckks.Encoder
 }
 
-// Evaluate executes a legalized program on the functional CKKS evaluator.
-// Inputs maps input names to ciphertexts, each at the program's InputLevel
-// and canonical scale. Fused ops lower onto the extended-basis machinery:
+// Evaluate executes a legalized program, each value's ID its index in
+// p.Values as the passes leave it, on the functional CKKS evaluator. Inputs
+// maps input names to ciphertexts, each at the program's InputLevel and
+// canonical scale. Fused ops lower onto the extended-basis machinery:
 // RotBasket → RotateHoistedExt, DiagMac → EncodeExtInto pooled rows +
 // MulPlainExtAcc + one ModDownExt, RotSum → AddExtAcc folds; a closed
 // basket → RotateHoistedClosed, its DiagMacs folding Q-row encodes into a
@@ -42,19 +43,19 @@ func Evaluate(p *Program, ctx EvalContext, inputs map[string]*ckks.Ciphertext) (
 		return nil, fmt.Errorf("fhir: Evaluate needs an evaluator and an encoder")
 	}
 	e := newEvalLowering(p, ctx, inputs)
-	if err := e.run(context.TODO(), p.Values); err != nil {
+	if err := e.run(context.TODO(), p.Values, []*Value{p.Output}); err != nil {
 		return nil, err
 	}
-	out, ok := e.deg1[p.Output]
-	if !ok {
+	s := e.slots[p.Output.ID]
+	if s.ct == nil {
 		return nil, fmt.Errorf("fhir: output v%d did not lower to a degree-1 ciphertext", p.Output.ID)
 	}
-	if !e.owned[p.Output] {
+	if !s.owned {
 		// An input, a view that may share an input's rows, or rows a live
 		// view pinned: the caller gets rows of its own.
-		out = out.CopyNew()
+		return s.ct.CopyNew(), nil
 	}
-	return out, nil
+	return s.ct, nil
 }
 
 // evalLowering runs values of one program on the functional evaluator. Both
@@ -65,164 +66,131 @@ type evalLowering struct {
 	ctx    EvalContext
 	inputs map[string]*ckks.Ciphertext
 	vals   []*Value // what run is lowering; hoist groups draw from it
+	slots  []slot   // by Value.ID
+}
 
-	deg1    map[*Value]*ckks.Ciphertext
-	deg2    map[*Value]*ckks.Ciphertext2
-	baskets map[*Value]map[int]*ckks.ExtCiphertext
-	hoisted map[int]map[int]*ckks.Ciphertext // tier-A group id -> rot -> result
+// slot is what a run holds for one value: its result, while a reader is
+// still to lower, and the facts that decide when its rows go back.
+type slot struct {
+	ct     *ckks.Ciphertext
+	ct2    *ckks.Ciphertext2
+	basket map[int]*ckks.ExtCiphertext
+	acc    *ckks.ExtCiphertext      // a fused value's accumulator, open until its Rescale
+	group  map[int]*ckks.Ciphertext // the tier-A group over this value: rotation -> result
 
-	left  map[*Value]int                 // uses not yet lowered; the output's and other cards' never are
-	fused map[*Value]bool                // values whose accumulator their Rescale closes
-	open  map[*Value]*ckks.ExtCiphertext // a fused value's accumulator, until its Rescale
-	owned map[*Value]bool                // values whose rows this run made and releases at their last use
+	left  int  // readers in the run not yet lowered, plus one if the caller reads it
+	owned bool // the run made the rows and releases them at the last reader
+	fuse  bool // a Rescale in the run reads this Relin, DiagMac or RotSum
 }
 
 func newEvalLowering(p *Program, ctx EvalContext, inputs map[string]*ckks.Ciphertext) *evalLowering {
-	return &evalLowering{
-		p: p, ctx: ctx, inputs: inputs,
-		deg1:    map[*Value]*ckks.Ciphertext{},
-		deg2:    map[*Value]*ckks.Ciphertext2{},
-		baskets: map[*Value]map[int]*ckks.ExtCiphertext{},
-		hoisted: map[int]map[int]*ckks.Ciphertext{},
-		open:    map[*Value]*ckks.ExtCiphertext{},
-		owned:   map[*Value]bool{},
-	}
+	return &evalLowering{p: p, ctx: ctx, inputs: inputs, slots: make([]slot, len(p.Values))}
 }
 
 // run lowers vals in order, checking ctx between values; a value's operands
-// must be among vals or already bound in deg1. A value whose last use has
-// lowered retires, its rows back in the pool if it owns them; the output and
-// a value a consumer on another card reads never retire. An error or a
-// recovered panic comes back naming the failing value, every row the run
-// still owns released.
-func (e *evalLowering) run(ctx context.Context, vals []*Value) (err error) {
+// must be among vals or already bound in their slots. It first counts each
+// value's readers in vals, and one more for each of outs, which the caller
+// reads after. A value retires once its count reaches zero, its rows back
+// in the pool if it owns them: an out never does. A value owns fresh rows
+// unless it is an input or a hoist-group rotation (its source's group holds
+// it); a view or an in-place op adopts its operand's rows (adopt). An error
+// or a recovered panic comes back naming the failing value, every row the
+// run still owns released.
+//
+// A Relin, DiagMac or RotSum whose one reader is a Rescale in vals is fused:
+// that Rescale closes its accumulator with ModDownExtRescale, and the value
+// itself is never materialized. A DiagMac over a closed basket has no
+// ModDown for the Rescale to ride, so it never fuses. A Rescale outside vals
+// — the output wrapper a multi-card lowering peels onto card 0 — does not
+// fuse with its operand in an earlier run; it need not, both forms being
+// equal word for word.
+func (e *evalLowering) run(ctx context.Context, vals, outs []*Value) (err error) {
 	e.vals = vals
-	e.left = e.p.uses()
-	e.fused = fusedOperands(e.left, vals)
 	var v *Value
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("fhir: evaluate v%d (%s): panic: %v", v.ID, v.Op, r)
 		}
 		if err != nil {
-			for w, owned := range e.owned {
-				if owned {
-					e.release(w)
-				}
+			for _, w := range vals {
+				e.release(&e.slots[w.ID])
 			}
 		}
-		e.releaseBaskets()
 	}()
+	for _, v = range vals {
+		for _, a := range v.Args {
+			e.slots[a.ID].left++
+		}
+		if a := v.Args; v.Op == OpRescale && (a[0].Op == OpRelin || a[0].Op == OpRotSum ||
+			a[0].Op == OpDiagMac && !a[0].Args[0].Closed) {
+			e.slots[a[0].ID].fuse = true
+		}
+	}
+	for _, v = range outs {
+		e.slots[v.ID].left++
+	}
 	for _, v = range vals {
 		err := ctx.Err()
 		if err == nil {
-			err = e.lower(v)
+			e.slots[v.ID].owned = v.Op != OpInput && (v.Op != OpRotate || v.Hoist == 0)
+			err = e.lower(v, &e.slots[v.ID])
 		}
 		if err != nil {
 			return fmt.Errorf("fhir: evaluate v%d (%s): %w", v.ID, v.Op, err)
 		}
-		if _, adopted := e.owned[v]; !adopted {
-			// Fresh rows, but for the caller's inputs and the rotations a
-			// hoist group's map holds.
-			e.owned[v] = v.Op != OpInput && (v.Op != OpRotate || v.Hoist == 0)
-		}
 		for _, a := range v.Args {
-			if e.left[a]--; e.left[a] == 0 {
-				e.retire(a)
+			s := &e.slots[a.ID]
+			if s.left--; s.left == 0 {
+				e.release(s)
+				*s = slot{}
 			}
 		}
 	}
 	return nil
 }
 
-// dies reports that the value lowering now is a's last use and a's rows are
-// the run's: that value may write into them.
-func (e *evalLowering) dies(a *Value) bool { return e.owned[a] && e.left[a] == 1 }
+// dies reports that the value lowering now is a's last reader and a's rows
+// are the run's: that value may write into them.
+func (e *evalLowering) dies(a *Value) bool { return e.slots[a.ID].owned && e.slots[a.ID].left == 1 }
 
-// adopt hands a's rows to v, which views them or wrote into them: v owns them
-// when a did and v is a's last use. A view of a value that lives on pins it,
-// never released, so a owns nothing either way.
-func (e *evalLowering) adopt(v, a *Value) {
-	e.owned[v] = e.dies(a)
-	e.owned[a] = false
+// adopt hands a's rows to s, whose value views them or wrote into them: it
+// owns them when a did and is a's last reader. A view of a value that lives
+// on pins it, never released, so a owns nothing either way.
+func (e *evalLowering) adopt(s *slot, a *Value) {
+	s.owned = e.dies(a)
+	e.slots[a.ID].owned = false
 }
 
-// retire drops a value no later value in the run reads.
-func (e *evalLowering) retire(v *Value) {
-	if e.owned[v] {
-		e.release(v)
-	}
-	delete(e.deg1, v)
-	delete(e.deg2, v)
-	delete(e.baskets, v)
-}
-
-// release returns an owned value's rows to the ring pool.
-func (e *evalLowering) release(v *Value) {
-	ev := e.ctx.Eval
-	if ct, ok := e.deg1[v]; ok {
-		ev.Release(ct)
-	}
-	if ct, ok := e.deg2[v]; ok {
-		ev.Release2(ct)
-	}
-	for _, ext := range e.baskets[v] {
-		ev.ReleaseExt(ext)
-	}
-	delete(e.baskets, v)
-	e.owned[v] = false
-}
-
-// releaseBaskets returns the rows of every basket that never retired — one
-// a DiagMac on another card reads — to the ring pool, and those of an open
-// accumulator, which survives only a run that failed before its Rescale.
-func (e *evalLowering) releaseBaskets() {
-	for _, basket := range e.baskets {
-		for _, ext := range basket {
-			e.ctx.Eval.ReleaseExt(ext)
+// release returns an owned slot's rows to the ring pool. A slot holds one
+// result, and a group's rotations are never the source's to release.
+func (e *evalLowering) release(s *slot) {
+	switch ev := e.ctx.Eval; {
+	case !s.owned:
+	case s.ct != nil:
+		ev.Release(s.ct)
+	case s.ct2 != nil:
+		ev.Release2(s.ct2)
+	case s.acc != nil:
+		ev.ReleaseExt(s.acc)
+	default:
+		for _, ext := range s.basket {
+			ev.ReleaseExt(ext)
 		}
 	}
-	for _, ext := range e.open {
-		e.ctx.Eval.ReleaseExt(ext)
-	}
 }
 
-// fusedOperands returns the values that lower to an extended-basis
-// accumulator (Relin, DiagMac, RotSum) and whose one consumer is a Rescale in
-// vals: that Rescale closes the accumulator with ModDownExtRescale, and the
-// value itself is never materialized. A DiagMac over a closed basket has no
-// ModDown for the Rescale to ride, so it never fuses. A Rescale outside vals
-// — the output wrapper a multi-card lowering peels onto card 0 — does not
-// fuse with its operand in an earlier run; it need not, both forms being
-// equal word for word.
-func fusedOperands(uses map[*Value]int, vals []*Value) map[*Value]bool {
-	fused := map[*Value]bool{}
-	for _, v := range vals {
-		if v.Op != OpRescale {
-			continue
-		}
-		switch a := v.Args[0]; a.Op {
-		case OpRelin, OpDiagMac, OpRotSum:
-			if uses[a] == 1 && (a.Op != OpDiagMac || !a.Args[0].Closed) {
-				fused[a] = true
-			}
-		}
-	}
-	return fused
-}
-
-// close binds v's accumulator: held open for its Rescale when v is fused,
-// closed by ModDownExt otherwise.
-func (e *evalLowering) close(v *Value, acc *ckks.ExtCiphertext) {
-	if e.fused[v] {
-		e.open[v] = acc
+// close binds s's accumulator: held open for the Rescale that is its value's
+// one reader, closed by ModDownExt otherwise.
+func (e *evalLowering) close(s *slot, acc *ckks.ExtCiphertext) {
+	if s.fuse && s.left == 1 {
+		s.acc = acc
 		return
 	}
-	e.deg1[v] = e.ctx.Eval.ModDownExt(acc)
+	s.ct = e.ctx.Eval.ModDownExt(acc)
 }
 
 func (e *evalLowering) ct(v *Value) (*ckks.Ciphertext, error) {
-	if ct, ok := e.deg1[v]; ok {
+	if ct := e.slots[v.ID].ct; ct != nil {
 		return ct, nil
 	}
 	return nil, fmt.Errorf("operand v%d has no degree-1 result", v.ID)
@@ -236,14 +204,16 @@ func encodePlain(enc *ckks.Encoder, pl *Plain, slots, level int) (*ckks.Plaintex
 	return enc.EncodeAtLevel(vals, enc.Params().DefaultScale(), level)
 }
 
-// hoistGroup materializes a tier-A group on first touch: one RotateHoisted
-// call covering every rotation of the group that run is lowering. A rotation's
-// result does not depend on which others share its call.
+// hoistGroup materializes a tier-A group on first touch, on its source's
+// slot: one RotateHoisted call covering every rotation of the group that run
+// is lowering. A rotation's result does not depend on which others share its
+// call.
 func (e *evalLowering) hoistGroup(v *Value) (map[int]*ckks.Ciphertext, error) {
-	if m, ok := e.hoisted[v.Hoist]; ok {
-		return m, nil
+	src := &e.slots[v.Args[0].ID]
+	if src.group != nil {
+		return src.group, nil
 	}
-	src, err := e.ct(v.Args[0])
+	ct, err := e.ct(v.Args[0])
 	if err != nil {
 		return nil, err
 	}
@@ -253,9 +223,8 @@ func (e *evalLowering) hoistGroup(v *Value) (map[int]*ckks.Ciphertext, error) {
 			rots = append(rots, w.K)
 		}
 	}
-	m := e.ctx.Eval.RotateHoisted(src, rots)
-	e.hoisted[v.Hoist] = m
-	return m, nil
+	src.group = e.ctx.Eval.RotateHoisted(ct, rots)
+	return src.group, nil
 }
 
 // diagMac folds Σ xs[i] ⊙ encode(v.Plains[i]) into acc a chunk of diagonals
@@ -293,7 +262,7 @@ func (e *evalLowering) diagMac(v *Value, xs []*ckks.ExtCiphertext, acc *ckks.Ext
 	return nil
 }
 
-func (e *evalLowering) lower(v *Value) error {
+func (e *evalLowering) lower(v *Value, s *slot) error {
 	ev := e.ctx.Eval
 	switch v.Op {
 	case OpInput:
@@ -304,19 +273,18 @@ func (e *evalLowering) lower(v *Value) error {
 		if ct.Level() != v.Level {
 			return fmt.Errorf("input %q at level %d, program expects %d", v.Name, ct.Level(), v.Level)
 		}
-		e.deg1[v] = ct
+		s.ct = ct
 
 	case OpAdd, OpSub:
 		if v.Degree == 2 {
-			a, aok := e.deg2[v.Args[0]]
-			b, bok := e.deg2[v.Args[1]]
-			if !aok || !bok {
+			a, b := e.slots[v.Args[0].ID].ct2, e.slots[v.Args[1].ID].ct2
+			if a == nil || b == nil {
 				return fmt.Errorf("degree-2 add over non-degree-2 operands")
 			}
 			if v.Op == OpSub {
 				return fmt.Errorf("degree-2 subtraction is not lowered")
 			}
-			e.deg2[v] = ev.Add2(a, b)
+			s.ct2 = ev.Add2(a, b)
 			return nil
 		}
 		a, err := e.ct(v.Args[0])
@@ -329,14 +297,14 @@ func (e *evalLowering) lower(v *Value) error {
 		}
 		switch {
 		case v.Op == OpSub:
-			e.deg1[v] = ev.Sub(a, b)
+			s.ct = ev.Sub(a, b)
 		case e.dies(v.Args[0]):
 			// No one else reads a: add into it, word for word Add's result.
 			ev.AddAcc(b, a)
-			e.deg1[v] = a
-			e.adopt(v, v.Args[0])
+			s.ct = a
+			e.adopt(s, v.Args[0])
 		default:
-			e.deg1[v] = ev.Add(a, b)
+			s.ct = ev.Add(a, b)
 		}
 
 	case OpNeg:
@@ -344,7 +312,7 @@ func (e *evalLowering) lower(v *Value) error {
 		if err != nil {
 			return err
 		}
-		e.deg1[v] = ev.Neg(a)
+		s.ct = ev.Neg(a)
 
 	case OpAddConst:
 		a, err := e.ct(v.Args[0])
@@ -352,19 +320,19 @@ func (e *evalLowering) lower(v *Value) error {
 			return err
 		}
 		if !e.dies(v.Args[0]) {
-			e.deg1[v] = ev.AddConst(a, v.Const)
+			s.ct = ev.AddConst(a, v.Const)
 			return nil
 		}
 		ev.AddConstAcc(v.Const, a)
-		e.deg1[v] = a
-		e.adopt(v, v.Args[0])
+		s.ct = a
+		e.adopt(s, v.Args[0])
 
 	case OpMulConst:
 		a, err := e.ct(v.Args[0])
 		if err != nil {
 			return err
 		}
-		e.deg1[v] = ev.MulByConst(a, v.Const)
+		s.ct = ev.MulByConst(a, v.Const)
 
 	case OpMulPlain:
 		a, err := e.ct(v.Args[0])
@@ -375,7 +343,7 @@ func (e *evalLowering) lower(v *Value) error {
 		if err != nil {
 			return err
 		}
-		e.deg1[v] = ev.MulPlain(a, pt)
+		s.ct = ev.MulPlain(a, pt)
 
 	case OpMul:
 		a, err := e.ct(v.Args[0])
@@ -386,39 +354,39 @@ func (e *evalLowering) lower(v *Value) error {
 		if err != nil {
 			return err
 		}
-		e.deg2[v] = ev.MulNoRelin(a, b)
+		s.ct2 = ev.MulNoRelin(a, b)
 
 	case OpRelin:
-		ct2, ok := e.deg2[v.Args[0]]
-		if !ok {
+		ct2 := e.slots[v.Args[0].ID].ct2
+		if ct2 == nil {
 			return fmt.Errorf("relinearization of a non-degree-2 operand")
 		}
-		e.close(v, ev.RelinearizeExt(ct2))
+		e.close(s, ev.RelinearizeExt(ct2))
 
 	case OpRescale:
-		if acc, ok := e.open[v.Args[0]]; ok {
-			delete(e.open, v.Args[0])
-			e.deg1[v] = ev.ModDownExtRescale(acc)
+		if a := &e.slots[v.Args[0].ID]; a.acc != nil {
+			s.ct = ev.ModDownExtRescale(a.acc)
+			a.acc = nil
 			return nil
 		}
 		a, err := e.ct(v.Args[0])
 		if err != nil {
 			return err
 		}
-		e.deg1[v] = ev.Rescale(a)
+		s.ct = ev.Rescale(a)
 
 	case OpModSwitch:
 		// A view of the rows the drop keeps: nothing is copied.
-		if ct2, ok := e.deg2[v.Args[0]]; ok {
-			e.deg2[v] = ct2.ViewAtLevel(ct2.Level() - v.K)
+		if ct2 := e.slots[v.Args[0].ID].ct2; ct2 != nil {
+			s.ct2 = ct2.ViewAtLevel(ct2.Level() - v.K)
 		} else {
 			a, err := e.ct(v.Args[0])
 			if err != nil {
 				return err
 			}
-			e.deg1[v] = a.ViewAtLevel(a.Level() - v.K)
+			s.ct = a.ViewAtLevel(a.Level() - v.K)
 		}
-		e.adopt(v, v.Args[0])
+		e.adopt(s, v.Args[0])
 
 	case OpRotate:
 		if v.Hoist != 0 {
@@ -426,21 +394,21 @@ func (e *evalLowering) lower(v *Value) error {
 			if err != nil {
 				return err
 			}
-			e.deg1[v] = m[v.K]
+			s.ct = m[v.K]
 			return nil
 		}
 		a, err := e.ct(v.Args[0])
 		if err != nil {
 			return err
 		}
-		e.deg1[v] = ev.Rotate(a, v.K)
+		s.ct = ev.Rotate(a, v.K)
 
 	case OpConjugate:
 		a, err := e.ct(v.Args[0])
 		if err != nil {
 			return err
 		}
-		e.deg1[v] = ev.Conjugate(a)
+		s.ct = ev.Conjugate(a)
 
 	case OpRotBasket:
 		a, err := e.ct(v.Args[0])
@@ -448,14 +416,14 @@ func (e *evalLowering) lower(v *Value) error {
 			return err
 		}
 		if v.Closed {
-			e.baskets[v] = ev.RotateHoistedClosed(a, v.Rots)
+			s.basket = ev.RotateHoistedClosed(a, v.Rots)
 		} else {
-			e.baskets[v] = ev.RotateHoistedExt(a, v.Rots)
+			s.basket = ev.RotateHoistedExt(a, v.Rots)
 		}
 
 	case OpDiagMac:
-		basket, ok := e.baskets[v.Args[0]]
-		if !ok {
+		basket := e.slots[v.Args[0].ID].basket
+		if basket == nil {
 			return fmt.Errorf("diagmac over a non-basket operand")
 		}
 		xs := make([]*ckks.ExtCiphertext, len(v.Rots))
@@ -477,7 +445,7 @@ func (e *evalLowering) lower(v *Value) error {
 			ev.ReleaseExt(acc)
 			return err
 		}
-		e.close(v, acc)
+		e.close(s, acc)
 
 	case OpRotSum:
 		a, err := e.ct(v.Args[0])
@@ -492,7 +460,7 @@ func (e *evalLowering) lower(v *Value) error {
 		for _, ext := range exts {
 			ev.ReleaseExt(ext)
 		}
-		e.close(v, acc)
+		e.close(s, acc)
 
 	default:
 		return fmt.Errorf("op %s is not lowered", v.Op)

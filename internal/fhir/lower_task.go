@@ -70,7 +70,8 @@ func fusionSets(p *Program) (relinFused, mulFused map[*Value]bool) {
 // named after the label holding the partition's shares as computes, its
 // reduction tree as send + receive-and-add pairs, and the output wrappers on
 // card 0. It validates and returns the task program. Every compute is priced
-// at the input level.
+// at the input level, and every send at the level of the partial it carries:
+// the sum of terms, under the output wrappers.
 func BuildTaskProgram(p *Program, scheme hw.SchemeParams, cards, cardsPerServer int, label string) (*task.Program, error) {
 	pt, err := partitionFor(p, cards)
 	if err != nil {
@@ -78,7 +79,11 @@ func BuildTaskProgram(p *Program, scheme hw.SchemeParams, cards, cardsPerServer 
 	}
 	relinFused, mulFused := fusionSets(p)
 	limbs := p.InputLevel + 1
-	bytes := float64(scheme.CiphertextBytes(p.Output.Level + 1))
+	sum := p.Output
+	if len(pt.wrappers) > 0 {
+		sum = pt.wrappers[0].Args[0]
+	}
+	bytes := float64(scheme.CiphertextBytes(sum.Level + 1))
 
 	b := task.NewBuilder(cards, cardsPerServer)
 	b.Step(label)

@@ -105,8 +105,8 @@ func TestBuildTaskProgramWireStable(t *testing.T) {
 	}{
 		{"he-rot", buildFrontend(t, 256, func(b *Builder, x *Value) *Value { return b.LinTrans(x, heRotMatrix(256), 16, "m") }), 4, [3]string{
 			"b4e616e4b5869de2d258f9abebfd4291cbeaa921ab0661a043fb2c58bbd5bee2",
-			"c5e55dae1f168f12333caf45bb0b26761c60fa87ddbfb5d2fa22bf2a2677db47",
-			"e84165bb55814063985f0023a88426fa73fb2965c3a9e99e2a5dc0d05b5cbbf3",
+			"ca701d57d6e9d63cbc1645ce26ec1db1f34c4c5e0e4ebbf3e701d753e96a9ecb",
+			"2eff80e8276544f8d796bc0b7e1e2cd892aa4f1968c93b020513d06c3c9945fa",
 		}},
 		{"horner-15", buildFrontend(t, 16, func(b *Builder, x *Value) *Value { return b.Horner(x, horner) }), 16, [3]string{
 			"a60420188e62ff9814e67d1c2e3c41b632529fc976f7497b572ccebfd7a882b3",
@@ -115,8 +115,8 @@ func TestBuildTaskProgramWireStable(t *testing.T) {
 		}},
 		{"bootstrap-small", boot, bootLevels, [3]string{
 			"fdb720d82ccd1a038a682d8bd74efb738ac8c23a8f65196d1953f27b94221a25",
-			"c71421a9d0d8b6bcc45bb8d325320d76c66984c82811c366afe9a2978d27bd63",
-			"62e4dd8eb161f4b92d83c5eb4b498ddac8d2e39dc0ca82e7d5f18f1d36c9a1cd",
+			"20937e6037c3607b6c07983a0462674003ccd6c9f8f5096073ad82baa951fb1f",
+			"10fc7b214de3d0d828c3f7a355b80a91e34fffd5ad49b86725a59e74ebf82855",
 		}},
 	} {
 		p, err := Compile(tc.src, Options{Levels: tc.levels})
@@ -168,5 +168,31 @@ func TestLowerTaskMultiCardSplitsTerms(t *testing.T) {
 	}
 	if sends == 0 {
 		t.Error("no aggregation sends emitted for a multi-card lowering")
+	}
+
+	// A send carries a card's partial, the sum of its terms, taken before
+	// card 0 applies the output wrappers: he-rot's terms sit at level 4, its
+	// output Rescale at 3, so each send moves 5 limbs.
+	heRot, err := Compile(buildFrontend(t, 256, func(b *Builder, x *Value) *Value { return b.LinTrans(x, heRotMatrix(256), 16, "m") }), Options{Levels: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	terms, wrappers := outputTerms(heRot)
+	if len(wrappers) == 0 || terms[0].Level != 4 || heRot.Output.Level != 3 {
+		t.Fatalf("he-rot: %d wrappers, terms at level %d, output at %d; want wrappers from level 4 to 3", len(wrappers), terms[0].Level, heRot.Output.Level)
+	}
+	for _, cards := range []int{2, 4} {
+		tp, err := BuildTaskProgram(heRot, hw.PaperScheme(), cards, 2, "he-rot")
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := float64(hw.PaperScheme().CiphertextBytes(5))
+		for card, q := range tp.Steps[0].Comm {
+			for _, c := range q {
+				if c.Kind == task.Send && c.Bytes != want {
+					t.Errorf("he-rot on %d cards: card %d sends %g bytes, want a 5-limb partial's %g", cards, card, c.Bytes, want)
+				}
+			}
+		}
 	}
 }

@@ -52,6 +52,8 @@ var brokenPings = []struct {
 	{"recv with two sources", func(st *task.Step) { st.Comm[1][0].Peers = []int{0, 0} }},
 	{"recv with no source", func(st *task.Step) { st.Comm[1][0].Peers = nil }},
 	{"zero limbs", func(st *task.Step) { st.Compute[0][0].Limbs = 0 }},
+	{"zero energy scale", func(st *task.Step) { st.Compute[0][0].EnergyScale = 0 }},
+	{"negative energy scale", func(st *task.Step) { st.Compute[1][0].EnergyScale = -0.5 }},
 	{"negative bytes", func(st *task.Step) { st.Comm[0][0].Bytes, st.Comm[1][0].Bytes = -1e3, -1e3 }},
 	{"recv wait below -1", func(st *task.Step) { st.Compute[1][0].WaitRecv = -5 }},
 	{"send wait below -1", func(st *task.Step) { st.Comm[0][0].WaitCompute = -5 }},
@@ -263,7 +265,7 @@ func TestUnmarshalRejectsInvalidSemantics(t *testing.T) {
 	// is complex — instead check Marshal itself refuses invalid programs.
 	p := &task.Program{Cards: 1, CardsPerServer: 1, Steps: []*task.Step{{
 		Name:    "s",
-		Compute: [][]task.Compute{{{WaitRecv: 5, Limbs: 1}}},
+		Compute: [][]task.Compute{{{WaitRecv: 5, Limbs: 1, EnergyScale: 1}}},
 		Comm:    [][]task.Comm{{}},
 	}}}
 	if _, err := Marshal(p); err == nil {

@@ -315,9 +315,6 @@ func opTimeCache(cfg Config) func(fheop.Counts, int) float64 {
 }
 
 func accumulateOpEnergy(res *Result, cfg Config, ops fheop.Counts, limbs int, scale float64) {
-	if scale <= 0 {
-		scale = 1
-	}
 	for _, op := range fheop.Ops() {
 		n := ops.Get(op)
 		if n == 0 {

@@ -500,16 +500,12 @@ func (r *runner) memo(st *task.Step, nodes int) *stepMemo {
 // account adds a compute task's dynamic energy and its operations to the
 // step's sums; the tasks come in node order.
 func (m *stepMemo) account(c *task.Compute, costs *[numOps]opCost) {
-	scale := c.EnergyScale
-	if scale <= 0 {
-		scale = 1
-	}
 	for op, n := range c.Ops {
 		if n == 0 {
 			continue
 		}
 		for u, e := range costs[op].energy {
-			m.energy[u] += scale * float64(n) * e
+			m.energy[u] += c.EnergyScale * float64(n) * e
 		}
 		m.computed = true
 	}

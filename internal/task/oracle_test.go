@@ -144,6 +144,9 @@ func validateOracle(p *Program) error {
 				if c.Limbs < 1 {
 					return fmt.Errorf("task: step %d card %d compute %d runs at %d limbs", si, card, i, c.Limbs)
 				}
+				if !(c.EnergyScale > 0) {
+					return fmt.Errorf("task: step %d card %d compute %d has energy scale %g", si, card, i, c.EnergyScale)
+				}
 				if c.WaitRecv < -1 || c.WaitRecv >= len(st.Comm[card]) {
 					return fmt.Errorf("task: step %d card %d compute %d waits on missing recv %d", si, card, i, c.WaitRecv)
 				}

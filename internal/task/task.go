@@ -318,12 +318,12 @@ func (b *Builder) Build() *Program {
 }
 
 // Validate checks structural invariants of a program: one queue pair per
-// card, positive limb counts, in-range dependencies and peers, finite
-// non-negative byte counts, and tags that pair each send with exactly one
-// receive on each of its destinations, each receive naming the sender. Every
-// program the Builder emits satisfies them, so a program that passes can be
-// simulated. A step repeated by pointer is checked once, in time linear in
-// its tasks and their peers.
+// card, positive limb counts and energy scales, in-range dependencies and
+// peers, finite non-negative byte counts, and tags that pair each send with
+// exactly one receive on each of its destinations, each receive naming the
+// sender. Every program the Builder emits satisfies them, so a program that
+// passes can be simulated. A step repeated by pointer is checked once, in
+// time linear in its tasks and their peers.
 func (p *Program) Validate() error {
 	if p.Cards < 1 || p.CardsPerServer < 1 {
 		return fmt.Errorf("task: %d cards in servers of %d", p.Cards, p.CardsPerServer)
@@ -358,6 +358,9 @@ func (p *Program) Validate() error {
 				c := &st.Compute[card][i]
 				if c.Limbs < 1 {
 					return fmt.Errorf("task: step %d card %d compute %d runs at %d limbs", si, card, i, c.Limbs)
+				}
+				if !(c.EnergyScale > 0) {
+					return fmt.Errorf("task: step %d card %d compute %d has energy scale %g", si, card, i, c.EnergyScale)
 				}
 				if c.WaitRecv < -1 || c.WaitRecv >= len(st.Comm[card]) {
 					return fmt.Errorf("task: step %d card %d compute %d waits on missing recv %d", si, card, i, c.WaitRecv)

@@ -2,6 +2,7 @@ package task
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -205,9 +206,17 @@ func TestValidateDetectsCorruption(t *testing.T) {
 	if err := p.Validate(); err == nil {
 		t.Fatal("expected dangling SAC error")
 	}
+	// A compute whose energy scale is not positive prices no physical energy.
+	for _, scale := range []float64{0, -0.5} {
+		p = mk()
+		p.Steps[0].Compute[0][0].EnergyScale = scale
+		if err := p.Validate(); err == nil {
+			t.Fatalf("expected an error for energy scale %g", scale)
+		}
+	}
 	// CAR pointing at a send.
 	p = mk()
-	p.Steps[0].Compute[0] = append(p.Steps[0].Compute[0], Compute{WaitRecv: 0, Limbs: 5})
+	p.Steps[0].Compute[0] = append(p.Steps[0].Compute[0], Compute{WaitRecv: 0, Limbs: 5, EnergyScale: 1})
 	if err := p.Validate(); err == nil {
 		t.Fatal("expected CAR-on-send error")
 	}
@@ -270,6 +279,15 @@ func TestValidateMatchesOracle(t *testing.T) {
 		}},
 		{"kind", func(p *Program, rng *rand.Rand) bool {
 			return anyComm(p, rng, func(st *Step, card int, c *Comm) { c.Kind = CommKind(rng.Intn(3)) })
+		}},
+		{"EnergyScale", func(p *Program, rng *rand.Rand) bool {
+			st := p.Steps[rng.Intn(len(p.Steps))]
+			card := rng.Intn(p.Cards)
+			if len(st.Compute[card]) == 0 {
+				return false
+			}
+			st.Compute[card][rng.Intn(len(st.Compute[card]))].EnergyScale = []float64{0, math.Copysign(0, -1), -0.5, 0.5}[rng.Intn(4)]
+			return true
 		}},
 		{"WaitRecv", func(p *Program, rng *rand.Rand) bool {
 			st := p.Steps[rng.Intn(len(p.Steps))]
