@@ -4,76 +4,88 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
 	"path/filepath"
 	"sort"
 	"strings"
 	"testing"
+
+	"hydra/internal/lint"
 )
 
 // testOnlyAllowed names the functions that may be declared in production
-// files while only tests (or nothing in this tree) mention them, each with
-// the reason it stays.
+// files while only tests (or nothing in this tree) reach them, as
+// "pkg.Func" or "pkg.Type.Method", each with the reason it stays.
 var testOnlyAllowed = map[string]string{
-	"Import":   "lint.moduleImporter implements types.Importer; go/types calls it",
-	"TotalOps": "task.Program's op census: the conservation checks of mapping's and sim's tests, which cannot share a _test.go helper across packages",
+	"lint.moduleImporter.Import": "implements types.Importer; go/types calls it",
+	"task.Program.TotalOps":      "the op census: the conservation checks of mapping's and sim's tests, which cannot share a _test.go helper across packages",
 
 	// internal/conformance is a harness: its importer is its own test, and
 	// `make conformance` / `make conformance-update` are its entry points.
-	"NewHarness":    "conformance harness API",
-	"Failures":      "conformance harness API",
-	"CompareGolden": "conformance harness API",
-	"LoadGolden":    "conformance harness API",
-	"WriteGolden":   "conformance harness API",
+	"conformance.NewHarness":      "conformance harness API",
+	"conformance.Matrix.Failures": "conformance harness API",
+	"conformance.CompareGolden":   "conformance harness API",
+	"conformance.LoadGolden":      "conformance harness API",
+	"conformance.WriteGolden":     "conformance harness API",
 }
 
 // TestNoTestOnlyProductionFuncs keeps ROADMAP aim 2's "every production path
 // must have a caller": every function or method declared in a non-test,
-// non-generated file of this module must be mentioned by some non-test file
+// non-generated file of this module must be reached from some non-test file
 // of the module or of bench/ (the benchmark is a caller). A function only
 // tests reach is an oracle or a test driver and belongs in a _test.go file;
 // one nothing reaches is dead.
 //
-// The match is by name, from the syntax alone: any identifier other than the
-// declaring one counts as a mention, so a method reached only through an
-// interface is covered by the interface call, and two functions that share a
-// name cover each other. That makes the guard cheap and free of false alarms,
-// not complete.
+// Mentions resolve through go/types (lint.LoadModule's types.Info), so two
+// functions that share a name no longer cover each other. A method also
+// counts as reached when a method of its name is used through an interface,
+// or when it implements a method of an interface type the module names
+// (sort.Interface, heap.Interface, types.Importer, error, fmt.Stringer):
+// the callee of such a call is not known statically. bench/ is a module of
+// its own, so its mentions count by name.
 func TestNoTestOnlyProductionFuncs(t *testing.T) {
-	fset := token.NewFileSet()
-	declared := map[string][]string{} // function name → declaration sites
-	mentioned := map[string]bool{}
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		name := d.Name()
-		if d.IsDir() {
-			if path != "." && (name == "testdata" || strings.HasPrefix(name, ".")) {
-				return filepath.SkipDir
+	mod, err := lint.LoadModule(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	reached := map[*types.Func]bool{}
+	dispatched := map[string][]*types.Interface{} // method name -> the interfaces it is called through
+	declared := map[*types.Func]string{}
+	for _, pkg := range mod.Pkgs {
+		for _, obj := range pkg.Info.Uses {
+			if fn, ok := obj.(*types.Func); ok {
+				reached[fn.Origin()] = true
+				if recv := recvType(fn); recv != nil && types.IsInterface(recv) {
+					it := recv.Underlying().(*types.Interface)
+					dispatched[fn.Name()] = append(dispatched[fn.Name()], it)
+				}
 			}
-			return nil
 		}
-		if !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
-			return nil
+		for _, f := range pkg.Files {
+			if strings.HasSuffix(mod.Fset.Position(f.Pos()).Filename, "_gen.go") {
+				continue
+			}
+			for _, decl := range f.Decls {
+				if fd, ok := decl.(*ast.FuncDecl); ok && fd.Name.Name != "main" && fd.Name.Name != "init" {
+					declared[pkg.Info.Defs[fd.Name].(*types.Func)] = mod.Fset.Position(fd.Pos()).String()
+				}
+			}
+		}
+	}
+	benchNames := map[string]bool{}
+	fset := token.NewFileSet()
+	err = filepath.WalkDir("bench", func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return err
 		}
 		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
 		if err != nil {
 			return err
 		}
-		declaring := map[*ast.Ident]bool{}
-		ownsDecls := !strings.HasSuffix(name, "_gen.go") && !strings.HasPrefix(filepath.ToSlash(path), "bench/")
-		for _, decl := range f.Decls {
-			if fd, ok := decl.(*ast.FuncDecl); ok {
-				declaring[fd.Name] = true
-				if n := fd.Name.Name; ownsDecls && n != "main" && n != "init" {
-					declared[n] = append(declared[n], fset.Position(fd.Pos()).String())
-				}
-			}
-		}
 		ast.Inspect(f, func(n ast.Node) bool {
-			if id, ok := n.(*ast.Ident); ok && !declaring[id] {
-				mentioned[id.Name] = true
+			if sel, ok := n.(*ast.SelectorExpr); ok {
+				benchNames[sel.Sel.Name] = true
 			}
 			return true
 		})
@@ -82,26 +94,58 @@ func TestNoTestOnlyProductionFuncs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var names []string
-	for n := range declared {
-		names = append(names, n)
+	names := map[string]*types.Func{}
+	for fn := range declared {
+		names[funcKey(fn)] = fn
 	}
-	sort.Strings(names)
-	for _, n := range names {
-		_, allowed := testOnlyAllowed[n]
+	var keys []string
+	for k := range names {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	for _, k := range keys {
+		fn := names[k]
+		live := reached[fn] || benchNames[fn.Name()]
+		if recv := recvType(fn); recv != nil {
+			for _, it := range dispatched[fn.Name()] {
+				live = live || types.Implements(recv, it) || types.Implements(types.NewPointer(recv), it)
+			}
+		}
+		_, allowed := testOnlyAllowed[k]
 		switch {
-		case !mentioned[n] && !allowed:
-			t.Errorf("%s (%s) is mentioned by no non-test file: delete it, or move it to a _test.go file if tests need it",
-				n, strings.Join(declared[n], ", "))
-		case mentioned[n] && allowed:
-			t.Errorf("%s is on the allowlist but has a production mention now: drop the entry", n)
+		case !live && !allowed:
+			t.Errorf("%s (%s) is reached from no non-test file: delete it, or move it to a _test.go file if tests need it", k, declared[fn])
+		case live && allowed:
+			t.Errorf("%s is on the allowlist but has a production caller now: drop the entry", k)
 		}
 	}
-	for n := range testOnlyAllowed {
-		if declared[n] == nil {
-			t.Errorf("allowlist entry %s names no declared function: drop it", n)
+	for k := range testOnlyAllowed {
+		if names[k] == nil {
+			t.Errorf("allowlist entry %s names no declared function: drop it", k)
 		}
 	}
+}
+
+// recvType is a method's receiver type, pointer stripped, or nil for a
+// function.
+func recvType(fn *types.Func) types.Type {
+	recv := fn.Type().(*types.Signature).Recv()
+	if recv == nil {
+		return nil
+	}
+	if p, ok := recv.Type().(*types.Pointer); ok {
+		return p.Elem()
+	}
+	return recv.Type()
+}
+
+// funcKey names a function "pkg.Func" and a method "pkg.Type.Method".
+func funcKey(fn *types.Func) string {
+	key := fn.Pkg().Name() + "."
+	if n, ok := recvType(fn).(*types.Named); ok {
+		key += n.Obj().Name() + "."
+	}
+	return key + fn.Name()
 }
 
 // sharedStateAllowed names the package-level variables of the guarded

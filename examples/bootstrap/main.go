@@ -1,8 +1,7 @@
 // Bootstrapping deep-dive: tunes the DFT parameters of CoeffToSlot /
 // SlotToCoeff with the Eq. 1 model (Radix vs bs vs gs, Table V), then builds
-// and simulates a cooperative multi-card bootstrap, comparing the paper's
-// design choices against their ablations: tree vs star aggregation of the
-// giant-step partial sums, and uniform vs distributed baby steps.
+// and simulates a cooperative multi-card bootstrap with the paper's mapping:
+// uniform baby steps and tree aggregation of the giant-step partial sums.
 package main
 
 import (
@@ -37,47 +36,34 @@ func main() {
 
 	fmt.Println("\n== One cooperative bootstrap on 8 cards ==")
 	opts := mapping.DefaultBootstrapOptions(cfg.Scheme, cards, times)
-	run := func(name string, mutate func(*mapping.MatVecOptions)) {
-		b := task.NewBuilder(cards, cards)
-		ctx := mapping.NewContext(b, cfg.Scheme, cards)
-		ctx.Limbs = limbs
-		// Emit the C2S levels with the requested aggregation variant, then
-		// the rest of the pipeline unmodified.
-		for i := range opts.DFT.Radix {
-			mv := mapping.MatVecOptions{BS: opts.DFT.BS[i], GS: 2 * opts.DFT.Radix[i] / opts.DFT.BS[i]}
-			mutate(&mv)
-			if err := ctx.MatVec(mv, "C2S"); err != nil {
+	b := task.NewBuilder(cards, cards)
+	ctx := mapping.NewContext(b, cfg.Scheme, cards)
+	ctx.Limbs = limbs
+	dft := func(label string) {
+		for i, r := range opts.DFT.Radix {
+			if err := ctx.MatVec(opts.DFT.BS[i], 2*r/opts.DFT.BS[i], label); err != nil {
 				log.Fatal(err)
 			}
 		}
-		if err := ctx.PolyEval(opts.EvaExpDeg, "EvaExp"); err != nil {
-			log.Fatal(err)
-		}
-		for i := range opts.DFT.Radix {
-			mv := mapping.MatVecOptions{BS: opts.DFT.BS[i], GS: 2 * opts.DFT.Radix[i] / opts.DFT.BS[i]}
-			mutate(&mv)
-			if err := ctx.MatVec(mv, "S2C"); err != nil {
-				log.Fatal(err)
-			}
-		}
-		res, err := sim.Run(b.Build(), cfg)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("  %-28s %8.2f ms (exposed comm %6.2f ms)\n",
-			name, res.Makespan*1e3, res.ExposedComm()*1e3)
 	}
-	run("paper: tree + uniform bs", func(*mapping.MatVecOptions) {})
-	run("ablation: star aggregation", func(m *mapping.MatVecOptions) { m.StarAggregation = true })
-	run("ablation: distributed bs", func(m *mapping.MatVecOptions) { m.DistributedBS = true })
+	dft("C2S")
+	if err := ctx.PolyEval(opts.EvaExpDeg, "EvaExp"); err != nil {
+		log.Fatal(err)
+	}
+	dft("S2C")
+	res, err := sim.Run(b.Build(), cfg)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("  tree + uniform bs: %.2f ms (exposed comm %.2f ms)\n", res.Makespan*1e3, res.ExposedComm()*1e3)
 
 	fmt.Println("\n== Batch bootstrapping 2 ciphertexts on 16 cards (split groups) ==")
-	b := task.NewBuilder(16, 8)
-	ctx := mapping.NewContext(b, cfg.Scheme, 16)
+	b = task.NewBuilder(16, 8)
+	ctx = mapping.NewContext(b, cfg.Scheme, 16)
 	if err := ctx.BootstrapBatch(2, opts, times, "Boot"); err != nil {
 		log.Fatal(err)
 	}
-	res, err := sim.Run(b.Build(), cfg)
+	res, err = sim.Run(b.Build(), cfg)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -10,7 +10,7 @@ func benchContext(b *testing.B) *testContext {
 func BenchmarkEncrypt(b *testing.B) {
 	tc := benchContext(b)
 	vals := randomComplex(tc.params.Slots(), 1)
-	pt, _ := tc.enc.Encode(vals)
+	pt, _ := encodeMax(tc.enc, vals)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tc.encr.Encrypt(pt)
@@ -20,7 +20,7 @@ func BenchmarkEncrypt(b *testing.B) {
 func BenchmarkDecrypt(b *testing.B) {
 	tc := benchContext(b)
 	vals := randomComplex(tc.params.Slots(), 2)
-	pt, _ := tc.enc.Encode(vals)
+	pt, _ := encodeMax(tc.enc, vals)
 	ct := tc.encr.Encrypt(pt)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -31,7 +31,7 @@ func BenchmarkDecrypt(b *testing.B) {
 func BenchmarkHAdd(b *testing.B) {
 	tc := benchContext(b)
 	vals := randomComplex(tc.params.Slots(), 3)
-	pt, _ := tc.enc.Encode(vals)
+	pt, _ := encodeMax(tc.enc, vals)
 	ct := tc.encr.Encrypt(pt)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -42,7 +42,7 @@ func BenchmarkHAdd(b *testing.B) {
 func BenchmarkPMult(b *testing.B) {
 	tc := benchContext(b)
 	vals := randomComplex(tc.params.Slots(), 4)
-	pt, _ := tc.enc.Encode(vals)
+	pt, _ := encodeMax(tc.enc, vals)
 	ct := tc.encr.Encrypt(pt)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -53,7 +53,7 @@ func BenchmarkPMult(b *testing.B) {
 func BenchmarkCMultRelin(b *testing.B) {
 	tc := benchContext(b)
 	vals := randomComplex(tc.params.Slots(), 5)
-	pt, _ := tc.enc.Encode(vals)
+	pt, _ := encodeMax(tc.enc, vals)
 	ct := tc.encr.Encrypt(pt)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -64,7 +64,7 @@ func BenchmarkCMultRelin(b *testing.B) {
 func BenchmarkRotation(b *testing.B) {
 	tc := benchContext(b)
 	vals := randomComplex(tc.params.Slots(), 6)
-	pt, _ := tc.enc.Encode(vals)
+	pt, _ := encodeMax(tc.enc, vals)
 	ct := tc.encr.Encrypt(pt)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -75,7 +75,7 @@ func BenchmarkRotation(b *testing.B) {
 func BenchmarkRescale(b *testing.B) {
 	tc := benchContext(b)
 	vals := randomComplex(tc.params.Slots(), 7)
-	pt, _ := tc.enc.Encode(vals)
+	pt, _ := encodeMax(tc.enc, vals)
 	ct := tc.encr.Encrypt(pt)
 	prod := tc.eval.MulPlain(ct, pt)
 	b.ResetTimer()
@@ -89,7 +89,7 @@ func BenchmarkEncode(b *testing.B) {
 	vals := randomComplex(tc.params.Slots(), 8)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := tc.enc.Encode(vals); err != nil {
+		if _, err := encodeMax(tc.enc, vals); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -101,7 +101,7 @@ func BenchmarkEncode(b *testing.B) {
 func BenchmarkRotationsDirect(b *testing.B) {
 	tc := newTestContext(b, 12, 4, []int{1, 2, 3, 4, 5, 6, 7, 8})
 	vals := randomComplex(tc.params.Slots(), 9)
-	pt, _ := tc.enc.Encode(vals)
+	pt, _ := encodeMax(tc.enc, vals)
 	ct := tc.encr.Encrypt(pt)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -114,7 +114,7 @@ func BenchmarkRotationsDirect(b *testing.B) {
 func BenchmarkRotationsHoisted(b *testing.B) {
 	tc := newTestContext(b, 12, 4, []int{1, 2, 3, 4, 5, 6, 7, 8})
 	vals := randomComplex(tc.params.Slots(), 10)
-	pt, _ := tc.enc.Encode(vals)
+	pt, _ := encodeMax(tc.enc, vals)
 	ct := tc.encr.Encrypt(pt)
 	rots := []int{1, 2, 3, 4, 5, 6, 7, 8}
 	b.ResetTimer()
@@ -130,7 +130,7 @@ func BenchmarkRotationsHoisted(b *testing.B) {
 func BenchmarkRotationsHoistedExt(b *testing.B) {
 	tc := newTestContext(b, 12, 4, []int{1, 2, 3, 4, 5, 6, 7, 8})
 	vals := randomComplex(tc.params.Slots(), 10)
-	pt, _ := tc.enc.Encode(vals)
+	pt, _ := encodeMax(tc.enc, vals)
 	ct := tc.encr.Encrypt(pt)
 	rots := []int{1, 2, 3, 4, 5, 6, 7, 8}
 	b.ResetTimer()

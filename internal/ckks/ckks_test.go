@@ -40,6 +40,11 @@ func newTestContext(t testing.TB, logN, levels int, rotations []int) *testContex
 	}
 }
 
+// encodeMax encodes at the maximum ciphertext level with the default scale.
+func encodeMax(e *Encoder, values []complex128) (*Plaintext, error) {
+	return e.EncodeAtLevel(values, e.params.DefaultScale(), e.params.MaxLevel())
+}
+
 func randomComplex(n int, seed int64) []complex128 {
 	vals := make([]complex128, n)
 	s := uint64(seed)*6364136223846793005 + 1442695040888963407
@@ -67,7 +72,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	params := TestParameters(10, 2)
 	enc := NewEncoder(params)
 	vals := randomComplex(params.Slots(), 7)
-	pt, err := enc.Encode(vals)
+	pt, err := encodeMax(enc, vals)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +85,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 func TestEncodeRejectsTooManyValues(t *testing.T) {
 	params := TestParameters(6, 1)
 	enc := NewEncoder(params)
-	if _, err := enc.Encode(make([]complex128, params.Slots()+1)); err == nil {
+	if _, err := encodeMax(enc, make([]complex128, params.Slots()+1)); err == nil {
 		t.Fatal("expected error for too many values")
 	}
 }
@@ -88,7 +93,7 @@ func TestEncodeRejectsTooManyValues(t *testing.T) {
 func TestEncryptDecrypt(t *testing.T) {
 	tc := newTestContext(t, 10, 2, nil)
 	vals := randomComplex(tc.params.Slots(), 8)
-	pt, _ := tc.enc.Encode(vals)
+	pt, _ := encodeMax(tc.enc, vals)
 	ct := tc.encr.Encrypt(pt)
 	got := tc.enc.Decode(tc.decr.Decrypt(ct))
 	if e := maxErr(got, vals); e > 1e-6 {
@@ -100,8 +105,8 @@ func TestHomomorphicAddSub(t *testing.T) {
 	tc := newTestContext(t, 10, 2, nil)
 	a := randomComplex(tc.params.Slots(), 9)
 	b := randomComplex(tc.params.Slots(), 10)
-	pa, _ := tc.enc.Encode(a)
-	pb, _ := tc.enc.Encode(b)
+	pa, _ := encodeMax(tc.enc, a)
+	pb, _ := encodeMax(tc.enc, b)
 	ca := tc.encr.Encrypt(pa)
 	cb := tc.encr.Encrypt(pb)
 
@@ -124,7 +129,7 @@ func TestHomomorphicAddSub(t *testing.T) {
 func TestAddConst(t *testing.T) {
 	tc := newTestContext(t, 10, 2, nil)
 	a := randomComplex(tc.params.Slots(), 11)
-	pa, _ := tc.enc.Encode(a)
+	pa, _ := encodeMax(tc.enc, a)
 	ct := tc.encr.Encrypt(pa)
 	want := make([]complex128, len(a))
 
@@ -148,8 +153,8 @@ func TestMulPlainRescale(t *testing.T) {
 	tc := newTestContext(t, 10, 3, nil)
 	a := randomComplex(tc.params.Slots(), 13)
 	b := randomComplex(tc.params.Slots(), 14)
-	pa, _ := tc.enc.Encode(a)
-	pb, _ := tc.enc.Encode(b)
+	pa, _ := encodeMax(tc.enc, a)
+	pb, _ := encodeMax(tc.enc, b)
 	ct := tc.encr.Encrypt(pa)
 
 	prod := tc.eval.MulPlain(ct, pb)
@@ -169,7 +174,7 @@ func TestMulPlainRescale(t *testing.T) {
 func TestMulByConst(t *testing.T) {
 	tc := newTestContext(t, 10, 3, nil)
 	a := randomComplex(tc.params.Slots(), 15)
-	pa, _ := tc.enc.Encode(a)
+	pa, _ := encodeMax(tc.enc, a)
 	ct := tc.encr.Encrypt(pa)
 	out := tc.eval.Rescale(tc.eval.MulByConst(ct, -1.5))
 	want := make([]complex128, len(a))
@@ -185,8 +190,8 @@ func TestMulRelinRescale(t *testing.T) {
 	tc := newTestContext(t, 11, 3, nil)
 	a := randomComplex(tc.params.Slots(), 16)
 	b := randomComplex(tc.params.Slots(), 17)
-	pa, _ := tc.enc.Encode(a)
-	pb, _ := tc.enc.Encode(b)
+	pa, _ := encodeMax(tc.enc, a)
+	pb, _ := encodeMax(tc.enc, b)
 	ca := tc.encr.Encrypt(pa)
 	cb := tc.encr.Encrypt(pb)
 
@@ -203,7 +208,7 @@ func TestMulRelinRescale(t *testing.T) {
 func TestMulDepthTwo(t *testing.T) {
 	tc := newTestContext(t, 11, 4, nil)
 	a := randomComplex(tc.params.Slots(), 18)
-	pa, _ := tc.enc.Encode(a)
+	pa, _ := encodeMax(tc.enc, a)
 	ct := tc.encr.Encrypt(pa)
 
 	sq := tc.eval.Rescale(tc.eval.MulRelin(ct, ct))
@@ -224,7 +229,7 @@ func TestRotate(t *testing.T) {
 	for i := range vals {
 		vals[i] = complex(float64(i), 0)
 	}
-	pt, _ := tc.enc.Encode(vals)
+	pt, _ := encodeMax(tc.enc, vals)
 	ct := tc.encr.Encrypt(pt)
 
 	for _, rot := range []int{1, 3, -2} {
@@ -242,7 +247,7 @@ func TestRotate(t *testing.T) {
 func TestConjugate(t *testing.T) {
 	tc := newTestContext(t, 10, 2, nil)
 	vals := randomComplex(tc.params.Slots(), 19)
-	pt, _ := tc.enc.Encode(vals)
+	pt, _ := encodeMax(tc.enc, vals)
 	ct := tc.encr.Encrypt(pt)
 	got := tc.enc.Decode(tc.decr.Decrypt(tc.eval.Conjugate(ct)))
 	want := make([]complex128, len(vals))
@@ -257,7 +262,7 @@ func TestConjugate(t *testing.T) {
 func TestRotateZeroIsIdentity(t *testing.T) {
 	tc := newTestContext(t, 9, 2, []int{1})
 	vals := randomComplex(tc.params.Slots(), 20)
-	pt, _ := tc.enc.Encode(vals)
+	pt, _ := encodeMax(tc.enc, vals)
 	ct := tc.encr.Encrypt(pt)
 	got := tc.enc.Decode(tc.decr.Decrypt(tc.eval.Rotate(ct, 0)))
 	if e := maxErr(got, vals); e > 1e-6 {
@@ -376,7 +381,7 @@ func TestScaleMismatchPanics(t *testing.T) {
 func TestLevelAlignment(t *testing.T) {
 	tc := newTestContext(t, 10, 3, nil)
 	a := randomComplex(tc.params.Slots(), 22)
-	pa, _ := tc.enc.Encode(a)
+	pa, _ := encodeMax(tc.enc, a)
 	ca := tc.encr.Encrypt(pa)
 	cb := ca.CopyNew()
 	cb.DropLevel(1)
@@ -396,7 +401,7 @@ func TestLevelAlignment(t *testing.T) {
 func TestRotateHoistedMatchesRotate(t *testing.T) {
 	tc := newTestContext(t, 10, 3, []int{1, 2, 5, 7})
 	vals := randomComplex(tc.params.Slots(), 23)
-	pt, _ := tc.enc.Encode(vals)
+	pt, _ := encodeMax(tc.enc, vals)
 	ct := tc.encr.Encrypt(pt)
 	rots := []int{0, 1, 2, 5, 7}
 	hoisted := tc.eval.RotateHoisted(ct, rots)
@@ -426,7 +431,7 @@ func TestRotateHoistedMatchesRotate(t *testing.T) {
 func TestRotateHoistedDuplicatesAndIdentity(t *testing.T) {
 	tc := newTestContext(t, 9, 2, []int{3})
 	vals := randomComplex(tc.params.Slots(), 24)
-	pt, _ := tc.enc.Encode(vals)
+	pt, _ := encodeMax(tc.enc, vals)
 	ct := tc.encr.Encrypt(pt)
 	out := tc.eval.RotateHoisted(ct, []int{3, 3, 0})
 	if len(out) != 2 {

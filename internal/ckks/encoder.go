@@ -249,11 +249,6 @@ func (e *Encoder) EncodeExtInto(values []complex128, scale float64, pt *ExtPlain
 	return e.encodeRows(values, scale, pt.Lvl, pt.Rows)
 }
 
-// Encode encodes at the maximum ciphertext level with the default scale.
-func (e *Encoder) Encode(values []complex128) (*Plaintext, error) {
-	return e.EncodeAtLevel(values, e.params.DefaultScale(), e.params.MaxLevel())
-}
-
 // Decode decodes a plaintext back to a complex slot vector.
 func (e *Encoder) Decode(pt *Plaintext) []complex128 {
 	r := e.params.RingQP()

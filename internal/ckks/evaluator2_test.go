@@ -11,11 +11,11 @@ func TestMulNoRelinMatchesMulRelin(t *testing.T) {
 	tc := newTestContext(t, 8, 3, nil)
 	a := randomComplex(tc.params.Slots(), 3)
 	b := randomComplex(tc.params.Slots(), 4)
-	pa, err := tc.enc.Encode(a)
+	pa, err := encodeMax(tc.enc, a)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pb, err := tc.enc.Encode(b)
+	pb, err := encodeMax(tc.enc, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +38,7 @@ func TestLazyRelinearization(t *testing.T) {
 	cts := make([]*Ciphertext, 4)
 	for i := range vecs {
 		vecs[i] = randomComplex(slots, int64(10+i))
-		pt, err := tc.enc.Encode(vecs[i])
+		pt, err := encodeMax(tc.enc, vecs[i])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -72,8 +72,8 @@ func TestAdd2LevelAlignment(t *testing.T) {
 	tc := newTestContext(t, 8, 4, nil)
 	slots := tc.params.Slots()
 	va, vb := randomComplex(slots, 21), randomComplex(slots, 22)
-	pa, _ := tc.enc.Encode(va)
-	pb, _ := tc.enc.Encode(vb)
+	pa, _ := encodeMax(tc.enc, va)
+	pb, _ := encodeMax(tc.enc, vb)
 	ca, cb := tc.encr.Encrypt(pa), tc.encr.Encrypt(pb)
 
 	hi := tc.eval.MulNoRelin(ca, cb)

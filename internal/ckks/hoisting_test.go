@@ -15,7 +15,7 @@ func TestRotateExtBitIdenticalToRotate(t *testing.T) {
 	rots := []int{1, 2, 5, -1}
 	tc := newTestContext(t, 6, 3, rots)
 	vals := randomComplex(tc.params.Slots(), 11)
-	pt, err := tc.enc.Encode(vals)
+	pt, err := encodeMax(tc.enc, vals)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestMulPlainExtAcc(t *testing.T) {
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			tc := newTestContext(t, 6, 3, []int{1, 2, 5, -1})
-			pt, err := tc.enc.Encode(randomComplex(tc.params.Slots(), 12))
+			pt, err := encodeMax(tc.enc, randomComplex(tc.params.Slots(), 12))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -134,7 +134,7 @@ func TestMulPlainExtAcc(t *testing.T) {
 func TestMulPlainExtAccClosed(t *testing.T) {
 	rots := []int{0, 1, 2, 5, -1}
 	tc := newTestContext(t, 6, 3, rots[1:])
-	pt, err := tc.enc.Encode(randomComplex(tc.params.Slots(), 16))
+	pt, err := encodeMax(tc.enc, randomComplex(tc.params.Slots(), 16))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +217,7 @@ func TestExtFoldedRotationsDecryptEqual(t *testing.T) {
 	rots := []int{1, 2, 5, -1}
 	tc := newTestContext(t, 6, 3, rots)
 	vals := randomComplex(tc.params.Slots(), 14)
-	pt, err := tc.enc.Encode(vals)
+	pt, err := encodeMax(tc.enc, vals)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +256,7 @@ func TestParallelSerialDifferentialExt(t *testing.T) {
 		t.Run(fmt.Sprintf("logN=%d", c.logN), func(t *testing.T) {
 			tc := newTestContext(t, c.logN, c.levels, rots)
 			vals := randomComplex(tc.params.Slots(), 15)
-			pt, err := tc.enc.Encode(vals)
+			pt, err := encodeMax(tc.enc, vals)
 			if err != nil {
 				t.Fatal(err)
 			}

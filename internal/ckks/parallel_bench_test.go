@@ -13,7 +13,7 @@ import (
 func BenchmarkCMultParallel(b *testing.B) {
 	tc := newTestContext(b, 14, 4, []int{1})
 	vals := randomComplex(tc.params.Slots(), 11)
-	pt, err := tc.enc.Encode(vals)
+	pt, err := encodeMax(tc.enc, vals)
 	if err != nil {
 		b.Fatal(err)
 	}

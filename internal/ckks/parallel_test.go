@@ -57,11 +57,11 @@ func runDifferentialSuite(t *testing.T, logN, levels int, seed int64) {
 	tc := newTestContext(t, logN, levels, rots)
 	vals := randomComplex(tc.params.Slots(), seed)
 	vals2 := randomComplex(tc.params.Slots(), seed+1)
-	pt, err := tc.enc.Encode(vals)
+	pt, err := encodeMax(tc.enc, vals)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pt2, err := tc.enc.Encode(vals2)
+	pt2, err := encodeMax(tc.enc, vals2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +167,7 @@ func TestParallelSerialDifferentialScratchReuse(t *testing.T) {
 	defer ring.SetSerial(false)
 	tc := newTestContext(t, 6, 3, []int{1})
 	vals := randomComplex(tc.params.Slots(), 9)
-	pt, err := tc.enc.Encode(vals)
+	pt, err := encodeMax(tc.enc, vals)
 	if err != nil {
 		t.Fatal(err)
 	}

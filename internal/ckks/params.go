@@ -176,14 +176,8 @@ func TestParameters(logN, levels int) *Parameters {
 	return p
 }
 
-// LogN returns log2 of the ring degree.
-func (p *Parameters) LogN() int { return p.logN }
-
 // N returns the ring degree.
 func (p *Parameters) N() int { return 1 << p.logN }
-
-// LogSlots returns log2 of the number of plaintext slots.
-func (p *Parameters) LogSlots() int { return p.logSlots }
 
 // Slots returns the number of plaintext slots.
 func (p *Parameters) Slots() int { return 1 << p.logSlots }

@@ -115,7 +115,7 @@ func TestPoisonedPoolChangesNothing(t *testing.T) {
 func TestAddConstAccAndViews(t *testing.T) {
 	tc := newTestContext(t, 5, 3, nil)
 	ev := tc.eval
-	pt, err := tc.enc.Encode(randomComplex(tc.params.Slots(), 1))
+	pt, err := encodeMax(tc.enc, randomComplex(tc.params.Slots(), 1))
 	if err != nil {
 		t.Fatal(err)
 	}

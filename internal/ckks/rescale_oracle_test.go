@@ -83,7 +83,7 @@ func TestRescaleMatchesOracle(t *testing.T) {
 // constants that fit still go through.
 func TestConstOutOfRangePanics(t *testing.T) {
 	tc := newTestContext(t, 6, 2, nil)
-	pt, err := tc.enc.Encode(randomComplex(tc.params.Slots(), 5))
+	pt, err := encodeMax(tc.enc, randomComplex(tc.params.Slots(), 5))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,7 +11,7 @@ import (
 func TestCiphertextRoundTrip(t *testing.T) {
 	tc := newTestContext(t, 9, 3, nil)
 	vals := randomComplex(tc.params.Slots(), 30)
-	pt, _ := tc.enc.Encode(vals)
+	pt, _ := encodeMax(tc.enc, vals)
 	ct := tc.encr.Encrypt(pt)
 
 	data := MarshalCiphertext(ct)
@@ -36,7 +36,7 @@ func TestCiphertextWireSizeMatchesCostModel(t *testing.T) {
 	// The serialized size should match 2·limbs·N·8 up to the small header —
 	// the quantity the hw cost model charges the DTU for.
 	tc := newTestContext(t, 9, 3, nil)
-	pt, _ := tc.enc.Encode(make([]complex128, tc.params.Slots()))
+	pt, _ := encodeMax(tc.enc, make([]complex128, tc.params.Slots()))
 	ct := tc.encr.Encrypt(pt)
 	data := MarshalCiphertext(ct)
 	payload := 2 * (ct.Level() + 1) * tc.params.N() * 8
@@ -47,7 +47,7 @@ func TestCiphertextWireSizeMatchesCostModel(t *testing.T) {
 
 func TestUnmarshalRejectsCorruptData(t *testing.T) {
 	tc := newTestContext(t, 8, 2, nil)
-	pt, _ := tc.enc.Encode(make([]complex128, tc.params.Slots()))
+	pt, _ := encodeMax(tc.enc, make([]complex128, tc.params.Slots()))
 	ct := tc.encr.Encrypt(pt)
 	data := MarshalCiphertext(ct)
 
@@ -100,7 +100,7 @@ func outOfRangeLimb(params *Parameters, data []byte) []byte {
 // canonical in [0, q_i) — and re-encode to the bytes it came from.
 func FuzzUnmarshalCiphertext(f *testing.F) {
 	tc := newTestContext(f, 4, 2, nil)
-	pt, err := tc.enc.Encode(randomComplex(tc.params.Slots(), 32))
+	pt, err := encodeMax(tc.enc, randomComplex(tc.params.Slots(), 32))
 	if err != nil {
 		f.Fatal(err)
 	}

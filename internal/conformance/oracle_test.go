@@ -30,7 +30,7 @@ func oracleEnv(t testing.TB, logN, levels, dim int) *Env {
 
 func encryptVec(t testing.TB, env *Env, vals []complex128) *ckks.Ciphertext {
 	t.Helper()
-	pt, err := env.Encoder.Encode(vals)
+	pt, err := env.Encoder.EncodeAtLevel(vals, env.Params.DefaultScale(), env.Params.MaxLevel())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -92,15 +92,6 @@ func (c Counts) Scale(n int) Counts {
 	return c
 }
 
-// Total returns the total number of operations.
-func (c Counts) Total() int {
-	t := 0
-	for _, n := range c {
-		t += n
-	}
-	return t
-}
-
 // Get returns the count for op.
 func (c Counts) Get(op Op) int { return c[op] }
 
@@ -164,14 +155,6 @@ type BasicCounts [numBasicOps]int
 func (b BasicCounts) Add(o BasicCounts) BasicCounts {
 	for i := range b {
 		b[i] += o[i]
-	}
-	return b
-}
-
-// Scale multiplies all counts by n.
-func (b BasicCounts) Scale(n int) BasicCounts {
-	for i := range b {
-		b[i] *= n
 	}
 	return b
 }

@@ -43,8 +43,8 @@ func TestOfAndAccessors(t *testing.T) {
 	if c.Get(Rotation) != 8 || c.Get(PMult) != 2 || c.Get(HAdd) != 7 {
 		t.Fatalf("counts wrong: %v", c)
 	}
-	if c.Total() != 17 {
-		t.Fatalf("total %d", c.Total())
+	if c != Of(HAdd, 7, PMult, 2, Rotation, 8) {
+		t.Fatalf("counts %v depend on the order of Of's pairs", c)
 	}
 	// Repeated keys accumulate.
 	c2 := Of(HAdd, 1, HAdd, 2)
@@ -114,12 +114,8 @@ func TestBasicCountsAlgebra(t *testing.T) {
 	var a BasicCounts
 	a[NTT] = 3
 	a[MM] = 2
-	b := a.Scale(2)
-	if b.Get(NTT) != 6 || b.Get(MM) != 4 {
-		t.Fatalf("scale wrong: %v", b)
-	}
-	c := a.Add(b)
-	if c.Get(NTT) != 9 {
+	c := a.Add(a)
+	if c.Get(NTT) != 6 || c.Get(MM) != 4 {
 		t.Fatalf("add wrong: %v", c)
 	}
 }

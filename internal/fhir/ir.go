@@ -139,17 +139,6 @@ type Program struct {
 	InputLevel int
 }
 
-// Inputs returns the program's input values in definition order.
-func (p *Program) Inputs() []*Value {
-	var ins []*Value
-	for _, v := range p.Values {
-		if v.Op == OpInput {
-			ins = append(ins, v)
-		}
-	}
-	return ins
-}
-
 // uses returns the number of consumers of each value (the output counts as
 // one extra use, so a use count of 1 on the output's operand still means
 // "single consumer").

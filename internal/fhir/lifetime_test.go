@@ -170,6 +170,41 @@ func TestEvaluateReleasesAtLastUse(t *testing.T) {
 	}
 }
 
+// TestEvaluateReleasesHoistGroups: a tier-A group's rotations own the rows
+// RotateHoisted gave them and hand them back at their last reader, so once
+// the pools are warm an Evaluate of the CCMM program allocates less than its
+// group rotations' results alone would take on the heap.
+func TestEvaluateReleasesHoistGroups(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool sheds entries at random under the race detector")
+	}
+	const logN, levels = 10, 6
+	b := NewBuilder(16)
+	b.Output(b.CCMM(b.Input("x"), b.Input("z")))
+	src, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := Compile(src, Options{Levels: levels})
+	if err != nil {
+		t.Fatal(err)
+	}
+	grouped := 0
+	for _, v := range p.Values {
+		if v.Op == OpRotate && v.Hoist != 0 {
+			grouped++
+		}
+	}
+	if grouped == 0 {
+		t.Fatal("the CCMM program has no tier-A group")
+	}
+	ctx, cts := pinnedEnv(t, p, logN, levels, false)
+	heap := uint64(grouped) * 2 * uint64(p.InputLevel+1) * 8 << logN // bytes of the group results' rows
+	if got := allocPerEvaluate(t, p, ctx, cts); got >= heap {
+		t.Fatalf("Evaluate allocates %d B; the %d group rotations' results alone take %d B", got, grouped, heap)
+	}
+}
+
 // TestEvaluateFailedRunThenRerun: a run that fails mid-program, with rows
 // held by live values, an in-place result and a view, hands them back to the
 // pool; a rerun on the same evaluator must still give the result a fresh

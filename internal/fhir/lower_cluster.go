@@ -32,9 +32,9 @@ func LowerCluster(p *Program, enc *ckks.Encoder, cards int) ([][]cluster.Instr, 
 		progs[c] = []cluster.Instr{{Op: cluster.OpKernel, Dst: "out", Kernel: kernel(p, enc, nil, sh.vals, sh.terms)}}
 	}
 	for _, e := range pt.tree {
-		progs[e.from] = append(progs[e.from], cluster.Instr{Op: cluster.OpSend, Src: "out", Peer: e.to, Tag: e.from})
-		progs[e.to] = append(progs[e.to],
-			cluster.Instr{Op: cluster.OpRecv, Dst: "partial", Tag: e.from},
+		progs[e.From] = append(progs[e.From], cluster.Instr{Op: cluster.OpSend, Src: "out", Peer: e.To, Tag: e.From})
+		progs[e.To] = append(progs[e.To],
+			cluster.Instr{Op: cluster.OpRecv, Dst: "partial", Tag: e.From},
 			cluster.Instr{Op: cluster.OpKernel, Dst: "out", Kernel: addPartial})
 	}
 	if w := pt.wrappers; len(w) > 0 {

@@ -59,7 +59,7 @@ func runClusterDifferential(t *testing.T, src func() *Program, levels, cards int
 
 	rng := rand.New(rand.NewSource(11))
 	plainIn := map[string][]complex128{}
-	for _, in := range opt.Inputs() {
+	for _, in := range inputsOf(opt) {
 		plainIn[in.Name] = randVec(rng, opt.Slots)
 	}
 	want, err := Interpret(src(), plainIn)
@@ -192,7 +192,7 @@ func TestLowerClusterEqualsEvaluate(t *testing.T) {
 			te := newTestEnv(t, 5, tc.levels, rots, conj)
 			rng := rand.New(rand.NewSource(3))
 			plainIn := map[string][]complex128{}
-			for _, in := range p.Inputs() {
+			for _, in := range inputsOf(p) {
 				plainIn[in.Name] = randVec(rng, p.Slots)
 			}
 			cts := te.encryptAll(t, plainIn, tc.levels)

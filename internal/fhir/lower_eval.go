@@ -76,7 +76,7 @@ type slot struct {
 	ct2    *ckks.Ciphertext2
 	basket map[int]*ckks.ExtCiphertext
 	acc    *ckks.ExtCiphertext      // a fused value's accumulator, open until its Rescale
-	group  map[int]*ckks.Ciphertext // the tier-A group over this value: rotation -> result
+	group  map[int]*ckks.Ciphertext // the tier-A group over this value: rotation -> result no reader has taken
 
 	left  int  // readers in the run not yet lowered, plus one if the caller reads it
 	owned bool // the run made the rows and releases them at the last reader
@@ -91,11 +91,12 @@ func newEvalLowering(p *Program, ctx EvalContext, inputs map[string]*ckks.Cipher
 // must be among vals or already bound in their slots. It first counts each
 // value's readers in vals, and one more for each of outs, which the caller
 // reads after. A value retires once its count reaches zero, its rows back
-// in the pool if it owns them: an out never does. A value owns fresh rows
-// unless it is an input or a hoist-group rotation (its source's group holds
-// it); a view or an in-place op adopts its operand's rows (adopt). An error
-// or a recovered panic comes back naming the failing value, every row the
-// run still owns released.
+// in the pool if it owns them: an out never does. A value owns its rows
+// unless it is an input; a hoist-group rotation takes its result out of its
+// source's group, and a view or an in-place op adopts its operand's rows
+// (adopt). An error or a recovered panic comes back naming the failing value,
+// every row the run still owns released, group results no rotation took
+// included.
 //
 // A Relin, DiagMac or RotSum whose one reader is a Rescale in vals is fused:
 // that Rescale closes its accumulator with ModDownExtRescale, and the value
@@ -132,7 +133,7 @@ func (e *evalLowering) run(ctx context.Context, vals, outs []*Value) (err error)
 	for _, v = range vals {
 		err := ctx.Err()
 		if err == nil {
-			e.slots[v.ID].owned = v.Op != OpInput && (v.Op != OpRotate || v.Hoist == 0)
+			e.slots[v.ID].owned = v.Op != OpInput
 			err = e.lower(v, &e.slots[v.ID])
 		}
 		if err != nil {
@@ -161,9 +162,12 @@ func (e *evalLowering) adopt(s *slot, a *Value) {
 	e.slots[a.ID].owned = false
 }
 
-// release returns an owned slot's rows to the ring pool. A slot holds one
-// result, and a group's rotations are never the source's to release.
+// release returns an owned slot's rows to the ring pool, and the results of
+// its group no rotation took. A slot holds one result of its own.
 func (e *evalLowering) release(s *slot) {
+	for _, ct := range s.group {
+		e.ctx.Eval.Release(ct)
+	}
 	switch ev := e.ctx.Eval; {
 	case !s.owned:
 	case s.ct != nil:
@@ -204,27 +208,31 @@ func encodePlain(enc *ckks.Encoder, pl *Plain, slots, level int) (*ckks.Plaintex
 	return enc.EncodeAtLevel(vals, enc.Params().DefaultScale(), level)
 }
 
-// hoistGroup materializes a tier-A group on first touch, on its source's
-// slot: one RotateHoisted call covering every rotation of the group that run
-// is lowering. A rotation's result does not depend on which others share its
-// call.
-func (e *evalLowering) hoistGroup(v *Value) (map[int]*ckks.Ciphertext, error) {
+// hoistGroup takes v's result out of its tier-A group, which it materializes
+// on first touch, on its source's slot: one RotateHoisted call covering every
+// rotation of the group that run is lowering. A rotation's result does not
+// depend on which others share its call.
+func (e *evalLowering) hoistGroup(v *Value) (*ckks.Ciphertext, error) {
 	src := &e.slots[v.Args[0].ID]
-	if src.group != nil {
-		return src.group, nil
-	}
-	ct, err := e.ct(v.Args[0])
-	if err != nil {
-		return nil, err
-	}
-	var rots []int
-	for _, w := range e.vals {
-		if w.Op == OpRotate && w.Hoist == v.Hoist {
-			rots = append(rots, w.K)
+	if src.group == nil {
+		ct, err := e.ct(v.Args[0])
+		if err != nil {
+			return nil, err
 		}
+		var rots []int
+		for _, w := range e.vals {
+			if w.Op == OpRotate && w.Hoist == v.Hoist {
+				rots = append(rots, w.K)
+			}
+		}
+		src.group = e.ctx.Eval.RotateHoisted(ct, rots)
 	}
-	src.group = e.ctx.Eval.RotateHoisted(ct, rots)
-	return src.group, nil
+	ct, ok := src.group[v.K]
+	if !ok {
+		return nil, fmt.Errorf("hoist group %d has no rotation %d left", v.Hoist, v.K)
+	}
+	delete(src.group, v.K)
+	return ct, nil
 }
 
 // diagMac folds Σ xs[i] ⊙ encode(v.Plains[i]) into acc a chunk of diagonals
@@ -390,12 +398,9 @@ func (e *evalLowering) lower(v *Value, s *slot) error {
 
 	case OpRotate:
 		if v.Hoist != 0 {
-			m, err := e.hoistGroup(v)
-			if err != nil {
-				return err
-			}
-			s.ct = m[v.K]
-			return nil
+			ct, err := e.hoistGroup(v)
+			s.ct = ct
+			return err
 		}
 		a, err := e.ct(v.Args[0])
 		if err != nil {

@@ -23,6 +23,17 @@ type testEnv struct {
 	encr   *ckks.Encryptor
 }
 
+// inputsOf returns p's input values in definition order.
+func inputsOf(p *Program) []*Value {
+	var ins []*Value
+	for _, v := range p.Values {
+		if v.Op == OpInput {
+			ins = append(ins, v)
+		}
+	}
+	return ins
+}
+
 func newTestEnv(t *testing.T, logN, levels int, rots []int, conjugate bool) *testEnv {
 	t.Helper()
 	params := ckks.TestParameters(logN, levels)
@@ -116,7 +127,7 @@ func runDifferential(t *testing.T, src func() *Program, levels int, tol float64)
 
 	rng := rand.New(rand.NewSource(7))
 	plainIn := map[string][]complex128{}
-	for _, in := range opt.Inputs() {
+	for _, in := range inputsOf(opt) {
 		plainIn[in.Name] = randVec(rng, opt.Slots)
 	}
 	want, err := Interpret(src(), plainIn)

@@ -96,8 +96,8 @@ func BuildTaskProgram(p *Program, scheme hw.SchemeParams, cards, cardsPerServer 
 		partials[c] = b.Compute(c, ops, limbs, label)
 	}
 	for _, e := range pt.tree {
-		recvs := b.Send(e.from, partials[e.from], []int{e.to}, bytes, label)
-		partials[e.to] = b.ComputeAfterRecv(e.to, recvs[0], fheop.Of(fheop.HAdd, 1), limbs, label)
+		recvs := b.Send(e.From, partials[e.From], []int{e.To}, bytes, label)
+		partials[e.To] = b.ComputeAfterRecv(e.To, recvs[0], fheop.Of(fheop.HAdd, 1), limbs, label)
 	}
 	wrapOps := fheop.Counts{}
 	for _, w := range pt.wrappers {

@@ -124,7 +124,7 @@ func pinnedEnv(t *testing.T, p *Program, logN, levels int, boot bool) (EvalConte
 	encr := ckks.NewEncryptor(params, kg.GenPublicKey(sk), 2)
 	rng := rand.New(rand.NewSource(3))
 	inputs := map[string]*ckks.Ciphertext{}
-	for _, in := range p.Inputs() {
+	for _, in := range inputsOf(p) {
 		vals := randVec(rng, p.Slots)
 		for i := range vals {
 			vals[i] *= 0.5

@@ -1,6 +1,10 @@
 package fhir
 
-import "fmt"
+import (
+	"fmt"
+
+	"hydra/internal/task"
+)
 
 // partition is the one decision of which card computes what, shared by both
 // multi-card lowerings (BuildTaskProgram prints it as task computes and
@@ -12,14 +16,14 @@ import "fmt"
 //     recomputed per card — the uniform-baby-step choice of the paper's BSGS
 //     mapping, which trades duplicate compute for zero redistribution) and
 //     folds them locally, in dealing order;
-//   - partial sums reduce pairwise onto card 0 in a tree, ⌈log2(cards)⌉
-//     rounds of send + receive-and-add, as in Fig. 3(d), the receiver's
-//     partial the left operand;
+//   - partial sums reduce pairwise onto card 0 in Fig. 3(d)'s tree
+//     (task.Reduction), ⌈log2(cards)⌉ rounds of send + receive-and-add, the
+//     receiver's partial the left operand;
 //   - card 0 re-applies the peeled output wrappers.
 type partition struct {
-	shares   []share  // shares[c] is card c's; cards past len(shares) idle
-	tree     []edge   // the reduction's sends, in emission order
-	wrappers []*Value // the peeled Rescale/ModSwitch chain, innermost first
+	shares   []share     // shares[c] is card c's; cards past len(shares) idle
+	tree     []task.Edge // the reduction's sends, in emission order
+	wrappers []*Value    // the peeled Rescale/ModSwitch chain, innermost first
 }
 
 // share is one card's work: its output terms and their closure.
@@ -27,9 +31,6 @@ type share struct {
 	terms []*Value
 	vals  []*Value // in program order
 }
-
-// edge is one reduction send: card from's partial is added into card to's.
-type edge struct{ from, to int }
 
 func partitionFor(p *Program, cards int) (*partition, error) {
 	if !p.Legal {
@@ -47,13 +48,7 @@ func partitionFor(p *Program, cards int) (*partition, error) {
 		}
 		pt.shares = append(pt.shares, share{terms: mine, vals: closure(p, mine)})
 	}
-	for n := len(pt.shares); n > 1; {
-		half := (n + 1) / 2
-		for i := half; i < n; i++ {
-			pt.tree = append(pt.tree, edge{from: i, to: i - half})
-		}
-		n = half
-	}
+	pt.tree = task.Reduction(len(pt.shares))
 	return pt, nil
 }
 

@@ -16,7 +16,7 @@ func benchEnv(b *testing.B, logN, levels int, rots []int) *testEnv {
 func BenchmarkLinearTransformNaive(b *testing.B) {
 	env := benchEnv(b, 9, 3, allRotations(1<<8))
 	lt, _ := NewLinearTransform(seqMatrix(env.params.Slots()))
-	pt, _ := env.enc.Encode(make([]complex128, env.params.Slots()))
+	pt, _ := encodeMax(env.enc, make([]complex128, env.params.Slots()))
 	ct := env.encr.Encrypt(pt)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -29,7 +29,7 @@ func BenchmarkLinearTransformNaive(b *testing.B) {
 func BenchmarkLinearTransformBSGS(b *testing.B) {
 	env := benchEnv(b, 9, 3, allRotations(1<<8))
 	lt, _ := NewLinearTransform(seqMatrix(env.params.Slots()))
-	pt, _ := env.enc.Encode(make([]complex128, env.params.Slots()))
+	pt, _ := encodeMax(env.enc, make([]complex128, env.params.Slots()))
 	ct := env.encr.Encrypt(pt)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -41,7 +41,7 @@ func BenchmarkLinearTransformBSGS(b *testing.B) {
 
 func BenchmarkPolynomialTree(b *testing.B) {
 	env := benchEnv(b, 10, 7, nil)
-	pt, _ := env.enc.Encode(make([]complex128, env.params.Slots()))
+	pt, _ := encodeMax(env.enc, make([]complex128, env.params.Slots()))
 	ct := env.encr.Encrypt(pt)
 	coeffs := make([]float64, 60)
 	for i := range coeffs {

@@ -129,7 +129,7 @@ func TestBootstrapRejectsBadInput(t *testing.T) {
 		t.Skip("bootstrapping in short mode")
 	}
 	params, enc, encr, _, _, bt := bootEnv(t)
-	pt, _ := enc.Encode(make([]complex128, params.Slots()))
+	pt, _ := encodeMax(enc, make([]complex128, params.Slots()))
 	ct := encr.Encrypt(pt) // top level, not level 0
 	if _, err := bt.Bootstrap(ct); err == nil {
 		t.Fatal("expected error for non-level-0 input")

@@ -33,6 +33,11 @@ func newEnv(t testing.TB, logN, levels int, rotations []int) *testEnv {
 	}
 }
 
+// encodeMax encodes at the maximum ciphertext level with the default scale.
+func encodeMax(e *ckks.Encoder, values []complex128) (*ckks.Plaintext, error) {
+	return e.EncodeAtLevel(values, e.Params().DefaultScale(), e.Params().MaxLevel())
+}
+
 func seqMatrix(dim int) [][]complex128 {
 	m := make([][]complex128, dim)
 	for i := range m {
@@ -107,7 +112,7 @@ func TestLinearTransformNaive(t *testing.T) {
 	for i := range v {
 		v[i] = complex(math.Sin(float64(i)), 0)
 	}
-	pt, _ := env.enc.Encode(v)
+	pt, _ := encodeMax(env.enc, v)
 	ct := env.encr.Encrypt(pt)
 	// One baby step per diagonal: a rotation and a plaintext multiplication
 	// per non-zero diagonal, the upper path of the paper's Fig. 3(d).
@@ -134,7 +139,7 @@ func TestLinearTransformBSGSMatchesNaive(t *testing.T) {
 	for i := range v {
 		v[i] = complex(math.Cos(float64(i)/3), 0)
 	}
-	pt, _ := env.enc.Encode(v)
+	pt, _ := encodeMax(env.enc, v)
 	ct := env.encr.Encrypt(pt)
 	want := applyPlain(m, v)
 	for _, bs := range []int{4, 16} {
@@ -170,7 +175,7 @@ func TestBSGSRotationCount(t *testing.T) {
 func TestEvaluateBSGSRejectsBadBS(t *testing.T) {
 	env := newEnv(t, 6, 2, nil)
 	lt, _ := NewLinearTransform(seqMatrix(env.params.Slots()))
-	pt, _ := env.enc.Encode(make([]complex128, env.params.Slots()))
+	pt, _ := encodeMax(env.enc, make([]complex128, env.params.Slots()))
 	ct := env.encr.Encrypt(pt)
 	if _, err := lt.EvaluateBSGS(env.eval, env.enc, ct, 0); err == nil {
 		t.Fatal("expected error for bs=0")
@@ -194,7 +199,7 @@ func testPolyOn(t *testing.T, p Polynomial, levels int, tol float64) {
 	for i := range vals {
 		vals[i] = complex(float64(i%17)/17.0-0.5, 0)
 	}
-	pt, _ := env.enc.Encode(vals)
+	pt, _ := encodeMax(env.enc, vals)
 	ct := env.encr.Encrypt(pt)
 	res, err := EvaluateTree(env.eval, ct, p)
 	if err != nil {
@@ -238,7 +243,7 @@ func TestPolyDepth(t *testing.T) {
 
 func TestEvaluateErrors(t *testing.T) {
 	env := newEnv(t, 8, 2, nil)
-	pt, _ := env.enc.Encode(make([]complex128, env.params.Slots()))
+	pt, _ := encodeMax(env.enc, make([]complex128, env.params.Slots()))
 	ct := env.encr.Encrypt(pt)
 	if _, err := EvaluateTree(env.eval, ct, Polynomial{Coeffs: []float64{1}}); err == nil {
 		t.Fatal("expected degree error (tree)")

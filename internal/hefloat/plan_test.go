@@ -11,7 +11,7 @@ import (
 // encryptVec is a small helper shared by the plan tests.
 func encryptVec(t *testing.T, env *testEnv, vals []complex128) *ckks.Ciphertext {
 	t.Helper()
-	pt, err := env.enc.Encode(vals)
+	pt, err := encodeMax(env.enc, vals)
 	if err != nil {
 		t.Fatal(err)
 	}

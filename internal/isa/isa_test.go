@@ -208,7 +208,7 @@ func TestDecodedProgramSimulatesIdentically(t *testing.T) {
 	if err := ctx.DistributeBroadcast(256, mapping.ConvBNUnit, 8, "ConvBN"); err != nil {
 		t.Fatal(err)
 	}
-	if err := ctx.MatVec(mapping.MatVecOptions{BS: 4, GS: 32}, "FC"); err != nil {
+	if err := ctx.MatVec(4, 32, "FC"); err != nil {
 		t.Fatal(err)
 	}
 	p := b.Build()

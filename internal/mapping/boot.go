@@ -38,11 +38,7 @@ func DFTLevelTime(radix, bs, cards int, t OpTimes) float64 {
 	if radix <= 0 || bs <= 0 || cards <= 0 {
 		return math.Inf(1)
 	}
-	gs := 2 * radix / bs
-	if gs < 1 {
-		gs = 1
-	}
-	gss := float64((gs + cards - 1) / cards)
+	gss := float64((giantSteps(radix, bs) + cards - 1) / cards)
 	tbs := float64(bs) * t.Rot
 	tgs := (float64(bs)*t.PMult + float64(bs-1)*t.HAdd + t.Rot) * gss
 	tacc := (gss - 1) * t.HAdd
@@ -52,19 +48,13 @@ func DFTLevelTime(radix, bs, cards int, t OpTimes) float64 {
 	return tbs + tgs + tacc
 }
 
+// giantSteps is a DFT level's giant-step count, bs·gs = 2·radix.
+func giantSteps(radix, bs int) int { return max(2*radix/bs, 1) }
+
 // DFTParams is a per-level (Radix, bs) choice for the bootstrapping DFT.
 type DFTParams struct {
 	Radix []int
 	BS    []int
-}
-
-// Time evaluates the full DFT under Eq. 1.
-func (p DFTParams) Time(cards int, t OpTimes) float64 {
-	total := 0.0
-	for i := range p.Radix {
-		total += DFTLevelTime(p.Radix[i], p.BS[i], cards, t)
-	}
-	return total
 }
 
 // Validate checks shape and slot coverage.
@@ -158,15 +148,10 @@ func DefaultBootstrapOptions(s hw.SchemeParams, cards int, t OpTimes) BootstrapO
 	return BootstrapOptions{LogSlots: logSlots, DFT: dft, EvaExpDeg: 59, DAFIters: 3}
 }
 
-// Bootstrap emits one full bootstrapping of a single ciphertext across the
-// context's cards: CoeffToSlot (DFT levels via the BSGS mapping), EvaExp
-// (Algorithm 1), the Double-Angle Formula, and SlotToCoeff (Fig. 3(b)).
-// Each phase lands in its own step named for Fig. 6/8 attribution.
-func (c *Context) Bootstrap(opts BootstrapOptions, label string) error {
-	c.B.Step(label)
-	return c.emitBootstrap(opts, label)
-}
-
+// emitBootstrap emits one full bootstrapping of a single ciphertext across
+// the context's cards into the builder's current step: CoeffToSlot (DFT
+// levels via the BSGS mapping), EvaExp (Algorithm 1), the Double-Angle
+// Formula, and SlotToCoeff (Fig. 3(b)), which mirrors CoeffToSlot.
 func (c *Context) emitBootstrap(opts BootstrapOptions, label string) error {
 	if err := opts.DFT.Validate(opts.LogSlots); err != nil {
 		return err
@@ -177,16 +162,17 @@ func (c *Context) emitBootstrap(opts BootstrapOptions, label string) error {
 	ctx := *c
 	ctx.Limbs = c.Scheme.BootLimbs()
 
-	// CoeffToSlot.
-	for i := range opts.DFT.Radix {
-		bs := opts.DFT.BS[i]
-		gs := 2 * opts.DFT.Radix[i] / bs
-		if gs < 1 {
-			gs = 1
+	dft := func() error {
+		for i, r := range opts.DFT.Radix {
+			bs := opts.DFT.BS[i]
+			if err := ctx.emitMatVec(bs, giantSteps(r, bs), label); err != nil {
+				return err
+			}
 		}
-		if err := ctx.emitMatVec(MatVecOptions{BS: bs, GS: gs}, label); err != nil {
-			return err
-		}
+		return nil
+	}
+	if err := dft(); err != nil { // CoeffToSlot
+		return err
 	}
 	// EvaExp.
 	if err := ctx.emitPolyEval(opts.EvaExpDeg, label); err != nil {
@@ -205,18 +191,7 @@ func (c *Context) emitBootstrap(opts BootstrapOptions, label string) error {
 			ctx.B.Send(root, h, ctx.others(root), ctx.CtBytes(), label)
 		}
 	}
-	// SlotToCoeff.
-	for i := range opts.DFT.Radix {
-		bs := opts.DFT.BS[i]
-		gs := 2 * opts.DFT.Radix[i] / bs
-		if gs < 1 {
-			gs = 1
-		}
-		if err := ctx.emitMatVec(MatVecOptions{BS: bs, GS: gs}, label); err != nil {
-			return err
-		}
-	}
-	return nil
+	return dft() // SlotToCoeff
 }
 
 // BootstrapCounts returns the single-card operation counts of one full
@@ -227,10 +202,7 @@ func BootstrapCounts(opts BootstrapOptions) fheop.Counts {
 	dft := fheop.Counts{} // one DFT pass; SlotToCoeff mirrors CoeffToSlot
 	for i, r := range opts.DFT.Radix {
 		bs := opts.DFT.BS[i]
-		gs := 2 * r / bs
-		if gs < 1 {
-			gs = 1
-		}
+		gs := giantSteps(r, bs)
 		dft = dft.Add(fheop.Of(
 			fheop.Rotation, bs+gs,
 			fheop.PMult, bs*gs,
@@ -256,34 +228,18 @@ func (c *Context) BootstrapBatch(cts int, opts BootstrapOptions, times OpTimes, 
 	if levels == 0 {
 		return fmt.Errorf("mapping: %s: options carry no DFT levels", label)
 	}
-	if cts >= nc {
-		dft, _, err := OptimizeDFT(opts.LogSlots, levels, 1, times)
-		if err != nil {
-			return fmt.Errorf("mapping: %s: %w", label, err)
-		}
-		local := opts
-		local.DFT = dft
-		sub := *c
-		sub.Limbs = c.Scheme.BootLimbs()
-		return sub.DistributeLocal(cts, BootstrapCounts(local), cts, label)
-	}
-	group := 1
-	for group*2*cts <= nc {
-		group *= 2
-	}
+	group := groupSize(cts, nc) // 1 when whole bootstraps stay local
 	dft, _, err := OptimizeDFT(opts.LogSlots, levels, group, times)
 	if err != nil {
 		return fmt.Errorf("mapping: %s: %w", label, err)
 	}
-	split := opts
-	split.DFT = dft
-	c.B.Step(label)
-	var firstErr error
-	for i := 0; i < cts; i++ {
-		sub := c.WithCards(c.Cards[i*group : (i+1)*group])
-		if err := sub.emitBootstrap(split, label); err != nil && firstErr == nil {
-			firstErr = err
-		}
+	opts.DFT = dft
+	if cts >= nc {
+		sub := *c
+		sub.Limbs = c.Scheme.BootLimbs()
+		return sub.DistributeLocal(cts, BootstrapCounts(opts), cts, label)
 	}
-	return firstErr
+	return c.inGroups(cts, group, label, func(sub *Context) error {
+		return sub.emitBootstrap(opts, label)
+	})
 }

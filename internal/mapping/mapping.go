@@ -122,41 +122,6 @@ func (c *Context) DistributeBroadcast(units int, recipe fheop.Counts, outputCts 
 	return nil
 }
 
-// DistributeGather is the ablation counterpart of DistributeBroadcast: all
-// output ciphertexts funnel to the first card after the whole layer
-// computes, and the first card re-broadcasts the full layer output. This is
-// the naive aggregation (no pipelining, double volume through one card) the
-// paper's sequential broadcast avoids.
-func (c *Context) DistributeGather(units int, recipe fheop.Counts, outputCts int, label string) error {
-	if units <= 0 || outputCts <= 0 {
-		return fmt.Errorf("mapping: %s: units (%d) and outputCts (%d) must be positive", label, units, outputCts)
-	}
-	nc := len(c.Cards)
-	c.B.Step(label)
-	root := c.Cards[0]
-	lastRecv := -1
-	for ci, card := range c.Cards {
-		assigned := perCardShare(units, nc, ci)
-		if assigned == 0 {
-			continue
-		}
-		h := c.B.Compute(card, recipe.Scale(assigned), c.limbs(), label)
-		if card != root {
-			ctsShare := perCardShare(outputCts, nc, ci)
-			if ctsShare > 0 {
-				recvs := c.B.Send(card, h, []int{root}, float64(ctsShare)*c.CtBytes(), label)
-				lastRecv = recvs[0]
-			}
-		}
-	}
-	if nc > 1 && lastRecv >= 0 {
-		// Root re-broadcasts the aggregate after the last arrival.
-		gate := c.B.ComputeAfterRecv(root, lastRecv, fheop.Of(fheop.HAdd, nc-1), c.limbs(), label)
-		c.B.Send(root, gate, c.others(root), float64(outputCts)*c.CtBytes(), label)
-	}
-	return nil
-}
-
 // DistributeLocal maps an embarrassingly parallel procedure (PCMM, CCMM, and
 // whole-ciphertext non-linear evaluations): units are computed entirely
 // locally and each card broadcasts only its share of the layer's output
@@ -180,6 +145,29 @@ func (c *Context) DistributeLocal(units int, recipe fheop.Counts, outputCts int,
 		return nil
 	}
 	return c.DistributeBroadcast(units, recipe, outputCts, label)
+}
+
+// groupSize is the card-group split of a layer with fewer ciphertexts than
+// cards: the largest power of two g with g·cts ≤ cards (power-of-two groups
+// keep the card trees balanced).
+func groupSize(cts, cards int) int {
+	group := 1
+	for group*2*cts <= cards {
+		group *= 2
+	}
+	return group
+}
+
+// inGroups opens one step and emits one cooperative evaluation per
+// ciphertext, the i-th on cards [i·group, (i+1)·group) of the context.
+func (c *Context) inGroups(cts, group int, label string, emit func(sub *Context) error) error {
+	c.B.Step(label)
+	for i := 0; i < cts; i++ {
+		if err := emit(c.WithCards(c.Cards[i*group : (i+1)*group])); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // perCardShare splits units over nc cards, giving the remainder to the

@@ -64,16 +64,98 @@ func TestDistributeBroadcastScales(t *testing.T) {
 	}
 }
 
+// gatherRebroadcast is the ablation of DistributeBroadcast that Figs. 1-2
+// argue against: each card computes its whole share at once, all output
+// ciphertexts funnel to the first card, and the first card re-broadcasts the
+// full layer output after the last arrival — no pipelining, and double the
+// volume through one card.
+func gatherRebroadcast(c *Context, units int, recipe fheop.Counts, outputCts int, label string) {
+	nc := len(c.Cards)
+	c.B.Step(label)
+	root := c.Cards[0]
+	lastRecv := -1
+	for ci, card := range c.Cards {
+		assigned := perCardShare(units, nc, ci)
+		if assigned == 0 {
+			continue
+		}
+		h := c.B.Compute(card, recipe.Scale(assigned), c.limbs(), label)
+		if ctsShare := perCardShare(outputCts, nc, ci); card != root && ctsShare > 0 {
+			lastRecv = c.B.Send(card, h, []int{root}, float64(ctsShare)*c.CtBytes(), label)[0]
+		}
+	}
+	if lastRecv >= 0 {
+		gate := c.B.ComputeAfterRecv(root, lastRecv, fheop.Of(fheop.HAdd, nc-1), c.limbs(), label)
+		c.B.Send(root, gate, c.others(root), float64(outputCts)*c.CtBytes(), label)
+	}
+}
+
+// matVecAblation is MatVec with either of the two choices of Section III-B
+// reversed: distributedBS splits the baby-step rotations across the cards
+// and all-gathers the rotated ciphertexts (point (1)), and star sends every
+// partial sum straight to the first card instead of folding them in
+// Fig. 3(d)'s tree (point (2)).
+func matVecAblation(c *Context, bs, gs int, distributedBS, star bool, label string) {
+	nc := len(c.Cards)
+	limbs, bytes := c.limbs(), c.CtBytes()
+	c.B.Step(label)
+	gate := map[int]int{} // card -> the receive its giant steps wait on
+	for ci, card := range c.Cards {
+		if !distributedBS {
+			c.B.Compute(card, fheop.Of(fheop.Rotation, bs), limbs, label)
+			continue
+		}
+		share := perCardShare(bs, nc, ci)
+		if share == 0 {
+			continue
+		}
+		h := c.B.Compute(card, fheop.Of(fheop.Rotation, share), limbs, label)
+		if nc > 1 {
+			others := c.others(card)
+			for di, r := range c.B.Send(card, h, others, float64(share)*bytes, label) {
+				gate[others[di]] = r // later receives supersede earlier ones
+			}
+		}
+	}
+	partials := make([]task.Handle, nc)
+	for ci, card := range c.Cards {
+		share := perCardShare(gs, nc, ci)
+		ops := fheop.Of(fheop.PMult, bs*share, fheop.HAdd, (bs-1)*share, fheop.Rotation, share)
+		if share > 1 {
+			ops = ops.Add(fheop.Of(fheop.HAdd, share-1))
+		}
+		if r, ok := gate[card]; ok {
+			partials[ci] = c.B.ComputeAfterRecv(card, r, ops, limbs, label)
+		} else {
+			partials[ci] = c.B.Compute(card, ops, limbs, label)
+		}
+	}
+	if nc == 1 {
+		return
+	}
+	root := c.Cards[0]
+	if star {
+		lastRecv := -1
+		for ci := 1; ci < nc; ci++ {
+			lastRecv = c.B.Send(c.Cards[ci], partials[ci], []int{root}, bytes, label)[0]
+		}
+		partials[0] = c.B.ComputeAfterRecv(root, lastRecv, fheop.Of(fheop.HAdd, nc-1), limbs, label)
+	} else {
+		for _, e := range task.Reduction(nc) {
+			dst := c.Cards[e.To]
+			r := c.B.Send(c.Cards[e.From], partials[e.From], []int{dst}, bytes, label)[0]
+			partials[e.To] = c.B.ComputeAfterRecv(dst, r, fheop.Of(fheop.HAdd, 1), limbs, label)
+		}
+	}
+	c.B.Send(root, partials[0], c.others(root), bytes, label)
+}
+
 func TestBroadcastBeatsGather(t *testing.T) {
 	mk := func(gather bool) float64 {
 		ctx, b := newCtx(8)
-		var err error
 		if gather {
-			err = ctx.DistributeGather(256, ConvBNUnit, 8, "ConvBN")
-		} else {
-			err = ctx.DistributeBroadcast(256, ConvBNUnit, 8, "ConvBN")
-		}
-		if err != nil {
+			gatherRebroadcast(ctx, 256, ConvBNUnit, 8, "ConvBN")
+		} else if err := ctx.DistributeBroadcast(256, ConvBNUnit, 8, "ConvBN"); err != nil {
 			t.Fatal(err)
 		}
 		return runOn(t, b, sim.HydraConfig()).Makespan
@@ -99,7 +181,7 @@ func TestDistributeLocalCommVolume(t *testing.T) {
 func TestMatVecOpConservation(t *testing.T) {
 	for _, cards := range []int{1, 4, 16} {
 		ctx, b := newCtx(cards)
-		if err := ctx.MatVec(MatVecOptions{BS: 4, GS: 8}, "FC"); err != nil {
+		if err := ctx.MatVec(4, 8, "FC"); err != nil {
 			t.Fatal(err)
 		}
 		ops := b.Build().TotalOps()
@@ -125,7 +207,7 @@ func TestMatVecHandCountAboveCompiled(t *testing.T) {
 		return c.Get(fheop.Rotation) + c.Get(fheop.KeySwitch) + c.Get(fheop.CMult) + c.Get(fheop.Conjugate)
 	}
 	ctx, hand := newCtx(cards)
-	if err := ctx.MatVec(MatVecOptions{BS: bs, GS: gs}, "hand"); err != nil {
+	if err := ctx.MatVec(bs, gs, "hand"); err != nil {
 		t.Fatal(err)
 	}
 	dense := make([][]complex128, bs*gs)
@@ -161,7 +243,9 @@ func TestMatVecHandCountAboveCompiled(t *testing.T) {
 func TestMatVecTreeBeatsStar(t *testing.T) {
 	mk := func(star bool) float64 {
 		ctx, b := newCtx(16)
-		if err := ctx.MatVec(MatVecOptions{BS: 2, GS: 64, StarAggregation: star}, "DFT"); err != nil {
+		if star {
+			matVecAblation(ctx, 2, 64, false, true, "DFT")
+		} else if err := ctx.MatVec(2, 64, "DFT"); err != nil {
 			t.Fatal(err)
 		}
 		return runOn(t, b, sim.HydraConfig()).Makespan
@@ -174,7 +258,9 @@ func TestMatVecTreeBeatsStar(t *testing.T) {
 func TestMatVecUniformBSBeatsDistributed(t *testing.T) {
 	mk := func(dist bool) float64 {
 		ctx, b := newCtx(8)
-		if err := ctx.MatVec(MatVecOptions{BS: 8, GS: 32, DistributedBS: dist}, "DFT"); err != nil {
+		if dist {
+			matVecAblation(ctx, 8, 32, true, false, "DFT")
+		} else if err := ctx.MatVec(8, 32, "DFT"); err != nil {
 			t.Fatal(err)
 		}
 		return runOn(t, b, sim.HydraConfig()).Makespan
@@ -186,11 +272,11 @@ func TestMatVecUniformBSBeatsDistributed(t *testing.T) {
 
 func TestMatVecRejectsBadInput(t *testing.T) {
 	ctx, _ := newCtx(8)
-	if err := ctx.MatVec(MatVecOptions{BS: 0, GS: 4}, "x"); err == nil {
+	if err := ctx.MatVec(0, 4, "x"); err == nil {
 		t.Fatal("expected error for bs=0")
 	}
 	ctx3 := ctx.WithCards([]int{0, 1, 2})
-	if err := ctx3.MatVec(MatVecOptions{BS: 2, GS: 4}, "x"); err == nil {
+	if err := ctx3.MatVec(2, 4, "x"); err == nil {
 		t.Fatal("expected error for non power-of-two card set")
 	}
 }
@@ -344,7 +430,8 @@ func TestBootstrapEmission(t *testing.T) {
 			com = hw.HydraNetwork().IntraServer.Transfer(ctx.CtBytes())
 		}
 		opts := DefaultBootstrapOptions(ctx.Scheme, cards, OpTimesFor(hw.HydraCard(), ctx.Scheme, 25, com))
-		if err := ctx.Bootstrap(opts, "Boot"); err != nil {
+		b.Step("Boot")
+		if err := ctx.emitBootstrap(opts, "Boot"); err != nil {
 			t.Fatal(err)
 		}
 		res := runOn(t, b, sim.HydraConfig())
@@ -412,7 +499,8 @@ func TestBootstrapCountsConsistency(t *testing.T) {
 
 	// The analytic counts should match the emitted single-card program.
 	ctx, b := newCtx(1)
-	if err := ctx.Bootstrap(opts, "Boot"); err != nil {
+	b.Step("Boot")
+	if err := ctx.emitBootstrap(opts, "Boot"); err != nil {
 		t.Fatal(err)
 	}
 	emitted := b.Build().TotalOps()
@@ -452,7 +540,7 @@ func TestMappingOpConservationProperty(t *testing.T) {
 		case 0:
 			err = ctx.DistributeBroadcast(units, ConvBNUnit, cts, "x")
 		case 1:
-			err = ctx.DistributeGather(units, PoolUnit, cts, "x")
+			gatherRebroadcast(ctx, units, PoolUnit, cts, "x")
 		default:
 			err = ctx.DistributeLocal(units, PCMMUnit, cts, "x")
 		}

@@ -117,19 +117,14 @@ func (c *Context) emitPolyEval(degree int, label string) error {
 		compute(i, ladder)
 	}
 
-	// Phase 3: tree aggregation to card 0 — the upper half multiplies its
-	// partial by the appropriate power and sends; the mirror adds.
-	active := cardNum
-	for active > 1 {
-		half := active / 2
-		for i := 0; i < half; i++ {
-			u := i + half
-			compute(u, fheop.Of(fheop.CMult, 1)) // multiply_and_send
-			recvs := c.B.Send(c.Cards[u], latest[u], []int{c.Cards[i]}, bytes, label)
-			pendingRecv[i] = recvs[0]
-			compute(i, fheop.Of(fheop.HAdd, 1)) // receive_and_add
-		}
-		active = half
+	// Phase 3: tree aggregation to card 0 (task.Reduction) — the sender
+	// multiplies its partial by the appropriate power and sends; the
+	// receiver adds.
+	for _, e := range task.Reduction(cardNum) {
+		compute(e.From, fheop.Of(fheop.CMult, 1)) // multiply_and_send
+		recvs := c.B.Send(c.Cards[e.From], latest[e.From], []int{c.Cards[e.To]}, bytes, label)
+		pendingRecv[e.To] = recvs[0]
+		compute(e.To, fheop.Of(fheop.HAdd, 1)) // receive_and_add
 	}
 	return nil
 }
@@ -166,24 +161,10 @@ func (c *Context) NonLinear(units, degree, outputCts int, label string) error {
 	if units <= 0 {
 		return fmt.Errorf("mapping: %s: unit count must be positive", label)
 	}
-	nc := len(c.Cards)
-	if units >= nc {
+	if units >= len(c.Cards) {
 		return c.DistributeLocal(units, PolyEvalCounts(degree), outputCts, label)
 	}
-	// Split each evaluation across a group of nc/units cards (power-of-two
-	// groups keep the card tree balanced).
-	cts := units
-	group := 1
-	for group*2*cts <= nc {
-		group *= 2
-	}
-	c.B.Step(label)
-	var firstErr error
-	for i := 0; i < cts; i++ {
-		sub := c.WithCards(c.Cards[i*group : (i+1)*group])
-		if err := sub.emitPolyEval(degree, label); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return firstErr
+	return c.inGroups(units, groupSize(units, len(c.Cards)), label, func(sub *Context) error {
+		return sub.emitPolyEval(degree, label)
+	})
 }

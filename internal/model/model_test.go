@@ -76,7 +76,7 @@ func TestKindStringsAndRecipes(t *testing.T) {
 	if CCMM.Recipe().Get(fheop.Rotation) != 7 {
 		t.Fatal("CCMM recipe should have 7 rotations")
 	}
-	if Bootstrap.Recipe().Total() != 0 {
+	if Bootstrap.Recipe() != (fheop.Counts{}) {
 		t.Fatal("Bootstrap has no static recipe")
 	}
 }

@@ -340,9 +340,6 @@ func (t *Ticket) complete(res *Result, err error) {
 	})
 }
 
-// Done returns a channel closed when the job finishes (in any state).
-func (t *Ticket) Done() <-chan struct{} { return t.done }
-
 // Wait blocks until the job finishes or the caller's context expires.
 func (t *Ticket) Wait(ctx context.Context) (*Result, error) {
 	select {

@@ -25,6 +25,9 @@ func runOnOracle(p *task.Program, cfg Config, pl Placement) (*Result, error) {
 	if err := cfg.Card.Validate(); err != nil {
 		return nil, err
 	}
+	if err := cfg.Scheme.Validate(); err != nil {
+		return nil, err
+	}
 	if err := pl.validate(p); err != nil {
 		return nil, err
 	}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"hydra/internal/fheop"
+	"hydra/internal/hw"
 	"hydra/internal/task"
 )
 
@@ -190,6 +191,26 @@ func TestRunRejectsUnsimulatable(t *testing.T) {
 				t.Errorf("%s: Run accepted the program", tc.name)
 			}
 		}()
+	}
+}
+
+// TestRunRejectsBadScheme: Run checks the machine's CKKS scheme as it checks
+// its card, so a scheme hw.SchemeParams.Validate refuses is an error, not a
+// run priced at nonsense limb counts.
+func TestRunRejectsBadScheme(t *testing.T) {
+	b := task.NewBuilder(1, 1)
+	b.Compute(0, rotOnly(1), 18, "A")
+	p := b.Build()
+	for name, mutate := range map[string]func(s *hw.SchemeParams){
+		"zero effective limbs":          func(s *hw.SchemeParams) { s.EffectiveLimb = 0 },
+		"effective limbs above the max": func(s *hw.SchemeParams) { s.EffectiveLimb = s.MaxLimbs + 1 },
+		"LogN below range":              func(s *hw.SchemeParams) { s.LogN = 9 },
+	} {
+		cfg := HydraConfig()
+		mutate(&cfg.Scheme)
+		if _, err := Run(p, cfg); err == nil {
+			t.Errorf("%s: Run accepted the scheme", name)
+		}
 	}
 }
 

@@ -25,12 +25,7 @@ func newOracleBuilder(cards, cardsPerServer int) *oracleBuilder {
 	return &oracleBuilder{prog: &Program{Cards: cards, CardsPerServer: cardsPerServer}, energyScale: 1}
 }
 
-func (b *oracleBuilder) SetEnergyScale(v float64) {
-	if v <= 0 {
-		v = 1
-	}
-	b.energyScale = v
-}
+func (b *oracleBuilder) SetEnergyScale(v float64) { b.energyScale = v }
 
 func (b *oracleBuilder) Step(name string) *oracleBuilder {
 	b.nextTag = 0

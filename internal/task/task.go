@@ -138,13 +138,9 @@ func NewBuilder(cards, cardsPerServer int) *Builder {
 }
 
 // SetEnergyScale sets the dynamic-energy derating applied to subsequently
-// emitted computation tasks (1 = nominal).
-func (b *Builder) SetEnergyScale(v float64) {
-	if v <= 0 {
-		v = 1
-	}
-	b.energyScale = v
-}
+// emitted computation tasks (1 = nominal). Validate rejects a scale that is
+// not positive.
+func (b *Builder) SetEnergyScale(v float64) { b.energyScale = v }
 
 // Step opens a new scheduling step; subsequent emissions go into it. Its
 // tags start again at 0, so emitting the same tasks twice gives equal steps.
@@ -309,6 +305,27 @@ func (b *Builder) Send(from int, after Handle, to []int, bytes float64, label st
 
 // FromStart is the Handle for sends with no computation dependence.
 var FromStart = Handle{Card: -1, Index: -1}
+
+// Edge is one send of a pairwise reduction: partial From is added into
+// partial To.
+type Edge struct{ From, To int }
+
+// Reduction lists the sends that fold n partials onto partial 0 pairwise,
+// Fig. 3(d)'s order, round by round: while h > 1 partials are active, the
+// upper ⌊h/2⌋ send to the lower ones, partial i to partial i-⌈h/2⌉, and the
+// lower ⌈h/2⌉ stay active. Every reduction tree of the mapping emitters and of
+// fhir's lowerings is this one.
+func Reduction(n int) []Edge {
+	out := make([]Edge, 0, max(n-1, 0))
+	for n > 1 {
+		half := (n + 1) / 2
+		for i := half; i < n; i++ {
+			out = append(out, Edge{From: i, To: i - half})
+		}
+		n = half
+	}
+	return out
+}
 
 // Build lays out the open step and returns the program. Emitting more after
 // Build is allowed; the next Step or Build lays the open step out again.

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 
 	"hydra/internal/fheop"
@@ -434,17 +435,50 @@ func TestRepeatSharesSteps(t *testing.T) {
 	}
 }
 
+// TestEnergyScaleDefaultsAndOverride: a builder starts at scale 1, and the
+// scale it is given reaches the program as given: a scale of 0 is Validate's
+// to reject, not the builder's to replace.
 func TestEnergyScaleDefaultsAndOverride(t *testing.T) {
 	b := NewBuilder(1, 1)
 	b.Step("s")
 	b.Compute(0, fheop.Of(fheop.HAdd, 1), 5, "A")
 	b.SetEnergyScale(0.5)
 	b.Compute(0, fheop.Of(fheop.HAdd, 1), 5, "A")
-	b.SetEnergyScale(0) // invalid resets to 1
+	b.SetEnergyScale(0)
 	b.Compute(0, fheop.Of(fheop.HAdd, 1), 5, "A")
-	q := b.Build().Steps[0].Compute[0]
-	if q[0].EnergyScale != 1 || q[1].EnergyScale != 0.5 || q[2].EnergyScale != 1 {
-		t.Fatalf("energy scales %v %v %v", q[0].EnergyScale, q[1].EnergyScale, q[2].EnergyScale)
+	p := b.Build()
+	q := p.Steps[0].Compute[0]
+	if q[0].EnergyScale != 1 || q[1].EnergyScale != 0.5 || q[2].EnergyScale != 0 {
+		t.Fatalf("energy scales %v %v %v, want 1 0.5 0", q[0].EnergyScale, q[1].EnergyScale, q[2].EnergyScale)
+	}
+	if err := p.Validate(); err == nil || !strings.Contains(err.Error(), "energy scale 0") {
+		t.Fatalf("Validate = %v, want the zero energy scale rejected", err)
+	}
+}
+
+// TestReduction: Fig. 3(d)'s pairwise order, round by round, sends every
+// partial but partial 0 exactly once, to a lower one, and only after every
+// send into it.
+func TestReduction(t *testing.T) {
+	if got := Reduction(8); !slices.Equal(got, []Edge{{4, 0}, {5, 1}, {6, 2}, {7, 3}, {2, 0}, {3, 1}, {1, 0}}) {
+		t.Fatalf("Reduction(8) = %v", got)
+	}
+	if got := Reduction(5); !slices.Equal(got, []Edge{{3, 0}, {4, 1}, {2, 0}, {1, 0}}) {
+		t.Fatalf("Reduction(5) = %v", got)
+	}
+	for n := 0; n <= 33; n++ {
+		sent := make([]bool, max(n, 1))
+		for _, e := range Reduction(n) {
+			if e.To >= e.From || sent[e.From] || sent[e.To] {
+				t.Fatalf("n=%d: send %v out of order", n, e)
+			}
+			sent[e.From] = true
+		}
+		for i := 1; i < n; i++ {
+			if !sent[i] {
+				t.Fatalf("n=%d: partial %d never sent", n, i)
+			}
+		}
 	}
 }
 
