@@ -68,10 +68,11 @@ bench-smoke:
 # programs with repeated steps, the differential modular-arithmetic fuzzer
 # (Barrett/Shoup vs math/big), the RNS base conversions (keyswitch
 # ModUp/ModDown vs math/big), the ciphertext wire decoder, the word-sized
-# plaintext encoder against its math/big oracle, the IR pass pipeline on
-# real ciphertexts (optimized and naive compiles against the interpreter,
-# each evaluated twice on one evaluator), and hostile card scripts against
-# the cluster runtime (every Run returns by its deadline, no goroutine left).
+# plaintext encoder and decoder against their math/big oracles, the IR pass
+# pipeline on real ciphertexts (optimized and naive compiles against the
+# interpreter, each evaluated twice on one evaluator), and hostile card
+# scripts against the cluster runtime (every Run returns by its deadline, no
+# goroutine left).
 fuzz:
 	$(GO) test -fuzz=FuzzUnmarshal -fuzztime=10s -run '^$$' ./internal/isa/
 	$(GO) test -fuzz=FuzzRunMatchesOracle -fuzztime=10s -run '^$$' ./internal/sim/
@@ -79,6 +80,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzBaseConversion -fuzztime=10s -run '^$$' ./internal/ring/
 	$(GO) test -fuzz=FuzzUnmarshalCiphertext -fuzztime=10s -run '^$$' ./internal/ckks/
 	$(GO) test -fuzz=FuzzEncodeResidues -fuzztime=10s -run '^$$' ./internal/ckks/
+	$(GO) test -fuzz=FuzzDecode -fuzztime=10s -run '^$$' ./internal/ckks/
 	$(GO) test -fuzz=FuzzIRPasses -fuzztime=10s -run '^$$' ./internal/fhir/
 	$(GO) test -fuzz=FuzzClusterScripts -fuzztime=10s -run '^$$' ./internal/cluster/
 

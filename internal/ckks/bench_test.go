@@ -61,14 +61,18 @@ func BenchmarkCMultRelin(b *testing.B) {
 	}
 }
 
+// BenchmarkRotation is one Rotate at N = 2^12, its result released so the
+// reported allocation is the op's own: the keyswitch's gathers step through
+// the automorphism and build no index table.
 func BenchmarkRotation(b *testing.B) {
 	tc := benchContext(b)
 	vals := randomComplex(tc.params.Slots(), 6)
 	pt, _ := encodeMax(tc.enc, vals)
 	ct := tc.encr.Encrypt(pt)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tc.eval.Rotate(ct, 1)
+		tc.eval.Release(tc.eval.Rotate(ct, 1))
 	}
 }
 
@@ -81,6 +85,20 @@ func BenchmarkRescale(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tc.eval.Rescale(prod)
+	}
+}
+
+// BenchmarkDecode decodes a decrypted ciphertext at he-rot's output level
+// (level 3 of TestParameters(12, 4), the default scale): the word path, no
+// coefficient reaching math/big.
+func BenchmarkDecode(b *testing.B) {
+	tc := benchContext(b)
+	pt, _ := tc.enc.EncodeAtLevel(randomComplex(tc.params.Slots(), 11), tc.params.DefaultScale(), 3)
+	dec := tc.decr.Decrypt(tc.encr.Encrypt(pt))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tc.enc.Decode(dec)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/big"
+	"math/bits"
 	"math/cmplx"
 	"sync"
 
@@ -32,11 +33,33 @@ type Encoder struct {
 	scratch sync.Pool
 }
 
-// encodeScratch is one encode's working set: Slots() FFT values and N signed
-// coefficient words.
+// encodeScratch is one encode's working set: Slots() FFT values, N
+// coefficient words, and the coefficients too wide for a word.
 type encodeScratch struct {
 	buf   []complex128
-	words []ring.SignedWord
+	words []int64
+	wide  []wideCoeff
+}
+
+// wideCoeff is coefficient idx when its integer part is at least 2^62 in
+// magnitude: rare, since it takes a slot value near 2^62/scale.
+type wideCoeff struct {
+	idx int
+	w   ring.SignedWord
+}
+
+// put stores the integer part of x as coefficient idx: in the word row when
+// |x| < 2^62 (ring.Modulus.ReduceInt's range), where Go's conversion truncates
+// toward zero as floatWord does, else on the wide list. ok is false for NaN
+// and ±Inf.
+func (s *encodeScratch) put(idx int, x float64) (ok bool) {
+	if math.Abs(x) < 0x1p62 {
+		s.words[idx] = int64(x)
+		return true
+	}
+	w, ok := floatWord(x)
+	s.wide = append(s.wide, wideCoeff{idx, w})
+	return ok
 }
 
 // Params returns the encoder's parameter set.
@@ -60,7 +83,7 @@ func NewEncoder(params *Parameters) *Encoder {
 		}
 	}
 	e.scratch.New = func() any {
-		return &encodeScratch{buf: make([]complex128, slots), words: make([]ring.SignedWord, params.N())}
+		return &encodeScratch{buf: make([]complex128, slots), words: make([]int64, params.N())}
 	}
 	return e
 }
@@ -114,10 +137,11 @@ func bitReverseComplex(vals []complex128) {
 	}
 }
 
-// floatWord returns the integer part of v as a signed word; ok is false for
-// NaN and ±Inf. A float64 is ±mant·2^e with mant < 2^53, so its integer part
-// is mant shifted: right when e < 0 (which truncates toward zero, exactly as
-// big.Float.Int does), left while in the word, then as a power of two.
+// floatWord returns the integer part of v as a signed word, the form of the
+// coefficients put leaves off the word row; ok is false for NaN and ±Inf. A
+// float64 is ±mant·2^e with mant < 2^53, so its integer part is mant shifted:
+// right when e < 0 (which truncates toward zero, exactly as big.Float.Int
+// does), left while in the word, then as a power of two.
 func floatWord(v float64) (w ring.SignedWord, ok bool) {
 	b := math.Float64bits(v)
 	exp := int(b>>52) & 0x7ff
@@ -136,11 +160,12 @@ func floatWord(v float64) (w ring.SignedWord, ok bool) {
 }
 
 // encodeRows is the one encode path: the canonical-embedding FFT, scaling,
-// the exact integer part of every coefficient as a machine word, then one
-// signed reduction and one NTT per residue row. rows[jj] is taken modulo row
-// jj of the level's extended basis (extRow): q_jj up to level, the special
-// primes when the rows go on. The caller has checked level and owns the rows,
-// heap or pooled.
+// the exact integer part of every coefficient as an int64 (or, beyond 2^62, a
+// SignedWord on the short wide list), then per residue row one signed
+// reduction, the wide coefficients patched in, and one NTT. rows[jj] is taken
+// modulo row jj of the level's extended basis (extRow): q_jj up to level, the
+// special primes when the rows go on. The caller has checked level and owns
+// the rows, heap or pooled.
 func (e *Encoder) encodeRows(values []complex128, scale float64, level int, rows [][]uint64) error {
 	slots := e.params.Slots()
 	if len(values) > slots {
@@ -148,26 +173,27 @@ func (e *Encoder) encodeRows(values []complex128, scale float64, level int, rows
 	}
 	s := e.scratch.Get().(*encodeScratch)
 	defer e.scratch.Put(s)
-	buf, words := s.buf, s.words
+	buf := s.buf
 	clear(buf[copy(buf, values):])
 	e.fftSpecialInv(buf)
 
 	nh := e.params.N() / 2
 	gap := nh / slots
-	clear(words) // the words between gap strides stay zero
+	clear(s.words) // the words between gap strides stay zero
+	s.wide = s.wide[:0]
 	for j, c := range buf {
-		re, okRe := floatWord(real(c) * scale)
-		im, okIm := floatWord(imag(c) * scale)
-		if !okRe || !okIm {
+		if !s.put(j*gap, real(c)*scale) || !s.put(nh+j*gap, imag(c)*scale) {
 			return fmt.Errorf("ckks: cannot encode: a slot value is NaN or ±Inf, or overflows float64 at scale %g", scale)
 		}
-		words[j*gap], words[nh+j*gap] = re, im
 	}
 	r := e.params.RingQP()
 	ring.ForEachLimb(len(rows), func(jj int) {
-		tbl := r.Tables[e.params.extRow(jj, level)]
-		tbl.Mod.ReduceSignedRow(rows[jj], words)
-		tbl.Forward(rows[jj])
+		tbl, row := r.Tables[e.params.extRow(jj, level)], rows[jj]
+		tbl.Mod.ReduceIntRow(row, s.words)
+		for _, c := range s.wide {
+			row[c.idx] = tbl.Mod.ReduceSigned(c.w)
+		}
+		tbl.Forward(row)
 	})
 	return nil
 }
@@ -249,40 +275,143 @@ func (e *Encoder) EncodeExtInto(values []complex128, scale float64, pt *ExtPlain
 	return e.encodeRows(values, scale, pt.Lvl, pt.Rows)
 }
 
-// Decode decodes a plaintext back to a complex slot vector.
+// Decode decodes a plaintext back to a complex slot vector. It allocates the
+// vector it returns and nothing per coefficient: the inverse NTT runs on
+// pooled rows, and each coefficient is divided by the scale in machine words
+// (coeffDecoder), math/big taking only a coefficient the word path refuses.
 func (e *Encoder) Decode(pt *Plaintext) []complex128 {
 	r := e.params.RingQP()
-	poly := pt.Value.CopyNew()
+	poly := pt.Value
 	if poly.IsNTT {
-		r.INTT(poly)
+		c := r.GetScratch(poly.Level())
+		defer r.PutScratch(c)
+		c.Copy(poly)
+		r.INTT(c)
+		poly = c
 	}
-	n := e.params.N()
-	coeffs := make([]*big.Int, n)
-	r.ToBigInt(poly, coeffs)
-
-	q := r.ModulusProduct(poly.Level())
-	half := new(big.Int).Rsh(q, 1)
-	scale := new(big.Float).SetFloat64(pt.Scale)
+	d := newCoeffDecoder(r, poly, pt.Scale)
 	slots := e.params.Slots()
-	nh := n / 2
+	nh := e.params.N() / 2
 	gap := nh / slots
 	buf := make([]complex128, slots)
-	for j := 0; j < slots; j++ {
-		re := centeredFloat(coeffs[j*gap], q, half, scale)
-		im := centeredFloat(coeffs[nh+j*gap], q, half, scale)
-		buf[j] = complex(re, im)
+	for j := range buf {
+		buf[j] = complex(d.coeff(j*gap), d.coeff(nh+j*gap))
 	}
 	e.fftSpecial(buf)
 	return buf
 }
 
-func centeredFloat(v, q, half *big.Int, scale *big.Float) float64 {
-	c := new(big.Int).Set(v)
-	if c.Cmp(half) > 0 {
-		c.Sub(c, q)
+// coeffDecoder returns c/scale for the coefficients c of one
+// coefficient-domain polynomial, centred in (−Q/2, Q/2], rounded as math/big
+// rounds it: c as a big.Float (exact, at least 64 bits), the quotient rounded
+// to 64 bits and then to a float64, each to nearest even.
+//
+// The word path takes c from residue 0 alone: v = c_0 centred mod q_0, so
+// |v| < q_0/2 ≤ Q/2. When v matches every other residue, v ≡ c mod Q by the
+// CRT and v is c's centred value exactly. Any other coefficient, and every
+// coefficient when the scale is not a positive normal float64, takes
+// ring.ToBigInt, made once for the whole polynomial at the first refusal.
+type coeffDecoder struct {
+	r     *ring.Ring
+	poly  *ring.Poly
+	scale float64
+	// m·2^exp is the scale with m's top bit set; words is false when the
+	// scale is not a positive normal float64.
+	m     uint64
+	exp   int
+	words bool
+	// After the first refusal: ToBigInt of poly, Q, ⌊Q/2⌋ and the scale.
+	big      []*big.Int
+	q, half  *big.Int
+	bigScale *big.Float
+}
+
+func newCoeffDecoder(r *ring.Ring, poly *ring.Poly, scale float64) coeffDecoder {
+	d := coeffDecoder{r: r, poly: poly, scale: scale}
+	b := math.Float64bits(scale)
+	if e := int(b>>52) & 0x7ff; b>>63 == 0 && e != 0 && e != 0x7ff {
+		d.m, d.exp, d.words = (b&(1<<52-1)|1<<52)<<11, e-1075-11, true
 	}
-	f := new(big.Float).SetInt(c)
-	f.Quo(f, scale)
-	out, _ := f.Float64()
-	return out
+	return d
+}
+
+func (d *coeffDecoder) coeff(idx int) float64 {
+	if d.words {
+		if v, ok := d.centred(idx); ok {
+			if f, ok := d.quo(v); ok {
+				return f
+			}
+		}
+	}
+	if d.big == nil {
+		d.big = make([]*big.Int, d.r.N)
+		d.r.ToBigInt(d.poly, d.big)
+		d.q = d.r.ModulusProduct(d.poly.Level())
+		d.half = new(big.Int).Rsh(d.q, 1)
+		d.bigScale = new(big.Float).SetFloat64(d.scale)
+	}
+	c := new(big.Int).Set(d.big[idx])
+	if c.Cmp(d.half) > 0 {
+		c.Sub(c, d.q)
+	}
+	x := new(big.Float).SetInt(c) // at least 64 bits, as quo's quotient
+	f, _ := x.Quo(x, d.bigScale).Float64()
+	return f
+}
+
+// centred returns coefficient idx centred mod Q when residue 0 determines it,
+// ok false when it does not.
+func (d *coeffDecoder) centred(idx int) (v int64, ok bool) {
+	q0, c0 := d.r.Moduli[0], d.poly.Coeffs[0][idx]
+	if c0 >= q0 {
+		return 0, false
+	}
+	v = int64(c0)
+	if c0 > q0>>1 {
+		v -= int64(q0)
+	}
+	for i, row := range d.poly.Coeffs[1:] {
+		if d.r.Tables[i+1].Mod.ReduceInt(v) != row[idx] {
+			return 0, false
+		}
+	}
+	return v, true
+}
+
+// quo returns v/scale rounded as big.Float rounds it; ok is false when the
+// result leaves the normal float64 range, where a second rounding would
+// differ.
+func (d *coeffDecoder) quo(v int64) (f float64, ok bool) {
+	if v == 0 {
+		return 0, true
+	}
+	a := uint64(v)
+	if v < 0 {
+		a = -a
+	}
+	shift := bits.LeadingZeros64(a)
+	a <<= shift
+	// (qt + rem/m)·2^exp = |v|/scale with qt ∈ [2^63, 2^64): 64 bits of
+	// quotient, and the remainder that rounds them to nearest even.
+	exp := -d.exp - shift - 64
+	var qt, rem uint64
+	if a < d.m {
+		qt, rem = bits.Div64(a, 0, d.m)
+	} else {
+		qt, rem = bits.Div64(a>>1, a<<63, d.m)
+		exp++
+	}
+	if half := d.m >> 1; rem > half || rem == half && qt&1 == 1 { // m is even
+		if qt++; qt == 0 {
+			qt, exp = 1<<63, exp+1
+		}
+	}
+	if exp < -1022-63 || exp > 1023-64 {
+		return 0, false
+	}
+	f = math.Ldexp(float64(qt), exp) // float64(qt) rounds to nearest even
+	if v < 0 {
+		f = -f
+	}
+	return f, true
 }

@@ -397,14 +397,13 @@ func (ev *Evaluator) automorphism(ct *Ciphertext, k uint64) *Ciphertext {
 	}
 	r := ev.params.RingQP()
 	lvl := ct.Level()
-	perm := ring.AutomorphismNTTIndex(r.N, k)
 
 	// The automorphism is fused into the keyswitch MAC as an index gather
 	// (decomposition commutes with the coefficient permutation), so τ_k(c1)
 	// is never materialized.
 	h := ev.decomposeExt(ct.C1)
 	out := ev.newCiphertext(lvl, ct.Scale)
-	ev.rotateFromDecomp(h, perm, swk, ct.C0, out.C0.Coeffs, out.C1.Coeffs)
+	ev.rotateFromDecomp(h, k, swk, ct.C0, out.C0.Coeffs, out.C1.Coeffs)
 	h.release(r)
 	return out
 }
@@ -414,14 +413,16 @@ func (ev *Evaluator) automorphism(ct *Ciphertext, k uint64) *Ciphertext {
 // divided by P, with τ_k(c0) gathered into the c0 output in place. The
 // addition commutes, so this is word for word materializing τ_k(c0) and
 // adding the keyswitch to it.
-func (ev *Evaluator) rotateFromDecomp(h *hoistedDecomp, perm []int, swk *SwitchingKey, c0 *ring.Poly, out0, out1 [][]uint64) {
+func (ev *Evaluator) rotateFromDecomp(h *hoistedDecomp, k uint64, swk *SwitchingKey, c0 *ring.Poly, out0, out1 [][]uint64) {
 	requireNTT("a rotation", c0)
 	r := ev.params.RingQP()
-	ev.ksFromDecomp(h, perm, swk, out0, out1)
+	ev.ksFromDecomp(h, k, swk, out0, out1)
+	first, step := ring.AutomorphismNTTStep(r.N, k)
+	mask := r.N - 1
 	ring.ForEachLimb(len(out0), func(j int) {
 		q, src, dst := r.Moduli[j], c0.Coeffs[j], out0[j]
-		for t := range dst {
-			dst[t] = ring.AddMod(dst[t], src[perm[t]], q)
+		for t, s := 0, first; t < len(dst); t, s = t+1, (s+step)&mask {
+			dst[t] = ring.AddMod(dst[t], src[s], q)
 		}
 	})
 }
@@ -493,11 +494,11 @@ func (h *hoistedDecomp) release(r *ring.Ring) {
 // ksAccum multiply-accumulates a hoisted decomposition against a switching
 // key in the extended basis, returning canonical accumulator rows from the
 // ring's row pool (callers release them, typically via ModDownExt or after
-// modDownP). When perm is non-nil it is an NTT-domain automorphism index
-// permutation fused into the MAC (acc[t] += digit[perm[t]]·key[t]), which is
-// how hoisted rotations apply τ_k to every digit without materializing the
+// modDownP). The Galois element k names an NTT-domain automorphism fused
+// into the MAC (acc[t] += digit[perm[t]]·key[t], k = 1 the identity), which
+// is how hoisted rotations apply τ_k to every digit without materializing the
 // permuted decomposition.
-func (ev *Evaluator) ksAccum(h *hoistedDecomp, perm []int, swk *SwitchingKey) (acc0, acc1 [][]uint64) {
+func (ev *Evaluator) ksAccum(h *hoistedDecomp, k uint64, swk *SwitchingKey) (acc0, acc1 [][]uint64) {
 	r := ev.params.RingQP()
 	rows := ev.params.ExtRows(h.lvl)
 	acc0, acc1 = ev.pooledRows(rows), ev.pooledRows(rows)
@@ -512,7 +513,7 @@ func (ev *Evaluator) ksAccum(h *hoistedDecomp, perm []int, swk *SwitchingKey) (a
 			d[i], kb[i], ka[i] = digit[jj], swk.DigitsB[i].Coeffs[tblIdx], swk.DigitsA[i].Coeffs[tblIdx]
 		}
 		n := len(h.digits)
-		r.Tables[tblIdx].Mod.InnerProductRows(acc0[jj], acc1[jj], d[:n], kb[:n], ka[:n], perm)
+		r.Tables[tblIdx].Mod.InnerProductRows(acc0[jj], acc1[jj], d[:n], kb[:n], ka[:n], k)
 	})
 	return acc0, acc1
 }
@@ -523,9 +524,9 @@ func (ev *Evaluator) ksAccum(h *hoistedDecomp, perm []int, swk *SwitchingKey) (a
 // their contents overwritten) — the classic single-hoisted keyswitch. The double-hoisted path
 // instead keeps the ksAccum output in the extended basis (ExtCiphertext) and
 // defers the ModDown across many operations.
-func (ev *Evaluator) ksFromDecomp(h *hoistedDecomp, perm []int, swk *SwitchingKey, out0, out1 [][]uint64) {
+func (ev *Evaluator) ksFromDecomp(h *hoistedDecomp, k uint64, swk *SwitchingKey, out0, out1 [][]uint64) {
 	r := ev.params.RingQP()
-	acc0, acc1 := ev.ksAccum(h, perm, swk)
+	acc0, acc1 := ev.ksAccum(h, k, swk)
 	ev.modDownP(acc0, acc1, h.lvl, false, out0, out1)
 	for jj := range acc0 {
 		r.PutRow(acc0[jj])
@@ -562,7 +563,7 @@ func (ev *Evaluator) RotateHoisted(ct *Ciphertext, rots []int) map[int]*Cipherte
 			h = ev.decomposeExt(ct.C1)
 		}
 		res := ev.newCiphertext(ct.Level(), ct.Scale)
-		ev.rotateFromDecomp(h, ring.AutomorphismNTTIndex(r.N, k), swk, ct.C0, res.C0.Coeffs, res.C1.Coeffs)
+		ev.rotateFromDecomp(h, k, swk, ct.C0, res.C0.Coeffs, res.C1.Coeffs)
 		out[rot] = res
 	}
 	if h != nil {

@@ -77,7 +77,7 @@ func (ev *Evaluator) relinExt(c0, c1, c2 *ring.Poly, scale float64) *ExtCipherte
 		panic("ckks: evaluator has no relinearization key")
 	}
 	h := ev.decomposeExt(c2)
-	acc0, acc1 := ev.ksAccum(h, nil, ev.rlk.Key)
+	acc0, acc1 := ev.ksAccum(h, 1, ev.rlk.Key)
 	h.release(ev.params.RingQP())
 	e := &ExtCiphertext{Lvl: c2.Level(), C0: acc0, C1: acc1, Scale: scale}
 	ev.addLifted(e, c0, c1)

@@ -123,14 +123,13 @@ func (ev *Evaluator) RotateHoistedExt(ct *Ciphertext, rots []int) map[int]*ExtCi
 		if h == nil {
 			h = ev.decomposeExt(ct.C1)
 		}
-		perm := ring.AutomorphismNTTIndex(r.N, k)
-		acc0, acc1 := ev.ksAccum(h, perm, swk)
+		acc0, acc1 := ev.ksAccum(h, k, swk)
 		// Fold P·τ_k(c0) into the Q rows of the c0 accumulator (its P-row
 		// contribution is zero), fusing the output automorphism into the
 		// same gather form as the keyswitch MAC.
 		ring.ForEachLimb(lvl+1, func(j int) {
 			m := r.Tables[j].Mod
-			m.MulAddShoupRowLazyGather(acc0[j], ct.C0.Coeffs[j], ev.params.pModQ[j], ev.params.pModQShoup[j], perm)
+			m.MulAddShoupRowLazyGather(acc0[j], ct.C0.Coeffs[j], ev.params.pModQ[j], ev.params.pModQShoup[j], k)
 		})
 		out[rot] = &ExtCiphertext{Lvl: lvl, C0: acc0, C1: acc1, Scale: ct.Scale}
 	}

@@ -8,7 +8,7 @@ func relinearizeOracle(ev *Evaluator, ct *Ciphertext2) *Ciphertext {
 	r := ev.params.RingQP()
 	h := ev.decomposeExt(ct.C2)
 	out := ev.newCiphertext(ct.Level(), ct.Scale)
-	ev.ksFromDecomp(h, nil, ev.rlk.Key, out.C0.Coeffs, out.C1.Coeffs)
+	ev.ksFromDecomp(h, 1, ev.rlk.Key, out.C0.Coeffs, out.C1.Coeffs)
 	h.release(r)
 	r.Add(out.C0, ct.C0, out.C0)
 	r.Add(out.C1, ct.C1, out.C1)

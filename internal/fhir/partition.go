@@ -48,7 +48,7 @@ func partitionFor(p *Program, cards int) (*partition, error) {
 		}
 		pt.shares = append(pt.shares, share{terms: mine, vals: closure(p, mine)})
 	}
-	pt.tree = task.Reduction(len(pt.shares))
+	pt.tree = task.Reduction(nil, len(pt.shares))
 	return pt, nil
 }
 

@@ -141,7 +141,7 @@ func matVecAblation(c *Context, bs, gs int, distributedBS, star bool, label stri
 		}
 		partials[0] = c.B.ComputeAfterRecv(root, lastRecv, fheop.Of(fheop.HAdd, nc-1), limbs, label)
 	} else {
-		for _, e := range task.Reduction(nc) {
+		for _, e := range task.Reduction(nil, nc) {
 			dst := c.Cards[e.To]
 			r := c.B.Send(c.Cards[e.From], partials[e.From], []int{dst}, bytes, label)[0]
 			partials[e.To] = c.B.ComputeAfterRecv(dst, r, fheop.Of(fheop.HAdd, 1), limbs, label)

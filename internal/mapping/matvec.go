@@ -63,7 +63,8 @@ func (c *Context) emitMatVec(bs, gs int, label string) error {
 	}
 	// Tree aggregation onto the first card, then the redistribution of the
 	// aggregate (the "+1" communication of Eq. 1).
-	for _, e := range task.Reduction(nc) {
+	var tree [64]task.Edge
+	for _, e := range task.Reduction(tree[:0], nc) {
 		dst := c.Cards[e.To]
 		recvs := c.B.Send(c.Cards[e.From], partials[e.From], []int{dst}, bytes, label)
 		partials[e.To] = c.B.ComputeAfterRecv(dst, recvs[0], fheop.Of(fheop.HAdd, 1), limbs, label)

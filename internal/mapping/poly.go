@@ -120,7 +120,8 @@ func (c *Context) emitPolyEval(degree int, label string) error {
 	// Phase 3: tree aggregation to card 0 (task.Reduction) — the sender
 	// multiplies its partial by the appropriate power and sends; the
 	// receiver adds.
-	for _, e := range task.Reduction(cardNum) {
+	var tree [64]task.Edge
+	for _, e := range task.Reduction(tree[:0], cardNum) {
 		compute(e.From, fheop.Of(fheop.CMult, 1)) // multiply_and_send
 		recvs := c.B.Send(c.Cards[e.From], latest[e.From], []int{c.Cards[e.To]}, bytes, label)
 		pendingRecv[e.To] = recvs[0]

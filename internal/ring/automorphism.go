@@ -27,7 +27,9 @@ func GaloisElementConjugate(n int) uint64 {
 // AutomorphismNTTIndex precomputes the NTT-domain permutation for τ_k:
 // out[j] = in[perm[j]]. With the natural evaluation ordering used by NTTTable
 // (index j ↔ evaluation at ψ^(2j+1)), τ_k sends evaluation point ψ^(2j+1) to
-// ψ^((2j+1)k), so perm[j] = (((2j+1)·k mod 2N) - 1) / 2.
+// ψ^((2j+1)k), so perm[j] = (((2j+1)·k mod 2N) - 1) / 2. The hot kernels
+// step through it instead (AutomorphismNTTStep); this table is for callers
+// that permute whole polynomials rarely, such as key generation.
 func AutomorphismNTTIndex(n int, k uint64) []int {
 	m := uint64(2 * n)
 	perm := make([]int, n)
@@ -36,6 +38,19 @@ func AutomorphismNTTIndex(n int, k uint64) []int {
 		perm[j] = int((e - 1) / 2)
 	}
 	return perm
+}
+
+// AutomorphismNTTStep returns AutomorphismNTTIndex(n, k) as the arithmetic
+// progression it is: perm[0] = first and perm[j+1] = (perm[j] + step) mod n,
+// because (2j+3)·k = (2j+1)·k + 2k, so each exponent grows by 2k mod 2N and
+// its half by k mod N. k = 1 is the identity. n must be a power of two and k
+// odd, as every Galois element is.
+func AutomorphismNTTStep(n int, k uint64) (first, step int) {
+	if n&(n-1) != 0 || k&1 == 0 {
+		panic("ring: an NTT-domain automorphism needs a power-of-two degree and an odd Galois element")
+	}
+	mask := uint64(n - 1)
+	return int(((k - 1) / 2) & mask), int(k & mask)
 }
 
 // AutomorphismNTT applies τ_k in the NTT domain using a precomputed index

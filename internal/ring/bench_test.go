@@ -112,7 +112,8 @@ func BenchmarkAutomorphismNTT(b *testing.B) {
 
 // perProductRowMAC is the per-product-Barrett row MAC the wide-accumulator
 // kernels replaced: acc[j] += a[perm[j]]·b[j] (a[j] when perm is nil) with
-// one Reduce128Lazy per product, acc lazy in [0, 2q).
+// one Reduce128Lazy per product and the gather read from a table, acc lazy in
+// [0, 2q).
 func perProductRowMAC(m Modulus, acc, a, b []uint64, perm []int) {
 	for j := range acc {
 		src := j
@@ -144,7 +145,8 @@ func BenchmarkRowMAC(b *testing.B) {
 		}
 		return out
 	}
-	perm := AutomorphismNTTIndex(n, GaloisElementForRotation(n, 1))
+	galois := GaloisElementForRotation(n, 1)
+	perm := AutomorphismNTTIndex(n, galois)
 	for _, k := range []int{1, 3, RowMACFold} {
 		x0, x1, p := rows(k, 2*m.Q), rows(k, 2*m.Q), rows(k, m.Q)
 		acc := rows(2, 2*m.Q)
@@ -164,7 +166,7 @@ func BenchmarkRowMAC(b *testing.B) {
 		k0, k1 := rows(k, m.Q), rows(k, m.Q)
 		b.Run(fmt.Sprintf("key/F=%d/wide", k), func(b *testing.B) {
 			for range b.N {
-				m.InnerProductRows(acc[0], acc[1], p, k0, k1, perm)
+				m.InnerProductRows(acc[0], acc[1], p, k0, k1, galois)
 			}
 		})
 		b.Run(fmt.Sprintf("key/F=%d/perproduct", k), func(b *testing.B) {
@@ -180,4 +182,60 @@ func BenchmarkRowMAC(b *testing.B) {
 			}
 		})
 	}
+}
+
+// reduceSignedRowRef is the coefficient-row reduction ReduceIntRow replaced:
+// a 16-byte SignedWord per coefficient, a Barrett reduction when the
+// magnitude reaches q, and branches on the shift and the sign.
+func reduceSignedRowRef(m Modulus, out []uint64, w []SignedWord) {
+	w = w[:len(out)]
+	for j, x := range w {
+		r := x.Mag
+		if r >= m.Q {
+			r = m.Reduce64(r)
+		}
+		if x.Shift != 0 {
+			r = m.MulModBarrett(r, PowMod(2, uint64(x.Shift), m.Q))
+		}
+		if x.Neg {
+			r = NegMod(r, m.Q)
+		}
+		out[j] = r
+	}
+}
+
+// BenchmarkReduceCoeffRow sets the encoder's row reduction, ReduceIntRow on
+// int64 words, against the SignedWord loop it replaced, on one
+// 4096-coefficient row of integer parts of both signs below 2^50 (a unit
+// slot value at the default 2^45 scale, with the FFT's growth) under a
+// 50-bit NTT prime; the two must agree word for word.
+//
+// go test -run '^$' -bench ReduceCoeffRow ./internal/ring/
+func BenchmarkReduceCoeffRow(b *testing.B) {
+	const n = 4096
+	m := NewModulus(GenerateNTTPrimes(50, n, 1)[0])
+	rng := rand.New(rand.NewSource(1))
+	ints, words := make([]int64, n), make([]SignedWord, n)
+	for j := range ints {
+		ints[j] = rng.Int63n(1<<51) - 1<<50
+		words[j] = SignedWord{Mag: uint64(max(ints[j], -ints[j])), Neg: ints[j] < 0}
+	}
+	got, want := make([]uint64, n), make([]uint64, n)
+	m.ReduceIntRow(got, ints)
+	reduceSignedRowRef(m, want, words)
+	for j := range got {
+		if got[j] != want[j] {
+			b.Fatalf("coefficient %d: ReduceIntRow %d, the SignedWord loop %d", j, got[j], want[j])
+		}
+	}
+	b.Run("int64", func(b *testing.B) {
+		for range b.N {
+			m.ReduceIntRow(got, ints)
+		}
+	})
+	b.Run("signedword", func(b *testing.B) {
+		for range b.N {
+			reduceSignedRowRef(m, want, words)
+		}
+	})
 }

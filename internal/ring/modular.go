@@ -19,6 +19,9 @@ type Modulus struct {
 	// BarrettHi and BarrettLo hold floor(2^128 / Q) as a 128-bit value.
 	BarrettHi uint64
 	BarrettLo uint64
+	// bias is Q·⌈2^62/Q⌉ < 2^63, the multiple of Q that ReduceInt adds to
+	// lift a signed word into the unsigned range.
+	bias uint64
 }
 
 // NewModulus precomputes Barrett constants for q. It panics if q is zero or
@@ -28,7 +31,7 @@ func NewModulus(q uint64) Modulus {
 		panic("ring: modulus must satisfy 0 < q < 2^62")
 	}
 	hi, lo := barrettConstant(q)
-	return Modulus{Q: q, BarrettHi: hi, BarrettLo: lo}
+	return Modulus{Q: q, BarrettHi: hi, BarrettLo: lo, bias: q * ((1<<62 + q - 1) / q)}
 }
 
 // barrettConstant returns floor(2^128 / q) as (hi, lo) 64-bit words.
@@ -168,31 +171,50 @@ func (m Modulus) Reduce64(a uint64) uint64 {
 	return m.Reduce128(0, a)
 }
 
+// ReduceInt returns v mod q, canonical in [0, q), for |v| < 2^62: the
+// integer part of a CKKS coefficient reaching its residue row. v plus bias,
+// a multiple of q, lies in [0, 2^63 + q); one single-word Barrett step, whose
+// quotient ⌊u·⌊2^64/q⌋/2^64⌋ is short by at most one, and one conditional
+// subtraction finish it. No branch depends on the data, so a row of mixed
+// signs costs what a row of one sign does.
+func (m Modulus) ReduceInt(v int64) uint64 {
+	u := uint64(v) + m.bias
+	hi, _ := bits.Mul64(u, m.BarrettHi) // BarrettHi = ⌊2^64/q⌋
+	r := u - hi*m.Q
+	if r >= m.Q {
+		r -= m.Q
+	}
+	return r
+}
+
+// ReduceIntRow sets out[j] = ReduceInt(v[j]), every |v[j]| < 2^62.
+func (m Modulus) ReduceIntRow(out []uint64, v []int64) {
+	v = v[:len(out)]
+	for j, x := range v {
+		out[j] = m.ReduceInt(x)
+	}
+}
+
 // SignedWord is the integer ±Mag·2^Shift, the form the integer part of a
-// finite float64 takes: how CKKS coefficients reach residue rows without math/big.
+// finite float64 takes: how the CKKS coefficients ReduceInt does not take
+// (|v| ≥ 2^62) reach residue rows without math/big.
 type SignedWord struct {
 	Mag   uint64
 	Shift uint16
 	Neg   bool
 }
 
-// ReduceSignedRow sets out[j] = w[j] mod q, canonical in [0, q): at most one
-// Barrett reduction per word, plus a multiply by 2^Shift mod q when Shift > 0.
-func (m Modulus) ReduceSignedRow(out []uint64, w []SignedWord) {
-	w = w[:len(out)]
-	for j, x := range w {
-		r := x.Mag
-		if r >= m.Q {
-			r = m.Reduce64(r)
-		}
-		if x.Shift != 0 {
-			r = m.MulModBarrett(r, PowMod(2, uint64(x.Shift), m.Q))
-		}
-		if x.Neg {
-			r = NegMod(r, m.Q)
-		}
-		out[j] = r
+// ReduceSigned returns w mod q, canonical in [0, q): one Barrett reduction,
+// a multiply by 2^Shift mod q when Shift > 0, and the sign.
+func (m Modulus) ReduceSigned(w SignedWord) uint64 {
+	r := m.Reduce64(w.Mag)
+	if w.Shift != 0 {
+		r = m.MulModBarrett(r, PowMod(2, uint64(w.Shift), m.Q))
 	}
+	if w.Neg {
+		r = NegMod(r, m.Q)
+	}
+	return r
 }
 
 // MulAddRowLazy is the fused Barrett multiply-accumulate for one operand pair
@@ -259,26 +281,22 @@ func (m Modulus) MulAddRowsLazy(acc0, acc1 []uint64, x0, x1, p [][]uint64) {
 // InnerProductRows is the keyswitch digit inner product: it sets
 // out0[j] = Σ_i d[i][perm[j]]·k0[i][j] and out1[j] = Σ_i d[i][perm[j]]·k1[i][j]
 // canonical in [0, q), one digit load serving both key rows and one reduction
-// per output coefficient. perm, when non-nil, is an NTT-domain automorphism
-// (a permutation of [0, len(out0))) fused into the digit reads, so hoisted
-// rotations never materialize permuted digit rows. d rows may be lazy in
-// [0, 2q), k rows must be canonical, and at most RowMACFold digits fit one
-// call.
-func (m Modulus) InnerProductRows(out0, out1 []uint64, d, k0, k1 [][]uint64, perm []int) {
+// per output coefficient. perm is the NTT-domain automorphism τ_galois
+// (AutomorphismNTTIndex), stepped through rather than read from a table and
+// fused into the digit reads, so hoisted rotations never materialize permuted
+// digit rows; galois = 1 is the identity. len(out0) must be a power of two, d
+// rows may be lazy in [0, 2q), k rows must be canonical, and at most
+// RowMACFold digits fit one call.
+func (m Modulus) InnerProductRows(out0, out1 []uint64, d, k0, k1 [][]uint64, galois uint64) {
 	n := len(d)
 	if n > RowMACFold || len(k0) != n || len(k1) != n {
 		panic("ring: InnerProductRows takes matching operand lists of at most RowMACFold rows")
 	}
 	q := m.Q
 	out1 = out1[:len(out0)]
-	if perm != nil {
-		perm = perm[:len(out0)]
-	}
+	src, step := AutomorphismNTTStep(len(out0), galois)
+	mask := len(out0) - 1
 	for j := range out0 {
-		src := j
-		if perm != nil {
-			src = perm[j]
-		}
 		var h0, l0, h1, l1, c uint64
 		for i := range n {
 			v := d[i][src]
@@ -289,6 +307,7 @@ func (m Modulus) InnerProductRows(out0, out1 []uint64, d, k0, k1 [][]uint64, per
 			l1, c = bits.Add64(l1, lo, 0)
 			h1 += hi + c
 		}
+		src = (src + step) & mask
 		r0, r1 := m.Reduce128Lazy(h0, l0), m.Reduce128Lazy(h1, l1)
 		if r0 >= q {
 			r0 -= q
@@ -318,16 +337,19 @@ func (m Modulus) MulAddShoupRowLazy(acc, a []uint64, w, wShoup uint64) {
 	}
 }
 
-// MulAddShoupRowLazyGather is MulAddShoupRowLazy with an index gather fused
-// into the source row: acc[j] += a[perm[j]]*w under the same contract. It
-// folds P·τ_k(c0) into an extended-basis keyswitch accumulator without
-// materializing the rotated polynomial.
-func (m Modulus) MulAddShoupRowLazyGather(acc, a []uint64, w, wShoup uint64, perm []int) {
+// MulAddShoupRowLazyGather is MulAddShoupRowLazy with the automorphism
+// τ_galois fused into the source row as a stepped gather (see
+// InnerProductRows): acc[j] += a[perm[j]]*w under the same contract,
+// len(acc) a power of two. It folds P·τ_k(c0) into an extended-basis
+// keyswitch accumulator without materializing the rotated polynomial.
+func (m Modulus) MulAddShoupRowLazyGather(acc, a []uint64, w, wShoup, galois uint64) {
 	q := m.Q
 	twoQ := q << 1
-	perm = perm[:len(acc)]
+	src, step := AutomorphismNTTStep(len(acc), galois)
+	mask := len(acc) - 1
 	for j := range acc {
-		v := a[perm[j]]
+		v := a[src]
+		src = (src + step) & mask
 		hi, _ := bits.Mul64(v, wShoup)
 		c := acc[j] + v*w - hi*q
 		if c >= twoQ {

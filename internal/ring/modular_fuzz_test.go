@@ -223,7 +223,7 @@ func FuzzModularOps(f *testing.F) {
 // of length n — random, or every operand at its bound (x = 2q−1, p = q−1,
 // acc = 2q−1) when worst — and checks every output against math/big:
 // MulAddRowsLazy congruent and lazy in [0, 2q), InnerProductRows congruent
-// and canonical, with and without a random gather permutation.
+// and canonical, with the identity and a random automorphism gather.
 func checkWideRowMACs(t *testing.T, m Modulus, rng *rand.Rand, terms, n int, worst bool) {
 	t.Helper()
 	q := m.Q
@@ -266,14 +266,10 @@ func checkWideRowMACs(t *testing.T, m Modulus, rng *rand.Rand, terms, n int, wor
 	}
 
 	k0, k1 := rows(terms, q), rows(terms, q)
-	for _, perm := range [][]int{nil, rng.Perm(n)} {
+	for _, galois := range []uint64{1, uint64(2*rng.Intn(2*n) + 1)} {
 		out0, out1 := make([]uint64, n), make([]uint64, n)
-		m.InnerProductRows(out0, out1, x0, k0, k1, perm)
-		for j := range n {
-			src := j
-			if perm != nil {
-				src = perm[j]
-			}
+		m.InnerProductRows(out0, out1, x0, k0, k1, galois)
+		for j, src := range AutomorphismNTTIndex(n, galois) {
 			check("InnerProductRows out0", out0[j], mac(0, x0, k0, src, j), q)
 			check("InnerProductRows out1", out1[j], mac(0, x0, k1, src, j), q)
 		}

@@ -135,8 +135,9 @@ func lazyRow(rng *rand.Rand, n int, q uint64) []uint64 {
 }
 
 // The gather and Shoup row kernels must agree with the plain lazy MAC applied
-// to materialized inputs: gathering a[perm[j]] is the same as permuting a
-// first, and a constant Shoup multiplier is the same as a broadcast row.
+// to materialized inputs: gathering a[perm[j]] through the automorphism's
+// progression is the same as permuting a by AutomorphismNTTIndex first, and a
+// constant Shoup multiplier is the same as a broadcast row.
 func TestRowLazyKernelsMatchReference(t *testing.T) {
 	const n = 64
 	rng := rand.New(rand.NewSource(21))
@@ -144,7 +145,8 @@ func TestRowLazyKernelsMatchReference(t *testing.T) {
 		m := NewModulus(q)
 		a := lazyRow(rng, n, q)
 		b := lazyRow(rng, n, q)
-		perm := rng.Perm(n)
+		galois := uint64(2*rng.Intn(2*n) + 1)
+		perm := AutomorphismNTTIndex(n, galois)
 		w := rng.Uint64() % q
 		ws := ShoupPrecomp(w, q)
 
@@ -161,7 +163,7 @@ func TestRowLazyKernelsMatchReference(t *testing.T) {
 		// both output rows, canonical.
 		out0, out1 := make([]uint64, n), make([]uint64, n)
 		want := make([]uint64, n)
-		m.InnerProductRows(out0, out1, [][]uint64{a}, [][]uint64{canonB}, [][]uint64{broadcast}, perm)
+		m.InnerProductRows(out0, out1, [][]uint64{a}, [][]uint64{canonB}, [][]uint64{broadcast}, galois)
 		m.MulAddRowLazy(want, permuted, canonB)
 		checkCanonRowsEqual(t, "InnerProductRows gather, first key row", out0, want, q)
 		clear(want)
@@ -176,7 +178,7 @@ func TestRowLazyKernelsMatchReference(t *testing.T) {
 
 		acc = lazyRow(rng, n, q)
 		want = append([]uint64(nil), acc...)
-		m.MulAddShoupRowLazyGather(acc, a, w, ws, perm)
+		m.MulAddShoupRowLazyGather(acc, a, w, ws, galois)
 		m.MulAddRowLazy(want, permuted, broadcast)
 		checkLazyRowsEqual(t, "MulAddShoupRowLazyGather", acc, want, q)
 
@@ -216,28 +218,38 @@ func checkCanonRowsEqual(t *testing.T, name string, got, want []uint64, q uint64
 	}
 }
 
-// TestReduceSignedRow checks the signed-word reduction against math/big on
-// both sides of every branch: magnitudes below and above q, zero, the full
-// 64-bit word, and shifts up to the largest float64 exponent.
+// TestReduceSignedRow checks the two halves of an encoded coefficient row's
+// reduction against math/big: ReduceIntRow on int64 words at every edge (zero,
+// ±1, ±q and its neighbours, ±2^53, ±(2^62 − 1)) and ReduceSigned on
+// the wide words, on both sides of every branch — magnitudes below and above
+// q, zero, the full 64-bit word, and shifts up to the largest float64
+// exponent.
 func TestReduceSignedRow(t *testing.T) {
 	for _, q := range []uint64{testQ, GenerateNTTPrimes(45, 1024, 1)[0], 12289} {
 		m := NewModulus(q)
-		var words []SignedWord
-		for _, mag := range []uint64{0, 1, q - 1, q, q + 1, 1<<53 - 1, 1 << 63, ^uint64(0)} {
-			for _, shift := range []uint16{0, 1, 11, 12, 63, 64, 500, 971} {
-				words = append(words, SignedWord{Mag: mag, Shift: shift}, SignedWord{Mag: mag, Shift: shift, Neg: true})
+		bq := new(big.Int).SetUint64(q)
+		var ints []int64
+		for _, v := range []int64{0, 1, int64(q) - 1, int64(q), int64(q) + 1, 2*int64(q) - 1, 1<<53 - 1, 1<<61 + 12345, 1<<62 - 1} {
+			ints = append(ints, v, -v)
+		}
+		out := make([]uint64, len(ints))
+		m.ReduceIntRow(out, ints)
+		for i, v := range ints {
+			if want := new(big.Int).Mod(big.NewInt(v), bq); out[i] != want.Uint64() {
+				t.Fatalf("q=%d: ReduceIntRow of %d gives %d, want %v", q, v, out[i], want)
 			}
 		}
-		out := make([]uint64, len(words))
-		m.ReduceSignedRow(out, words)
-		bq := new(big.Int).SetUint64(q)
-		for i, w := range words {
-			want := new(big.Int).Lsh(new(big.Int).SetUint64(w.Mag), uint(w.Shift))
-			if w.Neg {
-				want.Neg(want)
-			}
-			if want.Mod(want, bq); out[i] != want.Uint64() {
-				t.Fatalf("q=%d: %+v reduces to %d, want %v", q, w, out[i], want)
+		for _, mag := range []uint64{0, 1, q - 1, q, q + 1, 1<<53 - 1, 1 << 63, ^uint64(0)} {
+			for _, shift := range []uint16{0, 1, 11, 12, 63, 64, 500, 971} {
+				for _, w := range []SignedWord{{Mag: mag, Shift: shift}, {Mag: mag, Shift: shift, Neg: true}} {
+					want := new(big.Int).Lsh(new(big.Int).SetUint64(w.Mag), uint(w.Shift))
+					if w.Neg {
+						want.Neg(want)
+					}
+					if got := m.ReduceSigned(w); got != want.Mod(want, bq).Uint64() {
+						t.Fatalf("q=%d: %+v reduces to %d, want %v", q, w, got, want)
+					}
+				}
 			}
 		}
 	}

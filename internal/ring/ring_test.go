@@ -191,6 +191,43 @@ func TestAutomorphismNTTMatchesCoeff(t *testing.T) {
 	}
 }
 
+// TestAutomorphismNTTStepMatchesIndex: the progression the gather kernels
+// step through is AutomorphismNTTIndex's table, for every odd Galois element
+// below 4N at small degrees (k ≥ 2N included) and the rotations and the
+// conjugation at N = 2^12.
+func TestAutomorphismNTTStepMatchesIndex(t *testing.T) {
+	check := func(n int, k uint64) {
+		first, step := AutomorphismNTTStep(n, k)
+		for j, want := range AutomorphismNTTIndex(n, k) {
+			if got := (first + j*step) % n; got != want {
+				t.Fatalf("n=%d k=%d: the progression gives %d at %d, the table %d", n, k, got, j, want)
+			}
+		}
+	}
+	for _, n := range []int{1, 2, 8, 64} {
+		for k := uint64(1); k < uint64(4*n); k += 2 {
+			check(n, k)
+		}
+	}
+	for _, rot := range []int{1, 2, 5, 100, -1, -7} {
+		check(4096, GaloisElementForRotation(4096, rot))
+	}
+	check(4096, GaloisElementConjugate(4096))
+	for _, bad := range []struct {
+		n int
+		k uint64
+	}{{6, 1}, {8, 2}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("AutomorphismNTTStep(%d, %d) did not panic", bad.n, bad.k)
+				}
+			}()
+			AutomorphismNTTStep(bad.n, bad.k)
+		}()
+	}
+}
+
 func TestGaloisElements(t *testing.T) {
 	n := 64
 	if k := GaloisElementForRotation(n, 0); k != 1 {

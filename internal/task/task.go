@@ -310,21 +310,21 @@ var FromStart = Handle{Card: -1, Index: -1}
 // partial To.
 type Edge struct{ From, To int }
 
-// Reduction lists the sends that fold n partials onto partial 0 pairwise,
-// Fig. 3(d)'s order, round by round: while h > 1 partials are active, the
-// upper ⌊h/2⌋ send to the lower ones, partial i to partial i-⌈h/2⌉, and the
-// lower ⌈h/2⌉ stay active. Every reduction tree of the mapping emitters and of
-// fhir's lowerings is this one.
-func Reduction(n int) []Edge {
-	out := make([]Edge, 0, max(n-1, 0))
+// Reduction appends to dst the sends that fold n partials onto partial 0
+// pairwise, Fig. 3(d)'s order, round by round: while h > 1 partials are
+// active, the upper ⌊h/2⌋ send to the lower ones, partial i to partial
+// i-⌈h/2⌉, and the lower ⌈h/2⌉ stay active. Every reduction tree of the
+// mapping emitters and of fhir's lowerings is this one; an emitter passes a
+// stack array's slice, so a tree of up to its length allocates nothing.
+func Reduction(dst []Edge, n int) []Edge {
 	for n > 1 {
 		half := (n + 1) / 2
 		for i := half; i < n; i++ {
-			out = append(out, Edge{From: i, To: i - half})
+			dst = append(dst, Edge{From: i, To: i - half})
 		}
 		n = half
 	}
-	return out
+	return dst
 }
 
 // Build lays out the open step and returns the program. Emitting more after

@@ -460,15 +460,15 @@ func TestEnergyScaleDefaultsAndOverride(t *testing.T) {
 // partial but partial 0 exactly once, to a lower one, and only after every
 // send into it.
 func TestReduction(t *testing.T) {
-	if got := Reduction(8); !slices.Equal(got, []Edge{{4, 0}, {5, 1}, {6, 2}, {7, 3}, {2, 0}, {3, 1}, {1, 0}}) {
+	if got := Reduction(nil, 8); !slices.Equal(got, []Edge{{4, 0}, {5, 1}, {6, 2}, {7, 3}, {2, 0}, {3, 1}, {1, 0}}) {
 		t.Fatalf("Reduction(8) = %v", got)
 	}
-	if got := Reduction(5); !slices.Equal(got, []Edge{{3, 0}, {4, 1}, {2, 0}, {1, 0}}) {
+	if got := Reduction(nil, 5); !slices.Equal(got, []Edge{{3, 0}, {4, 1}, {2, 0}, {1, 0}}) {
 		t.Fatalf("Reduction(5) = %v", got)
 	}
 	for n := 0; n <= 33; n++ {
 		sent := make([]bool, max(n, 1))
-		for _, e := range Reduction(n) {
+		for _, e := range Reduction(nil, n) {
 			if e.To >= e.From || sent[e.From] || sent[e.To] {
 				t.Fatalf("n=%d: send %v out of order", n, e)
 			}

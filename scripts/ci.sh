@@ -102,7 +102,7 @@ fi
 echo "== fuzz smoke (seed corpora + 10s per fuzzer, the make fuzz list)"
 # Short differential-fuzz passes seeded from testdata/fuzz and f.Add: the
 # modular arithmetic kernels, the RNS base conversions and the plaintext
-# encoder against math/big, the ISA and ciphertext wire decoders against
+# encoder and decoder against math/big, the ISA and ciphertext wire decoders against
 # crashes and out-of-contract output, the simulator against its reference
 # scheduler, random IR programs (interpreter: optimized vs naive
 # compile, each evaluated twice on one evaluator), and hostile card scripts
