@@ -237,6 +237,7 @@ func TestDecodeAllocationShape(t *testing.T) {
 		}
 		const runs = 50
 		var before, after runtime.MemStats
+		runtime.GC() // a fresh heap goal: no collection empties the pools mid-count
 		runtime.ReadMemStats(&before)
 		for range runs {
 			enc.Decode(pt)
@@ -275,6 +276,7 @@ func TestRotationAllocationShape(t *testing.T) {
 		op() // fill the pools
 		const runs = 20
 		var before, after runtime.MemStats
+		runtime.GC() // a fresh heap goal: no collection empties the pools mid-count
 		runtime.ReadMemStats(&before)
 		for range runs {
 			op()
