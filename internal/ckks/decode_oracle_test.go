@@ -171,21 +171,18 @@ func FuzzDecode(f *testing.F) {
 	f.Add(int64(3), uint8(0), uint8(9), uint8(62), uint8(255), 3.3e13, false)
 	f.Add(int64(4), uint8(3), uint8(0), uint8(10), uint8(30), 0x1p-1074, true)
 	f.Add(int64(5), uint8(1), uint8(5), uint8(49), uint8(0), 0x1p1020, false)
-	type env struct {
-		enc *Encoder
-	}
-	envs := map[int]env{}
+	encs := map[int]*Encoder{}
 	f.Fuzz(func(t *testing.T, seed int64, level, logSlots, bits, wideShare uint8, scale float64, ntt bool) {
 		if !(scale > 0) || math.IsInf(scale, 0) {
-			return // the oracle panics on NaN and divides by zero or a sign the encoder never writes
+			return // no plaintext has such a scale, and NaN panics the oracle
 		}
 		ls := 1 + int(logSlots)%9
-		ev, ok := envs[ls]
+		enc, ok := encs[ls]
 		if !ok {
-			ev = env{NewEncoder(sparseTestParameters(t, 10, 4, ls))}
-			envs[ls] = ev
+			enc = NewEncoder(sparseTestParameters(t, 10, 4, ls))
+			encs[ls] = enc
 		}
-		params := ev.enc.params
+		params := enc.params
 		r := params.RingQP()
 		lvl := int(level) % (params.MaxLevel() + 1)
 		rng := rand.New(rand.NewSource(seed))
@@ -207,7 +204,7 @@ func FuzzDecode(f *testing.F) {
 		if ntt {
 			r.NTT(poly)
 		}
-		checkDecodeAgainstOracle(t, ev.enc, &Plaintext{Value: poly, Scale: scale}, "fuzzed")
+		checkDecodeAgainstOracle(t, enc, &Plaintext{Value: poly, Scale: scale}, "fuzzed")
 	})
 }
 
