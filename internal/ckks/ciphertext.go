@@ -90,7 +90,7 @@ func (e *Encryptor) Encrypt(pt *Plaintext) *Ciphertext {
 	r := e.params.RingQP()
 	lvl := pt.Level()
 
-	v := r.GetScratch(lvl)
+	v := e.params.pooledPoly(lvl)
 	e.sampler.Ternary(v)
 	r.NTT(v)
 	c0 := r.NewPoly(lvl)
@@ -103,7 +103,7 @@ func (e *Encryptor) Encrypt(pt *Plaintext) *Ciphertext {
 	r.MulCoeffsAdd(v, atLevel(e.pk.B, lvl), c0)
 	r.Add(c0, pt.Value, c0)
 	r.MulCoeffsAdd(v, atLevel(e.pk.A, lvl), c1)
-	r.PutScratch(v)
+	e.params.releasePolys(v)
 	return &Ciphertext{C0: c0, C1: c1, Scale: pt.Scale}
 }
 

@@ -283,8 +283,8 @@ func (e *Encoder) Decode(pt *Plaintext) []complex128 {
 	r := e.params.RingQP()
 	poly := pt.Value
 	if poly.IsNTT {
-		c := r.GetScratch(poly.Level())
-		defer r.PutScratch(c)
+		c := e.params.pooledPoly(poly.Level())
+		defer e.params.releasePolys(c)
 		c.Copy(poly)
 		r.INTT(c)
 		poly = c

@@ -56,26 +56,26 @@ func requireNTT(op string, polys ...*ring.Poly) {
 }
 
 // pooledRows takes n rows of the ring's row pool for a value that owns
-// them: an op's result, an extended-basis accumulator or a hoisted
-// decomposition. They come back as their last holder left them; a taker
-// that accumulates into a row clears it first. The owner hands them back
-// with Release, ReleaseExt or hoistedDecomp.release, or drops them to the
-// collector.
-func (ev *Evaluator) pooledRows(n int) [][]uint64 {
+// them: an op's result or scratch, an extended-basis accumulator or a
+// hoisted decomposition. They come back as their last holder left them; a
+// taker that accumulates into a row clears it first. The owner hands them
+// back with Release, ReleaseExt, hoistedDecomp.release or releasePolys, or
+// drops them to the collector.
+func (p *Parameters) pooledRows(n int) [][]uint64 {
 	//lint:allow poolleak the rows' ownership passes to the value they are taken for, whose release returns them to the pool
-	return ev.params.RingQP().GetRawRows(n)
+	return p.RingQP().GetRows(n)
 }
 
 // pooledPoly is an NTT-domain polynomial at level lvl on pooled rows.
-func (ev *Evaluator) pooledPoly(lvl int) *ring.Poly {
-	return &ring.Poly{Coeffs: ev.pooledRows(lvl + 1), IsNTT: true}
+func (p *Parameters) pooledPoly(lvl int) *ring.Poly {
+	return &ring.Poly{Coeffs: p.pooledRows(lvl + 1), IsNTT: true}
 }
 
 // newCiphertext is the one constructor of every degree-1 result: an
 // NTT-domain ciphertext at level lvl on pooled rows whose contents are
 // undefined, so the op writes every word of them.
 func (ev *Evaluator) newCiphertext(lvl int, scale float64) *Ciphertext {
-	return &Ciphertext{C0: ev.pooledPoly(lvl), C1: ev.pooledPoly(lvl), Scale: scale}
+	return &Ciphertext{C0: ev.params.pooledPoly(lvl), C1: ev.params.pooledPoly(lvl), Scale: scale}
 }
 
 // copyPooled is a copy of ct on pooled rows.
@@ -92,21 +92,20 @@ func (ev *Evaluator) copyPooled(ct *Ciphertext) *Ciphertext {
 // with — and must not be used afterwards. A ciphertext that is never
 // released is reclaimed by the collector instead.
 func (ev *Evaluator) Release(ct *Ciphertext) {
-	ev.releasePolys(ct.C0, ct.C1)
+	ev.params.releasePolys(ct.C0, ct.C1)
 }
 
 // Release2 is Release of a degree-2 ciphertext.
 func (ev *Evaluator) Release2(ct *Ciphertext2) {
-	ev.releasePolys(ct.C0, ct.C1, ct.C2)
+	ev.params.releasePolys(ct.C0, ct.C1, ct.C2)
 }
 
-func (ev *Evaluator) releasePolys(polys ...*ring.Poly) {
-	r := ev.params.RingQP()
-	for _, p := range polys {
-		for _, row := range p.Coeffs[:cap(p.Coeffs)] {
-			r.PutRow(row)
-		}
-		p.Coeffs = nil
+// releasePolys gives every row of each polynomial back to the row pool, the
+// rows a level drop hid included.
+func (p *Parameters) releasePolys(polys ...*ring.Poly) {
+	for _, poly := range polys {
+		p.RingQP().PutRows(poly.Coeffs[:cap(poly.Coeffs)]...)
+		poly.Coeffs = nil
 	}
 }
 
@@ -155,11 +154,11 @@ func (ev *Evaluator) RaiseModulus(ct *Ciphertext) *Ciphertext {
 	top := len(ev.params.Q()) - 1
 	out := ev.newCiphertext(top, ct.Scale)
 	q0 := r.Moduli[0]
+	src := r.GetRows(1)
+	coeffs := src[0]
 	for _, pair := range [][2]*ring.Poly{{ct.C0, out.C0}, {ct.C1, out.C1}} {
-		src := r.GetScratch(0)
-		src.Copy(pair[0])
-		r.INTT(src)
-		coeffs := src.Coeffs[0]
+		copy(coeffs, pair[0].Coeffs[0])
+		r.Tables[0].Inverse(coeffs)
 		dst := pair[1]
 		ring.ForEachLimb(top+1, func(i int) {
 			qi := r.Moduli[i]
@@ -168,10 +167,10 @@ func (ev *Evaluator) RaiseModulus(ct *Ciphertext) *Ciphertext {
 				row[j] = ring.CenteredMod(c, q0, qi)
 			}
 		})
-		r.PutScratch(src)
 		dst.IsNTT = false
 		r.NTT(dst)
 	}
+	r.PutRows(src...)
 	return out
 }
 
@@ -285,14 +284,11 @@ func (ev *Evaluator) MulByConstWithScale(ct *Ciphertext, c, scale float64) *Ciph
 // MulRelin returns a·b, relinearized back to degree 1 with the evaluator's
 // relinearization key. The result's scale is the product; Rescale afterwards.
 func (ev *Evaluator) MulRelin(a, b *Ciphertext) *Ciphertext {
-	r := ev.params.RingQP()
 	lvl := min(a.Level(), b.Level())
-	d0, d1, d2 := r.GetScratch(lvl), r.GetScratch(lvl), r.GetScratch(lvl)
+	d0, d1, d2 := ev.params.pooledPoly(lvl), ev.params.pooledPoly(lvl), ev.params.pooledPoly(lvl)
 	ev.tensor(a, b, d0, d1, d2)
 	e := ev.relinExt(d0, d1, d2, a.Scale*b.Scale)
-	r.PutScratch(d0)
-	r.PutScratch(d1)
-	r.PutScratch(d2)
+	ev.params.releasePolys(d0, d1, d2)
 	return ev.ModDownExt(e)
 }
 
@@ -328,23 +324,24 @@ func (ev *Evaluator) Rescale(ct *Ciphertext) *Ciphertext {
 	in := [2]*ring.Poly{ct.C0, ct.C1}
 	res := ev.newCiphertext(lvl-1, ct.Scale/float64(r.Moduli[lvl]))
 	out := [2]*ring.Poly{res.C0, res.C1}
-	rem := r.GetScratch(1) // the dropped row of each component, coefficient domain
-	zero := r.GetRow()     // the bare rescale's s
+	// Each component's dropped row, coefficient domain, and the bare rescale's s.
+	scratch := r.GetRows(3)
+	rem, zero := scratch[:2], scratch[2]
+	clear(zero)
 	ring.ForEachLimb(2, func(c int) {
-		copy(rem.Coeffs[c], in[c].Coeffs[lvl])
-		r.Tables[lvl].Inverse(rem.Coeffs[c])
+		copy(rem[c], in[c].Coeffs[lvl])
+		r.Tables[lvl].Inverse(rem[c])
 	})
 	ring.ForEachLimb(2*lvl, func(i int) {
 		c, j := i/lvl, i%lvl
 		src, qj := in[c].Coeffs[j], r.Moduli[j]
-		ev.rescaleRow(lvl, j, rem.Coeffs[c], zero, out[c].Coeffs[j], func(dst []uint64) {
+		ev.rescaleRow(lvl, j, rem[c], zero, out[c].Coeffs[j], func(dst []uint64) {
 			for t, v := range dst {
 				dst[t] = ring.AddMod(src[t], v, qj)
 			}
 		})
 	})
-	r.PutScratch(rem)
-	r.PutRow(zero)
+	r.PutRows(scratch...)
 	return res
 }
 
@@ -448,7 +445,7 @@ func (ev *Evaluator) decomposeExt(d *ring.Poly) *hoistedDecomp {
 	r := ev.params.RingQP()
 	lvl := d.Level()
 
-	dCoeff := r.GetScratch(lvl)
+	dCoeff := ev.params.pooledPoly(lvl)
 	dCoeff.Copy(d)
 	r.INTT(dCoeff)
 
@@ -456,7 +453,7 @@ func (ev *Evaluator) decomposeExt(d *ring.Poly) *hoistedDecomp {
 	for dd := range h.digits {
 		lo, hi := ev.params.digit(dd, lvl)
 		ev.modUp[dd][hi-lo-1].Scale(dCoeff.Coeffs[lo:hi])
-		h.digits[dd] = ev.pooledRows(ev.params.ExtRows(lvl))
+		h.digits[dd] = ev.params.pooledRows(ev.params.ExtRows(lvl))
 	}
 	// One task per extended row: a digit's own rows are d's, copied as they
 	// are and never transformed; every other digit is converted to the row's
@@ -476,7 +473,7 @@ func (ev *Evaluator) decomposeExt(d *ring.Poly) *hoistedDecomp {
 		}
 		r.Tables[t].ForwardBatch(lifted)
 	})
-	r.PutScratch(dCoeff)
+	ev.params.releasePolys(dCoeff)
 	return h
 }
 
@@ -484,9 +481,7 @@ func (ev *Evaluator) decomposeExt(d *ring.Poly) *hoistedDecomp {
 // must not be used afterwards.
 func (h *hoistedDecomp) release(r *ring.Ring) {
 	for _, rows := range h.digits {
-		for _, row := range rows {
-			r.PutRow(row)
-		}
+		r.PutRows(rows...)
 	}
 	h.digits = nil
 }
@@ -501,7 +496,7 @@ func (h *hoistedDecomp) release(r *ring.Ring) {
 func (ev *Evaluator) ksAccum(h *hoistedDecomp, k uint64, swk *SwitchingKey) (acc0, acc1 [][]uint64) {
 	r := ev.params.RingQP()
 	rows := ev.params.ExtRows(h.lvl)
-	acc0, acc1 = ev.pooledRows(rows), ev.pooledRows(rows)
+	acc0, acc1 = ev.params.pooledRows(rows), ev.params.pooledRows(rows)
 	// Each accumulator row jj is independent: it sums every digit i over the
 	// same modulus in one 128-bit accumulator per coefficient (dnum = 3
 	// digits never exceed RowMACFold), reduced once to a canonical residue,
@@ -528,10 +523,8 @@ func (ev *Evaluator) ksFromDecomp(h *hoistedDecomp, k uint64, swk *SwitchingKey,
 	r := ev.params.RingQP()
 	acc0, acc1 := ev.ksAccum(h, k, swk)
 	ev.modDownP(acc0, acc1, h.lvl, false, out0, out1)
-	for jj := range acc0 {
-		r.PutRow(acc0[jj])
-		r.PutRow(acc1[jj])
-	}
+	r.PutRows(acc0...)
+	r.PutRows(acc1...)
 }
 
 // RotateHoisted rotates ct by every index in rots, decomposing the
@@ -600,16 +593,17 @@ func (ev *Evaluator) modDownP(acc0, acc1 [][]uint64, lvl int, rescale bool, out0
 			r.Tables[ev.params.SpecialIndex()+k].Inverse(special[c][k])
 		}
 	})
-	overflow := r.GetScratch(1) // one overflow-count row per component
-	var dropped *ring.Poly      // with rescale, each component's dropped row
+	n := 2 // per component, the overflow counts and, with rescale, the dropped row
 	if rescale {
-		dropped = r.GetScratch(1)
+		n = 4
 	}
+	scratch := r.GetRows(n)
+	overflow, dropped := scratch[:2], scratch[2:]
 	ring.ForEachLimb(2, func(c int) {
-		ev.modDown.Digits(special[c], overflow.Coeffs[c])
+		ev.modDown.Digits(special[c], overflow[c])
 		if rescale {
-			ev.modDown.Remainder(special[c], overflow.Coeffs[c], lvl, dropped.Coeffs[c])
-			ev.modDown.Finish(lvl, acc[c][lvl], dropped.Coeffs[c])
+			ev.modDown.Remainder(special[c], overflow[c], lvl, dropped[c])
+			ev.modDown.Finish(lvl, acc[c][lvl], dropped[c])
 		}
 	})
 
@@ -617,15 +611,14 @@ func (ev *Evaluator) modDownP(acc0, acc1 [][]uint64, lvl int, rescale bool, out0
 	ring.ForEachLimb(2*rows, func(i int) {
 		c, j := i/rows, i%rows
 		dst := out[c][j]
-		ev.modDown.Remainder(special[c], overflow.Coeffs[c], j, dst)
+		ev.modDown.Remainder(special[c], overflow[c], j, dst)
 		if !rescale {
 			r.Tables[j].Forward(dst)
 			ev.modDown.Finish(j, acc[c][j], dst)
 			return
 		}
 		ring.ReduceFinalVec(dst, r.Moduli[j])
-		ev.rescaleRow(lvl, j, dropped.Coeffs[c], dst, dst, func(dst []uint64) { ev.modDown.Finish(j, acc[c][j], dst) })
+		ev.rescaleRow(lvl, j, dropped[c], dst, dst, func(dst []uint64) { ev.modDown.Finish(j, acc[c][j], dst) })
 	})
-	r.PutScratch(overflow)
-	r.PutScratch(dropped)
+	r.PutRows(scratch...)
 }

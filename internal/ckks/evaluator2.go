@@ -29,7 +29,7 @@ func (ct *Ciphertext2) ViewAtLevel(level int) *Ciphertext2 {
 
 // newCiphertext2 is newCiphertext for a degree-2 result.
 func (ev *Evaluator) newCiphertext2(lvl int, scale float64) *Ciphertext2 {
-	return &Ciphertext2{C0: ev.pooledPoly(lvl), C1: ev.pooledPoly(lvl), C2: ev.pooledPoly(lvl), Scale: scale}
+	return &Ciphertext2{C0: ev.params.pooledPoly(lvl), C1: ev.params.pooledPoly(lvl), C2: ev.params.pooledPoly(lvl), Scale: scale}
 }
 
 // MulNoRelin returns the degree-2 tensor product a·b without relinearizing:

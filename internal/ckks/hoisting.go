@@ -51,7 +51,7 @@ func (ev *Evaluator) NewClosedAccumulator(lvl int, scale float64) *ExtCiphertext
 }
 
 func (ev *Evaluator) newPooledExt(lvl, rows int, scale float64) *ExtCiphertext {
-	c0, c1 := ev.pooledRows(rows), ev.pooledRows(rows)
+	c0, c1 := ev.params.pooledRows(rows), ev.params.pooledRows(rows)
 	for jj := range c0 {
 		clear(c0[jj])
 		clear(c1[jj])
@@ -64,10 +64,8 @@ func (ev *Evaluator) newPooledExt(lvl, rows int, scale float64) *ExtCiphertext {
 // call this only when an extended ciphertext is discarded without folding.
 func (ev *Evaluator) ReleaseExt(e *ExtCiphertext) {
 	r := ev.params.RingQP()
-	for jj := range e.C0 {
-		r.PutRow(e.C0[jj])
-		r.PutRow(e.C1[jj])
-	}
+	r.PutRows(e.C0...)
+	r.PutRows(e.C1...)
 	e.C0, e.C1 = nil, nil
 }
 

@@ -1,17 +1,23 @@
 package ckks
 
 import (
+	"math"
 	"runtime"
 	"testing"
 
 	"hydra/internal/ring"
 )
 
-// TestPoisonedPoolChangesNothing: a result's rows come from the row pool as
-// their last holder left them, so every op must write each word it hands
-// out. Each op runs once on an emptied pool and once after rows of all ones
-// were put into it; the two results must be equal bit for bit.
+// TestPoisonedPoolChangesNothing: every row an op takes from the row pool,
+// for its result or its scratch, comes as its last holder left it, so the op
+// must write each word before reading it. Each op runs once on an emptied
+// pool and once after rows of all ones were put into it; the two results
+// must be equal bit for bit. The limbs run serially on one P, so every take
+// meets the poisoned pool cache.
 func TestPoisonedPoolChangesNothing(t *testing.T) {
+	ring.SetSerial(true)
+	defer ring.SetSerial(false)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	rots := []int{1, 3}
 	tc := newTestContext(t, 6, 4, rots)
 	ev, r := tc.eval, tc.params.RingQP()
@@ -31,19 +37,24 @@ func TestPoisonedPoolChangesNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	empty := func() {
+		runtime.GC()
+		runtime.GC() // two collections empty the pool
+	}
 	poison := func() {
-		for range 8 * len(r.Moduli) {
+		for range 64 * len(r.Moduli) {
 			row := make([]uint64, r.N)
 			for j := range row {
 				row[j] = ^uint64(0)
 			}
-			r.PutRow(row)
+			r.PutRows(row)
 		}
 	}
 	if !raceEnabled { // the race detector drops pool entries at random
+		empty()
 		poison()
-		if row := r.GetRawRows(1)[0]; row[0] != ^uint64(0) {
-			t.Fatal("GetRawRows cleared a recycled row")
+		if row := r.GetRows(1)[0]; row[0] != ^uint64(0) {
+			t.Fatal("GetRows cleared a recycled row")
 		}
 	}
 	cts := func(cs ...*Ciphertext) []*ring.Poly {
@@ -61,6 +72,14 @@ func TestPoisonedPoolChangesNothing(t *testing.T) {
 		name string
 		fn   func() []*ring.Poly
 	}{
+		{"Encrypt", func() []*ring.Poly { return cts(NewEncryptor(tc.params, tc.pk, 7).Encrypt(pt)) }},
+		{"Decode", func() []*ring.Poly {
+			var words []uint64
+			for _, v := range tc.enc.Decode(pt) {
+				words = append(words, math.Float64bits(real(v)), math.Float64bits(imag(v)))
+			}
+			return []*ring.Poly{{Coeffs: [][]uint64{words}}}
+		}},
 		{"Add", func() []*ring.Poly { return cts(ev.Add(a, b)) }},
 		{"Sub", func() []*ring.Poly { return cts(ev.Sub(a, b)) }},
 		{"Neg", func() []*ring.Poly { return cts(ev.Neg(a)) }},
@@ -97,8 +116,7 @@ func TestPoisonedPoolChangesNothing(t *testing.T) {
 			return cts(c)
 		}},
 	} {
-		runtime.GC()
-		runtime.GC() // two collections empty the pool
+		empty()
 		want := op.fn()
 		poison()
 		got := op.fn()
@@ -133,5 +151,38 @@ func TestAddConstAccAndViews(t *testing.T) {
 	ev.Release(view)
 	if view.C0.Coeffs != nil || view.C1.Coeffs != nil {
 		t.Fatal("Release left the ciphertext its rows")
+	}
+}
+
+// TestReleasedResultAllocations pins what an op allocates when its result's
+// rows go back to the pool before the next call: the ciphertext headers and
+// the limb closures, no row. At N = 2^12 and 5 levels, serial.
+func TestReleasedResultAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool sheds entries at random under the race detector")
+	}
+	ring.SetSerial(true) // no goroutine bookkeeping in the count
+	defer ring.SetSerial(false)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // one P, one pool cache
+	tc := newTestContext(t, 12, 4, []int{1})
+	ev := tc.eval
+	pt, err := encodeMax(tc.enc, randomComplex(tc.params.Slots(), 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := tc.encr.Encrypt(pt), tc.encr.Encrypt(pt)
+	for _, op := range []struct {
+		name string
+		fn   func()
+		want float64
+	}{
+		{"Rotate", func() { ev.Release(ev.Rotate(a, 1)) }, 31},
+		{"MulRelin", func() { ev.Release(ev.MulRelin(a, b)) }, 40},
+		{"Rescale", func() { ev.Release(ev.Rescale(a)) }, 8},
+	} {
+		op.fn() // fill the pool
+		if got := testing.AllocsPerRun(20, op.fn); got > op.want {
+			t.Errorf("%s makes %.0f allocations, want at most %.0f", op.name, got, op.want)
+		}
 	}
 }

@@ -247,10 +247,11 @@ func (e *evalLowering) diagMac(v *Value, xs []*ckks.ExtCiphertext, acc *ckks.Ext
 	r := ev.Params().RingQP()
 	chunk := min(4*ring.MaxWorkers(), len(xs)) // four diagonals per worker: the pool stays busy between folds
 	pts := make([]*ckks.ExtPlaintext, chunk)
+	rows := len(acc.C0)
+	scratch := r.GetRows(chunk * rows)
+	defer r.PutRows(scratch...)
 	for i := range pts {
-		scratch := r.GetScratch(len(acc.C0) - 1) // a level-l scratch has l+1 rows
-		defer r.PutScratch(scratch)
-		pts[i] = &ckks.ExtPlaintext{Lvl: v.Level, Rows: scratch.Coeffs}
+		pts[i] = &ckks.ExtPlaintext{Lvl: v.Level, Rows: scratch[i*rows : (i+1)*rows]}
 	}
 	errs := make([]error, chunk)
 	for lo := 0; lo < len(xs); lo += chunk {

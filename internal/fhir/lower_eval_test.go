@@ -491,6 +491,44 @@ func TestEvaluateDiagMacFanOutBitIdentical(t *testing.T) {
 	}
 }
 
+// TestEvaluatePoisonedPoolChangesNothing: DiagMac encodes its diagonals over
+// rows from the ring's row pool, which come as their last holder left them.
+// Each program runs once on an emptied pool and once after rows of all ones
+// were put into it; the two outputs must be equal residue for residue.
+func TestEvaluatePoisonedPoolChangesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool sheds entries at random under the race detector")
+	}
+	const logN, levels = 8, 3
+	for name, p := range map[string]*Program{
+		"extended": diagMacProgram(t, 1<<(logN-1), 16, levels, 0),
+		"closed":   bsgsProgram(t, 1<<(logN-1), 4, 4, levels),
+	} {
+		ctx, cts := diagMacEnv(t, p, logN, levels)
+		r := ctx.Eval.Params().RingQP()
+		runtime.GC()
+		runtime.GC() // two collections empty the pool
+		want, err := Evaluate(p, ctx, cts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for range 64 * len(r.Moduli) {
+			row := make([]uint64, r.N)
+			for j := range row {
+				row[j] = ^uint64(0)
+			}
+			r.PutRows(row)
+		}
+		got, err := Evaluate(p, ctx, cts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !got.Equal(want) {
+			t.Errorf("%s: output differs after the pool was poisoned", name)
+		}
+	}
+}
+
 // TestEvaluateWorkerPanicIsError: DiagMac runs tenant Plain.Values closures on
 // limb-pool helper goroutines, out of reach of Evaluate's recover unless the
 // pool hands a helper's panic back to its caller. Each closure here waits

@@ -13,12 +13,7 @@ import (
 // written to caller-owned slots, so completion order never affects output.
 func runConcurrent(fns ...func() error) error {
 	errs := make([]error, len(fns))
-	tasks := make([]func(), len(fns))
-	for i, fn := range fns {
-		i, fn := i, fn
-		tasks[i] = func() { errs[i] = fn() }
-	}
-	ring.RunTasks(tasks...)
+	ring.ForEachLimb(len(fns), func(i int) { errs[i] = fns[i]() })
 	for _, err := range errs {
 		if err != nil {
 			return err

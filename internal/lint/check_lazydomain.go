@@ -360,7 +360,7 @@ func (r *lazyRun) closure(fl *ast.FuncLit, s state[resDom], rep bool) {
 }
 
 // closureExec analyzes a function literal that is guaranteed to execute
-// before the call returns (the ForEachLimb / RunTasks parallel-for bodies):
+// before the call returns (the ForEachLimb parallel-for bodies):
 // the closure's exit facts overwrite the caller's, so a ReduceFinalVec sweep
 // inside the limb body canonicalizes the rows it swept.
 func (r *lazyRun) closureExec(fl *ast.FuncLit, s state[resDom], rep bool) {
@@ -426,8 +426,8 @@ func (r *lazyRun) call(call *ast.CallExpr, s state[resDom], rep bool) resDom {
 		return d
 	}
 
-	if isRingFunc(fn) && (fn.Name() == "ForEachLimb" || fn.Name() == "RunTasks") {
-		// The parallel-for helpers run every closure argument to completion
+	if isRingFunc(fn) && fn.Name() == boundedPool {
+		// The parallel-for runs every closure argument to completion
 		// before returning: apply closure effects as executed, not maybe-run.
 		for _, a := range call.Args {
 			if lit, ok := ast.Unparen(a).(*ast.FuncLit); ok {
@@ -481,9 +481,9 @@ func (r *lazyRun) ringCall(call *ast.CallExpr, name string, args []resDom, s sta
 		}
 		return resCanon
 
-	case strings.HasPrefix(name, "Put"):
-		// Pool returns (PutRow, PutScratch): deallocation, not arithmetic —
-		// a lazy row may go back to the pool, allocation re-zeroes it.
+	case name == poolRelease:
+		// Giving rows back to the pool: deallocation, not arithmetic — a
+		// lazy row may go back, and its next taker writes it before reading.
 		return resCanon
 
 	case strings.Contains(name, "ReduceFinal"):

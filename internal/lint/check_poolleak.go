@@ -6,26 +6,28 @@ import (
 	"strings"
 )
 
-// PoolLeak flags pooled scratch buffers (ring.GetScratch / ring.GetRow /
-// ring.GetRawRows results) that leave their acquire/release window: values
-// returned from the acquiring function, stored into struct fields, slices or
-// maps, sent on channels, placed in composite literals, or captured by
-// closures that outlive the call (goroutines, stored/returned func values).
-// A leaked buffer is returned to the sync.Pool while still referenced, and
-// the next GetScratch hands the same memory to an unrelated limb — a silent
-// cross-ciphertext corruption no local test catches.
+// PoolLeak flags pooled rows (ring.GetRows results) that leave their
+// acquire/release window: values returned from the acquiring function,
+// stored into struct fields, slices or maps, sent on channels, placed in
+// composite literals, or captured by closures that outlive the call
+// (goroutines, stored/returned func values). A leaked row is given back to
+// the sync.Pool while still referenced, and the next GetRows hands the same
+// memory to an unrelated limb — a silent cross-ciphertext corruption no
+// local test catches.
 //
-// Closures passed directly to the bounded pool (ring.ForEachLimb /
-// ring.RunTasks) or invoked immediately are inside the window and are not
-// flagged. A function that acquires a buffer and neither releases nor
-// visibly hands it off is flagged at the acquisition site.
+// Closures passed directly to the bounded pool (ring.ForEachLimb) or invoked
+// immediately are inside the window and are not flagged. A function that
+// acquires rows and neither releases nor visibly hands them off is flagged
+// at the acquisition site.
 var PoolLeak = &Check{
 	Name: "poolleak",
 	Run:  runPoolLeak,
 }
 
-var poolAcquire = map[string]bool{"GetScratch": true, "GetRow": true, "GetRawRows": true}
-var poolRelease = map[string]bool{"PutScratch": true, "PutRow": true}
+// The internal/ring names the pool checks match (TestPoolNamesExist resolves
+// each): the row pool's take and give, and the bounded fan-out whose
+// closures run before it returns.
+const poolAcquire, poolRelease, boundedPool = "GetRows", "PutRows", "ForEachLimb"
 
 func runPoolLeak(pass *Pass) {
 	for _, f := range pass.Pkg.Files {
@@ -64,7 +66,7 @@ func analyzePoolFunc(pass *Pass, body *ast.BlockStmt) {
 				continue
 			}
 			fn, ok := ringCallee(info, call)
-			if !ok || !poolAcquire[fn.Name()] {
+			if !ok || fn.Name() != poolAcquire {
 				continue
 			}
 			id, ok := a.Lhs[i].(*ast.Ident)
@@ -131,7 +133,7 @@ func analyzePoolFunc(pass *Pass, body *ast.BlockStmt) {
 				pass.Reportf(n.Pos(), "pooled scratch %s sent on a channel: it escapes its acquire/release window", pv.obj.Name())
 			}
 		case *ast.CallExpr:
-			if fn, ok := ringCallee(info, n); ok && poolRelease[fn.Name()] {
+			if fn, ok := ringCallee(info, n); ok && fn.Name() == poolRelease {
 				for _, arg := range n.Args {
 					if pv := directPooled(info, byObj, arg); pv != nil {
 						pv.released = true
@@ -148,7 +150,7 @@ func analyzePoolFunc(pass *Pass, body *ast.BlockStmt) {
 	// escape is already reported) nor release are leaks in place.
 	for _, pv := range pooled {
 		if !pv.escaped && !pv.released {
-			pass.Reportf(pv.acquire.Pos(), "pooled scratch %s acquired but never released (no PutScratch/PutRow in this function)", pv.obj.Name())
+			pass.Reportf(pv.acquire.Pos(), "pooled scratch %s acquired but never released (no PutRows in this function)", pv.obj.Name())
 		}
 	}
 }
@@ -193,7 +195,7 @@ func checkClosureCapture(pass *Pass, info *types.Info, byObj map[types.Object]*p
 			return
 		}
 		// Argument position: allowed only for the bounded pool itself.
-		if fn, ok := ringCallee(info, call); ok && (fn.Name() == "ForEachLimb" || fn.Name() == "RunTasks") {
+		if fn, ok := ringCallee(info, call); ok && fn.Name() == boundedPool {
 			return
 		}
 	}
@@ -248,12 +250,12 @@ func usedPooled(info *types.Info, byObj map[types.Object]*pooledVar, expr ast.Ex
 	return found
 }
 
-// findPoolGet returns a GetScratch/GetRow call appearing in expr's subtree.
+// findPoolGet returns a GetRows call appearing in expr's subtree.
 func findPoolGet(info *types.Info, expr ast.Expr) *ast.CallExpr {
 	var found *ast.CallExpr
 	ast.Inspect(expr, func(n ast.Node) bool {
 		if call, ok := n.(*ast.CallExpr); ok {
-			if fn, ok := ringCallee(info, call); ok && poolAcquire[fn.Name()] {
+			if fn, ok := ringCallee(info, call); ok && fn.Name() == poolAcquire {
 				found = call
 				return false
 			}

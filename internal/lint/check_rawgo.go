@@ -7,12 +7,12 @@ import "go/ast"
 var hotPkgs = []string{"internal/ring", "internal/ckks", "internal/hefloat"}
 
 // RawGo flags `go` statements in the hot arithmetic packages. Limb- and
-// ciphertext-level fan-out there must go through ring.ForEachLimb /
-// ring.RunTasks: the pool's non-blocking slot budget is what keeps nested
-// parallelism (cluster cards × evaluator ops × limbs) bounded by
-// ring.MaxWorkers instead of oversubscribing the machine, and its
-// caller-participates rule is what makes nesting deadlock-free. A raw `go`
-// statement bypasses both guarantees.
+// ciphertext-level fan-out there must go through ring.ForEachLimb: the
+// pool's non-blocking slot budget is what keeps nested parallelism (cluster
+// cards × evaluator ops × limbs) bounded by ring.MaxWorkers instead of
+// oversubscribing the machine, and its caller-participates rule is what
+// makes nesting deadlock-free. A raw `go` statement bypasses both
+// guarantees.
 var RawGo = &Check{
 	Name: "rawgo",
 	Run:  runRawGo,
@@ -25,7 +25,7 @@ func runRawGo(pass *Pass) {
 	for _, f := range pass.Pkg.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			if g, ok := n.(*ast.GoStmt); ok {
-				pass.Reportf(g.Go, "raw go statement in hot package %s: use ring.ForEachLimb/RunTasks (bounded pool)", pass.Pkg.Rel)
+				pass.Reportf(g.Go, "raw go statement in hot package %s: use ring.ForEachLimb (bounded pool)", pass.Pkg.Rel)
 			}
 			return true
 		})

@@ -2,6 +2,7 @@ package lint
 
 import (
 	"fmt"
+	"go/types"
 	"os"
 	"path/filepath"
 	"sort"
@@ -276,6 +277,53 @@ func TestCheckScopesExist(t *testing.T) {
 			if !have[rel] {
 				t.Errorf("%s names %s, which is not a package of the module", list, rel)
 			}
+		}
+	}
+}
+
+// TestPoolNamesExist asserts every internal/ring name the pool checks match
+// (poolleak's take and give, and the bounded fan-out whose closures poolleak
+// and lazydomain treat as run in place) is a function or a method of the
+// real package: a rename must not blind the checks by leaving them matching
+// nothing.
+func TestPoolNamesExist(t *testing.T) {
+	root, err := FindModuleRoot(".")
+	if err != nil {
+		t.Fatalf("FindModuleRoot: %v", err)
+	}
+	mod, err := LoadModule(root)
+	if err != nil {
+		t.Fatalf("LoadModule: %v", err)
+	}
+	var ring *types.Package
+	for _, pkg := range mod.Pkgs {
+		if pkg.Rel == ringPkg {
+			ring = pkg.Types
+		}
+	}
+	if ring == nil {
+		t.Fatalf("no package %s in the module", ringPkg)
+	}
+	resolves := func(name string) bool {
+		scope := ring.Scope()
+		if _, ok := scope.Lookup(name).(*types.Func); ok {
+			return true
+		}
+		for _, n := range scope.Names() {
+			tn, ok := scope.Lookup(n).(*types.TypeName)
+			if !ok {
+				continue
+			}
+			obj, _, _ := types.LookupFieldOrMethod(types.NewPointer(tn.Type()), true, ring, name)
+			if _, ok := obj.(*types.Func); ok {
+				return true
+			}
+		}
+		return false
+	}
+	for _, name := range []string{poolAcquire, poolRelease, boundedPool} {
+		if !resolves(name) {
+			t.Errorf("%s is neither a function nor a method of %s", name, ringPkg)
 		}
 	}
 }

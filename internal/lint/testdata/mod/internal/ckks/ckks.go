@@ -150,100 +150,100 @@ func okLazyInterproc(a, w, ws, q uint64) uint64 {
 }
 
 type holder struct {
-	buf []uint64
+	rows [][]uint64
 }
 
 // poolleak: stored into a struct field.
 func badStore(r *ring.Ring, h *holder) {
-	row := r.GetRow()
-	h.buf = row // want poolleak
+	rows := r.GetRows(1)
+	h.rows = rows // want poolleak
 }
 
 // poolleak: returned to the caller.
-func badReturn(r *ring.Ring) *ring.Poly {
-	p := r.GetScratch(1)
-	return p // want poolleak
+func badReturn(r *ring.Ring) [][]uint64 {
+	rows := r.GetRows(2)
+	return rows // want poolleak
 }
 
 // poolleak: returned directly without ever being releasable.
-func badReturnDirect(r *ring.Ring) *ring.Poly {
-	return r.GetScratch(0) // want poolleak
+func badReturnDirect(r *ring.Ring) [][]uint64 {
+	return r.GetRows(1) // want poolleak
 }
 
 // poolleak: acquired but never released.
 func badNeverReleased(r *ring.Ring) {
-	p := r.GetScratch(1) // want poolleak
-	p.Coeffs[0] = nil
+	rows := r.GetRows(2) // want poolleak
+	rows[0] = nil
 }
 
 // poolleak + rawgo: captured by a goroutine that outlives the window.
 func badGoroutine(r *ring.Ring) {
-	row := r.GetRow()
+	rows := r.GetRows(1)
 	go func() { // want poolleak rawgo
-		row[0] = 1
+		rows[0][0] = 1
 	}()
-	r.PutRow(row)
+	r.PutRows(rows...)
 }
 
 // poolleak: the bounded pool's own closures are inside the window.
 func okPooledFanout(r *ring.Ring) {
-	p := r.GetScratch(2)
-	ring.ForEachLimb(len(p.Coeffs), func(i int) {
-		p.Coeffs[i] = nil
+	rows := r.GetRows(3)
+	ring.ForEachLimb(len(rows), func(i int) {
+		rows[i][0] = 0
 	})
-	r.PutScratch(p)
+	r.PutRows(rows...)
 }
 
 // poolleak: a suppressed ownership hand-off.
 func okHandoff(r *ring.Ring, h *holder) {
-	row := r.GetRow()
+	rows := r.GetRows(1)
 	//lint:allow poolleak testdata: ownership transfers to holder, whose owner releases it
-	h.buf = row
+	h.rows = rows
 }
 
-// extAcc mirrors the evaluator's extended-basis keyswitch accumulator: pooled
-// rows are parked in a slice field until a deferred ModDown consumes them.
+// extAcc mirrors the evaluator's hoisted decomposition: pooled rows are
+// parked in a slice field until a deferred ModDown consumes them.
 type extAcc struct {
-	rows [][]uint64
+	digits [][][]uint64
 }
 
 func (e *extAcc) release(r *ring.Ring) {
-	for i, row := range e.rows {
-		if row != nil {
-			r.PutRow(row)
-			e.rows[i] = nil
-		}
+	for _, rows := range e.digits {
+		r.PutRows(rows...)
 	}
+	e.digits = nil
 }
 
-// poolleak: parking a pooled row in a slice element without documenting the
+// poolleak: parking pooled rows in a slice element without documenting the
 // hand-off is an escape — the deferred-ModDown window is invisible here.
-func badExtAccStore(r *ring.Ring, e *extAcc, jj int) {
-	row := r.GetRow()
-	e.rows[jj] = row // want poolleak
+func badExtAccStore(r *ring.Ring, e *extAcc, dd int) {
+	rows := r.GetRows(2)
+	e.digits[dd] = rows // want poolleak
 }
 
 // poolleak: the sanctioned ext-accumulator shape — the store transfers
 // ownership to the accumulator, whose release method returns every row.
 func okExtAccTransfer(r *ring.Ring, n int) *extAcc {
-	e := &extAcc{rows: make([][]uint64, n)}
-	for jj := 0; jj < n; jj++ {
-		row := r.GetRow()
+	e := &extAcc{digits: make([][][]uint64, n)}
+	for dd := 0; dd < n; dd++ {
+		rows := r.GetRows(2)
 		//lint:allow poolleak testdata: accumulator rows transfer ownership; release returns them after the deferred ModDown
-		e.rows[jj] = row
+		e.digits[dd] = rows
 	}
 	return e
 }
 
-// poolleak: raw (uncleared) rows are pooled scratch like any other.
-func badRawRowsNeverReleased(r *ring.Ring) {
-	rows := r.GetRawRows(2) // want poolleak
-	rows[0] = nil
+// poolleak: rows taken in a loop and never given back.
+func badRowsNeverReleasedInLoop(r *ring.Ring, n int) {
+	for range n {
+		rows := r.GetRows(2) // want poolleak
+		rows[0] = nil
+	}
 }
 
 // poolleak: the sanctioned result-row shape — one helper takes every pooled
 // row a result owns, its hand-off documented once.
 func okPooledRows(r *ring.Ring, n int) [][]uint64 {
 	//lint:allow poolleak testdata: the rows' ownership passes to the result they are taken for
-	return r.GetRawRows(n)
+	return r.GetRows(n)
 }

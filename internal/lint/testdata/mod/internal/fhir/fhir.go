@@ -42,20 +42,20 @@ func okCompileAnnotated() {
 
 // poolleak: a lowering that borrows scratch and forgets to return it.
 func badScratchLeak(r *ring.Ring) {
-	s := r.GetScratch(3) // want poolleak
-	_ = s.Coeffs
+	s := r.GetRows(4) // want poolleak
+	_ = s[0]
 }
 
 // poolleak: the balanced acquire/release window stays silent.
 func okScratchWindow(r *ring.Ring) {
-	s := r.GetScratch(3)
-	_ = s.Coeffs
-	r.PutScratch(s)
+	s := r.GetRows(4)
+	_ = s[0]
+	r.PutRows(s...)
 }
 
 // poolleak: a suppressed case.
-func okScratchAnnotated(r *ring.Ring) *ring.Poly {
-	s := r.GetScratch(3)
+func okScratchAnnotated(r *ring.Ring) [][]uint64 {
+	s := r.GetRows(4)
 	//lint:allow poolleak testdata: ownership handed to the caller, released by the paired free helper
 	return s
 }

@@ -1,43 +1,23 @@
 // Package ring is a miniature stub of the real internal/ring, giving the
-// golden tests realistic targets: the scratch-pool API, the bounded fan-out
-// helpers, and a modular helper. Raw uint64 arithmetic is legal here (ring
+// golden tests realistic targets: the row pool's take and give, the bounded
+// fan-out, and a modular helper. Raw uint64 arithmetic is legal here (ring
 // is the sanctioned zone), while float arithmetic and raw go statements are
 // not.
 package ring
-
-// Poly mimics the RNS polynomial.
-type Poly struct {
-	Coeffs [][]uint64
-}
 
 // Ring mimics the pooled ring.
 type Ring struct {
 	N int
 }
 
-func (r *Ring) GetScratch(level int) *Poly {
-	return &Poly{Coeffs: make([][]uint64, level+1)}
-}
+func (r *Ring) GetRows(n int) [][]uint64 { return make([][]uint64, n) }
 
-func (r *Ring) PutScratch(p *Poly) {}
-
-func (r *Ring) GetRow() []uint64 { return make([]uint64, r.N) }
-
-func (r *Ring) GetRawRows(n int) [][]uint64 { return make([][]uint64, n) }
-
-func (r *Ring) PutRow(row []uint64) {}
+func (r *Ring) PutRows(rows ...[]uint64) {}
 
 // ForEachLimb mimics the bounded pool's fan-out entry point.
 func ForEachLimb(n int, fn func(i int)) {
 	for i := 0; i < n; i++ {
 		fn(i)
-	}
-}
-
-// RunTasks mimics the coarse-grained sibling.
-func RunTasks(fns ...func()) {
-	for _, fn := range fns {
-		fn()
 	}
 }
 

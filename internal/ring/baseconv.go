@@ -113,10 +113,12 @@ func (r *Ring) NewModDown(lo, hi int) *ModDown {
 }
 
 // Digits replaces each canonical coefficient-domain row x[s] over B, in
-// place, by y_s, and adds the overflow count of every coefficient to u
-// (zero on entry).
+// place, by y_s, and sets u, whatever it held, to the overflow count of
+// every coefficient.
 func (d *ModDown) Digits(x [][]uint64, u []uint64) {
-	frac := d.r.GetRow()
+	frac := d.r.rows.row()
+	clear(frac)
+	clear(u)
 	for s, row := range x {
 		m := d.r.Tables[d.lo+s].Mod
 		w, ws, h := d.inv[s], d.invShoup[s], d.half[s]
@@ -130,7 +132,7 @@ func (d *ModDown) Digits(x [][]uint64, u []uint64) {
 			u[j] += carry
 		}
 	}
-	d.r.PutRow(frac)
+	d.r.rows.put(frac)
 }
 
 // Remainder sets out, whatever it held, to h·Q_B^-1 − Σ_s y[s]·q_s^-1 + u

@@ -1,7 +1,5 @@
 package ring
 
-import "sync"
-
 // Dispatch seam for the codegen-specialized NTT kernels.
 //
 // cmd/hydra-genkernels emits ntt_gen.go: one fully specialized forward and
@@ -48,27 +46,22 @@ func (t *NTTTable) initGenerated() {
 		return
 	}
 	t.gen = &k
-	n := t.N
-	t.genScratch = &sync.Pool{New: func() any {
-		row := make([]uint64, n)
-		return &row
-	}}
 }
 
-// forwardGenerated runs the specialized forward kernel with a pooled
-// ping-pong row. The scratch row never escapes the call.
+// forwardGenerated runs the specialized forward kernel with a ping-pong row
+// from the table's row pool. The row never escapes the call.
 func (t *NTTTable) forwardGenerated(a []uint64) {
-	sp := t.genScratch.Get().(*[]uint64)
-	t.gen.forward(t, a, *sp)
-	t.genScratch.Put(sp)
+	scratch := t.rows.row()
+	t.gen.forward(t, a, scratch)
+	t.rows.put(scratch)
 }
 
 // inverseGenerated runs the specialized inverse kernel with a pooled
 // ping-pong row.
 func (t *NTTTable) inverseGenerated(a []uint64) {
-	sp := t.genScratch.Get().(*[]uint64)
-	t.gen.inverse(t, a, *sp)
-	t.genScratch.Put(sp)
+	scratch := t.rows.row()
+	t.gen.inverse(t, a, scratch)
+	t.rows.put(scratch)
 }
 
 // ForwardBatch runs the forward NTT over every row, sharing one scratch
@@ -84,9 +77,9 @@ func (t *NTTTable) ForwardBatch(rows [][]uint64) {
 		}
 		return
 	}
-	sp := t.genScratch.Get().(*[]uint64)
+	scratch := t.rows.row()
 	for _, row := range rows {
-		t.gen.forward(t, row, *sp)
+		t.gen.forward(t, row, scratch)
 	}
-	t.genScratch.Put(sp)
+	t.rows.put(scratch)
 }

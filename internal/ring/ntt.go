@@ -1,7 +1,5 @@
 package ring
 
-import "sync"
-
 // NTTTable holds the precomputed twiddle factors for the negacyclic
 // number-theoretic transform of length N modulo a prime q ≡ 1 (mod 2N).
 //
@@ -57,10 +55,10 @@ type NTTTable struct {
 	// and q < GeneratedQBound (see gendispatch.go); nil means Forward/Inverse
 	// run the generic merged kernel.
 	gen *generatedKernelPair
-	// genScratch pools the N-word ping-pong rows the generated kernels use
-	// to fuse the bit-reverse permutation into a butterfly pass. Nil when
-	// gen is.
-	genScratch *sync.Pool
+	// rows lends the generated kernels the N-word ping-pong row they fuse
+	// the bit-reverse permutation with: the ring's row pool, or a pool of
+	// the table's own when it was made alone.
+	rows *rowPool
 }
 
 // NewNTTTable builds the tables for length n (a power of two ≥ 2) and prime
@@ -75,7 +73,7 @@ func NewNTTTable(n int, q, psi uint64) *NTTTable {
 	if PowMod(psi, uint64(n), q) != q-1 {
 		panic("ring: psi is not a primitive 2N-th root of unity")
 	}
-	t := &NTTTable{N: n, LogN: log2(n), Mod: NewModulus(q)}
+	t := &NTTTable{N: n, LogN: log2(n), Mod: NewModulus(q), rows: &rowPool{n: n}}
 	t.brv = bitReversePerm(n)
 
 	psiPows := powerTable(psi, n, q)

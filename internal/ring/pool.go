@@ -126,11 +126,3 @@ spawn:
 	}()
 	run()
 }
-
-// RunTasks runs the given functions, possibly concurrently, bounded by the
-// same global pool, and returns when all have finished. It is the
-// coarse-grained sibling of ForEachLimb, used for independent ciphertext-
-// level work (BSGS giant steps, the bootstrapping transform fan-out).
-func RunTasks(fns ...func()) {
-	ForEachLimb(len(fns), func(i int) { fns[i]() })
-}

@@ -69,14 +69,6 @@ func TestForEachLimbConcurrentCallers(t *testing.T) {
 	}
 }
 
-func TestRunTasks(t *testing.T) {
-	var a, b, c bool
-	RunTasks(func() { a = true }, func() { b = true }, func() { c = true })
-	if !a || !b || !c {
-		t.Fatal("RunTasks skipped a task")
-	}
-}
-
 func TestSetMaxWorkersFloor(t *testing.T) {
 	old := MaxWorkers()
 	defer SetMaxWorkers(old)
@@ -92,53 +84,66 @@ func TestSetMaxWorkersFloor(t *testing.T) {
 	}
 }
 
-func TestScratchAndRowPools(t *testing.T) {
+// TestRowPool: GetRows hands out whole rows, a recycled row as its last
+// holder left it, and PutRows drops a row of another length.
+func TestRowPool(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool sheds entries at random under the race detector")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // one P, one pool cache
 	r := testRing(t, 16, 3)
-	p := r.GetScratch(2)
-	if p.Level() != 2 {
-		t.Fatalf("scratch level %d, want 2", p.Level())
+	empty := func() {
+		runtime.GC()
+		runtime.GC() // two collections empty the pool
 	}
-	for i := range p.Coeffs {
-		for j := range p.Coeffs[i] {
-			if p.Coeffs[i][j] != 0 {
-				t.Fatal("scratch polynomial not zeroed")
-			}
-			p.Coeffs[i][j] = 0xdead // dirty it for the reuse check
-		}
-	}
-	r.PutScratch(p)
-	p2 := r.GetScratch(r.MaxLevel())
-	for i := range p2.Coeffs {
-		for j := range p2.Coeffs[i] {
-			if p2.Coeffs[i][j] != 0 {
-				t.Fatal("recycled scratch polynomial not re-zeroed")
-			}
-		}
-	}
-	r.PutScratch(p2)
 
-	row := r.GetRow()
-	if len(row) != r.N {
-		t.Fatalf("row length %d, want %d", len(row), r.N)
+	// Whole rows, whether made on one backing or recycled.
+	empty()
+	rows := r.GetRows(5)
+	for i, row := range rows {
+		row[0] = uint64(i + 1)
 	}
-	row[0] = 7
-	r.PutRow(row)
-	row2 := r.GetRow()
-	if row2[0] != 0 {
-		t.Fatal("recycled row not re-zeroed")
-	}
-	r.PutRow(row2)
-
-	// Raw rows are whole rows, whether recycled or made on one backing.
-	for _, row := range r.GetRawRows(5) {
+	r.PutRows(rows...)
+	for _, row := range r.GetRows(5) {
 		if len(row) != r.N || cap(row) != r.N {
-			t.Fatalf("raw row of length %d, capacity %d; want %d", len(row), cap(row), r.N)
+			t.Fatalf("row of length %d, capacity %d; want %d", len(row), cap(row), r.N)
+		}
+		if row[0] == 0 {
+			t.Fatal("GetRows cleared a recycled row")
 		}
 	}
 
-	// Foreign buffers (not pool-backed) are rejected, not pooled.
-	r.PutScratch(r.NewPoly(1))
-	r.PutRow(make([]uint64, 3))
+	// A row of another length is dropped; a longer backing is cut to N.
+	empty()
+	r.PutRows(make([]uint64, 3))
+	if row := r.GetRows(1)[0]; len(row) != r.N {
+		t.Fatalf("PutRows pooled a row of length %d", len(row))
+	}
+	r.PutRows(r.NewPoly(1).Coeffs[0])
+	if row := r.GetRows(1)[0]; len(row) != r.N || cap(row) != r.N {
+		t.Fatalf("recycled a row of length %d, capacity %d; want %d", len(row), cap(row), r.N)
+	}
+}
+
+// TestPutRowsAllocatesNothing: a row travels in a box that waits in the pool
+// while the row is out, so giving rows back allocates nothing once warm.
+func TestPutRowsAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool sheds entries at random under the race detector")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	r := testRing(t, 16, 3)
+	rows := r.GetRows(4)
+	r.PutRows(rows...)
+	take := func() {
+		for i := range rows {
+			rows[i] = r.rows.row()
+		}
+	}
+	take()
+	if allocs := testing.AllocsPerRun(100, func() { r.PutRows(rows...); take() }); allocs != 0 {
+		t.Errorf("a warm put and take of %d rows makes %.0f allocations, want 0", len(rows), allocs)
+	}
 }
 
 // goroutineHeader returns the "goroutine N [running]:" line of the calling

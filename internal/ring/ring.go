@@ -14,13 +14,8 @@ type Ring struct {
 	Moduli []uint64
 	Tables []*NTTTable
 
-	// scratch recycles full-capacity polynomial backings and rows recycles
-	// single N-length residue rows, so the limb-parallel hot paths (key
-	// switching, rescaling, digit decomposition) don't trade CPU for GC
-	// pressure. Neither pool has a New: a miss makes a fresh buffer, which
-	// is zero already, so only a recycled one is cleared.
-	scratch sync.Pool
-	rows    sync.Pool
+	// rows is the ring's one pool of N-word rows, which its tables share.
+	rows *rowPool
 }
 
 // NewRing constructs a ring of degree n over the given NTT-friendly moduli.
@@ -31,7 +26,7 @@ func NewRing(n int, moduli []uint64) (*Ring, error) {
 	if len(moduli) == 0 {
 		return nil, fmt.Errorf("ring: need at least one modulus")
 	}
-	r := &Ring{N: n, Moduli: append([]uint64(nil), moduli...)}
+	r := &Ring{N: n, Moduli: append([]uint64(nil), moduli...), rows: &rowPool{n: n}}
 	seen := make(map[uint64]bool, len(moduli))
 	for _, q := range moduli {
 		if seen[q] {
@@ -42,81 +37,82 @@ func NewRing(n int, moduli []uint64) (*Ring, error) {
 			return nil, fmt.Errorf("ring: modulus %d is not NTT-friendly for degree %d", q, n)
 		}
 		psi := PrimitiveRoot2N(n, q)
-		r.Tables = append(r.Tables, NewNTTTable(n, q, psi))
+		t := NewNTTTable(n, q, psi)
+		t.rows = r.rows
+		r.Tables = append(r.Tables, t)
 	}
 	return r, nil
 }
 
-// GetScratch returns a zeroed polynomial at the given level backed by the
-// ring's buffer pool. It is for transient intermediates only: callers must
-// hand it back with PutScratch and must not let it escape into results.
-func (r *Ring) GetScratch(level int) *Poly {
-	if level < 0 || level > r.MaxLevel() {
-		panic(fmt.Sprintf("ring: level %d out of range [0,%d]", level, r.MaxLevel()))
-	}
-	var backing []uint64
-	if b, ok := r.scratch.Get().(*[]uint64); ok {
-		backing = *b
-		clear(backing[:(level+1)*r.N])
-	} else {
-		backing = make([]uint64, len(r.Moduli)*r.N) // a miss: make zeroes it
-	}
-	p := &Poly{Coeffs: make([][]uint64, level+1)}
-	for i := range p.Coeffs {
-		p.Coeffs[i], backing = backing[:r.N], backing[r.N:]
-	}
-	return p
+// rowPool recycles N-word rows for every taker on a ring: an op's scratch,
+// the generated NTT kernels' ping-pong row and the rows of pooled results.
+// A row comes back as its last holder left it, so a taker that needs zeros
+// clears its rows itself. Rows travel in *[]uint64 boxes, and a box a get
+// empties waits in boxes for the next put, so once warm neither call
+// allocates. Both are sync.Pools: a collection empties them.
+type rowPool struct {
+	n     int
+	rows  sync.Pool // boxes holding a row
+	boxes sync.Pool // empty boxes
 }
 
-// PutScratch returns a GetScratch polynomial to the pool. The caller must
-// not use p afterwards. Polys whose first row does not span the pool's
-// backing (e.g. a NewPoly result) are rejected silently rather than pooled.
-func (r *Ring) PutScratch(p *Poly) {
-	if p == nil || len(p.Coeffs) == 0 {
+// get returns a row, or nil when the pool is empty.
+func (p *rowPool) get() []uint64 {
+	b, ok := p.rows.Get().(*[]uint64)
+	if !ok {
+		return nil
+	}
+	row := *b
+	*b = nil
+	p.boxes.Put(b)
+	return row
+}
+
+// row returns a row, a new one when the pool is empty.
+func (p *rowPool) row() []uint64 {
+	if row := p.get(); row != nil {
+		return row
+	}
+	return make([]uint64, p.n)
+}
+
+// put gives row back; a row of another length is dropped to the collector.
+func (p *rowPool) put(row []uint64) {
+	if len(row) != p.n {
 		return
 	}
-	backing := p.Coeffs[0][:cap(p.Coeffs[0])]
-	if len(backing) != len(r.Moduli)*r.N {
-		return
+	b, _ := p.boxes.Get().(*[]uint64)
+	if b == nil {
+		b = new([]uint64)
 	}
-	r.scratch.Put(&backing)
+	*b = row[:p.n:p.n]
+	p.rows.Put(b)
 }
 
-// GetRow returns a zeroed length-N coefficient row from the row pool.
-func (r *Ring) GetRow() []uint64 {
-	if row, ok := r.rows.Get().(*[]uint64); ok {
-		clear(*row)
-		return *row
-	}
-	return make([]uint64, r.N) // a miss: make zeroes it
-}
-
-// GetRawRows returns n length-N rows from the row pool for a taker that
-// writes each one whole before reading any of it: a recycled row comes back
-// as its last holder left it, uncleared. Once the pool runs dry the rest are
-// made on one backing, as NewPoly's rows are.
-func (r *Ring) GetRawRows(n int) [][]uint64 {
+// GetRows returns n length-N rows from the ring's row pool, each as its last
+// holder left it: a taker writes every word before reading it, or clears the
+// row first. Once the pool runs dry the rest are made on one backing, as
+// NewPoly's rows are. PutRows gives them back.
+func (r *Ring) GetRows(n int) [][]uint64 {
 	rows := make([][]uint64, n)
 	for i := range rows {
-		row, ok := r.rows.Get().(*[]uint64)
-		if !ok {
+		if rows[i] = r.rows.get(); rows[i] == nil {
 			backing := make([]uint64, (n-i)*r.N)
 			for j := i; j < n; j++ {
 				rows[j], backing = backing[:r.N:r.N], backing[r.N:]
 			}
 			break
 		}
-		rows[i] = *row
 	}
 	return rows
 }
 
-// PutRow returns a GetRow or GetRawRows row to the pool.
-func (r *Ring) PutRow(row []uint64) {
-	if len(row) != r.N {
-		return
+// PutRows gives rows back to the ring's row pool; their holder must not use
+// them afterwards. A row whose length is not N is dropped, not pooled.
+func (r *Ring) PutRows(rows ...[]uint64) {
+	for _, row := range rows {
+		r.rows.put(row)
 	}
-	r.rows.Put(&row)
 }
 
 // MaxLevel is the highest level index (len(Moduli)-1).
