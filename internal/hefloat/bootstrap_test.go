@@ -90,6 +90,44 @@ func TestBootstrapRefreshesLevelAndMessage(t *testing.T) {
 	t.Logf("bootstrap: level 0 -> %d, max error %.2e", out.Level(), maxErr)
 }
 
+// bootstrapRunDigests are the SHA-256s of the wire forms of three
+// bootstraps run back to back on one Bootstrapper, each of a fresh input.
+var bootstrapRunDigests = [3]string{
+	"85f842bdba98ad7bcec5e96e8446f52e0aa483f4a3ac35f515d6bb9cef6126db",
+	"427c8ee77b6024011ad365c7efb55e9ce0b6b0da00f946176925399e146b644a",
+	"dc2208bad7763ffe80483e863b3623931dc0986b1793a2cc9d992ed16e687148",
+}
+
+// TestBootstrapDigestsPinned: repeated bootstraps on one Bootstrapper give
+// the same ciphertexts word for word, whatever rows the earlier calls gave
+// back to the ring's row pool. scripts/ci.sh runs it under the race detector,
+// where the two sine branches share that pool, and with the poisoned-pool
+// build tag, where a row read after its release holds garbage.
+func TestBootstrapDigestsPinned(t *testing.T) {
+	if testing.Short() {
+		t.Skip("bootstrapping in short mode")
+	}
+	params, enc, encr, _, _, bt := bootEnv(t)
+	for run, want := range bootstrapRunDigests {
+		vals := make([]complex128, params.Slots())
+		for i := range vals {
+			vals[i] = complex(0.4*math.Sin(float64(i*(run+2))), 0.3*math.Cos(float64(i+run)))
+		}
+		pt, err := enc.EncodeAtLevel(vals, params.DefaultScale(), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := bt.Bootstrap(encr.Encrypt(pt))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum := sha256.Sum256(ckks.MarshalCiphertext(out))
+		if d := hex.EncodeToString(sum[:]); d != want {
+			t.Errorf("run %d: bootstrap output digest %s, want %s", run, d, want)
+		}
+	}
+}
+
 func TestBootstrapThenCompute(t *testing.T) {
 	if testing.Short() {
 		t.Skip("bootstrapping in short mode")
