@@ -21,14 +21,6 @@ func (ct *Ciphertext) CopyNew() *Ciphertext {
 	return &Ciphertext{C0: ct.C0.CopyNew(), C1: ct.C1.CopyNew(), Scale: ct.Scale}
 }
 
-// CopyAtLevel returns a deep copy of the rows of both components up to level
-// (no rounding; the scale is unchanged): a level drop that copies only the
-// rows it keeps.
-func (ct *Ciphertext) CopyAtLevel(level int) *Ciphertext {
-	checkDropTo(level, ct.Level())
-	return &Ciphertext{C0: atLevel(ct.C0, level).CopyNew(), C1: atLevel(ct.C1, level).CopyNew(), Scale: ct.Scale}
-}
-
 // ViewAtLevel returns ct dropped to level (no rounding; the scale is
 // unchanged) as a view: its components share ct's rows up to level, and
 // nothing is copied.

@@ -87,7 +87,7 @@ func runDifferentialSuite(t *testing.T, logN, levels int, seed int64) {
 		{"MulByConst", func() *Ciphertext { return ev.MulByConst(ctA, -0.75) }},
 		{"CMult", func() *Ciphertext { return ev.MulRelin(ctA, ctB) }},
 		{"CMult+Rescale", func() *Ciphertext { return ev.Rescale(ev.MulRelin(ctA, ctB)) }},
-		{"CMult mixed levels", func() *Ciphertext { return ev.MulRelin(ctA, ctB.CopyAtLevel(ctB.Level()-1)) }},
+		{"CMult mixed levels", func() *Ciphertext { return ev.MulRelin(ctA, ctB.ViewAtLevel(ctB.Level()-1)) }},
 		{"MulNoRelin+RelinearizeExt+ModDownExt", func() *Ciphertext {
 			return ev.ModDownExt(ev.RelinearizeExt(ev.MulNoRelin(ctA, ctB)))
 		}},

@@ -91,14 +91,14 @@ func TestEvaluateLifetimeHazards(t *testing.T) {
 			out := withConst(val(OpAddConst, 1, 1, m2), 0.25)
 			return lifetimeProgram(out, x, m1, m2, out)
 		}, func(ev *ckks.Evaluator, x, _ *ckks.Ciphertext) *ckks.Ciphertext {
-			return ev.AddConst(x.CopyAtLevel(1), 0.25)
+			return ev.AddConst(x.ViewAtLevel(1), 0.25)
 		}},
 		{"output is a view of an input", func() *Program {
 			x := x()
 			m := withK(val(OpModSwitch, 1, 1, x), 2)
 			return lifetimeProgram(m, x, m)
 		}, func(_ *ckks.Evaluator, x, _ *ckks.Ciphertext) *ckks.Ciphertext {
-			return x.CopyAtLevel(1)
+			return x.ViewAtLevel(1).CopyNew()
 		}},
 		{"output another value also consumes", func() *Program {
 			x := x()
@@ -148,7 +148,7 @@ func TestEvaluateLifetimeHazards(t *testing.T) {
 // each dropped a level, summed.
 func addThenDrop(ev *ckks.Evaluator, x, y *ckks.Ciphertext) *ckks.Ciphertext {
 	a := ev.Add(x, y)
-	return ev.Add(a.CopyAtLevel(2), ev.Add(a, y).CopyAtLevel(2))
+	return ev.Add(a.ViewAtLevel(2), ev.Add(a, y).ViewAtLevel(2))
 }
 
 // TestEvaluateReleasesAtLastUse: each value's rows go back to the pool at

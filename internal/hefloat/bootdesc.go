@@ -15,9 +15,9 @@ import (
 // IR program. Building one needs no evaluator, no keys and compiles no plan,
 // so a program can be compiled before the rotation keys it needs exist.
 //
-// The embedding matrices are obtained by probing this library's own encoder
-// and inverting the resulting linear system, so the construction is
-// self-validating rather than hand-derived.
+// The SlotToCoeff matrices are probed from this library's own encoder, so
+// they follow its slot order rather than a hand derivation; CoeffToSlot is
+// their closed-form inverse (see invertEmbedding).
 type BootstrapDesc struct {
 	P, Q, R, S *LinearTransform // CoeffToSlot, Δ/q0 folded in: u0 = P·z + Q·z̄, u1 = R·z + S·z̄
 	A, B       *LinearTransform // SlotToCoeff, q0/(2πΔ) folded in: out = A·w0 + B·w1
@@ -92,7 +92,7 @@ func sineTaylorPair(deg int) (sin, cos []float64) {
 }
 
 // NewBootstrapDesc probes the encoder of params, inverts the embedding system
-// and lays out the four CoeffToSlot and two SlotToCoeff transforms and the
+// in closed form and lays out the four CoeffToSlot and two SlotToCoeff transforms and the
 // sine schedule.
 func NewBootstrapDesc(params *ckks.Parameters, opts BootstrapperOptions) (*BootstrapDesc, error) {
 	if params.Slots()*2 != params.N() {
@@ -114,15 +114,13 @@ func NewBootstrapDesc(params *ckks.Parameters, opts BootstrapperOptions) (*Boots
 	d.Sin, d.Cos = sineTaylorPair(d.TaylorDeg)
 
 	a, b := probeEmbedding(params, ckks.NewEncoder(params))
-	p, q, r, s, err := invertEmbedding(a, b)
-	if err != nil {
-		return nil, err
-	}
+	p, q, r, s := invertEmbedding(a, b)
 	q0 := float64(params.Q()[0])
 	delta := params.DefaultScale()
 	fIn := complex(delta/q0, 0)
 	fOut := complex(q0/(2*math.Pi*delta), 0)
 	lts := make([]*LinearTransform, 6)
+	var err error
 	for i, m := range [][][]complex128{p, q, r, s, a, b} {
 		f := fIn
 		if i >= 4 {
@@ -172,61 +170,21 @@ func probeEmbedding(params *ckks.Parameters, enc *ckks.Encoder) (a, b [][]comple
 	return a, b
 }
 
-// invertEmbedding solves [c0; c1] = [[P,Q],[R,S]]·[z; conj(z)] given
-// z = A·c0 + B·c1, by inverting the stacked 2n×2n complex system.
-func invertEmbedding(a, b [][]complex128) (p, q, r, s [][]complex128, err error) {
+// invertEmbedding returns the blocks of [c0; c1] = [[P,Q],[R,S]]·[z; conj(z)]
+// given z = A·c0 + B·c1. The stacked system M = [[A, B], [conj(A), conj(B)]]
+// evaluates the monomials X^0 … X^(N-1) at the N primitive 2N-th roots of
+// unity, a Vandermonde matrix with MᴴM = N·I, so M⁻¹ = Mᴴ/N: P = Aᴴ/N,
+// Q = Aᵀ/N, R = Bᴴ/N and S = Bᵀ/N, with N = 2n.
+func invertEmbedding(a, b [][]complex128) (p, q, r, s [][]complex128) {
 	n := len(a)
-	m := 2 * n
-	// M = [[A, B], [conj(A), conj(B)]], augmented with the identity.
-	aug := make([][]complex128, m)
-	for i := 0; i < m; i++ {
-		aug[i] = make([]complex128, 2*m)
-		for j := 0; j < n; j++ {
-			if i < n {
-				aug[i][j] = a[i][j]
-				aug[i][j+n] = b[i][j]
-			} else {
-				aug[i][j] = cmplx.Conj(a[i-n][j])
-				aug[i][j+n] = cmplx.Conj(b[i-n][j])
-			}
-		}
-		aug[i][m+i] = 1
-	}
-	// Gaussian elimination with partial pivoting.
-	for col := 0; col < m; col++ {
-		piv := col
-		for row := col + 1; row < m; row++ {
-			if cmplx.Abs(aug[row][col]) > cmplx.Abs(aug[piv][col]) {
-				piv = row
-			}
-		}
-		if cmplx.Abs(aug[piv][col]) < 1e-12 {
-			return nil, nil, nil, nil, fmt.Errorf("hefloat: embedding system is singular at column %d", col)
-		}
-		aug[col], aug[piv] = aug[piv], aug[col]
-		inv := 1 / aug[col][col]
-		for j := col; j < 2*m; j++ {
-			aug[col][j] *= inv
-		}
-		for row := 0; row < m; row++ {
-			if row == col || aug[row][col] == 0 {
-				continue
-			}
-			f := aug[row][col]
-			for j := col; j < 2*m; j++ {
-				aug[row][j] -= f * aug[col][j]
-			}
+	inv := complex(1/float64(2*n), 0)
+	p, q, r, s = make([][]complex128, n), make([][]complex128, n), make([][]complex128, n), make([][]complex128, n)
+	for i := range p {
+		p[i], q[i], r[i], s[i] = make([]complex128, n), make([]complex128, n), make([]complex128, n), make([]complex128, n)
+		for j := range p[i] {
+			q[i][j], s[i][j] = a[j][i]*inv, b[j][i]*inv
+			p[i][j], r[i][j] = cmplx.Conj(q[i][j]), cmplx.Conj(s[i][j])
 		}
 	}
-	block := func(r0, c0 int) [][]complex128 {
-		out := make([][]complex128, n)
-		for i := range out {
-			out[i] = make([]complex128, n)
-			for j := range out[i] {
-				out[i][j] = aug[r0+i][m+c0+j]
-			}
-		}
-		return out
-	}
-	return block(0, 0), block(0, n), block(n, 0), block(n, n), nil
+	return p, q, r, s
 }

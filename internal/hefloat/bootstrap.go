@@ -84,7 +84,8 @@ func (bt *Bootstrapper) SineSchedule() (taylorDeg, dafIters int) {
 	return bt.desc.TaylorDeg, bt.desc.DAFIters
 }
 
-// Bootstrap refreshes a level-0 ciphertext to a high level.
+// Bootstrap refreshes a level-0 ciphertext to a high level. Every
+// intermediate goes back to the ring's row pool once its last reader is done.
 func (bt *Bootstrapper) Bootstrap(ct *ckks.Ciphertext) (*ckks.Ciphertext, error) {
 	if ct.Level() != 0 {
 		return nil, fmt.Errorf("hefloat: bootstrap expects a level-0 ciphertext, got level %d", ct.Level())
@@ -106,11 +107,15 @@ func (bt *Bootstrapper) Bootstrap(ct *ckks.Ciphertext) (*ckks.Ciphertext, error)
 		func() (err error) { rz, err = bt.applyDFT(bt.desc.R, raised); return },
 		func() (err error) { sz, err = bt.applyDFT(bt.desc.S, conj); return },
 	)
+	release(eval, raised, conj)
 	if err != nil {
+		release(eval, pz, qz, rz, sz)
 		return nil, err
 	}
-	u0 := eval.Add(pz, qz)
-	u1 := eval.Add(rz, sz)
+	u0, u1 := pz, rz
+	eval.AddAcc(qz, u0)
+	eval.AddAcc(sz, u1)
+	release(eval, qz, sz)
 
 	// EvaExp + double-angle: w ≈ sin(2π u).
 	var w0, w1 *ckks.Ciphertext
@@ -118,7 +123,9 @@ func (bt *Bootstrapper) Bootstrap(ct *ckks.Ciphertext) (*ckks.Ciphertext, error)
 		func() (err error) { w0, err = bt.evalSine(u0); return },
 		func() (err error) { w1, err = bt.evalSine(u1); return },
 	)
+	release(eval, u0, u1)
 	if err != nil {
+		release(eval, w0, w1)
 		return nil, err
 	}
 
@@ -128,6 +135,8 @@ func (bt *Bootstrapper) Bootstrap(ct *ckks.Ciphertext) (*ckks.Ciphertext, error)
 		func() (err error) { z0, err = bt.applyDFT(bt.desc.A, w0); return },
 		func() (err error) { z1, err = bt.applyDFT(bt.desc.B, w1); return },
 	)
+	release(eval, w0, w1)
+	defer release(eval, z0, z1)
 	if err != nil {
 		return nil, err
 	}
@@ -136,26 +145,44 @@ func (bt *Bootstrapper) Bootstrap(ct *ckks.Ciphertext) (*ckks.Ciphertext, error)
 	return AddAligned(eval, z0, z1), nil
 }
 
+// release gives the rows of each owned ciphertext back to the row pool,
+// skipping the nil results of a failed stage.
+func release(eval *ckks.Evaluator, cts ...*ckks.Ciphertext) {
+	for _, ct := range cts {
+		if ct != nil {
+			eval.Release(ct)
+		}
+	}
+}
+
 // evalSine evaluates sin(2πu) via the description's small-angle Taylor pair
-// and DAFIters double-angle iterations.
+// and DAFIters double-angle iterations. u stays the caller's; every other
+// intermediate goes back to the row pool.
 func (bt *Bootstrapper) evalSine(u *ckks.Ciphertext) (*ckks.Ciphertext, error) {
+	eval := bt.eval
 	// Pre-scale the argument (y = θ·u) so the Taylor coefficients are O(1)
 	// and survive fixed-point encoding.
-	y := bt.eval.Rescale(bt.eval.MulByConst(u, bt.desc.Theta))
-	s, err := EvaluateTree(bt.eval, y, Polynomial{Coeffs: bt.desc.Sin})
+	y := mulConstRescale(eval, u, bt.desc.Theta)
+	defer eval.Release(y)
+	s, err := EvaluateTree(eval, y, Polynomial{Coeffs: bt.desc.Sin})
 	if err != nil {
 		return nil, err
 	}
-	c, err := EvaluateTree(bt.eval, y, Polynomial{Coeffs: bt.desc.Cos})
+	c, err := EvaluateTree(eval, y, Polynomial{Coeffs: bt.desc.Cos})
 	if err != nil {
+		eval.Release(s)
 		return nil, err
 	}
 	for i := 0; i < bt.desc.DAFIters; i++ {
-		sc := mulRescale(bt.eval, s, c)
-		ss := mulRescale(bt.eval, s, s)
-		s = bt.eval.Add(sc, sc) // sin(2x) = 2 sin x cos x
-		negss2 := bt.eval.Neg(bt.eval.Add(ss, ss))
-		c = bt.eval.AddConst(negss2, 1) // cos(2x) = 1 - 2 sin²x
+		sc := mulRescale(eval, s, c)
+		ss := mulRescale(eval, s, s)
+		release(eval, s, c)
+		eval.AddAcc(sc, sc) // sin(2x) = 2 sin x cos x
+		eval.AddAcc(ss, ss)
+		s, c = sc, eval.Neg(ss)
+		eval.Release(ss)
+		eval.AddConstAcc(1, c) // cos(2x) = 1 - 2 sin²x
 	}
+	eval.Release(c)
 	return s, nil
 }

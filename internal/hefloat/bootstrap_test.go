@@ -3,9 +3,11 @@ package hefloat
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"fmt"
 	"math"
 	"math/cmplx"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"hydra/internal/ckks"
@@ -128,6 +130,42 @@ func TestBootstrapDigestsPinned(t *testing.T) {
 	}
 }
 
+// TestBootstrapAllocation: a warm Bootstrap gives the rows of every
+// intermediate it does not return back to the ring's row pool, so what it
+// allocates is its result, headers and closures, not a second copy of its
+// working set (about 29 MB per call at N = 512 when nothing went back).
+func TestBootstrapAllocation(t *testing.T) {
+	if testing.Short() {
+		t.Skip("bootstrapping in short mode")
+	}
+	if raceEnabled {
+		t.Skip("sync.Pool sheds entries at random under the race detector")
+	}
+	params, enc, encr, _, _, bt := bootEnv(t)
+	pt, err := enc.EncodeAtLevel(make([]complex128, params.Slots()), params.DefaultScale(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ct := encr.Encrypt(pt)
+	boot := func() {
+		if _, err := bt.Bootstrap(ct); err != nil {
+			t.Fatal(err)
+		}
+	}
+	boot() // compile the SlotToCoeff plans and fill the pool
+	boot()
+	const runs = 4
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		boot()
+	}
+	runtime.ReadMemStats(&after)
+	if mb := float64(after.TotalAlloc-before.TotalAlloc) / runs / (1 << 20); mb > 3 {
+		t.Errorf("a warm Bootstrap allocates %.2f MB, want at most 3", mb)
+	}
+}
+
 func TestBootstrapThenCompute(t *testing.T) {
 	if testing.Short() {
 		t.Skip("bootstrapping in short mode")
@@ -234,10 +272,7 @@ func TestInvertEmbeddingRecoversCoefficients(t *testing.T) {
 	params := ckks.TestParameters(6, 2)
 	enc := ckks.NewEncoder(params)
 	a, b := probeEmbedding(params, enc)
-	p, q, r, s, err := invertEmbedding(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p, q, r, s := invertEmbedding(a, b)
 	n := params.Slots()
 	// Pick arbitrary real coefficient halves, map through A,B, and verify
 	// the inverse blocks recover them.
@@ -262,6 +297,122 @@ func TestInvertEmbeddingRecoversCoefficients(t *testing.T) {
 		if cmplx.Abs(rec0-c0[i]) > 1e-6 || cmplx.Abs(rec1-c1[i]) > 1e-6 {
 			t.Fatalf("coefficient recovery failed at %d: %v vs %v, %v vs %v", i, rec0, c0[i], rec1, c1[i])
 		}
+	}
+}
+
+// invertEmbeddingElimination is invertEmbedding's oracle: it solves
+// [c0; c1] = [[P,Q],[R,S]]·[z; conj(z)] given z = A·c0 + B·c1 by Gauss–Jordan
+// elimination, with partial pivoting, of the stacked 2n×2n complex system.
+func invertEmbeddingElimination(a, b [][]complex128) (p, q, r, s [][]complex128, err error) {
+	n := len(a)
+	m := 2 * n
+	// M = [[A, B], [conj(A), conj(B)]], augmented with the identity.
+	aug := make([][]complex128, m)
+	for i := 0; i < m; i++ {
+		aug[i] = make([]complex128, 2*m)
+		for j := 0; j < n; j++ {
+			if i < n {
+				aug[i][j] = a[i][j]
+				aug[i][j+n] = b[i][j]
+			} else {
+				aug[i][j] = cmplx.Conj(a[i-n][j])
+				aug[i][j+n] = cmplx.Conj(b[i-n][j])
+			}
+		}
+		aug[i][m+i] = 1
+	}
+	for col := 0; col < m; col++ {
+		piv := col
+		for row := col + 1; row < m; row++ {
+			if cmplx.Abs(aug[row][col]) > cmplx.Abs(aug[piv][col]) {
+				piv = row
+			}
+		}
+		if cmplx.Abs(aug[piv][col]) < 1e-12 {
+			return nil, nil, nil, nil, fmt.Errorf("embedding system is singular at column %d", col)
+		}
+		aug[col], aug[piv] = aug[piv], aug[col]
+		inv := 1 / aug[col][col]
+		for j := col; j < 2*m; j++ {
+			aug[col][j] *= inv
+		}
+		for row := 0; row < m; row++ {
+			if row == col || aug[row][col] == 0 {
+				continue
+			}
+			f := aug[row][col]
+			for j := col; j < 2*m; j++ {
+				aug[row][j] -= f * aug[col][j]
+			}
+		}
+	}
+	block := func(r0, c0 int) [][]complex128 {
+		out := make([][]complex128, n)
+		for i := range out {
+			out[i] = make([]complex128, n)
+			for j := range out[i] {
+				out[i][j] = aug[r0+i][m+c0+j]
+			}
+		}
+		return out
+	}
+	return block(0, 0), block(0, n), block(n, 0), block(n, n), nil
+}
+
+// TestInvertEmbeddingMatchesElimination holds the closed-form inverse to the
+// eliminated one entry for entry, and checks M·M⁻¹ = I for the stacked system
+// M = [[A, B], [conj(A), conj(B)]], at N = 64 and at the bootstrap's N = 512.
+func TestInvertEmbeddingMatchesElimination(t *testing.T) {
+	const tol = 1e-13
+	for _, logN := range []int{6, 9} {
+		params := ckks.TestParameters(logN, 2)
+		a, b := probeEmbedding(params, ckks.NewEncoder(params))
+		p, q, r, s := invertEmbedding(a, b)
+		wp, wq, wr, ws, err := invertEmbeddingElimination(a, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := len(a)
+		worst := 0.0
+		for bi, pair := range [4][2][][]complex128{{p, wp}, {q, wq}, {r, wr}, {s, ws}} {
+			for i := range n {
+				for j := range n {
+					if e := cmplx.Abs(pair[0][i][j] - pair[1][i][j]); e > worst {
+						worst = e
+						if e > tol {
+							t.Fatalf("logN %d: block %d entry (%d,%d) is %v, elimination gives %v", logN, bi, i, j, pair[0][i][j], pair[1][i][j])
+						}
+					}
+				}
+			}
+		}
+		// M·M⁻¹ = I, with M⁻¹ = [[P, Q], [R, S]].
+		m, mInv := make([][]complex128, 2*n), make([][]complex128, 2*n)
+		for i := range n {
+			m[i] = append(append([]complex128{}, a[i]...), b[i]...)
+			m[n+i] = make([]complex128, 2*n)
+			for k, v := range m[i] {
+				m[n+i][k] = cmplx.Conj(v)
+			}
+			mInv[i] = append(append([]complex128{}, p[i]...), q[i]...)
+			mInv[n+i] = append(append([]complex128{}, r[i]...), s[i]...)
+		}
+		row := make([]complex128, 2*n)
+		for i := range m {
+			clear(row)
+			for k, mik := range m[i] {
+				for j, v := range mInv[k] {
+					row[j] += mik * v
+				}
+			}
+			row[i]--
+			for j, v := range row {
+				if cmplx.Abs(v) > tol {
+					t.Fatalf("logN %d: (M·M⁻¹ - I)[%d][%d] = %v", logN, i, j, v)
+				}
+			}
+		}
+		t.Logf("logN %d: closed form within %.1e of elimination", logN, worst)
 	}
 }
 

@@ -47,23 +47,25 @@ func EvaluateTree(eval *ckks.Evaluator, ct *ckks.Ciphertext, p Polynomial) (*ckk
 		pows = append(pows, mulRescale(eval, prev, prev))
 	}
 	out := evalTreeRec(eval, pows, p.Coeffs)
+	release(eval, pows[1:]...)
 	return out, nil
 }
 
 // evalTreeRec evaluates the polynomial with the given coefficients using the
-// precomputed binary powers. Returns nil for an all-zero polynomial.
+// precomputed binary powers. Returns nil for an all-zero polynomial. The
+// result is the caller's; every other intermediate goes back to the row pool.
 func evalTreeRec(eval *ckks.Evaluator, pows []*ckks.Ciphertext, coeffs []float64) *ckks.Ciphertext {
 	// Base case: degree <= 1.
 	if len(coeffs) <= 2 {
 		var acc *ckks.Ciphertext
 		if len(coeffs) == 2 && coeffs[1] != 0 {
-			acc = eval.Rescale(eval.MulByConst(pows[0], coeffs[1]))
+			acc = mulConstRescale(eval, pows[0], coeffs[1])
 		}
 		if coeffs[0] != 0 {
 			if acc == nil {
-				acc = eval.Rescale(eval.MulByConst(pows[0], 0)) // zero ciphertext at matching level
+				acc = mulConstRescale(eval, pows[0], 0) // zero ciphertext at matching level
 			}
-			acc = eval.AddConst(acc, coeffs[0])
+			eval.AddConstAcc(coeffs[0], acc)
 		}
 		return acc
 	}
@@ -82,54 +84,53 @@ func evalTreeRec(eval *ckks.Evaluator, pows []*ckks.Ciphertext, coeffs []float64
 		return lo
 	}
 	term := mulRescale(eval, hi, pows[k])
+	eval.Release(hi)
 	if lo == nil {
 		return term
 	}
 	// Align scales: term went through one more rescale than lo may have.
+	defer release(eval, lo, term)
 	return AddAligned(eval, lo, term)
 }
 
 // mulRescale returns Rescale(MulRelin(a, b)) word for word, the rescale
 // riding the relinearization's ModDown.
 func mulRescale(eval *ckks.Evaluator, a, b *ckks.Ciphertext) *ckks.Ciphertext {
-	return eval.ModDownExtRescale(eval.RelinearizeExt(eval.MulNoRelin(a, b)))
+	prod := eval.MulNoRelin(a, b)
+	defer eval.Release2(prod)
+	return eval.ModDownExtRescale(eval.RelinearizeExt(prod))
+}
+
+// mulConstRescale returns Rescale(MulByConst(ct, c)).
+func mulConstRescale(eval *ckks.Evaluator, ct *ckks.Ciphertext, c float64) *ckks.Ciphertext {
+	prod := eval.MulByConst(ct, c)
+	defer eval.Release(prod)
+	return eval.Rescale(prod)
 }
 
 // AddAligned adds two ciphertexts that went through rescaling chains of
-// different depth. The shallower (higher-level) operand is multiplied by 1.0
-// encoded at a corrective scale and rescaled once, landing it exactly on the
-// deeper operand's scale; remaining spare levels are then dropped.
+// different depth, at the lower of their levels. When their scales differ,
+// the shallower (higher-level) operand is multiplied by 1.0 encoded at a
+// corrective scale and rescaled once, landing it exactly on the deeper
+// operand's scale, one level down when both sat at the same level. Neither
+// operand is consumed.
 func AddAligned(eval *ckks.Evaluator, a, b *ckks.Ciphertext) *ckks.Ciphertext {
 	// Ensure a is the deeper (lower-level) operand.
 	if a.Level() > b.Level() {
 		a, b = b, a
 	}
-	targetLevel := a.Level()
-	if a.Level() == b.Level() && !scalesClose(a.Scale, b.Scale) {
-		// No spare level on either side: spend one level on b's corrective
-		// multiply and drop a to match.
-		targetLevel--
-		a = a.CopyAtLevel(targetLevel)
+	if scalesClose(b.Scale, a.Scale) {
+		return eval.Add(a, b)
 	}
-	b = matchScaleLevel(eval, b, a.Scale, targetLevel)
-	return eval.Add(a, b)
-}
-
-// matchScaleLevel brings ct to the target scale and level. ct must be at a
-// level strictly above target when its scale differs from targetScale.
-func matchScaleLevel(eval *ckks.Evaluator, ct *ckks.Ciphertext, targetScale float64, targetLevel int) *ckks.Ciphertext {
-	if !scalesClose(ct.Scale, targetScale) {
-		if ct.Level() <= targetLevel {
-			panic("hefloat: cannot align scales without a spare level")
-		}
-		q := eval.Params().Q()[ct.Level()]
-		corrective := float64(q) * targetScale / ct.Scale
-		ct = eval.Rescale(eval.MulByConstWithScale(ct, 1.0, corrective))
+	if b.Level() == 0 {
+		panic("hefloat: cannot align scales without a spare level")
 	}
-	if ct.Level() > targetLevel {
-		ct = ct.CopyAtLevel(targetLevel)
-	}
-	return ct
+	q := eval.Params().Q()[b.Level()]
+	prod := eval.MulByConstWithScale(b, 1.0, float64(q)*a.Scale/b.Scale)
+	aligned := eval.Rescale(prod)
+	eval.Release(prod)
+	defer eval.Release(aligned)
+	return eval.Add(a, aligned)
 }
 
 func scalesClose(a, b float64) bool {

@@ -13,6 +13,7 @@ package lint
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -192,8 +193,8 @@ func packageDirs(root string) ([]string, error) {
 	return dirs, err
 }
 
-// parseDir parses the non-test Go files of one directory; it returns nil if
-// the directory holds no buildable Go files.
+// parseDir parses the non-test Go files of one directory that the default
+// build compiles; it returns nil if the directory holds none.
 func parseDir(mod *Module, root, dir string) (*Package, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -202,9 +203,16 @@ func parseDir(mod *Module, root, dir string) (*Package, error) {
 	var files []*ast.File
 	for _, e := range entries {
 		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".go") ||
-			strings.HasSuffix(name, "_test.go") ||
-			strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") {
+		if e.IsDir() || strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		// The default build's files: Go files, not hidden, whose build
+		// constraints hold without tags (so poisonpool's variant is left out).
+		ok, err := build.Default.MatchFile(dir, name)
+		if err != nil {
+			return nil, err
+		}
+		if !ok {
 			continue
 		}
 		f, err := parser.ParseFile(mod.Fset, filepath.Join(dir, name), nil, parser.ParseComments)

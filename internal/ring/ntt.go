@@ -73,7 +73,7 @@ func NewNTTTable(n int, q, psi uint64) *NTTTable {
 	if PowMod(psi, uint64(n), q) != q-1 {
 		panic("ring: psi is not a primitive 2N-th root of unity")
 	}
-	t := &NTTTable{N: n, LogN: log2(n), Mod: NewModulus(q), rows: &rowPool{n: n}}
+	t := &NTTTable{N: n, LogN: log2(n), Mod: NewModulus(q), rows: &rowPool{n: n, below: q}}
 	t.brv = bitReversePerm(n)
 
 	psiPows := powerTable(psi, n, q)

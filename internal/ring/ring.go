@@ -3,6 +3,8 @@ package ring
 import (
 	"fmt"
 	"math/big"
+	"math/rand/v2"
+	"slices"
 	"sync"
 )
 
@@ -26,7 +28,7 @@ func NewRing(n int, moduli []uint64) (*Ring, error) {
 	if len(moduli) == 0 {
 		return nil, fmt.Errorf("ring: need at least one modulus")
 	}
-	r := &Ring{N: n, Moduli: append([]uint64(nil), moduli...), rows: &rowPool{n: n}}
+	r := &Ring{N: n, Moduli: append([]uint64(nil), moduli...), rows: &rowPool{n: n, below: slices.Min(moduli)}}
 	seen := make(map[uint64]bool, len(moduli))
 	for _, q := range moduli {
 		if seen[q] {
@@ -52,6 +54,7 @@ func NewRing(n int, moduli []uint64) (*Ring, error) {
 // allocates. Both are sync.Pools: a collection empties them.
 type rowPool struct {
 	n     int
+	below uint64    // the smallest modulus of the rows' ring: see scribble
 	rows  sync.Pool // boxes holding a row
 	boxes sync.Pool // empty boxes
 }
@@ -81,12 +84,33 @@ func (p *rowPool) put(row []uint64) {
 	if len(row) != p.n {
 		return
 	}
+	if poisonRows {
+		scribble(row, p.below)
+	}
 	b, _ := p.boxes.Get().(*[]uint64)
 	if b == nil {
 		b = new([]uint64)
 	}
 	*b = row[:p.n:p.n]
 	p.rows.Put(b)
+}
+
+// scribble overwrites row with words below the given modulus, drawn afresh
+// on every call and in every process. Built with the poisonpool tag, the
+// pool scribbles each row given back, so a taker that reads a recycled row
+// before writing it, or a holder that reads a row after giving it back, gets
+// words that differ from run to run, even when the row was recycled within
+// one op. Each word is a residue of every limb the row may serve, so it
+// flows through the arithmetic as a wrong value instead of saturating a lazy
+// reduction the way an out-of-range word can.
+func scribble(row []uint64, below uint64) {
+	x := rand.Uint64() | 1
+	for j := range row {
+		x ^= x << 13 // xorshift64
+		x ^= x >> 7
+		x ^= x << 17
+		row[j] = x % below
+	}
 }
 
 // GetRows returns n length-N rows from the ring's row pool, each as its last

@@ -53,6 +53,20 @@ echo "== go test -race -short (plan cache + double-hoisted BSGS)"
 # convergence tests that add nothing to the race coverage.
 go test -race -short "$@" ./internal/hefloat/
 
+echo "== go test -race -run TestBootstrapDigestsPinned (one full bootstrap, three calls)"
+# -short skips every full bootstrap above. Bootstrap gives each intermediate's
+# rows back to the ring's row pool, from its two concurrent sine branches
+# too, and three back-to-back calls must still match their pinned digests.
+go test -race -run TestBootstrapDigestsPinned "$@" ./internal/hefloat/
+
+echo "== go test -tags poisonpool (every recycled row holds fresh garbage)"
+# With the poisonpool tag the row pool scribbles random residues over every
+# row given back, so an op that reads a pooled row before writing it, or a
+# value read after its rows went back, changes a result that the suites pin:
+# TestPoisonedPoolChangesNothing's two runs, the output digests and the
+# bit-identity differentials.
+go test -tags poisonpool "$@" ./internal/ring/ ./internal/ckks/ ./internal/fhir/ ./internal/hefloat/ ./internal/cluster/
+
 echo "== go test -race -short (conformance reduced matrix)"
 # The cross-engine matrix minus the heavy bootstrap program: every remaining
 # program still runs on all five engines, with the cluster column putting
