@@ -86,13 +86,15 @@ func (ev *Evaluator) copyPooled(ct *Ciphertext) *Ciphertext {
 	return out
 }
 
-// Release returns ct's rows to the ring's row pool, the rows a level drop
-// hid included, for the next result to reuse: the twin of ReleaseExt. ct
-// must own its rows — an Evaluator result no other ciphertext shares them
-// with — and must not be used afterwards. A ciphertext that is never
-// released is reclaimed by the collector instead.
-func (ev *Evaluator) Release(ct *Ciphertext) {
-	ev.params.releasePolys(ct.C0, ct.C1)
+// Release returns each ciphertext's rows to the ring's row pool, the rows a
+// level drop hid included, for the next result to reuse: the twin of
+// ReleaseExt. Each must own its rows — an Evaluator result no other
+// ciphertext shares them with — and must not be used afterwards. A
+// ciphertext that is never released is reclaimed by the collector instead.
+func (ev *Evaluator) Release(cts ...*Ciphertext) {
+	for _, ct := range cts {
+		ev.params.releasePolys(ct.C0, ct.C1)
+	}
 }
 
 // Release2 is Release of a degree-2 ciphertext.

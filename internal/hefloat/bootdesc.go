@@ -92,8 +92,8 @@ func sineTaylorPair(deg int) (sin, cos []float64) {
 }
 
 // NewBootstrapDesc probes the encoder of params, inverts the embedding system
-// in closed form and lays out the four CoeffToSlot and two SlotToCoeff transforms and the
-// sine schedule.
+// in closed form and lays out the four CoeffToSlot and two SlotToCoeff
+// transforms and the sine schedule.
 func NewBootstrapDesc(params *ckks.Parameters, opts BootstrapperOptions) (*BootstrapDesc, error) {
 	if params.Slots()*2 != params.N() {
 		return nil, fmt.Errorf("hefloat: bootstrapping requires full slot packing")

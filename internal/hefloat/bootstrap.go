@@ -85,7 +85,8 @@ func (bt *Bootstrapper) SineSchedule() (taylorDeg, dafIters int) {
 }
 
 // Bootstrap refreshes a level-0 ciphertext to a high level. Every
-// intermediate goes back to the ring's row pool once its last reader is done.
+// intermediate goes back to the ring's row pool once its last reader is done
+// (on an error, to the collector).
 func (bt *Bootstrapper) Bootstrap(ct *ckks.Ciphertext) (*ckks.Ciphertext, error) {
 	if ct.Level() != 0 {
 		return nil, fmt.Errorf("hefloat: bootstrap expects a level-0 ciphertext, got level %d", ct.Level())
@@ -107,15 +108,13 @@ func (bt *Bootstrapper) Bootstrap(ct *ckks.Ciphertext) (*ckks.Ciphertext, error)
 		func() (err error) { rz, err = bt.applyDFT(bt.desc.R, raised); return },
 		func() (err error) { sz, err = bt.applyDFT(bt.desc.S, conj); return },
 	)
-	release(eval, raised, conj)
 	if err != nil {
-		release(eval, pz, qz, rz, sz)
 		return nil, err
 	}
 	u0, u1 := pz, rz
 	eval.AddAcc(qz, u0)
 	eval.AddAcc(sz, u1)
-	release(eval, qz, sz)
+	eval.Release(raised, conj, qz, sz)
 
 	// EvaExp + double-angle: w ≈ sin(2π u).
 	var w0, w1 *ckks.Ciphertext
@@ -123,11 +122,10 @@ func (bt *Bootstrapper) Bootstrap(ct *ckks.Ciphertext) (*ckks.Ciphertext, error)
 		func() (err error) { w0, err = bt.evalSine(u0); return },
 		func() (err error) { w1, err = bt.evalSine(u1); return },
 	)
-	release(eval, u0, u1)
 	if err != nil {
-		release(eval, w0, w1)
 		return nil, err
 	}
+	eval.Release(u0, u1)
 
 	// SlotToCoeff with the q0/(2π) correction folded in.
 	var z0, z1 *ckks.Ciphertext
@@ -135,24 +133,13 @@ func (bt *Bootstrapper) Bootstrap(ct *ckks.Ciphertext) (*ckks.Ciphertext, error)
 		func() (err error) { z0, err = bt.applyDFT(bt.desc.A, w0); return },
 		func() (err error) { z1, err = bt.applyDFT(bt.desc.B, w1); return },
 	)
-	release(eval, w0, w1)
-	defer release(eval, z0, z1)
 	if err != nil {
 		return nil, err
 	}
+	defer eval.Release(w0, w1, z0, z1)
 	// The pipeline's folded constants are exact, so the tracked scale is
 	// correct by construction.
 	return AddAligned(eval, z0, z1), nil
-}
-
-// release gives the rows of each owned ciphertext back to the row pool,
-// skipping the nil results of a failed stage.
-func release(eval *ckks.Evaluator, cts ...*ckks.Ciphertext) {
-	for _, ct := range cts {
-		if ct != nil {
-			eval.Release(ct)
-		}
-	}
 }
 
 // evalSine evaluates sin(2πu) via the description's small-angle Taylor pair
@@ -170,13 +157,12 @@ func (bt *Bootstrapper) evalSine(u *ckks.Ciphertext) (*ckks.Ciphertext, error) {
 	}
 	c, err := EvaluateTree(eval, y, Polynomial{Coeffs: bt.desc.Cos})
 	if err != nil {
-		eval.Release(s)
 		return nil, err
 	}
 	for i := 0; i < bt.desc.DAFIters; i++ {
 		sc := mulRescale(eval, s, c)
 		ss := mulRescale(eval, s, s)
-		release(eval, s, c)
+		eval.Release(s, c)
 		eval.AddAcc(sc, sc) // sin(2x) = 2 sin x cos x
 		eval.AddAcc(ss, ss)
 		s, c = sc, eval.Neg(ss)

@@ -47,7 +47,7 @@ func EvaluateTree(eval *ckks.Evaluator, ct *ckks.Ciphertext, p Polynomial) (*ckk
 		pows = append(pows, mulRescale(eval, prev, prev))
 	}
 	out := evalTreeRec(eval, pows, p.Coeffs)
-	release(eval, pows[1:]...)
+	eval.Release(pows[1:]...)
 	return out, nil
 }
 
@@ -89,7 +89,7 @@ func evalTreeRec(eval *ckks.Evaluator, pows []*ckks.Ciphertext, coeffs []float64
 		return term
 	}
 	// Align scales: term went through one more rescale than lo may have.
-	defer release(eval, lo, term)
+	defer eval.Release(lo, term)
 	return AddAligned(eval, lo, term)
 }
 

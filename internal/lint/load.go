@@ -203,16 +203,12 @@ func parseDir(mod *Module, root, dir string) (*Package, error) {
 	var files []*ast.File
 	for _, e := range entries {
 		name := e.Name()
-		if e.IsDir() || strings.HasSuffix(name, "_test.go") {
-			continue
-		}
-		// The default build's files: Go files, not hidden, whose build
-		// constraints hold without tags (so poisonpool's variant is left out).
+		// The default build's Go files: not hidden, constraints met untagged.
 		ok, err := build.Default.MatchFile(dir, name)
 		if err != nil {
 			return nil, err
 		}
-		if !ok {
+		if e.IsDir() || !ok || strings.HasSuffix(name, "_test.go") {
 			continue
 		}
 		f, err := parser.ParseFile(mod.Fset, filepath.Join(dir, name), nil, parser.ParseComments)

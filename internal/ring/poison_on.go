@@ -2,6 +2,5 @@
 
 package ring
 
-// poisonRows is set by the poisonpool build tag: the row pool scribbles
-// fresh random words over every row given back (see scribble).
+// poisonRows: the row pool scribbles every row given back (see scribble).
 const poisonRows = true

@@ -54,7 +54,7 @@ func NewRing(n int, moduli []uint64) (*Ring, error) {
 // allocates. Both are sync.Pools: a collection empties them.
 type rowPool struct {
 	n     int
-	below uint64    // the smallest modulus of the rows' ring: see scribble
+	below uint64    // the smallest modulus of the rows' ring, for scribble
 	rows  sync.Pool // boxes holding a row
 	boxes sync.Pool // empty boxes
 }
@@ -95,21 +95,14 @@ func (p *rowPool) put(row []uint64) {
 	p.rows.Put(b)
 }
 
-// scribble overwrites row with words below the given modulus, drawn afresh
-// on every call and in every process. Built with the poisonpool tag, the
-// pool scribbles each row given back, so a taker that reads a recycled row
-// before writing it, or a holder that reads a row after giving it back, gets
-// words that differ from run to run, even when the row was recycled within
-// one op. Each word is a residue of every limb the row may serve, so it
-// flows through the arithmetic as a wrong value instead of saturating a lazy
-// reduction the way an out-of-range word can.
+// scribble overwrites a row given back with random residues below the ring's
+// smallest modulus, fresh per call and per process, when the poisonpool tag
+// is set: a row read before it is written, or after it went back, then
+// changes a result from run to run. In-range words flow through the lazy
+// reductions as wrong values where out-of-range ones can saturate.
 func scribble(row []uint64, below uint64) {
-	x := rand.Uint64() | 1
 	for j := range row {
-		x ^= x << 13 // xorshift64
-		x ^= x >> 7
-		x ^= x << 17
-		row[j] = x % below
+		row[j] = rand.Uint64N(below)
 	}
 }
 
