@@ -1,7 +1,7 @@
 package experiments
 
 // Golden-regression guard for the reproduced evaluation: the formatted
-// Table II, Fig. 6 and Table V outputs are snapshotted under testdata/ and
+// Table II, Table III, Fig. 6, Fig. 7 and Table V outputs are snapshotted under testdata/ and
 // every run must regenerate them byte-for-byte. Performance refactors (like
 // the limb-parallel execution layer) therefore cannot silently shift the
 // numbers this repository claims to reproduce. After an *intentional* model
@@ -48,12 +48,28 @@ func TestGoldenTable2(t *testing.T) {
 	checkGolden(t, "table2.golden", res.Format())
 }
 
+func TestGoldenTable3(t *testing.T) {
+	res, err := Table3()
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "table3.golden", res.Format())
+}
+
 func TestGoldenFig6(t *testing.T) {
 	series, err := Fig6()
 	if err != nil {
 		t.Fatal(err)
 	}
 	checkGolden(t, "fig6.golden", FormatFig6(series))
+}
+
+func TestGoldenFig7(t *testing.T) {
+	entries, err := Fig7()
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "fig7.golden", FormatFig7(entries))
 }
 
 func TestGoldenTable5(t *testing.T) {
