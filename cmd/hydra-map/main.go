@@ -57,9 +57,9 @@ func run(proc string, cards, units, cts, degree int, verbose, gantt bool) error 
 	case "fc":
 		err = ctx.FC(units, "FC")
 	case "pcmm":
-		err = ctx.DistributeLocal(units, mapping.PCMMUnit, cts, "PCMM")
+		err = ctx.DistributeBroadcast(units, mapping.PCMMUnit, cts, "PCMM")
 	case "ccmm":
-		err = ctx.DistributeLocal(units, mapping.CCMMUnit, cts, "CCMM")
+		err = ctx.DistributeBroadcast(units, mapping.CCMMUnit, cts, "CCMM")
 	case "poly":
 		err = ctx.PolyEval(degree, "Poly")
 	case "boot":

@@ -317,8 +317,8 @@ func TestSwitchingKeyDigitCount(t *testing.T) {
 		if want := (limbs + alpha - 1) / alpha; len(swk.DigitsB) != want || len(swk.DigitsA) != want {
 			t.Fatalf("%d limbs, α=%d: %d+%d digits, want %d", limbs, alpha, len(swk.DigitsB), len(swk.DigitsA), want)
 		}
-		if limbs >= 3 && limbs != 4 && len(swk.DigitsB) != hw.PaperScheme().Dnum {
-			t.Fatalf("%d limbs: %d digits, the cost model prices %d", limbs, len(swk.DigitsB), hw.PaperScheme().Dnum)
+		if limbs >= 3 && limbs != 4 && len(swk.DigitsB) != hw.HydraCard().KeySwitchDnum {
+			t.Fatalf("%d limbs: %d digits, the cost model prices %d", limbs, len(swk.DigitsB), hw.HydraCard().KeySwitchDnum)
 		}
 		for d := range swk.DigitsB {
 			if len(swk.DigitsB[d].Coeffs) != limbs+alpha || len(swk.DigitsA[d].Coeffs) != limbs+alpha {

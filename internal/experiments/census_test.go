@@ -1,16 +1,20 @@
 package experiments
 
 import (
+	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
 
+	"hydra/internal/baseline"
 	"hydra/internal/hw"
+	"hydra/internal/model"
 	"hydra/internal/sim"
 )
 
@@ -19,20 +23,19 @@ import (
 // on, or "assumed" when it is neither. A field's row covers its value on
 // every profile. EXPERIMENTS.md prints the same table.
 var census = []struct{ name, source string }{
-	{"hw.CardProfile.Name", "§V-A: the three designs compared"},
 	{"hw.CardProfile.Lanes", "§IV-A: 512 lanes per compute unit; FAB's 256 assumed"},
 	{"hw.CardProfile.NTTPassEff", "§IV-B: radix-4 (Hydra) beats radix-8 (Poseidon) at N = 2^16; values assumed"},
 	{"hw.CardProfile.ScratchpadHitRate", "§IV-B: MAD-style reuse (Hydra), none (Poseidon); FAB's 0.45 assumed"},
 	{"hw.CardProfile.HBMBandwidth", "U280 HBM2, 460 GB/s; Poseidon's 420 assumed"},
-	{"hw.CardProfile.EnergyNTT", "assumed; read by Fig. 7 and Table III"},
-	{"hw.CardProfile.EnergyMA", "assumed; read by Fig. 7 and Table III"},
-	{"hw.CardProfile.EnergyMM", "assumed; read by Fig. 7 and Table III"},
-	{"hw.CardProfile.EnergyAuto", "assumed; read by Fig. 7 and Table III"},
 	{"hw.CardProfile.KeySwitchDnum", "§V-A: dnum = 3; FAB's 5 assumed"},
 	{"hw.ClockHz", "§V-A: 300 MHz, all three designs on the U280"},
 	{"hw.EnergyHBM", "assumed; read by Fig. 7 and Table III"},
 	{"hw.EnergyNIC", "assumed; read by Fig. 7 and Table III"},
 	{"hw.IdlePowerW", "assumed; read by Fig. 7 and Table III"},
+	{"hw.EnergyNTT", "assumed; read by Fig. 7 and Table III"},
+	{"hw.EnergyMA", "assumed; read by Fig. 7 and Table III"},
+	{"hw.EnergyMM", "assumed; read by Fig. 7 and Table III"},
+	{"hw.EnergyAuto", "assumed; read by Fig. 7 and Table III"},
 	{"hw.NetworkProfile.IntraServer", "§IV-C, Fig. 4: 100 Gb/s QSFP into the in-server switch"},
 	{"hw.NetworkProfile.InterServer", "Fig. 4: cross-server switch; 5 GB/s per flow assumed for the shared uplinks"},
 	{"hw.NetworkProfile.HostRelay", "§II-B1: FAB's host-mediated path"},
@@ -42,14 +45,12 @@ var census = []struct{ name, source string }{
 	{"hw.SchemeParams.LogN", "§V-A: N = 2^16"},
 	{"hw.SchemeParams.MaxLimbs", "§V-A: logQ = 1260, 28 limbs"},
 	{"hw.SchemeParams.SpecialLimbs", "§V-A: log(PQ) = 1692, a 432-bit P"},
-	{"hw.SchemeParams.Dnum", "§V-A: dnum = 3"},
 	{"hw.SchemeParams.BootDepth", "§V-G, Table V: three DFT levels"},
 	{"hw.SchemeParams.FreshLimbs", "assumed: limbs a bootstrap leaves"},
 	{"hw.SchemeParams.EffectiveLimb", "assumed: mean limbs of a steady-state op"},
 	{"sim.Config.Scheme", "§V-A: the rows of hw.SchemeParams"},
 	{"sim.Config.Card", "§V-A: one hw.CardProfile per design"},
 	{"sim.Config.Network", "§IV-C (Hydra), §II-B1 (FAB)"},
-	{"sim.Config.DMAConfigLatency", "Procedure 1 steps 5-6; 0.5 µs (Hydra) and 5 µs (FAB) assumed"},
 	{"sim.Config.CollectTrace", "no value: records the schedule for hydrasim -trace-json"},
 	{"experiments.hydraReportScale", "fit to Table II, Hydra-S on ResNet-18: 41.29/203.92"},
 	{"experiments.fabReportScale", "fit to Table II, FAB-S on ResNet-18: 131.94/584.35"},
@@ -152,4 +153,117 @@ func constsIn(t *testing.T, dir string) map[string]bool {
 		}
 	}
 	return names
+}
+
+// censusRates are the fields that hold a rate in [0, 1): scaling one moves it
+// a quarter of its distance to 1, as a 25 % step past 1 would be no rate.
+var censusRates = map[string]bool{"NTTPassEff": true, "ScratchpadHitRate": true}
+
+// scaleBy25 scales every number in v by 25 %, integers rounded to the nearest,
+// rates a quarter of the way to 1, and reports whether v holds a number.
+func scaleBy25(v reflect.Value, field string) bool {
+	switch v.Kind() {
+	case reflect.Int:
+		v.SetInt(int64(math.Round(float64(v.Int()) * 1.25)))
+	case reflect.Float64:
+		if x := v.Float(); censusRates[field] {
+			v.SetFloat(x + (1-x)/4)
+		} else {
+			v.SetFloat(x * 1.25)
+		}
+	case reflect.Struct:
+		number := false
+		for i := range v.NumField() {
+			number = scaleBy25(v.Field(i), v.Type().Field(i).Name) || number
+		}
+		return number
+	default:
+		return false
+	}
+	return true
+}
+
+// censusField returns the field a census row names in p's machine, or false
+// when the row names a constant.
+func censusField(p *Prototype, row string) (reflect.Value, bool) {
+	dot := strings.LastIndexByte(row, '.')
+	typ, field := row[:dot], row[dot+1:]
+	cfg := reflect.ValueOf(&p.Sim).Elem()
+	if cfg.Type().String() == typ {
+		return cfg.FieldByName(field), true
+	}
+	for i := range cfg.NumField() {
+		if f := cfg.Field(i); f.Type().String() == typ {
+			return f.FieldByName(field), true
+		}
+	}
+	return reflect.Value{}, false
+}
+
+// table2Error runs Table II's benchmarks on protos and returns the mean
+// |error| against the paper, in percent, over the single-card and over the
+// multi-card prototypes.
+func table2Error(protos []Prototype) (single, multi float64, err error) {
+	var sum, n [2]float64
+	for _, p := range protos {
+		for _, net := range model.Benchmarks() {
+			r, err := p.Run(net)
+			if err != nil {
+				return 0, 0, err
+			}
+			k := min(p.Cards-1, 1)
+			sum[k] += 100 * math.Abs(r.Makespan*p.ReportScale/baseline.TableII[p.Name][net.Name]-1)
+			n[k]++
+		}
+	}
+	return sum[0] / n[0], sum[1] / n[1], nil
+}
+
+// TestCensusSensitivity scales each field row's value by 25 % on every
+// measured prototype, re-runs Table II and requires EXPERIMENTS.md to print
+// the change in its single- and multi-card mean |error|, in percentage
+// points: "—" for a row that holds no number, "rejected" for a value the
+// machine refuses. Rows naming a constant were measured once by editing the
+// constant; the test requires only that they print a figure marked "†".
+func TestCensusSensitivity(t *testing.T) {
+	if testing.Short() {
+		t.Skip("one Table II pass per census row in short mode")
+	}
+	baseSingle, baseMulti, err := table2Error(MeasuredPrototypes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc, err := os.ReadFile("../../EXPERIMENTS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range census {
+		protos := MeasuredPrototypes()
+		number, field := false, false
+		for i := range protos {
+			if v, ok := censusField(&protos[i], r.name); ok {
+				field = true
+				number = scaleBy25(v, r.name[strings.LastIndexByte(r.name, '.')+1:]) || number
+			}
+		}
+		prefix := "| `" + r.name + "` | " + r.source + " | "
+		if !field {
+			i := strings.Index(string(doc), prefix)
+			if line, _, _ := strings.Cut(string(doc)[max(i, 0):], "\n"); i < 0 || !strings.Contains(line, " † |") {
+				t.Errorf("EXPERIMENTS.md prints no measured figure for the constant %s", r.name)
+			}
+			continue
+		}
+		want := prefix + "— | — |"
+		if number {
+			want = prefix + "rejected | rejected |"
+			if single, multi, err := table2Error(protos); err == nil {
+				want = prefix + fmt.Sprintf("%+.2f | %+.2f |", single-baseSingle, multi-baseMulti)
+			}
+		}
+		if !strings.Contains(string(doc), want) {
+			t.Errorf("EXPERIMENTS.md does not print the sensitivity row %q", want)
+		}
+	}
+	t.Logf("Table II mean |error|: single-card %.2f %%, multi-card %.2f %%", baseSingle, baseMulti)
 }

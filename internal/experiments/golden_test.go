@@ -1,13 +1,13 @@
 package experiments
 
 // Golden-regression guard for the reproduced evaluation: the formatted
-// Table II, Table III, Fig. 6, Fig. 7 and Table V outputs are snapshotted under testdata/ and
-// every run must regenerate them byte-for-byte. Performance refactors (like
-// the limb-parallel execution layer) therefore cannot silently shift the
-// numbers this repository claims to reproduce. After an *intentional* model
-// change, refresh the snapshots with `make golden-update` (or
-// `go test ./internal/experiments/ -run TestGolden -update`) and review the
-// diff like any other code change.
+// Table II, Table III, Fig. 6, Fig. 7 and Table V outputs are snapshotted
+// under testdata/ and every run must regenerate them byte-for-byte.
+// Performance refactors (like the limb-parallel execution layer) therefore
+// cannot silently shift the numbers this repository claims to reproduce.
+// After an *intentional* model change, refresh the snapshots with
+// `make golden-update` (or `go test ./internal/experiments/ -run TestGolden
+// -update`) and review the diff like any other code change.
 
 import (
 	"flag"

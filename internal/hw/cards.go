@@ -8,18 +8,11 @@ import "slices"
 // in front of HBM, and a DTU for switch-based card-to-card transfers.
 func HydraCard() CardProfile {
 	return CardProfile{
-		Name:              "Hydra",
 		Lanes:             512,
 		NTTPassEff:        0.85,
 		ScratchpadHitRate: 0.80,
 		HBMBandwidth:      460e9,
-
-		EnergyNTT:  0.37e-3,
-		EnergyMA:   0.03e-3,
-		EnergyMM:   0.20e-3,
-		EnergyAuto: 0.10e-3,
-
-		KeySwitchDnum: 3,
+		KeySwitchDnum:     3,
 	}
 }
 
@@ -27,18 +20,11 @@ func HydraCard() CardProfile {
 // shallower on-chip buffer, and a wider key-switch decomposition.
 func FABCard() CardProfile {
 	return CardProfile{
-		Name:              "FAB",
 		Lanes:             256,
 		NTTPassEff:        0.70,
 		ScratchpadHitRate: 0.45,
 		HBMBandwidth:      460e9,
-
-		EnergyNTT:  0.42e-3,
-		EnergyMA:   0.033e-3,
-		EnergyMM:   0.22e-3,
-		EnergyAuto: 0.12e-3,
-
-		KeySwitchDnum: 5,
+		KeySwitchDnum:     5,
 	}
 }
 
@@ -47,18 +33,11 @@ func FABCard() CardProfile {
 // HBM", Section IV-B) but an efficient radix-8 NTT core.
 func PoseidonCard() CardProfile {
 	return CardProfile{
-		Name:              "Poseidon",
 		Lanes:             512,
 		NTTPassEff:        0.80,
 		ScratchpadHitRate: 0.0,
 		HBMBandwidth:      420e9,
-
-		EnergyNTT:  0.39e-3,
-		EnergyMA:   0.031e-3,
-		EnergyMM:   0.21e-3,
-		EnergyAuto: 0.11e-3,
-
-		KeySwitchDnum: 3,
+		KeySwitchDnum:     3,
 	}
 }
 

@@ -24,9 +24,9 @@ func TestPaperSchemeDerived(t *testing.T) {
 
 func TestSchemeValidation(t *testing.T) {
 	bad := []SchemeParams{
-		{LogN: 5, MaxLimbs: 28, SpecialLimbs: 10, Dnum: 3, EffectiveLimb: 18},
-		{LogN: 16, MaxLimbs: 0, SpecialLimbs: 10, Dnum: 3, EffectiveLimb: 18},
-		{LogN: 16, MaxLimbs: 28, SpecialLimbs: 10, Dnum: 3, EffectiveLimb: 40},
+		{LogN: 5, MaxLimbs: 28, SpecialLimbs: 10, EffectiveLimb: 18},
+		{LogN: 16, MaxLimbs: 0, SpecialLimbs: 10, EffectiveLimb: 18},
+		{LogN: 16, MaxLimbs: 28, SpecialLimbs: 10, EffectiveLimb: 40},
 	}
 	for i, s := range bad {
 		if err := s.Validate(); err == nil {
@@ -35,34 +35,65 @@ func TestSchemeValidation(t *testing.T) {
 	}
 }
 
+// profiles are the three card designs, by name.
+func profiles() map[string]CardProfile {
+	return map[string]CardProfile{"Hydra": HydraCard(), "FAB": FABCard(), "Poseidon": PoseidonCard()}
+}
+
 func TestCardProfilesValid(t *testing.T) {
-	for _, c := range []CardProfile{HydraCard(), FABCard(), PoseidonCard()} {
+	for name, c := range profiles() {
 		if err := c.Validate(); err != nil {
-			t.Fatalf("%s: %v", c.Name, err)
+			t.Fatalf("%s: %v", name, err)
 		}
+	}
+}
+
+// TestZeroDnumFailsClosed: a key switch needs at least one digit, so a card
+// without one is invalid, and the op model refuses to price it.
+func TestZeroDnumFailsClosed(t *testing.T) {
+	c := HydraCard()
+	c.KeySwitchDnum = 0
+	if err := c.Validate(); err == nil {
+		t.Error("Validate accepted KeySwitchDnum 0")
+	}
+	s := PaperScheme()
+	for name, f := range map[string]func(){
+		"Decompose": func() { Decompose(fheop.Rotation, 18, s, 0) },
+		"OpTraffic": func() { OpTraffic(fheop.Rotation, 18, s, 0) },
+		"dnum -1":   func() { Decompose(fheop.HAdd, 18, s, -1) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: no panic on dnum < 1", name)
+				}
+			}()
+			f()
+		}()
 	}
 }
 
 func TestDecomposeShapes(t *testing.T) {
 	s := PaperScheme()
 	l := 18
-	hadd := Decompose(fheop.HAdd, l, s, 0)
+	dnum := HydraCard().KeySwitchDnum
+	hadd := Decompose(fheop.HAdd, l, s, dnum)
 	if hadd.Get(fheop.MA) != 2*l || hadd.Get(fheop.NTT) != 0 {
 		t.Fatalf("HAdd decomposition wrong: %v", hadd)
 	}
-	pm := Decompose(fheop.PMult, l, s, 0)
+	pm := Decompose(fheop.PMult, l, s, dnum)
 	if pm.Get(fheop.MM) != 2*l {
 		t.Fatalf("PMult decomposition wrong: %v", pm)
 	}
-	rot := Decompose(fheop.Rotation, l, s, 0)
+	rot := Decompose(fheop.Rotation, l, s, dnum)
 	if rot.Get(fheop.NTT) == 0 || rot.Get(fheop.Auto) != 2*l {
 		t.Fatalf("Rotation decomposition wrong: %v", rot)
 	}
-	cm := Decompose(fheop.CMult, l, s, 0)
+	cm := Decompose(fheop.CMult, l, s, dnum)
 	if cm.Get(fheop.NTT) != rot.Get(fheop.NTT) {
 		t.Fatalf("CMult and Rotation should share the key-switch NTT count")
 	}
-	conj := Decompose(fheop.Conjugate, l, s, 0)
+	conj := Decompose(fheop.Conjugate, l, s, dnum)
 	if conj != rot {
 		t.Fatal("Conjugate should decompose like Rotation")
 	}
@@ -70,22 +101,22 @@ func TestDecomposeShapes(t *testing.T) {
 
 func TestOpTimeOrdering(t *testing.T) {
 	s := PaperScheme()
-	for _, c := range []CardProfile{HydraCard(), FABCard(), PoseidonCard()} {
+	for name, c := range profiles() {
 		l := s.EffectiveLimb
 		tHAdd := c.OpTime(fheop.HAdd, l, s)
 		tPMult := c.OpTime(fheop.PMult, l, s)
 		tRot := c.OpTime(fheop.Rotation, l, s)
 		tCMult := c.OpTime(fheop.CMult, l, s)
 		if !(tHAdd > 0 && tPMult > 0) {
-			t.Fatalf("%s: non-positive op times", c.Name)
+			t.Fatalf("%s: non-positive op times", name)
 		}
 		// Key-switch-bearing ops dominate element-wise ops by a large factor.
 		if tRot < 5*tPMult || tCMult < 5*tPMult {
-			t.Fatalf("%s: rotation (%g) should cost far more than PMult (%g)", c.Name, tRot, tPMult)
+			t.Fatalf("%s: rotation (%g) should cost far more than PMult (%g)", name, tRot, tPMult)
 		}
 		// CMult ≈ Rotation plus the tensor product.
 		if tCMult < tRot {
-			t.Fatalf("%s: CMult (%g) should cost at least Rotation (%g)", c.Name, tCMult, tRot)
+			t.Fatalf("%s: CMult (%g) should cost at least Rotation (%g)", name, tCMult, tRot)
 		}
 	}
 }
@@ -245,7 +276,7 @@ func TestOpTrafficPositiveAndMonotone(t *testing.T) {
 	for _, op := range fheop.Ops() {
 		prev := 0.0
 		for l := 2; l <= s.MaxLimbs; l += 4 {
-			tr := OpTraffic(op, l, s, 0)
+			tr := OpTraffic(op, l, s, HydraCard().KeySwitchDnum)
 			if tr <= prev {
 				t.Fatalf("%v: traffic not increasing at limbs=%d", op, l)
 			}
@@ -260,7 +291,7 @@ func TestDecomposePanicsOnBadLimbs(t *testing.T) {
 			t.Fatal("expected panic for limbs=0")
 		}
 	}()
-	Decompose(fheop.HAdd, 0, PaperScheme(), 0)
+	Decompose(fheop.HAdd, 0, PaperScheme(), HydraCard().KeySwitchDnum)
 }
 
 func TestSendRecvTimesMonotoneInBytes(t *testing.T) {
@@ -293,13 +324,13 @@ func TestBroadcastNeverCheaperThanWorstUnicastLeg(t *testing.T) {
 
 func TestEnergyPositiveForAllOps(t *testing.T) {
 	s := PaperScheme()
-	for _, c := range []CardProfile{HydraCard(), FABCard(), PoseidonCard()} {
+	for name, c := range profiles() {
 		for _, op := range fheop.Ops() {
 			if e := opEnergy(c, op, s.EffectiveLimb, s); e <= 0 {
-				t.Fatalf("%s/%v: energy %g", c.Name, op, e)
+				t.Fatalf("%s/%v: energy %g", name, op, e)
 			}
 			if tm := c.OpTime(op, s.EffectiveLimb, s); tm <= 0 {
-				t.Fatalf("%s/%v: time %g", c.Name, op, tm)
+				t.Fatalf("%s/%v: time %g", name, op, tm)
 			}
 		}
 	}
@@ -309,12 +340,12 @@ func TestAveragePowerIsPlausible(t *testing.T) {
 	// A rotation should burn on the order of an FPGA card's power budget:
 	// energy/time within [20W, 600W].
 	s := PaperScheme()
-	for _, c := range []CardProfile{HydraCard(), FABCard(), PoseidonCard()} {
+	for name, c := range profiles() {
 		e := opEnergy(c, fheop.Rotation, s.EffectiveLimb, s)
 		tm := c.OpTime(fheop.Rotation, s.EffectiveLimb, s)
 		watts := e / tm
 		if watts < 20 || watts > 600 {
-			t.Fatalf("%s: implied dynamic power %.0f W is implausible", c.Name, watts)
+			t.Fatalf("%s: implied dynamic power %.0f W is implausible", name, watts)
 		}
 	}
 }

@@ -7,19 +7,26 @@ import (
 )
 
 // The values all three card profiles share: every design runs on an Alveo
-// U280 (Section V-A).
+// U280 (Section V-A). The energies are Hydra's: only the energy breakdown of
+// Fig. 7 and the EDAP of Table III read them, and both report Hydra's
+// prototypes alone.
 const (
 	ClockHz    = 300e6 // compute-unit clock
 	EnergyHBM  = 5e-9  // J per byte of off-chip traffic
 	EnergyNIC  = 5e-12 // J per byte a card sends
 	IdlePowerW = 25    // static power per card
+
+	// Joules per one-limb invocation of each compute unit.
+	EnergyNTT  = 0.37e-3
+	EnergyMA   = 0.03e-3 // one coefficient pass
+	EnergyMM   = 0.20e-3
+	EnergyAuto = 0.10e-3
 )
 
-// CardProfile describes one accelerator card: compute-unit throughput, memory
-// system behaviour, and per-unit energy. Times come out of a roofline: an
-// operation takes max(compute time, off-chip traffic / HBM bandwidth).
+// CardProfile describes one accelerator card: compute-unit throughput and
+// memory system behaviour. Times come out of a roofline: an operation takes
+// max(compute time, off-chip traffic / HBM bandwidth).
 type CardProfile struct {
-	Name  string
 	Lanes int // operands processed per cycle by each compute unit (paper: 512)
 
 	// NTTPassEff derates the ideal butterfly throughput for pipeline bubbles
@@ -31,23 +38,19 @@ type CardProfile struct {
 	// (the MAD-style caching Hydra adopts; Poseidon re-fetches from HBM).
 	ScratchpadHitRate float64
 	HBMBandwidth      float64 // bytes/s
-
-	// Energy model (Joules per one-limb invocation), used by the energy
-	// breakdown of Fig. 7 and the EDAP of Table III.
-	EnergyNTT     float64
-	EnergyMA      float64 // one coefficient pass
-	EnergyMM      float64
-	EnergyAuto    float64
-	KeySwitchDnum int // digits used by this card's key-switch datapath
+	KeySwitchDnum     int     // digits used by this card's key-switch datapath
 }
 
 // Validate checks the profile.
 func (c CardProfile) Validate() error {
 	if c.Lanes <= 0 || c.NTTPassEff <= 0 || c.HBMBandwidth <= 0 {
-		return fmt.Errorf("hw: profile %q has non-positive rate fields", c.Name)
+		return fmt.Errorf("hw: card profile has non-positive rate fields")
 	}
 	if c.ScratchpadHitRate < 0 || c.ScratchpadHitRate >= 1 {
-		return fmt.Errorf("hw: profile %q hit rate %v out of [0,1)", c.Name, c.ScratchpadHitRate)
+		return fmt.Errorf("hw: card profile hit rate %v out of [0,1)", c.ScratchpadHitRate)
+	}
+	if c.KeySwitchDnum < 1 {
+		return fmt.Errorf("hw: card profile key-switch dnum %d, need at least 1", c.KeySwitchDnum)
 	}
 	return nil
 }
@@ -112,9 +115,10 @@ func Decompose(op fheop.Op, limbs int, s SchemeParams, dnum int) fheop.BasicCoun
 // ksDigits returns the key-switch digit count at the given limb count. The
 // digit width is fixed per datapath (alpha = ceil(MaxLimbs/dnum), capped by
 // the special-modulus width), so the count grows monotonically with limbs.
+// CardProfile.Validate rejects a dnum below 1, so one here is a bug.
 func ksDigits(limbs int, s SchemeParams, dnum int) int {
-	if dnum <= 0 {
-		dnum = s.Dnum
+	if dnum < 1 {
+		panic("hw: key-switch dnum must be positive")
 	}
 	alpha := (s.MaxLimbs + dnum - 1) / dnum
 	if alpha > s.SpecialLimbs {
@@ -186,10 +190,10 @@ func (c CardProfile) OpTime(op fheop.Op, limbs int, s SchemeParams) float64 {
 func (c CardProfile) EnergyByUnit(op fheop.Op, limbs int, s SchemeParams) map[string]float64 {
 	counts := Decompose(op, limbs, s, c.KeySwitchDnum)
 	return map[string]float64{
-		"NTT":  float64(counts.Get(fheop.NTT)) * c.EnergyNTT,
-		"MA":   float64(counts.Get(fheop.MA)) * c.EnergyMA,
-		"MM":   float64(counts.Get(fheop.MM)) * c.EnergyMM,
-		"Auto": float64(counts.Get(fheop.Auto)) * c.EnergyAuto,
+		"NTT":  float64(counts.Get(fheop.NTT)) * EnergyNTT,
+		"MA":   float64(counts.Get(fheop.MA)) * EnergyMA,
+		"MM":   float64(counts.Get(fheop.MM)) * EnergyMM,
+		"Auto": float64(counts.Get(fheop.Auto)) * EnergyAuto,
 		"HBM":  OpTraffic(op, limbs, s, c.KeySwitchDnum) * (1 - c.ScratchpadHitRate) * EnergyHBM,
 	}
 }

@@ -3,7 +3,7 @@
 // invocations of the four basic compute units (NTT, MA, MM, Automorphism),
 // costed with a roofline over compute throughput and HBM traffic, and tagged
 // with per-unit energies. Card profiles for Hydra, FAB and Poseidon share the
-// machinery and differ in clock, lanes, memory behaviour and key-switch
+// machinery and differ in lanes, memory behaviour and key-switch
 // decomposition, reproducing the single-card ordering of Table II.
 package hw
 
@@ -15,7 +15,6 @@ type SchemeParams struct {
 	LogN          int // ring degree exponent
 	MaxLimbs      int // RNS limbs of Q at the top level
 	SpecialLimbs  int // limbs of the key-switching modulus P
-	Dnum          int // key-switch decomposition number (digits)
 	BootDepth     int // multiplicative depth consumed per DFT level in C2S/S2C
 	FreshLimbs    int // limbs immediately after bootstrapping
 	EffectiveLimb int // average limb count charged for steady-state inference ops
@@ -23,13 +22,13 @@ type SchemeParams struct {
 
 // PaperScheme returns the parameter set of the paper's evaluation
 // (Section V-A): N = 2^16 with logQ = 1260 (28 × 45-bit limbs) and
-// log(PQ) = 1692 (432 bits of P ≈ 10 limbs, dnum = 3).
+// log(PQ) = 1692 (432 bits of P ≈ 10 limbs). Its dnum = 3 is a property of
+// the key-switch datapath, CardProfile.KeySwitchDnum.
 func PaperScheme() SchemeParams {
 	return SchemeParams{
 		LogN:          16,
 		MaxLimbs:      28,
 		SpecialLimbs:  10,
-		Dnum:          3,
 		BootDepth:     3,
 		FreshLimbs:    22,
 		EffectiveLimb: 18,
@@ -59,8 +58,8 @@ func (s SchemeParams) Validate() error {
 	if s.LogN < 10 || s.LogN > 17 {
 		return fmt.Errorf("hw: LogN %d out of range [10,17]", s.LogN)
 	}
-	if s.MaxLimbs <= 0 || s.SpecialLimbs <= 0 || s.Dnum <= 0 {
-		return fmt.Errorf("hw: limb/dnum fields must be positive")
+	if s.MaxLimbs <= 0 || s.SpecialLimbs <= 0 {
+		return fmt.Errorf("hw: limb fields must be positive")
 	}
 	if s.EffectiveLimb <= 0 || s.EffectiveLimb > s.MaxLimbs {
 		return fmt.Errorf("hw: EffectiveLimb %d out of range (0,%d]", s.EffectiveLimb, s.MaxLimbs)

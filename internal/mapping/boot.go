@@ -237,7 +237,7 @@ func (c *Context) BootstrapBatch(cts int, opts BootstrapOptions, times OpTimes, 
 	if cts >= nc {
 		sub := *c
 		sub.Limbs = c.Scheme.BootLimbs()
-		return sub.DistributeLocal(cts, BootstrapCounts(opts), cts, label)
+		return sub.DistributeBroadcast(cts, BootstrapCounts(opts), cts, label)
 	}
 	return c.inGroups(cts, group, label, func(sub *Context) error {
 		return sub.emitBootstrap(opts, label)

@@ -91,6 +91,10 @@ const maxBatchesPerCard = 16
 // multiplexed packing — are broadcast to the other cards as the subtasks
 // producing them finish, so transmission hides behind the next subtasks'
 // computation. All cards hold the full layer output when the step completes.
+// The embarrassingly parallel procedures (PCMM, CCMM, and whole-ciphertext
+// non-linear evaluations and bootstraps) map the same way: "we only need to
+// distribute these tasks evenly across multiple computing nodes" (Section
+// III-A), and each card broadcasts its share of the outputs.
 func (c *Context) DistributeBroadcast(units int, recipe fheop.Counts, outputCts int, label string) error {
 	if units <= 0 || outputCts <= 0 {
 		return fmt.Errorf("mapping: %s: units (%d) and outputCts (%d) must be positive", label, units, outputCts)
@@ -120,31 +124,6 @@ func (c *Context) DistributeBroadcast(units int, recipe fheop.Counts, outputCts 
 		}
 	}
 	return nil
-}
-
-// DistributeLocal maps an embarrassingly parallel procedure (PCMM, CCMM, and
-// whole-ciphertext non-linear evaluations): units are computed entirely
-// locally and each card broadcasts only its share of the layer's output
-// ciphertexts for the next procedure ("we only need to distribute these tasks
-// evenly across multiple computing nodes", Section III-A). Like the
-// convolution mapping, output shares stream out batch by batch so the
-// transfers hide behind the remaining computation; with outputCts = 0 no
-// redistribution is emitted.
-func (c *Context) DistributeLocal(units int, recipe fheop.Counts, outputCts int, label string) error {
-	if outputCts <= 0 {
-		if units <= 0 {
-			return fmt.Errorf("mapping: %s: unit count must be positive, got %d", label, units)
-		}
-		nc := len(c.Cards)
-		c.B.Step(label)
-		for ci, card := range c.Cards {
-			if assigned := perCardShare(units, nc, ci); assigned > 0 {
-				c.B.Compute(card, recipe.Scale(assigned), c.limbs(), label)
-			}
-		}
-		return nil
-	}
-	return c.DistributeBroadcast(units, recipe, outputCts, label)
 }
 
 // groupSize is the card-group split of a layer with fewer ciphertexts than

@@ -165,9 +165,9 @@ func TestBroadcastBeatsGather(t *testing.T) {
 	}
 }
 
-func TestDistributeLocalCommVolume(t *testing.T) {
+func TestDistributeBroadcastCommVolume(t *testing.T) {
 	ctx, b := newCtx(8)
-	if err := ctx.DistributeLocal(4096, PCMMUnit, 12, "PCMM"); err != nil {
+	if err := ctx.DistributeBroadcast(4096, PCMMUnit, 12, "PCMM"); err != nil {
 		t.Fatal(err)
 	}
 	p := b.Build()
@@ -542,7 +542,7 @@ func TestMappingOpConservationProperty(t *testing.T) {
 		case 1:
 			gatherRebroadcast(ctx, units, PoolUnit, cts, "x")
 		default:
-			err = ctx.DistributeLocal(units, PCMMUnit, cts, "x")
+			err = ctx.DistributeBroadcast(units, PCMMUnit, cts, "x")
 		}
 		if err != nil {
 			return false

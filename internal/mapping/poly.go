@@ -163,7 +163,7 @@ func (c *Context) NonLinear(units, degree, outputCts int, label string) error {
 		return fmt.Errorf("mapping: %s: unit count must be positive", label)
 	}
 	if units >= len(c.Cards) {
-		return c.DistributeLocal(units, PolyEvalCounts(degree), outputCts, label)
+		return c.DistributeBroadcast(units, PolyEvalCounts(degree), outputCts, label)
 	}
 	return c.inGroups(units, groupSize(units, len(c.Cards)), label, func(sub *Context) error {
 		return sub.emitPolyEval(degree, label)

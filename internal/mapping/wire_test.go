@@ -69,19 +69,12 @@ func TestEmittersWireStable(t *testing.T) {
 			"69eb29ea58bf1f93cefe1841e01df1a941bf6982fb7fb9e93b68ce21f7006a71",
 			"a67cb0245048a6fcbfe15347b605a96d6b21a023473807ed3478604f89cc5643",
 		}},
-		{"pcmm", func(c *Context) error { return c.DistributeLocal(4096, PCMMUnit, 12, "PCMM") }, [5]string{
+		{"pcmm", func(c *Context) error { return c.DistributeBroadcast(4096, PCMMUnit, 12, "PCMM") }, [5]string{
 			"3385f95274da80568a4631764cc9d58ba3497df883d79c690ba8deb66e2a571e",
 			"c4e352808a5cd660e71e0c4f41f3e4fbde64e98bf850955e309e4ff7f7430004",
 			"31006d6044ef9ae5507b65d32b604041378465d23d2aa574cbc4b85fda95a47c",
 			"be1f68aceee55761f549b0c1e1b0f937c000ad7e5a7ede2578156b812cbffab2",
 			"d216233ff8ffe30d5e92530fb38e8ed3279b7a46781fae04c6a47aef965d575d",
-		}},
-		{"ccmm", func(c *Context) error { return c.DistributeLocal(300, CCMMUnit, 0, "CCMM") }, [5]string{
-			"746d6176ed92e26dc9f5262a1fb052abf1a005978fa877d06db2cd758651c8d3",
-			"fc1caf2e75870a26d2b3f1809837e3408405f989383c096023424e071a1613f3",
-			"9402cd5be6a1da8a111e1cf4585479170ff8d5bb08f621e92d5aef09143bf98f",
-			"dac6dfa1950838cbda5546a51d4908041d6803fb303e5ab6ab25585d06c69e8d",
-			"6030e0aa6e074765bbb70b7b677b295145769fcb78a7ab9776bf65bd032575f5",
 		}},
 		{"poly", func(c *Context) error { return c.PolyEval(59, "ReLU") }, [5]string{
 			"87a8ead51de393cbd590aad640e45fffc59f1e1fbb4f347980823a1f07eca4de",

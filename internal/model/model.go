@@ -161,11 +161,7 @@ func (n Network) Emit(ctx *mapping.Context, boot mapping.BootstrapOptions, times
 		var err error
 		switch p.Kind {
 		case ConvBN, Pooling, PCMM, CCMM:
-			if p.Kind == ConvBN || p.Kind == Pooling {
-				err = sub.DistributeBroadcast(p.Units, p.Kind.Recipe(), p.OutputCts, p.Label)
-			} else {
-				err = sub.DistributeLocal(p.Units, p.Kind.Recipe(), p.OutputCts, p.Label)
-			}
+			err = sub.DistributeBroadcast(p.Units, p.Kind.Recipe(), p.OutputCts, p.Label)
 		case FC:
 			err = sub.FC(p.Units, p.Label)
 		case NonLinear:

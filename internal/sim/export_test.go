@@ -24,7 +24,7 @@ func Footprint(p *task.Program, cfg Config) (compiled, memoBytes, scratchBytes i
 	}
 	for _, m := range r.memos {
 		compiled++
-		memoBytes += held(int(unsafe.Sizeof(*m))) + held(bytesOf(m.busy)+bytesOf(m.commBusy))
+		memoBytes += held(int(unsafe.Sizeof(*m))) + held(bytesOf(m.busy))
 	}
 	for _, b := range []int{
 		bytesOf(r.dur), bytesOf(r.at), bytesOf(r.compBase), bytesOf(r.commBase), bytesOf(r.doneID),

@@ -33,7 +33,6 @@ func runOnOracle(p *task.Program, cfg Config, pl Placement) (*Result, error) {
 	}
 	res := &Result{
 		ComputeBusy:  make([]float64, p.Cards),
-		CommBusy:     make([]float64, p.Cards),
 		EnergyByUnit: map[string]float64{},
 	}
 	now := 0.0
@@ -45,7 +44,6 @@ func runOnOracle(p *task.Program, cfg Config, pl Placement) (*Result, error) {
 		res.Steps = append(res.Steps, stat)
 		for card := 0; card < p.Cards; card++ {
 			res.ComputeBusy[card] += sr.ComputeBusy[card]
-			res.CommBusy[card] += sr.CommBusy[card]
 		}
 		res.BytesSent += sr.BytesSent
 		for unit, e := range sr.EnergyByUnit {
@@ -96,7 +94,6 @@ type refNode struct {
 func runStep(st *task.Step, p *task.Program, cfg Config, pl Placement) (StepStat, *Result, error) {
 	res := &Result{
 		ComputeBusy:  make([]float64, p.Cards),
-		CommBusy:     make([]float64, p.Cards),
 		EnergyByUnit: map[string]float64{},
 	}
 	// --- Node construction -------------------------------------------------
@@ -129,7 +126,7 @@ func runStep(st *task.Step, p *task.Program, cfg Config, pl Placement) (StepStat
 		for j, c := range st.Comm[card] {
 			switch c.Kind {
 			case task.Recv:
-				readyID[card][j] = add(refNode{kind: nodeRecvReady, card: card, index: j, duration: cfg.DMAConfigLatency})
+				readyID[card][j] = add(refNode{kind: nodeRecvReady, card: card, index: j})
 				doneID[card][j] = add(refNode{kind: nodeCommDone, card: card, index: j})
 			case task.Send:
 				readyID[card][j] = -1
@@ -260,7 +257,6 @@ func runStep(st *task.Step, p *task.Program, cfg Config, pl Placement) (StepStat
 		case nodeCommDone:
 			c := st.Comm[n.card][n.index]
 			if c.Kind == task.Send {
-				res.CommBusy[n.card] += n.duration
 				bytes := c.Bytes * float64(len(c.Peers))
 				res.BytesSent += bytes
 				stat.CommBytes += bytes

@@ -21,9 +21,6 @@ type Config struct {
 	Scheme  hw.SchemeParams
 	Card    hw.CardProfile
 	Network hw.NetworkProfile
-	// DMAConfigLatency is the receive-side configuration time before the
-	// ready signal is handshaked back to the sender (Procedure 1 steps 5-6).
-	DMAConfigLatency float64
 	// CollectTrace records per-task start/end times in Result.Trace
 	// (memory-proportional to the task count; off by default).
 	CollectTrace bool
@@ -42,10 +39,9 @@ type TraceEvent struct {
 // HydraConfig returns the standard Hydra machine configuration.
 func HydraConfig() Config {
 	return Config{
-		Scheme:           hw.PaperScheme(),
-		Card:             hw.HydraCard(),
-		Network:          hw.HydraNetwork(),
-		DMAConfigLatency: 0.5e-6,
+		Scheme:  hw.PaperScheme(),
+		Card:    hw.HydraCard(),
+		Network: hw.HydraNetwork(),
 	}
 }
 
@@ -55,10 +51,9 @@ func HydraConfig() Config {
 // the host-managed path, which is what erodes FAB's scalability (Fig. 8).
 func FABConfig() Config {
 	return Config{
-		Scheme:           hw.PaperScheme(),
-		Card:             hw.FABCard(),
-		Network:          hw.FABNetwork(),
-		DMAConfigLatency: 5e-6, // host-mediated descriptor setup
+		Scheme:  hw.PaperScheme(),
+		Card:    hw.FABCard(),
+		Network: hw.FABNetwork(),
 	}
 }
 
@@ -83,7 +78,6 @@ func (s StepStat) Exposed() float64 {
 type Result struct {
 	Makespan    float64
 	ComputeBusy []float64 // per card
-	CommBusy    []float64 // per card (sender side)
 	BytesSent   float64
 	Steps       []StepStat
 
@@ -239,7 +233,7 @@ type opCost struct {
 // step repeated by pointer adds the same.
 type stepMemo struct {
 	stat           StepStat
-	busy, commBusy []float64 // per card: compute time, send occupancy
+	busy           []float64 // per card: compute time
 	energy         [len(energyUnits)]float64
 	comm           float64 // NIC energy
 	computed, sent bool    // some task ran an operation; some task sent
@@ -301,7 +295,6 @@ func newRunner(p *task.Program, cfg *Config, pl Placement) *runner {
 		p: p, cfg: cfg, pl: pl,
 		res: &Result{
 			ComputeBusy:  make([]float64, p.Cards),
-			CommBusy:     make([]float64, p.Cards),
 			EnergyByUnit: make(map[string]float64, len(energyUnits)+2),
 			// Nil for a program without steps, as appending would leave it.
 			Steps: slices.Grow([]StepStat(nil), len(p.Steps)),
@@ -341,7 +334,6 @@ func (r *runner) run() (*Result, error) {
 		res.Steps = append(res.Steps, m.stat)
 		for card, b := range m.busy {
 			res.ComputeBusy[card] += b
-			res.CommBusy[card] += m.commBusy[card]
 		}
 		res.BytesSent += m.stat.CommBytes
 		for u, e := range m.energy {
@@ -439,9 +431,7 @@ func (r *runner) time(st *task.Step) (*stepMemo, error) {
 // memo sums what the timed step adds to the run, over its queues in node
 // order.
 func (r *runner) memo(st *task.Step, nodes int) *stepMemo {
-	cards := r.p.Cards
-	perCard := make([]float64, 2*cards)
-	m := &stepMemo{stat: StepStat{Name: st.Name}, busy: perCard[:cards:cards], commBusy: perCard[cards:]}
+	m := &stepMemo{stat: StepStat{Name: st.Name}, busy: make([]float64, r.p.Cards)}
 	trace := r.cfg.CollectTrace
 	if trace {
 		m.trace = make([]TraceEvent, 0, nodes)
@@ -476,7 +466,6 @@ func (r *runner) memo(st *task.Step, nodes int) *stepMemo {
 				end = t
 			}
 			if c.Kind == task.Send {
-				m.commBusy[card] += d
 				bytes := c.Bytes * float64(len(c.Peers))
 				m.stat.CommBytes += bytes
 				m.comm += bytes * hw.EnergyNIC
@@ -537,8 +526,8 @@ func (r *runner) compile(st *task.Step) int {
 		}
 		r.commBase[card] = int32(len(r.doneID))
 		for j := range st.Comm[card] {
-			if st.Comm[card][j].Kind == task.Recv { // its ready signal
-				dur = append(dur, cfg.DMAConfigLatency)
+			if st.Comm[card][j].Kind == task.Recv { // its ready signal: no time, only the handshake's edges
+				dur = append(dur, 0)
 			} else {
 				sends++
 			}

@@ -214,6 +214,18 @@ func TestRunRejectsBadScheme(t *testing.T) {
 	}
 }
 
+// TestRunRejectsZeroDnum: a key switch needs at least one digit, so a card
+// without one is an error, not a division by zero in the op model.
+func TestRunRejectsZeroDnum(t *testing.T) {
+	b := task.NewBuilder(1, 1)
+	b.Compute(0, rotOnly(1), 18, "A")
+	cfg := HydraConfig()
+	cfg.Card.KeySwitchDnum = 0
+	if _, err := Run(b.Build(), cfg); err == nil {
+		t.Fatal("Run accepted a card with KeySwitchDnum 0")
+	}
+}
+
 func TestBuilderPanics(t *testing.T) {
 	cases := []func(){
 		func() { task.NewBuilder(0, 8) },

@@ -104,6 +104,14 @@ for e in cluster quickstart bootstrap; do
 	go run "./examples/$e" >/dev/null
 done
 
+echo "== hydra-map (every procedure once, 4 cards, small sizes)"
+# Lowers each of the CLI's procedures onto a 4-card fleet and simulates it;
+# an emitter that stops accepting its flags, or a schedule that deadlocks, is
+# a non-zero exit.
+for p in conv pool fc pcmm ccmm poly boot; do
+	go run ./cmd/hydra-map -proc "$p" -cards 4 -units 64 -cts 4 -degree 15 >/dev/null
+done
+
 echo "== hydrasim front end (-exp all against cmd/hydrasim/testdata/all.golden)"
 # TestGolden* pins what the generators return; this pins everything the
 # command line prints from them, byte for byte, Table III's EDAP and Fig. 7's
