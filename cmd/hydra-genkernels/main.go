@@ -39,6 +39,7 @@ import (
 	"flag"
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/format"
 	"go/importer"
 	"go/parser"
@@ -86,9 +87,10 @@ func run(dir, out string) error {
 	return os.WriteFile(filepath.Join(dir, out), src, 0o644)
 }
 
-// loadPackageFiles parses every non-test file of the package except the
-// generated output itself (regeneration must not depend on the previous
-// generation being type-correct).
+// loadPackageFiles parses every non-test file of the package that the
+// default build compiles (the poisonpool variant of the row pool is left
+// out), except the generated output itself (regeneration must not depend on
+// the previous generation being type-correct).
 func loadPackageFiles(fset *token.FileSet, dir, out string) ([]*ast.File, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -97,7 +99,11 @@ func loadPackageFiles(fset *token.FileSet, dir, out string) ([]*ast.File, error)
 	var files []*ast.File
 	for _, e := range entries {
 		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".go") ||
+		ok, err := build.Default.MatchFile(dir, name)
+		if err != nil {
+			return nil, err
+		}
+		if e.IsDir() || !ok || !strings.HasSuffix(name, ".go") ||
 			strings.HasSuffix(name, "_test.go") || name == out {
 			continue
 		}
