@@ -1,14 +1,12 @@
 // hydra-genkernels emits the codegen-specialized NTT kernels for the shipped
-// ring degrees (internal/ring/ntt_gen.go).
+// ring degrees into ntt_gen.go in the current directory; the go:generate
+// directive in internal/ring/gendispatch.go runs it there. It takes no flags.
 //
-// The generator is a compiler-shaped tool, not a text macro: it loads the
-// ring package through go/parser + go/types, validates against the checked
-// package that every field and helper the emitted kernels touch still exists
-// with the expected type (so a refactor of NTTTable breaks generation loudly
-// instead of emitting stale kernels), reads the shipped degree list out of
-// the ShippedKernelLogNs declaration's AST, and round-trips the emitted
-// source through go/parser + go/printer + go/format so a syntactically
-// invalid kernel can never reach disk.
+// The generator is an emitter only. The Go compiler type-checks the emitted
+// file against internal/ring on every build, and the bit-identity tests
+// (ring's TestNTTKernelSelection, every registered degree against the
+// radix-2 oracle) catch a kernel whose meaning drifted; go/format rejects
+// emitted source that does not parse.
 //
 // Per degree it emits a forward/inverse pair specialized three ways over the
 // generic merged kernel:
@@ -28,240 +26,37 @@
 //     corrections vanish and one Barrett reduction in the closing scatter
 //     restores canonical residues.
 //
-// All emitted kernels are bit-identical to the generic merged kernels
-// (pinned by ntt_gen_test.go); run `go generate ./internal/ring/` after any
-// table or shipped-degree change, and the CI freshness stage keeps the
-// checked-in ntt_gen.go from drifting.
+// Run `go generate ./internal/ring/` after changing the emitter or the
+// shipped degrees; main_test.go fails while the checked-in ntt_gen.go
+// differs from what emitFile returns.
 package main
 
 import (
 	"bytes"
-	"flag"
 	"fmt"
-	"go/ast"
-	"go/build"
 	"go/format"
-	"go/importer"
-	"go/parser"
-	"go/printer"
-	"go/token"
-	"go/types"
 	"os"
-	"path/filepath"
-	"strconv"
-	"strings"
 )
 
-func main() {
-	dir := flag.String("dir", ".", "directory of the ring package to generate into")
-	out := flag.String("out", "ntt_gen.go", "output file name, relative to -dir")
-	flag.Parse()
+// shippedLogNs lists the ring degrees (log2 N) that ship with specialized
+// kernels, the one place the set is declared: ring learns it from the
+// registrations ntt_gen.go's init makes. LogN 10–13 cover the conformance
+// corpus and test parameters, 14–16 the production depths.
+var shippedLogNs = []int{10, 11, 12, 13, 14, 15, 16}
 
-	if err := run(*dir, *out); err != nil {
+func main() {
+	src, err := emitFile()
+	if err == nil {
+		err = os.WriteFile("ntt_gen.go", src, 0o644)
+	}
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "hydra-genkernels:", err)
 		os.Exit(1)
 	}
 }
 
-func run(dir, out string) error {
-	fset := token.NewFileSet()
-	files, err := loadPackageFiles(fset, dir, out)
-	if err != nil {
-		return err
-	}
-	pkg, err := typeCheck(fset, files)
-	if err != nil {
-		return fmt.Errorf("type-checking %s: %w", dir, err)
-	}
-	if err := validateKernelContract(pkg); err != nil {
-		return fmt.Errorf("ring package drifted from the kernel contract: %w", err)
-	}
-	logNs, err := shippedLogNs(files)
-	if err != nil {
-		return err
-	}
-	src, err := emitFile(fset, logNs)
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(filepath.Join(dir, out), src, 0o644)
-}
-
-// loadPackageFiles parses every non-test file of the package that the
-// default build compiles (the poisonpool variant of the row pool is left
-// out), except the generated output itself (regeneration must not depend on
-// the previous generation being type-correct).
-func loadPackageFiles(fset *token.FileSet, dir, out string) ([]*ast.File, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	var files []*ast.File
-	for _, e := range entries {
-		name := e.Name()
-		ok, err := build.Default.MatchFile(dir, name)
-		if err != nil {
-			return nil, err
-		}
-		if e.IsDir() || !ok || !strings.HasSuffix(name, ".go") ||
-			strings.HasSuffix(name, "_test.go") || name == out {
-			continue
-		}
-		f, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, parser.ParseComments)
-		if err != nil {
-			return nil, err
-		}
-		files = append(files, f)
-	}
-	if len(files) == 0 {
-		return nil, fmt.Errorf("no package files found in %s", dir)
-	}
-	return files, nil
-}
-
-func typeCheck(fset *token.FileSet, files []*ast.File) (*types.Package, error) {
-	conf := types.Config{Importer: importer.ForCompiler(fset, "source", nil)}
-	return conf.Check("hydra/internal/ring", fset, files, nil)
-}
-
-// kernelContract lists everything the emitted kernels reference in the ring
-// package, with the type each must have. Validation walks this table against
-// the go/types-checked package.
-var kernelContract = struct {
-	tableFields   map[string]string // NTTTable field -> type
-	modulusFields map[string]string // Modulus field -> type
-	funcs         map[string]string // package function -> signature
-}{
-	tableFields: map[string]string{
-		"N":                 "int",
-		"LogN":              "int",
-		"Mod":               "hydra/internal/ring.Modulus",
-		"psiMerged":         "[]uint64",
-		"psiMergedShoup":    "[]uint64",
-		"psiInvMerged":      "[]uint64",
-		"psiInvMergedShoup": "[]uint64",
-		"brv":               "[]int",
-		"nInv":              "uint64",
-		"nInvShoup":         "uint64",
-		"invLastW":          "uint64",
-		"invLastWShoup":     "uint64",
-	},
-	modulusFields: map[string]string{
-		"Q":         "uint64",
-		"BarrettHi": "uint64",
-	},
-	funcs: map[string]string{
-		"MulModShoupLazy":          "func(a uint64, w uint64, wShoup uint64, q uint64) uint64",
-		"MulModShoup":              "func(a uint64, w uint64, wShoup uint64, q uint64) uint64",
-		"registerGeneratedKernels": "func(logN int, fwd hydra/internal/ring.generatedKernel, inv hydra/internal/ring.generatedKernel)",
-	},
-}
-
-func validateKernelContract(pkg *types.Package) error {
-	structFields := func(name string) (map[string]types.Type, error) {
-		obj := pkg.Scope().Lookup(name)
-		if obj == nil {
-			return nil, fmt.Errorf("type %s not found", name)
-		}
-		st, ok := obj.Type().Underlying().(*types.Struct)
-		if !ok {
-			return nil, fmt.Errorf("%s is not a struct", name)
-		}
-		fields := make(map[string]types.Type, st.NumFields())
-		for i := 0; i < st.NumFields(); i++ {
-			fields[st.Field(i).Name()] = st.Field(i).Type()
-		}
-		return fields, nil
-	}
-
-	table, err := structFields("NTTTable")
-	if err != nil {
-		return err
-	}
-	for name, want := range kernelContract.tableFields {
-		got, ok := table[name]
-		if !ok {
-			return fmt.Errorf("NTTTable lost field %s (%s)", name, want)
-		}
-		if got.String() != want {
-			return fmt.Errorf("NTTTable.%s is %s, kernels expect %s", name, got, want)
-		}
-	}
-	mod, err := structFields("Modulus")
-	if err != nil {
-		return err
-	}
-	for name, want := range kernelContract.modulusFields {
-		got, ok := mod[name]
-		if !ok {
-			return fmt.Errorf("Modulus lost field %s (%s)", name, want)
-		}
-		if got.String() != want {
-			return fmt.Errorf("Modulus.%s is %s, kernels expect %s", name, got, want)
-		}
-	}
-	for name, want := range kernelContract.funcs {
-		obj := pkg.Scope().Lookup(name)
-		if obj == nil {
-			return fmt.Errorf("function %s not found", name)
-		}
-		if got := obj.Type().String(); got != want {
-			return fmt.Errorf("%s is %s, kernels expect %s", name, got, want)
-		}
-	}
-	return nil
-}
-
-// shippedLogNs extracts the literal elements of ShippedKernelLogNs from the
-// package AST, so shipped.go stays the single source of truth for which
-// degrees get kernels.
-func shippedLogNs(files []*ast.File) ([]int, error) {
-	for _, f := range files {
-		for _, decl := range f.Decls {
-			gd, ok := decl.(*ast.GenDecl)
-			if !ok || gd.Tok != token.VAR {
-				continue
-			}
-			for _, spec := range gd.Specs {
-				vs, ok := spec.(*ast.ValueSpec)
-				if !ok || len(vs.Names) != 1 || vs.Names[0].Name != "ShippedKernelLogNs" {
-					continue
-				}
-				if len(vs.Values) != 1 {
-					return nil, fmt.Errorf("ShippedKernelLogNs must have exactly one value")
-				}
-				cl, ok := vs.Values[0].(*ast.CompositeLit)
-				if !ok {
-					return nil, fmt.Errorf("ShippedKernelLogNs must be a composite literal")
-				}
-				var logNs []int
-				for _, el := range cl.Elts {
-					bl, ok := el.(*ast.BasicLit)
-					if !ok || bl.Kind != token.INT {
-						return nil, fmt.Errorf("ShippedKernelLogNs elements must be integer literals")
-					}
-					v, err := strconv.Atoi(bl.Value)
-					if err != nil {
-						return nil, err
-					}
-					if v < 4 || v > 20 {
-						return nil, fmt.Errorf("shipped LogN %d outside the supported range [4,20]", v)
-					}
-					logNs = append(logNs, v)
-				}
-				if len(logNs) == 0 {
-					return nil, fmt.Errorf("ShippedKernelLogNs is empty")
-				}
-				return logNs, nil
-			}
-		}
-	}
-	return nil, fmt.Errorf("ShippedKernelLogNs declaration not found")
-}
-
-// emitFile builds the generated source and proves it syntactically valid by
-// round-tripping it through go/parser + go/printer before gofmt'ing.
-func emitFile(fset *token.FileSet, logNs []int) ([]byte, error) {
+// emitFile returns ntt_gen.go's source, gofmt-formatted.
+func emitFile() ([]byte, error) {
 	var b bytes.Buffer
 	fmt.Fprintf(&b, `// Code generated by hydra-genkernels. DO NOT EDIT.
 
@@ -281,25 +76,15 @@ import "math/bits"
 
 func init() {
 `)
-	for _, l := range logNs {
+	for _, l := range shippedLogNs {
 		fmt.Fprintf(&b, "\tregisterGeneratedKernels(%d, genForward%d, genInverse%d)\n", l, 1<<l, 1<<l)
 	}
 	fmt.Fprintf(&b, "}\n")
-	for _, l := range logNs {
+	for _, l := range shippedLogNs {
 		emitForward(&b, l)
 		emitInverse(&b, l)
 	}
-
-	genFset := token.NewFileSet()
-	f, err := parser.ParseFile(genFset, "ntt_gen.go", b.Bytes(), parser.ParseComments)
-	if err != nil {
-		return nil, fmt.Errorf("emitted source does not parse: %w", err)
-	}
-	var printed bytes.Buffer
-	if err := printer.Fprint(&printed, genFset, f); err != nil {
-		return nil, err
-	}
-	return format.Source(printed.Bytes())
+	return format.Source(b.Bytes())
 }
 
 // fwdMidPairs returns the m values of the in-place middle stage pairs of the

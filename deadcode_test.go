@@ -9,10 +9,15 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"hydra/internal/lint"
 )
+
+// loadModule type-checks the module once for every test of this package that
+// resolves names through go/types.
+var loadModule = sync.OnceValues(func() (*lint.Module, error) { return lint.LoadModule(".") })
 
 // testOnlyAllowed names the functions that may be declared in production
 // files while only tests (or nothing in this tree) reach them, as
@@ -45,7 +50,7 @@ var testOnlyAllowed = map[string]string{
 // the callee of such a call is not known statically. bench/ is a module of
 // its own, so its mentions count by name.
 func TestNoTestOnlyProductionFuncs(t *testing.T) {
-	mod, err := lint.LoadModule(".")
+	mod, err := loadModule()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,18 +3,32 @@ package ring
 // Dispatch seam for the codegen-specialized NTT kernels.
 //
 // cmd/hydra-genkernels emits ntt_gen.go: one fully specialized forward and
-// inverse kernel per shipped ring degree (see shipped.go), with every stage's
-// block count and stride a compile-time literal, the bit-reverse permutation
-// fused into the first (inverse) or last (forward) butterfly pass, and — for
-// the forward — the correction-free lazy schedule described at
-// GeneratedQBound. The kernels register themselves here from init().
+// inverse kernel per shipped ring degree, with every stage's block count and
+// stride a compile-time literal, the bit-reverse permutation fused into the
+// first (inverse) or last (forward) butterfly pass, and — for the forward —
+// the correction-free lazy schedule described at GeneratedQBound. The
+// generator owns the list of shipped degrees; the kernels register
+// themselves here from init(), so the registrations are the set ring knows.
 //
 // Which kernel a table runs is decided once, in NewNTTTable, from what the
-// table can observe: the specialized pair when the degree is in
-// ShippedKernelLogNs and q < GeneratedQBound, the generic merged kernel
-// otherwise. There is no switch to flip: both kernels produce identical
-// canonical output (pinned in-package by TestNTTKernelSelection, which calls
-// the generic kernel directly).
+// table can observe: the specialized pair when a kernel is registered for the
+// degree and q < GeneratedQBound, the generic merged kernel otherwise. There
+// is no switch to flip: both kernels produce identical canonical output
+// (pinned in-package by TestNTTKernelSelection, which calls the generic
+// kernel directly).
+
+//go:generate go run ../../cmd/hydra-genkernels
+
+// GeneratedQBound gates the specialized kernels by modulus size. The
+// generated forward network is correction-free: Shoup's lazy product lies in
+// [0, 2q) for any 64-bit multiplicand (its error term is w·2^64 mod q < q
+// regardless of x), so the butterflies skip the per-stage conditional
+// corrections and let values grow by at most 2q per stage, canonicalizing
+// once in the closing scatter. Starting from lazy input (< 4q) the peak is
+// (4 + 2·LogN)·q ≤ 36q at LogN 16, so any q < 2^56 keeps the whole schedule
+// below 2^62. Shipped moduli are 45–55 bits; tables whose modulus exceeds
+// the bound fall back to the generic merged kernel.
+const GeneratedQBound uint64 = 1 << 56
 
 // generatedKernel is one specialized transform: it reads a, may use the
 // N-word scratch row as a ping-pong buffer, and leaves the result in a.

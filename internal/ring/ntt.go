@@ -51,9 +51,9 @@ type NTTTable struct {
 	invLastWShoup uint64
 
 	// gen is the codegen-specialized kernel pair emitted by
-	// cmd/hydra-genkernels, set at construction when the degree ships one
-	// and q < GeneratedQBound (see gendispatch.go); nil means Forward/Inverse
-	// run the generic merged kernel.
+	// cmd/hydra-genkernels, set at construction when ntt_gen.go registered
+	// one for the degree and q < GeneratedQBound (see gendispatch.go); nil
+	// means Forward/Inverse run the generic merged kernel.
 	gen *generatedKernelPair
 	// rows lends the generated kernels the N-word ping-pong row they fuse
 	// the bit-reverse permutation with: the ring's row pool, or a pool of

@@ -3,13 +3,16 @@ package ring
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
-// TestNTTKernelSelection pins the one kernel-selection rule and both sides of
-// it. NewNTTTable picks the generated kernel exactly when the degree is in
-// ShippedKernelLogNs and q < GeneratedQBound, and the generic merged kernel
-// otherwise; whichever it picks, Forward, Inverse and ForwardBatch must be
+// TestNTTKernelSelection pins the shipped degrees, the one kernel-selection
+// rule and both sides of it. ntt_gen.go must register kernels for exactly
+// LogN 10..16, so a degree dropped from the generator fails here. NewNTTTable
+// picks the generated kernel exactly when a kernel is registered for the
+// degree and q < GeneratedQBound, and the generic merged kernel otherwise;
+// whichever it picks, Forward, Inverse and ForwardBatch must be
 // bit-identical to the radix-2 reference oracle, from canonical input and —
 // for the forward, whose contract allows it — from lazy (< 4q) input. The
 // generic kernel is additionally run directly on every table, so it stays
@@ -25,7 +28,15 @@ func TestNTTKernelSelection(t *testing.T) {
 		{9, 45, false},  // degree ships no kernel (the he-boot shape)
 		{12, 58, false}, // shipped degree, q ≥ GeneratedQBound: out of lazy headroom
 	}
-	for _, logN := range ShippedKernelLogNs {
+	var shipped []int
+	for logN := range generatedKernels {
+		shipped = append(shipped, logN)
+	}
+	slices.Sort(shipped)
+	if want := []int{10, 11, 12, 13, 14, 15, 16}; !slices.Equal(shipped, want) {
+		t.Fatalf("ntt_gen.go registers kernels for LogN %v, want %v", shipped, want)
+	}
+	for _, logN := range shipped {
 		if testing.Short() && logN > 14 {
 			continue
 		}

@@ -22,16 +22,22 @@ fi
 echo "== hydra-lint (FHE + concurrency invariants)"
 make lint
 
-echo "== generated-kernel freshness (go generate ./... must be a no-op)"
+echo "== generated-kernel freshness (go generate ./... must leave ntt_gen.go as it is)"
 # The specialized NTT kernels in internal/ring/ntt_gen.go are emitted by
-# cmd/hydra-genkernels from the shipped parameter list; a checked-in copy
-# that drifts from what the generator emits means someone edited generated
-# code by hand or changed the generator without regenerating.
+# cmd/hydra-genkernels, which owns the list of shipped degrees. The tier-1
+# test cmd/hydra-genkernels/main_test.go compares the emitter's output with
+# the file; this stage runs the //go:generate directive itself and compares
+# what it wrote with a copy taken before, so it reads only the generated file
+# and passes on a tree with other uncommitted edits.
+GEN_BEFORE="$(mktemp)"
+cp internal/ring/ntt_gen.go "$GEN_BEFORE"
 go generate ./...
-if ! git diff --exit-code -- '*.go'; then
-	echo "ci: generated code is stale: run 'go generate ./...' and commit the result" >&2
+if ! diff -u "$GEN_BEFORE" internal/ring/ntt_gen.go; then
+	rm -f "$GEN_BEFORE"
+	echo "ci: internal/ring/ntt_gen.go was stale: 'go generate ./...' rewrote it; commit the result" >&2
 	exit 1
 fi
+rm -f "$GEN_BEFORE"
 
 echo "== go test -race (pool + evaluator + cluster + serving layer)"
 go test -race "$@" \
