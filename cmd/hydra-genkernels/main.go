@@ -1,6 +1,7 @@
 // hydra-genkernels emits the codegen-specialized NTT kernels for the shipped
 // ring degrees into ntt_gen.go in the current directory; the go:generate
-// directive in internal/ring/gendispatch.go runs it there. It takes no flags.
+// directive in internal/ring/gendispatch.go runs it there. It takes no flags,
+// and it writes nothing unless $GOPACKAGE, which go generate sets, is ring.
 //
 // The generator is an emitter only. The Go compiler type-checks the emitted
 // file against internal/ring on every build, and the bit-identity tests
@@ -45,14 +46,23 @@ import (
 var shippedLogNs = []int{10, 11, 12, 13, 14, 15, 16}
 
 func main() {
-	src, err := emitFile()
-	if err == nil {
-		err = os.WriteFile("ntt_gen.go", src, 0o644)
-	}
-	if err != nil {
+	if err := generate(os.Getenv("GOPACKAGE")); err != nil {
 		fmt.Fprintln(os.Stderr, "hydra-genkernels:", err)
 		os.Exit(1)
 	}
+}
+
+// generate writes ntt_gen.go into the current directory when pkg, the
+// package go generate runs the directive for, is ring.
+func generate(pkg string) error {
+	if pkg != "ring" {
+		return fmt.Errorf("ntt_gen.go belongs to package ring, not %q: run 'go generate ./internal/ring/'", pkg)
+	}
+	src, err := emitFile()
+	if err != nil {
+		return err
+	}
+	return os.WriteFile("ntt_gen.go", src, 0o644)
 }
 
 // emitFile returns ntt_gen.go's source, gofmt-formatted.

@@ -462,7 +462,8 @@ func (ev *Evaluator) decomposeExt(d *ring.Poly) *hoistedDecomp {
 	// modulus, and the row's table transforms them in one ForwardBatch.
 	ring.ForEachLimb(ev.params.ExtRows(lvl), func(jj int) {
 		t := ev.params.extRow(jj, lvl)
-		lifted := make([][]uint64, 0, len(h.digits))
+		var buf [ring.RowMACFold][]uint64 // digits never exceed RowMACFold
+		lifted := buf[:0]
 		for dd := range h.digits {
 			ext := h.digits[dd][jj]
 			if lo, hi := ev.params.digit(dd, lvl); lo <= t && t < hi {
@@ -495,10 +496,10 @@ func (h *hoistedDecomp) release(r *ring.Ring) {
 // into the MAC (acc[t] += digit[perm[t]]·key[t], k = 1 the identity), which
 // is how hoisted rotations apply τ_k to every digit without materializing the
 // permuted decomposition.
-func (ev *Evaluator) ksAccum(h *hoistedDecomp, k uint64, swk *SwitchingKey) (acc0, acc1 [][]uint64) {
+func (ev *Evaluator) ksAccum(h *hoistedDecomp, k uint64, swk *SwitchingKey) ([][]uint64, [][]uint64) {
 	r := ev.params.RingQP()
 	rows := ev.params.ExtRows(h.lvl)
-	acc0, acc1 = ev.params.pooledRows(rows), ev.params.pooledRows(rows)
+	acc0, acc1 := ev.params.pooledRows(rows), ev.params.pooledRows(rows)
 	// Each accumulator row jj is independent: it sums every digit i over the
 	// same modulus in one 128-bit accumulator per coefficient (dnum = 3
 	// digits never exceed RowMACFold), reduced once to a canonical residue,

@@ -71,7 +71,9 @@ func MaxWorkers() int { return cap(extraSlots.Load().(chan struct{})) + 1 }
 // disjoint writes, the resulting memory — is identical in serial and
 // parallel mode. If fn panics on a helper goroutine, the first such panic is
 // re-raised on the caller after all helpers have finished (the limbs not yet
-// claimed still run, as they are independent).
+// claimed still run, as they are independent). The state a parallel call
+// shares with its helpers is recycled, so a warm call allocates nothing
+// beyond fn itself.
 func ForEachLimb(n int, fn func(i int)) {
 	slots, _ := extraSlots.Load().(chan struct{})
 	if n <= 1 || serialMode.Load() || cap(slots) == 0 {
@@ -80,49 +82,81 @@ func ForEachLimb(n int, fn func(i int)) {
 		}
 		return
 	}
-	// One heap object for everything the helpers share with the caller.
-	var st struct {
-		next  atomic.Int64 // next unclaimed limb
-		wg    sync.WaitGroup
-		once  sync.Once
-		panic any // first panic raised by fn on a helper
-	}
-	run := func() {
-		for {
-			i := st.next.Add(1) - 1
-			if i >= int64(n) {
-				return
-			}
-			fn(int(i))
-		}
-	}
+	st := limbRuns.Get().(*limbRun)
+	st.fn, st.n, st.slots = fn, int64(n), slots
+	st.next.Store(0)
 spawn:
 	for spawned := 0; spawned < n-1; spawned++ {
 		select {
 		case slots <- struct{}{}:
 			st.wg.Add(1)
 			//lint:allow rawgo this IS the bounded pool: the spawn is gated by a slot acquired above
-			go func() {
-				defer func() {
-					<-slots
-					if r := recover(); r != nil {
-						st.once.Do(func() { st.panic = r })
-					}
-					st.wg.Done()
-				}()
-				run()
-			}()
+			go st.help()
 		default:
 			break spawn // pool saturated: remaining limbs run inline below
 		}
 	}
 	// The caller always participates; its own panic unwinds past the helpers,
 	// so they are waited for either way and never outlive the call.
-	defer func() {
-		st.wg.Wait()
-		if st.panic != nil {
-			panic(st.panic)
+	defer st.finish()
+	st.run()
+}
+
+// limbRun is what one parallel ForEachLimb shares with its helpers. Runs
+// wait in limbRuns between calls.
+type limbRun struct {
+	fn    func(i int)
+	n     int64
+	next  atomic.Int64 // next unclaimed limb
+	slots chan struct{}
+	wg    sync.WaitGroup
+	mu    sync.Mutex
+	panic any    // first panic raised by fn on a helper
+	help  func() // helper, bound once so that a spawn allocates nothing
+}
+
+var limbRuns = sync.Pool{New: func() any {
+	st := new(limbRun)
+	st.help = st.helper
+	return st
+}}
+
+// run claims and runs limbs until none is left.
+func (st *limbRun) run() {
+	for {
+		i := st.next.Add(1) - 1
+		if i >= st.n {
+			return
 		}
+		st.fn(int(i))
+	}
+}
+
+// helper is run on a helper goroutine: it gives its slot back and records a
+// panic of fn before the caller's wait returns.
+func (st *limbRun) helper() {
+	defer func() {
+		<-st.slots
+		if r := recover(); r != nil {
+			st.mu.Lock()
+			if st.panic == nil {
+				st.panic = r
+			}
+			st.mu.Unlock()
+		}
+		st.wg.Done()
 	}()
-	run()
+	st.run()
+}
+
+// finish waits for the helpers, recycles the run and re-raises a helper's
+// panic on the caller.
+func (st *limbRun) finish() {
+	st.wg.Wait()
+	p := st.panic
+	st.fn, st.slots, st.panic = nil, nil, nil
+	limbRuns.Put(st)
+	if p != nil {
+		panic(p)
+	}
 }

@@ -126,23 +126,86 @@ func TestRowPool(t *testing.T) {
 }
 
 // TestPutRowsAllocatesNothing: a row travels in a box that waits in the pool
-// while the row is out, so giving rows back allocates nothing once warm.
+// while the row is out, and so does the header that holds a set of rows, so
+// giving rows back and taking them again allocates nothing once warm.
 func TestPutRowsAllocatesNothing(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool sheds entries at random under the race detector")
+	}
+	if poisonRows {
+		t.Skip("the poisonpool build never hands a header out again")
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	r := testRing(t, 16, 3)
 	rows := r.GetRows(4)
 	r.PutRows(rows...)
-	take := func() {
-		for i := range rows {
-			rows[i] = r.rows.row()
+	rows = r.GetRows(4)
+	if allocs := testing.AllocsPerRun(100, func() { r.PutRows(rows...); rows = r.GetRows(4) }); allocs != 0 {
+		t.Errorf("a warm put and take of %d rows makes %.0f allocations, want 0", len(rows), allocs)
+	}
+}
+
+// TestPutRowsClearsHeader: PutRows keeps no row alive through the header it
+// was handed, and a header it gave back is handed out again with nil rows
+// before GetRows fills it.
+func TestPutRowsClearsHeader(t *testing.T) {
+	r := testRing(t, 16, 3)
+	rows := r.GetRows(3)
+	r.PutRows(rows...)
+	for i, row := range rows {
+		if row != nil {
+			t.Fatalf("row %d of a given-back header is still set", i)
 		}
 	}
-	take()
-	if allocs := testing.AllocsPerRun(100, func() { r.PutRows(rows...); take() }); allocs != 0 {
-		t.Errorf("a warm put and take of %d rows makes %.0f allocations, want 0", len(rows), allocs)
+	for i, row := range r.GetRows(3) {
+		if len(row) != r.N {
+			t.Fatalf("GetRows row %d has length %d, want %d", i, len(row), r.N)
+		}
+	}
+}
+
+// TestPoisonedHeaderNeverReturns: built with the poisonpool tag, a header
+// given back is never handed out again, so a holder that reads it after
+// PutRows panics on a nil row instead of reading another taker's rows.
+func TestPoisonedHeaderNeverReturns(t *testing.T) {
+	if !poisonRows {
+		t.Skip("needs -tags poisonpool")
+	}
+	r := testRing(t, 16, 3)
+	for range 8 {
+		rows := r.GetRows(2)
+		r.PutRows(rows...)
+		if next := r.GetRows(2); &next[0] == &rows[0] {
+			t.Fatal("GetRows handed out a header that was given back")
+		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatal("reading a given-back header did not panic")
+				}
+			}()
+			_ = rows[0][0]
+		}()
+	}
+}
+
+// TestForEachLimbWarmAllocatesNothing: a parallel call recycles the state it
+// shares with its helpers, so with fn built beforehand a warm call allocates
+// nothing.
+func TestForEachLimbWarmAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool sheds entries at random under the race detector")
+	}
+	old := MaxWorkers()
+	SetMaxWorkers(4)
+	defer SetMaxWorkers(old)
+	var count atomic.Int64
+	fn := func(int) { count.Add(1) }
+	if allocs := testing.AllocsPerRun(100, func() { ForEachLimb(8, fn) }); allocs != 0 {
+		t.Errorf("a warm parallel ForEachLimb makes %.0f allocations, want 0", allocs)
+	}
+	if got := count.Load(); got != 101*8 {
+		t.Fatalf("ran %d limbs, want %d", got, 101*8)
 	}
 }
 

@@ -51,13 +51,21 @@ func NewRing(n int, moduli []uint64) (*Ring, error) {
 // A row comes back as its last holder left it, so a taker that needs zeros
 // clears its rows itself. Rows travel in *[]uint64 boxes, and a box a get
 // empties waits in boxes for the next put, so once warm neither call
-// allocates. Both are sync.Pools: a collection empties them.
+// allocates. The [][]uint64 headers GetRows hands out travel the same way,
+// cleared, one pool per length. All are sync.Pools: a collection empties them.
 type rowPool struct {
 	n     int
 	below uint64    // the smallest modulus of the rows' ring, for scribble
 	rows  sync.Pool // boxes holding a row
 	boxes sync.Pool // empty boxes
+
+	heads     [maxHeader]sync.Pool // heads[k-1]: boxes holding a length-k header
+	headBoxes sync.Pool            // empty header boxes
 }
+
+// maxHeader is the longest header the pool recycles; a longer one is left to
+// the collector. Every extended polynomial of a shipped chain fits.
+const maxHeader = 64
 
 // get returns a row, or nil when the pool is empty.
 func (p *rowPool) get() []uint64 {
@@ -95,6 +103,38 @@ func (p *rowPool) put(row []uint64) {
 	p.rows.Put(b)
 }
 
+// header returns a length-k header of nil rows, a recycled one when the pool
+// has one.
+func (p *rowPool) header(k int) [][]uint64 {
+	if k < 1 || k > maxHeader {
+		return make([][]uint64, k)
+	}
+	b, ok := p.heads[k-1].Get().(*[][]uint64)
+	if !ok {
+		return make([][]uint64, k)
+	}
+	h := *b
+	*b = nil
+	p.headBoxes.Put(b)
+	return h
+}
+
+// putHeader clears h and keeps it for the next header of its length. With
+// the poisonpool tag it is never handed out again, so a holder that reads it
+// after giving it back meets a nil row.
+func (p *rowPool) putHeader(h [][]uint64) {
+	clear(h)
+	if poisonRows || len(h) < 1 || len(h) > maxHeader {
+		return
+	}
+	b, _ := p.headBoxes.Get().(*[][]uint64)
+	if b == nil {
+		b = new([][]uint64)
+	}
+	*b = h[:len(h):len(h)]
+	p.heads[len(h)-1].Put(b)
+}
+
 // scribble overwrites a row given back with random residues below the ring's
 // smallest modulus, fresh per call and per process, when the poisonpool tag
 // is set: a row read before it is written, or after it went back, then
@@ -109,9 +149,10 @@ func scribble(row []uint64, below uint64) {
 // GetRows returns n length-N rows from the ring's row pool, each as its last
 // holder left it: a taker writes every word before reading it, or clears the
 // row first. Once the pool runs dry the rest are made on one backing, as
-// NewPoly's rows are. PutRows gives them back.
+// NewPoly's rows are. The header may be one a PutRows gave back. PutRows
+// gives both back.
 func (r *Ring) GetRows(n int) [][]uint64 {
-	rows := make([][]uint64, n)
+	rows := r.rows.header(n)
 	for i := range rows {
 		if rows[i] = r.rows.get(); rows[i] == nil {
 			backing := make([]uint64, (n-i)*r.N)
@@ -124,12 +165,15 @@ func (r *Ring) GetRows(n int) [][]uint64 {
 	return rows
 }
 
-// PutRows gives rows back to the ring's row pool; their holder must not use
-// them afterwards. A row whose length is not N is dropped, not pooled.
+// PutRows gives rows back to the ring's row pool, and the slice that holds
+// them to the pool of headers, cleared: the holder uses neither afterwards,
+// so a header passed with ... is one no other value shares. A row whose
+// length is not N is dropped, not pooled.
 func (r *Ring) PutRows(rows ...[]uint64) {
 	for _, row := range rows {
 		r.rows.put(row)
 	}
+	r.rows.putHeader(rows)
 }
 
 // MaxLevel is the highest level index (len(Moduli)-1).
