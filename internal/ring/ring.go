@@ -49,39 +49,49 @@ func NewRing(n int, moduli []uint64) (*Ring, error) {
 // rowPool recycles N-word rows for every taker on a ring: an op's scratch,
 // the generated NTT kernels' ping-pong row and the rows of pooled results.
 // A row comes back as its last holder left it, so a taker that needs zeros
-// clears its rows itself. Rows travel in *[]uint64 boxes, and a box a get
-// empties waits in boxes for the next put, so once warm neither call
-// allocates. The [][]uint64 headers GetRows hands out travel the same way,
-// cleared, one pool per length. All are sync.Pools: a collection empties them.
+// clears its rows itself. The [][]uint64 headers GetRows hands out come back
+// cleared, one pool per length.
 type rowPool struct {
 	n     int
-	below uint64    // the smallest modulus of the rows' ring, for scribble
-	rows  sync.Pool // boxes holding a row
-	boxes sync.Pool // empty boxes
-
-	heads     [maxHeader]sync.Pool // heads[k-1]: boxes holding a length-k header
-	headBoxes sync.Pool            // empty header boxes
+	below uint64 // the smallest modulus of the rows' ring, for scribble
+	rows  boxPool[[]uint64]
+	heads [maxHeader]boxPool[[][]uint64] // heads[k-1] holds length-k headers
 }
 
 // maxHeader is the longest header the pool recycles; a longer one is left to
 // the collector. Every extended polynomial of a shipped chain fits.
 const maxHeader = 64
 
-// get returns a row, or nil when the pool is empty.
-func (p *rowPool) get() []uint64 {
-	b, ok := p.rows.Get().(*[]uint64)
+// boxPool recycles values in *T boxes, and a box a get empties waits in
+// empty for the next put, so once warm neither call allocates. Both are
+// sync.Pools: a collection empties them.
+type boxPool[T any] struct {
+	full, empty sync.Pool
+}
+
+// get returns a pooled value, or the zero T when the pool is empty.
+func (p *boxPool[T]) get() (v T) {
+	b, ok := p.full.Get().(*T)
 	if !ok {
-		return nil
+		return v
 	}
-	row := *b
-	*b = nil
-	p.boxes.Put(b)
-	return row
+	v, *b = *b, v
+	p.empty.Put(b)
+	return v
+}
+
+func (p *boxPool[T]) put(v T) {
+	b, _ := p.empty.Get().(*T)
+	if b == nil {
+		b = new(T)
+	}
+	*b = v
+	p.full.Put(b)
 }
 
 // row returns a row, a new one when the pool is empty.
 func (p *rowPool) row() []uint64 {
-	if row := p.get(); row != nil {
+	if row := p.rows.get(); row != nil {
 		return row
 	}
 	return make([]uint64, p.n)
@@ -95,28 +105,17 @@ func (p *rowPool) put(row []uint64) {
 	if poisonRows {
 		scribble(row, p.below)
 	}
-	b, _ := p.boxes.Get().(*[]uint64)
-	if b == nil {
-		b = new([]uint64)
-	}
-	*b = row[:p.n:p.n]
-	p.rows.Put(b)
+	p.rows.put(row[:p.n:p.n])
 }
 
-// header returns a length-k header of nil rows, a recycled one when the pool
-// has one.
+// header returns a length-k header of nil rows.
 func (p *rowPool) header(k int) [][]uint64 {
-	if k < 1 || k > maxHeader {
-		return make([][]uint64, k)
+	if 0 < k && k <= maxHeader {
+		if h := p.heads[k-1].get(); h != nil {
+			return h
+		}
 	}
-	b, ok := p.heads[k-1].Get().(*[][]uint64)
-	if !ok {
-		return make([][]uint64, k)
-	}
-	h := *b
-	*b = nil
-	p.headBoxes.Put(b)
-	return h
+	return make([][]uint64, k)
 }
 
 // putHeader clears h and keeps it for the next header of its length. With
@@ -124,15 +123,9 @@ func (p *rowPool) header(k int) [][]uint64 {
 // after giving it back meets a nil row.
 func (p *rowPool) putHeader(h [][]uint64) {
 	clear(h)
-	if poisonRows || len(h) < 1 || len(h) > maxHeader {
-		return
+	if !poisonRows && 0 < len(h) && len(h) <= maxHeader {
+		p.heads[len(h)-1].put(h[:len(h):len(h)])
 	}
-	b, _ := p.headBoxes.Get().(*[][]uint64)
-	if b == nil {
-		b = new([][]uint64)
-	}
-	*b = h[:len(h):len(h)]
-	p.heads[len(h)-1].Put(b)
 }
 
 // scribble overwrites a row given back with random residues below the ring's
@@ -154,7 +147,7 @@ func scribble(row []uint64, below uint64) {
 func (r *Ring) GetRows(n int) [][]uint64 {
 	rows := r.rows.header(n)
 	for i := range rows {
-		if rows[i] = r.rows.get(); rows[i] == nil {
+		if rows[i] = r.rows.rows.get(); rows[i] == nil {
 			backing := make([]uint64, (n-i)*r.N)
 			for j := i; j < n; j++ {
 				rows[j], backing = backing[:r.N:r.N], backing[r.N:]
