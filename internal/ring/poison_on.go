@@ -2,5 +2,6 @@
 
 package ring
 
-// poisonRows: the row pool scribbles every row given back (see scribble).
+// poisonRows: the row pool scribbles every row given back (see scribble)
+// and never hands a header out again (see putHeader).
 const poisonRows = true
