@@ -94,20 +94,14 @@ func Interpret(p *Program, inputs map[string][]complex128) ([]complex128, error)
 				if err != nil {
 					return nil, err
 				}
-				r := rot(src, k)
-				for i := range out {
-					out[i] += r[i] * pt[i]
-				}
+				addRotated(out, src, pt, k)
 			}
 			vals[v] = out
 		case OpRotSum:
 			src := arg(0)
 			out := make([]complex128, p.Slots)
 			for _, k := range v.Rots {
-				r := rot(src, k)
-				for i := range out {
-					out[i] += r[i]
-				}
+				addRotated(out, src, nil, k)
 			}
 			vals[v] = out
 		default:
@@ -115,4 +109,22 @@ func Interpret(p *Program, inputs map[string][]complex128) ([]complex128, error)
 		}
 	}
 	return vals[p.Output], nil
+}
+
+// addRotated adds rot(x, k) ⊙ w to out, slot by slot, without making rot(x, k)
+// (w nil multiplies by one): a DiagMac or RotSum term costs no allocation.
+func addRotated(out, x, w []complex128, k int) {
+	n := len(x)
+	k = (k%n + n) % n
+	for i := range out {
+		j := i + k
+		if j >= n {
+			j -= n
+		}
+		if w == nil {
+			out[i] += x[j]
+		} else {
+			out[i] += x[j] * w[i]
+		}
+	}
 }
